@@ -3,6 +3,8 @@
 #ifndef OASIS_BENCH_BENCH_UTIL_H_
 #define OASIS_BENCH_BENCH_UTIL_H_
 
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -33,15 +35,20 @@ inline SimulationConfig PaperCluster(ConsolidationPolicy policy, int consolidati
 }
 
 // Number of repetitions per datapoint (§5.3 averages five runs). Override
-// with OASIS_BENCH_RUNS for quicker smoke runs.
+// with OASIS_BENCH_RUNS for quicker smoke runs; a value that is not a
+// positive integer exits with status 2.
 inline int BenchRuns() {
-  if (const char* env = std::getenv("OASIS_BENCH_RUNS")) {
-    int n = std::atoi(env);
-    if (n > 0) {
-      return n;
-    }
+  const char* env = std::getenv("OASIS_BENCH_RUNS");
+  if (env == nullptr || *env == '\0') {
+    return 5;
   }
-  return 5;
+  char* end = nullptr;
+  long n = std::strtol(env, &end, 10);
+  if (*end != '\0' || n <= 0 || n > INT_MAX) {
+    std::fprintf(stderr, "OASIS_BENCH_RUNS=%s is not a positive integer (repetitions)\n", env);
+    std::exit(2);
+  }
+  return static_cast<int>(n);
 }
 
 // When OASIS_CSV_DIR is set, benches also write their data series as

@@ -30,11 +30,9 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/cluster/strategy_oasis.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
 #include "src/check/check.h"
@@ -217,60 +215,6 @@ int main() {
     }
   }
 
-  // Plan-mode comparison: time the serial reference under both planner
-  // backends so the committed snapshot tracks the incremental planner's
-  // speedup across PRs. One timing repetition per mode — the pair is a
-  // trajectory marker, not a benchmark — and each run's checksum must match
-  // the sweep's (the backends are pinned byte-identical, so a mismatch here
-  // is a real divergence, reported as a determinism failure). The profiler
-  // is paused for these runs (safe: no recording threads are active between
-  // sweep steps): per-event clock reads cost ~40% of wall on slow hosts,
-  // which would dilute exactly the hot-path delta this pair exists to track.
-  struct PlanModePoint {
-    const char* mode;
-    double wall_s;
-    uint64_t events;
-  };
-  std::vector<PlanModePoint> plan_points;
-  {
-    const prof::ProfMode prior_prof = prof::Profiler::Instance().mode();
-    prof::Profiler::Instance().SetMode(prof::ProfMode::kOff);
-    const char* prior = std::getenv("OASIS_PLAN");
-    const std::string restore = prior != nullptr ? prior : "";
-    for (const char* mode : {"full", "incremental"}) {
-      setenv("OASIS_PLAN", mode, 1);
-      PlanModePoint point{mode, 0.0, 0};
-      // Best-of-kTimingReps, the same estimator the sweep points use.
-      for (int rep = 0; rep < kTimingReps; ++rep) {
-        auto start = std::chrono::steady_clock::now();
-        std::vector<SimulationResult> results = exp::RunParallel(plan, 1);
-        auto end = std::chrono::steady_clock::now();
-        const double wall_s = std::chrono::duration<double>(end - start).count();
-        uint64_t events = 0;
-        for (const SimulationResult& result : results) {
-          events += result.metrics.events_dispatched;
-        }
-        if (ResultsChecksum(results) != points.front().checksum) {
-          std::fprintf(stderr, "OASIS_PLAN=%s changed the results checksum\n", mode);
-          return 1;
-        }
-        point.events = events;
-        if (rep == 0 || wall_s < point.wall_s) {
-          point.wall_s = wall_s;
-        }
-      }
-      plan_points.push_back(point);
-      obs::TimingLine("plan=%-11s wall=%8.3fs  events/s=%11.0f", mode, point.wall_s,
-                      point.events / point.wall_s);
-    }
-    if (prior != nullptr) {
-      setenv("OASIS_PLAN", restore.c_str(), 1);
-    } else {
-      unsetenv("OASIS_PLAN");
-    }
-    prof::Profiler::Instance().SetMode(prior_prof);
-  }
-
   bool deterministic = true;
   for (const SweepPoint& point : points) {
     if (point.checksum != points.front().checksum || point.events != points.front().events) {
@@ -305,7 +249,6 @@ int main() {
     json << "  \"deterministic\": " << (deterministic ? "true" : "false") << ",\n";
     json << "  \"prof_mode\": \"" << prof::ProfModeName(prof_session.config().mode)
          << "\",\n";
-    json << "  \"plan_mode\": \"" << PlanModeName(PlanModeFromEnv()) << "\",\n";
     // Requested job counts whose effective worker count duplicated an
     // earlier point; kept in the record so a trajectory diff can tell "the
     // sweep shrank" from "the machine shrank".
@@ -313,17 +256,6 @@ int main() {
     for (size_t i = 0; i < collapsed.size(); ++i) {
       json << (i > 0 ? ", " : "") << "{\"jobs\": " << collapsed[i].jobs
            << ", \"effective_workers\": " << collapsed[i].effective << "}";
-    }
-    json << "],\n";
-    // Serial events/s under each planner backend, measured with the
-    // profiler paused (see the comparison above): the cross-PR record of
-    // what the incremental planner buys, undiluted by prof overhead.
-    json << "  \"plan_modes\": [";
-    for (size_t i = 0; i < plan_points.size(); ++i) {
-      json << (i > 0 ? ", " : "") << "{\"plan_mode\": \"" << plan_points[i].mode
-           << "\", \"wall_s\": " << plan_points[i].wall_s
-           << ", \"events_per_sec\": " << plan_points[i].events / plan_points[i].wall_s
-           << "}";
     }
     json << "],\n";
     json << "  \"sweep\": [\n";

@@ -8,13 +8,10 @@
 # scrubbed (OASIS_CHECK deliberately passes through, so CI runs the golden
 # suite with the invariant checker in strict mode; OASIS_PROF passes through
 # too — the profiler's contract is that stdout is byte-identical in every
-# mode, and running goldens under OASIS_PROF=summary proves it; OASIS_PLAN
-# passes through for the same reason — the planner backends are pinned
-# byte-identical, and CI runs the goldens under all three) — captures
-# stdout, and
-# compares it byte-for-byte against GOLDEN. On mismatch the test fails with
-# both SHA-256 digests and keeps the observed output next to the scratch dir
-# for upload/diffing. With UPDATE=1 the observed output replaces the golden
+# mode, and running goldens under OASIS_PROF=summary proves it) — captures
+# stdout, and compares it byte-for-byte against GOLDEN. On mismatch the test
+# fails with both SHA-256 digests and keeps the observed output next to the
+# scratch dir for upload/diffing. With UPDATE=1 the observed output replaces the golden
 # file instead: behavioral drift becomes a reviewed diff, never an accident.
 
 foreach(required BINARY GOLDEN WORK)

@@ -47,25 +47,48 @@ Actuator::Actuator(const ClusterConfig& config, Simulator& sim, Rng& rng,
       state_(state),
       metrics_(metrics) {}
 
+void Actuator::CountResident(HostId host, const VmSlot& vm, int delta) {
+  if (vm.migration_in_flight) {
+    state_.inflight_residents[host] += delta;
+  }
+  if (vm.residency == VmResidency::kPartial) {
+    state_.partial_residents[host] += delta;
+  }
+}
+
+void Actuator::MoveResident(SimTime now, VmSlot& vm, HostId dest) {
+  HostOf(vm.location).RemoveVm(now, vm.id);
+  CountResident(vm.location, vm, -1);
+  HostOf(dest).AddVm(now, vm.id);
+  CountResident(dest, vm, +1);
+  vm.location = dest;
+}
+
 void Actuator::SetResidency(VmSlot& vm, VmResidency next) {
   if (vm.residency == next) {
     return;
   }
-  if (vm.residency == VmResidency::kPartial) {
-    --state_.partials_homed[vm.home];
-  }
+  // A VM's home never changes, so the per-home counts follow the residency
+  // alone; the per-host one follows it at the host the VM is resident on.
+  auto count = [this, &vm](int delta) {
+    if (vm.residency == VmResidency::kPartial) {
+      state_.partials_homed[vm.home] += delta;
+      state_.partial_residents[vm.location] += delta;
+    } else if (vm.residency == VmResidency::kFullAtConsolidation) {
+      state_.fac_homed[vm.home] += delta;
+    }
+  };
+  count(-1);
   vm.residency = next;
-  if (next == VmResidency::kPartial) {
-    ++state_.partials_homed[vm.home];
-  }
-  state_.dirty.MarkVm(vm.id);
-  state_.dirty.MarkHost(vm.home);
-  state_.dirty.MarkHost(vm.location);
+  count(+1);
 }
 
-void Actuator::MarkInFlightChanged(const VmSlot& vm) {
-  state_.dirty.MarkVm(vm.id);
-  state_.dirty.MarkHost(vm.location);
+void Actuator::SetInFlight(VmSlot& vm, bool in_flight) {
+  if (vm.migration_in_flight == in_flight) {
+    return;
+  }
+  vm.migration_in_flight = in_flight;
+  state_.inflight_residents[vm.location] += in_flight ? 1 : -1;
 }
 
 void Actuator::HandleActivation(SimTime now, VmId vm_id, SimTime activation_time) {
@@ -156,17 +179,13 @@ bool Actuator::TryNewHome(SimTime now, VmSlot& vm, SimTime activation_time) {
     return false;
   }
   HostId target_id = candidates[rng_.NextBelow(candidates.size())];
-  ClusterHost& target = HostOf(target_id);
-  ClusterHost& source = HostOf(vm.location);
-
-  target.Reserve(vm.full_bytes);
-  source.Release(vm.ws_bytes);
-  source.RemoveVm(now, vm.id);
-  target.AddVm(now, vm.id);
-  AdjustActiveCount(now, vm.location, -1);
-  AdjustActiveCount(now, target_id, +1);
   HostId old_location = vm.location;
-  vm.location = target_id;
+
+  HostOf(target_id).Reserve(vm.full_bytes);
+  HostOf(old_location).Release(vm.ws_bytes);
+  MoveResident(now, vm, target_id);
+  AdjustActiveCount(now, old_location, -1);
+  AdjustActiveCount(now, target_id, +1);
   SetResidency(vm, VmResidency::kFullAtConsolidation);
   vm.ws_bytes = 0;
   vm.ws_unfetched = 0;
@@ -226,12 +245,11 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
   const ClusterTimings& t = config_.timings;
   for (VmId id : partials) {
     VmSlot& vm = Slot(id);
-    ClusterHost& source = HostOf(vm.location);
-    source.Release(vm.ws_bytes);
-    source.RemoveVm(now, id);
-    home.AddVm(now, id);
+    HostId source_id = vm.location;
+    HostOf(source_id).Release(vm.ws_bytes);
+    MoveResident(now, vm, home_id);
     if (vm.activity == VmActivity::kActive) {
-      AdjustActiveCount(now, vm.location, -1);
+      AdjustActiveCount(now, source_id, -1);
       AdjustActiveCount(now, home_id, +1);
     }
     metrics_.traffic.Add(TrafficCategory::kReintegration, vm.dirty_bytes);
@@ -239,7 +257,6 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
     SimTime done =
         home.EnqueueInboundTransfer(t0, t.reintegration_transfer) + t.reintegration_fixed;
     TraceMigration("reintegration", t0, done, id, home_id, vm.dirty_bytes);
-    vm.location = home_id;
     SetResidency(vm, VmResidency::kFullAtHome);
     vm.ws_bytes = 0;
     vm.ws_unfetched = 0;
@@ -258,14 +275,12 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
     HostId source_id = vm.location;
     ClusterHost& source = HostOf(source_id);
     source.Release(vm.full_bytes);
-    source.RemoveVm(now, id);
-    home.AddVm(now, id);
+    MoveResident(now, vm, home_id);
     metrics_.traffic.Add(TrafficCategory::kFullMigration, vm.full_bytes);
     ++metrics_.full_migrations;
     SimTime done = source.EnqueueOutboundMigration(t0, t.full_migration);
     TraceMigration("full_migration", done - t.full_migration, done, id, home_id,
                    vm.full_bytes);
-    vm.location = home_id;
     SetResidency(vm, VmResidency::kFullAtHome);
     ScheduleMigration(vm, done - t.full_migration, done, VmSlot::PendingOp::kFullReturnMove,
                       source_id);
@@ -329,9 +344,7 @@ void Actuator::FullToPartialSwapGroup(SimTime now, HostId home_id,
     TraceMigration("full_migration", done1 - t.full_migration, done1, id, home_id,
                    vm.full_bytes);
     cons.Release(vm.full_bytes);
-    cons.RemoveVm(now, id);
-    home.AddVm(now, id);
-    vm.location = home_id;
+    MoveResident(now, vm, home_id);
     SetResidency(vm, VmResidency::kFullAtHome);
     metrics_.traffic.Add(TrafficCategory::kFullMigration, vm.full_bytes);
     ++metrics_.full_migrations;
@@ -339,9 +352,7 @@ void Actuator::FullToPartialSwapGroup(SimTime now, HostId home_id,
     uint64_t ws = SampleWorkingSet();
     if (cons.CanFit(ws)) {
       cons.Reserve(ws);
-      home.RemoveVm(now, id);
-      cons.AddVm(now, id);
-      vm.location = cons_id;
+      MoveResident(now, vm, cons_id);
       SetResidency(vm, VmResidency::kPartial);
       vm.ws_bytes = ws;
       vm.ws_unfetched = ws;
@@ -404,9 +415,7 @@ void Actuator::CommitVacatePlan(SimTime now, const VacatePlan& plan) {
         TraceMigration("partial_migration", done - t.partial_migration, done, vm_id, dest_id,
                        ws);
       }
-      source.RemoveVm(now, vm_id);
-      dest.AddVm(now, vm_id);
-      vm.location = dest_id;
+      MoveResident(now, vm, dest_id);
       bool partial = vm.residency == VmResidency::kPartial;
       ScheduleMigration(vm, partial ? done - t.partial_migration : now, done,
                         partial ? VmSlot::PendingOp::kVacatePartial
@@ -427,9 +436,7 @@ void Actuator::DrainMove(SimTime now, VmId vm_id, HostId dest_id) {
   ClusterHost& dest = HostOf(dest_id);
   source.Release(vm.ws_bytes);
   dest.Reserve(vm.ws_bytes);
-  source.RemoveVm(now, vm_id);
-  dest.AddVm(now, vm_id);
-  vm.location = dest_id;
+  MoveResident(now, vm, dest_id);
   metrics_.traffic.Add(TrafficCategory::kPartialDescriptor,
                        config_.volumes.descriptor_bytes);
   ++metrics_.partial_migrations;
@@ -563,11 +570,10 @@ int Actuator::CountPartialsHomedAt(HostId home_id) const {
 
 void Actuator::ScheduleMigration(VmSlot& vm, SimTime start, SimTime done,
                                  VmSlot::PendingOp op, HostId source) {
-  vm.migration_in_flight = true;
+  SetInFlight(vm, true);
   vm.migration_start = start;
   vm.pending_op = op;
   vm.migration_source = source;
-  MarkInFlightChanged(vm);
   uint32_t epoch = ++vm.op_epoch;
   VmId id = vm.id;
   sim_.ScheduleAt(done, [this, id, epoch]() { FinishMigration(sim_.now(), id, epoch); });
@@ -586,16 +592,13 @@ bool Actuator::RollbackMigration(SimTime now, VmSlot& vm) {
     case VmSlot::PendingOp::kSwapReturn: {
       // The VM has not been suspended yet; it keeps running at home with its
       // full footprint. Undo the partial placement.
-      ClusterHost& dest = HostOf(vm.location);
-      ClusterHost& home = HostOf(vm.home);
-      dest.Release(vm.ws_bytes);
-      dest.RemoveVm(now, vm.id);
-      home.AddVm(now, vm.id);
+      HostId dest_id = vm.location;
+      HostOf(dest_id).Release(vm.ws_bytes);
+      MoveResident(now, vm, vm.home);
       if (vm.activity == VmActivity::kActive) {
-        AdjustActiveCount(now, vm.location, -1);
+        AdjustActiveCount(now, dest_id, -1);
         AdjustActiveCount(now, vm.home, +1);
       }
-      vm.location = vm.home;
       SetResidency(vm, VmResidency::kFullAtHome);
       vm.ws_bytes = 0;
       vm.ws_unfetched = 0;
@@ -604,35 +607,30 @@ bool Actuator::RollbackMigration(SimTime now, VmSlot& vm) {
     }
     case VmSlot::PendingOp::kDrainMove: {
       // The VM stays on the consolidation host it was being drained from.
-      ClusterHost& dest = HostOf(vm.location);
-      ClusterHost& source = HostOf(vm.migration_source);
-      dest.Release(vm.ws_bytes);
-      dest.RemoveVm(now, vm.id);
-      source.Reserve(vm.ws_bytes);
-      source.AddVm(now, vm.id);
+      HostId dest_id = vm.location;
+      HostOf(dest_id).Release(vm.ws_bytes);
+      HostOf(vm.migration_source).Reserve(vm.ws_bytes);
+      MoveResident(now, vm, vm.migration_source);
       if (vm.activity == VmActivity::kActive) {
-        AdjustActiveCount(now, vm.location, -1);
+        AdjustActiveCount(now, dest_id, -1);
         AdjustActiveCount(now, vm.migration_source, +1);
       }
-      vm.location = vm.migration_source;
       break;
     }
     case VmSlot::PendingOp::kFullReturnMove: {
       // The return-home live migration has not started: the VM simply stays
       // full on its consolidation host, already holding all its resources.
       ClusterHost& cons = HostOf(vm.migration_source);
-      ClusterHost& home = HostOf(vm.location);
+      HostId home_id = vm.location;
       if (!cons.CanFit(vm.full_bytes)) {
         return false;  // space was re-used meanwhile; ride the migration out
       }
       cons.Reserve(vm.full_bytes);
-      home.RemoveVm(now, vm.id);
-      cons.AddVm(now, vm.id);
+      MoveResident(now, vm, vm.migration_source);
       if (vm.activity == VmActivity::kActive) {
-        AdjustActiveCount(now, vm.location, -1);
+        AdjustActiveCount(now, home_id, -1);
         AdjustActiveCount(now, vm.migration_source, +1);
       }
-      vm.location = vm.migration_source;
       SetResidency(vm, VmResidency::kFullAtConsolidation);
       break;
     }
@@ -642,10 +640,9 @@ bool Actuator::RollbackMigration(SimTime now, VmSlot& vm) {
       return false;
   }
   ++vm.op_epoch;  // invalidate the scheduled completion event
-  vm.migration_in_flight = false;
+  SetInFlight(vm, false);
   vm.pending_op = VmSlot::PendingOp::kNone;
   vm.activation_pending = false;
-  MarkInFlightChanged(vm);
   return true;
 }
 
@@ -804,13 +801,11 @@ void Actuator::CrashHost(SimTime now, HostId id) {
     StatusOr<SimTime> woken = WakeHost(now, vm.home);
     SimTime powered = woken.ok() ? *woken : home.EarliestPoweredTime(now);
     host.Release(vm.full_bytes);
-    host.RemoveVm(now, vid);
-    home.AddVm(now, vid);
+    MoveResident(now, vm, vm.home);
     if (vm.activity == VmActivity::kActive) {
       AdjustActiveCount(now, id, -1);
       AdjustActiveCount(now, vm.home, +1);
     }
-    vm.location = vm.home;
     SetResidency(vm, VmResidency::kFullAtHome);
     SimTime done = powered + config_.fault.vm_restart_latency;
     TraceMigration("crash_restart", now, done, vid, vm.home, vm.full_bytes);
@@ -884,9 +879,8 @@ void Actuator::FinishMigration(SimTime now, VmId vm_id, uint32_t epoch) {
   if (vm.op_epoch != epoch) {
     return;  // aborted (or superseded) in the meantime
   }
-  vm.migration_in_flight = false;
+  SetInFlight(vm, false);
   vm.pending_op = VmSlot::PendingOp::kNone;
-  MarkInFlightChanged(vm);
   if (vm.activation_pending) {
     vm.activation_pending = false;
     if (vm.residency == VmResidency::kPartial) {

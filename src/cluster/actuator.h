@@ -89,13 +89,19 @@ class Actuator {
   // --- helpers ------------------------------------------------------------
   ClusterHost& HostOf(HostId id) { return *state_.hosts[id]; }
   VmSlot& Slot(VmId id) { return state_.vms[id]; }
-  // The single gateway for residency changes: keeps the per-home partial
-  // count exact (a VM's home never changes) and records the change in the
-  // planner's dirty log. No actuator code assigns vm.residency directly.
+  // The funnel for the maintained aggregates in ClusterState. No actuator
+  // code touches a resident set, vm.location, vm.residency or
+  // vm.migration_in_flight except through these three.
+  //
+  // MoveResident moves `vm` from vm.location's resident set to `dest`'s and
+  // updates vm.location, carrying the VM's in-flight/partial contributions
+  // to the per-host counts along with it. SetResidency and SetInFlight
+  // adjust the counts of vm.location (and of vm.home), so both must only
+  // run while the VM is resident at vm.location — which MoveResident keeps
+  // true at every instant outside its own body.
+  void MoveResident(SimTime now, VmSlot& vm, HostId dest);
   void SetResidency(VmSlot& vm, VmResidency next);
-  // Records an in-flight flip (ScheduleMigration / FinishMigration /
-  // RollbackMigration) in the planner's dirty log.
-  void MarkInFlightChanged(const VmSlot& vm);
+  void SetInFlight(VmSlot& vm, bool in_flight);
   // Sends the WoL and returns the time the host will be executing VMs. With
   // fault injection the wake can lose WoL packets or hang in resume, pushing
   // that time out; callers must use the returned value rather than asking
@@ -109,6 +115,9 @@ class Actuator {
   // Cancels a queued-but-not-started migration when the user returns.
   bool TryAbortPendingMigration(SimTime now, VmSlot& vm);
   void FinishMigration(SimTime now, VmId vm_id, uint32_t epoch);
+  // Adds (delta +1) or removes (-1) `vm`'s contribution to `host`'s
+  // resident counts.
+  void CountResident(HostId host, const VmSlot& vm, int delta);
   uint64_t SampleWorkingSet();
   void RecordPartialMigrationTraffic(SimTime now, VmSlot& vm);
 

@@ -205,67 +205,6 @@ struct VmSlot {
   }
 };
 
-// Change log consumed by the incremental planner (OASIS_PLAN=incremental).
-//
-// Mutators record which hosts and VMs changed in planner-relevant ways since
-// the last planning pass; the planner refreshes only those hosts' cached
-// scan state instead of rescanning the cluster. Marking is conservative
-// (over-marking is always safe — it only costs one host rescan); the two
-// invariants that matter are:
-//   * a host is marked whenever its resident set changes (ClusterHost::AddVm
-//     and RemoveVm self-mark), and whenever a *resident's* planner-read
-//     fields (migration_in_flight, residency) change; and
-//   * a VM is marked whenever its residency changes (the planner's per-home
-//     swap-candidate membership is keyed on residency).
-// Marks before Reset() — e.g. during ClusterManager construction — are
-// dropped; the planner's first refresh is always a full rebuild, which
-// covers initial state.
-class DirtyTracker {
- public:
-  void Reset(size_t num_hosts, size_t num_vms) {
-    host_dirty_.assign(num_hosts, 0);
-    vm_dirty_.assign(num_vms, 0);
-    hosts_.clear();
-    vms_.clear();
-  }
-
-  void MarkHost(HostId h) {
-    if (static_cast<size_t>(h) < host_dirty_.size() && !host_dirty_[h]) {
-      host_dirty_[h] = 1;
-      hosts_.push_back(h);
-    }
-  }
-
-  void MarkVm(VmId v) {
-    if (static_cast<size_t>(v) < vm_dirty_.size() && !vm_dirty_[v]) {
-      vm_dirty_[v] = 1;
-      vms_.push_back(v);
-    }
-  }
-
-  const std::vector<HostId>& dirty_hosts() const { return hosts_; }
-  const std::vector<VmId>& dirty_vms() const { return vms_; }
-
-  void Clear() {
-    for (HostId h : hosts_) {
-      host_dirty_[h] = 0;
-    }
-    for (VmId v : vms_) {
-      vm_dirty_[v] = 0;
-    }
-    hosts_.clear();
-    vms_.clear();
-  }
-
- private:
-  // Bitmaps dedup the mark lists, so a host touched by many migrations in
-  // one interval is rescanned once.
-  std::vector<uint8_t> host_dirty_;
-  std::vector<uint8_t> vm_dirty_;
-  std::vector<HostId> hosts_;
-  std::vector<VmId> vms_;
-};
-
 }  // namespace oasis
 
 #endif  // OASIS_SRC_CLUSTER_CLUSTER_TYPES_H_

@@ -5,9 +5,9 @@
 #ifndef OASIS_SRC_CLUSTER_HOST_H_
 #define OASIS_SRC_CLUSTER_HOST_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <vector>
 
 #include "src/cluster/cluster_types.h"
@@ -58,18 +58,17 @@ class ClusterHost {
   void Reserve(uint64_t bytes);
   void Release(uint64_t bytes);
 
-  // Wires the owning manager's planner change log; resident-set changes
-  // self-mark this host so the incremental planner rescans it (nullptr — the
-  // default — disables marking, e.g. for standalone hosts in tests).
-  void set_dirty_tracker(DirtyTracker* tracker) { dirty_ = tracker; }
-
   // --- VM presence ------------------------------------------------------
   // Adding/removing VMs changes the host's power draw (which saturates at
   // the Table 1 twenty-VM measurement), so both take the current time.
+  // The resident set is kept in ascending id order, so every walk over it
+  // visits VMs in the order a std::set would. Adding a resident VM or
+  // removing a non-resident one is a bookkeeping bug and asserts.
   void AddVm(SimTime now, VmId vm);
   void RemoveVm(SimTime now, VmId vm);
-  const std::set<VmId>& vms() const { return vms_; }
+  const std::vector<VmId>& vms() const { return vms_; }
   bool HasVms() const { return !vms_.empty(); }
+  bool HasVm(VmId vm) const { return std::binary_search(vms_.begin(), vms_.end(), vm); }
 
   // Number of active VMs currently executing here. Purely logical (a host
   // with active VMs must never sleep); the draw follows the resident count.
@@ -130,14 +129,13 @@ class ClusterHost {
 
   HostId id_;
   HostRole role_;
-  DirtyTracker* dirty_ = nullptr;
   HostPowerProfile power_;
   bool s3_capable_ = true;
   int profile_class_ = 0;
   Watts ms_watts_;
   uint64_t capacity_bytes_;
   uint64_t reserved_bytes_ = 0;
-  std::set<VmId> vms_;
+  std::vector<VmId> vms_;  // ascending
   int active_vms_ = 0;
 
   HostPowerState state_;

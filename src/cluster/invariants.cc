@@ -162,28 +162,52 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
   }
 
   // --- maintained aggregates ------------------------------------------------
-  // partials_homed is updated at every residency transition; re-derive it
-  // from the VM table so a missed or double-counted transition is caught
-  // within one planning round.
+  // The Actuator updates these at every residency, in-flight and resident-
+  // set transition; re-derive each from the VM table so a missed or
+  // double-counted transition is caught within one planning round. The
+  // per-host counts cover residents, so they are keyed on vm.location (which
+  // the partition walk above ties to the resident sets).
   {
-    std::vector<int> derived(num_hosts, 0);
+    std::vector<int> partials_homed(num_hosts, 0);
+    std::vector<int> fac_homed(num_hosts, 0);
+    std::vector<int> inflight_residents(num_hosts, 0);
+    std::vector<int> partial_residents(num_hosts, 0);
     for (size_t v = 0; v < num_vms; ++v) {
       const VmSlot& vm = manager.GetVm(static_cast<VmId>(v));
+      if (static_cast<size_t>(vm.home) >= num_hosts ||
+          static_cast<size_t>(vm.location) >= num_hosts) {
+        continue;  // reported by the per-VM checks below
+      }
       if (vm.residency == VmResidency::kPartial) {
-        ++derived[vm.home];
+        ++partials_homed[vm.home];
+        ++partial_residents[vm.location];
+      } else if (vm.residency == VmResidency::kFullAtConsolidation) {
+        ++fac_homed[vm.home];
+      }
+      if (vm.migration_in_flight) {
+        ++inflight_residents[vm.location];
       }
     }
+    auto expect_exact = [&](const char* invariant, const char* what, HostId hid,
+                            int maintained, int derived) {
+      checker.Expect(maintained == derived, invariant, now,
+                     [&] {
+                       return "host " + std::to_string(hid) + " counter says " +
+                              std::to_string(maintained) + " " + what + ", walk found " +
+                              std::to_string(derived);
+                     },
+                     obs::TraceArgs{H(hid), -1, static_cast<int64_t>(maintained)});
+    };
     for (size_t h = 0; h < num_hosts; ++h) {
       HostId hid = static_cast<HostId>(h);
-      checker.Expect(manager.PartialsHomedAt(hid) == derived[h],
-                     "cluster.partials_homed_counter_exact", now,
-                     [&] {
-                       return "home " + std::to_string(hid) + " counter says " +
-                              std::to_string(manager.PartialsHomedAt(hid)) +
-                              " partials homed, walk found " + std::to_string(derived[h]);
-                     },
-                     obs::TraceArgs{H(hid), -1,
-                                    static_cast<int64_t>(manager.PartialsHomedAt(hid))});
+      expect_exact("cluster.partials_homed_counter_exact", "partials homed", hid,
+                   manager.PartialsHomedAt(hid), partials_homed[h]);
+      expect_exact("cluster.fac_homed_exact", "full-at-consolidation VMs homed", hid,
+                   manager.FacHomedAt(hid), fac_homed[h]);
+      expect_exact("cluster.inflight_residents_exact", "residents in flight", hid,
+                   manager.InflightResidentsOn(hid), inflight_residents[h]);
+      expect_exact("cluster.partial_residents_exact", "partial residents", hid,
+                   manager.PartialResidentsOn(hid), partial_residents[h]);
     }
   }
 

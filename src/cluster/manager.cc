@@ -67,14 +67,12 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace,
     }
   }
   state_.pending_wake_powered_at.assign(state_.hosts.size(), SimTime::Zero());
+  // Every VM starts full at home with nothing in flight, so every maintained
+  // aggregate starts at zero.
   state_.partials_homed.assign(state_.hosts.size(), 0);
-  // Size the planner change log and wire host self-marking only now:
-  // construction-time marks would be redundant with the planner's first
-  // refresh, which is always a full rebuild.
-  state_.dirty.Reset(state_.hosts.size(), state_.vms.size());
-  for (const auto& host : state_.hosts) {
-    host->set_dirty_tracker(&state_.dirty);
-  }
+  state_.fac_homed.assign(state_.hosts.size(), 0);
+  state_.inflight_residents.assign(state_.hosts.size(), 0);
+  state_.partial_residents.assign(state_.hosts.size(), 0);
 }
 
 ClusterMetrics ClusterManager::Run() {
@@ -233,16 +231,12 @@ void ClusterManager::RecordSnapshot(SimTime now, int interval) {
   (void)interval;
   IntervalSnapshot snap;
   snap.time = now;
-  for (const VmSlot& vm : state_.vms) {
-    if (vm.activity == VmActivity::kActive) {
-      ++snap.active_vms;
-    }
-    if (vm.residency == VmResidency::kPartial) {
-      ++snap.partial_vms;
-    }
-    if (vm.residency == VmResidency::kFullAtConsolidation) {
-      ++snap.full_at_consolidation_vms;
-    }
+  // Every VM counts toward exactly one host's active count and exactly one
+  // home's residency counts, so per-host sums replace a walk over all VMs.
+  for (size_t h = 0; h < state_.hosts.size(); ++h) {
+    snap.active_vms += state_.hosts[h]->active_vms();
+    snap.partial_vms += state_.partials_homed[h];
+    snap.full_at_consolidation_vms += state_.fac_homed[h];
   }
   for (const auto& host : state_.hosts) {
     if (!host->IsPowered()) {

@@ -73,14 +73,17 @@ class ClusterManager {
   const VmSlot& GetVm(VmId id) const { return state_.vms[id]; }
   size_t num_hosts() const { return state_.hosts.size(); }
   size_t num_vms() const { return state_.vms.size(); }
-  // The maintained per-home partial count (see ClusterState::partials_homed);
-  // the invariant checker re-derives it from the VM table every round.
+  // The maintained aggregates (see ClusterState); the invariant checker
+  // re-derives each of them from the VM table every round.
   int PartialsHomedAt(HostId home) const { return state_.partials_homed[home]; }
+  int FacHomedAt(HostId home) const { return state_.fac_homed[home]; }
+  int InflightResidentsOn(HostId host) const { return state_.inflight_residents[host]; }
+  int PartialResidentsOn(HostId host) const { return state_.partial_residents[host]; }
   const FaultInjector& fault_injector() const { return fault_; }
   const ConsolidationStrategy& strategy() const { return *strategy_; }
 
   // The strategies' window onto this cluster. Exposed so strategy unit
-  // tests can drive planning entry points (e.g. BuildVacatePlan) against a
+  // tests can drive planning entry points (e.g. PlaceAndPrice) against a
   // manager's real state without simulating a day. Non-const because the
   // view carries the shared planning streams.
   ClusterView View() { return ClusterView(config_, state_, &rng_, &ws_sampler_); }

@@ -5,11 +5,9 @@
 // which hosts get to sleep. It reads the cluster only through ClusterView
 // and effects every decision through Actuator verbs — it can never touch a
 // host or VM slot directly. Strategies are pure functions of the view: they
-// carry no *decision* state between intervals. A strategy may keep derived
-// scan caches (state rebuildable from the view at any instant, invalidated
-// via the view's DirtyTracker — see OasisGreedyStrategy's incremental
-// backend), because a cache that is provably a function of the current view
-// cannot smuggle information between intervals.
+// carry no *decision* state between intervals. Per-host aggregates a scan
+// needs belong in ClusterState, maintained by the Actuator and exposed
+// through the view — not in a strategy-side cache.
 //
 // One declared exception to the no-decision-state rule: a *forecast* — an
 // online summary of past observed activity used to predict future activity
@@ -92,16 +90,12 @@ struct PlanActions {
 // Capability flags a strategy declares about itself, consumed by the
 // conformance suite (tests/strategy_conformance_test.cpp) to decide which
 // registry-wide invariants apply. Defaults describe a gate-respecting
-// strategy with a single planning backend.
+// strategy.
 struct StrategyTraits {
   // The strategy only commits vacate plans whose net power delta is
   // positive (§3.1). Conformance asserts such strategies never migrate on
   // a cluster configured so consolidation can't save energy.
   bool has_power_gate = true;
-  // The strategy honors OASIS_PLAN=full|incremental|verify and produces
-  // byte-identical results under all three. Conformance asserts digest
-  // identity across modes for strategies that set this.
-  bool supports_plan_modes = false;
 };
 
 // Interface every consolidation strategy implements. PlanInterval runs at

@@ -28,9 +28,6 @@ namespace {
 class FirstFitDecreasingStrategy : public ConsolidationStrategy {
  public:
   const char* name() const override { return "first-fit-decreasing"; }
-  StrategyTraits traits() const override {
-    return {/*has_power_gate=*/true, /*supports_plan_modes=*/false};
-  }
 
   PlanActions PlanInterval(const ClusterView& view, SimTime now, Actuator& act) override {
     PlanActions actions;

@@ -28,7 +28,7 @@ class LocalThresholdStrategy : public ConsolidationStrategy {
   const char* name() const override { return "local-threshold"; }
   // Commits any plan that fits, even a power-losing one — no §3.1 gate.
   StrategyTraits traits() const override {
-    return {/*has_power_gate=*/false, /*supports_plan_modes=*/false};
+    return {/*has_power_gate=*/false};
   }
 
   PlanActions PlanInterval(const ClusterView& view, SimTime now, Actuator& act) override {

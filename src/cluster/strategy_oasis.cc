@@ -1,204 +1,42 @@
 #include "src/cluster/strategy_oasis.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/cluster/actuator.h"
 #include "src/cluster/power_delta.h"
-#include "src/common/rng.h"
-#include "src/mem/working_set.h"
 
 namespace oasis {
-namespace {
-
-// A divergence between the backends is a planner bug, and because every
-// decision feeds the shared event queue and planning streams, the first one
-// poisons everything downstream — so die loudly rather than keep simulating.
-[[noreturn]] void VerifyDiverged(const char* pass, const std::string& detail) {
-  std::fprintf(stderr,
-               "[plan-verify] %s pass diverged between the full and incremental "
-               "planners: %s\n",
-               pass, detail.c_str());
-  std::exit(2);
-}
-
-void CompareSwapGroups(const std::vector<std::pair<HostId, std::vector<VmId>>>& inc,
-                       const std::vector<std::pair<HostId, std::vector<VmId>>>& full) {
-  if (inc != full) {
-    VerifyDiverged("swap", "incremental computed " + std::to_string(inc.size()) +
-                               " group(s), full computed " + std::to_string(full.size()) +
-                               " (or memberships differ)");
-  }
-}
-
-void ComparePlans(const VacatePlan& inc, const VacatePlan& full) {
-  if (inc.hosts_to_vacate != full.hosts_to_vacate) {
-    VerifyDiverged("vacate", "hosts_to_vacate differ (incremental " +
-                                 std::to_string(inc.hosts_to_vacate.size()) + " vs full " +
-                                 std::to_string(full.hosts_to_vacate.size()) + ")");
-  }
-  if (inc.placements.size() != full.placements.size()) {
-    VerifyDiverged("vacate", "placement group counts differ");
-  }
-  for (size_t i = 0; i < full.placements.size(); ++i) {
-    const auto& a = inc.placements[i];
-    const auto& b = full.placements[i];
-    if (a.size() != b.size()) {
-      VerifyDiverged("vacate",
-                     "placement counts differ for host " +
-                         std::to_string(full.hosts_to_vacate[i]));
-    }
-    for (size_t j = 0; j < b.size(); ++j) {
-      if (a[j].vm != b[j].vm || a[j].dest != b[j].dest ||
-          a[j].as_partial != b[j].as_partial || a[j].bytes != b[j].bytes) {
-        VerifyDiverged("vacate", "placement for VM " + std::to_string(b[j].vm) +
-                                     " differs (dest " + std::to_string(a[j].dest) +
-                                     " vs " + std::to_string(b[j].dest) + ")");
-      }
-    }
-  }
-  // Both deltas come from the identical arithmetic on identical inputs, so
-  // exact equality is the right comparison.
-  if (inc.net_power_delta_watts != full.net_power_delta_watts ||
-      inc.newly_woken_consolidation_hosts != full.newly_woken_consolidation_hosts) {
-    VerifyDiverged("vacate", "power pricing differs (incremental " +
-                                 std::to_string(inc.net_power_delta_watts) + " W vs full " +
-                                 std::to_string(full.net_power_delta_watts) + " W)");
-  }
-}
-
-}  // namespace
-
-const char* PlanModeName(PlanMode mode) {
-  switch (mode) {
-    case PlanMode::kFull:
-      return "full";
-    case PlanMode::kIncremental:
-      return "incremental";
-    case PlanMode::kVerify:
-      return "verify";
-  }
-  return "unknown";
-}
-
-PlanMode PlanModeFromEnv() {
-  const char* env = std::getenv("OASIS_PLAN");
-  if (env == nullptr || *env == '\0') {
-    return PlanMode::kIncremental;
-  }
-  std::string value(env);
-  if (value == "full") {
-    return PlanMode::kFull;
-  }
-  if (value == "incremental") {
-    return PlanMode::kIncremental;
-  }
-  if (value == "verify") {
-    return PlanMode::kVerify;
-  }
-  std::fprintf(stderr, "unknown OASIS_PLAN mode \"%s\" (accepted: full|incremental|verify)\n",
-               env);
-  std::exit(2);
-}
 
 PlanActions OasisGreedyStrategy::PlanInterval(const ClusterView& view, SimTime now,
                                               Actuator& act) {
+  // Each pass reads the live view, so it observes the previous pass's
+  // executed actions (and the maintained aggregates they updated).
   PlanActions actions;
-  const ClusterConfig& config = view.config();
-  bool swaps_enabled = config.policy == ConsolidationPolicy::kFullToPartial ||
-                       config.policy == ConsolidationPolicy::kNewHome;
-  switch (mode_) {
-    case PlanMode::kFull: {
-      if (swaps_enabled) {
-        ExecuteSwapGroups(ComputeSwapGroupsFull(view, now), now, act, actions);
-      }
-      MaybeCommitVacatePlan(now, act, actions, ComputeVacatePlanFull(view, now));
-      actions.drain_moves += ExecuteDrain(view, now, act, SelectDrainSourceFull(view, now));
-      break;
-    }
-    case PlanMode::kIncremental: {
-      // Refresh before each pass: executing a pass mutates resident sets,
-      // residencies and in-flight flags that the next pass's rows cover.
-      if (swaps_enabled) {
-        Refresh(view);
-        ExecuteSwapGroups(ComputeSwapGroupsIncremental(view, now), now, act, actions);
-      }
-      Refresh(view);
-      MaybeCommitVacatePlan(now, act, actions, ComputeVacatePlanIncremental(view, now));
-      Refresh(view);
-      actions.drain_moves +=
-          ExecuteDrain(view, now, act, SelectDrainSourceIncremental(view, now));
-      break;
-    }
-    case PlanMode::kVerify: {
-      // Each pass: compute the incremental decision, rewind any stream
-      // consumption, compute the full (authoritative) decision, compare,
-      // then execute the full one. Computation is pure, so running both
-      // against the same state is sound.
-      if (swaps_enabled) {
-        Refresh(view);
-        SwapGroups inc = ComputeSwapGroupsIncremental(view, now);
-        SwapGroups full = ComputeSwapGroupsFull(view, now);
-        CompareSwapGroups(inc, full);
-        ExecuteSwapGroups(full, now, act, actions);
-      }
-      Refresh(view);
-      Rng rng_snapshot = *view.rng_state();
-      WorkingSetSampler ws_snapshot = *view.ws_sampler_state();
-      VacatePlan inc_plan = ComputeVacatePlanIncremental(view, now);
-      *view.rng_state() = rng_snapshot;
-      *view.ws_sampler_state() = ws_snapshot;
-      VacatePlan full_plan = ComputeVacatePlanFull(view, now);
-      ComparePlans(inc_plan, full_plan);
-      MaybeCommitVacatePlan(now, act, actions, full_plan);
-      Refresh(view);
-      HostId inc_source = SelectDrainSourceIncremental(view, now);
-      HostId full_source = SelectDrainSourceFull(view, now);
-      if (inc_source != full_source) {
-        VerifyDiverged("drain", "source selection differs (incremental " +
-                                    std::to_string(inc_source) + " vs full " +
-                                    std::to_string(full_source) + ")");
-      }
-      actions.drain_moves += ExecuteDrain(view, now, act, full_source);
-      break;
-    }
+  const ConsolidationPolicy policy = view.config().policy;
+  if (policy == ConsolidationPolicy::kFullToPartial || policy == ConsolidationPolicy::kNewHome) {
+    ExecuteSwapGroups(ComputeSwapGroups(view, now), now, act, actions);
   }
+  std::vector<Candidate> candidates = ScanVacateCandidates(view, now, planned_ws_);
+  MaybeCommitVacatePlan(now, act, actions, BestVacatePlan(view, candidates, planned_ws_));
+  actions.drain_moves += ExecuteDrain(view, now, act, SelectDrainSource(view, now));
   return actions;
 }
 
 // --- pass 1: FulltoPartial swaps ---------------------------------------------
 
-OasisGreedyStrategy::SwapGroups OasisGreedyStrategy::ComputeSwapGroupsFull(
+OasisGreedyStrategy::SwapGroups OasisGreedyStrategy::ComputeSwapGroups(
     const ClusterView& view, SimTime now) const {
   // Idle full VMs parked on consolidation hosts go home and come back as
-  // partials, freeing most of their reservation (§3.2 FulltoPartial).
-  std::map<HostId, std::vector<VmId>> by_home;
-  for (size_t v = 0; v < view.num_vms(); ++v) {
-    const VmSlot& vm = view.vm(static_cast<VmId>(v));
-    if (vm.residency == VmResidency::kFullAtConsolidation && view.TrustedIdle(vm, now) &&
-        !vm.migration_in_flight) {
-      by_home[vm.home].push_back(vm.id);
-    }
-  }
-  return SwapGroups(by_home.begin(), by_home.end());
-}
-
-OasisGreedyStrategy::SwapGroups OasisGreedyStrategy::ComputeSwapGroupsIncremental(
-    const ClusterView& view, SimTime now) const {
-  // Same scan, but homes whose full-at-consolidation count is zero are
-  // skipped wholesale. The full scan walks VM ids ascending, and VM ids are
-  // contiguous per home, so walking homes ascending and each home's VM list
-  // ascending visits the same VMs in the same order; idleness trust and the
-  // in-flight flag are read live either way.
+  // partials, freeing most of their reservation (§3.2 FulltoPartial). Homes
+  // with no VM full at a consolidation host are skipped wholesale; VM ids
+  // are contiguous per home, so walking homes ascending and each home's VMs
+  // ascending visits candidates in ascending VM id.
   SwapGroups groups;
   int num_homes = view.config().num_home_hosts;
   for (HostId h = 0; h < static_cast<HostId>(num_homes); ++h) {
-    if (fac_count_[h] == 0) {
+    if (view.fac_homed(h) == 0) {
       continue;
     }
     std::vector<VmId> group;
@@ -227,74 +65,53 @@ void OasisGreedyStrategy::ExecuteSwapGroups(const SwapGroups& groups, SimTime no
 
 // --- pass 2: power-gated vacate planning -------------------------------------
 
-bool OasisGreedyStrategy::HostEligibleForVacate(const ClusterView& view,
-                                                const ClusterHost& host, SimTime now) const {
-  if (!host.IsHomeHost() || !host.IsPowered() || !host.HasVms()) {
-    return false;
-  }
-  // An S3-incapable home can sponsor guests but never sleeps itself, so
-  // vacating it frees no power — it is never a candidate.
-  if (!host.s3_capable()) {
-    return false;
-  }
-  for (VmId id : host.vms()) {
-    const VmSlot& vm = view.vm(id);
-    if (vm.migration_in_flight || vm.location != host.id()) {
-      return false;
+std::vector<OasisGreedyStrategy::Candidate> OasisGreedyStrategy::ScanVacateCandidates(
+    const ClusterView& view, SimTime now, std::vector<uint64_t>& planned_ws) {
+  const ClusterConfig& config = view.config();
+  bool only_partial = config.policy == ConsolidationPolicy::kOnlyPartial;
+  auto trusted_idle = [&view, now](VmId id) { return view.TrustedIdle(view.vm(id), now); };
+  planned_ws.assign(view.num_vms(), 0);
+  std::vector<Candidate> candidates;
+  int num_homes = config.num_home_hosts;
+  for (HostId h = 0; h < static_cast<HostId>(num_homes); ++h) {
+    const ClusterHost& host = view.host(h);
+    // An S3-incapable home can sponsor guests but never sleeps itself, so
+    // vacating it frees no power. Residents of a home are at that home by
+    // invariant (cluster.location_matches_residency).
+    if (!host.IsPowered() || !host.HasVms() || !host.s3_capable() ||
+        view.inflight_residents(h) > 0) {
+      continue;
     }
     // OnlyPartial never migrates VMs in full, so every VM must be (trusted)
     // idle before the host can be emptied.
-    if (view.config().policy == ConsolidationPolicy::kOnlyPartial &&
-        !view.TrustedIdle(vm, now)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::unordered_map<VmId, uint64_t> OasisGreedyStrategy::PresampleWorkingSets(
-    const ClusterView& view, SimTime now) const {
-  std::unordered_map<VmId, uint64_t> planned_ws;
-  for (size_t h = 0; h < view.num_hosts(); ++h) {
-    const ClusterHost& host = view.host(static_cast<HostId>(h));
-    if (!host.IsHomeHost() || !HostEligibleForVacate(view, host, now)) {
-      continue;
-    }
-    for (VmId id : host.vms()) {
-      if (view.TrustedIdle(view.vm(id), now)) {
-        planned_ws[id] = view.SampleWorkingSet();
-      }
-    }
-  }
-  return planned_ws;
-}
-
-VacatePlan OasisGreedyStrategy::BuildVacatePlan(
-    const ClusterView& view, SimTime now, bool allow_waking_consolidation_hosts,
-    const std::unordered_map<VmId, uint64_t>& planned_ws) const {
-  const ClusterConfig& config = view.config();
-  // Candidate home hosts sorted by ascending total memory demand (§3.1).
-  std::vector<Candidate> candidates;
-  for (size_t h = 0; h < view.num_hosts(); ++h) {
-    const ClusterHost& host = view.host(static_cast<HostId>(h));
-    if (!host.IsHomeHost() || !HostEligibleForVacate(view, host, now)) {
+    if (only_partial && !std::all_of(host.vms().begin(), host.vms().end(), trusted_idle)) {
       continue;
     }
     uint64_t demand = 0;
     for (VmId id : host.vms()) {
       const VmSlot& vm = view.vm(id);
-      demand += view.TrustedIdle(vm, now) ? planned_ws.at(id) : vm.full_bytes;
+      if (view.TrustedIdle(vm, now)) {
+        uint64_t ws = view.SampleWorkingSet();
+        planned_ws[id] = ws;
+        demand += ws;
+      } else {
+        demand += vm.full_bytes;
+      }
     }
-    candidates.push_back({host.id(), demand});
+    candidates.push_back({h, demand});
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) { return a.demand < b.demand; });
+  return candidates;
+}
 
-  // Snapshot consolidation-host free space. Powered hosts come first so the
-  // random destination choice only spills onto sleeping hosts (waking them)
-  // when the powered ones are full.
+std::vector<OasisGreedyStrategy::Dest> OasisGreedyStrategy::BuildDestTable(
+    const ClusterView& view, size_t* powered_dests) {
+  // Powered hosts come first so the random destination choice only spills
+  // onto sleeping hosts (waking them) when the powered ones are full.
+  const ClusterConfig& config = view.config();
   std::vector<Dest> dests;
-  size_t powered_dests = 0;
+  *powered_dests = 0;
   for (int pass = 0; pass < 2; ++pass) {
     for (size_t h = 0; h < view.num_hosts(); ++h) {
       const ClusterHost& host = view.host(static_cast<HostId>(h));
@@ -305,27 +122,19 @@ VacatePlan OasisGreedyStrategy::BuildVacatePlan(
       bool awake = host.IsPowered() || host.power_state() == HostPowerState::kResuming;
       if (pass == 0 && awake) {
         dests.push_back({host.id(), host.AvailableBytes(), slots, false});
-        ++powered_dests;
-      } else if (pass == 1 && !awake && allow_waking_consolidation_hosts) {
+        ++*powered_dests;
+      } else if (pass == 1 && !awake) {
         dests.push_back({host.id(), host.AvailableBytes(), slots, true});
       }
     }
   }
-
-  // Flatten the sample map for the shared placement core (a VM id indexes
-  // both); only trusted VMs' entries are ever read, and the map covers all
-  // of them.
-  std::vector<uint64_t> ws_flat(view.num_vms(), 0);
-  for (const auto& [id, ws] : planned_ws) {
-    ws_flat[id] = ws;
-  }
-  return PlaceAndPrice(view, now, candidates, std::move(dests), powered_dests, ws_flat);
+  return dests;
 }
 
-VacatePlan OasisGreedyStrategy::PlaceAndPrice(const ClusterView& view, SimTime /*now*/,
+VacatePlan OasisGreedyStrategy::PlaceAndPrice(const ClusterView& view,
                                               const std::vector<Candidate>& candidates,
                                               std::vector<Dest> dests, size_t powered_dests,
-                                              const std::vector<uint64_t>& planned_ws) const {
+                                              const std::vector<uint64_t>& planned_ws) {
   VacatePlan plan;
   for (const Candidate& cand : candidates) {
     const ClusterHost& host = view.host(cand.host);
@@ -342,9 +151,9 @@ VacatePlan OasisGreedyStrategy::PlaceAndPrice(const ClusterView& view, SimTime /
       bool consumes_cpu = vm.activity == VmActivity::kActive;
       // A nonzero planned working set marks the VM for partial placement.
       // Callers populate the table for exactly the VMs they intend to park
-      // as partials (the greedy backends: trusted-idle residents; the
-      // predictive pre-drain: any currently idle resident), and samples are
-      // floored well above zero, so the encoding is unambiguous.
+      // as partials (greedy: trusted-idle residents; the predictive
+      // pre-drain: any currently idle resident), and samples are floored
+      // well above zero, so the encoding is unambiguous.
       bool as_partial = planned_ws[id] != 0;
       uint64_t need = as_partial ? planned_ws[id] : vm.full_bytes;
       // Destination choice (§3.1): random among powered consolidation hosts
@@ -415,102 +224,22 @@ VacatePlan OasisGreedyStrategy::PlaceAndPrice(const ClusterView& view, SimTime /
   return plan;
 }
 
-VacatePlan OasisGreedyStrategy::ComputeVacatePlanFull(const ClusterView& view,
-                                                      SimTime now) const {
-  // Pre-sample the working set each idle VM would consolidate with, shared
-  // by both plan variants so they compare like for like.
-  std::unordered_map<VmId, uint64_t> planned_ws = PresampleWorkingSets(view, now);
-  if (planned_ws.empty() && view.config().policy == ConsolidationPolicy::kOnlyPartial) {
-    return VacatePlan{};
-  }
-  VacatePlan conservative = BuildVacatePlan(view, now, /*allow_waking=*/false, planned_ws);
-  VacatePlan aggressive = BuildVacatePlan(view, now, /*allow_waking=*/true, planned_ws);
-  if (aggressive.net_power_delta_watts > conservative.net_power_delta_watts) {
-    return aggressive;
-  }
-  return conservative;
-}
-
-VacatePlan OasisGreedyStrategy::ComputeVacatePlanIncremental(const ClusterView& view,
-                                                             SimTime now) {
-  const ClusterConfig& config = view.config();
-  bool only_partial = config.policy == ConsolidationPolicy::kOnlyPartial;
-  // Fused eligibility + presample + demand scan, visiting eligible homes
-  // ascending and each home's residents in ascending VM id — exactly the
-  // full backend's presample order, so the sampler is drawn identically.
-  // Eligibility reads the cached in-flight count; the full backend's
-  // per-resident location check is vacuous here because residency and
-  // location agree by invariant (cluster.location_matches_residency).
-  planned_ws_.assign(view.num_vms(), 0);
-  std::vector<Candidate> candidates;
-  int num_homes = config.num_home_hosts;
-  for (HostId h = 0; h < static_cast<HostId>(num_homes); ++h) {
-    const ClusterHost& host = view.host(h);
-    if (!host.IsPowered() || !host.HasVms() || !host.s3_capable() ||
-        rows_[h].inflight_residents > 0) {
-      continue;
-    }
-    if (only_partial) {
-      bool all_trusted = true;
-      for (VmId id : host.vms()) {
-        if (!view.TrustedIdle(view.vm(id), now)) {
-          all_trusted = false;
-          break;
-        }
-      }
-      if (!all_trusted) {
-        continue;
-      }
-    }
-    uint64_t demand = 0;
-    for (VmId id : host.vms()) {
-      const VmSlot& vm = view.vm(id);
-      if (view.TrustedIdle(vm, now)) {
-        uint64_t ws = view.SampleWorkingSet();
-        planned_ws_[id] = ws;
-        demand += ws;
-      } else {
-        demand += vm.full_bytes;
-      }
-    }
-    candidates.push_back({h, demand});
-  }
-  // No candidates: both full variants would place nothing and draw nothing,
-  // and the power gate rejects an empty plan, so the empty plan is exact.
+VacatePlan OasisGreedyStrategy::BestVacatePlan(const ClusterView& view,
+                                               const std::vector<Candidate>& candidates,
+                                               const std::vector<uint64_t>& planned_ws) {
+  // No candidates: both variants would place nothing and draw nothing, and
+  // the power gate rejects an empty plan, so the empty plan is exact.
   if (candidates.empty()) {
     return VacatePlan{};
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) { return a.demand < b.demand; });
-
-  // One pristine destination table (consolidation hosts are the id-ascending
-  // tail). The conservative variant sees only the powered prefix — the exact
-  // table BuildVacatePlan(allow_waking=false) builds — and each variant
-  // places into its own scratch copy, as the full backend's separate builds
-  // do.
-  std::vector<Dest> dests;
   size_t powered_dests = 0;
-  size_t first_cons = static_cast<size_t>(num_homes);
-  for (int pass = 0; pass < 2; ++pass) {
-    for (size_t h = first_cons; h < view.num_hosts(); ++h) {
-      const ClusterHost& host = view.host(static_cast<HostId>(h));
-      int slots = config.MaxActiveVmsPerHost() - host.active_vms();
-      bool awake = host.IsPowered() || host.power_state() == HostPowerState::kResuming;
-      if (pass == 0 && awake) {
-        dests.push_back({host.id(), host.AvailableBytes(), slots, false});
-        ++powered_dests;
-      } else if (pass == 1 && !awake) {
-        dests.push_back({host.id(), host.AvailableBytes(), slots, true});
-      }
-    }
-  }
+  std::vector<Dest> dests = BuildDestTable(view, &powered_dests);
   std::vector<Dest> conservative_dests(dests.begin(),
                                        dests.begin() + static_cast<long>(powered_dests));
-  VacatePlan conservative = PlaceAndPrice(view, now, candidates,
-                                          std::move(conservative_dests), powered_dests,
-                                          planned_ws_);
+  VacatePlan conservative = PlaceAndPrice(view, candidates, std::move(conservative_dests),
+                                          powered_dests, planned_ws);
   VacatePlan aggressive =
-      PlaceAndPrice(view, now, candidates, dests, powered_dests, planned_ws_);
+      PlaceAndPrice(view, candidates, std::move(dests), powered_dests, planned_ws);
   if (aggressive.net_power_delta_watts > conservative.net_power_delta_watts) {
     return aggressive;
   }
@@ -534,55 +263,19 @@ void OasisGreedyStrategy::MaybeCommitVacatePlan(SimTime now, Actuator& act,
 
 // --- pass 3: consolidation-host draining -------------------------------------
 
-HostId OasisGreedyStrategy::SelectDrainSourceFull(const ClusterView& view,
-                                                  SimTime now) const {
+HostId OasisGreedyStrategy::SelectDrainSource(const ClusterView& view, SimTime now) const {
   // The drain source: the least-occupied powered consolidation host whose
-  // guests are all partial, provided its peers have room for all of it.
+  // guests are all partial and none in flight, ties to the lowest id.
   HostId source_id = kNoHost;
   uint64_t best_reserved = 0;
   for (size_t h = 0; h < view.num_hosts(); ++h) {
     const ClusterHost& host = view.host(static_cast<HostId>(h));
-    if (!host.IsConsolidationHost()) {
+    if (!host.IsConsolidationHost() || !host.IsPowered() || !host.HasVms() ||
+        host.outbound_busy_until() > now) {
       continue;
     }
-    if (!host.IsPowered() || !host.HasVms() || host.outbound_busy_until() > now) {
-      continue;
-    }
-    bool all_partial = true;
-    for (VmId vm_id : host.vms()) {
-      const VmSlot& vm = view.vm(vm_id);
-      if (vm.residency != VmResidency::kPartial || vm.migration_in_flight) {
-        all_partial = false;
-        break;
-      }
-    }
-    if (!all_partial) {
-      continue;
-    }
-    if (source_id == kNoHost || host.reserved_bytes() < best_reserved) {
-      source_id = host.id();
-      best_reserved = host.reserved_bytes();
-    }
-  }
-  return source_id;
-}
-
-HostId OasisGreedyStrategy::SelectDrainSourceIncremental(const ClusterView& view,
-                                                         SimTime now) const {
-  // The all-partial/none-in-flight resident walk collapses to two cached
-  // counts; ties on reserved bytes keep the first (lowest-id) host in both
-  // backends.
-  HostId source_id = kNoHost;
-  uint64_t best_reserved = 0;
-  size_t first_cons = static_cast<size_t>(view.config().num_home_hosts);
-  for (size_t h = first_cons; h < view.num_hosts(); ++h) {
-    const ClusterHost& host = view.host(static_cast<HostId>(h));
-    if (!host.IsPowered() || !host.HasVms() || host.outbound_busy_until() > now) {
-      continue;
-    }
-    const HostRow& row = rows_[h];
-    if (row.inflight_residents > 0 ||
-        row.partial_residents != static_cast<int>(host.vms().size())) {
+    if (view.inflight_residents(host.id()) > 0 ||
+        view.partial_residents(host.id()) != static_cast<int>(host.vms().size())) {
       continue;
     }
     if (source_id == kNoHost || host.reserved_bytes() < best_reserved) {
@@ -650,60 +343,6 @@ int OasisGreedyStrategy::ExecuteDrain(const ClusterView& view, SimTime now, Actu
   }
   // The emptied host sleeps at the next sweep once its channel drains.
   return static_cast<int>(moved);
-}
-
-// --- incremental cache maintenance -------------------------------------------
-
-void OasisGreedyStrategy::RebuildRow(const ClusterView& view, HostId h) {
-  HostRow row;
-  for (VmId id : view.host(h).vms()) {
-    const VmSlot& vm = view.vm(id);
-    if (vm.migration_in_flight) {
-      ++row.inflight_residents;
-    }
-    if (vm.residency == VmResidency::kPartial) {
-      ++row.partial_residents;
-    }
-  }
-  rows_[h] = row;
-}
-
-void OasisGreedyStrategy::Refresh(const ClusterView& view) {
-  DirtyTracker& dirty = view.dirty_tracker();
-  size_t num_hosts = view.num_hosts();
-  size_t num_vms = view.num_vms();
-  if (!primed_ || rows_.size() != num_hosts || is_fac_.size() != num_vms) {
-    // First use (or a different cluster behind the same strategy instance):
-    // full rebuild, and any accumulated marks are thereby covered.
-    rows_.assign(num_hosts, HostRow{});
-    is_fac_.assign(num_vms, 0);
-    fac_count_.assign(num_hosts, 0);
-    for (size_t v = 0; v < num_vms; ++v) {
-      const VmSlot& vm = view.vm(static_cast<VmId>(v));
-      if (vm.residency == VmResidency::kFullAtConsolidation) {
-        is_fac_[v] = 1;
-        ++fac_count_[vm.home];
-      }
-    }
-    for (size_t h = 0; h < num_hosts; ++h) {
-      RebuildRow(view, static_cast<HostId>(h));
-    }
-    primed_ = true;
-    dirty.Clear();
-    return;
-  }
-  for (VmId v : dirty.dirty_vms()) {
-    const VmSlot& vm = view.vm(v);
-    uint8_t fac = vm.residency == VmResidency::kFullAtConsolidation ? 1 : 0;
-    if (fac != is_fac_[v]) {
-      fac_count_[vm.home] += fac ? 1 : -1;
-      is_fac_[v] = fac;
-    }
-  }
-  for (HostId h : dirty.dirty_hosts()) {
-    RebuildRow(view, h);
-  }
-  dirty.Clear();
 }
 
 std::unique_ptr<ConsolidationStrategy> MakeOasisGreedyStrategy() {

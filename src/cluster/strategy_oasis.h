@@ -6,32 +6,20 @@
 // and draw from the shared planning streams at the exact same points, so a
 // run under this strategy is byte-identical to the pre-refactor manager.
 //
-// The strategy has two interchangeable backends (see DESIGN.md, "Hot path"):
-//
-//   full         — every pass rescans the whole ClusterView. The reference
-//                  implementation, kept deliberately close to the legacy
-//                  manager's loops.
-//   incremental  — per-host scan state ({in-flight residents, partial
-//                  residents} counts and per-home full-at-consolidation
-//                  membership) is kept across intervals and refreshed from
-//                  the DirtyTracker change log before each pass. Everything
-//                  else (power states, capacities, activity, idleness trust)
-//                  is read live, and the planning streams are drawn in the
-//                  full backend's exact order, so the decisions — and the
-//                  whole simulation — are identical byte for byte.
-//
-// OASIS_PLAN picks the backend per process; "verify" runs both per pass
-// (rewinding the planning streams in between) and dies on any divergence.
+// Every pass scans the live ClusterView. The per-host questions the scans
+// ask ("is any resident in flight?", "are all residents partial?", "is any
+// VM homed here parked in full on a consolidation host?") are O(1) reads of
+// the aggregates ClusterState maintains (DESIGN.md, "Maintained
+// aggregates"), so a pass walks only the residents of hosts it may act on.
 //
 // The class is exposed (rather than hidden behind its factory) so tests can
-// drive BuildVacatePlan directly against a manager's view and assert on the
-// power-delta gate without running a whole day.
+// drive the vacate planner's pieces directly against a manager's view and
+// assert on the power-delta gate without running a whole day.
 
 #ifndef OASIS_SRC_CLUSTER_STRATEGY_OASIS_H_
 #define OASIS_SRC_CLUSTER_STRATEGY_OASIS_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,53 +27,12 @@
 
 namespace oasis {
 
-// How the oasis-greedy strategy derives each interval's plan. Selected once
-// per strategy instance, normally from OASIS_PLAN at construction.
-enum class PlanMode {
-  kFull,         // rebuild every scan from the view (the legacy reference)
-  kIncremental,  // dirty-set-refreshed scan state; provably identical output
-  kVerify,       // run both per pass and exit(2) on any divergence
-};
-
-// Parses OASIS_PLAN (full|incremental|verify; unset/empty defaults to
-// incremental — safe because the backends are pinned byte-identical). An
-// unknown value is a fatal configuration error: exit status 2, mirroring
-// OASIS_PROF and OASIS_POLICY.
-PlanMode PlanModeFromEnv();
-
-// The OASIS_PLAN spelling of `mode` (for bench/JSON reporting).
-const char* PlanModeName(PlanMode mode);
-
 class OasisGreedyStrategy : public ConsolidationStrategy {
  public:
-  explicit OasisGreedyStrategy(PlanMode mode = PlanModeFromEnv()) : mode_(mode) {}
-
   const char* name() const override { return kDefaultStrategyName; }
-  StrategyTraits traits() const override {
-    return {/*has_power_gate=*/true, /*supports_plan_modes=*/true};
-  }
   PlanActions PlanInterval(const ClusterView& view, SimTime now, Actuator& act) override;
-  PlanMode mode() const { return mode_; }
 
-  // Pre-samples the working set each trusted-idle VM on a vacate-eligible
-  // home would consolidate with. Both plan variants share the samples so
-  // they compare like for like. (Full backend; the incremental backend fuses
-  // this into its candidate scan, drawing in the same order.)
-  std::unordered_map<VmId, uint64_t> PresampleWorkingSets(const ClusterView& view,
-                                                          SimTime now) const;
-  // Builds (without committing) one vacate plan: candidate homes by
-  // ascending demand, random destinations among powered consolidation
-  // hosts, first-fit spill onto sleeping ones when allowed, and the §3.1
-  // net power delta of executing it.
-  VacatePlan BuildVacatePlan(const ClusterView& view, SimTime now,
-                             bool allow_waking_consolidation_hosts,
-                             const std::unordered_map<VmId, uint64_t>& planned_ws) const;
-  bool HostEligibleForVacate(const ClusterView& view, const ClusterHost& host,
-                             SimTime now) const;
-
- protected:
-  // The building blocks PredictiveStrategy composes with: candidate/dest
-  // tables, the rng-drawing placement+pricing core, and the §3.1 gate.
+  // --- the vacate planner's building blocks (pass 2) ----------------------
   struct Candidate {
     HostId host;
     uint64_t demand;
@@ -98,62 +45,55 @@ class OasisGreedyStrategy : public ConsolidationStrategy {
     bool used = false;
   };
 
-  // --- backend-shared execution and pricing -------------------------------
-  // Places the (already demand-sorted) candidates onto a scratch copy of the
-  // destination table and prices the resulting plan. This is the only part
-  // of pass 2 that draws from the planning rng, so both backends share it.
-  VacatePlan PlaceAndPrice(const ClusterView& view, SimTime now,
-                           const std::vector<Candidate>& candidates,
-                           std::vector<Dest> dests, size_t powered_dests,
-                           const std::vector<uint64_t>& planned_ws) const;
+  // The vacate candidates by ascending total memory demand (§3.1): every
+  // powered, S3-capable home holding VMs, none of them in flight (and under
+  // OnlyPartial all of them trusted idle). Eligible homes are visited in
+  // ascending id and their residents in ascending VM id, and each
+  // trusted-idle resident draws one working-set sample into `planned_ws`
+  // (indexed by VM id, zero for everyone else) — the draw order every pinned
+  // output depends on.
+  static std::vector<Candidate> ScanVacateCandidates(const ClusterView& view, SimTime now,
+                                                     std::vector<uint64_t>& planned_ws);
+  // The destination table over consolidation hosts: awake (powered or
+  // resuming) ones first, `*powered_dests` of them, then sleeping ones.
+  static std::vector<Dest> BuildDestTable(const ClusterView& view, size_t* powered_dests);
+  // Places the demand-sorted candidates onto a scratch copy of the
+  // destination table — random among the powered prefix, first-fit spill
+  // onto sleeping hosts — and prices the plan's §3.1 net power delta. This
+  // is the only part of pass 2 that draws from the planning rng. A nonzero
+  // planned_ws[vm] places that VM as a partial with that working set.
+  static VacatePlan PlaceAndPrice(const ClusterView& view,
+                                  const std::vector<Candidate>& candidates,
+                                  std::vector<Dest> dests, size_t powered_dests,
+                                  const std::vector<uint64_t>& planned_ws);
+
+ protected:
+  // Prices the candidates twice — conservatively on the awake hosts only,
+  // aggressively allowing sleeping ones to be woken — and returns the plan
+  // that saves more (the conservative one on ties).
+  static VacatePlan BestVacatePlan(const ClusterView& view,
+                                   const std::vector<Candidate>& candidates,
+                                   const std::vector<uint64_t>& planned_ws);
   void MaybeCommitVacatePlan(SimTime now, Actuator& act, PlanActions& actions,
                              const VacatePlan& best) const;
 
  private:
-  // Per-host cached scan state for the incremental backend. Deliberately
-  // minimal: everything except these two resident counts is O(1) to read
-  // live from the view, so caching more would only widen the invalidation
-  // surface.
-  struct HostRow {
-    int inflight_residents = 0;
-    int partial_residents = 0;
-  };
   // Pass 1 decisions: (home, swap group) pairs in ascending home order.
   using SwapGroups = std::vector<std::pair<HostId, std::vector<VmId>>>;
 
+  SwapGroups ComputeSwapGroups(const ClusterView& view, SimTime now) const;
   void ExecuteSwapGroups(const SwapGroups& groups, SimTime now, Actuator& act,
                          PlanActions& actions) const;
+  HostId SelectDrainSource(const ClusterView& view, SimTime now) const;
   // Executes the incremental drain from `source_id` (kNoHost = nothing to
   // drain): the completion-feasibility gate plus the per-VM moves, whose
   // destination scans stay live because each move mutates the cluster.
   int ExecuteDrain(const ClusterView& view, SimTime now, Actuator& act,
                    HostId source_id) const;
 
-  // --- full backend -------------------------------------------------------
-  SwapGroups ComputeSwapGroupsFull(const ClusterView& view, SimTime now) const;
-  VacatePlan ComputeVacatePlanFull(const ClusterView& view, SimTime now) const;
-  HostId SelectDrainSourceFull(const ClusterView& view, SimTime now) const;
-
-  // --- incremental backend ------------------------------------------------
-  // Folds the DirtyTracker change log into the cached rows. Must run before
-  // *each* pass: executing a pass mutates state that later passes read.
-  void Refresh(const ClusterView& view);
-  void RebuildRow(const ClusterView& view, HostId h);
-  SwapGroups ComputeSwapGroupsIncremental(const ClusterView& view, SimTime now) const;
-  VacatePlan ComputeVacatePlanIncremental(const ClusterView& view, SimTime now);
-  HostId SelectDrainSourceIncremental(const ClusterView& view, SimTime now) const;
-
-  PlanMode mode_;
-
-  // Incremental scan cache. This is *derived* state — rebuildable from the
-  // view at any time, invalidated precisely by the DirtyTracker marks — not
-  // decision memory, so the strategy stays a pure function of the cluster
-  // state (see the doctrine note in strategy.h).
-  bool primed_ = false;
-  std::vector<HostRow> rows_;      // per host
-  std::vector<uint8_t> is_fac_;    // per VM: residency == kFullAtConsolidation
-  std::vector<int> fac_count_;     // per home: VMs homed there with is_fac_ set
-  std::vector<uint64_t> planned_ws_;  // per-interval scratch (flat VmId index)
+  // Per-interval scratch for ScanVacateCandidates (kept only to reuse the
+  // allocation; every interval overwrites it whole before reading it).
+  std::vector<uint64_t> planned_ws_;
 };
 
 }  // namespace oasis

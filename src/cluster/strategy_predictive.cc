@@ -32,8 +32,8 @@ constexpr double kLevelMin = 0.25;
 constexpr double kLevelMax = 4.0;
 // Monte-Carlo budget for the generator-derived prior the fold is seeded
 // from. Fixed seed: the prior is part of the strategy's definition, not a
-// per-run sample, so every instance — any OASIS_JOBS, any OASIS_PLAN —
-// computes the identical curve.
+// per-run sample, so every instance — any OASIS_JOBS — computes the
+// identical curve.
 constexpr int kPriorUsers = 512;
 constexpr uint64_t kPriorSeed = 20160418;
 
@@ -97,9 +97,7 @@ PlanActions PredictiveStrategy::PlanInterval(const ClusterView& view, SimTime no
   int slot = DaySlot(now);
   double observed = ObservedActiveFraction(view);
   UpdateForecast(slot, observed);
-  // The full reactive plan first. It leaves the planning-stream cursors in a
-  // backend-independent state, so the forecast passes below draw identically
-  // under every OASIS_PLAN mode.
+  // The full reactive plan first; the forecast passes draw after it.
   PlanActions actions = OasisGreedyStrategy::PlanInterval(view, now, act);
   PreDrainPass(view, now, act, actions, slot);
   PreWakePass(view, now, act, actions, slot, observed);
@@ -126,7 +124,7 @@ void PredictiveStrategy::PreDrainPass(const ClusterView& view, SimTime now, Actu
   int num_homes = config.num_home_hosts;
   for (HostId h = 0; h < static_cast<HostId>(num_homes); ++h) {
     const ClusterHost& host = view.host(h);
-    // Same s3 gate as HostEligibleForVacate: a home that cannot sleep is
+    // Same s3 gate as the greedy candidate scan: a home that cannot sleep is
     // never worth pre-draining.
     if (!host.IsPowered() || !host.HasVms() || !host.s3_capable()) {
       continue;
@@ -155,44 +153,11 @@ void PredictiveStrategy::PreDrainPass(const ClusterView& view, SimTime now, Actu
     }
     candidates.push_back({h, demand});
   }
-  if (candidates.empty()) {
-    return;
-  }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) { return a.demand < b.demand; });
-
-  // Same destination table and conservative/aggressive pricing as the base
-  // vacate search, through the same rng-drawing placement core and the same
-  // §3.1 gate.
-  std::vector<Dest> dests;
-  size_t powered_dests = 0;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (size_t h = 0; h < view.num_hosts(); ++h) {
-      const ClusterHost& host = view.host(static_cast<HostId>(h));
-      if (!host.IsConsolidationHost()) {
-        continue;
-      }
-      int slots = config.MaxActiveVmsPerHost() - host.active_vms();
-      bool awake = host.IsPowered() || host.power_state() == HostPowerState::kResuming;
-      if (pass == 0 && awake) {
-        dests.push_back({host.id(), host.AvailableBytes(), slots, false});
-        ++powered_dests;
-      } else if (pass == 1 && !awake) {
-        dests.push_back({host.id(), host.AvailableBytes(), slots, true});
-      }
-    }
-  }
-  std::vector<Dest> conservative_dests(dests.begin(),
-                                       dests.begin() + static_cast<long>(powered_dests));
-  VacatePlan conservative = PlaceAndPrice(view, now, candidates,
-                                          std::move(conservative_dests), powered_dests,
-                                          planned_ws);
-  VacatePlan aggressive =
-      PlaceAndPrice(view, now, candidates, std::move(dests), powered_dests, planned_ws);
-  const VacatePlan& best =
-      aggressive.net_power_delta_watts > conservative.net_power_delta_watts ? aggressive
-                                                                            : conservative;
-  MaybeCommitVacatePlan(now, act, actions, best);
+  // Same destination table, conservative/aggressive pricing and §3.1 gate as
+  // the base vacate search.
+  MaybeCommitVacatePlan(now, act, actions, BestVacatePlan(view, candidates, planned_ws));
 }
 
 void PredictiveStrategy::PreWakePass(const ClusterView& view, SimTime now, Actuator& act,

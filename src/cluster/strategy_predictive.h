@@ -4,9 +4,9 @@
 // The reactive planner consolidates only after the idleness detector's
 // smoothing window has elapsed and wakes hosts only after users are already
 // back — it trails the workload by construction. This strategy runs the full
-// oasis-greedy plan first (so it inherits the §3.2 swaps, the §3.1
-// power-gated vacate search, and the OASIS_PLAN backends byte for byte) and
-// then adds two forecast-driven passes:
+// oasis-greedy plan first (so it inherits the §3.2 swaps and the §3.1
+// power-gated vacate search byte for byte) and then adds two forecast-driven
+// passes:
 //
 //   pre-drain  — when the forecast says activity stays below a floor for the
 //                whole lookahead window (the run into the ~6:30am trough),
@@ -33,9 +33,7 @@
 // decisions.
 //
 // Both passes draw from the shared planning streams strictly *after* the
-// base greedy pass finishes, and the base pass leaves the stream cursors in
-// an identical state under every OASIS_PLAN backend, so predictive runs are
-// byte-identical across full/incremental/verify too.
+// base greedy pass finishes.
 
 #ifndef OASIS_SRC_CLUSTER_STRATEGY_PREDICTIVE_H_
 #define OASIS_SRC_CLUSTER_STRATEGY_PREDICTIVE_H_
@@ -49,7 +47,7 @@ namespace oasis {
 // Parses OASIS_FORECAST_WINDOW — how many 5-minute intervals ahead the
 // pre-drain/pre-wake passes look (unset/empty defaults to 6, i.e. 30
 // minutes; accepted: an integer in [1, 288]). A malformed value is a fatal
-// configuration error: exit status 2, mirroring OASIS_PLAN and OASIS_POLICY.
+// configuration error: exit status 2, mirroring OASIS_POLICY.
 int ForecastWindowFromEnv();
 
 class PredictiveStrategy : public OasisGreedyStrategy {
@@ -57,9 +55,6 @@ class PredictiveStrategy : public OasisGreedyStrategy {
   explicit PredictiveStrategy(int forecast_window = ForecastWindowFromEnv());
 
   const char* name() const override { return "predictive"; }
-  StrategyTraits traits() const override {
-    return {/*has_power_gate=*/true, /*supports_plan_modes=*/true};
-  }
   PlanActions PlanInterval(const ClusterView& view, SimTime now, Actuator& act) override;
 
   // Forecast active fraction for day slot `slot` (mod intervals-per-day).

@@ -12,10 +12,9 @@
 //
 // A strategy holds no state of its own and receives nothing but a view and
 // an actuator, so by construction it can neither touch a host directly nor
-// smuggle information between intervals. (Two declared carve-outs, both
-// documented in strategy.h: derived scan caches rebuildable from the view,
-// and PredictiveStrategy's activity forecast, which summarizes only what
-// past views exposed.)
+// smuggle information between intervals. (One declared carve-out, documented
+// in strategy.h: PredictiveStrategy's activity forecast, which summarizes
+// only what past views exposed.)
 
 #ifndef OASIS_SRC_CLUSTER_VIEW_H_
 #define OASIS_SRC_CLUSTER_VIEW_H_
@@ -48,15 +47,20 @@ struct ClusterState {
   // (documented deviation from the paper), so this index is built once at
   // construction and lets home-keyed walks skip the full VM table.
   std::vector<std::vector<VmId>> vms_by_home;
-  // Per home host: how many of its VMs currently have kPartial residency.
-  // Maintained by Actuator::SetResidency; the memory-server refresh on every
-  // host sleep reads it instead of scanning the VM table.
+  // Maintained aggregates, each updated in O(1) by the Actuator's funnel
+  // (MoveResident / SetResidency / SetInFlight) and re-derived from scratch
+  // by the invariant checker every planning round. All are indexed by host
+  // id. Per home host: how many of its VMs have kPartial residency (the
+  // memory-server refresh on every host sleep reads it) ...
   std::vector<int> partials_homed;
-  // Planner-relevant change log (see DirtyTracker). Mutable because it is
-  // bookkeeping *about* the state, consumed and cleared by the planner
-  // through the read-only view — clearing it cannot change any simulation
-  // outcome, only how much cached scan state the next refresh recomputes.
-  mutable DirtyTracker dirty;
+  // ... and how many have kFullAtConsolidation (the swap pass skips homes
+  // with none).
+  std::vector<int> fac_homed;
+  // Per host: how many residents have a migration in flight (such a home is
+  // not vacate-eligible, such a consolidation host cannot drain) and how
+  // many are partial VMs (a drain source must hold nothing else).
+  std::vector<int> inflight_residents;
+  std::vector<int> partial_residents;
 };
 
 // The strategies' window onto ClusterState. Cheap to construct (four
@@ -102,18 +106,13 @@ class ClusterView {
     return ws_sampler_->Sample(config_->vm_memory_bytes);
   }
 
-  // Direct stream access for OASIS_PLAN=verify: the cross-check snapshots
-  // and restores both cursors so it can run each planning pass twice
-  // (incremental compute, then the authoritative full compute) without
-  // advancing the streams twice. Strategies must not use these otherwise.
-  Rng* rng_state() const { return rng_; }
-  WorkingSetSampler* ws_sampler_state() const { return ws_sampler_; }
-
-  // Home-keyed VM index and the planner change log (see ClusterState).
+  // Home-keyed VM index and the maintained aggregates (see ClusterState).
   const std::vector<VmId>& vms_of_home(HostId home) const {
     return state_->vms_by_home[home];
   }
-  DirtyTracker& dirty_tracker() const { return state_->dirty; }
+  int fac_homed(HostId home) const { return state_->fac_homed[home]; }
+  int inflight_residents(HostId host) const { return state_->inflight_residents[host]; }
+  int partial_residents(HostId host) const { return state_->partial_residents[host]; }
 
  private:
   const ClusterConfig* config_;

@@ -27,24 +27,35 @@ ObsConfig ObsConfig::FromEnv() {
   if (const char* path = std::getenv("OASIS_METRICS")) {
     config.metrics_path = path;
   }
-  if (const char* cap = std::getenv("OASIS_TRACE_CAPACITY")) {
-    long n = std::atol(cap);
-    if (n > 0) {
-      config.trace_capacity = static_cast<size_t>(n);
+  const char* cap = std::getenv("OASIS_TRACE_CAPACITY");
+  if (cap != nullptr && *cap != '\0') {
+    char* end = nullptr;
+    long n = std::strtol(cap, &end, 10);
+    if (*end != '\0' || n <= 0) {
+      std::fprintf(stderr,
+                   "OASIS_TRACE_CAPACITY=%s is not a positive integer (trace ring size in "
+                   "events)\n",
+                   cap);
+      std::exit(2);
     }
+    config.trace_capacity = static_cast<size_t>(n);
   }
   if (const char* level = std::getenv("OASIS_LOG_LEVEL")) {
     config.log_level = level;
   }
-  if (const char* seed = std::getenv("OASIS_SEED")) {
+  const char* seed = std::getenv("OASIS_SEED");
+  if (seed != nullptr && *seed != '\0') {
     char* end = nullptr;
     unsigned long long value = std::strtoull(seed, &end, 0);
-    if (end != seed && *end == '\0') {
-      config.has_seed = true;
-      config.seed = static_cast<uint64_t>(value);
-    } else {
-      OASIS_LOG(kWarning) << "unparseable OASIS_SEED: " << seed;
+    if (*end != '\0') {
+      std::fprintf(stderr,
+                   "OASIS_SEED=%s is not an integer (decimal, 0x hex or 0 octal seed "
+                   "override)\n",
+                   seed);
+      std::exit(2);
     }
+    config.has_seed = true;
+    config.seed = static_cast<uint64_t>(value);
   }
   return config;
 }

@@ -18,6 +18,10 @@
 //                            via ApplySeedOverride so one env var re-seeds
 //                            every bench/example without editing code
 //   OASIS_LOG_LEVEL=<level>  debug|info|warning|error|off
+//
+// A malformed OASIS_TRACE_CAPACITY (not a positive integer) or OASIS_SEED
+// (not an integer) is a fatal configuration error: FromEnv prints one line
+// to stderr and exits with status 2. Empty values mean unset.
 
 #ifndef OASIS_SRC_OBS_OBS_H_
 #define OASIS_SRC_OBS_OBS_H_
@@ -36,7 +40,7 @@ struct ObsConfig {
   std::string metrics_path;  // empty = metrics disabled
   size_t trace_capacity = Tracer::kDefaultCapacity;
   std::string log_level;  // empty = leave the global level alone
-  bool has_seed = false;  // OASIS_SEED present and parseable
+  bool has_seed = false;  // OASIS_SEED set
   uint64_t seed = 0;
 
   bool TracingRequested() const { return !trace_path.empty(); }

@@ -86,7 +86,7 @@ TEST_F(ChaosIntegrationTest, FullChaosDayPairsEveryInjectionWithRecovery) {
   for (size_t v = 0; v < manager.num_vms(); ++v) {
     const VmSlot& vm = manager.GetVm(static_cast<VmId>(v));
     ASSERT_LT(vm.location, manager.num_hosts()) << "vm " << v;
-    EXPECT_TRUE(manager.GetHost(vm.location).vms().count(vm.id))
+    EXPECT_TRUE(manager.GetHost(vm.location).HasVm(vm.id))
         << "vm " << v << " not resident at host " << vm.location;
   }
   for (size_t h = 0; h < manager.num_hosts(); ++h) {

@@ -57,7 +57,7 @@ class CheckClusterTest : public ::testing::Test {
     for (size_t v = 0; v < manager.num_vms(); ++v) {
       const VmSlot& vm = manager.GetVm(static_cast<VmId>(v));
       ASSERT_LT(vm.location, manager.num_hosts()) << "vm " << v;
-      EXPECT_TRUE(manager.GetHost(vm.location).vms().count(vm.id))
+      EXPECT_TRUE(manager.GetHost(vm.location).HasVm(vm.id))
           << "vm " << v << " not resident where its slot points";
     }
   }
@@ -118,6 +118,39 @@ TEST_F(CheckClusterTest, ScheduledMigrationAbortsRollBackCleanly) {
             injector.recovered(FaultClass::kMigrationAbort));
   ExpectNoVmLostOrDuplicated(manager);
   CheckClusterInvariants(manager, SimTime::Hours(24.0), checker_);
+}
+
+TEST(CheckClusterAggregatesTest, ChaosDayKeepsMaintainedCountsExact) {
+  // The planner reads ClusterState's maintained counts (in-flight and
+  // partial residents per host, full-at-consolidation VMs per home) instead
+  // of walking residents, and the conservation walk re-derives them every
+  // round. Drive every path that moves them off the happy path — crashes
+  // mid partial migration (rollback + emergency reintegration), memory-server
+  // failures (drain rollback + group return) and migration aborts — under a
+  // strict checker.
+  ClusterConfig config = SmallCluster(20160420);
+  config.fault = FaultConfig::ChaosDay();
+  config.fault.migration_abort_per_hour = 4.0;
+  for (int hour = 1; hour < 24; hour += 2) {
+    config.fault.scheduled.push_back(
+        {SimTime::Hours(hour) + SimTime::Seconds(17), FaultClass::kHostCrash,
+         /*target=*/-1});
+  }
+  InvariantChecker checker(CheckMode::kStrict);
+  InvariantChecker::Install(&checker);
+  ClusterManager manager(config, TraceFor(config));
+  (void)manager.Run();
+  InvariantChecker::Install(nullptr);
+
+  const FaultInjector& injector = manager.fault_injector();
+  EXPECT_GT(injector.injected(FaultClass::kHostCrash), 0u);
+  EXPECT_GT(injector.injected(FaultClass::kMemoryServerFailure), 0u);
+  EXPECT_GT(injector.injected(FaultClass::kMigrationAbort), 0u);
+  EXPECT_GT(checker.checks_run(), 0u);
+  EXPECT_EQ(checker.violation_count(), 0u);
+  for (const check::Violation& v : checker.violations()) {
+    ADD_FAILURE() << v.invariant << ": " << v.detail;
+  }
 }
 
 TEST_F(CheckClusterTest, CleanDayRunsMillionsOfChecksWithZeroViolations) {

@@ -2,9 +2,9 @@
 // control-plane split (view / strategy / actuator, see DESIGN.md).
 //
 //   - ClusterManager::BaselineEnergy closed form and trace-independence.
-//   - The §3.1 power-delta gate, driven directly through
-//     OasisGreedyStrategy::BuildVacatePlan against a live manager's view —
-//     no full-day run needed to see the gate open or close.
+//   - The §3.1 power-delta gate, driven directly through the greedy
+//     planner's candidate scan and PlaceAndPrice against a live manager's
+//     view — no full-day run needed to see the gate open or close.
 //   - Digest identity: an explicit strategy_name = "oasis-greedy" is
 //     byte-identical to the default-constructed config.
 //   - Registry sanity: every registered name instantiates, unknown names
@@ -14,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/check/check.h"
 #include "src/cluster/manager.h"
@@ -84,25 +86,44 @@ TEST(BaselineEnergyTest, AllActiveRunDrawsExactlyTheBaseline) {
 
 // --- the §3.1 power-delta gate, at the strategy boundary --------------------
 
+// One aggressive vacate plan (sleeping consolidation hosts may be woken),
+// built the way the greedy planner builds it; `planned_ws` receives the
+// candidate scan's working-set samples.
+VacatePlan AggressivePlan(const ClusterView& view, SimTime now,
+                          std::vector<OasisGreedyStrategy::Candidate>* candidates,
+                          std::vector<uint64_t>* planned_ws) {
+  *candidates = OasisGreedyStrategy::ScanVacateCandidates(view, now, *planned_ws);
+  size_t powered_dests = 0;
+  std::vector<OasisGreedyStrategy::Dest> dests =
+      OasisGreedyStrategy::BuildDestTable(view, &powered_dests);
+  return OasisGreedyStrategy::PlaceAndPrice(view, *candidates, std::move(dests), powered_dests,
+                                            *planned_ws);
+}
+
 TEST(VacatePlanGateTest, AllIdleClusterBuildsAPowerSavingPlan) {
   ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
   ClusterManager manager(config, UniformTrace(config.TotalVms(), false));
   ClusterView view = manager.View();
 
-  OasisGreedyStrategy strategy;
   // VmSlot::idle_since predates the epoch by eras, so a VM idle from trace
-  // interval 0 is already trusted-idle at t=0.
+  // interval 0 is already trusted-idle at t=0: every home is a candidate and
+  // every VM draws a working-set sample.
   SimTime now = SimTime::Zero();
+  std::vector<OasisGreedyStrategy::Candidate> candidates;
+  std::vector<uint64_t> planned_ws;
+  VacatePlan plan = AggressivePlan(view, now, &candidates, &planned_ws);
+  std::set<HostId> candidate_homes;
+  for (const OasisGreedyStrategy::Candidate& c : candidates) {
+    candidate_homes.insert(c.host);
+  }
   for (HostId h = 0; h < static_cast<HostId>(view.num_hosts()); ++h) {
-    const ClusterHost& host = view.host(h);
-    if (host.IsHomeHost()) {
-      EXPECT_TRUE(strategy.HostEligibleForVacate(view, host, now)) << "home " << h;
+    if (view.host(h).IsHomeHost()) {
+      EXPECT_TRUE(candidate_homes.count(h)) << "home " << h;
     }
   }
-
-  auto planned_ws = strategy.PresampleWorkingSets(view, now);
-  EXPECT_EQ(planned_ws.size(), static_cast<size_t>(config.TotalVms()));
-  VacatePlan plan = strategy.BuildVacatePlan(view, now, /*allow_waking=*/true, planned_ws);
+  EXPECT_EQ(std::count_if(planned_ws.begin(), planned_ws.end(),
+                          [](uint64_t ws) { return ws != 0; }),
+            config.TotalVms());
 
   ASSERT_FALSE(plan.hosts_to_vacate.empty());
   EXPECT_GT(plan.net_power_delta_watts, 0.0);
@@ -145,10 +166,9 @@ TEST(VacatePlanGateTest, RuinousMemoryServerPowerClosesTheGate) {
   ClusterManager manager(config, UniformTrace(config.TotalVms(), false));
   ClusterView view = manager.View();
 
-  OasisGreedyStrategy strategy;
-  auto planned_ws = strategy.PresampleWorkingSets(view, SimTime::Zero());
-  VacatePlan plan =
-      strategy.BuildVacatePlan(view, SimTime::Zero(), /*allow_waking=*/true, planned_ws);
+  std::vector<OasisGreedyStrategy::Candidate> candidates;
+  std::vector<uint64_t> planned_ws;
+  VacatePlan plan = AggressivePlan(view, SimTime::Zero(), &candidates, &planned_ws);
   EXPECT_FALSE(plan.hosts_to_vacate.empty());
   EXPECT_LT(plan.net_power_delta_watts, 0.0);
 }

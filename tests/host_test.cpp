@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace oasis {
 namespace {
 
@@ -144,6 +146,34 @@ TEST(ClusterHostTest, VmResidencyRaisesDraw) {
   }
   // Saturated at the 20-VM figure: 137.9 W.
   EXPECT_NEAR(ToWattHours(host.HostEnergy(SimTime::Hours(1))), 137.9, 0.01);
+}
+
+TEST(ClusterHostTest, ResidentSetStaysAscendingUnderInterleavedChanges) {
+  // Every walk over vms() depends on ascending order (planner draw order),
+  // so the flat resident set must keep it through arbitrary churn.
+  ClusterHost host(0, HostRole::kConsolidation, TestConfig(), true);
+  for (VmId v : {40u, 7u, 23u, 0u, 31u, 15u}) {
+    host.AddVm(SimTime::Zero(), v);
+  }
+  host.RemoveVm(SimTime::Zero(), 23);
+  host.AddVm(SimTime::Zero(), 19);
+  host.RemoveVm(SimTime::Zero(), 0);
+  host.AddVm(SimTime::Zero(), 41);
+  host.RemoveVm(SimTime::Zero(), 41);
+  host.AddVm(SimTime::Zero(), 2);
+  EXPECT_EQ(host.vms(), (std::vector<VmId>{2, 7, 15, 19, 31, 40}));
+  EXPECT_TRUE(host.HasVm(19));
+  EXPECT_TRUE(host.HasVm(40));
+  EXPECT_FALSE(host.HasVm(23));
+  EXPECT_FALSE(host.HasVm(0));
+  EXPECT_FALSE(host.HasVm(41));
+}
+
+TEST(ClusterHostDeathTest, RemovingANonResidentVmAsserts) {
+  ClusterHost host(0, HostRole::kHome, TestConfig(), true);
+  host.AddVm(SimTime::Zero(), 3);
+  EXPECT_DEATH(host.RemoveVm(SimTime::Zero(), 4), "not resident");
+  EXPECT_DEATH(host.AddVm(SimTime::Zero(), 3), "already resident");
 }
 
 TEST(ClusterHostTest, SleepEnergyIncludesTransitionSpike) {

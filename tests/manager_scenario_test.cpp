@@ -184,7 +184,7 @@ TEST(ManagerScenarioTest, ResumeStormUnderWolLossStaysBoundedAndLosesNoVm) {
   EXPECT_EQ(census, static_cast<size_t>(config.TotalVms()));
   for (size_t v = 0; v < manager.num_vms(); ++v) {
     const VmSlot& vm = manager.GetVm(static_cast<VmId>(v));
-    EXPECT_TRUE(manager.GetHost(vm.location).vms().count(vm.id)) << "vm " << v;
+    EXPECT_TRUE(manager.GetHost(vm.location).HasVm(vm.id)) << "vm " << v;
     if (vm.activity == VmActivity::kActive && !vm.migration_in_flight) {
       EXPECT_NE(vm.residency, VmResidency::kPartial) << "vm " << v;
     }
@@ -223,7 +223,7 @@ TEST_P(ManagerShapeTest, InvariantsHoldForRealisticDay) {
   // Location/membership coherence.
   for (size_t v = 0; v < manager.num_vms(); ++v) {
     const VmSlot& vm = manager.GetVm(static_cast<VmId>(v));
-    EXPECT_TRUE(manager.GetHost(vm.location).vms().count(vm.id));
+    EXPECT_TRUE(manager.GetHost(vm.location).HasVm(vm.id));
   }
   // Delay distribution sanity.
   if (m.transition_delay_s.count() > 0) {

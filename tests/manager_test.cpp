@@ -154,7 +154,7 @@ TEST(ManagerTest, VmLocationMatchesHostMembership) {
   for (size_t v = 0; v < manager.num_vms(); ++v) {
     const VmSlot& vm = manager.GetVm(static_cast<VmId>(v));
     const ClusterHost& host = manager.GetHost(vm.location);
-    EXPECT_TRUE(host.vms().count(vm.id)) << "vm " << v << " not on host " << vm.location;
+    EXPECT_TRUE(host.HasVm(vm.id)) << "vm " << v << " not on host " << vm.location;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "bench/bench_util.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "tests/mini_json.h"
@@ -283,6 +284,49 @@ TEST(ObsConfigTest, FromEnvReadsAllKnobs) {
   ObsConfig off = ObsConfig::FromEnv();
   EXPECT_FALSE(off.TracingRequested());
   EXPECT_FALSE(off.MetricsRequested());
+}
+
+TEST(ObsConfigTest, SeedAcceptsIntegersAndEmptyMeansUnset) {
+  ::setenv("OASIS_SEED", "0x2A", 1);
+  ObsConfig hex = ObsConfig::FromEnv();
+  EXPECT_TRUE(hex.has_seed);
+  EXPECT_EQ(hex.seed, 42u);
+  ::setenv("OASIS_SEED", "", 1);
+  EXPECT_FALSE(ObsConfig::FromEnv().has_seed);
+  ::unsetenv("OASIS_SEED");
+  EXPECT_FALSE(ObsConfig::FromEnv().has_seed);
+}
+
+TEST(ObsConfigDeathTest, MalformedSeedExitsWithStatusTwo) {
+  for (const char* bad : {"abc", "12x", "0x"}) {
+    ::setenv("OASIS_SEED", bad, 1);
+    EXPECT_EXIT(ObsConfig::FromEnv(), ::testing::ExitedWithCode(2), "OASIS_SEED")
+        << "value: " << bad;
+  }
+  ::unsetenv("OASIS_SEED");
+}
+
+TEST(ObsConfigDeathTest, MalformedTraceCapacityExitsWithStatusTwo) {
+  for (const char* bad : {"10k", "abc", "0", "-5"}) {
+    ::setenv("OASIS_TRACE_CAPACITY", bad, 1);
+    EXPECT_EXIT(ObsConfig::FromEnv(), ::testing::ExitedWithCode(2), "OASIS_TRACE_CAPACITY")
+        << "value: " << bad;
+  }
+  ::unsetenv("OASIS_TRACE_CAPACITY");
+}
+
+TEST(BenchRunsDeathTest, MalformedRunCountExitsWithStatusTwo) {
+  for (const char* bad : {"3x", "abc", "0", "-2"}) {
+    ::setenv("OASIS_BENCH_RUNS", bad, 1);
+    EXPECT_EXIT(BenchRuns(), ::testing::ExitedWithCode(2), "OASIS_BENCH_RUNS")
+        << "value: " << bad;
+  }
+  ::setenv("OASIS_BENCH_RUNS", "3", 1);
+  EXPECT_EQ(BenchRuns(), 3);
+  ::setenv("OASIS_BENCH_RUNS", "", 1);
+  EXPECT_EQ(BenchRuns(), 5);
+  ::unsetenv("OASIS_BENCH_RUNS");
+  EXPECT_EQ(BenchRuns(), 5);
 }
 
 }  // namespace

@@ -10,12 +10,10 @@
 //     has_power_gate commits nothing on a cluster configured so that
 //     consolidation can only lose energy — and a strategy that declares the
 //     opposite really does migrate there (the trait is honest);
-//   * strategies that declare supports_plan_modes are byte-identical under
-//     OASIS_PLAN=full|incremental|verify;
 //   * every strategy is jobs-invariant: the same repetitions fold to the
 //     same digests at OASIS_JOBS 1 and 4;
 //   * the predictive strategy's forecast-window knob fails loudly (exit 2)
-//     on malformed input, mirroring OASIS_PLAN / OASIS_POLICY.
+//     on malformed input, mirroring OASIS_POLICY.
 //
 // The suite iterates RegisteredStrategyNames() so a newly registered
 // strategy is conformance-tested by construction, with zero edits here.
@@ -30,7 +28,6 @@
 
 #include "src/check/check.h"
 #include "src/cluster/manager.h"
-#include "src/cluster/strategy_oasis.h"
 #include "src/cluster/strategy_predictive.h"
 #include "src/common/rng.h"
 #include "src/core/oasis.h"
@@ -71,14 +68,6 @@ TraceSet UniformTrace(int users, bool active) {
   return set;
 }
 
-class ScopedPlanMode {
- public:
-  explicit ScopedPlanMode(const char* mode) { setenv("OASIS_PLAN", mode, 1); }
-  ~ScopedPlanMode() { unsetenv("OASIS_PLAN"); }
-  ScopedPlanMode(const ScopedPlanMode&) = delete;
-  ScopedPlanMode& operator=(const ScopedPlanMode&) = delete;
-};
-
 // A small-but-interesting rack: enough homes that vacate plans span several
 // hosts, two consolidation hosts so draining has somewhere to go.
 SimulationConfig SmallRack(const std::string& strategy) {
@@ -90,14 +79,6 @@ SimulationConfig SmallRack(const std::string& strategy) {
   config.cluster.strategy_name = strategy;
   config.seed = 2016;
   return config;
-}
-
-uint64_t DigestUnderPlanMode(const SimulationConfig& config, const char* plan_mode) {
-  ScopedPlanMode scoped(plan_mode);
-  exp::ExperimentPlan plan;
-  plan.Add(config);
-  std::vector<SimulationResult> results = exp::RunParallel(plan, 1);
-  return testing::DigestResult(results.at(0));
 }
 
 class StrategyConformanceTest : public ::testing::Test {
@@ -120,16 +101,11 @@ TEST(StrategyTraitsTest, TraitsMatchTheRegistryContract) {
     EXPECT_NE(s, nullptr) << name;
     return s->traits();
   };
-  // The two greedy-planner strategies are the only ones with interchangeable
-  // planning backends; local-threshold is the only one without the §3.1 gate.
+  // local-threshold is the only strategy without the §3.1 gate.
   EXPECT_TRUE(traits_of("oasis-greedy").has_power_gate);
-  EXPECT_TRUE(traits_of("oasis-greedy").supports_plan_modes);
   EXPECT_TRUE(traits_of("predictive").has_power_gate);
-  EXPECT_TRUE(traits_of("predictive").supports_plan_modes);
   EXPECT_TRUE(traits_of("first-fit-decreasing").has_power_gate);
-  EXPECT_FALSE(traits_of("first-fit-decreasing").supports_plan_modes);
   EXPECT_FALSE(traits_of("local-threshold").has_power_gate);
-  EXPECT_FALSE(traits_of("local-threshold").supports_plan_modes);
 }
 
 // --- fuzzed shapes ----------------------------------------------------------
@@ -259,21 +235,7 @@ TEST_F(StrategyConformanceTest, PowerGateIsNeverBypassed) {
   }
 }
 
-// --- plan-mode and jobs identity --------------------------------------------
-
-TEST_F(StrategyConformanceTest, PlanModesAreByteIdenticalWhereSupported) {
-  for (const std::string& name : RegisteredStrategyNames()) {
-    if (!MakeStrategy(name)->traits().supports_plan_modes) {
-      continue;
-    }
-    SimulationConfig config = SmallRack(name);
-    const uint64_t reference = DigestUnderPlanMode(config, "full");
-    EXPECT_EQ(DigestUnderPlanMode(config, "incremental"), reference)
-        << name << ": incremental backend diverged from full";
-    EXPECT_EQ(DigestUnderPlanMode(config, "verify"), reference)
-        << name << ": verify mode diverged from full";
-  }
-}
+// --- jobs identity ----------------------------------------------------------
 
 TEST_F(StrategyConformanceTest, RepetitionsAreJobsInvariant) {
   // The worker count is an operational knob, never a semantic one: the same
@@ -296,7 +258,7 @@ TEST_F(StrategyConformanceTest, RepetitionsAreJobsInvariant) {
 // --- the forecast-window knob -----------------------------------------------
 
 TEST(ForecastWindowDeathTest, MalformedWindowExitsWithStatusTwo) {
-  // Mirrors OASIS_PLAN / OASIS_POLICY: a malformed value is a fatal
+  // Mirrors OASIS_POLICY: a malformed value is a fatal
   // configuration error, not a silent default.
   for (const char* bad : {"banana", "0", "-3", "999", "6x", ""}) {
     if (*bad == '\0') {

@@ -8,12 +8,9 @@
 # its wall-clock profile (parallel efficiency, merge-serial fraction, named
 # bottleneck). The snapshot also records, per sweep point, the effective
 # worker count after the runner's clamp (plus any requested job counts that
-# collapsed to an already-measured count on this host), and a "plan_modes"
-# section with serial events/s under both planner backends
-# (OASIS_PLAN=full and incremental) so the incremental planner's speedup is
-# tracked across PRs. Absolute numbers are machine-dependent — review the
-# diff for the *shape* (efficiency, fractions, bottleneck, mode ratio), not
-# the raw seconds.
+# collapsed to an already-measured count on this host). Absolute numbers are
+# machine-dependent — review the diff for the *shape* (efficiency,
+# fractions, bottleneck), not the raw seconds.
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -24,10 +21,11 @@ if [ ! -x "$build/bench/perf_sweep" ]; then
   exit 1
 fi
 
-# Stamp the snapshot with the revision it measured; hardware_cores is
-# stamped by the binary itself. Outside a git checkout the stamp degrades
-# to "unknown" rather than failing the refresh.
-git_sha=$(git -C "$repo" rev-parse --short HEAD 2>/dev/null || echo unknown)
+# Stamp the snapshot with the revision it measured ("-dirty" when the tree
+# had uncommitted changes); hardware_cores is stamped by the binary itself.
+# Outside a git checkout the stamp degrades to "unknown" rather than failing
+# the refresh.
+git_sha=$(git -C "$repo" describe --always --dirty --abbrev=7 2>/dev/null || echo unknown)
 
 # Sweep to jobs=4 by default (export OASIS_JOBS to override) so the
 # committed snapshot always carries the scaling story, even on small boxes

@@ -729,8 +729,8 @@ void Actuator::ApplyScheduledFault(SimTime now, const ScheduledFault& event) {
     case FaultClass::kRpcDrop:
     case FaultClass::kRpcDelay:
     case FaultClass::kResumeHang:
-      // Query-sampled classes cannot be time-scheduled: there is no pending
-      // operation at an arbitrary instant to attach them to.
+      // Query-sampled (and retired) classes cannot be time-scheduled: there
+      // is no pending operation at an arbitrary instant to attach them to.
       fault_.RecordSkipped(event.fault, now, obs::TraceArgs{event.target});
       return;
   }

@@ -77,9 +77,9 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace,
 
 ClusterMetrics ClusterManager::Run() {
   // While the run executes, every instrumentation site below this frame —
-  // hosts, migrations, RPC bus, memory servers, the fault injector —
-  // resolves to the run-local collectors. Without a context of our own the
-  // thread's installed context (or the globals) stays in effect.
+  // hosts, migrations, memory servers, the fault injector — resolves to the
+  // run-local collectors. Without a context of our own the thread's
+  // installed context (or the globals) stays in effect.
   std::optional<obs::RunContext::Scope> obs_scope;
   if (run_context_ != nullptr) {
     obs_scope.emplace(run_context_);

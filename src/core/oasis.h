@@ -32,7 +32,7 @@ namespace oasis {
 
 struct SimulationConfig {
   // cluster.fault opts into deterministic failure injection (host crashes,
-  // WoL loss, RPC faults, memory-server deaths, migration aborts — see
+  // WoL loss, resume hangs, memory-server deaths, migration aborts — see
   // DESIGN.md § Failure model). Disabled by default; a disabled config
   // consumes no random draws, so results match builds without the subsystem.
   ClusterConfig cluster;

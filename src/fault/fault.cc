@@ -65,8 +65,8 @@ const char* FaultClassName(FaultClass fault) {
 }
 
 Status FaultConfig::Validate() const {
-  for (double p : {wol_loss_probability, resume_hang_probability, rpc_drop_probability,
-                   rpc_delay_probability, serve_failure_probability}) {
+  for (double p :
+       {wol_loss_probability, resume_hang_probability, serve_failure_probability}) {
     if (p < 0.0 || p > 1.0) {
       return Status::InvalidArgument("fault probability outside [0,1]");
     }
@@ -77,12 +77,8 @@ Status FaultConfig::Validate() const {
       return Status::InvalidArgument("fault rate must be non-negative");
     }
   }
-  if (max_wol_retries < 1 || max_rpc_attempts < 1) {
-    return Status::InvalidArgument("retry limits must be at least 1");
-  }
-  if (wol_retry_timeout <= SimTime::Zero() || rpc_backoff_initial <= SimTime::Zero() ||
-      rpc_backoff_cap < rpc_backoff_initial) {
-    return Status::InvalidArgument("invalid retry/backoff timings");
+  if (max_wol_retries < 1 || wol_retry_timeout <= SimTime::Zero()) {
+    return Status::InvalidArgument("invalid WoL retry limit/timeout");
   }
   return Status::Ok();
 }
@@ -92,8 +88,6 @@ FaultConfig FaultConfig::ChaosDay() {
   config.enabled = true;
   config.wol_loss_probability = 0.10;
   config.resume_hang_probability = 0.05;
-  config.rpc_drop_probability = 0.02;
-  config.rpc_delay_probability = 0.05;
   config.serve_failure_probability = 0.0;  // opt-in; fails the whole server
   config.host_crash_per_hour = 0.25;
   config.memory_server_failure_per_hour = 0.5;
@@ -174,28 +168,6 @@ bool FaultInjector::SampleResumeHang(SimTime now, int64_t host) {
     return false;
   }
   RecordInjected(FaultClass::kResumeHang, now, obs::TraceArgs{host});
-  return true;
-}
-
-bool FaultInjector::SampleRpcDrop(SimTime now) {
-  if (!enabled() || config_.rpc_drop_probability <= 0.0) {
-    return false;
-  }
-  if (!StreamFor(FaultClass::kRpcDrop).NextBool(config_.rpc_drop_probability)) {
-    return false;
-  }
-  RecordInjected(FaultClass::kRpcDrop, now);
-  return true;
-}
-
-bool FaultInjector::SampleRpcDelay(SimTime now) {
-  if (!enabled() || config_.rpc_delay_probability <= 0.0) {
-    return false;
-  }
-  if (!StreamFor(FaultClass::kRpcDelay).NextBool(config_.rpc_delay_probability)) {
-    return false;
-  }
-  RecordInjected(FaultClass::kRpcDelay, now);
   return true;
 }
 

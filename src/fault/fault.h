@@ -1,7 +1,7 @@
 // Deterministic fault injection for the consolidation control plane.
 //
-// The paper's §3.1 controller assumes every wake-on-LAN, RPC, migration and
-// S3 transition succeeds. This subsystem removes that assumption without
+// The paper's §3.1 controller assumes every wake-on-LAN, migration and S3
+// transition succeeds. This subsystem removes that assumption without
 // giving up reproducibility: every fault is either scheduled explicitly at a
 // sim-time or sampled from per-class rates using xoshiro streams derived
 // from the run seed, so the same seed always produces the same fault
@@ -12,10 +12,10 @@
 //     FaultPlan::Build pre-samples their firing times as a Poisson process
 //     over the configured horizon and merges explicitly scheduled entries;
 //     the cluster manager walks the plan as simulator events.
-//   * query-sampled (WoL loss, S3 resume hang, RPC drop/delay, memory-server
-//     serve failure): the affected component asks the injector at the moment
-//     the operation happens (Sample*); each class draws from its own stream
-//     so interleaving across components cannot perturb another class.
+//   * query-sampled (WoL loss, S3 resume hang, memory-server serve failure):
+//     the affected component asks the injector at the moment the operation
+//     happens (Sample*); each class draws from its own stream so interleaving
+//     across components cannot perturb another class.
 //
 // A disabled injector (the default) builds no plan, owns no streams, and
 // every Sample* early-returns without consuming a draw — runs with faults
@@ -41,17 +41,26 @@
 
 namespace oasis {
 
+// kRpcDrop and kRpcDelay are retired: nothing injects them. Their index slots
+// stay because the class index salts every plan and query stream and sizes
+// the per-class metric arrays folded into pinned digests, so renumbering
+// would change every fault schedule and digest.
 enum class FaultClass {
   kHostCrash = 0,          // consolidation host loses power instantly
   kWolLoss,                // wake-on-LAN packet dropped; re-sent on a timeout
-  kRpcDrop,                // control-plane RPC lost; caller retries with backoff
-  kRpcDelay,               // control-plane RPC delayed by FaultConfig::rpc_delay
+  kRpcDrop,                // retired
+  kRpcDelay,               // retired
   kMemoryServerFailure,    // a sleeping home's memory server dies
   kMigrationAbort,         // an in-flight migration aborts at a page boundary
   kResumeHang,             // S3 resume wedges until the watchdog fires
 };
 
 inline constexpr int kNumFaultClasses = 7;
+
+// The classes a cluster day can inject, in index order.
+inline constexpr FaultClass kLiveFaultClasses[] = {
+    FaultClass::kHostCrash, FaultClass::kWolLoss, FaultClass::kMemoryServerFailure,
+    FaultClass::kMigrationAbort, FaultClass::kResumeHang};
 
 // Stable lowercase identifier used in metric names ("fault.injected.<name>").
 const char* FaultClassName(FaultClass fault);
@@ -78,10 +87,7 @@ struct FaultConfig {
   // --- query-sampled classes (per-operation probabilities) ---------------
   double wol_loss_probability = 0.0;         // per WoL send
   double resume_hang_probability = 0.0;      // per S3 resume
-  double rpc_drop_probability = 0.0;         // per RPC delivery
-  double rpc_delay_probability = 0.0;        // per RPC delivery
   double serve_failure_probability = 0.0;    // per memory-server page serve
-  SimTime rpc_delay = SimTime::Millis(50);
 
   // --- time-scheduled classes (Poisson rates over `horizon`) -------------
   double host_crash_per_hour = 0.0;
@@ -96,18 +102,15 @@ struct FaultConfig {
   SimTime wol_retry_timeout = SimTime::Seconds(1.0);  // re-send after no link-up
   int max_wol_retries = 5;                            // then escalate
   SimTime resume_watchdog = SimTime::Seconds(10.0);   // hung resume is re-tried
-  int max_rpc_attempts = 4;
-  SimTime rpc_backoff_initial = SimTime::Millis(10);
-  SimTime rpc_backoff_cap = SimTime::Seconds(1.0);
   // A VM on a crashed host restarts from its home's disk image; boot takes
   // this long after the home host is powered.
   SimTime vm_restart_latency = SimTime::Seconds(30.0);
 
   Status Validate() const;
 
-  // A representative mix for chaos runs: every class enabled at rates that
-  // keep the cluster functional while firing each class several times per
-  // simulated day.
+  // A representative mix for chaos runs: every live class enabled at rates
+  // that keep the cluster functional while firing each class several times
+  // per simulated day (serve failures stay opt-in).
   static FaultConfig ChaosDay();
 };
 
@@ -122,7 +125,7 @@ struct FaultPlan {
 };
 
 // The run-time injection engine. One instance per simulated cluster (and
-// shared with the control-plane bus/memory servers of that cluster), holding
+// shared with the memory servers of that cluster), holding
 // the plan, the per-class query streams, and the injected/recovered/skipped
 // accounting the chaos tests assert on.
 class FaultInjector {
@@ -143,10 +146,6 @@ class FaultInjector {
   int SampleWolLosses(SimTime now, int64_t host);
   // True when this S3 resume wedges and costs the watchdog timeout.
   bool SampleResumeHang(SimTime now, int64_t host);
-  // True when this RPC delivery is dropped (caller sees kUnavailable).
-  bool SampleRpcDrop(SimTime now);
-  // True when this RPC delivery is delayed by config().rpc_delay.
-  bool SampleRpcDelay(SimTime now);
   // True when this memory-server page serve fails the whole server.
   bool SampleServeFailure(SimTime now, int64_t vm);
 

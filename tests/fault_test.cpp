@@ -91,11 +91,15 @@ TEST(FaultConfigTest, ValidateRejectsBadValues) {
   config.host_crash_per_hour = -1.0;
   EXPECT_FALSE(config.Validate().ok());
   config.host_crash_per_hour = 0.0;
-  config.max_rpc_attempts = 0;
+  config.max_wol_retries = 0;
   EXPECT_FALSE(config.Validate().ok());
-  config.max_rpc_attempts = 4;
-  config.rpc_backoff_cap = SimTime::Millis(1);  // below the initial backoff
+  config.max_wol_retries = 5;
+  config.wol_retry_timeout = SimTime::Zero();
   EXPECT_FALSE(config.Validate().ok());
+  config.wol_retry_timeout = SimTime::Seconds(-1.0);
+  EXPECT_FALSE(config.Validate().ok());
+  config.wol_retry_timeout = SimTime::Seconds(1.0);
+  EXPECT_TRUE(config.Validate().ok());
 }
 
 TEST(FaultConfigTest, ChaosDayValidates) {
@@ -107,7 +111,7 @@ TEST(FaultConfigTest, ChaosDayValidates) {
 TEST(FaultInjectorTest, InvalidConfigDisablesInjection) {
   FaultConfig config;
   config.enabled = true;
-  config.rpc_drop_probability = 2.0;
+  config.wol_loss_probability = 2.0;
   FaultInjector injector(config, 42);
   EXPECT_FALSE(injector.enabled());
   EXPECT_TRUE(injector.plan().events.empty());
@@ -124,8 +128,6 @@ TEST(FaultInjectorTest, DisabledInjectorIsInert) {
     SimTime now = SimTime::Seconds(i);
     EXPECT_EQ(injector.SampleWolLosses(now, 0), 0);
     EXPECT_FALSE(injector.SampleResumeHang(now, 0));
-    EXPECT_FALSE(injector.SampleRpcDrop(now));
-    EXPECT_FALSE(injector.SampleRpcDelay(now));
     EXPECT_FALSE(injector.SampleServeFailure(now, 0));
   }
   EXPECT_EQ(injector.TotalInjected(), 0u);
@@ -135,35 +137,37 @@ TEST(FaultInjectorTest, DisabledInjectorIsInert) {
 TEST(FaultInjectorTest, ZeroProbabilityConsumesNoDraws) {
   // Enabling a class must not perturb another class's stream: an injector
   // with only WoL loss enabled samples the same WoL sequence as one that
-  // also enables RPC drops (they draw from distinct streams).
+  // also enables resume hangs (they draw from distinct streams).
   FaultConfig wol_only;
   wol_only.enabled = true;
   wol_only.wol_loss_probability = 0.5;
-  FaultConfig wol_and_rpc = wol_only;
-  wol_and_rpc.rpc_drop_probability = 0.5;
+  FaultConfig wol_and_hang = wol_only;
+  wol_and_hang.resume_hang_probability = 0.5;
 
   FaultInjector a(wol_only, 9);
-  FaultInjector b(wol_and_rpc, 9);
+  FaultInjector b(wol_and_hang, 9);
   for (int i = 0; i < 256; ++i) {
     SimTime now = SimTime::Seconds(i);
-    // Interleave RPC draws in b only; the WoL sequences must still agree.
-    b.SampleRpcDrop(now);
+    // Interleave resume-hang draws in b only; the WoL sequences must still
+    // agree.
+    b.SampleResumeHang(now, 1);
     EXPECT_EQ(a.SampleWolLosses(now, 1), b.SampleWolLosses(now, 1)) << "draw " << i;
   }
+  EXPECT_GT(b.injected(FaultClass::kResumeHang), 0u);
 }
 
 TEST(FaultInjectorTest, SampleSequencesAreSeedDeterministic) {
   FaultConfig config;
   config.enabled = true;
-  config.rpc_drop_probability = 0.3;
+  config.resume_hang_probability = 0.3;
   FaultInjector a(config, 1234);
   FaultInjector b(config, 1234);
   for (int i = 0; i < 512; ++i) {
     SimTime now = SimTime::Millis(i);
-    EXPECT_EQ(a.SampleRpcDrop(now), b.SampleRpcDrop(now)) << "draw " << i;
+    EXPECT_EQ(a.SampleResumeHang(now, 0), b.SampleResumeHang(now, 0)) << "draw " << i;
   }
-  EXPECT_EQ(a.injected(FaultClass::kRpcDrop), b.injected(FaultClass::kRpcDrop));
-  EXPECT_GT(a.injected(FaultClass::kRpcDrop), 0u);
+  EXPECT_EQ(a.injected(FaultClass::kResumeHang), b.injected(FaultClass::kResumeHang));
+  EXPECT_GT(a.injected(FaultClass::kResumeHang), 0u);
 }
 
 TEST(FaultInjectorTest, WolLossRunsAreCappedAtMaxRetries) {

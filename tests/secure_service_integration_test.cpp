@@ -1,11 +1,10 @@
-// End-to-end integration of the memory-server data path: real page contents,
-// LZ compression, the service-latency model, and the §4.3 authentication
-// layer, wired together the way a deployed memory server would be.
+// End-to-end integration of the memory-server upload path: real page
+// contents, LZ compression and the dedup page store feeding
+// MemoryServer::Upload, wired together the way a home host would be.
 
 #include <gtest/gtest.h>
 
 #include "src/hyper/memory_server.h"
-#include "src/hyper/page_auth.h"
 #include "src/mem/compression.h"
 #include "src/mem/dedup.h"
 #include "src/mem/page_content.h"
@@ -13,12 +12,11 @@
 namespace oasis {
 namespace {
 
-class SecureServiceTest : public ::testing::Test {
+class MemoryServerDataPathTest : public ::testing::Test {
  protected:
   static constexpr VmId kVm = 42;
 
-  SecureServiceTest() : authority_(0xA117), auth_(&authority_), content_(kVm) {
-    auth_.AdmitVm(kVm);
+  MemoryServerDataPathTest() : content_(kVm) {
     // The home host compresses and uploads the touched image; the store
     // deduplicates page contents.
     for (uint64_t page = 0; page < 256; ++page) {
@@ -29,75 +27,22 @@ class SecureServiceTest : public ::testing::Test {
     server_.Upload(SimTime::Zero(), kVm, uploaded_);
   }
 
-  // One authenticated, compressed page fetch as memtap performs it.
-  StatusOr<std::pair<PageBytes, SimTime>> Fetch(AuthenticatedClient& client, uint64_t page) {
-    AuthenticatedPageRequest request = client.MakeRequest(page);
-    Status verdict = auth_.VerifyRequest(request);
-    if (!verdict.ok()) {
-      return verdict;
-    }
-    StatusOr<SimTime> latency = server_.ServePageRequest(SimTime::Zero(), kVm, page);
-    if (!latency.ok()) {
-      return latency.status();
-    }
-    PageBytes original = content_.Generate(page);
-    std::vector<uint8_t> compressed = LzCompress(original);
-    AuthenticatedPageResponse response = auth_.MakeResponse(kVm, page, compressed);
-    Status ok = client.VerifyResponse(response);
-    if (!ok.ok()) {
-      return ok;
-    }
-    auto decompressed = LzDecompress(response.payload, kPageSize);
-    if (!decompressed.has_value()) {
-      return Status::Internal("decompression failed");
-    }
-    return std::make_pair(*decompressed, *latency);
-  }
-
-  KeyAuthority authority_;
-  AuthenticatedServer auth_;
   MemoryServer server_;
   DedupPageStore store_;
   PageContentGenerator content_;
   uint64_t uploaded_ = 0;
 };
 
-TEST_F(SecureServiceTest, AuthorizedFetchReturnsExactPageBytes) {
-  AuthenticatedClient memtap(kVm, authority_.IssueKey(kVm));
-  for (uint64_t page : {0ull, 17ull, 200ull}) {
-    auto result = Fetch(memtap, page);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result->first, content_.Generate(page)) << "page " << page;
-    EXPECT_GT(result->second, SimTime::Zero());
-  }
-}
-
-TEST_F(SecureServiceTest, UnauthorizedClientGetsNothing) {
-  AuthenticatedClient attacker(kVm, AuthKey{0xBAD, 0xBAD});
-  auto result = Fetch(attacker, 0);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(auth_.rejected_requests(), 1u);
-  // No page was served: the latency model was never consulted.
-  EXPECT_EQ(server_.pages_served(), 0u);
-}
-
-TEST_F(SecureServiceTest, UploadedBytesReflectRealCompression) {
+TEST_F(MemoryServerDataPathTest, UploadedBytesReflectRealCompression) {
   EXPECT_LT(uploaded_, 256 * kPageSize);
   EXPECT_GT(uploaded_, 256 * kPageSize / 10);
   EXPECT_EQ(server_.StoredBytes(), uploaded_);
 }
 
-TEST_F(SecureServiceTest, DedupStoreShrinksImage) {
+TEST_F(MemoryServerDataPathTest, DedupStoreShrinksImage) {
   // Zero pages collapse; everything else in one VM image is distinct.
   EXPECT_LT(store_.StoredBytes(), store_.LogicalBytes());
   EXPECT_GT(store_.DedupFactor(), 1.05);
-}
-
-TEST_F(SecureServiceTest, RequestsAreSingleUse) {
-  AuthenticatedClient memtap(kVm, authority_.IssueKey(kVm));
-  AuthenticatedPageRequest request = memtap.MakeRequest(3);
-  ASSERT_TRUE(auth_.VerifyRequest(request).ok());
-  EXPECT_FALSE(auth_.VerifyRequest(request).ok());  // a sniffed copy replayed
 }
 
 }  // namespace

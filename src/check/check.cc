@@ -57,8 +57,9 @@ CheckConfig CheckConfig::FromEnv() {
              std::strcmp(value, "warn") == 0) {
     config.mode = CheckMode::kWarn;
   } else {
-    std::fprintf(stderr, "[check] unknown OASIS_CHECK=%s, assuming warn\n", value);
-    config.mode = CheckMode::kWarn;
+    std::fprintf(stderr, "[check] unknown OASIS_CHECK=%s (accepted: off|warn|strict)\n",
+                 value);
+    std::exit(kStrictExitCode);
   }
   return config;
 }

@@ -65,7 +65,9 @@ struct CheckConfig {
   bool Enabled() const { return mode != CheckMode::kOff; }
 
   // Parses OASIS_CHECK ("", "0", "off" -> off; "1", "on", "warn" -> warn;
-  // "2", "strict" -> strict; anything else warns on stderr and means warn).
+  // "2", "strict" -> strict). Any other value prints the accepted spellings
+  // to stderr and exits with kStrictExitCode: a mistyped strict gate must
+  // not run in warn mode and pass whatever violations occur.
   static CheckConfig FromEnv();
 };
 

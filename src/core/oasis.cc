@@ -21,19 +21,4 @@ SimulationResult ClusterSimulation::Run() {
   return result;
 }
 
-RepeatedRunResult RunRepeated(const SimulationConfig& config, int runs) {
-  RepeatedRunResult out;
-  for (int r = 0; r < runs; ++r) {
-    SimulationConfig run_config = config;
-    run_config.seed = config.seed + static_cast<uint64_t>(r) * 0x9E3779B9ull;
-    ClusterSimulation simulation(run_config);
-    SimulationResult result = simulation.Run();
-    out.savings.Add(result.metrics.EnergySavings());
-    out.total_energy_kwh.Add(ToKWh(result.metrics.TotalEnergy()));
-    out.baseline_energy_kwh.Add(ToKWh(result.metrics.baseline_energy));
-    out.runs.push_back(std::move(result));
-  }
-  return out;
-}
-
 }  // namespace oasis

@@ -11,8 +11,8 @@
 //   std::cout << result.metrics.EnergySavings();
 //
 // It wires the trace generator (or a caller-provided trace) into the
-// cluster manager and aggregates repeated runs, and exposes the canned
-// experiment presets used by the bench/ harnesses.
+// cluster manager. Batches of runs (repetitions, sweeps) go through
+// src/exp, which also aggregates repeated runs.
 
 #ifndef OASIS_SRC_CORE_OASIS_H_
 #define OASIS_SRC_CORE_OASIS_H_
@@ -55,9 +55,9 @@ struct SimulationResult {
 class ClusterSimulation {
  public:
   // `run_context` (optional) scopes the run's observability — tracer,
-  // metrics, sim-time logging — to a run-local collector; the parallel
-  // experiment runner (src/exp) passes one per in-flight run. nullptr keeps
-  // the process-global collectors, exactly as before.
+  // metrics, sim-time logging — to a run-local collector; the batch runner
+  // (src/exp) passes one per run while a global collector is on. nullptr
+  // keeps the process-global collectors.
   explicit ClusterSimulation(const SimulationConfig& config,
                              obs::RunContext* run_context = nullptr);
 
@@ -72,15 +72,14 @@ class ClusterSimulation {
 };
 
 // Aggregate of N independent runs (fresh trace sample + seed per run), the
-// way §5 reports each datapoint as the average of five runs.
+// way §5 reports each datapoint as the average of five runs; built by
+// exp::CollectRepeated / exp::RunRepeated.
 struct RepeatedRunResult {
   OnlineStats savings;            // energy-savings fraction per run
   OnlineStats total_energy_kwh;
   OnlineStats baseline_energy_kwh;
   std::vector<SimulationResult> runs;
 };
-
-RepeatedRunResult RunRepeated(const SimulationConfig& config, int runs);
 
 }  // namespace oasis
 

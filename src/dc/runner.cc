@@ -1,98 +1,26 @@
 #include "src/dc/runner.h"
 
-#include <algorithm>
-#include <memory>
 #include <string>
-#include <utility>
-
-#include "src/exp/thread_pool.h"
-#include "src/obs/prof.h"
-#include "src/obs/run_context.h"
 
 namespace oasis {
 namespace dc {
-namespace {
-
-void FillResult(RackResult* out, const RackSpec& spec, SimulationResult result) {
-  out->rack = spec.rack;
-  out->pod = spec.pod;
-  out->seed = spec.sim.seed;
-  out->metrics = std::move(result.metrics);
-}
-
-}  // namespace
 
 DatacenterRun ShardRunner::Run(const DatacenterTopology& topology) const {
   const std::vector<RackSpec>& racks = topology.racks();
   DatacenterRun run;
   run.config = topology.config();
   run.racks.resize(racks.size());
-
-  // Workers beyond the hardware or the rack count only add scheduling churn.
-  const int workers =
-      std::min({jobs_, exp::HardwareJobs(), static_cast<int>(racks.size())});
-
-  prof::ProfScope prof_wall(prof::Phase::kRunParallel);
-  if (prof::Profiler::Enabled()) {
-    prof::Profiler::Instance().NoteJobs(std::max(1, workers));
-  }
-
-  // Shards only need run-local collectors when a global collector would
-  // record anything; with observability dark, every rack runs context-free
-  // (all IfEnabled sites stay null) and the merge loop has nothing to do.
-  // Unlike exp::RunParallel — whose serial path is pinned to the legacy
-  // unprefixed output — the contexts are built on the serial path too: the
-  // per-rack "dc.rack<i>." metric namespace is part of the datacenter's
-  // observable surface, and building it identically at every job count is
-  // what keeps OASIS_METRICS exports byte-identical across OASIS_JOBS.
-  const bool collect = obs::Tracer::Global().enabled() ||
-                       obs::MetricsRegistry::Global().enabled();
-  std::vector<std::unique_ptr<obs::RunContext>> contexts(racks.size());
-  {
-    prof::ProfScope prof_setup(prof::Phase::kRunSetup);
-    if (collect) {
-      for (size_t i = 0; i < racks.size(); ++i) {
-        prof::ProfScope prof_ctor(prof::Phase::kRunContextCtor);
-        contexts[i] = std::make_unique<obs::RunContext>();
-        contexts[i]->MirrorGlobalEnables();
-      }
-    }
-  }
-
-  auto run_rack = [&racks, &run, &contexts](size_t i) {
-    prof::ProfScope prof_run(prof::Phase::kRunSim);
-    obs::RunContext* context = contexts[i].get();
-    obs::RunContext::Scope scope(context);
-    FillResult(&run.racks[i], racks[i],
-               ClusterSimulation(racks[i].sim, context).Run());
-  };
-
-  if (workers <= 1 || racks.size() <= 1) {
-    // Inline on this thread — the shard order is the merge order, so the
-    // parallel path below reproduces exactly this execution.
-    for (size_t i = 0; i < racks.size(); ++i) {
-      run_rack(i);
-    }
-  } else {
-    exp::ThreadPool pool(workers);
-    for (size_t i = 0; i < racks.size(); ++i) {
-      pool.Submit([&run_rack, i]() { run_rack(i); });
-    }
-    pool.Wait();
-  }
-
-  // Serial topology-order merge under a per-rack namespace: rack 3's
-  // counters land as "dc.rack3.<name>", so the merged registry still tells
-  // shards apart and the merged output is identical at any job count.
-  {
-    prof::ProfScope prof_merge(prof::Phase::kRunMerge);
-    for (size_t i = 0; i < racks.size(); ++i) {
-      if (contexts[i] != nullptr) {
-        contexts[i]->MergeIntoGlobals("dc.rack" + std::to_string(racks[i].rack) +
-                                      ".");
-      }
-    }
-  }
+  exp::RunOrdered(
+      racks.size(), jobs_,
+      [&racks, &run](size_t i, obs::RunContext* context) {
+        const RackSpec& spec = racks[i];
+        RackResult& out = run.racks[i];
+        out.rack = spec.rack;
+        out.pod = spec.pod;
+        out.seed = spec.sim.seed;
+        out.metrics = ClusterSimulation(spec.sim, context).Run().metrics;
+      },
+      [&racks](size_t i) { return "dc.rack" + std::to_string(racks[i].rack) + "."; });
   return run;
 }
 

@@ -1,18 +1,13 @@
-// ShardRunner: execute every rack of a DatacenterTopology as a task on the
-// existing exp::ThreadPool, one obs::RunContext per shard, contexts merged
-// into the process-global collectors in topology order.
+// ShardRunner: execute every rack of a DatacenterTopology as one task of
+// exp::RunOrdered, each rack's metrics merged into the process-global
+// registry under its own namespace ("dc.rack<i>."), so a merged registry
+// still tells racks apart. Like every RunOrdered batch, the namespacing and
+// the topology-order merge happen at every job count, so OASIS_METRICS
+// exports are byte-identical across OASIS_JOBS.
 //
-// This is the datacenter-scale twin of exp::RunParallel. The differences:
-//   * the unit of work is a rack (a whole PaperCluster-style day), and the
-//     result keeps each rack's position in the hierarchy;
-//   * per-shard observability merges under a per-rack metrics namespace
-//     ("dc.rack<i>."), so a merged registry still tells racks apart —
-//     obs::MetricsRegistry::MergeFrom(other, prefix) exists for this. The
-//     namespace applies at every job count (the serial path builds the same
-//     run-local contexts when a global collector is enabled), so
-//     OASIS_METRICS exports are byte-identical across OASIS_JOBS;
-//   * jobs <= 1 runs the racks inline on the calling thread, skipping only
-//     the thread pool, never the namespacing.
+// Each task reduces its rack to a RackResult on the worker and drops the
+// rack's TraceSet there, so a datacenter day never holds every rack's
+// trace at once.
 //
 // Determinism contract: rack simulations share no state, contexts merge in
 // topology order, and ClusterMetrics are folded nowhere here — so the

@@ -1,12 +1,16 @@
 #include "src/exp/exp.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <utility>
 
-#include "src/exp/thread_pool.h"
 #include "src/obs/prof.h"
 #include "src/obs/run_context.h"
 
@@ -46,98 +50,138 @@ int HardwareJobs() {
 
 int JobsFromEnv() {
   const char* env = std::getenv("OASIS_JOBS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    long value = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && value > 0) {
-      return static_cast<int>(value);
-    }
+  if (env == nullptr || *env == '\0') {
+    return HardwareJobs();
   }
-  return HardwareJobs();
+  char* end = nullptr;
+  errno = 0;
+  long value = std::strtol(env, &end, 10);
+  if (*end != '\0' || errno == ERANGE || value <= 0 || value > INT_MAX) {
+    std::fprintf(stderr, "OASIS_JOBS=%s is not a positive integer (worker count)\n", env);
+    std::exit(2);
+  }
+  return static_cast<int>(value);
 }
 
-int EffectiveWorkers(int jobs, size_t run_count) {
+int EffectiveWorkers(int jobs, size_t count) {
   // Workers beyond the hardware add scheduling churn without parallelism
   // (the profiler attributed the jobs=4 loss on small hosts to exactly
-  // that); beyond the run count they would only idle. A one-worker pool is
-  // pure overhead over the inline loop — and the plan-order merge contract
-  // makes the two paths byte-identical — so it takes the serial path too.
-  return std::max(1, std::min({jobs, HardwareJobs(), static_cast<int>(run_count)}));
+  // that); beyond the task count they would only idle. A single worker
+  // runs inline: a thread would be pure overhead.
+  return std::max(1, std::min({jobs, HardwareJobs(), static_cast<int>(count)}));
 }
 
-std::vector<SimulationResult> RunParallel(const ExperimentPlan& plan, int jobs) {
-  const std::vector<PlannedRun>& runs = plan.runs();
-  std::vector<SimulationResult> results(runs.size());
-  const int workers = EffectiveWorkers(jobs, runs.size());
-  if (workers <= 1 || runs.size() <= 1) {
-    // The legacy serial path: inline on this thread, straight into whatever
-    // collectors are in effect (normally the process globals).
-    prof::ProfScope prof_wall(prof::Phase::kRunParallel);
-    if (prof::Profiler::Enabled()) {
-      prof::Profiler::Instance().NoteJobs(1);
-    }
-    for (const PlannedRun& run : runs) {
-      prof::ProfScope prof_run(prof::Phase::kRunSim);
-      results[run.index] = ClusterSimulation(run.config).Run();
-    }
-    return results;
-  }
-
+void RunOrdered(size_t count, int jobs, const BatchTask& task,
+                const MetricsPrefix& metrics_prefix) {
   prof::ProfScope prof_wall(prof::Phase::kRunParallel);
+  const int workers = EffectiveWorkers(jobs, count);
   if (prof::Profiler::Enabled()) {
     prof::Profiler::Instance().NoteJobs(workers);
   }
 
-  // One run-local context per run, created up-front on this thread so the
-  // enable snapshot is taken once, before any worker races a concurrent
-  // SetEnabled. This loop is serial overhead the profiler charges to
-  // exp.run_setup (with one obs.run_context_ctor sample per context).
-  // With both global collectors dark — the common bench configuration —
-  // the contexts would collect nothing and merge nothing, so none are
-  // built: every IfEnabled site stays null and the runs execute
-  // context-free, exactly like the serial path with observability off.
+  // With both global collectors dark — every timed bench pass — the
+  // contexts would collect nothing and merge nothing, so none are built:
+  // every IfEnabled site stays null and the tasks run context-free. The
+  // decision is taken once, here, so no worker races a concurrent
+  // SetEnabled.
   const bool collect = obs::Tracer::Global().enabled() ||
                        obs::MetricsRegistry::Global().enabled();
-  std::vector<std::unique_ptr<obs::RunContext>> contexts(runs.size());
+  auto make_context = [collect]() -> std::unique_ptr<obs::RunContext> {
+    if (!collect) {
+      return nullptr;
+    }
+    prof::ProfScope prof_ctor(prof::Phase::kRunContextCtor);
+    return std::make_unique<obs::RunContext>();
+  };
+  auto run = [&task](size_t i, obs::RunContext* context) {
+    // The Scope reroutes instrumentation reached through thread-local
+    // lookup (log sim-time, IfEnabled sites outside the manager); the task
+    // passes `context` on for the manager's own resolution.
+    prof::ProfScope prof_run(prof::Phase::kRunSim);
+    obs::RunContext::Scope scope(context);
+    task(i, context);
+  };
+  // The index-order merge is what makes OASIS_TRACE / OASIS_METRICS exports
+  // independent of the job count. It is the serial tail Amdahl charges
+  // against scaling; the profiler reports its share of wall time as
+  // merge_serial_fraction.
+  auto merge = [&metrics_prefix](size_t i, std::unique_ptr<obs::RunContext> context) {
+    if (context != nullptr) {
+      context->MergeIntoGlobals(metrics_prefix ? metrics_prefix(i) : std::string());
+    }
+  };
+
+  if (workers == 1) {
+    for (size_t i = 0; i < count; ++i) {
+      std::unique_ptr<obs::RunContext> context;
+      {
+        prof::ProfScope prof_setup(prof::Phase::kRunSetup);
+        context = make_context();
+      }
+      run(i, context.get());
+      prof::ProfScope prof_merge(prof::Phase::kRunMerge);
+      merge(i, std::move(context));
+    }
+    return;
+  }
+
+  // Contexts are built up-front on this thread, a serial cost the profiler
+  // charges to exp.run_setup.
+  std::vector<std::unique_ptr<obs::RunContext>> contexts(count);
   {
     prof::ProfScope prof_setup(prof::Phase::kRunSetup);
-    if (collect) {
-      for (size_t i = 0; i < runs.size(); ++i) {
-        prof::ProfScope prof_ctor(prof::Phase::kRunContextCtor);
-        contexts[i] = std::make_unique<obs::RunContext>();
-        contexts[i]->MirrorGlobalEnables();
-      }
+    for (std::unique_ptr<obs::RunContext>& context : contexts) {
+      context = make_context();
     }
   }
 
-  {
-    ThreadPool pool(workers);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      pool.Submit([&runs, &results, &contexts, i]() {
-        // The Scope reroutes instrumentation reached through thread-local
-        // lookup (log sim-time, IfEnabled sites outside the manager); the
-        // ctor argument covers the manager's own resolution.
-        prof::ProfScope prof_run(prof::Phase::kRunSim);
-        obs::RunContext::Scope scope(contexts[i].get());
-        results[i] = ClusterSimulation(runs[i].config, contexts[i].get()).Run();
-      });
+  // One fixed batch of coarse tasks: workers claim indices from a shared
+  // cursor until it runs out, then wait for the rest of the batch. The
+  // wait is pool.idle — the imbalance worker_idle_share measures.
+  std::atomic<size_t> cursor{0};
+  std::latch batch_done(workers);
+  auto work = [&](int worker) {
+    const bool profiling = prof::Profiler::Enabled();
+    prof::Profiler& profiler = prof::Profiler::Instance();
+    if (profiling) {
+      profiler.LabelCurrentThread("worker", worker);
     }
-    pool.Wait();
-  }
-
-  // Serial plan-order merge: the global tracer sees run 0's events, then
-  // run 1's, ... exactly as a serial execution would have recorded them, so
-  // OASIS_TRACE / OASIS_METRICS exports are byte-identical. This is the
-  // serial tail Amdahl charges against scaling; the profiler reports its
-  // share of wall time as merge_serial_fraction.
-  {
-    prof::ProfScope prof_merge(prof::Phase::kRunMerge);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      if (contexts[i] != nullptr) {
-        contexts[i]->MergeIntoGlobals();
+    for (size_t i = cursor.fetch_add(1); i < count; i = cursor.fetch_add(1)) {
+      const uint64_t start = profiling ? prof::Profiler::NowNs() : 0;
+      run(i, contexts[i].get());
+      if (profiling) {
+        profiler.AddCount(prof::Count::kTasksRun);
+        profiler.RecordSpan(prof::Phase::kPoolTaskRun, start, prof::Profiler::NowNs());
       }
     }
+    const uint64_t idle_start = profiling ? prof::Profiler::NowNs() : 0;
+    batch_done.arrive_and_wait();
+    if (profiling) {
+      profiler.RecordSpan(prof::Phase::kPoolIdle, idle_start, prof::Profiler::NowNs());
+    }
+  };
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<size_t>(workers));
+    for (int w = 0; w < workers; ++w) {
+      threads.emplace_back(work, w);
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
   }
+
+  prof::ProfScope prof_merge(prof::Phase::kRunMerge);
+  for (size_t i = 0; i < count; ++i) {
+    merge(i, std::move(contexts[i]));
+  }
+}
+
+std::vector<SimulationResult> RunParallel(const ExperimentPlan& plan, int jobs) {
+  std::vector<SimulationResult> results(plan.size());
+  RunOrdered(plan.size(), jobs, [&plan, &results](size_t i, obs::RunContext* context) {
+    results[i] = ClusterSimulation(plan.runs()[i].config, context).Run();
+  });
   return results;
 }
 

@@ -1,10 +1,10 @@
-// The deterministic parallel experiment runner.
+// The deterministic batch runner.
 //
-// Every bench/example main used to loop over SimulationConfigs and call
-// ClusterSimulation::Run() serially. This module keeps the exact observable
-// behaviour of that loop — including byte-identical stdout, CSV exports,
-// trace files and metric values — while executing the independent runs on a
-// work-stealing thread pool:
+// Every §5 datapoint is the mean of independent rack-day runs, and the
+// datacenter tier is the same thing at scale: N independent rack-days
+// merged in a fixed order. RunOrdered is the one function that executes
+// such a batch; RunParallel (planned ClusterSimulations) and
+// dc::ShardRunner (topology racks) are thin tasks on top of it:
 //
 //   oasis::exp::ExperimentPlan plan;
 //   auto span = plan.AddRepetitions(config, 5);   // seeds derived per rep
@@ -12,15 +12,14 @@
 //   auto agg = oasis::exp::CollectRepeated(results, span);
 //
 // The determinism contract (DESIGN.md § Performance & parallel experiments):
-//   * each planned run is an independent simulation with a seed fixed at
-//     plan-build time; execution order cannot influence any run's result;
-//   * every run collects trace/metrics into a run-local obs::RunContext;
-//     after all runs finish, contexts merge into the process-global
-//     collectors serially, in plan order;
+//   * each task is an independent simulation with a seed fixed at
+//     plan-build time; execution order cannot influence any result;
+//   * when a global collector is on, every task records into a run-local
+//     obs::RunContext (same trace capacity as the global ring), and the
+//     contexts merge into the globals in index order — at every job count,
+//     the serial one included;
 //   * aggregation (CollectRepeated) folds results in plan order, so the
-//     floating-point reduction order matches the serial loop exactly;
-//   * jobs <= 1 executes the runs inline on the calling thread with no
-//     contexts at all — the exact legacy code path.
+//     floating-point reduction order matches the serial loop exactly.
 // Under those rules the output is byte-identical for every value of
 // OASIS_JOBS.
 
@@ -28,9 +27,12 @@
 #define OASIS_SRC_EXP_EXP_H_
 
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "src/core/oasis.h"
+#include "src/obs/run_context.h"
 
 namespace oasis {
 namespace exp {
@@ -55,8 +57,7 @@ class ExperimentPlan {
   size_t Add(const SimulationConfig& config);
 
   // Appends `runs` repetitions of `config`, rep r seeded with
-  // DeriveSeed(config.seed, r) — the same derivation oasis::RunRepeated has
-  // always used, so aggregates reproduce the serial numbers bit-for-bit.
+  // DeriveSeed(config.seed, r).
   RepetitionSpan AddRepetitions(const SimulationConfig& config, int runs);
 
   // seed_r = base + r * 0x9E3779B9 (golden-ratio stride, distinct streams).
@@ -73,21 +74,43 @@ class ExperimentPlan {
 // std::thread::hardware_concurrency(), at least 1.
 int HardwareJobs();
 
-// OASIS_JOBS when set to a positive integer, else HardwareJobs().
+// OASIS_JOBS when set, else HardwareJobs(). A value that is not a positive
+// int (`four`, `0`, `-2`, `4x`, `4294967296`) prints one stderr line and
+// exits 2.
 int JobsFromEnv();
 
-// The worker count RunParallel actually uses when asked for `jobs` over
-// `run_count` runs: clamped to the hardware (more workers than cores add
-// scheduling churn without parallelism) and to the run count (extra workers
-// would only idle), floor 1 (the serial inline path). Exposed so sweep
-// harnesses can tell which requested job counts collapse to the same
-// execution — on a 1-core host every jobs=N point is the same serial run.
-int EffectiveWorkers(int jobs, size_t run_count);
+// The worker count RunOrdered actually uses when asked for `jobs` over
+// `count` tasks: clamped to the hardware (more workers than cores add
+// scheduling churn without parallelism) and to the task count (extra
+// workers would only idle), floor 1 (inline on the calling thread). Exposed
+// so sweep harnesses can tell which requested job counts collapse to the
+// same execution — on a 1-core host every jobs=N point is the same serial
+// run.
+int EffectiveWorkers(int jobs, size_t count);
 
-// Executes every planned run and returns results indexed by plan position.
-// jobs > 1: a ThreadPool of min(jobs, plan.size()) workers, one run-local
-// obs::RunContext per run, contexts merged into the globals in plan order
-// after the pool drains. jobs <= 1: the inline legacy loop.
+// Runs task(i, context) once for every i in [0, count) and merges the
+// run-local contexts into the global collectors in index order, task i's
+// metrics under metrics_prefix(i) when one is given.
+//
+// `context` is null when both global collectors are dark (the runs then
+// record nothing, exactly like an unobserved serial loop); otherwise it is
+// a fresh obs::RunContext, also installed on the running thread for the
+// duration of the task. With one effective worker the tasks run inline and
+// each context is merged and released right after its task, so a traced
+// serial sweep holds one run-local ring at a time. With more, the tasks run
+// on EffectiveWorkers(jobs, count) threads claiming indices from a shared
+// cursor, and the merge follows the batch: until then every context is
+// alive, so a traced batch holds up to count x Tracer::Global().capacity()
+// events at peak.
+//
+// A task must write only state owned by its index.
+using BatchTask = std::function<void(size_t index, obs::RunContext* context)>;
+using MetricsPrefix = std::function<std::string(size_t index)>;
+void RunOrdered(size_t count, int jobs, const BatchTask& task,
+                const MetricsPrefix& metrics_prefix = nullptr);
+
+// Runs every planned ClusterSimulation through RunOrdered and returns the
+// results indexed by plan position.
 std::vector<SimulationResult> RunParallel(const ExperimentPlan& plan, int jobs);
 inline std::vector<SimulationResult> RunParallel(const ExperimentPlan& plan) {
   return RunParallel(plan, JobsFromEnv());
@@ -99,7 +122,8 @@ inline std::vector<SimulationResult> RunParallel(const ExperimentPlan& plan) {
 RepeatedRunResult CollectRepeated(std::vector<SimulationResult>& results,
                                   RepetitionSpan span);
 
-// Drop-in parallel equivalent of oasis::RunRepeated(config, runs).
+// Aggregate of `runs` repetitions of `config` (seeds from DeriveSeed), the
+// way §5 reports each datapoint as the average of several runs.
 RepeatedRunResult RunRepeated(const SimulationConfig& config, int runs, int jobs);
 inline RepeatedRunResult RunRepeated(const SimulationConfig& config, int runs) {
   return RunRepeated(config, runs, JobsFromEnv());

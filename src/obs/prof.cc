@@ -23,14 +23,14 @@ struct PhaseInfo {
 constexpr PhaseInfo kPhaseInfo[kNumPhases] = {
     {"exp.run_parallel", true},    {"exp.run_setup", true},
     {"exp.run_sim", true},         {"exp.merge", true},
-    {"obs.run_context_ctor", false}, {"pool.task_wait", false},
-    {"pool.task_run", true},       {"pool.idle", true},
+    {"obs.run_context_ctor", false}, {"pool.task_run", true},
+    {"pool.idle", true},
     {"sim.heap_pop", false},       {"sim.dispatch", false},
 };
 
 // Order must match enum Count.
 constexpr const char* kCountName[kNumCounts] = {
-    "pool.own_pops", "pool.steals", "pool.wakes", "pool.tasks", "obs.run_contexts",
+    "pool.tasks", "obs.run_contexts", "pool.steals", "pool.wakes",
 };
 
 // Per-thread timeline rows are bounded so a runaway phase cannot grow
@@ -234,8 +234,9 @@ Report Profiler::Collect(bool reset) {
     report.timeline_dropped += buf->timeline_dropped;
   }
 
-  // Per-worker rows: every buffer that executed pool work, merged by label
-  // (sweep steps recreate pools, so "worker0" may span several buffers).
+  // Per-worker rows: every buffer that ran batch tasks, merged by label
+  // (each batch starts fresh threads, so "worker0" may span several
+  // buffers).
   std::map<std::string, WorkerRow> by_label;
   for (const auto& buf : buffers_) {
     const obs::Histogram* busy = buf->hist[static_cast<int>(Phase::kPoolTaskRun)];
@@ -246,7 +247,6 @@ Report Profiler::Collect(bool reset) {
     WorkerRow& row = by_label[buf->label];
     row.label = buf->label;
     row.tasks += buf->counts[static_cast<int>(Count::kTasksRun)];
-    row.steals += buf->counts[static_cast<int>(Count::kPoolSteals)];
     row.busy_s += busy->sum();
     row.idle_s += idle->sum();
   }
@@ -254,8 +254,8 @@ Report Profiler::Collect(bool reset) {
     report.workers.push_back(row);
   }
 
-  // Scaling decomposition against the profiled RunParallel wall time. The
-  // serial path records no pool phases, so "busy" falls back to the
+  // Scaling decomposition against the profiled RunOrdered wall time. The
+  // inline (one-worker) path records no pool phases, so "busy" falls back to the
   // simulation time itself and efficiency reads as sim-share of wall.
   report.wall_s = totals[static_cast<int>(Phase::kRunParallel)];
   double busy = totals[static_cast<int>(Phase::kPoolTaskRun)];
@@ -330,20 +330,20 @@ void Report::WriteTable(std::ostream& out) const {
   }
   for (const WorkerRow& w : workers) {
     std::snprintf(line, sizeof(line),
-                  "[prof]   %-10s tasks=%-5llu steals=%-4llu busy=%8.3fs idle=%8.3fs "
+                  "[prof]   %-10s tasks=%-5llu busy=%8.3fs idle=%8.3fs "
                   "idle_share=%5.1f%%\n",
-                  w.label.c_str(), static_cast<unsigned long long>(w.tasks),
-                  static_cast<unsigned long long>(w.steals), w.busy_s, w.idle_s,
+                  w.label.c_str(), static_cast<unsigned long long>(w.tasks), w.busy_s,
+                  w.idle_s,
                   w.busy_s + w.idle_s > 0.0 ? 100.0 * w.idle_s / (w.busy_s + w.idle_s) : 0.0);
     out << line;
   }
   bool counts_present = false;
-  for (int c = 0; c < kNumCounts; ++c) {
+  for (int c = 0; c < kNumLiveCounts; ++c) {
     counts_present = counts_present || counts[c] != 0;
   }
   if (counts_present) {
     out << "[prof]   counters:";
-    for (int c = 0; c < kNumCounts; ++c) {
+    for (int c = 0; c < kNumLiveCounts; ++c) {
       if (counts[c] != 0) {
         std::snprintf(line, sizeof(line), " %s=%llu", kCountName[c],
                       static_cast<unsigned long long>(counts[c]));
@@ -399,7 +399,7 @@ void Report::WriteJson(std::ostream& out, int indent) const {
   out << pad << "  \"trace_dropped\": " << trace_dropped << ",\n";
   out << pad << "  \"metrics_merge_dropped\": " << metrics_merge_dropped << ",\n";
   out << pad << "  \"counters\": {";
-  for (int c = 0; c < kNumCounts; ++c) {
+  for (int c = 0; c < kNumLiveCounts; ++c) {
     out << (c > 0 ? ", " : "") << '"' << kCountName[c] << "\": " << counts[c];
   }
   out << "},\n";
@@ -418,7 +418,7 @@ void Report::WriteJson(std::ostream& out, int indent) const {
     const WorkerRow& w = workers[i];
     out << (i > 0 ? "," : "") << "\n"
         << pad << "    {\"label\": \"" << w.label << "\", \"tasks\": " << w.tasks
-        << ", \"steals\": " << w.steals << ", \"busy_s\": " << w.busy_s
+        << ", \"busy_s\": " << w.busy_s
         << ", \"idle_s\": " << w.idle_s << "}";
   }
   out << (workers.empty() ? "]" : "\n" + pad + "  ]") << "\n";

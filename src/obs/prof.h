@@ -11,7 +11,7 @@
 // outright; the only synchronization is a mutex on first-use registration),
 // aggregate into log-linear obs::Histogram instances per phase, and roll up
 // into a prof::Report: per-phase wall-clock breakdown (count / total /
-// p50 / p95 / p99 / max), per-worker busy/idle/steal rows, parallel
+// p50 / p95 / p99 / max), per-worker busy/idle rows, parallel
 // efficiency, the serial merge-phase share — the printed diagnosis for the
 // jobs=N scaling loss — plus the trace-ring and metrics-merge drop counts so
 // silently truncated observability is visible.
@@ -33,8 +33,8 @@
 //
 // Threading contract: recording is safe from any thread at any time;
 // Collect()/Reset() must not run concurrently with recording threads (call
-// them after ThreadPool::Wait() or pool teardown, as bench/perf_sweep and
-// ProfSession do).
+// them after exp::RunOrdered returns, as bench/perf_sweep and ProfSession
+// do).
 
 #ifndef OASIS_SRC_OBS_PROF_H_
 #define OASIS_SRC_OBS_PROF_H_
@@ -81,14 +81,13 @@ struct ProfConfig {
 // per-event simulator phases are summary-only (histograms), since millions
 // of rows would drown any timeline.
 enum class Phase : int {
-  kRunParallel = 0,  // one exp::RunParallel call, end to end (main thread)
-  kRunSetup,         // run-local obs::RunContext allocation loop (serial)
-  kRunSim,           // one ClusterSimulation::Run (worker or serial path)
-  kRunMerge,         // serial plan-order merge of run contexts
+  kRunParallel = 0,  // one exp::RunOrdered batch, end to end (calling thread)
+  kRunSetup,         // run-local obs::RunContext construction (serial)
+  kRunSim,           // one batch task, e.g. a ClusterSimulation::Run
+  kRunMerge,         // serial index-order merge of run contexts
   kRunContextCtor,   // one obs::RunContext construction
-  kPoolTaskWait,     // submit -> pop latency of a pool task
-  kPoolTaskRun,      // pool task execution on a worker
-  kPoolIdle,         // worker parked with nothing to run
+  kPoolTaskRun,      // one batch task on a worker thread (busy)
+  kPoolIdle,         // a worker's wait from its last task to the batch end
   kSimHeapPop,       // event-queue pop (heap op)        [per event]
   kSimDispatch,      // event closure execution          [per event]
   kPhaseCount,
@@ -98,16 +97,20 @@ inline constexpr int kNumPhases = static_cast<int>(Phase::kPhaseCount);
 const char* PhaseName(Phase phase);
 bool PhaseIsTimeline(Phase phase);
 
-// Contention / allocation counters, accumulated per thread like the phases.
+// Counters, accumulated per thread like the phases. The batch runner has no
+// queues to steal from and no wake protocol, so kPoolSteals and kPoolWakes
+// are never incremented; they stay (after the live counters, outside the
+// report's counter block) because perfbench/oasis_bench.cpp still reads
+// them.
 enum class Count : int {
-  kPoolOwnPops = 0,  // tasks popped from the worker's own deque
-  kPoolSteals,       // tasks stolen from a sibling's deque
-  kPoolWakes,        // Submit-side condition-variable notifications
-  kTasksRun,
-  kRunContexts,      // obs::RunContext constructions
+  kTasksRun = 0,  // batch tasks run on a worker thread
+  kRunContexts,   // obs::RunContext constructions
+  kPoolSteals,    // retired, always 0
+  kPoolWakes,     // retired, always 0
   kCountCount,
 };
 inline constexpr int kNumCounts = static_cast<int>(Count::kCountCount);
+inline constexpr int kNumLiveCounts = static_cast<int>(Count::kPoolSteals);
 
 const char* CountName(Count count);
 
@@ -127,13 +130,12 @@ struct PhaseStats {
 struct WorkerRow {
   std::string label;
   uint64_t tasks = 0;
-  uint64_t steals = 0;
   double busy_s = 0.0;  // kPoolTaskRun total
   double idle_s = 0.0;  // kPoolIdle total
 };
 
 // The wall-clock diagnosis perf_sweep embeds in BENCH_sweep.json. The
-// scaling decomposition is phrased against the profiled RunParallel wall
+// scaling decomposition is phrased against the profiled RunOrdered wall
 // time: parallel_efficiency = worker busy / (jobs * wall); the serial
 // fractions say where the non-parallel wall went.
 struct Report {
@@ -142,7 +144,7 @@ struct Report {
   double wall_s = 0.0;  // total kRunParallel time in the collection window
   std::vector<PhaseStats> phases;          // only phases with samples
   std::array<uint64_t, kNumCounts> counts{};
-  std::vector<WorkerRow> workers;          // only pool workers
+  std::vector<WorkerRow> workers;          // only batch worker threads
   double parallel_efficiency = 0.0;
   double merge_serial_fraction = 0.0;  // kRunMerge total / wall
   double setup_fraction = 0.0;         // kRunSetup total / wall

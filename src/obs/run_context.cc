@@ -10,20 +10,14 @@ thread_local RunContext* t_current = nullptr;
 
 }  // namespace
 
-RunContext::RunContext(size_t trace_capacity) : tracer_(trace_capacity) {
-  // Construction cost shows up in the parallel runner's setup phase; the
-  // profiler attributes it (ROADMAP suspects it in the jobs=4 loss).
+RunContext::RunContext() : tracer_(Tracer::Global().capacity()) {
+  tracer_.set_enabled(Tracer::Global().enabled());
+  metrics_.set_enabled(MetricsRegistry::Global().enabled());
+  // Construction cost shows up in the batch runner's setup phase.
   if (prof::Profiler::Enabled()) {
     prof::Profiler::Instance().AddCount(prof::Count::kRunContexts);
   }
 }
-
-void RunContext::MirrorGlobalEnables() {
-  tracer_.set_enabled(Tracer::Global().enabled());
-  metrics_.set_enabled(MetricsRegistry::Global().enabled());
-}
-
-void RunContext::MergeIntoGlobals() { MergeIntoGlobals(std::string()); }
 
 void RunContext::MergeIntoGlobals(const std::string& metrics_prefix) {
   if (Tracer::Global().enabled()) {

@@ -8,20 +8,21 @@
 // Tracer::IfEnabled() / MetricsRegistry::IfEnabled() to the run-local
 // collectors, with zero changes at the sites themselves.
 //
-// When no context is installed (every pre-existing binary, and the
-// runner's jobs=1 legacy path) the globals are used exactly as before —
-// the global remains the backward-compatible default.
+// When no context is installed (code outside the batch runner, and every
+// batch run while both global collectors are dark) the globals are used.
 //
 // Ownership rules (see DESIGN.md § Performance & parallel experiments):
 //   * the RunContext must outlive the run it is installed for;
 //   * at most one run per thread, one thread per run — contexts are not
 //     shared across threads;
-//   * after the run, the owner merges the collected data into the globals
-//     in a deterministic (plan) order via MergeFrom, so exported trace and
-//     metrics files are byte-identical to a serial execution.
+//   * after the run, exp::RunOrdered merges the collected data into the
+//     globals in index order, so exported trace and metrics files are
+//     byte-identical at every job count.
 
 #ifndef OASIS_SRC_OBS_RUN_CONTEXT_H_
 #define OASIS_SRC_OBS_RUN_CONTEXT_H_
+
+#include <string>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -31,29 +32,21 @@ namespace obs {
 
 class RunContext {
  public:
-  // Collection in the new context starts disabled; MirrorGlobalEnables()
-  // copies the process-wide enable switches so a run records exactly what a
-  // serial execution would have recorded.
-  explicit RunContext(size_t trace_capacity = Tracer::kDefaultCapacity);
+  // Copies the global tracer's ring capacity and both process-wide enable
+  // switches, so the run retains exactly the events a run recording
+  // straight into the globals would have left in the global ring.
+  RunContext();
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
 
   Tracer& tracer() { return tracer_; }
   MetricsRegistry& metrics() { return metrics_; }
 
-  // Enables run-local tracing/metrics iff the corresponding global collector
-  // is enabled right now.
-  void MirrorGlobalEnables();
-
   // Appends this run's trace events and folds its metrics into the global
-  // collectors (no-op for a collector whose global twin is disabled). Called
-  // serially in plan order by the experiment runner.
-  void MergeIntoGlobals();
-
-  // As above, with this run's metrics merged under `metrics_prefix` (e.g.
-  // "dc.rack3.") — per-shard namespacing for hierarchical runs. Trace
-  // events append unprefixed either way: they already carry sim-time and
-  // per-run ordering.
+  // collectors (no-op for a collector whose global twin is disabled), the
+  // metrics under `metrics_prefix` (e.g. "dc.rack3.", per-shard namespacing
+  // for the datacenter tier). Trace events append unprefixed: they already
+  // carry sim-time and per-run ordering.
   void MergeIntoGlobals(const std::string& metrics_prefix);
 
   // The context installed on this thread, nullptr when instrumentation goes

@@ -43,12 +43,19 @@ TEST(CheckConfigTest, FromEnvParsesEverySpelling) {
   EXPECT_EQ(ParseEnv("warn").mode, CheckMode::kWarn);
   EXPECT_EQ(ParseEnv("2").mode, CheckMode::kStrict);
   EXPECT_EQ(ParseEnv("strict").mode, CheckMode::kStrict);
-  // Unknown values degrade to warn (with a stderr notice) rather than
-  // silently disabling the checker the user asked for.
-  EXPECT_EQ(ParseEnv("paranoid").mode, CheckMode::kWarn);
   EXPECT_FALSE(ParseEnv("off").Enabled());
   EXPECT_TRUE(ParseEnv("warn").Enabled());
   EXPECT_TRUE(ParseEnv("strict").Enabled());
+}
+
+TEST(CheckConfigDeathTest, UnknownValueExitsTwo) {
+  // A mistyped strict gate must not run in warn mode and exit 0 whatever
+  // violations occur.
+  for (const char* bad : {"paranoid", "stritc"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EXIT(ParseEnv(bad), ::testing::ExitedWithCode(check::kStrictExitCode),
+                "unknown OASIS_CHECK=");
+  }
 }
 
 TEST(InvariantCheckerTest, ExpectCountsAndReportsOnlyFailures) {

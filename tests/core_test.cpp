@@ -66,22 +66,5 @@ TEST(ClusterSimulationTest, WeekendsQuieterThanWeekdays) {
   EXPECT_LT(we_peak, wd_peak);
 }
 
-TEST(RunRepeatedTest, AggregatesRuns) {
-  SimulationConfig config = SmallConfig();
-  RepeatedRunResult result = RunRepeated(config, 3);
-  EXPECT_EQ(result.runs.size(), 3u);
-  EXPECT_EQ(result.savings.count(), 3u);
-  EXPECT_GT(result.baseline_energy_kwh.mean(), 0.0);
-  // Different per-run seeds: not all runs identical.
-  EXPECT_GT(result.total_energy_kwh.max() - result.total_energy_kwh.min(), 0.0);
-}
-
-TEST(RunRepeatedTest, MeanSavingsWithinRunEnvelope) {
-  SimulationConfig config = SmallConfig();
-  RepeatedRunResult result = RunRepeated(config, 3);
-  EXPECT_GE(result.savings.mean(), result.savings.min());
-  EXPECT_LE(result.savings.mean(), result.savings.max());
-}
-
 }  // namespace
 }  // namespace oasis

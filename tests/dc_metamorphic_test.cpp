@@ -6,7 +6,8 @@
 // Digest() for the merged view):
 //
 //   * OASIS_JOBS identity: ShardRunner(1) and ShardRunner(4) produce
-//     bit-identical rack results, coordinator stats, and merged ledger;
+//     bit-identical rack results, coordinator stats, and merged ledger, and
+//     byte-identical metrics exports under per-rack "dc.rack<i>." names;
 //   * rack-permutation invariance: shuffling the result array changes
 //     nothing downstream (coordinator sweep, ledger, digest);
 //   * coordinator-off decomposition: with the drain tier off, the
@@ -15,6 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/core/oasis.h"
@@ -22,6 +27,7 @@
 #include "src/dc/ledger.h"
 #include "src/dc/runner.h"
 #include "src/dc/topology.h"
+#include "src/obs/metrics.h"
 #include "tests/metric_digest.h"
 
 namespace oasis {
@@ -71,6 +77,45 @@ TEST(DcMetamorphicTest, JobsOneAndFourProduceIdenticalResults) {
   // The merged view — ledger rows, totals, and all coordinator counters —
   // folds to the same digest.
   EXPECT_EQ(LedgerDigest(serial), LedgerDigest(parallel));
+}
+
+// The global metrics export of one ShardRunner day at `jobs`.
+std::string MetricsCsv(int jobs) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.ResetValues();
+  metrics.set_enabled(true);
+  RunSmall(SmallDatacenter(), jobs);
+  std::ostringstream csv;
+  metrics.WriteCsv(csv);
+  metrics.set_enabled(false);
+  metrics.ResetValues();
+  return csv.str();
+}
+
+TEST(DcMetamorphicTest, MetricsExportIsJobsInvariantUnderRackNamespaces) {
+  const std::string serial = MetricsCsv(1);
+  EXPECT_EQ(MetricsCsv(4), serial);
+
+  // Every row after the header belongs to one rack's "dc.rack<i>."
+  // namespace, and every rack contributed rows.
+  std::istringstream rows(serial);
+  std::string row;
+  ASSERT_TRUE(std::getline(rows, row));
+  std::set<int> racks;
+  int count = 0;
+  while (std::getline(rows, row)) {
+    ++count;
+    ASSERT_EQ(row.rfind("dc.rack", 0), 0u) << row;
+    size_t digits = 0;
+    while (std::isdigit(static_cast<unsigned char>(row[7 + digits]))) {
+      ++digits;
+    }
+    ASSERT_GT(digits, 0u) << row;
+    ASSERT_EQ(row[7 + digits], '.') << row;
+    racks.insert(std::stoi(row.substr(7, digits)));
+  }
+  EXPECT_GT(count, 0) << "no metrics recorded; test is vacuous";
+  EXPECT_EQ(racks, (std::set<int>{0, 1, 2, 3}));
 }
 
 TEST(DcMetamorphicTest, MergedLedgerIsInvariantUnderRackPermutation) {

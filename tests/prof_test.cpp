@@ -22,7 +22,7 @@ namespace prof {
 namespace {
 
 // Small enough for unit-test latency, big enough to run real migrations
-// through the pool workers.
+// through the batch workers.
 SimulationConfig SmallCluster(uint64_t seed = 1234) {
   SimulationConfig config;
   config.cluster.num_home_hosts = 6;
@@ -189,11 +189,11 @@ TEST(ProfIsolationTest, ProfilingModesLeaveDigestsIdentical) {
 // --- per-thread buffers under a real parallel run -----------------------------
 
 TEST(ProfParallelTest, CollectAfterJobs4IsSelfConsistent) {
-  // Eight runs across the pool workers: every worker records into its own
-  // buffer concurrently; Collect after Wait must see all of it exactly once.
-  // The runner clamps workers to the hardware, so the expected pool size is
-  // min(4, cores); global metrics are enabled so run contexts are built
-  // (with collectors dark the runner skips them entirely).
+  // Eight runs across the batch workers: every worker records into its own
+  // buffer concurrently; Collect after the batch must see all of it exactly
+  // once. The runner clamps workers to the hardware, so the expected worker
+  // count is min(4, cores); global metrics are enabled so run contexts are
+  // built (with collectors dark the runner skips them entirely).
   ProfilerGuard profiler_guard;
   const int expected_workers = std::min(4, exp::HardwareJobs());
   obs::MetricsRegistry::SetEnabled(true);
@@ -225,21 +225,26 @@ TEST(ProfParallelTest, CollectAfterJobs4IsSelfConsistent) {
   }
   EXPECT_TRUE(saw_sim);
   EXPECT_EQ(sim_count, 8u);
+  // One context per run at every worker count, built, merged and timed.
+  EXPECT_EQ(report.counts[static_cast<int>(Count::kRunContexts)], 8u);
+  EXPECT_TRUE(saw_merge && saw_setup);
+  // The batch has no queues: the retired counters never move.
+  EXPECT_EQ(report.counts[static_cast<int>(Count::kPoolSteals)], 0u);
+  EXPECT_EQ(report.counts[static_cast<int>(Count::kPoolWakes)], 0u);
   if (expected_workers > 1) {
-    // The pool path: one context per run, every task popped or stolen
-    // exactly once, and every phase the parallel path wraps fired.
+    // Every task ran on a worker exactly once.
     EXPECT_EQ(report.counts[static_cast<int>(Count::kTasksRun)], 8u);
-    EXPECT_EQ(report.counts[static_cast<int>(Count::kRunContexts)], 8u);
-    EXPECT_EQ(report.counts[static_cast<int>(Count::kPoolOwnPops)] +
-                  report.counts[static_cast<int>(Count::kPoolSteals)],
-              8u);
-    EXPECT_TRUE(saw_merge && saw_setup && saw_task_run);
-    // Every pool worker recorded; rows merge by label, exactly worker0..N-1.
+    EXPECT_TRUE(saw_task_run);
+    // Every worker recorded; rows merge by label, exactly worker0..N-1.
     EXPECT_EQ(report.workers.size(), static_cast<size_t>(expected_workers));
+    uint64_t tasks = 0;
+    for (const WorkerRow& worker : report.workers) {
+      tasks += worker.tasks;
+    }
+    EXPECT_EQ(tasks, 8u);
   } else {
-    // A single effective worker takes the inline serial path: no pool, no
-    // contexts, no merge — the legacy loop with nothing layered on top.
-    EXPECT_EQ(report.counts[static_cast<int>(Count::kRunContexts)], 0u);
+    // A single effective worker runs the tasks inline: no worker threads.
+    EXPECT_EQ(report.counts[static_cast<int>(Count::kTasksRun)], 0u);
     EXPECT_FALSE(saw_task_run);
   }
   // busy <= wall per worker, so efficiency is a fraction (plus clock jitter).

@@ -4,6 +4,8 @@
 //   trace_tool gen  <path> <users> <weekday|weekend> [seed]   generate a trace
 //   trace_tool stats <path>                                   summarize a trace
 //
+// A malformed trace file exits 2; a path that cannot be opened exits 1.
+//
 // The text format is stable (see src/trace/trace_io.h), so traces can be
 // versioned, hand-edited, and replayed into vdi_farm_day.
 
@@ -73,7 +75,8 @@ int Stats(int argc, char** argv) {
   StatusOr<TraceFile> file = ReadTraceFromPath(argv[2]);
   if (!file.ok()) {
     std::fprintf(stderr, "read failed: %s\n", file.status().ToString().c_str());
-    return 1;
+    // A malformed trace is bad input (exit 2); an unreadable path stays 1.
+    return file.status().code() == StatusCode::kInvalidArgument ? 2 : 1;
   }
   const TraceSet& set = file->users;
   std::printf("%zu %s user-days\n", set.size(), DayKindName(file->kind));

@@ -6,7 +6,8 @@
 //
 // With a trace-file argument the day is driven by that trace (as produced by
 // a previous run's `vdi_trace.txt`); otherwise a fresh synthetic weekday is
-// generated and saved to vdi_trace.txt for reproduction.
+// generated and saved to vdi_trace.txt for reproduction. A malformed trace
+// file exits 2; a path that cannot be opened exits 1.
 
 #include <cstdio>
 #include <iostream>
@@ -39,7 +40,8 @@ int main(int argc, char** argv) {
     if (!loaded.ok()) {
       std::fprintf(stderr, "cannot load trace %s: %s\n", argv[1],
                    loaded.status().ToString().c_str());
-      return 1;
+      // A malformed trace is bad input (exit 2); an unreadable path stays 1.
+      return loaded.status().code() == StatusCode::kInvalidArgument ? 2 : 1;
     }
     config.fixed_trace = loaded->users;
     config.day = loaded->kind;

@@ -293,34 +293,60 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
 void Actuator::PartialVmUpkeep(SimTime now) {
   const TrafficVolumes& vol = config_.volumes;
   uint64_t growth = GrowthPerInterval(config_);
-  double interval_minutes = config_.planning_interval.minutes();
-  std::set<HostId> exhausted_homes;
-  for (VmSlot& vm : state_.vms) {
-    if (vm.residency != VmResidency::kPartial || vm.migration_in_flight) {
+  uint64_t dirty_step =
+      MiBToBytes(vol.dirty_mib_per_minute * config_.planning_interval.minutes());
+  uint64_t fetched_bytes = 0;
+  uint64_t fetches = 0;
+  std::vector<HostId> exhausted_homes;
+  // Only hosts with partial residents have upkeep to do. A host's growth
+  // never affects another host, so visiting each host's residents in
+  // ascending id decides every VM exactly as one ascending walk over all
+  // VMs would.
+  for (size_t h = 0; h < state_.hosts.size(); ++h) {
+    if (state_.partial_residents[h] == 0) {
       continue;
     }
-    // On-demand fetch: geometric drain of the unfetched working set.
-    uint64_t fetch = static_cast<uint64_t>(static_cast<double>(vm.ws_unfetched) *
-                                           vol.on_demand_fraction_per_interval);
-    fetch = std::min(fetch, vol.on_demand_cap_per_interval);
-    if (fetch > 0) {
-      metrics_.traffic.Add(TrafficCategory::kOnDemandPages, fetch);
-      vm.ws_unfetched -= fetch;
-    }
-    // Dirty-state accumulation (drives reintegration volume).
-    uint64_t dirty_step = MiBToBytes(vol.dirty_mib_per_minute * interval_minutes);
-    vm.dirty_bytes = std::min(vm.dirty_bytes + dirty_step, vol.dirty_cap_bytes);
-    // Working-set growth; an overfull consolidation host forces a return.
-    if (growth > 0) {
-      ClusterHost& host = HostOf(vm.location);
-      if (host.CanFit(growth)) {
-        host.Reserve(growth);
-        vm.ws_bytes += growth;
-      } else {
-        exhausted_homes.insert(vm.home);
+    ClusterHost& host = *state_.hosts[h];
+    // Every eligible VM asks for the same growth, so the first
+    // AvailableBytes() / growth of them fit and every later one exhausts.
+    uint64_t fits = growth > 0 ? host.AvailableBytes() / growth : 0;
+    uint64_t grown = 0;
+    for (VmId id : host.vms()) {
+      VmSlot& vm = Slot(id);
+      if (vm.residency != VmResidency::kPartial || vm.migration_in_flight) {
+        continue;
+      }
+      // On-demand fetch: geometric drain of the unfetched working set.
+      uint64_t fetch = static_cast<uint64_t>(static_cast<double>(vm.ws_unfetched) *
+                                             vol.on_demand_fraction_per_interval);
+      fetch = std::min(fetch, vol.on_demand_cap_per_interval);
+      if (fetch > 0) {
+        fetched_bytes += fetch;
+        ++fetches;
+        vm.ws_unfetched -= fetch;
+      }
+      // Dirty-state accumulation (drives reintegration volume).
+      vm.dirty_bytes = std::min(vm.dirty_bytes + dirty_step, vol.dirty_cap_bytes);
+      // Working-set growth; an overfull consolidation host forces a return.
+      if (growth > 0) {
+        if (grown < fits) {
+          ++grown;
+          vm.ws_bytes += growth;
+        } else {
+          exhausted_homes.push_back(vm.home);
+        }
       }
     }
+    if (grown > 0) {
+      host.Reserve(grown * growth);
+    }
   }
+  if (fetches > 0) {
+    metrics_.traffic.Add(TrafficCategory::kOnDemandPages, fetched_bytes, fetches);
+  }
+  std::sort(exhausted_homes.begin(), exhausted_homes.end());
+  exhausted_homes.erase(std::unique(exhausted_homes.begin(), exhausted_homes.end()),
+                        exhausted_homes.end());
   for (HostId home : exhausted_homes) {
     ++metrics_.capacity_exhaustions;
     ReturnHomeGroup(now, home, kNoVm, now);

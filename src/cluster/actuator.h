@@ -61,7 +61,8 @@ class Actuator {
   void AdjustActiveCount(SimTime now, HostId host, int delta);
   // Per-partial-VM upkeep: on-demand fetch traffic, dirty-state growth, and
   // working-set growth (which can exhaust a consolidation host and force a
-  // return).
+  // return). Visits only hosts with partial residents, each host's residents
+  // in ascending id.
   void PartialVmUpkeep(SimTime now);
   // Sweeps mechanism-owned sleep opportunities after planning.
   void SleepIdleConsolidationHosts(SimTime now);

@@ -212,9 +212,23 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
   }
 
   // --- per-VM state machine -------------------------------------------------
+  // UpdateActivities only visits VMs whose trace bit flipped, so re-read
+  // every VM's bit at the interval the last planning round applied.
+  const TraceSet& trace = manager.trace();
+  const int interval = manager.TraceIntervalAt(now);
   for (size_t v = 0; v < num_vms; ++v) {
     VmId vid = static_cast<VmId>(v);
     const VmSlot& vm = manager.GetVm(vid);
+    bool traced_active = trace[v % trace.size()].IsActive(interval);
+    checker.Expect(traced_active == (vm.activity == VmActivity::kActive),
+                   "cluster.activity_matches_trace", now,
+                   [&] {
+                     return "VM " + std::to_string(vid) + " is " +
+                            (traced_active ? "idle" : "active") + " but its trace says " +
+                            (traced_active ? "active" : "idle") + " in interval " +
+                            std::to_string(interval);
+                   },
+                   obs::TraceArgs{H(vm.location), V(vid)});
     checker.Expect(residencies[v] == 1, "cluster.vm_on_exactly_one_host", now,
                    [&] {
                      return "VM " + std::to_string(vid) + " resident on " +

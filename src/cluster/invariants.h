@@ -2,11 +2,12 @@
 //
 // CheckClusterInvariants takes a read-only snapshot of a ClusterManager mid-
 // run and asserts the conservation laws the paper's evaluation rests on:
-// every VM resident on exactly one host, reservations balancing the resident
-// footprints, working-set/dirty byte accounting within its caps, power-state
-// ledgers covering the full simulated time to the microsecond, and each
-// host's energy integral inside the envelope its power profile allows. The
-// manager calls it once per planning interval and once at end of run when a
+// every VM resident on exactly one host, every VM's activity matching its
+// trace bit, reservations balancing the resident footprints, working-set/
+// dirty byte accounting within its caps, power-state ledgers covering the
+// full simulated time to the microsecond, and each host's energy integral
+// inside the envelope its power profile allows. The manager calls it once
+// per planning interval and once at end of run when a
 // check::InvariantChecker is installed; the walk itself is const and
 // allocation-light, so enabling it never changes simulation results.
 

@@ -1,6 +1,7 @@
 #include "src/cluster/manager.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <optional>
 #include <string>
@@ -42,8 +43,21 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace,
         static_cast<HostId>(config_.num_home_hosts + c), HostRole::kConsolidation, config_,
         /*initially_powered=*/false));
   }
-  // VMs: vms_per_home per home host; activity from trace interval 0.
+  // The activity bitset, lifted from each user-day's set bits.
   int total_vms = config_.TotalVms();
+  row_words_ = (static_cast<size_t>(total_vms) + 63) / 64;
+  activity_rows_.assign(static_cast<size_t>(kIntervalsPerDay) * row_words_, 0);
+  for (size_t v = 0; v < static_cast<size_t>(total_vms); ++v) {
+    const UserDay::Words& words = trace_[v % trace_.size()].words();
+    uint64_t vm_bit = uint64_t{1} << (v % 64);
+    for (size_t w = 0; w < words.size(); ++w) {
+      for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        size_t interval = 64 * w + static_cast<size_t>(std::countr_zero(bits));
+        activity_rows_[interval * row_words_ + v / 64] |= vm_bit;
+      }
+    }
+  }
+  // VMs: vms_per_home per home host; activity from trace interval 0.
   state_.vms.reserve(static_cast<size_t>(total_vms));
   state_.vm_ever_uploaded.assign(static_cast<size_t>(total_vms), false);
   state_.vms_by_home.assign(state_.hosts.size(), {});
@@ -87,11 +101,9 @@ ClusterMetrics ClusterManager::Run() {
   // Plans fire every planning_interval (§3.1's configurable knob); each tick
   // reads the activity trace at its own 5-minute resolution.
   SimTime end = SimTime::Hours(24.0);
-  int ticks = static_cast<int>(end / config_.planning_interval);
-  for (int t = 0; t < ticks; ++t) {
+  for (int t = 0; t < RoundsPerDay(); ++t) {
     SimTime when = config_.planning_interval * t;
-    int interval = std::min(kIntervalsPerDay - 1,
-                            static_cast<int>(when.seconds()) / kTraceIntervalSeconds);
+    int interval = TraceIntervalAt(when);
     sim_.ScheduleAt(when, [this, interval]() { OnInterval(sim_.now(), interval); });
   }
   // The pre-sampled fault schedule rides the same event queue, so a fault
@@ -131,6 +143,16 @@ ClusterMetrics ClusterManager::Run() {
   }
   metrics_.events_dispatched = sim_.events_dispatched();
   return metrics_;
+}
+
+int ClusterManager::RoundsPerDay() const {
+  return static_cast<int>(SimTime::Hours(24.0) / config_.planning_interval);
+}
+
+int ClusterManager::TraceIntervalAt(SimTime now) const {
+  int round = std::min(RoundsPerDay() - 1, static_cast<int>(now / config_.planning_interval));
+  SimTime when = config_.planning_interval * round;
+  return std::min(kIntervalsPerDay - 1, static_cast<int>(when.seconds()) / kTraceIntervalSeconds);
 }
 
 Joules ClusterManager::BaselineEnergy(const ClusterConfig& config, const TraceSet& trace) {
@@ -202,27 +224,33 @@ void ClusterManager::OnInterval(SimTime now, int interval) {
 }
 
 void ClusterManager::UpdateActivities(SimTime now, int interval) {
-  for (VmSlot& vm : state_.vms) {
-    bool should_be_active =
-        trace_[vm.id % trace_.size()].IsActive(interval);
-    bool is_active = vm.activity == VmActivity::kActive;
-    if (should_be_active == is_active) {
-      continue;
-    }
-    if (should_be_active) {
-      vm.activity = VmActivity::kActive;
-      vm.activation_time = now;
-      act_.AdjustActiveCount(now, vm.location, +1);
-      if (obs::Tracer* t = obs::Tracer::IfEnabled()) {
-        t->Instant("ctrl", "vm_activation", now,
-                   obs::TraceArgs{static_cast<int64_t>(vm.location),
-                                  static_cast<int64_t>(vm.id)});
+  // Every vm.activity matches the row of the interval applied last, so the
+  // XOR of the two rows names exactly the VMs that flip, visited in
+  // ascending id. A round that revisits its interval (planning below 5
+  // minutes) flips nothing; one that skips intervals flips straight to its
+  // own row.
+  const uint64_t* next = ActivityRow(interval);
+  const uint64_t* prev = ActivityRow(applied_interval_);
+  applied_interval_ = interval;
+  for (size_t w = 0; w < row_words_; ++w) {
+    for (uint64_t flips = next[w] ^ prev[w]; flips != 0; flips &= flips - 1) {
+      int bit = std::countr_zero(flips);
+      VmSlot& vm = state_.vms[64 * w + static_cast<size_t>(bit)];
+      if ((next[w] >> bit) & 1u) {
+        vm.activity = VmActivity::kActive;
+        vm.activation_time = now;
+        act_.AdjustActiveCount(now, vm.location, +1);
+        if (obs::Tracer* t = obs::Tracer::IfEnabled()) {
+          t->Instant("ctrl", "vm_activation", now,
+                     obs::TraceArgs{static_cast<int64_t>(vm.location),
+                                    static_cast<int64_t>(vm.id)});
+        }
+        act_.HandleActivation(now, vm.id, now);
+      } else {
+        vm.activity = VmActivity::kIdle;
+        vm.idle_since = now;
+        act_.AdjustActiveCount(now, vm.location, -1);
       }
-      act_.HandleActivation(now, vm.id, now);
-    } else {
-      vm.activity = VmActivity::kIdle;
-      vm.idle_since = now;
-      act_.AdjustActiveCount(now, vm.location, -1);
     }
   }
 }

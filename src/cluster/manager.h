@@ -8,9 +8,11 @@
 //   Actuator               all mechanism/mutation  (src/cluster/actuator.h)
 //
 // Every planning interval (5 minutes) the manager:
-//   1. applies the activity trace to all VMs, handing idle->active
-//      transitions to the actuator (in-place conversion to a full VM,
-//      NewHome moves, or the Default wake-home-and-return-all fallback);
+//   1. applies the activity trace to the VMs whose activity flipped since
+//      the previous round (an XOR of two rows of a per-interval VM bitset),
+//      handing idle->active transitions to the actuator (in-place
+//      conversion to a full VM, NewHome moves, or the Default
+//      wake-home-and-return-all fallback);
 //   2. runs per-partial-VM upkeep: on-demand fetch traffic, dirty-state
 //      growth, and working-set growth (which can exhaust a consolidation
 //      host and force a return);
@@ -32,7 +34,9 @@
 #ifndef OASIS_SRC_CLUSTER_MANAGER_H_
 #define OASIS_SRC_CLUSTER_MANAGER_H_
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/cluster/actuator.h"
 #include "src/cluster/cluster_types.h"
@@ -67,6 +71,12 @@ class ClusterManager {
   static Joules BaselineEnergy(const ClusterConfig& config, const TraceSet& trace);
 
   const ClusterConfig& config() const { return config_; }
+  // VM u follows trace()[u % trace().size()].
+  const TraceSet& trace() const { return trace_; }
+  // The trace interval applied by the last planning round at or before
+  // `now`: rounds fire every planning_interval from midnight, and each reads
+  // the trace at its own 5-minute resolution.
+  int TraceIntervalAt(SimTime now) const;
 
   // Read-only introspection for tests and diagnostics.
   const ClusterHost& GetHost(HostId id) const { return *state_.hosts[id]; }
@@ -93,9 +103,20 @@ class ClusterManager {
   void OnInterval(SimTime now, int interval);
   void UpdateActivities(SimTime now, int interval);
   void RecordSnapshot(SimTime now, int interval);
+  int RoundsPerDay() const;
+  const uint64_t* ActivityRow(int interval) const {
+    return &activity_rows_[static_cast<size_t>(interval) * row_words_];
+  }
 
   ClusterConfig config_;
   TraceSet trace_;
+  // One bitset over all VMs per trace interval: bit v of row i is set iff
+  // VM v's user is active in interval i. Row i occupies row_words_ words
+  // from activity_rows_[i * row_words_].
+  std::vector<uint64_t> activity_rows_;
+  size_t row_words_ = 0;
+  // The interval whose row every vm.activity currently matches.
+  int applied_interval_ = 0;
   obs::RunContext* run_context_ = nullptr;
   Simulator sim_;
   Rng rng_;

@@ -24,9 +24,11 @@ const char* TrafficCategoryName(TrafficCategory c) {
   return "?";
 }
 
-void TrafficAccounting::Add(TrafficCategory c, uint64_t bytes) {
+void TrafficAccounting::Add(TrafficCategory c, uint64_t bytes) { Add(c, bytes, 1); }
+
+void TrafficAccounting::Add(TrafficCategory c, uint64_t bytes, uint64_t count) {
   bytes_[static_cast<size_t>(c)] += bytes;
-  ++counts_[static_cast<size_t>(c)];
+  counts_[static_cast<size_t>(c)] += count;
 }
 
 uint64_t TrafficAccounting::Total(TrafficCategory c) const {

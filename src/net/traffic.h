@@ -24,6 +24,9 @@ const char* TrafficCategoryName(TrafficCategory c);
 class TrafficAccounting {
  public:
   void Add(TrafficCategory c, uint64_t bytes);
+  // `count` transfers totalling `bytes`, as if Add(c, ...) ran once per
+  // transfer.
+  void Add(TrafficCategory c, uint64_t bytes, uint64_t count);
   uint64_t Total(TrafficCategory c) const;
   uint64_t Count(TrafficCategory c) const;
 

@@ -1,7 +1,7 @@
 #include "src/trace/activity_trace.h"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 
 namespace oasis {
 
@@ -9,12 +9,12 @@ const char* DayKindName(DayKind kind) {
   return kind == DayKind::kWeekday ? "weekday" : "weekend";
 }
 
-UserDay::UserDay(std::vector<bool> bits) : active_(std::move(bits)) {
-  assert(active_.size() == static_cast<size_t>(kIntervalsPerDay));
-}
-
 int UserDay::ActiveIntervals() const {
-  return static_cast<int>(std::count(active_.begin(), active_.end(), true));
+  int count = 0;
+  for (uint64_t word : words_) {
+    count += std::popcount(word);
+  }
+  return count;
 }
 
 double UserDay::ActiveFraction() const {
@@ -24,8 +24,8 @@ double UserDay::ActiveFraction() const {
 int UserDay::LongestIdleRun() const {
   int best = 0;
   int run = 0;
-  for (bool a : active_) {
-    if (a) {
+  for (int i = 0; i < kIntervalsPerDay; ++i) {
+    if (IsActive(i)) {
       run = 0;
     } else {
       ++run;

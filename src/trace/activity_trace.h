@@ -5,11 +5,14 @@
 // intervals: an interval is "active" if it saw any input (§5.1). That trace
 // is not public, so Oasis ships a calibrated synthetic generator
 // (trace_generator.h) and this module defines the trace representation both
-// share: one bit per 5-minute interval per user-day.
+// share: one bit per 5-minute interval per user-day, packed into five 64-bit
+// words held inline, so a user-day (and a TraceSet copy) allocates nothing
+// per user and the cluster manager can lift a day's set bits word by word.
 
 #ifndef OASIS_SRC_TRACE_ACTIVITY_TRACE_H_
 #define OASIS_SRC_TRACE_ACTIVITY_TRACE_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -28,16 +31,20 @@ enum class DayKind { kWeekday, kWeekend };
 
 const char* DayKindName(DayKind kind);
 
-// One user's activity over one day: active_[i] is true iff the user produced
+// One user's activity over one day: IsActive(i) is true iff the user produced
 // keyboard/mouse input during 5-minute interval i.
 class UserDay {
  public:
-  UserDay() : active_(kIntervalsPerDay, false) {}
-  explicit UserDay(std::vector<bool> bits);
+  static constexpr int kWords = (kIntervalsPerDay + 63) / 64;  // 5
+  using Words = std::array<uint64_t, kWords>;
 
-  bool IsActive(int interval) const { return active_[static_cast<size_t>(interval)]; }
+  bool IsActive(int interval) const {
+    return ((words_[Word(interval)] >> Bit(interval)) & 1u) != 0;
+  }
   void SetActive(int interval, bool active) {
-    active_[static_cast<size_t>(interval)] = active;
+    uint64_t mask = uint64_t{1} << Bit(interval);
+    words_[Word(interval)] = active ? words_[Word(interval)] | mask
+                                    : words_[Word(interval)] & ~mask;
   }
 
   int ActiveIntervals() const;
@@ -46,10 +53,17 @@ class UserDay {
   // Longest run of consecutive idle intervals.
   int LongestIdleRun() const;
 
-  const std::vector<bool>& bits() const { return active_; }
+  // Interval i is bit i % 64 of word i / 64; bits at or past kIntervalsPerDay
+  // are always clear.
+  const Words& words() const { return words_; }
+
+  bool operator==(const UserDay&) const = default;
 
  private:
-  std::vector<bool> active_;
+  static size_t Word(int interval) { return static_cast<size_t>(interval) / 64; }
+  static unsigned Bit(int interval) { return static_cast<unsigned>(interval) % 64; }
+
+  Words words_{};
 };
 
 // A set of user-days that drives one simulated day: element u is the

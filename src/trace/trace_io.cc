@@ -1,5 +1,6 @@
 #include "src/trace/trace_io.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -7,6 +8,9 @@
 namespace oasis {
 
 Status WriteTrace(std::ostream& os, const TraceFile& trace) {
+  if (trace.users.empty()) {
+    return Status::InvalidArgument("a trace needs at least one user-day");
+  }
   os << "OASISTRACE v1 " << trace.users.size() << " " << kIntervalsPerDay << " "
      << DayKindName(trace.kind) << "\n";
   for (const UserDay& day : trace.users) {
@@ -26,14 +30,24 @@ Status WriteTrace(std::ostream& os, const TraceFile& trace) {
 StatusOr<TraceFile> ReadTrace(std::istream& is) {
   std::string magic;
   std::string version;
-  size_t num_users = 0;
+  std::string users_field;
   int intervals = 0;
   std::string kind_name;
-  if (!(is >> magic >> version >> num_users >> intervals >> kind_name)) {
+  if (!(is >> magic >> version >> users_field >> intervals >> kind_name)) {
     return Status::InvalidArgument("malformed trace header");
   }
   if (magic != "OASISTRACE" || version != "v1") {
     return Status::InvalidArgument("not an OASISTRACE v1 file");
+  }
+  // The user count is a plain positive decimal: no sign, no suffix, and the
+  // body must hold every line it promises (nothing is sized from it).
+  size_t num_users = 0;
+  const char* first = users_field.data();
+  const char* last = first + users_field.size();
+  auto [end, error] = std::from_chars(first, last, num_users);
+  if (error != std::errc() || end != last || num_users == 0) {
+    return Status::InvalidArgument("user count must be a positive integer, got '" +
+                                   users_field + "'");
   }
   if (intervals != kIntervalsPerDay) {
     return Status::InvalidArgument("interval count mismatch: expected " +
@@ -50,7 +64,6 @@ StatusOr<TraceFile> ReadTrace(std::istream& is) {
   }
   std::string line;
   std::getline(is, line);  // consume end of header line
-  out.users.reserve(num_users);
   for (size_t u = 0; u < num_users; ++u) {
     if (!std::getline(is, line)) {
       return Status::InvalidArgument("truncated trace: expected " + std::to_string(num_users) +

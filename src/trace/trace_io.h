@@ -4,6 +4,10 @@
 // Format:
 //   OASISTRACE v1 <num_users> <intervals_per_day> <weekday|weekend>
 //   <one line per user: '0'/'1' chars, one per interval>
+//
+// A trace holds at least one user-day: WriteTrace refuses an empty set and
+// ReadTrace rejects a user count that is not a positive integer, both with
+// InvalidArgument, like every other malformed header or body.
 
 #ifndef OASIS_SRC_TRACE_TRACE_IO_H_
 #define OASIS_SRC_TRACE_TRACE_IO_H_

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 namespace oasis {
 namespace {
 
@@ -39,12 +42,82 @@ TEST(UserDayTest, LongestIdleRun) {
   EXPECT_EQ(day.LongestIdleRun(), 186);
 }
 
-TEST(UserDayTest, ConstructFromBits) {
-  std::vector<bool> bits(kIntervalsPerDay, false);
-  bits[5] = true;
-  UserDay day(bits);
-  EXPECT_TRUE(day.IsActive(5));
-  EXPECT_EQ(day.ActiveIntervals(), 1);
+// Interval indices on both sides of every 64-bit word boundary, plus the
+// first and last interval of the day.
+constexpr int kEdgeIntervals[] = {0, 63, 64, 127, 128, 255, 256, 287};
+
+TEST(UserDayTest, SetClearAndReadAtWordBoundaries) {
+  for (int interval : kEdgeIntervals) {
+    UserDay day;
+    day.SetActive(interval, true);
+    for (int i = 0; i < kIntervalsPerDay; ++i) {
+      EXPECT_EQ(day.IsActive(i), i == interval) << "set " << interval << ", read " << i;
+    }
+    EXPECT_EQ(day.ActiveIntervals(), 1) << interval;
+    day.SetActive(interval, true);  // setting twice is idempotent
+    EXPECT_EQ(day.ActiveIntervals(), 1) << interval;
+    day.SetActive(interval, false);
+    EXPECT_FALSE(day.IsActive(interval)) << interval;
+    EXPECT_EQ(day, UserDay()) << interval;
+  }
+}
+
+TEST(UserDayTest, ClearLeavesNeighboursAcrossWordBoundaries) {
+  UserDay day;
+  for (int i = 0; i < kIntervalsPerDay; ++i) {
+    day.SetActive(i, true);
+  }
+  EXPECT_EQ(day.ActiveIntervals(), kIntervalsPerDay);
+  EXPECT_EQ(day.LongestIdleRun(), 0);
+  for (int interval : kEdgeIntervals) {
+    day.SetActive(interval, false);
+  }
+  for (int i = 0; i < kIntervalsPerDay; ++i) {
+    bool edge = std::find(std::begin(kEdgeIntervals), std::end(kEdgeIntervals), i) !=
+                std::end(kEdgeIntervals);
+    EXPECT_EQ(day.IsActive(i), !edge) << i;
+  }
+  EXPECT_EQ(day.ActiveIntervals(), kIntervalsPerDay - 8);
+  // 63|64, 127|128 and 255|256 are adjacent idle pairs straddling a word.
+  EXPECT_EQ(day.LongestIdleRun(), 2);
+}
+
+TEST(UserDayTest, ActiveIntervalsCountsEveryWord) {
+  UserDay day;
+  int expected = 0;
+  for (int i = 0; i < kIntervalsPerDay; i += 7) {
+    day.SetActive(i, true);
+    ++expected;
+  }
+  EXPECT_EQ(day.ActiveIntervals(), expected);
+  EXPECT_DOUBLE_EQ(day.ActiveFraction(), static_cast<double>(expected) / kIntervalsPerDay);
+  // Bits past the last interval stay clear.
+  EXPECT_EQ(day.words().back() >> (kIntervalsPerDay % 64), 0u);
+}
+
+TEST(UserDayTest, LongestIdleRunSpansWords) {
+  UserDay day;
+  // Idle runs: [0,9] (10), [11,199] (189, crossing words 0-3), [201,287] (87).
+  day.SetActive(10, true);
+  day.SetActive(200, true);
+  EXPECT_EQ(day.LongestIdleRun(), 189);
+  // Split the long run at the 127|128 boundary: [11,127] (117) and [129,199] (71).
+  day.SetActive(128, true);
+  EXPECT_EQ(day.LongestIdleRun(), 117);
+  // A run that ends the day inside the last, partial word: [201,287] (87).
+  day.SetActive(63, true);
+  EXPECT_EQ(day.LongestIdleRun(), 87);
+}
+
+TEST(UserDayTest, EqualityComparesEveryInterval) {
+  for (int interval : kEdgeIntervals) {
+    UserDay a;
+    UserDay b;
+    a.SetActive(interval, true);
+    EXPECT_NE(a, b) << interval;
+    b.SetActive(interval, true);
+    EXPECT_EQ(a, b) << interval;
+  }
 }
 
 TEST(IntervalMathTest, IntervalAtMapsHours) {

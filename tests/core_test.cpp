@@ -28,7 +28,7 @@ TEST(ClusterSimulationTest, SameSeedSameResult) {
   SimulationResult a = ClusterSimulation(config).Run();
   SimulationResult b = ClusterSimulation(config).Run();
   EXPECT_DOUBLE_EQ(a.metrics.TotalEnergy(), b.metrics.TotalEnergy());
-  EXPECT_EQ(a.trace[0].bits(), b.trace[0].bits());
+  EXPECT_EQ(a.trace[0], b.trace[0]);
 }
 
 TEST(ClusterSimulationTest, DifferentSeedsDiffer) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/trace/trace_generator.h"
+#include "tests/metric_digest.h"
 
 namespace oasis {
 namespace {
@@ -260,6 +261,36 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyTest,
                          [](const auto& suite_info) {
                            return ConsolidationPolicyName(suite_info.param);
                          });
+
+// Pins a realistic day at 1-, 5- and 30-minute planning intervals, so a
+// change to how rounds read the trace is caught on all three paths: 1-minute
+// rounds revisit a trace interval, 5-minute rounds visit each interval once,
+// 30-minute rounds skip five of every six.
+TEST(ManagerTest, PlanningIntervalDigestsArePinned) {
+  struct Pin {
+    double minutes;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {1.0, 0x2c12241aaad37446ull},
+      {5.0, 0xe89f2085d138f9eeull},
+      {30.0, 0x58eef9060ae825bbull},
+  };
+  ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
+  config.num_home_hosts = 6;
+  config.vms_per_home = 12;
+  // Half as many user-days as VMs, so VM u and u + 36 share a user.
+  TraceGenerator gen(TraceGeneratorConfig{}, 29);
+  TraceSet trace = gen.GenerateTraceSet(config.TotalVms() / 2, DayKind::kWeekday);
+  for (const Pin& pin : pins) {
+    config.planning_interval = SimTime::Minutes(pin.minutes);
+    ClusterMetrics m = ClusterManager(config, trace).Run();
+    // Partial upkeep's growth and exhaustion paths both ran.
+    EXPECT_GT(m.partial_migrations, 0u) << pin.minutes << " min";
+    EXPECT_GT(m.capacity_exhaustions, 0u) << pin.minutes << " min";
+    EXPECT_EQ(testing::DigestMetrics(m), pin.digest) << pin.minutes << " min";
+  }
+}
 
 TEST(ManagerTest, PolicyNames) {
   EXPECT_STREQ(ConsolidationPolicyName(ConsolidationPolicy::kOnlyPartial), "OnlyPartial");

@@ -26,7 +26,7 @@ TEST(TraceGeneratorTest, DeterministicForSameSeed) {
   TraceGenerator b(TraceGeneratorConfig{}, 42);
   UserDay da = a.GenerateUserDay(DayKind::kWeekday);
   UserDay db = b.GenerateUserDay(DayKind::kWeekday);
-  EXPECT_EQ(da.bits(), db.bits());
+  EXPECT_EQ(da, db);
 }
 
 TEST(TraceGeneratorTest, WeekdayPeakNearPaperFortySixPercent) {

@@ -23,6 +23,10 @@ TEST(TrafficTest, AddAccumulatesBytesAndCounts) {
   t.Add(TrafficCategory::kFullMigration, 4 * kGiB);
   EXPECT_EQ(t.Total(TrafficCategory::kFullMigration), 8 * kGiB);
   EXPECT_EQ(t.Count(TrafficCategory::kFullMigration), 2u);
+  // A batched add counts each transfer it folds.
+  t.Add(TrafficCategory::kFullMigration, 12 * kGiB, 3);
+  EXPECT_EQ(t.Total(TrafficCategory::kFullMigration), 20 * kGiB);
+  EXPECT_EQ(t.Count(TrafficCategory::kFullMigration), 5u);
 }
 
 TEST(TrafficTest, MemoryUploadStaysOffTheNetwork) {

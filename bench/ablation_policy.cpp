@@ -63,8 +63,8 @@ uint64_t CombineDigests(const std::vector<OracleResult>& oracle) {
 void SpliceBenchJson(const std::vector<std::string>& names,
                      const std::vector<double>& gaps, double oracle_savings,
                      uint64_t digest) {
-  const char* path = std::getenv("OASIS_BENCH_JSON");
-  if (path == nullptr || *path == '\0') {
+  const std::string path = knobs::String(knobs::Knob::kBenchJson);
+  if (path.empty()) {
     return;
   }
   std::string content;

@@ -3,14 +3,12 @@
 #ifndef OASIS_BENCH_BENCH_UTIL_H_
 #define OASIS_BENCH_BENCH_UTIL_H_
 
-#include <climits>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
 
 #include "src/cluster/strategy.h"
+#include "src/common/knobs.h"
 #include "src/core/oasis.h"
 #include "src/obs/obs.h"
 
@@ -35,30 +33,19 @@ inline SimulationConfig PaperCluster(ConsolidationPolicy policy, int consolidati
 }
 
 // Number of repetitions per datapoint (§5.3 averages five runs). Override
-// with OASIS_BENCH_RUNS for quicker smoke runs; a value that is not a
-// positive integer exits with status 2.
+// with OASIS_BENCH_RUNS for quicker smoke runs.
 inline int BenchRuns() {
-  const char* env = std::getenv("OASIS_BENCH_RUNS");
-  if (env == nullptr || *env == '\0') {
-    return 5;
-  }
-  char* end = nullptr;
-  long n = std::strtol(env, &end, 10);
-  if (*end != '\0' || n <= 0 || n > INT_MAX) {
-    std::fprintf(stderr, "OASIS_BENCH_RUNS=%s is not a positive integer (repetitions)\n", env);
-    std::exit(2);
-  }
-  return static_cast<int>(n);
+  return static_cast<int>(knobs::Int(knobs::Knob::kBenchRuns).value_or(5));
 }
 
 // When OASIS_CSV_DIR is set, benches also write their data series as
 // <dir>/<name>.csv for external plotting. Returns nullptr otherwise.
 inline std::unique_ptr<std::ofstream> CsvFileFor(const std::string& name) {
-  const char* dir = std::getenv("OASIS_CSV_DIR");
-  if (dir == nullptr || *dir == '\0') {
+  const std::string dir = knobs::String(knobs::Knob::kCsvDir);
+  if (dir.empty()) {
     return nullptr;
   }
-  auto file = std::make_unique<std::ofstream>(std::string(dir) + "/" + name + ".csv");
+  auto file = std::make_unique<std::ofstream>(dir + "/" + name + ".csv");
   if (!*file) {
     return nullptr;
   }

@@ -21,7 +21,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -46,17 +45,11 @@ namespace {
 constexpr const char* kDefaultFleetSpec = "table1:10,legacy-no-s3:10,efficient-v2:14";
 
 FleetMix FleetFromEnv() {
-  const char* env = std::getenv("OASIS_FLEET");
-  const std::string spec =
-      (env == nullptr || *env == '\0') ? kDefaultFleetSpec : env;
+  const std::string spec = knobs::String(knobs::Knob::kFleet, kDefaultFleetSpec);
   StatusOr<FleetMix> mix = ParseFleetMix(spec);
   if (!mix.ok()) {
-    std::fprintf(stderr,
-                 "bad OASIS_FLEET \"%s\": %s (accepted: generation:count pairs "
-                 "joined by commas, generations from the catalog: %s)\n",
-                 spec.c_str(), mix.status().ToString().c_str(),
-                 HostGenerationNames().c_str());
-    std::exit(2);
+    const std::string accepted = "generation:count pairs from " + HostGenerationNames();
+    knobs::Reject(knobs::Knob::kFleet, spec, accepted + " (" + mix.status().ToString() + ")");
   }
   return *mix;
 }
@@ -90,9 +83,8 @@ void FleetSweep(int runs) {
     config.cluster.fleet = mix;
     Status valid = config.cluster.Validate();
     if (!valid.ok()) {
-      std::fprintf(stderr, "bad OASIS_FLEET for the 30+4 rack: %s\n",
-                   valid.ToString().c_str());
-      std::exit(2);
+      const std::string spec = knobs::String(knobs::Knob::kFleet, kDefaultFleetSpec);
+      knobs::Reject(knobs::Knob::kFleet, spec, "a 30+4-host fleet (" + valid.ToString() + ")");
     }
     base_seed = config.seed;
     oracle_cluster = config.cluster;

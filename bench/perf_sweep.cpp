@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -225,10 +224,7 @@ int main() {
               static_cast<unsigned long long>(points.front().checksum),
               deterministic ? "identical" : "MISMATCH - determinism broken");
 
-  const char* json_path = std::getenv("OASIS_BENCH_JSON");
-  if (json_path == nullptr || *json_path == '\0') {
-    json_path = "BENCH_sweep.json";
-  }
+  const std::string json_path = knobs::String(knobs::Knob::kBenchJson, "BENCH_sweep.json");
   std::ofstream json(json_path);
   if (json) {
     json << "{\n  \"bench\": \"perf_sweep\",\n  \"grid\": \"fig12_weekday\",\n";
@@ -237,9 +233,7 @@ int main() {
     // 1-core box than on a 16-core one. The SHA comes from the environment
     // (tools/update_bench.sh exports it) so the binary stays hermetic.
     json << "  \"hardware_cores\": " << exp::HardwareJobs() << ",\n";
-    const char* git_sha = std::getenv("OASIS_BENCH_GIT_SHA");
-    json << "  \"git_sha\": \"" << (git_sha != nullptr && *git_sha != '\0' ? git_sha : "unknown")
-         << "\",\n";
+    json << "  \"git_sha\": \"" << knobs::String(knobs::Knob::kBenchGitSha, "unknown") << "\",\n";
     json << "  \"runs\": " << plan.size() << ",\n";
     json << "  \"reps_per_datapoint\": " << runs << ",\n";
     char checksum_hex[32];
@@ -278,9 +272,9 @@ int main() {
       json << (i + 1 < points.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";
-    obs::TimingLine("wrote %s", json_path);
+    obs::TimingLine("wrote %s", json_path.c_str());
   } else {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
   }
   return deterministic ? 0 : 1;
 }

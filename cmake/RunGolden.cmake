@@ -3,13 +3,14 @@
 #   cmake -DBINARY=<exe> -DGOLDEN=<repo>/tests/golden/<name>.txt
 #         -DWORK=<scratch dir> [-DUPDATE=1] -P cmake/RunGolden.cmake
 #
-# Runs BINARY with a pinned environment — OASIS_BENCH_RUNS=2 and
-# OASIS_JOBS=2 fixed, every other OASIS_* knob that could change stdout
-# scrubbed (OASIS_CHECK deliberately passes through, so CI runs the golden
-# suite with the invariant checker in strict mode; OASIS_PROF passes through
-# too — the profiler's contract is that stdout is byte-identical in every
-# mode, and running goldens under OASIS_PROF=summary proves it) — captures
-# stdout, and compares it byte-for-byte against GOLDEN. On mismatch the test
+# Runs BINARY with a pinned environment — OASIS_BENCH_RUNS=2, OASIS_JOBS=2
+# and OASIS_BENCH_JSON fixed, every other OASIS_* variable unset, whether or
+# not it names a knob (OASIS_CHECK deliberately passes through, so CI runs
+# the golden suite with the invariant checker in strict mode; OASIS_PROF
+# passes through too — the profiler's contract is that stdout is
+# byte-identical in every mode, and running goldens under OASIS_PROF=summary
+# proves it) — captures stdout, and compares it byte-for-byte against
+# GOLDEN. On mismatch the test
 # fails with both SHA-256 digests and keeps the observed output next to the
 # scratch dir for upload/diffing. With UPDATE=1 the observed output replaces the golden
 # file instead: behavioral drift becomes a reviewed diff, never an accident.
@@ -32,13 +33,20 @@ if(NOT DEFINED EXTRA_ENV)
   set(EXTRA_ENV "")
 endif()
 
+# Default-deny: unset every OASIS_* name in the environment except the two
+# pass-throughs, so a new knob can never leak into a golden.
+execute_process(COMMAND "${CMAKE_COMMAND}" -E environment OUTPUT_VARIABLE environment)
+string(REGEX MATCHALL "(^|\n)OASIS_[A-Za-z0-9_]*=" names "${environment}")
+set(unset_args "")
+foreach(match IN LISTS names)
+  string(REGEX REPLACE "^\n?(OASIS_[A-Za-z0-9_]*)=$" "\\1" knob "${match}")
+  if(NOT knob STREQUAL "OASIS_CHECK" AND NOT knob STREQUAL "OASIS_PROF")
+    list(APPEND unset_args "--unset=${knob}")
+  endif()
+endforeach()
+
 execute_process(
-  COMMAND "${CMAKE_COMMAND}" -E env
-          --unset=OASIS_SEED --unset=OASIS_TRACE --unset=OASIS_METRICS
-          --unset=OASIS_TRACE_CAPACITY --unset=OASIS_LOG_LEVEL
-          --unset=OASIS_CSV_DIR --unset=OASIS_FUZZ_TRIALS
-          --unset=OASIS_DC_RACKS --unset=OASIS_FORECAST_WINDOW
-          --unset=OASIS_FLEET
+  COMMAND "${CMAKE_COMMAND}" -E env ${unset_args}
           OASIS_BENCH_RUNS=2 OASIS_JOBS=2 "OASIS_BENCH_JSON=${WORK}/${name}.json"
           ${EXTRA_ENV}
           "${BINARY}"

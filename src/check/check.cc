@@ -2,9 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
+#include "src/common/knobs.h"
 #include "src/obs/metrics.h"
 
 namespace oasis {
@@ -47,20 +47,7 @@ const char* CheckModeName(CheckMode mode) {
 
 CheckConfig CheckConfig::FromEnv() {
   CheckConfig config;
-  const char* value = std::getenv("OASIS_CHECK");
-  if (value == nullptr || *value == '\0' || std::strcmp(value, "0") == 0 ||
-      std::strcmp(value, "off") == 0) {
-    config.mode = CheckMode::kOff;
-  } else if (std::strcmp(value, "strict") == 0 || std::strcmp(value, "2") == 0) {
-    config.mode = CheckMode::kStrict;
-  } else if (std::strcmp(value, "1") == 0 || std::strcmp(value, "on") == 0 ||
-             std::strcmp(value, "warn") == 0) {
-    config.mode = CheckMode::kWarn;
-  } else {
-    std::fprintf(stderr, "[check] unknown OASIS_CHECK=%s (accepted: off|warn|strict)\n",
-                 value);
-    std::exit(kStrictExitCode);
-  }
+  config.mode = static_cast<CheckMode>(knobs::Choice(knobs::Knob::kCheck).value_or(0));
   return config;
 }
 

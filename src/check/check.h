@@ -15,15 +15,10 @@
 // runs the full day with every invariant asserted and exits non-zero (with a
 // structured stderr report) if any fired.
 //
-// Environment variable:
-//   OASIS_CHECK=off|warn|strict   off (default): checker disabled, zero
-//                                 overhead beyond one predictable branch per
-//                                 hook and zero RNG draws.
-//                                 warn: record + report violations, exit
-//                                 status untouched.
-//                                 strict: like warn, but the process exits
-//                                 with status 2 once the scope closes if any
-//                                 violation was recorded.
+// OASIS_CHECK (a row of src/common/knobs.h) picks the mode: off (default)
+// costs one predictable branch per hook and no RNG draws; warn records and
+// reports violations; strict also exits with status 2 once the scope closes
+// if any violation was recorded.
 //
 // Violations are triple-reported: a structured stderr line at record time,
 // an obs instant event (category "check") plus "check.violations" counter
@@ -64,10 +59,9 @@ struct CheckConfig {
 
   bool Enabled() const { return mode != CheckMode::kOff; }
 
-  // Parses OASIS_CHECK ("", "0", "off" -> off; "1", "on", "warn" -> warn;
-  // "2", "strict" -> strict). Any other value prints the accepted spellings
-  // to stderr and exits with kStrictExitCode: a mistyped strict gate must
-  // not run in warn mode and pass whatever violations occur.
+  // Reads OASIS_CHECK; CheckMode's order is the row's choice order. An
+  // unknown value exits 2 (knobs::Reject): a mistyped strict gate must not
+  // run in warn mode and pass whatever violations occur.
   static CheckConfig FromEnv();
 };
 

@@ -1,7 +1,6 @@
 #include "src/cluster/strategy.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include "src/common/knobs.h"
 
 namespace oasis {
 namespace {
@@ -62,16 +61,15 @@ std::unique_ptr<ConsolidationStrategy> MakeStrategy(const std::string& name) {
 }
 
 void ApplyPolicyOverride(ClusterConfig* config) {
-  const char* env = std::getenv("OASIS_POLICY");
-  if (env == nullptr || *env == '\0') {
+  std::string name = knobs::String(knobs::Knob::kPolicy);
+  if (name.empty()) {
     return;
   }
-  if (!IsRegisteredStrategyName(env)) {
-    std::fprintf(stderr, "OASIS_POLICY=%s names no registered strategy (registered: %s)\n",
-                 env, RegisteredStrategyNamesJoined().c_str());
-    std::exit(2);
+  if (!IsRegisteredStrategyName(name)) {
+    knobs::Reject(knobs::Knob::kPolicy, name,
+                  "a registered strategy (" + RegisteredStrategyNamesJoined() + ")");
   }
-  config->strategy_name = env;
+  config->strategy_name = name;
 }
 
 }  // namespace oasis

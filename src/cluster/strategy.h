@@ -123,10 +123,10 @@ bool IsRegisteredStrategyName(const std::string& name);
 std::unique_ptr<ConsolidationStrategy> MakeStrategy(const std::string& name);
 
 // Applies the OASIS_POLICY environment override to config->strategy_name.
-// An unknown name is a fatal configuration error: prints the registered
-// names to stderr and exits with status 2 (mirrors obs::ApplySeedOverride's
-// call-it-from-main pattern; call it before constructing managers so
-// per-experiment strategy_name assignments made later still win).
+// An unknown name exits 2 through knobs::Reject, listing the registered
+// names (mirrors obs::ApplySeedOverride's call-it-from-main pattern; call
+// it before constructing managers so per-experiment strategy_name
+// assignments made later still win).
 void ApplyPolicyOverride(ClusterConfig* config);
 
 // --- factories --------------------------------------------------------------

@@ -44,15 +44,13 @@
 
 namespace oasis {
 
-// Parses OASIS_FORECAST_WINDOW — how many 5-minute intervals ahead the
-// pre-drain/pre-wake passes look (unset/empty defaults to 6, i.e. 30
-// minutes; accepted: an integer in [1, 288]). A malformed value is a fatal
-// configuration error: exit status 2, mirroring OASIS_POLICY.
-int ForecastWindowFromEnv();
+// How many 5-minute intervals ahead the pre-drain/pre-wake passes look
+// (30 minutes).
+inline constexpr int kForecastWindow = 6;
 
 class PredictiveStrategy : public OasisGreedyStrategy {
  public:
-  explicit PredictiveStrategy(int forecast_window = ForecastWindowFromEnv());
+  PredictiveStrategy();
 
   const char* name() const override { return "predictive"; }
   PlanActions PlanInterval(const ClusterView& view, SimTime now, Actuator& act) override;
@@ -60,7 +58,6 @@ class PredictiveStrategy : public OasisGreedyStrategy {
   // Forecast active fraction for day slot `slot` (mod intervals-per-day).
   // Exposed so tests can pin the forecast's shape without running a day.
   double Forecast(int slot) const;
-  int forecast_window() const { return window_; }
 
  private:
   void UpdateForecast(int slot, double observed);
@@ -69,7 +66,6 @@ class PredictiveStrategy : public OasisGreedyStrategy {
   void PreWakePass(const ClusterView& view, SimTime now, Actuator& act,
                    PlanActions& actions, int slot, double observed);
 
-  int window_;
   // Declared forecast state (strategy.h doctrine): day-folded per-slot EWMA
   // of observed active fraction, seeded from the generator's diurnal prior,
   // and a scalar level ratio tracking how far today runs above/below it.

@@ -1,7 +1,6 @@
 #include "src/common/log.h"
 
 #include <atomic>
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 
@@ -42,28 +41,6 @@ const char* Basename(const char* path) {
 void SetLogLevel(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
 
 LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-
-bool ParseLogLevel(const std::string& name, LogLevel* out) {
-  std::string lower;
-  lower.reserve(name.size());
-  for (char c : name) {
-    lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  if (lower == "debug" || lower == "d") {
-    *out = LogLevel::kDebug;
-  } else if (lower == "info" || lower == "i") {
-    *out = LogLevel::kInfo;
-  } else if (lower == "warning" || lower == "warn" || lower == "w") {
-    *out = LogLevel::kWarning;
-  } else if (lower == "error" || lower == "e") {
-    *out = LogLevel::kError;
-  } else if (lower == "off") {
-    *out = LogLevel::kOff;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 void SetLogSimTime(SimTime now) { t_sim_time_us = now.micros(); }
 

@@ -26,10 +26,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kOff = 4 
 void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 
-// Parses "debug" / "info" / "warning" / "error" / "off" (case-insensitive,
-// single-letter abbreviations accepted). Returns false on unknown names.
-bool ParseLogLevel(const std::string& name, LogLevel* out);
-
 // Simulated-clock annotation. The simulator publishes its clock before each
 // event dispatch; while set, log lines carry the time as hh:mm:ss.
 void SetLogSimTime(SimTime now);

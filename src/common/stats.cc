@@ -132,30 +132,4 @@ const std::vector<double>& EmpiricalCdf::sorted_samples() const {
   return samples_;
 }
 
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  assert(hi > lo);
-  assert(buckets > 0);
-}
-
-void Histogram::Add(double x) {
-  double pos = (x - lo_) / width_;
-  size_t i;
-  if (pos < 0.0) {
-    i = 0;
-  } else if (pos >= static_cast<double>(counts_.size())) {
-    i = counts_.size() - 1;
-  } else {
-    i = static_cast<size_t>(pos);
-  }
-  ++counts_[i];
-  ++total_;
-}
-
-double Histogram::BucketLow(size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-
-double Histogram::BucketHigh(size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
 }  // namespace oasis

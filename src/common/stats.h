@@ -1,11 +1,10 @@
-// Streaming statistics, histograms and empirical CDFs used by every
-// experiment harness.
+// Streaming statistics and empirical CDFs used by every experiment
+// harness.
 
 #ifndef OASIS_SRC_COMMON_STATS_H_
 #define OASIS_SRC_COMMON_STATS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace oasis {
@@ -67,27 +66,6 @@ class EmpiricalCdf {
 
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-// Fixed-width linear histogram over [lo, hi); out-of-range values clamp to
-// the edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-  uint64_t BucketCount(size_t i) const { return counts_[i]; }
-  size_t num_buckets() const { return counts_.size(); }
-  double BucketLow(size_t i) const;
-  double BucketHigh(size_t i) const;
-  uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
 };
 
 }  // namespace oasis

@@ -1,8 +1,8 @@
 #include "src/dc/topology.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <optional>
 
+#include "src/common/knobs.h"
 #include "src/power/host_profile.h"
 
 namespace oasis {
@@ -99,19 +99,9 @@ StatusOr<DatacenterTopology> DatacenterTopology::Build(const DatacenterConfig& c
 }
 
 void ApplyDatacenterEnvOverrides(DatacenterConfig* config) {
-  const char* env = std::getenv("OASIS_DC_RACKS");
-  if (env == nullptr || *env == '\0') {
-    return;
+  if (std::optional<uint64_t> racks = knobs::Int(knobs::Knob::kDcRacks)) {
+    config->total_racks = static_cast<int>(*racks);
   }
-  char* end = nullptr;
-  long value = std::strtol(env, &end, 10);
-  if (end == nullptr || *end != '\0' || value <= 0) {
-    std::fprintf(stderr,
-                 "OASIS_DC_RACKS=%s is not a positive integer (rack-count override)\n",
-                 env);
-    std::exit(2);
-  }
-  config->total_racks = static_cast<int>(value);
 }
 
 }  // namespace dc

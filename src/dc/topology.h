@@ -16,12 +16,6 @@
 //     execution order;
 //   * topology order is pod-major ascending rack index; every consumer that
 //     folds per-rack data (ledger, coordinator, obs merge) walks that order.
-//
-// Environment:
-//   OASIS_DC_RACKS=<n>   overrides the total rack count (smoke grids, CI).
-//                        Anything but a positive integer exits with status 2,
-//                        matching the OASIS_CHECK/OASIS_PROF/OASIS_POLICY
-//                        unknown-value convention.
 
 #ifndef OASIS_SRC_DC_TOPOLOGY_H_
 #define OASIS_SRC_DC_TOPOLOGY_H_
@@ -114,8 +108,8 @@ class DatacenterTopology {
 };
 
 // Applies OASIS_DC_RACKS (and OASIS_SEED via the caller's usual
-// obs::ApplySeedOverride) to `config`. A value that is not a positive
-// integer prints the expected form to stderr and exits with status 2.
+// obs::ApplySeedOverride) to `config`. A value that is not an int in
+// [1, INT_MAX] exits 2 (knobs::Reject).
 void ApplyDatacenterEnvOverrides(DatacenterConfig* config);
 
 }  // namespace dc

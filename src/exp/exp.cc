@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <climits>
-#include <cstdio>
-#include <cstdlib>
 #include <latch>
 #include <memory>
 #include <thread>
 #include <utility>
 
+#include "src/common/knobs.h"
 #include "src/obs/prof.h"
 #include "src/obs/run_context.h"
 
@@ -49,18 +46,7 @@ int HardwareJobs() {
 }
 
 int JobsFromEnv() {
-  const char* env = std::getenv("OASIS_JOBS");
-  if (env == nullptr || *env == '\0') {
-    return HardwareJobs();
-  }
-  char* end = nullptr;
-  errno = 0;
-  long value = std::strtol(env, &end, 10);
-  if (*end != '\0' || errno == ERANGE || value <= 0 || value > INT_MAX) {
-    std::fprintf(stderr, "OASIS_JOBS=%s is not a positive integer (worker count)\n", env);
-    std::exit(2);
-  }
-  return static_cast<int>(value);
+  return static_cast<int>(knobs::Int(knobs::Knob::kJobs).value_or(HardwareJobs()));
 }
 
 int EffectiveWorkers(int jobs, size_t count) {

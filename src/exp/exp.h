@@ -74,9 +74,8 @@ class ExperimentPlan {
 // std::thread::hardware_concurrency(), at least 1.
 int HardwareJobs();
 
-// OASIS_JOBS when set, else HardwareJobs(). A value that is not a positive
-// int (`four`, `0`, `-2`, `4x`, `4294967296`) prints one stderr line and
-// exits 2.
+// OASIS_JOBS when set, else HardwareJobs(). A malformed value exits 2
+// (knobs::Reject).
 int JobsFromEnv();
 
 // The worker count RunOrdered actually uses when asked for `jobs` over

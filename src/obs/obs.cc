@@ -2,8 +2,8 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 
+#include "src/common/knobs.h"
 #include "src/common/log.h"
 
 namespace oasis {
@@ -21,41 +21,16 @@ bool ObsConfig::TraceIsJsonl() const { return EndsWith(trace_path, ".jsonl"); }
 
 ObsConfig ObsConfig::FromEnv() {
   ObsConfig config;
-  if (const char* path = std::getenv("OASIS_TRACE")) {
-    config.trace_path = path;
+  config.trace_path = knobs::String(knobs::Knob::kTrace);
+  config.metrics_path = knobs::String(knobs::Knob::kMetrics);
+  config.trace_capacity =
+      knobs::Int(knobs::Knob::kTraceCapacity).value_or(Tracer::kDefaultCapacity);
+  if (std::optional<int> level = knobs::Choice(knobs::Knob::kLogLevel)) {
+    config.log_level = static_cast<LogLevel>(*level);
   }
-  if (const char* path = std::getenv("OASIS_METRICS")) {
-    config.metrics_path = path;
-  }
-  const char* cap = std::getenv("OASIS_TRACE_CAPACITY");
-  if (cap != nullptr && *cap != '\0') {
-    char* end = nullptr;
-    long n = std::strtol(cap, &end, 10);
-    if (*end != '\0' || n <= 0) {
-      std::fprintf(stderr,
-                   "OASIS_TRACE_CAPACITY=%s is not a positive integer (trace ring size in "
-                   "events)\n",
-                   cap);
-      std::exit(2);
-    }
-    config.trace_capacity = static_cast<size_t>(n);
-  }
-  if (const char* level = std::getenv("OASIS_LOG_LEVEL")) {
-    config.log_level = level;
-  }
-  const char* seed = std::getenv("OASIS_SEED");
-  if (seed != nullptr && *seed != '\0') {
-    char* end = nullptr;
-    unsigned long long value = std::strtoull(seed, &end, 0);
-    if (*end != '\0') {
-      std::fprintf(stderr,
-                   "OASIS_SEED=%s is not an integer (decimal, 0x hex or 0 octal seed "
-                   "override)\n",
-                   seed);
-      std::exit(2);
-    }
+  if (std::optional<uint64_t> seed = knobs::Int(knobs::Knob::kSeed)) {
     config.has_seed = true;
-    config.seed = static_cast<uint64_t>(value);
+    config.seed = *seed;
   }
   return config;
 }
@@ -83,13 +58,8 @@ bool ApplySeedOverride(uint64_t* seed) {
 }
 
 ObsScope::ObsScope(const ObsConfig& config) : config_(config) {
-  if (!config_.log_level.empty()) {
-    LogLevel level;
-    if (ParseLogLevel(config_.log_level, &level)) {
-      SetLogLevel(level);
-    } else {
-      OASIS_LOG(kWarning) << "unknown OASIS_LOG_LEVEL: " << config_.log_level;
-    }
+  if (config_.log_level) {
+    SetLogLevel(*config_.log_level);
   }
   if (config_.TracingRequested()) {
     Tracer& tracer = Tracer::Global();

@@ -9,26 +9,17 @@
 //
 // emits a Perfetto-loadable trace with zero further plumbing.
 //
-// Environment variables:
-//   OASIS_TRACE=<path>       enable tracing; ".jsonl" suffix selects JSONL,
-//                            anything else Chrome trace_event JSON
-//   OASIS_METRICS=<path>     enable metrics; CSV snapshot written at exit
-//   OASIS_TRACE_CAPACITY=<n> ring-buffer size in events (default 65536)
-//   OASIS_SEED=<n>           override the simulation seed; binaries apply it
-//                            via ApplySeedOverride so one env var re-seeds
-//                            every bench/example without editing code
-//   OASIS_LOG_LEVEL=<level>  debug|info|warning|error|off
-//
-// A malformed OASIS_TRACE_CAPACITY (not a positive integer) or OASIS_SEED
-// (not an integer) is a fatal configuration error: FromEnv prints one line
-// to stderr and exits with status 2. Empty values mean unset.
+// Its knobs (OASIS_TRACE, OASIS_METRICS, OASIS_TRACE_CAPACITY,
+// OASIS_LOG_LEVEL, OASIS_SEED) are rows of the table in src/common/knobs.h.
 
 #ifndef OASIS_SRC_OBS_OBS_H_
 #define OASIS_SRC_OBS_OBS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
+#include "src/common/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -39,7 +30,7 @@ struct ObsConfig {
   std::string trace_path;    // empty = tracing disabled
   std::string metrics_path;  // empty = metrics disabled
   size_t trace_capacity = Tracer::kDefaultCapacity;
-  std::string log_level;  // empty = leave the global level alone
+  std::optional<LogLevel> log_level;  // unset = leave the global level alone
   bool has_seed = false;  // OASIS_SEED set
   uint64_t seed = 0;
 

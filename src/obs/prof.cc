@@ -3,39 +3,26 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 
+#include "src/common/knobs.h"
 #include "src/obs/trace.h"
 
 namespace oasis {
 namespace prof {
 namespace {
 
-struct PhaseInfo {
-  const char* name;
-  bool timeline;
-};
-
 // Order must match enum Phase.
-constexpr PhaseInfo kPhaseInfo[kNumPhases] = {
-    {"exp.run_parallel", true},    {"exp.run_setup", true},
-    {"exp.run_sim", true},         {"exp.merge", true},
-    {"obs.run_context_ctor", false}, {"pool.task_run", true},
-    {"pool.idle", true},
-    {"sim.heap_pop", false},       {"sim.dispatch", false},
+constexpr const char* kPhaseName[kNumPhases] = {
+    "exp.run_parallel", "exp.run_setup", "exp.run_sim",  "exp.merge",    "obs.run_context_ctor",
+    "pool.task_run",    "pool.idle",     "sim.heap_pop", "sim.dispatch",
 };
 
 // Order must match enum Count.
 constexpr const char* kCountName[kNumCounts] = {
     "pool.tasks", "obs.run_contexts", "pool.steals", "pool.wakes",
 };
-
-// Per-thread timeline rows are bounded so a runaway phase cannot grow
-// memory without bound; drops are counted and reported.
-constexpr size_t kTimelineCap = 1 << 15;
 
 }  // namespace
 
@@ -45,75 +32,42 @@ const char* ProfModeName(ProfMode mode) {
       return "off";
     case ProfMode::kSummary:
       return "summary";
-    case ProfMode::kTimeline:
-      return "timeline";
   }
   return "?";
 }
 
-const char* PhaseName(Phase phase) { return kPhaseInfo[static_cast<int>(phase)].name; }
-
-bool PhaseIsTimeline(Phase phase) { return kPhaseInfo[static_cast<int>(phase)].timeline; }
+const char* PhaseName(Phase phase) { return kPhaseName[static_cast<int>(phase)]; }
 
 const char* CountName(Count count) { return kCountName[static_cast<int>(count)]; }
 
 ProfConfig ProfConfig::FromEnv() {
   ProfConfig config;
-  const char* env = std::getenv("OASIS_PROF");
-  if (env == nullptr || *env == '\0') {
-    return config;
-  }
-  std::string value(env);
-  if (value == "off" || value == "0") {
-    config.mode = ProfMode::kOff;
-  } else if (value == "summary" || value == "on" || value == "1") {
-    config.mode = ProfMode::kSummary;
-  } else if (value == "timeline" || value == "2") {
-    config.mode = ProfMode::kTimeline;
-  } else {
-    std::fprintf(stderr,
-                 "[prof] unknown OASIS_PROF mode \"%s\" (accepted: off|summary|timeline)\n",
-                 env);
-    std::exit(kBadModeExitCode);
-  }
+  config.mode = static_cast<ProfMode>(knobs::Choice(knobs::Knob::kProf).value_or(0));
   return config;
 }
 
 // --- Profiler ----------------------------------------------------------------
 
 struct Profiler::ThreadProf {
-  explicit ThreadProf(int track_index) : track(track_index) {
+  explicit ThreadProf(int index) {
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "thread-%d", track_index);
+    std::snprintf(buf, sizeof(buf), "thread-%d", index);
     label = buf;
     for (int p = 0; p < kNumPhases; ++p) {
-      hist[p] = registry.histogram(kPhaseInfo[p].name);
+      hist[p] = registry.histogram(kPhaseName[p]);
     }
   }
 
-  struct TimelineRow {
-    Phase phase;
-    uint64_t start_ns;
-    uint64_t end_ns;
-  };
-
-  int track;
   std::string label;  // written by the owner thread only
   obs::MetricsRegistry registry;
   std::array<obs::Histogram*, kNumPhases> hist{};
   std::array<uint64_t, kNumCounts> counts{};
-  std::vector<TimelineRow> timeline;
-  uint64_t timeline_dropped = 0;
 
   void ResetValues() {
     registry.ResetValues();
     counts.fill(0);
-    timeline.clear();
-    timeline_dropped = 0;
   }
 };
-
-Profiler::Profiler() : epoch_ns_(NowNs()) {}
 
 Profiler& Profiler::Instance() {
   static Profiler* profiler = new Profiler();  // never destroyed
@@ -141,20 +95,12 @@ Profiler::ThreadProf* Profiler::BufferForThisThread() {
 }
 
 void Profiler::RecordSpan(Phase phase, uint64_t start_ns, uint64_t end_ns) {
-  ProfMode mode = mode_.load(std::memory_order_relaxed);
-  if (mode == ProfMode::kOff) {
+  if (mode_.load(std::memory_order_relaxed) == ProfMode::kOff) {
     return;
   }
-  ThreadProf* buf = BufferForThisThread();
   uint64_t dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
-  buf->hist[static_cast<int>(phase)]->Record(static_cast<double>(dur_ns) * 1e-9);
-  if (mode == ProfMode::kTimeline && PhaseIsTimeline(phase)) {
-    if (buf->timeline.size() < kTimelineCap) {
-      buf->timeline.push_back({phase, start_ns, end_ns});
-    } else {
-      ++buf->timeline_dropped;
-    }
-  }
+  BufferForThisThread()->hist[static_cast<int>(phase)]->Record(static_cast<double>(dur_ns) *
+                                                               1e-9);
 }
 
 void Profiler::AddCount(Count count, uint64_t n) {
@@ -193,10 +139,7 @@ Report Profiler::Collect(bool reset) {
   report.mode = mode_.load(std::memory_order_relaxed);
   report.jobs = jobs_.load(std::memory_order_relaxed);
 
-  // Drop accounting is read before the timeline export below, so the
-  // report never blames the profiler's own wall events for evictions.
-  obs::Tracer& tracer = obs::Tracer::Global();
-  report.trace_dropped = tracer.dropped();
+  report.trace_dropped = obs::Tracer::Global().dropped();
   report.metrics_merge_dropped = obs::MetricsRegistry::Global().merge_dropped();
 
   // Merge every thread's histograms bucket-wise, then summarize the phases
@@ -207,13 +150,13 @@ Report Profiler::Collect(bool reset) {
   }
   std::array<double, kNumPhases> totals{};
   for (int p = 0; p < kNumPhases; ++p) {
-    const obs::Histogram* h = merged.histogram(kPhaseInfo[p].name);
+    const obs::Histogram* h = merged.histogram(kPhaseName[p]);
     if (h == nullptr || h->count() == 0) {
       continue;
     }
     totals[p] = h->sum();
     PhaseStats stats;
-    stats.name = kPhaseInfo[p].name;
+    stats.name = kPhaseName[p];
     stats.count = h->count();
     stats.total_s = h->sum();
     stats.mean_s = h->mean();
@@ -230,8 +173,6 @@ Report Profiler::Collect(bool reset) {
     for (int c = 0; c < kNumCounts; ++c) {
       report.counts[c] += buf->counts[c];
     }
-    report.timeline_events += buf->timeline.size();
-    report.timeline_dropped += buf->timeline_dropped;
   }
 
   // Per-worker rows: every buffer that ran batch tasks, merged by label
@@ -284,19 +225,6 @@ Report Profiler::Collect(bool reset) {
     }
     if (report.setup_fraction > top) {
       report.bottleneck = "serial setup (RunContext construction)";
-    }
-  }
-
-  // Timeline rows become wall-clock tracks in the Chrome trace: one track
-  // per recording thread under the "oasis-wall" process, timestamps in
-  // microseconds since the profiler epoch.
-  if (report.mode == ProfMode::kTimeline && tracer.enabled()) {
-    for (const auto& buf : buffers_) {
-      for (const ThreadProf::TimelineRow& row : buf->timeline) {
-        tracer.WallComplete("prof", PhaseName(row.phase), buf->track,
-                            static_cast<int64_t>((row.start_ns - epoch_ns_) / 1000),
-                            static_cast<int64_t>((row.end_ns - row.start_ns) / 1000));
-      }
     }
   }
 
@@ -361,12 +289,6 @@ void Report::WriteTable(std::ostream& out) const {
   if (bottleneck[0] != '\0') {
     out << "[prof] top scaling bottleneck: " << bottleneck << '\n';
   }
-  if (timeline_dropped != 0) {
-    std::snprintf(line, sizeof(line),
-                  "[prof] WARNING: timeline dropped %llu rows (per-thread cap)\n",
-                  static_cast<unsigned long long>(timeline_dropped));
-    out << line;
-  }
   if (trace_dropped != 0) {
     std::snprintf(line, sizeof(line),
                   "[prof] WARNING: trace ring dropped %llu events — the exported trace is "
@@ -394,8 +316,6 @@ void Report::WriteJson(std::ostream& out, int indent) const {
   out << pad << "  \"setup_fraction\": " << setup_fraction << ",\n";
   out << pad << "  \"worker_idle_share\": " << worker_idle_share << ",\n";
   out << pad << "  \"bottleneck\": \"" << bottleneck << "\",\n";
-  out << pad << "  \"timeline_events\": " << timeline_events << ",\n";
-  out << pad << "  \"timeline_dropped\": " << timeline_dropped << ",\n";
   out << pad << "  \"trace_dropped\": " << trace_dropped << ",\n";
   out << pad << "  \"metrics_merge_dropped\": " << metrics_merge_dropped << ",\n";
   out << pad << "  \"counters\": {";

@@ -16,19 +16,14 @@
 // jobs=N scaling loss — plus the trace-ring and metrics-merge drop counts so
 // silently truncated observability is visible.
 //
-// Environment variable (parsed by ProfSession, convention of OASIS_CHECK):
-//   OASIS_PROF=off|summary|timeline
-//     off (default)  zero clock reads: every site gates on one relaxed
-//                    atomic load and records nothing.
-//     summary        phase histograms + counters; report to stderr.
-//     timeline       summary plus per-worker timeline rows, exported into
-//                    the Chrome trace (OASIS_TRACE) as wall-clock tracks
-//                    under a second process ("oasis-wall").
+// OASIS_PROF (a row of src/common/knobs.h) picks the mode: off (default)
+// makes zero clock reads — every site gates on one relaxed atomic load and
+// records nothing; summary records phase histograms and counters and
+// reports them to stderr.
 //
 // The profiler never touches simulation state, RNG streams, or the sim-time
-// collectors' contents (timeline export appends to the trace *file* only,
-// in timeline mode), so goldens and metric digests are byte-identical in
-// every mode. All report output goes to stderr — the obs-tagged wall-clock
+// collectors, so goldens and metric digests are byte-identical in every
+// mode. All report output goes to stderr — the obs-tagged wall-clock
 // channel excluded from golden capture (goldens pin stdout).
 //
 // Threading contract: recording is safe from any thread at any time;
@@ -53,33 +48,24 @@
 namespace oasis {
 namespace prof {
 
+// Order is the OASIS_PROF row's choice order.
 enum class ProfMode {
   kOff,
-  kSummary,   // histograms + counters, stderr report
-  kTimeline,  // summary + per-worker wall-clock tracks in the Chrome trace
+  kSummary,  // histograms + counters, stderr report
 };
 
 const char* ProfModeName(ProfMode mode);
-
-// Exit status used when OASIS_PROF names an unknown mode (matches the
-// OASIS_POLICY / OASIS_CHECK strict convention).
-inline constexpr int kBadModeExitCode = 2;
 
 struct ProfConfig {
   ProfMode mode = ProfMode::kOff;
 
   bool Enabled() const { return mode != ProfMode::kOff; }
 
-  // Parses OASIS_PROF ("", "0", "off" -> off; "1", "on", "summary" ->
-  // summary; "2", "timeline" -> timeline). Any other value prints the
-  // accepted spellings to stderr and exits with kBadModeExitCode.
+  // Reads OASIS_PROF; an unknown mode exits 2 (knobs::Reject).
   static ProfConfig FromEnv();
 };
 
-// The instrumented wall-clock phases. Timeline-grade phases (coarse, a few
-// per run) also emit per-worker timeline rows in kTimeline mode; the
-// per-event simulator phases are summary-only (histograms), since millions
-// of rows would drown any timeline.
+// The instrumented wall-clock phases.
 enum class Phase : int {
   kRunParallel = 0,  // one exp::RunOrdered batch, end to end (calling thread)
   kRunSetup,         // run-local obs::RunContext construction (serial)
@@ -95,7 +81,6 @@ enum class Phase : int {
 inline constexpr int kNumPhases = static_cast<int>(Phase::kPhaseCount);
 
 const char* PhaseName(Phase phase);
-bool PhaseIsTimeline(Phase phase);
 
 // Counters, accumulated per thread like the phases. The batch runner has no
 // queues to steal from and no wake protocol, so kPoolSteals and kPoolWakes
@@ -150,8 +135,6 @@ struct Report {
   double setup_fraction = 0.0;         // kRunSetup total / wall
   double worker_idle_share = 0.0;      // idle / (busy + idle) across workers
   const char* bottleneck = "";         // named top scaling loss
-  uint64_t timeline_events = 0;
-  uint64_t timeline_dropped = 0;
   // Observability drop accounting (satellite of the same PR): nonzero means
   // the exported trace/metrics silently lost data.
   uint64_t trace_dropped = 0;
@@ -179,26 +162,23 @@ class Profiler {
   // Monotonic nanoseconds (std::chrono::steady_clock).
   static uint64_t NowNs();
 
-  // Records one completed span into the calling thread's buffer: histogram
-  // always, timeline row when the mode is kTimeline and the phase is
-  // timeline-grade. No-op when the profiler is off.
+  // Records one completed span into the calling thread's histogram. No-op
+  // when the profiler is off.
   void RecordSpan(Phase phase, uint64_t start_ns, uint64_t end_ns);
   void AddCount(Count count, uint64_t n = 1);
 
   // Labels the calling thread's buffer ("main", "worker3", ...) for the
-  // per-worker report rows and timeline track names.
+  // per-worker report rows.
   void LabelCurrentThread(const char* prefix, int index = -1);
 
   // Remembers the worker count of the most recent parallel region, for the
   // report's efficiency denominator.
   void NoteJobs(int jobs);
 
-  // Rolls every thread buffer into a Report. In kTimeline mode the buffered
-  // timeline rows are first exported into the *global* obs tracer (wall
-  // tracks, see obs::Tracer::WallComplete) when tracing is enabled. With
-  // `reset` the buffers are zeroed afterwards, opening a fresh collection
-  // window (bench/perf_sweep collects once per sweep point). Must not run
-  // concurrently with recording threads.
+  // Rolls every thread buffer into a Report. With `reset` the buffers are
+  // zeroed afterwards, opening a fresh collection window (bench/perf_sweep
+  // collects once per sweep point). Must not run concurrently with
+  // recording threads.
   Report Collect(bool reset);
 
   // Zeroes every thread buffer without reporting.
@@ -207,12 +187,11 @@ class Profiler {
  private:
   struct ThreadProf;
 
-  Profiler();
+  Profiler() = default;
   ThreadProf* BufferForThisThread();
 
   std::atomic<ProfMode> mode_{ProfMode::kOff};
   std::atomic<int> jobs_{1};
-  uint64_t epoch_ns_ = 0;  // timeline timestamps are relative to this
   std::mutex mu_;          // guards buffers_ registration and Collect/Reset
   std::vector<std::unique_ptr<ThreadProf>> buffers_;
 };
@@ -243,8 +222,8 @@ class ProfScope {
 };
 
 // RAII: wires the profiler to OASIS_PROF for a binary's main. Declare it
-// *after* ObsScope, so Finish() (destructor order) runs before the trace
-// file is exported and timeline rows make it into the Chrome JSON:
+// *after* ObsScope, so Finish() (destructor order) prints the profile before
+// ObsScope's export lines:
 //
 //     oasis::check::CheckScope check_scope;   // OASIS_CHECK
 //     oasis::obs::ObsScope obs_scope;         // OASIS_TRACE / OASIS_METRICS

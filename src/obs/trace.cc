@@ -109,22 +109,6 @@ void Tracer::CounterValue(const char* category, const char* name, SimTime at, in
   Push(TraceEvent{TracePhase::kCounter, category, name, at.micros(), 0, value, TraceArgs{}});
 }
 
-void Tracer::WallComplete(const char* category, const char* name, int64_t track,
-                          int64_t start_us, int64_t dur_us) {
-  if (!enabled()) {
-    return;
-  }
-  TraceEvent e;
-  e.phase = TracePhase::kComplete;
-  e.category = category;
-  e.name = name;
-  e.ts_us = start_us;
-  e.dur_us = dur_us;
-  e.args.host = track;  // renders as tid = track + 1, like host tracks
-  e.pid = 2;
-  Push(e);
-}
-
 std::vector<TraceEvent> Tracer::Events() const {
   std::vector<TraceEvent> out;
   size_t n = size();
@@ -145,7 +129,7 @@ void Tracer::WriteEventJson(std::ostream& out, const TraceEvent& event) const {
   WriteJsonString(out, event.category);
   out << ",\"name\":";
   WriteJsonString(out, event.name);
-  out << ",\"pid\":" << event.pid << ",\"tid\":" << tid << ",\"ts\":" << event.ts_us;
+  out << ",\"pid\":1,\"tid\":" << tid << ",\"ts\":" << event.ts_us;
   if (event.phase == TracePhase::kComplete) {
     out << ",\"dur\":" << event.dur_us;
   }
@@ -165,8 +149,7 @@ void Tracer::WriteEventJson(std::ostream& out, const TraceEvent& event) const {
     arg("value", event.value);
   }
   if (event.args.host >= 0) {
-    // On the wall-clock process the host slot carries the worker track.
-    arg(event.pid == 2 ? "track" : "host", event.args.host);
+    arg("host", event.args.host);
   }
   if (event.args.vm >= 0) {
     arg("vm", event.args.vm);
@@ -182,14 +165,6 @@ void Tracer::ExportChromeJson(std::ostream& out) const {
   out << "{\"traceEvents\":[\n";
   out << "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":"
          "\"oasis-sim\"}}";
-  for (const TraceEvent& event : events) {
-    if (event.pid == 2) {
-      // Wall-clock profiler tracks present: name their process once.
-      out << ",\n{\"ph\":\"M\",\"pid\":2,\"name\":\"process_name\",\"args\":{\"name\":"
-             "\"oasis-wall\"}}";
-      break;
-    }
-  }
   for (const TraceEvent& event : events) {
     out << ",\n";
     WriteEventJson(out, event);

@@ -46,15 +46,10 @@ struct TraceEvent {
   TracePhase phase = TracePhase::kInstant;
   const char* category = "";
   const char* name = "";
-  int64_t ts_us = 0;   // simulated microseconds (wall microseconds on pid 2)
+  int64_t ts_us = 0;   // simulated microseconds
   int64_t dur_us = 0;  // kComplete only
   int64_t value = 0;   // kCounter only
   TraceArgs args;
-  // Chrome-trace process id: 1 = "oasis-sim" (sim-time tracks, the
-  // default), 2 = "oasis-wall" (wall-clock profiler tracks; see
-  // WallComplete). The exporter emits process metadata for pid 2 only when
-  // such events exist, so sim-only traces are byte-identical to before.
-  int32_t pid = 1;
 };
 
 class Tracer {
@@ -84,11 +79,6 @@ class Tracer {
   void Instant(const char* category, const char* name, SimTime at, TraceArgs args = {});
   // A sampled counter track (e.g. event-queue depth over sim time).
   void CounterValue(const char* category, const char* name, SimTime at, int64_t value);
-  // A *wall-clock* span on the "oasis-wall" process (pid 2), track `track`
-  // (one per recording thread). Timestamps are wall microseconds relative
-  // to the profiler epoch, not sim time. Used by prof timeline export.
-  void WallComplete(const char* category, const char* name, int64_t track,
-                    int64_t start_us, int64_t dur_us);
 
   // --- inspection ----------------------------------------------------------
   size_t size() const { return total_ < capacity_ ? static_cast<size_t>(total_) : capacity_; }

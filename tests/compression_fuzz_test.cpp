@@ -5,24 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "src/common/rng.h"
 #include "src/mem/compression.h"
+#include "tests/test_env.h"
 
 namespace oasis {
 namespace {
-
-// Trial counts are tunable so CI can bound the Release-mode run:
-// OASIS_FUZZ_TRIALS caps every fuzz loop at that many iterations.
-int FuzzTrials(int default_trials) {
-  const char* env = std::getenv("OASIS_FUZZ_TRIALS");
-  if (env == nullptr || *env == '\0') {
-    return default_trials;
-  }
-  int parsed = std::atoi(env);
-  return parsed > 0 ? std::min(parsed, default_trials) : default_trials;
-}
 
 std::vector<uint8_t> RandomBuffer(Rng& rng, size_t size, int alphabet) {
   std::vector<uint8_t> out(size);
@@ -50,7 +38,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, RoundTripSizeTest,
 
 TEST(CompressionFuzzTest, StructuredPatternsRoundTrip) {
   Rng rng(7);
-  const int trials = FuzzTrials(200);
+  const int trials = testing::FuzzTrials(200);
   for (int trial = 0; trial < trials; ++trial) {
     // Stitch together runs, repeats of earlier content, and noise.
     std::vector<uint8_t> input;
@@ -89,7 +77,7 @@ TEST(CompressionFuzzTest, MutatedStreamsNeverCrash) {
   Rng rng(13);
   std::vector<uint8_t> input = RandomBuffer(rng, 2000, 7);
   std::vector<uint8_t> compressed = LzCompress(input);
-  const int trials = FuzzTrials(500);
+  const int trials = testing::FuzzTrials(500);
   for (int trial = 0; trial < trials; ++trial) {
     std::vector<uint8_t> mutated = compressed;
     int flips = 1 + static_cast<int>(rng.NextBelow(4));

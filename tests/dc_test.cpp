@@ -135,20 +135,6 @@ TEST(DatacenterEnvTest, RackCountOverrideParses) {
   EXPECT_EQ(config.total_racks, 8);
 }
 
-TEST(DatacenterEnvDeathTest, UnknownRackCountExitsWithStatus2) {
-  // The OASIS_CHECK / OASIS_PROF / OASIS_POLICY convention: an OASIS_* knob
-  // set to something unusable is a hard configuration error, not a silent
-  // fallback.
-  DatacenterConfig config;
-  setenv("OASIS_DC_RACKS", "a-rack-count", 1);
-  EXPECT_EXIT(ApplyDatacenterEnvOverrides(&config), ::testing::ExitedWithCode(2),
-              "OASIS_DC_RACKS");
-  setenv("OASIS_DC_RACKS", "-3", 1);
-  EXPECT_EXIT(ApplyDatacenterEnvOverrides(&config), ::testing::ExitedWithCode(2),
-              "not a positive integer");
-  unsetenv("OASIS_DC_RACKS");
-}
-
 TEST(CoordinatorTest, OffModeReturnsZeroStats) {
   CoordinatorConfig config = DrainConfig();
   config.mode = CoordinatorMode::kOff;

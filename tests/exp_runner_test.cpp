@@ -9,8 +9,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +18,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/run_context.h"
 #include "src/obs/trace.h"
+#include "tests/test_env.h"
 
 namespace oasis {
 namespace {
@@ -125,32 +124,6 @@ void ExpectSameObs(const GlobalObs& observed, const GlobalObs& reference) {
   EXPECT_EQ(observed.csv, reference.csv);
 }
 
-// Sets (or, with nullptr, unsets) an environment variable for one scope.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      old_ = old;
-    }
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (old_.has_value()) {
-      setenv(name_, old_->c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
-
 TEST(ExperimentPlanTest, AddAssignsSequentialIndices) {
   exp::ExperimentPlan plan;
   EXPECT_TRUE(plan.empty());
@@ -184,7 +157,7 @@ TEST(RunOrderedTest, RunsEveryIndexExactlyOnce) {
   // worker count.
   for (size_t count : {size_t{0}, size_t{1}, size_t{3}, size_t{200}}) {
     for (int jobs : {1, 4, 16}) {
-      SCOPED_TRACE(testing::Message() << "count=" << count << " jobs=" << jobs);
+      SCOPED_TRACE(::testing::Message() << "count=" << count << " jobs=" << jobs);
       std::vector<std::atomic<int>> hits(count);
       exp::RunOrdered(count, jobs, [&hits](size_t i, obs::RunContext* context) {
         EXPECT_EQ(context, nullptr) << "collectors are dark: no context expected";
@@ -227,27 +200,16 @@ TEST(RunOrderedTest, InstallsContextsAndMergesUnderPrefixInIndexOrder) {
 
 TEST(JobsFromEnvTest, ParsesPositiveIntegersAndDefaultsToHardware) {
   {
-    EnvGuard env("OASIS_JOBS", "3");
+    testing::EnvGuard env("OASIS_JOBS", "3");
     EXPECT_EQ(exp::JobsFromEnv(), 3);
   }
   {
-    EnvGuard env("OASIS_JOBS", "");
+    testing::EnvGuard env("OASIS_JOBS", "");
     EXPECT_EQ(exp::JobsFromEnv(), exp::HardwareJobs());
   }
   {
-    EnvGuard env("OASIS_JOBS", nullptr);
+    testing::EnvGuard env("OASIS_JOBS", nullptr);
     EXPECT_EQ(exp::JobsFromEnv(), exp::HardwareJobs());
-  }
-}
-
-TEST(JobsFromEnvDeathTest, MalformedValueExitsTwo) {
-  // Same convention as OASIS_DC_RACKS: a typo must not silently fall back
-  // to the hardware worker count.
-  for (const char* bad : {"four", "0", "-2", "4x", "4294967296", "99999999999999999999"}) {
-    SCOPED_TRACE(bad);
-    EnvGuard env("OASIS_JOBS", bad);
-    EXPECT_EXIT(exp::JobsFromEnv(), ::testing::ExitedWithCode(2),
-                "OASIS_JOBS=.* is not a positive integer");
   }
 }
 

@@ -276,7 +276,7 @@ TEST(ObsConfigTest, FromEnvReadsAllKnobs) {
   EXPECT_TRUE(config.TraceIsJsonl());
   EXPECT_TRUE(config.MetricsRequested());
   EXPECT_EQ(config.trace_capacity, 128u);
-  EXPECT_EQ(config.log_level, "debug");
+  EXPECT_EQ(config.log_level, LogLevel::kDebug);
   ::unsetenv("OASIS_TRACE");
   ::unsetenv("OASIS_METRICS");
   ::unsetenv("OASIS_TRACE_CAPACITY");
@@ -284,6 +284,7 @@ TEST(ObsConfigTest, FromEnvReadsAllKnobs) {
   ObsConfig off = ObsConfig::FromEnv();
   EXPECT_FALSE(off.TracingRequested());
   EXPECT_FALSE(off.MetricsRequested());
+  EXPECT_FALSE(off.log_level.has_value());
 }
 
 TEST(ObsConfigTest, SeedAcceptsIntegersAndEmptyMeansUnset) {
@@ -297,30 +298,7 @@ TEST(ObsConfigTest, SeedAcceptsIntegersAndEmptyMeansUnset) {
   EXPECT_FALSE(ObsConfig::FromEnv().has_seed);
 }
 
-TEST(ObsConfigDeathTest, MalformedSeedExitsWithStatusTwo) {
-  for (const char* bad : {"abc", "12x", "0x"}) {
-    ::setenv("OASIS_SEED", bad, 1);
-    EXPECT_EXIT(ObsConfig::FromEnv(), ::testing::ExitedWithCode(2), "OASIS_SEED")
-        << "value: " << bad;
-  }
-  ::unsetenv("OASIS_SEED");
-}
-
-TEST(ObsConfigDeathTest, MalformedTraceCapacityExitsWithStatusTwo) {
-  for (const char* bad : {"10k", "abc", "0", "-5"}) {
-    ::setenv("OASIS_TRACE_CAPACITY", bad, 1);
-    EXPECT_EXIT(ObsConfig::FromEnv(), ::testing::ExitedWithCode(2), "OASIS_TRACE_CAPACITY")
-        << "value: " << bad;
-  }
-  ::unsetenv("OASIS_TRACE_CAPACITY");
-}
-
-TEST(BenchRunsDeathTest, MalformedRunCountExitsWithStatusTwo) {
-  for (const char* bad : {"3x", "abc", "0", "-2"}) {
-    ::setenv("OASIS_BENCH_RUNS", bad, 1);
-    EXPECT_EXIT(BenchRuns(), ::testing::ExitedWithCode(2), "OASIS_BENCH_RUNS")
-        << "value: " << bad;
-  }
+TEST(BenchRunsTest, OverrideAndDefault) {
   ::setenv("OASIS_BENCH_RUNS", "3", 1);
   EXPECT_EQ(BenchRuns(), 3);
   ::setenv("OASIS_BENCH_RUNS", "", 1);

@@ -123,18 +123,5 @@ TEST(EmpiricalCdfTest, InterleavedAddAndQuery) {
   EXPECT_DOUBLE_EQ(cdf.Min(), 1.0);
 }
 
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);
-  h.Add(9.5);
-  h.Add(-100.0);  // clamps into bucket 0
-  h.Add(100.0);   // clamps into bucket 9
-  EXPECT_EQ(h.BucketCount(0), 2u);
-  EXPECT_EQ(h.BucketCount(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.BucketLow(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.BucketHigh(3), 4.0);
-}
-
 }  // namespace
 }  // namespace oasis

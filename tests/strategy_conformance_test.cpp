@@ -11,9 +11,7 @@
 //     consolidation can only lose energy — and a strategy that declares the
 //     opposite really does migrate there (the trait is honest);
 //   * every strategy is jobs-invariant: the same repetitions fold to the
-//     same digests at OASIS_JOBS 1 and 4;
-//   * the predictive strategy's forecast-window knob fails loudly (exit 2)
-//     on malformed input, mirroring OASIS_POLICY.
+//     same digests at OASIS_JOBS 1 and 4.
 //
 // The suite iterates RegisteredStrategyNames() so a newly registered
 // strategy is conformance-tested by construction, with zero edits here.
@@ -22,13 +20,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "src/check/check.h"
 #include "src/cluster/manager.h"
-#include "src/cluster/strategy_predictive.h"
 #include "src/common/rng.h"
 #include "src/core/oasis.h"
 #include "src/exp/exp.h"
@@ -36,23 +32,13 @@
 #include "src/power/host_profile.h"
 #include "src/trace/activity_trace.h"
 #include "tests/metric_digest.h"
+#include "tests/test_env.h"
 
 namespace oasis {
 namespace {
 
 using check::CheckMode;
 using check::InvariantChecker;
-
-// OASIS_FUZZ_TRIALS caps every fuzz loop (the CI Release leg bounds it; the
-// sanitizer legs run the full default depth).
-int FuzzTrials(int default_trials) {
-  const char* env = std::getenv("OASIS_FUZZ_TRIALS");
-  if (env == nullptr || *env == '\0') {
-    return default_trials;
-  }
-  int parsed = std::atoi(env);
-  return parsed > 0 ? std::min(parsed, default_trials) : default_trials;
-}
 
 TraceSet UniformTrace(int users, bool active) {
   TraceSet set;
@@ -115,7 +101,7 @@ TEST_F(StrategyConformanceTest, FuzzedShapesHoldTheInvariants) {
   // reproduces exactly. Every run executes under the fixture's checker;
   // capacity breaches, double-residency, or power-state misuse all land in
   // violation_count and fail the suite at teardown.
-  const int trials = FuzzTrials(6);
+  const int trials = testing::FuzzTrials(6);
   const ConsolidationPolicy kPolicies[] = {
       ConsolidationPolicy::kOnlyPartial, ConsolidationPolicy::kDefault,
       ConsolidationPolicy::kFullToPartial, ConsolidationPolicy::kNewHome};
@@ -150,7 +136,7 @@ TEST_F(StrategyConformanceTest, FuzzedFleetMixesHoldTheInvariantsAndNeverSleepNo
   // violations: no strategy ever suspends an s3_capable=false host (their
   // per-class sleep ledger must read exactly zero), and S3-capable bands
   // keep working — the mix degrades savings, never correctness.
-  const int trials = FuzzTrials(4);
+  const int trials = testing::FuzzTrials(4);
   const std::vector<HostProfile>& catalog = HostGenerationCatalog();
   uint64_t salt = 0;
   for (const std::string& name : RegisteredStrategyNames()) {
@@ -253,28 +239,6 @@ TEST_F(StrategyConformanceTest, RepetitionsAreJobsInvariant) {
     };
     EXPECT_EQ(digests_at(1), digests_at(4)) << name << " is not jobs-invariant";
   }
-}
-
-// --- the forecast-window knob -----------------------------------------------
-
-TEST(ForecastWindowDeathTest, MalformedWindowExitsWithStatusTwo) {
-  // Mirrors OASIS_POLICY: a malformed value is a fatal
-  // configuration error, not a silent default.
-  for (const char* bad : {"banana", "0", "-3", "999", "6x", ""}) {
-    if (*bad == '\0') {
-      continue;  // empty means "use the default", tested below
-    }
-    setenv("OASIS_FORECAST_WINDOW", bad, 1);
-    EXPECT_EXIT(ForecastWindowFromEnv(), ::testing::ExitedWithCode(2),
-                "OASIS_FORECAST_WINDOW") << "value: " << bad;
-  }
-  unsetenv("OASIS_FORECAST_WINDOW");
-  EXPECT_EQ(ForecastWindowFromEnv(), 6);
-  setenv("OASIS_FORECAST_WINDOW", "12", 1);
-  EXPECT_EQ(ForecastWindowFromEnv(), 12);
-  setenv("OASIS_FORECAST_WINDOW", "", 1);
-  EXPECT_EQ(ForecastWindowFromEnv(), 6);
-  unsetenv("OASIS_FORECAST_WINDOW");
 }
 
 }  // namespace

@@ -69,13 +69,17 @@ void Actuator::SetResidency(VmSlot& vm, VmResidency next) {
     return;
   }
   // A VM's home never changes, so the per-home counts follow the residency
-  // alone; the per-host one follows it at the host the VM is resident on.
+  // alone; the per-host one follows it at the host the VM is resident on,
+  // and the per-VM full-at-consolidation bit follows the VM itself.
   auto count = [this, &vm](int delta) {
     if (vm.residency == VmResidency::kPartial) {
       state_.partials_homed[vm.home] += delta;
       state_.partial_residents[vm.location] += delta;
     } else if (vm.residency == VmResidency::kFullAtConsolidation) {
       state_.fac_homed[vm.home] += delta;
+      uint64_t bit = uint64_t{1} << (vm.id % 64);
+      uint64_t& word = state_.fac_vm_bits[vm.id / 64];
+      word = delta > 0 ? word | bit : word & ~bit;
     }
   };
   count(-1);
@@ -354,7 +358,7 @@ void Actuator::PartialVmUpkeep(SimTime now) {
 }
 
 void Actuator::FullToPartialSwapGroup(SimTime now, HostId home_id,
-                                      const std::vector<VmId>& group) {
+                                      std::span<const VmId> group) {
   // Idle full VMs parked on consolidation hosts go home and come back as
   // partials, freeing most of their reservation (§3.2 FulltoPartial).
   const ClusterTimings& t = config_.timings;

@@ -12,6 +12,7 @@
 #ifndef OASIS_SRC_CLUSTER_ACTUATOR_H_
 #define OASIS_SRC_CLUSTER_ACTUATOR_H_
 
+#include <span>
 #include <vector>
 
 #include "src/cluster/cluster_types.h"
@@ -38,7 +39,7 @@ class Actuator {
   // idle full VM in `group` back home, re-consolidates it as a partial onto
   // its previous consolidation host (when the freshly sampled working set
   // fits), and schedules the home's sleep once its channel drains.
-  void FullToPartialSwapGroup(SimTime now, HostId home_id, const std::vector<VmId>& group);
+  void FullToPartialSwapGroup(SimTime now, HostId home_id, std::span<const VmId> group);
   // Executes a vacate plan: wakes destinations, moves each VM full or
   // partial per its placement, and schedules each emptied home's sleep.
   void CommitVacatePlan(SimTime now, const VacatePlan& plan);

@@ -166,14 +166,24 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
   // set transition; re-derive each from the VM table so a missed or
   // double-counted transition is caught within one planning round. The
   // per-host counts cover residents, so they are keyed on vm.location (which
-  // the partition walk above ties to the resident sets).
+  // the partition walk above ties to the resident sets); the
+  // full-at-consolidation bitset is keyed on the VM itself.
   {
     std::vector<int> partials_homed(num_hosts, 0);
     std::vector<int> fac_homed(num_hosts, 0);
     std::vector<int> inflight_residents(num_hosts, 0);
     std::vector<int> partial_residents(num_hosts, 0);
     for (size_t v = 0; v < num_vms; ++v) {
-      const VmSlot& vm = manager.GetVm(static_cast<VmId>(v));
+      VmId vid = static_cast<VmId>(v);
+      const VmSlot& vm = manager.GetVm(vid);
+      bool fac = vm.residency == VmResidency::kFullAtConsolidation;
+      checker.Expect(manager.FacBitAt(vid) == fac, "cluster.fac_bits_exact", now,
+                     [&] {
+                       return "VM " + std::to_string(vid) + " full-at-consolidation bit is " +
+                              (fac ? "clear" : "set") + " but its residency " +
+                              (fac ? "is" : "is not") + " kFullAtConsolidation";
+                     },
+                     obs::TraceArgs{H(vm.location), V(vid)});
       if (static_cast<size_t>(vm.home) >= num_hosts ||
           static_cast<size_t>(vm.location) >= num_hosts) {
         continue;  // reported by the per-VM checks below
@@ -181,7 +191,7 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
       if (vm.residency == VmResidency::kPartial) {
         ++partials_homed[vm.home];
         ++partial_residents[vm.location];
-      } else if (vm.residency == VmResidency::kFullAtConsolidation) {
+      } else if (fac) {
         ++fac_homed[vm.home];
       }
       if (vm.migration_in_flight) {

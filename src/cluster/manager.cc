@@ -85,6 +85,7 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace,
   // aggregate starts at zero.
   state_.partials_homed.assign(state_.hosts.size(), 0);
   state_.fac_homed.assign(state_.hosts.size(), 0);
+  state_.fac_vm_bits.assign(row_words_, 0);
   state_.inflight_residents.assign(state_.hosts.size(), 0);
   state_.partial_residents.assign(state_.hosts.size(), 0);
 }

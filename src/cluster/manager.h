@@ -87,6 +87,7 @@ class ClusterManager {
   // re-derives each of them from the VM table every round.
   int PartialsHomedAt(HostId home) const { return state_.partials_homed[home]; }
   int FacHomedAt(HostId home) const { return state_.fac_homed[home]; }
+  bool FacBitAt(VmId vm) const { return (state_.fac_vm_bits[vm / 64] >> (vm % 64)) & 1; }
   int InflightResidentsOn(HostId host) const { return state_.inflight_residents[host]; }
   int PartialResidentsOn(HostId host) const { return state_.partial_residents[host]; }
   const FaultInjector& fault_injector() const { return fault_; }

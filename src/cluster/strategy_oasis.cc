@@ -1,6 +1,8 @@
 #include "src/cluster/strategy_oasis.h"
 
 #include <algorithm>
+#include <bit>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -18,8 +20,8 @@ PlanActions OasisGreedyStrategy::PlanInterval(const ClusterView& view, SimTime n
   if (policy == ConsolidationPolicy::kFullToPartial || policy == ConsolidationPolicy::kNewHome) {
     ExecuteSwapGroups(ComputeSwapGroups(view, now), now, act, actions);
   }
-  std::vector<Candidate> candidates = ScanVacateCandidates(view, now, planned_ws_);
-  MaybeCommitVacatePlan(now, act, actions, BestVacatePlan(view, candidates, planned_ws_));
+  std::vector<Candidate> candidates = ScanVacateCandidates(view, now, vacate_items_);
+  MaybeCommitVacatePlan(now, act, actions, BestVacatePlan(view, candidates, vacate_items_));
   actions.drain_moves += ExecuteDrain(view, now, act, SelectDrainSource(view, now));
   return actions;
 }
@@ -31,46 +33,64 @@ OasisGreedyStrategy::SwapGroups OasisGreedyStrategy::ComputeSwapGroups(
   // Idle full VMs parked on consolidation hosts go home and come back as
   // partials, freeing most of their reservation (§3.2 FulltoPartial). Homes
   // with no VM full at a consolidation host are skipped wholesale; VM ids
-  // are contiguous per home, so walking homes ascending and each home's VMs
-  // ascending visits candidates in ascending VM id.
-  SwapGroups groups;
+  // are contiguous per home, so walking homes ascending and the set bits of
+  // each home's id range in the full-at-consolidation bitset ascending
+  // visits candidates in ascending VM id.
+  SwapGroups swaps;
+  const std::vector<uint64_t>& fac_bits = view.fac_vm_bits();
   int num_homes = view.config().num_home_hosts;
   for (HostId h = 0; h < static_cast<HostId>(num_homes); ++h) {
     if (view.fac_homed(h) == 0) {
       continue;
     }
-    std::vector<VmId> group;
-    for (VmId id : view.vms_of_home(h)) {
-      const VmSlot& vm = view.vm(id);
-      if (vm.residency == VmResidency::kFullAtConsolidation && view.TrustedIdle(vm, now) &&
-          !vm.migration_in_flight) {
-        group.push_back(id);
+    const std::vector<VmId>& ids = view.vms_of_home(h);
+    size_t first = ids.front();
+    size_t last = ids.back();
+    size_t begin = swaps.vms.size();
+    for (size_t w = first / 64; w <= last / 64; ++w) {
+      uint64_t word = fac_bits[w];
+      if (w == first / 64) {
+        word &= ~uint64_t{0} << (first % 64);
+      }
+      if (w == last / 64) {
+        word &= ~uint64_t{0} >> (63 - last % 64);
+      }
+      for (; word != 0; word &= word - 1) {
+        VmId id = static_cast<VmId>(64 * w + static_cast<size_t>(std::countr_zero(word)));
+        const VmSlot& vm = view.vm(id);
+        if (view.TrustedIdle(vm, now) && !vm.migration_in_flight) {
+          swaps.vms.push_back(id);
+        }
       }
     }
-    if (!group.empty()) {
-      groups.emplace_back(h, std::move(group));
+    if (swaps.vms.size() > begin) {
+      swaps.groups.push_back({h, begin, swaps.vms.size()});
     }
   }
-  return groups;
+  return swaps;
 }
 
-void OasisGreedyStrategy::ExecuteSwapGroups(const SwapGroups& groups, SimTime now,
+void OasisGreedyStrategy::ExecuteSwapGroups(const SwapGroups& swaps, SimTime now,
                                             Actuator& act, PlanActions& actions) const {
-  for (const auto& [home_id, group] : groups) {
-    act.FullToPartialSwapGroup(now, home_id, group);
+  for (const SwapGroups::Group& g : swaps.groups) {
+    act.FullToPartialSwapGroup(
+        now, g.home, std::span<const VmId>(swaps.vms.data() + g.begin, g.end - g.begin));
     ++actions.full_to_partial_swap_groups;
-    actions.swapped_vms += static_cast<int>(group.size());
+    actions.swapped_vms += static_cast<int>(g.end - g.begin);
   }
 }
 
 // --- pass 2: power-gated vacate planning -------------------------------------
 
 std::vector<OasisGreedyStrategy::Candidate> OasisGreedyStrategy::ScanVacateCandidates(
-    const ClusterView& view, SimTime now, std::vector<uint64_t>& planned_ws) {
+    const ClusterView& view, SimTime now, std::vector<VacateItem>& items) {
   const ClusterConfig& config = view.config();
   bool only_partial = config.policy == ConsolidationPolicy::kOnlyPartial;
   auto trusted_idle = [&view, now](VmId id) { return view.TrustedIdle(view.vm(id), now); };
-  planned_ws.assign(view.num_vms(), 0);
+  // At most every VM becomes an item; reserving once keeps the table from
+  // regrowing across intervals (DESIGN.md, "Reserve once").
+  items.clear();
+  items.reserve(view.num_vms());
   std::vector<Candidate> candidates;
   int num_homes = config.num_home_hosts;
   for (HostId h = 0; h < static_cast<HostId>(num_homes); ++h) {
@@ -88,17 +108,20 @@ std::vector<OasisGreedyStrategy::Candidate> OasisGreedyStrategy::ScanVacateCandi
       continue;
     }
     uint64_t demand = 0;
+    uint32_t begin = static_cast<uint32_t>(items.size());
     for (VmId id : host.vms()) {
       const VmSlot& vm = view.vm(id);
       if (view.TrustedIdle(vm, now)) {
         uint64_t ws = view.SampleWorkingSet();
-        planned_ws[id] = ws;
+        items.push_back({ws, id, /*as_partial=*/true, /*active=*/false});
         demand += ws;
       } else {
+        items.push_back({vm.full_bytes, id, /*as_partial=*/false,
+                         /*active=*/vm.activity == VmActivity::kActive});
         demand += vm.full_bytes;
       }
     }
-    candidates.push_back({h, demand});
+    candidates.push_back({h, demand, begin, static_cast<uint32_t>(items.size())});
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) { return a.demand < b.demand; });
@@ -133,72 +156,73 @@ std::vector<OasisGreedyStrategy::Dest> OasisGreedyStrategy::BuildDestTable(
 
 VacatePlan OasisGreedyStrategy::PlaceAndPrice(const ClusterView& view,
                                               const std::vector<Candidate>& candidates,
-                                              std::vector<Dest> dests, size_t powered_dests,
-                                              const std::vector<uint64_t>& planned_ws) {
-  VacatePlan plan;
-  for (const Candidate& cand : candidates) {
-    const ClusterHost& host = view.host(cand.host);
-    std::vector<VacatePlacement> placement;
-    struct Tentative {
-      size_t idx;
-      uint64_t bytes;
-      bool active;
+                                              const std::vector<VacateItem>& items,
+                                              std::vector<Dest> dests, size_t powered_dests) {
+  // Destination choice (§3.1): random among powered consolidation hosts
+  // with room — one draw per visited item, then a wrap-around probe from
+  // the drawn start; spill onto sleeping hosts first-fit in a fixed order so
+  // the plan wakes as few of them as possible. Active VMs additionally need
+  // a CPU slot (assumption 1's 3x over-subscription cap). Returns the chosen
+  // index, or dests.size() when nothing fits.
+  Rng& rng = view.planning_rng();
+  const size_t num_dests = dests.size();
+  auto choose = [&](const VacateItem& item) {
+    auto fits = [&item](const Dest& d) {
+      return d.available >= item.need && (!item.active || d.active_slots > 0);
     };
-    std::vector<Tentative> tentative;
-    bool ok = true;
-    for (VmId id : host.vms()) {
-      const VmSlot& vm = view.vm(id);
-      bool consumes_cpu = vm.activity == VmActivity::kActive;
-      // A nonzero planned working set marks the VM for partial placement.
-      // Callers populate the table for exactly the VMs they intend to park
-      // as partials (greedy: trusted-idle residents; the predictive
-      // pre-drain: any currently idle resident), and samples are floored
-      // well above zero, so the encoding is unambiguous.
-      bool as_partial = planned_ws[id] != 0;
-      uint64_t need = as_partial ? planned_ws[id] : vm.full_bytes;
-      // Destination choice (§3.1): random among powered consolidation hosts
-      // with room; spill onto sleeping hosts first-fit in a fixed order so
-      // the plan wakes as few of them as possible. Active VMs additionally
-      // need a CPU slot (assumption 1's 3x over-subscription cap).
-      bool placed = false;
-      auto try_segment = [&](size_t first, size_t count, bool randomize) {
-        if (count == 0 || placed) {
-          return;
+    if (powered_dests > 0) {
+      size_t start = rng.NextBelow(powered_dests);
+      for (size_t k = start; k < powered_dests; ++k) {
+        if (fits(dests[k])) {
+          return k;
         }
-        size_t start = randomize ? first + view.planning_rng().NextBelow(count) : first;
-        for (size_t k = 0; k < count; ++k) {
-          size_t idx = first + (start - first + k) % count;
-          Dest& d = dests[idx];
-          if (d.available >= need && (!consumes_cpu || d.active_slots > 0)) {
-            d.available -= need;
-            if (consumes_cpu) {
-              --d.active_slots;
-            }
-            tentative.push_back({idx, need, consumes_cpu});
-            placement.push_back({id, d.host, as_partial, need});
-            placed = true;
-            return;
-          }
+      }
+      for (size_t k = 0; k < start; ++k) {
+        if (fits(dests[k])) {
+          return k;
         }
-      };
-      try_segment(0, powered_dests, /*randomize=*/true);
-      try_segment(powered_dests, dests.size() - powered_dests, /*randomize=*/false);
-      if (!placed) {
-        ok = false;
-        break;
       }
     }
-    if (!ok) {
-      for (const Tentative& t : tentative) {
-        dests[t.idx].available += t.bytes;
-        if (t.active) {
-          ++dests[t.idx].active_slots;
-        }
+    for (size_t k = powered_dests; k < num_dests; ++k) {
+      if (fits(dests[k])) {
+        return k;
+      }
+    }
+    return num_dests;
+  };
+
+  VacatePlan plan;
+  // The destination each of the current candidate's items took, in item
+  // order: undoes a candidate that does not fit, names the placements of
+  // one that does.
+  std::vector<uint32_t> placed_at;
+  for (const Candidate& cand : candidates) {
+    placed_at.clear();
+    for (uint32_t i = cand.begin; i < cand.end; ++i) {
+      const VacateItem& item = items[i];
+      size_t idx = choose(item);
+      if (idx == num_dests) {
+        break;
+      }
+      dests[idx].available -= item.need;
+      dests[idx].active_slots -= item.active ? 1 : 0;
+      placed_at.push_back(static_cast<uint32_t>(idx));
+    }
+    if (placed_at.size() < cand.end - cand.begin) {
+      for (size_t k = 0; k < placed_at.size(); ++k) {
+        const VacateItem& item = items[cand.begin + k];
+        dests[placed_at[k]].available += item.need;
+        dests[placed_at[k]].active_slots += item.active ? 1 : 0;
       }
       continue;
     }
-    for (const Tentative& t : tentative) {
-      dests[t.idx].used = true;
+    std::vector<VacatePlacement> placement;
+    placement.reserve(placed_at.size());
+    for (size_t k = 0; k < placed_at.size(); ++k) {
+      const VacateItem& item = items[cand.begin + k];
+      Dest& d = dests[placed_at[k]];
+      d.used = true;
+      placement.push_back({item.vm, d.host, item.as_partial, item.need});
     }
     plan.hosts_to_vacate.push_back(cand.host);
     plan.placements.push_back(std::move(placement));
@@ -226,7 +250,7 @@ VacatePlan OasisGreedyStrategy::PlaceAndPrice(const ClusterView& view,
 
 VacatePlan OasisGreedyStrategy::BestVacatePlan(const ClusterView& view,
                                                const std::vector<Candidate>& candidates,
-                                               const std::vector<uint64_t>& planned_ws) {
+                                               const std::vector<VacateItem>& items) {
   // No candidates: both variants would place nothing and draw nothing, and
   // the power gate rejects an empty plan, so the empty plan is exact.
   if (candidates.empty()) {
@@ -236,10 +260,9 @@ VacatePlan OasisGreedyStrategy::BestVacatePlan(const ClusterView& view,
   std::vector<Dest> dests = BuildDestTable(view, &powered_dests);
   std::vector<Dest> conservative_dests(dests.begin(),
                                        dests.begin() + static_cast<long>(powered_dests));
-  VacatePlan conservative = PlaceAndPrice(view, candidates, std::move(conservative_dests),
-                                          powered_dests, planned_ws);
-  VacatePlan aggressive =
-      PlaceAndPrice(view, candidates, std::move(dests), powered_dests, planned_ws);
+  VacatePlan conservative =
+      PlaceAndPrice(view, candidates, items, std::move(conservative_dests), powered_dests);
+  VacatePlan aggressive = PlaceAndPrice(view, candidates, items, std::move(dests), powered_dests);
   if (aggressive.net_power_delta_watts > conservative.net_power_delta_watts) {
     return aggressive;
   }

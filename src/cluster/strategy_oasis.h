@@ -10,7 +10,10 @@
 // ask ("is any resident in flight?", "are all residents partial?", "is any
 // VM homed here parked in full on a consolidation host?") are O(1) reads of
 // the aggregates ClusterState maintains (DESIGN.md, "Maintained
-// aggregates"), so a pass walks only the residents of hosts it may act on.
+// aggregates"), so a pass walks only the residents of hosts it may act on;
+// the swap pass walks only the set bits of the full-at-consolidation VM
+// bitset, and the vacate placement streams a flat item table (DESIGN.md,
+// "Vacate item table").
 //
 // The class is exposed (rather than hidden behind its factory) so tests can
 // drive the vacate planner's pieces directly against a manager's view and
@@ -20,7 +23,6 @@
 #define OASIS_SRC_CLUSTER_STRATEGY_OASIS_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/cluster/strategy.h"
@@ -33,9 +35,22 @@ class OasisGreedyStrategy : public ConsolidationStrategy {
   PlanActions PlanInterval(const ClusterView& view, SimTime now, Actuator& act) override;
 
   // --- the vacate planner's building blocks (pass 2) ----------------------
+  // One resident of a vacate candidate as the planner will place it: `need`
+  // bytes (the sampled working set when it goes as a partial, its full
+  // footprint otherwise) and whether it is active (needs a CPU slot).
+  struct VacateItem {
+    uint64_t need;
+    VmId vm;
+    bool as_partial;
+    bool active;
+  };
+  // A home to vacate: its total memory demand and its residents' rows
+  // [begin, end) of the item table, in resident order.
   struct Candidate {
     HostId host;
     uint64_t demand;
+    uint32_t begin;
+    uint32_t end;
   };
   struct Dest {
     HostId host;
@@ -48,24 +63,25 @@ class OasisGreedyStrategy : public ConsolidationStrategy {
   // The vacate candidates by ascending total memory demand (§3.1): every
   // powered, S3-capable home holding VMs, none of them in flight (and under
   // OnlyPartial all of them trusted idle). Eligible homes are visited in
-  // ascending id and their residents in ascending VM id, and each
-  // trusted-idle resident draws one working-set sample into `planned_ws`
-  // (indexed by VM id, zero for everyone else) — the draw order every pinned
-  // output depends on.
+  // ascending id and their residents in resident order; each resident
+  // appends one row to `items` (cleared first), and each trusted-idle one
+  // draws one working-set sample and goes as a partial — the draw order
+  // every pinned output depends on.
   static std::vector<Candidate> ScanVacateCandidates(const ClusterView& view, SimTime now,
-                                                     std::vector<uint64_t>& planned_ws);
+                                                     std::vector<VacateItem>& items);
   // The destination table over consolidation hosts: awake (powered or
   // resuming) ones first, `*powered_dests` of them, then sleeping ones.
   static std::vector<Dest> BuildDestTable(const ClusterView& view, size_t* powered_dests);
-  // Places the demand-sorted candidates onto a scratch copy of the
-  // destination table — random among the powered prefix, first-fit spill
-  // onto sleeping hosts — and prices the plan's §3.1 net power delta. This
-  // is the only part of pass 2 that draws from the planning rng. A nonzero
-  // planned_ws[vm] places that VM as a partial with that working set.
+  // Places the demand-sorted candidates' items onto a scratch copy of the
+  // destination table — random among the powered prefix (one planning-rng
+  // draw per visited item), first-fit spill onto sleeping hosts — and
+  // prices the plan's §3.1 net power delta. This is the only part of pass 2
+  // that draws from the planning rng. A candidate whose items do not all
+  // fit is undone from a log of the destinations its items took.
   static VacatePlan PlaceAndPrice(const ClusterView& view,
                                   const std::vector<Candidate>& candidates,
-                                  std::vector<Dest> dests, size_t powered_dests,
-                                  const std::vector<uint64_t>& planned_ws);
+                                  const std::vector<VacateItem>& items,
+                                  std::vector<Dest> dests, size_t powered_dests);
 
  protected:
   // Prices the candidates twice — conservatively on the awake hosts only,
@@ -73,16 +89,30 @@ class OasisGreedyStrategy : public ConsolidationStrategy {
   // that saves more (the conservative one on ties).
   static VacatePlan BestVacatePlan(const ClusterView& view,
                                    const std::vector<Candidate>& candidates,
-                                   const std::vector<uint64_t>& planned_ws);
+                                   const std::vector<VacateItem>& items);
   void MaybeCommitVacatePlan(SimTime now, Actuator& act, PlanActions& actions,
                              const VacatePlan& best) const;
 
+  // Per-interval scratch: the vacate item table, reserved once at the VM
+  // count and rewritten whole by each candidate scan (the greedy one, then
+  // the predictive pre-drain) before it is read.
+  std::vector<VacateItem> vacate_items_;
+
  private:
-  // Pass 1 decisions: (home, swap group) pairs in ascending home order.
-  using SwapGroups = std::vector<std::pair<HostId, std::vector<VmId>>>;
+  // Pass 1 decisions: every swap group's VMs in one vector, and per home
+  // (ascending) the range [begin, end) of `vms` that is its group.
+  struct SwapGroups {
+    struct Group {
+      HostId home;
+      size_t begin;
+      size_t end;
+    };
+    std::vector<VmId> vms;
+    std::vector<Group> groups;
+  };
 
   SwapGroups ComputeSwapGroups(const ClusterView& view, SimTime now) const;
-  void ExecuteSwapGroups(const SwapGroups& groups, SimTime now, Actuator& act,
+  void ExecuteSwapGroups(const SwapGroups& swaps, SimTime now, Actuator& act,
                          PlanActions& actions) const;
   HostId SelectDrainSource(const ClusterView& view, SimTime now) const;
   // Executes the incremental drain from `source_id` (kNoHost = nothing to
@@ -90,10 +120,6 @@ class OasisGreedyStrategy : public ConsolidationStrategy {
   // destination scans stay live because each move mutates the cluster.
   int ExecuteDrain(const ClusterView& view, SimTime now, Actuator& act,
                    HostId source_id) const;
-
-  // Per-interval scratch for ScanVacateCandidates (kept only to reuse the
-  // allocation; every interval overwrites it whole before reading it).
-  std::vector<uint64_t> planned_ws_;
 };
 
 }  // namespace oasis

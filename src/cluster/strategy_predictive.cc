@@ -97,8 +97,11 @@ void PredictiveStrategy::PreDrainPass(const ClusterView& view, SimTime now, Actu
   // least one the smoothing window doesn't trust yet — those are exactly the
   // homes the base greedy pass either skipped (OnlyPartial) or priced with
   // expensive full placements. The forecast says they'll stay idle, so plan
-  // every resident as a partial with a freshly sampled working set.
-  std::vector<uint64_t> planned_ws(view.num_vms(), 0);
+  // every resident as a partial with a freshly sampled working set, in the
+  // same item table the base scan filled (its plan is already committed).
+  std::vector<VacateItem>& items = vacate_items_;
+  items.clear();
+  items.reserve(view.num_vms());
   std::vector<Candidate> candidates;
   int num_homes = config.num_home_hosts;
   for (HostId h = 0; h < static_cast<HostId>(num_homes); ++h) {
@@ -125,18 +128,19 @@ void PredictiveStrategy::PreDrainPass(const ClusterView& view, SimTime now, Actu
       continue;
     }
     uint64_t demand = 0;
+    uint32_t begin = static_cast<uint32_t>(items.size());
     for (VmId id : host.vms()) {
       uint64_t ws = view.SampleWorkingSet();
-      planned_ws[id] = ws;
+      items.push_back({ws, id, /*as_partial=*/true, /*active=*/false});
       demand += ws;
     }
-    candidates.push_back({h, demand});
+    candidates.push_back({h, demand, begin, static_cast<uint32_t>(items.size())});
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) { return a.demand < b.demand; });
   // Same destination table, conservative/aggressive pricing and §3.1 gate as
   // the base vacate search.
-  MaybeCommitVacatePlan(now, act, actions, BestVacatePlan(view, candidates, planned_ws));
+  MaybeCommitVacatePlan(now, act, actions, BestVacatePlan(view, candidates, items));
 }
 
 void PredictiveStrategy::PreWakePass(const ClusterView& view, SimTime now, Actuator& act,

@@ -12,13 +12,17 @@
 //
 // A strategy holds no state of its own and receives nothing but a view and
 // an actuator, so by construction it can neither touch a host directly nor
-// smuggle information between intervals. (One declared carve-out, documented
-// in strategy.h: PredictiveStrategy's activity forecast, which summarizes
-// only what past views exposed.)
+// smuggle information between intervals. Two declared carve-outs:
+// PredictiveStrategy's activity forecast (documented in strategy.h), which
+// summarizes only what past views exposed; and per-interval scratch, such as
+// OasisGreedyStrategy's vacate item table, which is kept only to reuse its
+// allocation, is overwritten whole before it is read, and never carries
+// anything from one interval to the next.
 
 #ifndef OASIS_SRC_CLUSTER_VIEW_H_
 #define OASIS_SRC_CLUSTER_VIEW_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -49,13 +53,16 @@ struct ClusterState {
   std::vector<std::vector<VmId>> vms_by_home;
   // Maintained aggregates, each updated in O(1) by the Actuator's funnel
   // (MoveResident / SetResidency / SetInFlight) and re-derived from scratch
-  // by the invariant checker every planning round. All are indexed by host
-  // id. Per home host: how many of its VMs have kPartial residency (the
-  // memory-server refresh on every host sleep reads it) ...
+  // by the invariant checker every planning round. The counts are indexed
+  // by host id. Per home host: how many of its VMs have kPartial residency
+  // (the memory-server refresh on every host sleep reads it) ...
   std::vector<int> partials_homed;
   // ... and how many have kFullAtConsolidation (the swap pass skips homes
   // with none).
   std::vector<int> fac_homed;
+  // Per VM, bit v % 64 of word v / 64: set iff VM v has kFullAtConsolidation
+  // residency. The swap pass walks only the set bits of a home's id range.
+  std::vector<uint64_t> fac_vm_bits;
   // Per host: how many residents have a migration in flight (such a home is
   // not vacate-eligible, such a consolidation host cannot drain) and how
   // many are partial VMs (a drain source must hold nothing else).
@@ -111,6 +118,7 @@ class ClusterView {
     return state_->vms_by_home[home];
   }
   int fac_homed(HostId home) const { return state_->fac_homed[home]; }
+  const std::vector<uint64_t>& fac_vm_bits() const { return state_->fac_vm_bits; }
   int inflight_residents(HostId host) const { return state_->inflight_residents[host]; }
   int partial_residents(HostId host) const { return state_->partial_residents[host]; }
 

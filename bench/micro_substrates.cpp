@@ -73,6 +73,28 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(10000);
 
+// The simulator's steady state: N events pending, and each dispatch peeks,
+// pops one (as Simulator's run loop does) and schedules one a migration-like
+// delay later. Every time lies on a 100 ms grid, so many pops tie with the
+// one before (as on a rack-day).
+void BM_EventQueueSteadyState(benchmark::State& state) {
+  constexpr SimTime kDelays[] = {SimTime::Millis(3700), SimTime::Millis(7200),
+                                 SimTime::Millis(10000)};
+  EventQueue q;
+  for (int i = 0; i < state.range(0); ++i) {
+    q.Schedule(SimTime::Millis(100 * (i % 97)), [] {});
+  }
+  size_t next_delay = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(q.NextTime());
+    EventQueue::Popped ev = q.Pop();
+    q.Schedule(ev.time + kDelays[next_delay], [] {});
+    next_delay = next_delay == 2 ? 0 : next_delay + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueSteadyState)->Arg(256)->Arg(1024)->Arg(4096);
+
 void BM_BitmapCount(benchmark::State& state) {
   Bitmap bitmap(1u << 20);
   for (size_t i = 0; i < bitmap.size(); i += 3) {

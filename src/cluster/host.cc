@@ -8,6 +8,26 @@
 
 namespace oasis {
 
+void ResidentSet::insert(VmId vm) {
+  const size_t i = static_cast<size_t>(vm - base_);
+  assert(vm >= base_ && i < span_ && "VM is outside this host's resident window");
+  uint64_t& word = words_[i / 64];
+  const uint64_t bit = uint64_t{1} << (i % 64);
+  assert((word & bit) == 0 && "VM is already resident on this host");
+  word |= bit;
+  ++size_;
+}
+
+void ResidentSet::erase(VmId vm) {
+  const size_t i = static_cast<size_t>(vm - base_);
+  assert(vm >= base_ && i < span_ && "VM is outside this host's resident window");
+  uint64_t& word = words_[i / 64];
+  const uint64_t bit = uint64_t{1} << (i % 64);
+  assert((word & bit) != 0 && "VM is not resident on this host");
+  word &= ~bit;
+  --size_;
+}
+
 ClusterHost::ClusterHost(HostId id, HostRole role, const ClusterConfig& config,
                          bool initially_powered)
     : ClusterHost(id, role, config, config.HostProfileFor(id), initially_powered) {}
@@ -23,6 +43,10 @@ ClusterHost::ClusterHost(HostId id, HostRole role, const ClusterConfig& config,
       capacity_bytes_(static_cast<uint64_t>(static_cast<double>(config.host_memory_bytes) *
                                             config.memory_overcommit *
                                             profile.capacity_scale)),
+      // A home only ever holds its own contiguous id range, a consolidation
+      // host any VM of the rack.
+      vms_(role == HostRole::kHome ? id * static_cast<VmId>(config.vms_per_home) : VmId{0},
+           static_cast<size_t>(role == HostRole::kHome ? config.vms_per_home : config.TotalVms())),
       // An S3-incapable host has no sleeping state to start in.
       state_(initially_powered || !profile.s3_capable ? HostPowerState::kPowered
                                                       : HostPowerState::kSleeping),
@@ -30,12 +54,6 @@ ClusterHost::ClusterHost(HostId id, HostRole role, const ClusterConfig& config,
       ms_meter_(SimTime::Zero(), 0.0),
       ledger_(SimTime::Zero(), state_) {
   ledger_.set_trace_host(static_cast<int64_t>(id));
-  // Reserve the resident set's worst case up front: a home only ever holds
-  // its own VMs, a consolidation host at most every VM in the rack. Letting
-  // the vectors regrow across a run measurably raises peak RSS under the
-  // parallel shard runner (DESIGN.md, "Maintained aggregates").
-  vms_.reserve(static_cast<size_t>(role == HostRole::kHome ? config.vms_per_home
-                                                           : config.TotalVms()));
 }
 
 void ClusterHost::Reserve(uint64_t bytes) {
@@ -49,16 +67,12 @@ void ClusterHost::Release(uint64_t bytes) {
 }
 
 void ClusterHost::AddVm(SimTime now, VmId vm) {
-  auto it = std::lower_bound(vms_.begin(), vms_.end(), vm);
-  assert((it == vms_.end() || *it != vm) && "VM is already resident on this host");
-  vms_.insert(it, vm);
+  vms_.insert(vm);
   meter_.SetDraw(now, CurrentDraw());
 }
 
 void ClusterHost::RemoveVm(SimTime now, VmId vm) {
-  auto it = std::lower_bound(vms_.begin(), vms_.end(), vm);
-  assert(it != vms_.end() && *it == vm && "VM is not resident on this host");
-  vms_.erase(it);
+  vms_.erase(vm);
   meter_.SetDraw(now, CurrentDraw());
 }
 

@@ -5,9 +5,11 @@
 #ifndef OASIS_SRC_CLUSTER_HOST_H_
 #define OASIS_SRC_CLUSTER_HOST_H_
 
-#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <vector>
 
 #include "src/cluster/cluster_types.h"
@@ -15,6 +17,87 @@
 #include "src/sim/simulator.h"
 
 namespace oasis {
+
+// The VMs resident on one host: one bit per VM id of a fixed window, built
+// once. A home's window is its own contiguous id range (a home only ever
+// holds its own VMs), a consolidation host's is every VM in the rack.
+// Insert, erase and membership are a bit flip or test; iteration yields the
+// resident ids in ascending order, which every planner walk (and so every
+// planning draw) depends on. Inserting or erasing an id outside the window
+// asserts.
+class ResidentSet {
+ public:
+  class Iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = VmId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const VmId*;
+    using reference = VmId;
+
+    VmId operator*() const {
+      return base_ + static_cast<VmId>(64 * word_ + std::countr_zero(bits_));
+    }
+    Iterator& operator++() {
+      bits_ &= bits_ - 1;
+      Settle();
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++*this;
+      return before;
+    }
+    bool operator==(const Iterator& other) const {
+      return word_ == other.word_ && bits_ == other.bits_;
+    }
+
+   private:
+    friend class ResidentSet;
+    Iterator(const uint64_t* words, size_t num_words, size_t word, VmId base)
+        : words_(words), num_words_(num_words), word_(word), base_(base) {
+      if (word_ < num_words_) {
+        bits_ = words_[word_];
+        Settle();
+      }
+    }
+    // Advances to the next set bit, or to end (word_ == num_words_).
+    void Settle() {
+      while (bits_ == 0 && ++word_ < num_words_) {
+        bits_ = words_[word_];
+      }
+    }
+
+    const uint64_t* words_ = nullptr;
+    size_t num_words_ = 0;
+    size_t word_ = 0;
+    uint64_t bits_ = 0;
+    VmId base_ = 0;
+  };
+
+  // Covers ids [base, base + span).
+  ResidentSet(VmId base, size_t span) : base_(base), span_(span), words_((span + 63) / 64, 0) {}
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  bool contains(VmId vm) const {
+    const size_t i = static_cast<size_t>(vm - base_);
+    return vm >= base_ && i < span_ && ((words_[i / 64] >> (i % 64)) & 1) != 0;
+  }
+  // Both assert on an id outside the window, and on a VM already present
+  // (insert) or absent (erase).
+  void insert(VmId vm);
+  void erase(VmId vm);
+
+  Iterator begin() const { return Iterator(words_.data(), words_.size(), 0, base_); }
+  Iterator end() const { return Iterator(words_.data(), words_.size(), words_.size(), base_); }
+
+ private:
+  VmId base_;
+  size_t span_;
+  size_t size_ = 0;
+  std::vector<uint64_t> words_;
+};
 
 class ClusterHost {
  public:
@@ -61,14 +144,15 @@ class ClusterHost {
   // --- VM presence ------------------------------------------------------
   // Adding/removing VMs changes the host's power draw (which saturates at
   // the Table 1 twenty-VM measurement), so both take the current time.
-  // The resident set is kept in ascending id order, so every walk over it
-  // visits VMs in the order a std::set would. Adding a resident VM or
-  // removing a non-resident one is a bookkeeping bug and asserts.
+  // vms() walks residents in ascending id order (see ResidentSet). Adding a
+  // resident VM, removing a non-resident one, or adding a VM outside the
+  // host's window (another home's VM on a home) is a bookkeeping bug and
+  // asserts.
   void AddVm(SimTime now, VmId vm);
   void RemoveVm(SimTime now, VmId vm);
-  const std::vector<VmId>& vms() const { return vms_; }
+  const ResidentSet& vms() const { return vms_; }
   bool HasVms() const { return !vms_.empty(); }
-  bool HasVm(VmId vm) const { return std::binary_search(vms_.begin(), vms_.end(), vm); }
+  bool HasVm(VmId vm) const { return vms_.contains(vm); }
 
   // Number of active VMs currently executing here. Purely logical (a host
   // with active VMs must never sleep); the draw follows the resident count.
@@ -135,7 +219,7 @@ class ClusterHost {
   Watts ms_watts_;
   uint64_t capacity_bytes_;
   uint64_t reserved_bytes_ = 0;
-  std::vector<VmId> vms_;  // ascending
+  ResidentSet vms_;
   int active_vms_ = 0;
 
   HostPowerState state_;

@@ -1,24 +1,15 @@
 #include "src/sim/event_queue.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
 namespace oasis {
 namespace {
 
-// Min-heap ordering: the entry that pops first compares "greater".
-struct EntryAfter {
-  template <typename Entry>
-  bool operator()(const Entry& a, const Entry& b) const {
-    if (a.time != b.time) {
-      return a.time > b.time;
-    }
-    return a.seq > b.seq;
-  }
-};
-
 constexpr uint32_t kSlotBits = 32;
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
 
 EventId MakeId(uint32_t slot, uint32_t generation) {
   return (static_cast<EventId>(generation) << kSlotBits) | slot;
@@ -26,6 +17,13 @@ EventId MakeId(uint32_t slot, uint32_t generation) {
 
 uint32_t SlotOf(EventId id) { return static_cast<uint32_t>(id); }
 uint32_t GenerationOf(EventId id) { return static_cast<uint32_t>(id >> kSlotBits); }
+
+// Flipping the sign bit maps signed micros onto unsigned keys in the same
+// order, so INT64_MIN is key 0 and SimTime::Max() is the largest key.
+uint64_t KeyOf(SimTime t) { return static_cast<uint64_t>(t.micros()) ^ kSignBit; }
+SimTime TimeOf(uint64_t key) { return SimTime(static_cast<int64_t>(key ^ kSignBit)); }
+
+int BucketOf(uint64_t key, uint64_t base) { return std::bit_width(key ^ base); }
 
 }  // namespace
 
@@ -42,9 +40,16 @@ EventId EventQueue::Schedule(SimTime when, EventFn fn) {
   // Generations start at 1 so no valid id ever equals kInvalidEventId.
   ++slot.generation;
   slot.live = true;
+  slot.time = when;
   slot.closure = std::move(fn);
-  heap_.push_back(Entry{when, next_seq_++, slot_index, slot.generation});
-  std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
+  // A key below the last popped one would break the radix invariant; file
+  // it at the last popped instant instead (the past-scheduling rule).
+  const uint64_t key = std::max(KeyOf(when), last_key_);
+  const int b = BucketOf(key, last_key_);
+  buckets_[b].push_back(Entry{key, slot_index, slot.generation});
+  if (b > 0) {
+    nonempty_ |= uint64_t{1} << (b - 1);
+  }
   ++live_count_;
   return MakeId(slot_index, slot.generation);
 }
@@ -58,35 +63,98 @@ bool EventQueue::Cancel(EventId id) {
   if (!slot.live || slot.generation != GenerationOf(id)) {
     return false;
   }
-  // Tombstone: the heap entry stays (its generation no longer matches once
-  // the slot is recycled, and `live` is false until then) and is skipped on
-  // pop. The closure dies here — capture destructors run inline — and the
-  // slot is immediately reusable.
+  // Tombstone: the queue entry stays (its generation no longer matches once
+  // the slot is recycled, and `live` is false until then) and is dropped when
+  // it reaches the front or its bucket is next scanned. The closure dies
+  // here — capture destructors run inline — and the slot is immediately
+  // reusable.
   slot.live = false;
   slot.closure.Reset();
   free_slots_.push_back(slot_index);
   --live_count_;
+  ++dead_;
   return true;
 }
 
 void EventQueue::SkipCancelled() const {
-  while (!heap_.empty() && !EntryLive(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
-    heap_.pop_back();
+  const std::vector<Entry>& front = buckets_[0];
+  while (dead_ > 0 && head_ < front.size() && !EntryLive(front[head_])) {
+    ++head_;
+    --dead_;
   }
+}
+
+int EventQueue::LowestBucket() const {
+  while (nonempty_ != 0) {
+    const int b = std::countr_zero(nonempty_) + 1;
+    if (dead_ == 0) {
+      return b;
+    }
+    // Stable purge: the survivors keep their order, which Refill relies on.
+    const size_t purged =
+        std::erase_if(buckets_[b], [this](const Entry& e) { return !EntryLive(e); });
+    dead_ -= purged;
+    if (!buckets_[b].empty()) {
+      return b;
+    }
+    nonempty_ &= ~(uint64_t{1} << (b - 1));
+  }
+  return 0;
+}
+
+uint64_t EventQueue::MinKey(const std::vector<Entry>& bucket) {
+  assert(!bucket.empty());
+  uint64_t min_key = bucket.front().key;
+  for (const Entry& e : bucket) {
+    min_key = std::min(min_key, e.key);
+  }
+  return min_key;
 }
 
 SimTime EventQueue::NextTime() const {
   SkipCancelled();
-  return heap_.empty() ? SimTime::Max() : heap_.front().time;
+  if (head_ < buckets_[0].size()) {
+    return slots_[buckets_[0][head_].slot].time;
+  }
+  // Peek without re-basing: a caller may still schedule below the pending
+  // minimum (but not below the last pop) before the next Pop.
+  const int b = LowestBucket();
+  return b == 0 ? SimTime::Max() : TimeOf(MinKey(buckets_[b]));
+}
+
+void EventQueue::Refill() {
+  const int b = LowestBucket();
+  assert(b != 0 && "Pop() on empty EventQueue");
+  std::vector<Entry>& source = buckets_[b];
+  last_key_ = MinKey(source);
+  // Every entry of bucket b agrees with the new base above bit b - 1, so it
+  // lands in a bucket below b, all of which are empty now (b is the lowest
+  // non-empty one and bucket 0 is exhausted). Moving the entries in bucket
+  // order therefore keeps equal keys in schedule order: a bucket only ever
+  // holds one such moved batch followed by later Schedule appends.
+  for (const Entry& e : source) {
+    const int to = BucketOf(e.key, last_key_);
+    buckets_[to].push_back(e);
+    if (to > 0) {
+      nonempty_ |= uint64_t{1} << (to - 1);
+    }
+  }
+  source.clear();
+  nonempty_ &= ~(uint64_t{1} << (b - 1));
 }
 
 EventQueue::Popped EventQueue::Pop() {
-  SkipCancelled();
-  assert(!heap_.empty() && "Pop() on empty EventQueue");
-  std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
-  Entry top = heap_.back();
-  heap_.pop_back();
+  std::vector<Entry>& front = buckets_[0];
+  for (;;) {
+    SkipCancelled();
+    if (head_ < front.size()) {
+      break;
+    }
+    front.clear();
+    head_ = 0;
+    Refill();
+  }
+  const Entry top = front[head_++];
   Slot& slot = slots_[top.slot];
   // Move the closure to the caller before recycling the slot: the callable
   // may schedule new events, which may claim this very slot (or grow the
@@ -95,7 +163,7 @@ EventQueue::Popped EventQueue::Pop() {
   slot.live = false;
   free_slots_.push_back(top.slot);
   --live_count_;
-  return Popped{top.time, MakeId(top.slot, top.generation), std::move(fn)};
+  return Popped{slot.time, MakeId(top.slot, top.generation), std::move(fn)};
 }
 
 }  // namespace oasis

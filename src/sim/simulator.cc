@@ -133,7 +133,7 @@ bool Simulator::Step() {
   if (queue_.empty()) {
     return false;
   }
-  // Wall-clock attribution of the event loop (OASIS_PROF): heap maintenance
+  // Wall-clock attribution of the event loop (OASIS_PROF): queue maintenance
   // vs. closure execution. Three clock reads per event when profiling, zero
   // when off — the gate is one relaxed atomic load.
   const bool profiling = prof::Profiler::Enabled();

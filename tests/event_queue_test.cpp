@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
+
+#include "src/common/rng.h"
+#include "tests/test_env.h"
 
 namespace oasis {
 namespace {
@@ -281,6 +286,151 @@ TEST(EventQueueTest, ManyEventsStressOrder) {
     auto e = q.Pop();
     EXPECT_GE(e.time, prev);
     prev = e.time;
+  }
+}
+
+TEST(EventQueueTest, PastScheduleRunsNextAtTheLastPoppedInstant) {
+  // Scheduling before the last popped time files the entry at that time:
+  // it runs after the events already queued for that instant and before
+  // anything later, and Pop reports its own (past) time. This is the queue's
+  // own rule, so it holds with or without the simulator's assert.
+  EventQueue q;
+  std::vector<int> order;
+  q.Schedule(SimTime::Seconds(10), [&] { order.push_back(10); });
+  q.Schedule(SimTime::Seconds(10), [&] { order.push_back(11); });
+  q.Schedule(SimTime::Seconds(20), [&] { order.push_back(20); });
+  EventQueue::Popped first = q.Pop();
+  ASSERT_EQ(first.time, SimTime::Seconds(10));
+  first.fn();
+  q.Schedule(SimTime::Seconds(4), [&] { order.push_back(4); });
+  q.Schedule(SimTime::Seconds(15), [&] { order.push_back(15); });
+  EXPECT_EQ(q.NextTime(), SimTime::Seconds(10));
+  std::vector<SimTime> times;
+  while (!q.empty()) {
+    EventQueue::Popped e = q.Pop();
+    times.push_back(e.time);
+    e.fn();
+  }
+  EXPECT_EQ(order, (std::vector<int>{10, 11, 4, 15, 20}));
+  EXPECT_EQ(times, (std::vector<SimTime>{SimTime::Seconds(10), SimTime::Seconds(4),
+                                         SimTime::Seconds(15), SimTime::Seconds(20)}));
+}
+
+TEST(EventQueueTest, PastScheduleIntoADrainedInstantRunsFirst) {
+  // With the last popped instant drained, a past entry is the front: it pops
+  // before later events, and NextTime reports its own time.
+  EventQueue q;
+  q.Schedule(SimTime::Seconds(10), [] {});
+  q.Schedule(SimTime::Seconds(30), [] {});
+  ASSERT_EQ(q.Pop().time, SimTime::Seconds(10));
+  q.Schedule(SimTime::Seconds(1), [] {});
+  EXPECT_EQ(q.NextTime(), SimTime::Seconds(1));
+  EXPECT_EQ(q.Pop().time, SimTime::Seconds(1));
+  EXPECT_EQ(q.Pop().time, SimTime::Seconds(30));
+}
+
+TEST(EventQueueTest, PeekDoesNotRebaseTheQueue) {
+  // NextTime() may look past a gap; an event scheduled inside the gap
+  // afterwards (legal: it is after the last pop) must still pop first.
+  EventQueue q;
+  q.Schedule(SimTime::Seconds(1), [] {});
+  q.Schedule(SimTime::Seconds(100), [] {});
+  ASSERT_EQ(q.Pop().time, SimTime::Seconds(1));
+  EXPECT_EQ(q.NextTime(), SimTime::Seconds(100));
+  q.Schedule(SimTime::Seconds(50), [] {});
+  EXPECT_EQ(q.NextTime(), SimTime::Seconds(50));
+  EXPECT_EQ(q.Pop().time, SimTime::Seconds(50));
+  EXPECT_EQ(q.Pop().time, SimTime::Seconds(100));
+}
+
+// Differential check against a reference that scans for the smallest
+// (filed time, seq), where an entry's filed time is max(when, last popped
+// filed time): the queue's documented order, past-scheduling rule included.
+TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
+  struct Ref {
+    int64_t filed;
+    uint64_t seq;
+    SimTime when;
+    EventId id;
+    int tag;
+  };
+  const int seeds = testing::FuzzTrials(40);
+  for (int seed = 0; seed < seeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(0xE7E47 + static_cast<uint64_t>(seed));
+    EventQueue q;
+    std::vector<Ref> ref;
+    std::vector<EventId> retired;
+    std::vector<int> ran;
+    int64_t last_filed = INT64_MIN;
+    // Base for new times: the latest popped time, capped so that offsets
+    // from it cannot overflow once a far-future or SimTime::Max() event pops.
+    constexpr int64_t kBaseCap = int64_t{1} << 60;
+    int64_t last_time = 0;
+    uint64_t seq = 0;
+    int next_tag = 0;
+    auto min_ref = [&]() {
+      return std::min_element(ref.begin(), ref.end(), [](const Ref& a, const Ref& b) {
+        return a.filed != b.filed ? a.filed < b.filed : a.seq < b.seq;
+      });
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const uint64_t op = rng.NextBelow(100);
+      if (op < 50 || ref.empty()) {
+        int64_t when;
+        const uint64_t kind = rng.NextBelow(20);
+        if (kind < 6) {
+          when = last_time;  // tie with the last pop (below the cap)
+        } else if (kind < 9 && !ref.empty()) {
+          when = ref[rng.NextBelow(ref.size())].when.micros();  // tie with a pending one
+        } else if (kind < 15) {
+          when = last_time + static_cast<int64_t>(rng.NextBelow(10'000'000));
+        } else if (kind < 17) {
+          when = last_time + static_cast<int64_t>(rng.NextBelow(uint64_t{1} << 50));
+        } else if (kind < 18) {
+          when = SimTime::Max().micros();
+        } else if (kind < 19) {
+          when = last_time - 1 - static_cast<int64_t>(rng.NextBelow(5'000'000));  // past
+        } else {
+          when = -static_cast<int64_t>(rng.NextBelow(1'000'000));  // negative micros
+        }
+        const int tag = next_tag++;
+        const EventId id = q.Schedule(SimTime(when), [&ran, tag] { ran.push_back(tag); });
+        ref.push_back(Ref{std::max(when, last_filed), seq++, SimTime(when), id, tag});
+      } else if (op < 85) {
+        auto it = min_ref();
+        EventQueue::Popped popped = q.Pop();
+        ASSERT_EQ(popped.time, it->when) << "step " << step;
+        ASSERT_EQ(popped.id, it->id) << "step " << step;
+        popped.fn();
+        ASSERT_EQ(ran.back(), it->tag) << "step " << step;
+        last_filed = it->filed;
+        last_time = std::min(std::max(last_time, it->when.micros()), kBaseCap);
+        retired.push_back(it->id);
+        ref.erase(it);
+      } else if (op < 97) {
+        // Half the time cancel the front entry, otherwise a random (mostly
+        // buried) one.
+        auto it = rng.NextBelow(2) == 0 ? min_ref() : ref.begin() + rng.NextBelow(ref.size());
+        ASSERT_TRUE(q.Cancel(it->id)) << "step " << step;
+        retired.push_back(it->id);
+        ref.erase(it);
+      } else if (!retired.empty()) {
+        ASSERT_FALSE(q.Cancel(retired[rng.NextBelow(retired.size())])) << "step " << step;
+      }
+      ASSERT_EQ(q.size(), ref.size()) << "step " << step;
+      ASSERT_EQ(q.empty(), ref.empty()) << "step " << step;
+      ASSERT_EQ(q.NextTime(), ref.empty() ? SimTime::Max() : min_ref()->when) << "step " << step;
+    }
+    while (!ref.empty()) {
+      auto it = min_ref();
+      ASSERT_EQ(q.NextTime(), it->when);
+      EventQueue::Popped popped = q.Pop();
+      ASSERT_EQ(popped.id, it->id);
+      ref.erase(it);
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.NextTime(), SimTime::Max());
   }
 }
 

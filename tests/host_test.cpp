@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <vector>
+
+#include "src/common/rng.h"
 
 namespace oasis {
 namespace {
@@ -148,9 +152,13 @@ TEST(ClusterHostTest, VmResidencyRaisesDraw) {
   EXPECT_NEAR(ToWattHours(host.HostEnergy(SimTime::Hours(1))), 137.9, 0.01);
 }
 
+std::vector<VmId> Residents(const ClusterHost& host) {
+  return std::vector<VmId>(host.vms().begin(), host.vms().end());
+}
+
 TEST(ClusterHostTest, ResidentSetStaysAscendingUnderInterleavedChanges) {
   // Every walk over vms() depends on ascending order (planner draw order),
-  // so the flat resident set must keep it through arbitrary churn.
+  // so the resident set must keep it through arbitrary churn.
   ClusterHost host(0, HostRole::kConsolidation, TestConfig(), true);
   for (VmId v : {40u, 7u, 23u, 0u, 31u, 15u}) {
     host.AddVm(SimTime::Zero(), v);
@@ -161,7 +169,8 @@ TEST(ClusterHostTest, ResidentSetStaysAscendingUnderInterleavedChanges) {
   host.AddVm(SimTime::Zero(), 41);
   host.RemoveVm(SimTime::Zero(), 41);
   host.AddVm(SimTime::Zero(), 2);
-  EXPECT_EQ(host.vms(), (std::vector<VmId>{2, 7, 15, 19, 31, 40}));
+  EXPECT_EQ(Residents(host), (std::vector<VmId>{2, 7, 15, 19, 31, 40}));
+  EXPECT_EQ(host.vms().size(), 6u);
   EXPECT_TRUE(host.HasVm(19));
   EXPECT_TRUE(host.HasVm(40));
   EXPECT_FALSE(host.HasVm(23));
@@ -169,11 +178,80 @@ TEST(ClusterHostTest, ResidentSetStaysAscendingUnderInterleavedChanges) {
   EXPECT_FALSE(host.HasVm(41));
 }
 
+// Random adds and removes of ids in [lo, hi) against a std::set reference:
+// iteration order, size() and membership must agree after every step.
+void ChurnAgainstReference(ClusterHost& host, VmId lo, VmId hi) {
+  Rng rng(0x5e7 + lo);
+  std::set<VmId> reference;
+  for (int step = 0; step < 4000; ++step) {
+    VmId vm = lo + static_cast<VmId>(rng.NextBelow(hi - lo));
+    if (reference.count(vm) != 0) {
+      host.RemoveVm(SimTime::Zero(), vm);
+      reference.erase(vm);
+    } else {
+      host.AddVm(SimTime::Zero(), vm);
+      reference.insert(vm);
+    }
+    ASSERT_EQ(host.vms().size(), reference.size()) << "step " << step;
+    ASSERT_EQ(host.vms().empty(), reference.empty());
+    ASSERT_EQ(host.HasVm(vm), reference.count(vm) != 0);
+    if (step % 97 == 0) {
+      ASSERT_EQ(Residents(host), std::vector<VmId>(reference.begin(), reference.end()))
+          << "step " << step;
+    }
+  }
+  EXPECT_EQ(Residents(host), std::vector<VmId>(reference.begin(), reference.end()));
+  EXPECT_TRUE(std::all_of(host.vms().begin(), host.vms().end(),
+                          [&](VmId vm) { return reference.count(vm) != 0; }));
+}
+
+TEST(ClusterHostTest, HomeResidentSetAscendsUnderChurn) {
+  // Home 3 of 110-VM homes owns ids [330, 440): a window that starts and
+  // ends mid-word.
+  ClusterConfig config = TestConfig();
+  config.vms_per_home = 110;
+  ClusterHost host(3, HostRole::kHome, config, true);
+  ChurnAgainstReference(host, 330, 440);
+}
+
+TEST(ClusterHostTest, ConsolidationResidentSetAscendsUnderChurn) {
+  // A consolidation host's window is every VM of the rack, here 36 x 110.
+  ClusterConfig config = TestConfig();
+  config.num_home_hosts = 36;
+  config.vms_per_home = 110;
+  ClusterHost host(36, HostRole::kConsolidation, config, false);
+  ChurnAgainstReference(host, 0, 3960);
+}
+
+TEST(ClusterHostTest, HasVmOutsideTheWindowIsFalse) {
+  ClusterConfig config = TestConfig();  // 30 homes x 30 VMs
+  ClusterHost home(1, HostRole::kHome, config, true);
+  for (VmId v = 30; v < 60; ++v) {
+    home.AddVm(SimTime::Zero(), v);
+  }
+  EXPECT_TRUE(home.HasVm(30));
+  EXPECT_TRUE(home.HasVm(59));
+  EXPECT_FALSE(home.HasVm(29));
+  EXPECT_FALSE(home.HasVm(60));
+  EXPECT_FALSE(home.HasVm(0));
+  EXPECT_FALSE(home.HasVm(100000));
+  ClusterHost cons(30, HostRole::kConsolidation, config, true);
+  EXPECT_FALSE(cons.HasVm(900));
+  EXPECT_FALSE(cons.HasVm(~VmId{0}));
+}
+
 TEST(ClusterHostDeathTest, RemovingANonResidentVmAsserts) {
   ClusterHost host(0, HostRole::kHome, TestConfig(), true);
   host.AddVm(SimTime::Zero(), 3);
   EXPECT_DEATH(host.RemoveVm(SimTime::Zero(), 4), "not resident");
   EXPECT_DEATH(host.AddVm(SimTime::Zero(), 3), "already resident");
+}
+
+TEST(ClusterHostDeathTest, ForeignVmOnAHomeAsserts) {
+  // Home 0 owns ids [0, 30); VM 30 belongs to home 1.
+  ClusterHost host(0, HostRole::kHome, TestConfig(), true);
+  EXPECT_DEATH(host.AddVm(SimTime::Zero(), 30), "outside this host's resident window");
+  EXPECT_DEATH(host.RemoveVm(SimTime::Zero(), 30), "outside this host's resident window");
 }
 
 TEST(ClusterHostTest, SleepEnergyIncludesTransitionSpike) {

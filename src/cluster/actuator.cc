@@ -12,13 +12,6 @@
 namespace oasis {
 namespace {
 
-// Working-set growth per planning interval in bytes.
-uint64_t GrowthPerInterval(const ClusterConfig& config) {
-  double hours = config.planning_interval.hours();
-  uint64_t bytes = MiBToBytes(config.volumes.ws_growth_mib_per_hour * hours);
-  return (bytes / kPageSize) * kPageSize;
-}
-
 // One migration leg as a span on the destination host's track, plus the
 // per-kind counter. `name` must be a string literal.
 void TraceMigration(const char* name, SimTime start, SimTime end, VmId vm, HostId dest,
@@ -54,6 +47,10 @@ void Actuator::CountResident(HostId host, const VmSlot& vm, int delta) {
   if (vm.residency == VmResidency::kPartial) {
     state_.partial_residents[host] += delta;
   }
+  if (vm.UpkeepEligible()) {
+    assert(vm.upkeep_mark == state_.upkeep_round && "an unsettled VM moved");
+    state_.upkeep_residents[host] += delta;
+  }
 }
 
 void Actuator::MoveResident(SimTime now, VmSlot& vm, HostId dest) {
@@ -68,6 +65,7 @@ void Actuator::SetResidency(VmSlot& vm, VmResidency next) {
   if (vm.residency == next) {
     return;
   }
+  bool was_eligible = vm.UpkeepEligible();
   // A VM's home never changes, so the per-home counts follow the residency
   // alone; the per-host one follows it at the host the VM is resident on,
   // and the per-VM full-at-consolidation bit follows the VM itself.
@@ -85,18 +83,59 @@ void Actuator::SetResidency(VmSlot& vm, VmResidency next) {
   count(-1);
   vm.residency = next;
   count(+1);
+  NoteUpkeepEligibility(vm, was_eligible);
 }
 
 void Actuator::SetInFlight(VmSlot& vm, bool in_flight) {
   if (vm.migration_in_flight == in_flight) {
     return;
   }
+  bool was_eligible = vm.UpkeepEligible();
   vm.migration_in_flight = in_flight;
   state_.inflight_residents[vm.location] += in_flight ? 1 : -1;
+  NoteUpkeepEligibility(vm, was_eligible);
+}
+
+void Actuator::NoteUpkeepEligibility(VmSlot& vm, bool was_eligible) {
+  if (vm.UpkeepEligible() == was_eligible) {
+    return;
+  }
+  if (was_eligible) {
+    assert(vm.upkeep_mark == state_.upkeep_round && "an unsettled VM left upkeep");
+    --state_.upkeep_residents[vm.location];
+  } else {
+    vm.upkeep_mark = state_.upkeep_round;
+    ++state_.upkeep_residents[vm.location];
+  }
+}
+
+void Actuator::SettleUpkeep(VmSlot& vm) {
+  uint64_t pending = UpkeepRates::PendingRounds(vm, state_.upkeep_round);
+  if (pending > 0) {
+    AdvanceUpkeep(vm, pending, pending);
+    vm.upkeep_mark = state_.upkeep_round;
+  }
+}
+
+void Actuator::AdvanceUpkeep(VmSlot& vm, uint64_t rounds, uint64_t grown) {
+  UpkeepCounters c = state_.upkeep.Advance(vm, rounds, grown);
+  vm.ws_bytes = c.ws_bytes;
+  vm.ws_unfetched = c.ws_unfetched;
+  vm.dirty_bytes = c.dirty_bytes;
+  if (c.fetches > 0) {
+    metrics_.traffic.Add(TrafficCategory::kOnDemandPages, c.fetched_bytes, c.fetches);
+  }
+}
+
+void Actuator::SettleAllUpkeep() {
+  for (VmSlot& vm : state_.vms) {
+    SettleUpkeep(vm);
+  }
 }
 
 void Actuator::HandleActivation(SimTime now, VmId vm_id, SimTime activation_time) {
   VmSlot& vm = Slot(vm_id);
+  SettleUpkeep(vm);
   if (vm.migration_in_flight && TryAbortPendingMigration(now, vm)) {
     // The queued move was cancelled; fall through with the VM's restored
     // state (full at home for vacate/swap aborts, still partial for drains).
@@ -249,6 +288,7 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
   const ClusterTimings& t = config_.timings;
   for (VmId id : partials) {
     VmSlot& vm = Slot(id);
+    SettleUpkeep(vm);
     HostId source_id = vm.location;
     HostOf(source_id).Release(vm.ws_bytes);
     MoveResident(now, vm, home_id);
@@ -295,59 +335,39 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
 }
 
 void Actuator::PartialVmUpkeep(SimTime now) {
-  const TrafficVolumes& vol = config_.volumes;
-  uint64_t growth = GrowthPerInterval(config_);
-  uint64_t dirty_step =
-      MiBToBytes(vol.dirty_mib_per_minute * config_.planning_interval.minutes());
-  uint64_t fetched_bytes = 0;
-  uint64_t fetches = 0;
+  const uint64_t growth = state_.upkeep.growth;
   std::vector<HostId> exhausted_homes;
-  // Only hosts with partial residents have upkeep to do. A host's growth
-  // never affects another host, so visiting each host's residents in
-  // ascending id decides every VM exactly as one ascending walk over all
-  // VMs would.
+  // Growth on one host never affects another, and every eligible VM asks
+  // for the same growth, so the first AvailableBytes() / growth eligible
+  // residents of a host (ascending id) grow and every later one exhausts
+  // its home. The host reserves the growth in one step, and a VM that grew
+  // picks up this round when it is next settled.
   for (size_t h = 0; h < state_.hosts.size(); ++h) {
-    if (state_.partial_residents[h] == 0) {
+    uint64_t residents = static_cast<uint64_t>(state_.upkeep_residents[h]);
+    if (residents == 0 || growth == 0) {
       continue;
     }
     ClusterHost& host = *state_.hosts[h];
-    // Every eligible VM asks for the same growth, so the first
-    // AvailableBytes() / growth of them fit and every later one exhausts.
-    uint64_t fits = growth > 0 ? host.AvailableBytes() / growth : 0;
-    uint64_t grown = 0;
+    uint64_t fits = host.AvailableBytes() / growth;
+    host.Reserve(std::min(residents, fits) * growth);
+    if (residents <= fits) {
+      continue;
+    }
+    // An exhaustion round: each eligible resident past the first `fits`
+    // takes this round without growth, now.
+    uint64_t seen = 0;
     for (VmId id : host.vms()) {
       VmSlot& vm = Slot(id);
-      if (vm.residency != VmResidency::kPartial || vm.migration_in_flight) {
+      if (!vm.UpkeepEligible() || seen++ < fits) {
         continue;
       }
-      // On-demand fetch: geometric drain of the unfetched working set.
-      uint64_t fetch = static_cast<uint64_t>(static_cast<double>(vm.ws_unfetched) *
-                                             vol.on_demand_fraction_per_interval);
-      fetch = std::min(fetch, vol.on_demand_cap_per_interval);
-      if (fetch > 0) {
-        fetched_bytes += fetch;
-        ++fetches;
-        vm.ws_unfetched -= fetch;
-      }
-      // Dirty-state accumulation (drives reintegration volume).
-      vm.dirty_bytes = std::min(vm.dirty_bytes + dirty_step, vol.dirty_cap_bytes);
-      // Working-set growth; an overfull consolidation host forces a return.
-      if (growth > 0) {
-        if (grown < fits) {
-          ++grown;
-          vm.ws_bytes += growth;
-        } else {
-          exhausted_homes.push_back(vm.home);
-        }
-      }
-    }
-    if (grown > 0) {
-      host.Reserve(grown * growth);
+      SettleUpkeep(vm);
+      AdvanceUpkeep(vm, 1, 0);
+      vm.upkeep_mark = state_.upkeep_round + 1;
+      exhausted_homes.push_back(vm.home);
     }
   }
-  if (fetches > 0) {
-    metrics_.traffic.Add(TrafficCategory::kOnDemandPages, fetched_bytes, fetches);
-  }
+  ++state_.upkeep_round;
   std::sort(exhausted_homes.begin(), exhausted_homes.end());
   exhausted_homes.erase(std::unique(exhausted_homes.begin(), exhausted_homes.end()),
                         exhausted_homes.end());
@@ -461,6 +481,7 @@ void Actuator::CommitVacatePlan(SimTime now, const VacatePlan& plan) {
 void Actuator::DrainMove(SimTime now, VmId vm_id, HostId dest_id) {
   const ClusterTimings& t = config_.timings;
   VmSlot& vm = Slot(vm_id);
+  SettleUpkeep(vm);
   HostId source_id = vm.location;
   ClusterHost& source = HostOf(source_id);
   ClusterHost& dest = HostOf(dest_id);

@@ -60,11 +60,15 @@ class Actuator {
   // and returns the whole group.
   void HandleActivation(SimTime now, VmId vm_id, SimTime activation_time);
   void AdjustActiveCount(SimTime now, HostId host, int delta);
-  // Per-partial-VM upkeep: on-demand fetch traffic, dirty-state growth, and
-  // working-set growth (which can exhaust a consolidation host and force a
-  // return). Visits only hosts with partial residents, each host's residents
-  // in ascending id.
+  // One round of per-partial-VM upkeep: on-demand fetch traffic, dirty-state
+  // growth, and working-set growth (which can exhaust a consolidation host
+  // and force a return). Applied lazily (DESIGN.md, "Lazy upkeep"): a host
+  // whose eligible residents all grow reserves their growth in one step;
+  // only a host that runs out of room walks its residents in ascending id.
   void PartialVmUpkeep(SimTime now);
+  // Brings every VM's counters up to date; the manager calls it once the
+  // run's last event has fired, before anything reads the metrics.
+  void SettleAllUpkeep();
   // Sweeps mechanism-owned sleep opportunities after planning.
   void SleepIdleConsolidationHosts(SimTime now);
   void MaybeSleepHomeHost(SimTime now, HostId host_id);
@@ -73,6 +77,10 @@ class Actuator {
   void AccrueEnergy(SimTime now);
 
  private:
+  // Steps a day round by round against the eager upkeep walk kept as a
+  // reference in tests/upkeep_test.cpp.
+  friend struct UpkeepTestPeer;
+
   // --- transition handling ------------------------------------------------
   bool TryConvertInPlace(SimTime now, VmSlot& vm, SimTime activation_time);
   bool TryNewHome(SimTime now, VmSlot& vm, SimTime activation_time);
@@ -96,14 +104,25 @@ class Actuator {
   // vm.migration_in_flight except through these three.
   //
   // MoveResident moves `vm` from vm.location's resident set to `dest`'s and
-  // updates vm.location, carrying the VM's in-flight/partial contributions
-  // to the per-host counts along with it. SetResidency and SetInFlight
-  // adjust the counts of vm.location (and of vm.home), so both must only
-  // run while the VM is resident at vm.location — which MoveResident keeps
-  // true at every instant outside its own body.
+  // updates vm.location, carrying the VM's in-flight/partial/upkeep
+  // contributions to the per-host counts along with it. SetResidency and
+  // SetInFlight adjust the counts of vm.location (and of vm.home), so both
+  // must only run while the VM is resident at vm.location — which
+  // MoveResident keeps true at every instant outside its own body. A VM
+  // that becomes upkeep-eligible starts at upkeep_mark = upkeep_round; one
+  // that moves or stops being eligible must have been settled first, which
+  // the funnel asserts.
   void MoveResident(SimTime now, VmSlot& vm, HostId dest);
   void SetResidency(VmSlot& vm, VmResidency next);
   void SetInFlight(VmSlot& vm, bool in_flight);
+  // Follows `vm` across a residency or in-flight change: adjusts
+  // upkeep_residents and the mark when its eligibility flipped.
+  void NoteUpkeepEligibility(VmSlot& vm, bool was_eligible);
+  // Applies every upkeep round `vm` has pending (none unless eligible).
+  void SettleUpkeep(VmSlot& vm);
+  // Applies `rounds` rounds, `grown` of them with working-set growth, and
+  // books their on-demand fetches.
+  void AdvanceUpkeep(VmSlot& vm, uint64_t rounds, uint64_t grown);
   // Sends the WoL and returns the time the host will be executing VMs. With
   // fault injection the wake can lose WoL packets or hang in resume, pushing
   // that time out; callers must use the returned value rather than asking

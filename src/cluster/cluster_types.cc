@@ -1,5 +1,7 @@
 #include "src/cluster/cluster_types.h"
 
+#include <cassert>
+
 #include "src/cluster/strategy.h"
 
 namespace oasis {
@@ -123,7 +125,7 @@ int ClusterConfig::ProfileClassOf(HostId id) const {
   int first = 0;
   for (size_t s = 0; s < fleet.segments.size(); ++s) {
     first += fleet.segments[s].count;
-    if (id < first) {
+    if (id < static_cast<HostId>(first)) {
       return static_cast<int>(s) + 1;
     }
   }
@@ -161,6 +163,78 @@ void ClusterConfig::SetVmsPerHome(int vms) {
   // rescales its whole fleet coherently.
   host_power = host_power.Scaled(scale);
   fleet_power_scale *= scale;
+}
+
+UpkeepRates::UpkeepRates(const ClusterConfig& config)
+    : dirty_step(MiBToBytes(config.volumes.dirty_mib_per_minute *
+                            config.planning_interval.minutes())),
+      dirty_cap(config.volumes.dirty_cap_bytes),
+      fetch_fraction(config.volumes.on_demand_fraction_per_interval),
+      fetch_cap(config.volumes.on_demand_cap_per_interval) {
+  uint64_t bytes = MiBToBytes(config.volumes.ws_growth_mib_per_hour *
+                              config.planning_interval.hours());
+  growth = (bytes / kPageSize) * kPageSize;
+  // Fetch is monotone in the unfetched size (a product with a non-negative
+  // constant, truncated), so the threshold is a binary search on the very
+  // expression each round evaluates. Working sets stay far below 2^62.
+  constexpr uint64_t kLimit = uint64_t{1} << 62;
+  if (fetch_cap > 0 && Fetch(kLimit) == fetch_cap) {
+    uint64_t lo = 0;
+    uint64_t hi = kLimit;
+    while (lo < hi) {
+      uint64_t mid = lo + (hi - lo) / 2;
+      if (Fetch(mid) == fetch_cap) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    cap_threshold = hi;
+  }
+  // A fetch never exceeds what remains, so every entry builds on a smaller
+  // one; each walk takes at most x rounds, which fits a uint16_t.
+  tail.resize(kTailSizes);
+  for (uint64_t x = 0; x < kTailSizes; ++x) {
+    uint64_t fetch = Fetch(x);
+    assert(fetch <= x && "the on-demand fraction must be in [0, 1]");
+    tail[x] = fetch == 0 ? Tail{0, static_cast<uint16_t>(x)}
+                         : Tail{static_cast<uint16_t>(tail[x - fetch].rounds + 1),
+                                tail[x - fetch].rest};
+  }
+}
+
+UpkeepCounters UpkeepRates::Advance(const VmSlot& vm, uint64_t rounds, uint64_t grown) const {
+  UpkeepCounters c;
+  c.ws_bytes = vm.ws_bytes + grown * growth;
+  c.dirty_bytes = rounds > 0 ? std::min(vm.dirty_bytes + rounds * dirty_step, dirty_cap)
+                             : vm.dirty_bytes;
+  uint64_t x = vm.ws_unfetched;
+  // Cap phase: while x >= cap_threshold every round fetches the whole cap.
+  if (cap_threshold != kNoCapPhase && x >= cap_threshold) {
+    uint64_t n = std::min(rounds, (x - cap_threshold) / fetch_cap + 1);
+    x -= n * fetch_cap;
+    c.fetches += n;
+    rounds -= n;
+  }
+  // Geometric phase: the exact per-round recurrence, until the fetch rounds
+  // down to nothing, the rounds run out, or x is small enough that the
+  // memoized tail finishes the walk.
+  for (; rounds > 0; --rounds) {
+    if (x < tail.size() && tail[x].rounds <= rounds) {
+      c.fetches += tail[x].rounds;
+      x = tail[x].rest;
+      break;
+    }
+    uint64_t fetch = Fetch(x);
+    if (fetch == 0) {
+      break;
+    }
+    x -= fetch;
+    ++c.fetches;
+  }
+  c.ws_unfetched = x;
+  c.fetched_bytes = vm.ws_unfetched - x;
+  return c;
 }
 
 }  // namespace oasis

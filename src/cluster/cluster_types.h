@@ -3,6 +3,7 @@
 #ifndef OASIS_SRC_CLUSTER_CLUSTER_TYPES_H_
 #define OASIS_SRC_CLUSTER_CLUSTER_TYPES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -172,12 +173,19 @@ struct VmSlot {
   VmActivity activity = VmActivity::kIdle;
   VmResidency residency = VmResidency::kFullAtHome;
   uint64_t full_bytes = 4 * kGiB;
+  // The partial-VM byte counters. While the VM is upkeep-eligible they lag
+  // by the upkeep rounds since upkeep_mark (DESIGN.md, "Lazy upkeep"): read
+  // them through ClusterView::ws_bytes or UpkeepRates::Settled, or settle
+  // the VM first.
   uint64_t ws_bytes = 0;        // current idle working-set reservation (partial only)
   uint64_t ws_unfetched = 0;    // portion of the working set not yet faulted in
   uint64_t dirty_bytes = 0;     // dirtied while consolidated (reintegration volume)
   SimTime consolidated_since;   // when the VM last left its home
   bool migration_in_flight = false;
   bool activation_pending = false;  // went active while a migration was in flight
+  // The upkeep rounds already applied to the byte counters; meaningful only
+  // while the VM is upkeep-eligible.
+  uint32_t upkeep_mark = 0;
   SimTime activation_time;          // when the user became active (delay accounting)
   SimTime idle_since = SimTime::Micros(INT64_MIN / 2);  // last active->idle edge
 
@@ -199,9 +207,76 @@ struct VmSlot {
   HostId migration_source = kNoHost;
   uint32_t op_epoch = 0;     // invalidates completion events after an abort
 
-  // Memory the VM reserves on the host it currently occupies.
-  uint64_t ReservedBytes() const {
-    return residency == VmResidency::kPartial ? ws_bytes : full_bytes;
+  // Partial and not mid-migration: every planning round drains its
+  // on-demand pages, grows its dirty state and grows its working set.
+  bool UpkeepEligible() const {
+    return residency == VmResidency::kPartial && !migration_in_flight;
+  }
+};
+
+// A partial VM's byte counters, plus the on-demand fetches it took to reach
+// them.
+struct UpkeepCounters {
+  uint64_t ws_bytes = 0;
+  uint64_t ws_unfetched = 0;
+  uint64_t dirty_bytes = 0;
+  uint64_t fetched_bytes = 0;
+  uint64_t fetches = 0;
+};
+
+// The three per-round processes §4.4.3 gives every upkeep-eligible VM, in
+// closed form over a run of rounds (DESIGN.md, "Lazy upkeep"). Each round
+// fetches Fetch(ws_unfetched) on demand, adds dirty_step to the dirty state
+// up to dirty_cap, and grows the working set by `growth` when its host has
+// room.
+struct UpkeepRates {
+  UpkeepRates() = default;
+  explicit UpkeepRates(const ClusterConfig& config);
+
+  uint64_t growth = 0;  // whole pages
+  uint64_t dirty_step = 0;
+  uint64_t dirty_cap = 0;
+  double fetch_fraction = 0.0;  // in [0, 1]
+  uint64_t fetch_cap = 0;
+  // The smallest unfetched size whose fetch is the whole cap (Fetch is
+  // monotone, so every larger size fetches the cap too); kNoCapPhase when
+  // no size reaches it.
+  static constexpr uint64_t kNoCapPhase = UINT64_MAX;
+  uint64_t cap_threshold = kNoCapPhase;
+  // Below the threshold each fetch is a fraction of what remains. For the
+  // kTailSizes smallest sizes, tail[x] memoizes the rest of that walk: how
+  // many rounds still fetch, and the size where the fetch first rounds down
+  // to zero (after which the size never changes).
+  static constexpr uint64_t kTailSizes = 4096;
+  struct Tail {
+    uint16_t rounds;
+    uint16_t rest;
+  };
+  std::vector<Tail> tail;
+
+  // One round's on-demand fetch: floor(unfetched x fraction), capped.
+  uint64_t Fetch(uint64_t unfetched) const {
+    return std::min(static_cast<uint64_t>(static_cast<double>(unfetched) * fetch_fraction),
+                    fetch_cap);
+  }
+  // `vm`'s counters after `rounds` more rounds, in `grown` of which the
+  // working set grew, with the fetches those rounds took: exactly what
+  // applying the rounds one at a time yields. The cap phase is closed form
+  // and the tail is memoized, so only the rounds between the threshold and
+  // kTailSizes are iterated.
+  UpkeepCounters Advance(const VmSlot& vm, uint64_t rounds, uint64_t grown) const;
+  // Rounds run so far that `vm`'s counters do not yet include.
+  static uint64_t PendingRounds(const VmSlot& vm, uint32_t round) {
+    return vm.UpkeepEligible() ? round - vm.upkeep_mark : 0;
+  }
+  // `vm`'s counters with every round up to `round` applied (read-only).
+  UpkeepCounters Settled(const VmSlot& vm, uint32_t round) const {
+    uint64_t k = PendingRounds(vm, round);
+    return Advance(vm, k, k);
+  }
+  // The working-set part of Settled, in O(1).
+  uint64_t SettledWsBytes(const VmSlot& vm, uint32_t round) const {
+    return vm.ws_bytes + PendingRounds(vm, round) * growth;
   }
 };
 

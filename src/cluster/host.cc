@@ -144,10 +144,10 @@ void ClusterHost::RequestSleep(Simulator& sim, std::function<void(SimTime)> on_a
       return;
     }
     Transition(sim.now(), HostPowerState::kSleeping);
-    std::function<void(SimTime)> on_asleep = std::move(sleep_waiter_);
+    std::function<void(SimTime)> waiter = std::move(sleep_waiter_);
     sleep_waiter_ = nullptr;
-    if (on_asleep && !wake_after_suspend_) {
-      on_asleep(sim.now());
+    if (waiter && !wake_after_suspend_) {
+      waiter(sim.now());
     }
     if (wake_after_suspend_) {
       wake_after_suspend_ = false;

@@ -59,9 +59,12 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
       }
       // Homes carry their own VMs' full reservation whether or not the VM is
       // away (the §3.2 capacity guarantee), accounted below; a resident
-      // foreign VM only appears on consolidation hosts.
+      // foreign VM only appears on consolidation hosts. A partial reserves
+      // its working set with the growth its lazy upkeep has pending.
       if (host.IsConsolidationHost()) {
-        reserved_expected += vm.ReservedBytes();
+        reserved_expected += vm.residency == VmResidency::kPartial
+                                 ? manager.SettledUpkeep(vid).ws_bytes
+                                 : vm.full_bytes;
       }
     }
     if (host.IsHomeHost()) {
@@ -173,6 +176,7 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
     std::vector<int> fac_homed(num_hosts, 0);
     std::vector<int> inflight_residents(num_hosts, 0);
     std::vector<int> partial_residents(num_hosts, 0);
+    std::vector<int> upkeep_residents(num_hosts, 0);
     for (size_t v = 0; v < num_vms; ++v) {
       VmId vid = static_cast<VmId>(v);
       const VmSlot& vm = manager.GetVm(vid);
@@ -197,6 +201,9 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
       if (vm.migration_in_flight) {
         ++inflight_residents[vm.location];
       }
+      if (vm.UpkeepEligible()) {
+        ++upkeep_residents[vm.location];
+      }
     }
     auto expect_exact = [&](const char* invariant, const char* what, HostId hid,
                             int maintained, int derived) {
@@ -218,6 +225,8 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
                    manager.InflightResidentsOn(hid), inflight_residents[h]);
       expect_exact("cluster.partial_residents_exact", "partial residents", hid,
                    manager.PartialResidentsOn(hid), partial_residents[h]);
+      expect_exact("cluster.upkeep_residents_balanced", "upkeep-eligible residents", hid,
+                   manager.UpkeepResidentsOn(hid), upkeep_residents[h]);
     }
   }
 
@@ -229,6 +238,18 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
   for (size_t v = 0; v < num_vms; ++v) {
     VmId vid = static_cast<VmId>(v);
     const VmSlot& vm = manager.GetVm(vid);
+    checker.Expect(!vm.UpkeepEligible() || vm.upkeep_mark <= manager.upkeep_round(),
+                   "cluster.upkeep_mark_not_ahead", now,
+                   [&] {
+                     return "VM " + std::to_string(vid) + " upkeep mark " +
+                            std::to_string(vm.upkeep_mark) + " is past round " +
+                            std::to_string(manager.upkeep_round());
+                   },
+                   obs::TraceArgs{H(vm.location), V(vid)});
+    // The byte counters are checked as an eager upkeep walk would hold them:
+    // derived from the lagging slot, never settled here, so a missing settle
+    // in the actuator cannot be masked by turning the checker on.
+    const UpkeepCounters settled = manager.SettledUpkeep(vid);
     bool traced_active = trace[v % trace.size()].IsActive(interval);
     checker.Expect(traced_active == (vm.activity == VmActivity::kActive),
                    "cluster.activity_matches_trace", now,
@@ -271,14 +292,15 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
                             " location=" + std::to_string(vm.location);
                    },
                    obs::TraceArgs{H(vm.location), V(vid)});
-    checker.Expect(vm.ws_unfetched <= vm.ws_bytes, "cluster.ws_fetch_conservation", now,
+    checker.Expect(settled.ws_unfetched <= settled.ws_bytes, "cluster.ws_fetch_conservation",
+                   now,
                    [&] {
                      return "VM " + std::to_string(vid) + " has " +
-                            std::to_string(vm.ws_unfetched) + " B unfetched of a " +
-                            std::to_string(vm.ws_bytes) + " B working set";
+                            std::to_string(settled.ws_unfetched) + " B unfetched of a " +
+                            std::to_string(settled.ws_bytes) + " B working set";
                    },
                    obs::TraceArgs{H(vm.location), V(vid),
-                                  static_cast<int64_t>(vm.ws_unfetched)});
+                                  static_cast<int64_t>(settled.ws_unfetched)});
     checker.Expect(vm.residency == VmResidency::kPartial ||
                        (vm.ws_bytes == 0 && vm.ws_unfetched == 0 && vm.dirty_bytes == 0),
                    "cluster.full_vm_carries_no_partial_state", now,
@@ -289,15 +311,15 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
                             std::to_string(vm.dirty_bytes) + " B";
                    },
                    obs::TraceArgs{H(vm.location), V(vid)});
-    checker.Expect(vm.dirty_bytes <= config.volumes.dirty_cap_bytes,
+    checker.Expect(settled.dirty_bytes <= config.volumes.dirty_cap_bytes,
                    "cluster.dirty_within_cap", now,
                    [&] {
                      return "VM " + std::to_string(vid) + " dirtied " +
-                            std::to_string(vm.dirty_bytes) + " B past the cap of " +
+                            std::to_string(settled.dirty_bytes) + " B past the cap of " +
                             std::to_string(config.volumes.dirty_cap_bytes) + " B";
                    },
                    obs::TraceArgs{H(vm.location), V(vid),
-                                  static_cast<int64_t>(vm.dirty_bytes)});
+                                  static_cast<int64_t>(settled.dirty_bytes)});
     checker.Expect(vm.migration_in_flight == (vm.pending_op != VmSlot::PendingOp::kNone),
                    "cluster.migration_bookkeeping_paired", now,
                    [&] {

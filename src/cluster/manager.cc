@@ -88,6 +88,8 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace,
   state_.fac_vm_bits.assign(row_words_, 0);
   state_.inflight_residents.assign(state_.hosts.size(), 0);
   state_.partial_residents.assign(state_.hosts.size(), 0);
+  state_.upkeep_residents.assign(state_.hosts.size(), 0);
+  state_.upkeep = UpkeepRates(config_);
 }
 
 ClusterMetrics ClusterManager::Run() {
@@ -120,6 +122,9 @@ ClusterMetrics ClusterManager::Run() {
     }
   }
   sim_.RunUntil(end);
+  // Upkeep is lazy, so on-demand traffic and each VM's counters are only
+  // complete once every VM is settled.
+  act_.SettleAllUpkeep();
   act_.AccrueEnergy(end);
   if (check::InvariantChecker* c = check::InvariantChecker::IfEnabled()) {
     CheckClusterInvariants(*this, end, *c);
@@ -183,6 +188,10 @@ void ClusterManager::OnInterval(SimTime now, int interval) {
   OASIS_CLOG(kDebug, "cluster") << "planning round " << interval;
   UpdateActivities(now, interval);
   act_.PartialVmUpkeep(now);
+  PlanAndRecord(now, interval);
+}
+
+void ClusterManager::PlanAndRecord(SimTime now, int interval) {
   PlanActions actions = strategy_->PlanInterval(View(), now, act_);
   act_.SleepIdleConsolidationHosts(now);
   // Sweep home hosts that drained since the last interval.

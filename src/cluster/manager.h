@@ -15,7 +15,7 @@
 //      wake-home-and-return-all fallback);
 //   2. runs per-partial-VM upkeep: on-demand fetch traffic, dirty-state
 //      growth, and working-set growth (which can exhaust a consolidation
-//      host and force a return);
+//      host and force a return), applied lazily (DESIGN.md, "Lazy upkeep");
 //   3. runs the configured consolidation strategy (config.strategy_name;
 //      the default "oasis-greedy" reproduces the paper's §3 algorithm and
 //      the pre-refactor manager byte for byte);
@@ -90,6 +90,13 @@ class ClusterManager {
   bool FacBitAt(VmId vm) const { return (state_.fac_vm_bits[vm / 64] >> (vm % 64)) & 1; }
   int InflightResidentsOn(HostId host) const { return state_.inflight_residents[host]; }
   int PartialResidentsOn(HostId host) const { return state_.partial_residents[host]; }
+  int UpkeepResidentsOn(HostId host) const { return state_.upkeep_residents[host]; }
+  uint32_t upkeep_round() const { return state_.upkeep_round; }
+  // `vm`'s counters as an eager upkeep walk would hold them now; derived
+  // read-only, so looking never settles anything.
+  UpkeepCounters SettledUpkeep(VmId vm) const {
+    return state_.upkeep.Settled(state_.vms[vm], state_.upkeep_round);
+  }
   const FaultInjector& fault_injector() const { return fault_; }
   const ConsolidationStrategy& strategy() const { return *strategy_; }
 
@@ -100,9 +107,17 @@ class ClusterManager {
   ClusterView View() { return ClusterView(config_, state_, &rng_, &ws_sampler_); }
 
  private:
+  // Steps a day round by round against the eager upkeep walk kept as a
+  // reference in tests/upkeep_test.cpp.
+  friend struct UpkeepTestPeer;
+
   // --- interval pipeline --------------------------------------------------
+  // One planning round: UpdateActivities, the actuator's PartialVmUpkeep,
+  // then PlanAndRecord (the strategy, the sleep sweeps, the snapshot and the
+  // invariant walk).
   void OnInterval(SimTime now, int interval);
   void UpdateActivities(SimTime now, int interval);
+  void PlanAndRecord(SimTime now, int interval);
   void RecordSnapshot(SimTime now, int interval);
   int RoundsPerDay() const;
   const uint64_t* ActivityRow(int interval) const {

@@ -353,7 +353,7 @@ int OasisGreedyStrategy::ExecuteDrain(const ClusterView& view, SimTime now, Actu
     HostId dest_id = kNoHost;
     for (size_t h = first_cons; h < view.num_hosts(); ++h) {
       const ClusterHost& host = view.host(static_cast<HostId>(h));
-      if (host.id() != source_id && host.IsPowered() && host.CanFit(vm.ws_bytes)) {
+      if (host.id() != source_id && host.IsPowered() && host.CanFit(view.ws_bytes(vm))) {
         dest_id = host.id();
         break;
       }

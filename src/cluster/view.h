@@ -68,6 +68,14 @@ struct ClusterState {
   // many are partial VMs (a drain source must hold nothing else).
   std::vector<int> inflight_residents;
   std::vector<int> partial_residents;
+  // Lazy partial-VM upkeep (DESIGN.md, "Lazy upkeep"). The rounds run so
+  // far, and per host how many residents are upkeep-eligible: a host's round
+  // reserves their growth in one step and leaves their slots alone, and an
+  // eligible VM's counters catch up only when it is settled.
+  uint32_t upkeep_round = 0;
+  std::vector<int> upkeep_residents;
+  // Resolved once from the config; never changes.
+  UpkeepRates upkeep;
 };
 
 // The strategies' window onto ClusterState. Cheap to construct (four
@@ -121,6 +129,13 @@ class ClusterView {
   const std::vector<uint64_t>& fac_vm_bits() const { return state_->fac_vm_bits; }
   int inflight_residents(HostId host) const { return state_->inflight_residents[host]; }
   int partial_residents(HostId host) const { return state_->partial_residents[host]; }
+
+  // A VM's working-set reservation, including growth its host has already
+  // reserved but its slot does not yet show. Strategies read it here, never
+  // from VmSlot::ws_bytes.
+  uint64_t ws_bytes(const VmSlot& vm) const {
+    return state_->upkeep.SettledWsBytes(vm, state_->upkeep_round);
+  }
 
  private:
   const ClusterConfig* config_;

@@ -10,6 +10,7 @@
 #include "src/mem/memory_image.h"
 #include "src/mem/page_content.h"
 #include "src/mem/working_set.h"
+#include "src/mem/working_set_kernel.h"
 #include "src/obs/obs.h"
 #include "src/sim/event_queue.h"
 #include "src/trace/trace_generator.h"
@@ -117,12 +118,53 @@ void BM_MemoryImageTouch(benchmark::State& state) {
 BENCHMARK(BM_MemoryImageTouch)->Arg(10000)->Arg(100000);
 
 void BM_WorkingSetSample(benchmark::State& state) {
-  WorkingSetSampler sampler(4);
+  WorkingSetSampler sampler(4 * kGiB, 4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.Sample(4 * kGiB));
+    benchmark::DoNotOptimize(sampler.Sample());
   }
 }
 BENCHMARK(BM_WorkingSetSample);
+
+// The rejection loop the block sampler replaced, one libm Box-Muller deviate
+// at a time: the reference for BM_WorkingSetSample.
+void BM_WorkingSetSampleLibm(benchmark::State& state) {
+  WorkingSetSampler sampler(4 * kGiB, 4);
+  const working_set_kernel::Params params = WorkingSetSamplerPeer::params(sampler);
+  Rng rng(4);
+  for (auto _ : state) {
+    double mib;
+    do {
+      mib = rng.NextGaussian(params.mu, params.sigma);
+    } while (mib < params.floor_mib || mib > params.ceiling_mib);
+    uint64_t bytes = MiBToBytes(mib);
+    benchmark::DoNotOptimize((bytes + kPageSize - 1) / kPageSize * kPageSize);
+  }
+}
+BENCHMARK(BM_WorkingSetSampleLibm);
+
+// One in-situ refill per iteration (uniform draws, kernel, libm fallbacks and
+// compaction) through kernel entry range(0); ns_per_pair is the cost of one
+// Box-Muller pair.
+void BM_WorkingSetRefill(benchmark::State& state) {
+  const working_set_kernel::Entry& entry =
+      working_set_kernel::Entries()[static_cast<size_t>(state.range(0))];
+  state.SetLabel(entry.name);
+  if (!entry.supported) {
+    state.SkipWithError("the CPU cannot run this entry");
+    return;
+  }
+  WorkingSetSampler sampler(4 * kGiB, 4);
+  WorkingSetSamplerPeer::SetKernel(sampler, entry.fn);
+  for (auto _ : state) {
+    WorkingSetSamplerPeer::Refill(sampler);
+    benchmark::DoNotOptimize(sampler.Sample());
+  }
+  state.counters["ns_per_pair"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * working_set_kernel::kBlockPairs),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_WorkingSetRefill)
+    ->DenseRange(0, static_cast<int>(working_set_kernel::Entries().size()) - 1);
 
 void BM_TraceGeneration(benchmark::State& state) {
   TraceGenerator gen(TraceGeneratorConfig{}, 5);

@@ -959,7 +959,7 @@ void Actuator::AccrueEnergy(SimTime now) {
 }
 
 uint64_t Actuator::SampleWorkingSet() {
-  return ws_sampler_.Sample(config_.vm_memory_bytes);
+  return ws_sampler_.Sample();
 }
 
 void Actuator::RecordPartialMigrationTraffic(SimTime now, VmSlot& vm) {

@@ -66,6 +66,10 @@ Status ClusterConfig::Validate() const {
         FormatBytes(vm_memory_bytes) + " > " + FormatBytes(host_memory_bytes) +
         " (use SetVmsPerHome to scale host capacity)");
   }
+  Status working_set_ok = ValidateWorkingSet(working_set, vm_memory_bytes);
+  if (!working_set_ok.ok()) {
+    return working_set_ok;
+  }
   if (planning_interval <= SimTime::Zero()) {
     return Status::InvalidArgument("planning interval must be positive");
   }

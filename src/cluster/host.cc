@@ -99,7 +99,7 @@ void ClusterHost::Transition(SimTime now, HostPowerState next) {
   meter_.SetDraw(now, CurrentDraw());
 }
 
-void ClusterHost::RequestWake(Simulator& sim, std::function<void(SimTime)> on_powered) {
+void ClusterHost::RequestWake(Simulator& sim, HostWaiter on_powered) {
   switch (state_) {
     case HostPowerState::kPowered:
       on_powered(sim.now());
@@ -131,7 +131,7 @@ void ClusterHost::RequestWake(Simulator& sim, std::function<void(SimTime)> on_po
   });
 }
 
-void ClusterHost::RequestSleep(Simulator& sim, std::function<void(SimTime)> on_asleep) {
+void ClusterHost::RequestSleep(Simulator& sim, HostWaiter on_asleep) {
   if (state_ != HostPowerState::kPowered) {
     return;
   }
@@ -144,8 +144,7 @@ void ClusterHost::RequestSleep(Simulator& sim, std::function<void(SimTime)> on_a
       return;
     }
     Transition(sim.now(), HostPowerState::kSleeping);
-    std::function<void(SimTime)> waiter = std::move(sleep_waiter_);
-    sleep_waiter_ = nullptr;
+    HostWaiter waiter = std::move(sleep_waiter_);
     if (waiter && !wake_after_suspend_) {
       waiter(sim.now());
     }
@@ -167,7 +166,7 @@ void ClusterHost::Crash(SimTime now) {
   ++transition_epoch_;  // invalidate any in-flight suspend/resume completion
   wake_after_suspend_ = false;
   wake_waiters_.clear();
-  sleep_waiter_ = nullptr;
+  sleep_waiter_.Reset();
   if (state_ != HostPowerState::kSleeping) {
     Transition(now, HostPowerState::kSleeping);
   }

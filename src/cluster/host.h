@@ -8,11 +8,11 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <vector>
 
 #include "src/cluster/cluster_types.h"
+#include "src/common/inline_function.h"
 #include "src/power/energy_meter.h"
 #include "src/sim/simulator.h"
 
@@ -99,6 +99,10 @@ class ResidentSet {
   std::vector<uint64_t> words_;
 };
 
+// A wake or sleep completion callback; it gets the completion time. Like an
+// event closure it lives inline, here in at most two pointers of captures.
+using HostWaiter = InlineFunction<void(SimTime), 16>;
+
 class ClusterHost {
  public:
   // Resolves the host's own hardware profile from the config's fleet mix
@@ -163,13 +167,13 @@ class ClusterHost {
   // Wake-on-LAN: transitions toward kPowered and invokes `on_powered` once
   // the host is up (immediately if already powered). Safe to call in any
   // state; a wake during suspend queues behind the suspend.
-  void RequestWake(Simulator& sim, std::function<void(SimTime)> on_powered);
+  void RequestWake(Simulator& sim, HostWaiter on_powered);
 
   // Suspends to S3 once outstanding migrations drain (the caller gates on
   // that); ignored unless currently powered. A wake request cancels a
   // not-yet-finished suspend at its completion boundary. `on_asleep` fires
   // when S3 entry completes (and is dropped if a wake pre-empts it).
-  void RequestSleep(Simulator& sim, std::function<void(SimTime)> on_asleep = nullptr);
+  void RequestSleep(Simulator& sim, HostWaiter on_asleep = {});
 
   // Earliest time the host could be executing VMs if woken at `now`.
   SimTime EarliestPoweredTime(SimTime now) const;
@@ -225,11 +229,11 @@ class ClusterHost {
   HostPowerState state_;
   uint64_t transition_epoch_ = 0;  // invalidates stale scheduled transitions
   bool wake_after_suspend_ = false;
-  std::vector<std::function<void(SimTime)>> wake_waiters_;
+  std::vector<HostWaiter> wake_waiters_;
   // At most one suspend is ever in flight (RequestSleep only acts from
   // kPowered), so its completion callback lives here instead of in the
   // scheduled closure — keeping that closure inside EventClosure::kCapacity.
-  std::function<void(SimTime)> sleep_waiter_;
+  HostWaiter sleep_waiter_;
 
   SimTime outbound_busy_until_;
   SimTime inbound_busy_until_;

@@ -562,10 +562,11 @@ OracleResult OfflineOracle::Solve(const TraceSet& trace, uint64_t seed) const {
   // sampler seeded off (seed, salt) only, so the result is independent of
   // anything the simulation drew.
   size_t num_vms = static_cast<size_t>(config_.TotalVms());
-  WorkingSetSampler sampler(config_.working_set, seed ^ oracle_.seed_salt);
+  WorkingSetSampler sampler(config_.working_set, config_.vm_memory_bytes,
+                            seed ^ oracle_.seed_salt);
   std::vector<uint64_t> ws(num_vms, 0);
   for (size_t v = 0; v < num_vms; ++v) {
-    ws[v] = sampler.Sample(config_.vm_memory_bytes);
+    ws[v] = sampler.Sample();
   }
   DayModel model = BuildModel(config_, trace, ws);
   Schedule schedule(model);

@@ -117,9 +117,7 @@ class ClusterView {
   // byte for byte precisely because it draws in the same order the monolith
   // did. Strategies must draw only while planning (never store the refs).
   Rng& planning_rng() const { return *rng_; }
-  uint64_t SampleWorkingSet() const {
-    return ws_sampler_->Sample(config_->vm_memory_bytes);
-  }
+  uint64_t SampleWorkingSet() const { return ws_sampler_->Sample(); }
 
   // Home-keyed VM index and the maintained aggregates (see ClusterState).
   const std::vector<VmId>& vms_of_home(HostId home) const {

@@ -13,8 +13,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -22,18 +20,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : s_) {
     s = SplitMix64(sm);
   }
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::NextBelow(uint64_t bound) {
@@ -52,11 +38,6 @@ uint64_t Rng::NextBelow(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-double Rng::NextDouble() {
-  // 53 high bits -> [0,1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::NextRange(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
 
 bool Rng::NextBool(double p_true) { return NextDouble() < p_true; }
@@ -71,11 +52,17 @@ double Rng::NextGaussian() {
     u1 = NextDouble();
   } while (u1 <= 0.0);
   double u2 = NextDouble();
+  double cos_deviate;
+  BoxMuller(u1, u2, &cos_deviate, &cached_gaussian_);
+  has_cached_gaussian_ = true;
+  return cos_deviate;
+}
+
+void Rng::BoxMuller(double u1, double u2, double* cos_deviate, double* sin_deviate) {
   double r = std::sqrt(-2.0 * std::log(u1));
   double theta = 2.0 * M_PI * u2;
-  cached_gaussian_ = r * std::sin(theta);
-  has_cached_gaussian_ = true;
-  return r * std::cos(theta);
+  *sin_deviate = r * std::sin(theta);
+  *cos_deviate = r * std::cos(theta);
 }
 
 double Rng::NextGaussian(double mean, double stddev) {

@@ -10,10 +10,13 @@
 #ifndef OASIS_SRC_MEM_WORKING_SET_H_
 #define OASIS_SRC_MEM_WORKING_SET_H_
 
+#include <array>
 #include <cstdint>
 
 #include "src/common/rng.h"
+#include "src/common/status.h"
 #include "src/common/units.h"
+#include "src/mem/working_set_kernel.h"
 
 namespace oasis {
 
@@ -21,28 +24,51 @@ struct WorkingSetDistribution {
   double mean_mib = 165.63;
   double stddev_mib = 91.38;
   double floor_mib = 16.0;
-  // Ceiling defaults to the VM allocation at sample time.
+  // The ceiling is the VM allocation, fixed per sampler.
 };
 
+// InvalidArgument unless a sampler of `dist` clamped to `ceiling_bytes` can
+// draw: finite parameters, a non-negative mean and floor, a positive
+// standard deviation, a ceiling above the floor, and at least one draw in a
+// million landing between them. Anything else rejects every (or nearly
+// every) draw, and Sample would spin.
+Status ValidateWorkingSet(const WorkingSetDistribution& dist, uint64_t ceiling_bytes);
+
+// Draws idle working-set sizes a block at a time (see working_set_kernel.h):
+// the stream is bit-identical to rejection-sampling Rng::NextGaussian one
+// deviate at a time, which tests/working_set_test.cpp keeps as a reference.
 class WorkingSetSampler {
  public:
-  WorkingSetSampler(const WorkingSetDistribution& dist, uint64_t seed);
-  explicit WorkingSetSampler(uint64_t seed)
-      : WorkingSetSampler(WorkingSetDistribution{}, seed) {}
+  // Every sample is clamped to `ceiling_bytes`, the VM allocation. Asserts
+  // ValidateWorkingSet.
+  WorkingSetSampler(const WorkingSetDistribution& dist, uint64_t ceiling_bytes, uint64_t seed);
+  WorkingSetSampler(uint64_t ceiling_bytes, uint64_t seed)
+      : WorkingSetSampler(WorkingSetDistribution{}, ceiling_bytes, seed) {}
 
-  // One idle working-set size in bytes for a VM with `allocation_bytes` of
-  // RAM, rounded up to whole pages.
-  uint64_t Sample(uint64_t allocation_bytes);
-
-  const WorkingSetDistribution& distribution() const { return dist_; }
+  // One idle working-set size in bytes, rounded up to whole pages.
+  uint64_t Sample() {
+    if (next_ == end_) [[unlikely]] {
+      Refill();
+    }
+    return block_[next_++];
+  }
 
  private:
-  WorkingSetDistribution dist_;
+  friend class WorkingSetSamplerPeer;
+
+  // Draws blocks of uniform pairs until one yields an accepted sample.
+  void Refill();
+
   // Underlying (pre-truncation) normal parameters, solved so the
-  // floor-truncated distribution reproduces the configured moments.
-  double mu_;
-  double sigma_;
+  // floor-truncated distribution reproduces the configured moments, with
+  // the floor, ceiling and certificate margin.
+  working_set_kernel::Params params_;
   Rng rng_;
+  working_set_kernel::Fn kernel_;
+  uint64_t exact_recomputes_ = 0;
+  uint32_t next_ = 0;
+  uint32_t end_ = 0;
+  std::array<uint64_t, 2 * working_set_kernel::kBlockPairs> block_{};
 };
 
 }  // namespace oasis

@@ -30,107 +30,19 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "src/common/inline_function.h"
 #include "src/common/units.h"
 
 namespace oasis {
 
-// A move-only callable with fixed inline storage and no heap fallback:
-// scheduling an event is a placement-new into the slot table, dispatching it
-// is one indirect call through a static per-type ops table (no vtable, no
-// std::function manager protocol). Captures larger than kCapacity are a
-// compile error — move bulky state into the callee (see
-// ClusterHost::RequestSleep for the pattern) rather than raising the cap;
-// the cap is what keeps slot-table relocation cheap.
-class EventClosure {
- public:
-  static constexpr size_t kCapacity = 48;
-
-  EventClosure() = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::remove_cvref_t<F>, EventClosure>>>
-  // NOLINTNEXTLINE(google-explicit-constructor): callables convert implicitly
-  // so Schedule call sites read exactly as they did with std::function.
-  EventClosure(F&& fn) {
-    using Fn = std::remove_cvref_t<F>;
-    static_assert(sizeof(Fn) <= kCapacity,
-                  "event closure captures exceed the 48-byte inline buffer; "
-                  "shrink the capture list or move state into the callee");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                  "event closure capture is over-aligned");
-    static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "event closures must be nothrow-movable (slot relocation)");
-    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
-    ops_ = &OpsFor<Fn>::kOps;
-  }
-
-  EventClosure(EventClosure&& other) noexcept : ops_(other.ops_) {
-    if (ops_ != nullptr) {
-      ops_->relocate(buf_, other.buf_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  EventClosure& operator=(EventClosure&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      ops_ = other.ops_;
-      if (ops_ != nullptr) {
-        ops_->relocate(buf_, other.buf_);
-        other.ops_ = nullptr;
-      }
-    }
-    return *this;
-  }
-
-  EventClosure(const EventClosure&) = delete;
-  EventClosure& operator=(const EventClosure&) = delete;
-
-  ~EventClosure() { Reset(); }
-
-  // Destroys the held callable (running capture destructors inline) and
-  // leaves the closure empty.
-  void Reset() {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
-
-  explicit operator bool() const { return ops_ != nullptr; }
-
-  void operator()() { ops_->invoke(buf_); }
-
- private:
-  struct Ops {
-    void (*invoke)(void*);
-    // Move-constructs dst from src, then destroys src.
-    void (*relocate)(void* dst, void* src);
-    void (*destroy)(void*);
-  };
-
-  template <typename Fn>
-  struct OpsFor {
-    static void Invoke(void* p) { (*static_cast<Fn*>(p))(); }
-    static void Relocate(void* dst, void* src) {
-      Fn* s = static_cast<Fn*>(src);
-      ::new (dst) Fn(std::move(*s));
-      s->~Fn();
-    }
-    static void Destroy(void* p) { static_cast<Fn*>(p)->~Fn(); }
-    static constexpr Ops kOps{&Invoke, &Relocate, &Destroy};
-  };
-
-  const Ops* ops_ = nullptr;
-  alignas(alignof(std::max_align_t)) unsigned char buf_[kCapacity];
-};
-
+// An event's closure: scheduling an event is a placement-new into the slot
+// table, dispatching it one indirect call. The 48-byte cap keeps slot-table
+// relocation cheap; see src/common/inline_function.h.
+using EventClosure = InlineFunction<void(), 48>;
 using EventFn = EventClosure;
 using EventId = uint64_t;
 

@@ -242,6 +242,24 @@ TEST(EventClosureTest, CaptureAtExactCapacityFits) {
   EXPECT_EQ(result, 0x5a * static_cast<int>(sizeof(blob.bytes)));
 }
 
+// The same inline storage with arguments and a result, as ClusterHost's
+// wake and sleep waiters use it.
+TEST(InlineFunctionTest, PassesArgumentsAndReturnsResults) {
+  int calls = 0;
+  InlineFunction<int(int, SimTime), 16> f = [&calls](int k, SimTime t) {
+    ++calls;
+    return k + static_cast<int>(t.seconds());
+  };
+  EXPECT_EQ(f(2, SimTime::Seconds(3)), 5);
+  InlineFunction<int(int, SimTime), 16> g = std::move(f);
+  EXPECT_FALSE(f);
+  ASSERT_TRUE(g);
+  EXPECT_EQ(g(1, SimTime::Seconds(1)), 2);
+  EXPECT_EQ(calls, 2);
+  g.Reset();
+  EXPECT_FALSE(g);
+}
+
 TEST(EventClosureTest, MoveTransfersOwnership) {
   int live = 0;
   int runs = 0;

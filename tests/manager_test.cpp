@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "src/trace/trace_generator.h"
 #include "tests/metric_digest.h"
 
@@ -290,6 +293,33 @@ TEST(ManagerTest, PlanningIntervalDigestsArePinned) {
     EXPECT_GT(m.capacity_exhaustions, 0u) << pin.minutes << " min";
     EXPECT_EQ(testing::DigestMetrics(m), pin.digest) << pin.minutes << " min";
   }
+}
+
+// A VM allocation at or below the 16 MiB working-set floor, or a distribution
+// whose draws cannot land under the allocation, would make the working-set
+// sampler reject every draw and spin; Validate refuses both up front.
+TEST(ManagerTest, ValidateRejectsWorkingSetsThatCannotFit) {
+  ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
+  ASSERT_TRUE(config.Validate().ok());
+  config.vm_memory_bytes = 8 * kMiB;
+  Status status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("working-set floor"), std::string::npos) << status.message();
+  config.vm_memory_bytes = 16 * kMiB;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config.vm_memory_bytes = 64 * kMiB;
+  EXPECT_TRUE(config.Validate().ok());
+  config.working_set.mean_mib = 500.0;
+  config.working_set.stddev_mib = 10.0;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config = SmallCluster(ConsolidationPolicy::kFullToPartial);
+  config.working_set.stddev_mib = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config.working_set.stddev_mib = -1.0;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config = SmallCluster(ConsolidationPolicy::kFullToPartial);
+  config.working_set.floor_mib = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ManagerTest, PolicyNames) {

@@ -77,13 +77,4 @@ double Rng::NextExponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::NextBoundedPareto(double alpha, double lo, double hi) {
-  double u = NextDouble();
-  double la = std::pow(lo, alpha);
-  double ha = std::pow(hi, alpha);
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
-}
-
-Rng Rng::Fork() { return Rng(NextU64() ^ 0xA02BDBF7BB3C0A7ull); }
-
 }  // namespace oasis

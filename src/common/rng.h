@@ -4,7 +4,7 @@
 // that simulation runs are exactly reproducible. The generator is
 // xoshiro256** seeded through SplitMix64, which has far better statistical
 // quality than std::minstd and, unlike std::mt19937, a trivially copyable
-// 32-byte state that makes forking independent streams cheap.
+// 32-byte state.
 
 #ifndef OASIS_SRC_COMMON_RNG_H_
 #define OASIS_SRC_COMMON_RNG_H_
@@ -60,14 +60,6 @@ class Rng {
 
   // Exponential with the given mean (not rate).
   double NextExponential(double mean);
-
-  // Bounded Pareto on [lo, hi] with tail index alpha; used for bursty idle
-  // page-request gaps.
-  double NextBoundedPareto(double alpha, double lo, double hi);
-
-  // A statistically independent child generator, derived from this stream.
-  // Forking N children from one parent yields N decorrelated streams.
-  Rng Fork();
 
  private:
   uint64_t s_[4];

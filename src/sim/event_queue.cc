@@ -8,15 +8,7 @@
 namespace oasis {
 namespace {
 
-constexpr uint32_t kSlotBits = 32;
 constexpr uint64_t kSignBit = uint64_t{1} << 63;
-
-EventId MakeId(uint32_t slot, uint32_t generation) {
-  return (static_cast<EventId>(generation) << kSlotBits) | slot;
-}
-
-uint32_t SlotOf(EventId id) { return static_cast<uint32_t>(id); }
-uint32_t GenerationOf(EventId id) { return static_cast<uint32_t>(id >> kSlotBits); }
 
 // Flipping the sign bit maps signed micros onto unsigned keys in the same
 // order, so INT64_MIN is key 0 and SimTime::Max() is the largest key.
@@ -27,7 +19,7 @@ int BucketOf(uint64_t key, uint64_t base) { return std::bit_width(key ^ base); }
 
 }  // namespace
 
-EventId EventQueue::Schedule(SimTime when, EventFn fn) {
+void EventQueue::Schedule(SimTime when, EventFn fn) {
   uint32_t slot_index;
   if (!free_slots_.empty()) {
     slot_index = free_slots_.back();
@@ -37,69 +29,16 @@ EventId EventQueue::Schedule(SimTime when, EventFn fn) {
     slots_.emplace_back();
   }
   Slot& slot = slots_[slot_index];
-  // Generations start at 1 so no valid id ever equals kInvalidEventId.
-  ++slot.generation;
-  slot.live = true;
   slot.time = when;
   slot.closure = std::move(fn);
   // A key below the last popped one would break the radix invariant; file
   // it at the last popped instant instead (the past-scheduling rule).
   const uint64_t key = std::max(KeyOf(when), last_key_);
   const int b = BucketOf(key, last_key_);
-  buckets_[b].push_back(Entry{key, slot_index, slot.generation});
+  buckets_[b].push_back(Entry{key, slot_index});
   if (b > 0) {
     nonempty_ |= uint64_t{1} << (b - 1);
   }
-  ++live_count_;
-  return MakeId(slot_index, slot.generation);
-}
-
-bool EventQueue::Cancel(EventId id) {
-  uint32_t slot_index = SlotOf(id);
-  if (slot_index >= slots_.size()) {
-    return false;
-  }
-  Slot& slot = slots_[slot_index];
-  if (!slot.live || slot.generation != GenerationOf(id)) {
-    return false;
-  }
-  // Tombstone: the queue entry stays (its generation no longer matches once
-  // the slot is recycled, and `live` is false until then) and is dropped when
-  // it reaches the front or its bucket is next scanned. The closure dies
-  // here — capture destructors run inline — and the slot is immediately
-  // reusable.
-  slot.live = false;
-  slot.closure.Reset();
-  free_slots_.push_back(slot_index);
-  --live_count_;
-  ++dead_;
-  return true;
-}
-
-void EventQueue::SkipCancelled() const {
-  const std::vector<Entry>& front = buckets_[0];
-  while (dead_ > 0 && head_ < front.size() && !EntryLive(front[head_])) {
-    ++head_;
-    --dead_;
-  }
-}
-
-int EventQueue::LowestBucket() const {
-  while (nonempty_ != 0) {
-    const int b = std::countr_zero(nonempty_) + 1;
-    if (dead_ == 0) {
-      return b;
-    }
-    // Stable purge: the survivors keep their order, which Refill relies on.
-    const size_t purged =
-        std::erase_if(buckets_[b], [this](const Entry& e) { return !EntryLive(e); });
-    dead_ -= purged;
-    if (!buckets_[b].empty()) {
-      return b;
-    }
-    nonempty_ &= ~(uint64_t{1} << (b - 1));
-  }
-  return 0;
 }
 
 uint64_t EventQueue::MinKey(const std::vector<Entry>& bucket) {
@@ -112,19 +51,17 @@ uint64_t EventQueue::MinKey(const std::vector<Entry>& bucket) {
 }
 
 SimTime EventQueue::NextTime() const {
-  SkipCancelled();
   if (head_ < buckets_[0].size()) {
     return slots_[buckets_[0][head_].slot].time;
   }
   // Peek without re-basing: a caller may still schedule below the pending
   // minimum (but not below the last pop) before the next Pop.
-  const int b = LowestBucket();
-  return b == 0 ? SimTime::Max() : TimeOf(MinKey(buckets_[b]));
+  return nonempty_ == 0 ? SimTime::Max() : TimeOf(MinKey(buckets_[LowestBucket()]));
 }
 
 void EventQueue::Refill() {
+  assert(nonempty_ != 0 && "Pop() on empty EventQueue");
   const int b = LowestBucket();
-  assert(b != 0 && "Pop() on empty EventQueue");
   std::vector<Entry>& source = buckets_[b];
   last_key_ = MinKey(source);
   // Every entry of bucket b agrees with the new base above bit b - 1, so it
@@ -145,25 +82,19 @@ void EventQueue::Refill() {
 
 EventQueue::Popped EventQueue::Pop() {
   std::vector<Entry>& front = buckets_[0];
-  for (;;) {
-    SkipCancelled();
-    if (head_ < front.size()) {
-      break;
-    }
+  if (head_ == front.size()) {
     front.clear();
     head_ = 0;
     Refill();
   }
-  const Entry top = front[head_++];
-  Slot& slot = slots_[top.slot];
+  const uint32_t index = front[head_++].slot;
+  Slot& slot = slots_[index];
   // Move the closure to the caller before recycling the slot: the callable
   // may schedule new events, which may claim this very slot (or grow the
   // slot table and invalidate references into it).
   EventFn fn = std::move(slot.closure);
-  slot.live = false;
-  free_slots_.push_back(top.slot);
-  --live_count_;
-  return Popped{slot.time, MakeId(top.slot, top.generation), std::move(fn)};
+  free_slots_.push_back(index);
+  return Popped{slot.time, std::move(fn)};
 }
 
 }  // namespace oasis

@@ -1,17 +1,13 @@
 // The simulation clock and run loop.
 //
 // A Simulator owns an EventQueue and a monotone clock. Components schedule
-// closures relative to `now()`; Run() drains events until a deadline or the
-// queue empties. Periodic tasks re-arm themselves through SchedulePeriodic.
+// closures relative to `now()`; RunUntil/RunToCompletion drain events until
+// a deadline or until the queue empties.
 
 #ifndef OASIS_SRC_SIM_SIMULATOR_H_
 #define OASIS_SRC_SIM_SIMULATOR_H_
 
-#include <functional>
-#include <memory>
-
 #include "src/common/units.h"
-#include "src/obs/metrics.h"
 #include "src/obs/run_context.h"
 #include "src/sim/event_queue.h"
 
@@ -27,56 +23,28 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  obs::RunContext* run_context() const { return run_context_; }
-
   SimTime now() const { return now_; }
 
   // Schedules `fn` after `delay` from now (delay must be >= 0).
-  EventId ScheduleAfter(SimTime delay, EventFn fn);
+  void ScheduleAfter(SimTime delay, EventFn fn);
 
   // Schedules `fn` at the absolute time `when` (must be >= now).
-  EventId ScheduleAt(SimTime when, EventFn fn);
+  void ScheduleAt(SimTime when, EventFn fn);
 
-  // Runs `fn` every `period`, starting at now + first_delay, until the
-  // returned handle is cancelled or the simulation stops. `fn` receives the
-  // firing time.
-  struct PeriodicHandle {
-    std::shared_ptr<bool> alive;
-    void Cancel() {
-      if (alive) {
-        *alive = false;
-      }
-    }
-  };
-  PeriodicHandle SchedulePeriodic(SimTime first_delay, SimTime period,
-                                  std::function<void(SimTime)> fn);
-
-  bool Cancel(EventId id) { return queue_.Cancel(id); }
-
-  // Runs until the queue empties or the clock would pass `deadline`;
-  // the clock finishes at min(deadline, last-event time). Events scheduled
-  // exactly at the deadline still run.
+  // Runs every event at or before `deadline` (events scheduled exactly at
+  // the deadline still run) and then advances the clock to `deadline`, so
+  // the clock ends at the deadline even when the queue empties earlier.
+  // Later events stay queued.
   void RunUntil(SimTime deadline);
 
-  // Runs until the queue is empty.
+  // Runs until the queue is empty; the clock ends at the last event's time.
   void RunToCompletion();
-
-  // Executes at most one event; returns false when the queue is empty.
-  // Single-step path for tests and drivers: resolves every observability
-  // gate per call, unlike the run loops, which hoist them.
-  bool Step();
 
   size_t pending_events() const { return queue_.size(); }
 
   uint64_t events_dispatched() const { return dispatched_; }
 
  private:
-  // The registry to instrument (run-local or global), nullptr when metrics
-  // are disabled. Cached instrument pointers are re-resolved whenever the
-  // effective registry changes, so one simulator object stays correct across
-  // enable/disable flips and context installs.
-  obs::MetricsRegistry* EffectiveMetrics();
-
   // Shared body of RunUntil/RunToCompletion: dispatches events with
   // observability gates hoisted out of the per-event path.
   void RunLoop(SimTime deadline);
@@ -85,9 +53,6 @@ class Simulator {
   SimTime now_ = SimTime::Zero();
   uint64_t dispatched_ = 0;
   obs::RunContext* run_context_ = nullptr;
-  obs::MetricsRegistry* metrics_source_ = nullptr;
-  obs::Counter* dispatched_counter_ = nullptr;
-  obs::Gauge* depth_gauge_ = nullptr;
 };
 
 }  // namespace oasis

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -16,7 +15,7 @@ namespace oasis {
 namespace {
 
 // Counts live instances so tests can pin exactly *when* a captured payload
-// is destroyed (eagerly in Cancel vs. lazily at tombstone surfacing).
+// is destroyed.
 struct InstanceCounter {
   explicit InstanceCounter(int* c) : count(c) { ++*count; }
   InstanceCounter(const InstanceCounter& o) : count(o.count) { ++*count; }
@@ -56,135 +55,12 @@ TEST(EventQueueTest, TiesBreakInScheduleOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueueTest, CancelPreventsExecution) {
+TEST(EventQueueTest, PopReportsTime) {
   EventQueue q;
-  bool ran = false;
-  EventId id = q.Schedule(SimTime::Seconds(1), [&] { ran = true; });
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueueTest, CancelTwiceFails) {
-  EventQueue q;
-  EventId id = q.Schedule(SimTime::Seconds(1), [] {});
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_FALSE(q.Cancel(id));
-  EXPECT_FALSE(q.Cancel(kInvalidEventId));
-}
-
-TEST(EventQueueTest, NextTimeSkipsCancelled) {
-  EventQueue q;
-  EventId early = q.Schedule(SimTime::Seconds(1), [] {});
-  q.Schedule(SimTime::Seconds(5), [] {});
-  q.Cancel(early);
-  EXPECT_EQ(q.NextTime(), SimTime::Seconds(5));
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(EventQueueTest, PopReportsTimeAndId) {
-  EventQueue q;
-  EventId id = q.Schedule(SimTime::Seconds(7), [] {});
+  q.Schedule(SimTime::Seconds(7), [] {});
   auto popped = q.Pop();
   EXPECT_EQ(popped.time, SimTime::Seconds(7));
-  EXPECT_EQ(popped.id, id);
   EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueTest, RecycledSlotGetsFreshGeneration) {
-  EventQueue q;
-  EventId first = q.Schedule(SimTime::Seconds(1), [] {});
-  ASSERT_TRUE(q.Cancel(first));
-  // The slot is recycled; the new id must differ so the old handle stays dead.
-  EventId second = q.Schedule(SimTime::Seconds(2), [] {});
-  EXPECT_NE(first, second);
-  EXPECT_FALSE(q.Cancel(first));
-  EXPECT_TRUE(q.Cancel(second));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueTest, StaleIdCannotCancelRecycledSlot) {
-  EventQueue q;
-  EventId stale = q.Schedule(SimTime::Seconds(1), [] {});
-  q.Pop();  // consumes the event, frees the slot
-  bool ran = false;
-  q.Schedule(SimTime::Seconds(2), [&] { ran = true; });
-  // `stale` refers to the same slot as the live event but an older
-  // generation: cancelling through it must not touch the live event.
-  EXPECT_FALSE(q.Cancel(stale));
-  ASSERT_EQ(q.size(), 1u);
-  q.Pop().fn();
-  EXPECT_TRUE(ran);
-}
-
-TEST(EventQueueTest, IdReuseStress) {
-  EventQueue q;
-  // Hammer one slot through many schedule/cancel generations; every retired
-  // id must stay permanently invalid.
-  std::vector<EventId> retired;
-  for (int i = 0; i < 100; ++i) {
-    EventId id = q.Schedule(SimTime::Seconds(1), [] {});
-    for (EventId old : retired) {
-      EXPECT_FALSE(q.Cancel(old));
-    }
-    EXPECT_TRUE(q.Cancel(id));
-    retired.push_back(id);
-  }
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueTest, SizeCountsLiveEventsOnly) {
-  EventQueue q;
-  EventId a = q.Schedule(SimTime::Seconds(1), [] {});
-  q.Schedule(SimTime::Seconds(2), [] {});
-  EventId c = q.Schedule(SimTime::Seconds(3), [] {});
-  EXPECT_EQ(q.size(), 3u);
-  q.Cancel(a);
-  q.Cancel(c);
-  // Tombstones may still sit in the heap, but size() reports live events.
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.Pop().time, SimTime::Seconds(2));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueTest, CancelledClosureNotRunEvenWhenBuried) {
-  EventQueue q;
-  // Cancel an event that is *not* at the heap front, then drain: the
-  // tombstoned entry must be skipped wherever it surfaces.
-  std::vector<int> order;
-  q.Schedule(SimTime::Seconds(1), [&] { order.push_back(1); });
-  EventId mid = q.Schedule(SimTime::Seconds(2), [&] { order.push_back(2); });
-  q.Schedule(SimTime::Seconds(3), [&] { order.push_back(3); });
-  q.Cancel(mid);
-  while (!q.empty()) {
-    q.Pop().fn();
-  }
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST(EventQueueTest, CancelDestroysClosureEagerly) {
-  EventQueue q;
-  int live = 0;
-  // Bury the event under an earlier one so its tombstone cannot surface (and
-  // be reaped) before we check: destruction must happen inside Cancel itself,
-  // not when the dead heap entry is eventually skipped.
-  q.Schedule(SimTime::Seconds(1), [] {});
-  EventId id = q.Schedule(SimTime::Seconds(2), [c = InstanceCounter(&live)] {});
-  ASSERT_EQ(live, 1);
-  EXPECT_TRUE(q.Cancel(id));
-  // Captured state released the moment Cancel returns — no Pop has run yet.
-  EXPECT_EQ(live, 0);
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(EventQueueTest, CancelReleasesSharedOwnership) {
-  EventQueue q;
-  auto payload = std::make_shared<int>(7);
-  EventId id = q.Schedule(SimTime::Seconds(1), [payload] {});
-  ASSERT_EQ(payload.use_count(), 2);
-  q.Cancel(id);
-  // The queue's reference is gone before any drain touches the heap.
-  EXPECT_EQ(payload.use_count(), 1);
 }
 
 TEST(EventQueueTest, PopDestroysClosureAfterInvocation) {
@@ -210,8 +86,8 @@ TEST(EventQueueTest, QueueDestructorDestroysPendingClosures) {
     EventQueue q;
     q.Schedule(SimTime::Seconds(1), [c = InstanceCounter(&live)] {});
     q.Schedule(SimTime::Seconds(2), [c = InstanceCounter(&live)] {});
-    EventId dead = q.Schedule(SimTime::Seconds(3), [c = InstanceCounter(&live)] {});
-    q.Cancel(dead);
+    ASSERT_EQ(q.Pop().time, SimTime::Seconds(1));
+    q.Schedule(SimTime::Seconds(3), [c = InstanceCounter(&live)] {});
     EXPECT_EQ(live, 2);
   }
   EXPECT_EQ(live, 0);
@@ -364,12 +240,13 @@ TEST(EventQueueTest, PeekDoesNotRebaseTheQueue) {
 // Differential check against a reference that scans for the smallest
 // (filed time, seq), where an entry's filed time is max(when, last popped
 // filed time): the queue's documented order, past-scheduling rule included.
+// Each closure records its tag, so running a popped event names which
+// scheduled event came out.
 TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
   struct Ref {
     int64_t filed;
     uint64_t seq;
     SimTime when;
-    EventId id;
     int tag;
   };
   const int seeds = testing::FuzzTrials(40);
@@ -378,7 +255,6 @@ TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
     Rng rng(0xE7E47 + static_cast<uint64_t>(seed));
     EventQueue q;
     std::vector<Ref> ref;
-    std::vector<EventId> retired;
     std::vector<int> ran;
     int64_t last_filed = INT64_MIN;
     // Base for new times: the latest popped time, capped so that offsets
@@ -394,7 +270,7 @@ TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
     };
     for (int step = 0; step < 3000; ++step) {
       const uint64_t op = rng.NextBelow(100);
-      if (op < 50 || ref.empty()) {
+      if (op < 52 || ref.empty()) {
         int64_t when;
         const uint64_t kind = rng.NextBelow(20);
         if (kind < 6) {
@@ -413,28 +289,17 @@ TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
           when = -static_cast<int64_t>(rng.NextBelow(1'000'000));  // negative micros
         }
         const int tag = next_tag++;
-        const EventId id = q.Schedule(SimTime(when), [&ran, tag] { ran.push_back(tag); });
-        ref.push_back(Ref{std::max(when, last_filed), seq++, SimTime(when), id, tag});
-      } else if (op < 85) {
+        q.Schedule(SimTime(when), [&ran, tag] { ran.push_back(tag); });
+        ref.push_back(Ref{std::max(when, last_filed), seq++, SimTime(when), tag});
+      } else {
         auto it = min_ref();
         EventQueue::Popped popped = q.Pop();
         ASSERT_EQ(popped.time, it->when) << "step " << step;
-        ASSERT_EQ(popped.id, it->id) << "step " << step;
         popped.fn();
         ASSERT_EQ(ran.back(), it->tag) << "step " << step;
         last_filed = it->filed;
         last_time = std::min(std::max(last_time, it->when.micros()), kBaseCap);
-        retired.push_back(it->id);
         ref.erase(it);
-      } else if (op < 97) {
-        // Half the time cancel the front entry, otherwise a random (mostly
-        // buried) one.
-        auto it = rng.NextBelow(2) == 0 ? min_ref() : ref.begin() + rng.NextBelow(ref.size());
-        ASSERT_TRUE(q.Cancel(it->id)) << "step " << step;
-        retired.push_back(it->id);
-        ref.erase(it);
-      } else if (!retired.empty()) {
-        ASSERT_FALSE(q.Cancel(retired[rng.NextBelow(retired.size())])) << "step " << step;
       }
       ASSERT_EQ(q.size(), ref.size()) << "step " << step;
       ASSERT_EQ(q.empty(), ref.empty()) << "step " << step;
@@ -444,7 +309,9 @@ TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
       auto it = min_ref();
       ASSERT_EQ(q.NextTime(), it->when);
       EventQueue::Popped popped = q.Pop();
-      ASSERT_EQ(popped.id, it->id);
+      ASSERT_EQ(popped.time, it->when);
+      popped.fn();
+      ASSERT_EQ(ran.back(), it->tag);
       ref.erase(it);
     }
     EXPECT_TRUE(q.empty());

@@ -82,6 +82,50 @@ TEST(ClusterHostTest, WakeDuringSuspendQueuesBehindIt) {
   EXPECT_NEAR(powered_at.seconds(), 5.4, 0.01);
 }
 
+// A crash bumps the host's transition epoch; that epoch alone retires a
+// completion scheduled before the crash once a new transition has put the
+// host back in the state the stale completion expects.
+TEST(ClusterHostTest, CrashDuringResumeRetiresTheStaleCompletion) {
+  Simulator sim;
+  ClusterHost host(0, HostRole::kHome, TestConfig(), false);
+  bool first_fired = false;
+  host.RequestWake(sim, [&](SimTime) { first_fired = true; });
+  SimTime powered_at;
+  sim.ScheduleAt(SimTime::Seconds(1), [&] {
+    host.Crash(sim.now());
+    host.RequestWake(sim, [&](SimTime t) { powered_at = t; });
+  });
+  // The first resume's completion (at 2.3 s) must not power the host early.
+  sim.RunUntil(SimTime::Seconds(3));
+  EXPECT_EQ(host.power_state(), HostPowerState::kResuming);
+  sim.RunToCompletion();
+  EXPECT_TRUE(host.IsPowered());
+  EXPECT_EQ(powered_at, SimTime::Seconds(1) + SimTime::Seconds(2.3));
+  EXPECT_FALSE(first_fired);
+}
+
+TEST(ClusterHostTest, CrashDuringSuspendRetiresTheStaleCompletion) {
+  Simulator sim;
+  ClusterHost host(0, HostRole::kHome, TestConfig(), true);
+  host.RequestSleep(sim);
+  SimTime asleep_at;
+  sim.ScheduleAt(SimTime::Seconds(0.2), [&] {
+    host.Crash(sim.now());
+    host.RequestWake(sim, [](SimTime) {});
+  });
+  // Powered again at 2.5 s; suspend anew while the first suspend's
+  // completion (at 3.1 s) is still queued.
+  sim.ScheduleAt(SimTime::Seconds(2.6), [&] {
+    ASSERT_TRUE(host.IsPowered());
+    host.RequestSleep(sim, [&](SimTime t) { asleep_at = t; });
+  });
+  sim.RunUntil(SimTime::Seconds(4));
+  EXPECT_EQ(host.power_state(), HostPowerState::kSuspending);
+  sim.RunToCompletion();
+  EXPECT_TRUE(host.IsAsleep());
+  EXPECT_EQ(asleep_at, SimTime::Seconds(2.6) + SimTime::Seconds(3.1));
+}
+
 TEST(ClusterHostTest, OnAsleepCallbackFires) {
   Simulator sim;
   ClusterHost host(0, HostRole::kHome, TestConfig(), true);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 namespace oasis {
@@ -57,50 +58,6 @@ TEST(SimulatorTest, RunUntilAdvancesClockWithNoEvents) {
   Simulator sim;
   sim.RunUntil(SimTime::Hours(24));
   EXPECT_EQ(sim.now(), SimTime::Hours(24));
-}
-
-TEST(SimulatorTest, CancelScheduledEvent) {
-  Simulator sim;
-  bool ran = false;
-  EventId id = sim.ScheduleAfter(SimTime::Seconds(1), [&] { ran = true; });
-  EXPECT_TRUE(sim.Cancel(id));
-  sim.RunToCompletion();
-  EXPECT_FALSE(ran);
-}
-
-TEST(SimulatorTest, StepExecutesOneEvent) {
-  Simulator sim;
-  int count = 0;
-  sim.ScheduleAfter(SimTime::Seconds(1), [&] { ++count; });
-  sim.ScheduleAfter(SimTime::Seconds(2), [&] { ++count; });
-  EXPECT_TRUE(sim.Step());
-  EXPECT_EQ(count, 1);
-  EXPECT_TRUE(sim.Step());
-  EXPECT_EQ(count, 2);
-  EXPECT_FALSE(sim.Step());
-}
-
-TEST(SimulatorTest, PeriodicTaskFiresUntilCancelled) {
-  Simulator sim;
-  std::vector<double> fires;
-  auto handle = sim.SchedulePeriodic(SimTime::Seconds(1), SimTime::Seconds(2),
-                                     [&](SimTime t) { fires.push_back(t.seconds()); });
-  sim.ScheduleAfter(SimTime::Seconds(6), [&] { handle.Cancel(); });
-  sim.RunUntil(SimTime::Seconds(20));
-  EXPECT_EQ(fires, (std::vector<double>{1.0, 3.0, 5.0}));
-}
-
-TEST(SimulatorTest, PeriodicTaskCanCancelItself) {
-  Simulator sim;
-  int fires = 0;
-  Simulator::PeriodicHandle handle;
-  handle = sim.SchedulePeriodic(SimTime::Seconds(1), SimTime::Seconds(1), [&](SimTime) {
-    if (++fires == 3) {
-      handle.Cancel();
-    }
-  });
-  sim.RunUntil(SimTime::Seconds(100));
-  EXPECT_EQ(fires, 3);
 }
 
 TEST(SimulatorTest, ScheduleAtAbsoluteTime) {

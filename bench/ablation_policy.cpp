@@ -28,6 +28,7 @@
 #include "src/check/check.h"
 #include "src/cluster/oracle.h"
 #include "src/cluster/strategy.h"
+#include "src/common/digest.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
 #include "src/obs/obs.h"
@@ -45,15 +46,11 @@ uint64_t NetworkTraffic(const ClusterMetrics& m) {
 }
 
 uint64_t CombineDigests(const std::vector<OracleResult>& oracle) {
-  uint64_t hash = 1469598103934665603ULL;
+  Fnv1a fnv(Fnv1a::kShortBasis);
   for (const OracleResult& r : oracle) {
-    uint64_t d = r.Digest();
-    for (int b = 0; b < 8; ++b) {
-      hash ^= (d >> (b * 8)) & 0xFFu;
-      hash *= 1099511628211ULL;
-    }
+    fnv.Fold(r.Digest());
   }
-  return hash;
+  return fnv.hash();
 }
 
 // Splices the gap results into the OASIS_BENCH_JSON snapshot as a

@@ -21,7 +21,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "src/check/check.h"
 #include "src/cluster/oracle.h"
 #include "src/cluster/strategy.h"
+#include "src/common/digest.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
 #include "src/obs/obs.h"
@@ -52,20 +52,6 @@ FleetMix FleetFromEnv() {
     knobs::Reject(knobs::Knob::kFleet, spec, accepted + " (" + mix.status().ToString() + ")");
   }
   return *mix;
-}
-
-uint64_t FnvFold(uint64_t hash, uint64_t value) {
-  for (int b = 0; b < 8; ++b) {
-    hash ^= (value >> (b * 8)) & 0xFFu;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-uint64_t DoubleBits(double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
 }
 
 void FleetSweep(int runs) {
@@ -143,9 +129,9 @@ void FleetSweep(int runs) {
     header.push_back("default slp h");
   }
 
-  uint64_t digest = 1469598103934665603ULL;
+  Fnv1a digest(Fnv1a::kShortBasis);
   for (const OracleResult& r : oracle) {
-    digest = FnvFold(digest, r.Digest());
+    digest.Fold(r.Digest());
   }
 
   TextTable table(header);
@@ -169,12 +155,12 @@ void FleetSweep(int runs) {
       cells.push_back(TextTable::Num(band_hours(0), 1));
     }
     table.AddRow(cells);
-    digest = FnvFold(digest, DoubleBits(result.savings.mean()));
+    digest.Fold(result.savings.mean());
   }
   table.Print(std::cout);
   std::printf("\noracle: hindsight schedule saves %.1f%% (relaxed interval bound %.1f%%), "
               "digest 0x%016" PRIx64 "\n",
-              oracle_savings * 100.0, relaxed_savings * 100.0, digest);
+              oracle_savings * 100.0, relaxed_savings * 100.0, digest.hash());
   std::printf(
       "\nEach home is priced at its own generation's curve: vacating a table1\n"
       "home saves more absolute watts than an efficient-v2 home, and the s3\n"

@@ -26,12 +26,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/digest.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
 #include "src/check/check.h"
@@ -44,31 +44,19 @@ namespace {
 // FNV-1a over the bit patterns of every run's headline metrics: equal
 // checksums mean equal simulation results, independent of execution order.
 uint64_t ResultsChecksum(const std::vector<SimulationResult>& results) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  auto fold = [&hash](uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (8 * byte)) & 0xFF;
-      hash *= 0x100000001b3ull;
-    }
-  };
-  auto fold_double = [&fold](double value) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    fold(bits);
-  };
+  Fnv1a fnv;
   for (const SimulationResult& result : results) {
     const ClusterMetrics& m = result.metrics;
-    fold_double(m.TotalEnergy());
-    fold_double(m.baseline_energy);
-    fold_double(m.EnergySavings());
-    fold(m.full_migrations);
-    fold(m.partial_migrations);
-    fold(m.reintegrations);
-    fold(m.host_wakes);
-    fold(m.events_dispatched);
+    fnv.Fold(m.TotalEnergy());
+    fnv.Fold(m.baseline_energy);
+    fnv.Fold(m.EnergySavings());
+    fnv.Fold(m.full_migrations);
+    fnv.Fold(m.partial_migrations);
+    fnv.Fold(m.reintegrations);
+    fnv.Fold(m.host_wakes);
+    fnv.Fold(m.events_dispatched);
   }
-  return hash;
+  return fnv.hash();
 }
 
 exp::ExperimentPlan Fig12Grid(int runs) {

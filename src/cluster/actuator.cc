@@ -53,12 +53,37 @@ void Actuator::CountResident(HostId host, const VmSlot& vm, int delta) {
   }
 }
 
-void Actuator::MoveResident(SimTime now, VmSlot& vm, HostId dest) {
-  HostOf(vm.location).RemoveVm(now, vm.id);
-  CountResident(vm.location, vm, -1);
-  HostOf(dest).AddVm(now, vm.id);
-  CountResident(dest, vm, +1);
-  vm.location = dest;
+void Actuator::Relocate(SimTime now, VmSlot& vm, HostId dest, VmResidency residency,
+                        uint64_t ws) {
+  // What a consolidation host reserves for a resident; a home reserves its
+  // own VMs' full footprints for the whole day.
+  auto footprint = [&vm] {
+    return vm.residency == VmResidency::kPartial ? vm.ws_bytes : vm.full_bytes;
+  };
+  const HostId source = vm.location;
+  if (HostOf(source).IsConsolidationHost()) {
+    HostOf(source).Release(footprint());
+  }
+  if (dest != source) {
+    HostOf(source).RemoveVm(now, vm.id);
+    CountResident(source, vm, -1);
+    HostOf(dest).AddVm(now, vm.id);
+    CountResident(dest, vm, +1);
+    vm.location = dest;
+    if (vm.activity == VmActivity::kActive) {
+      AdjustActiveCount(now, source, -1);
+      AdjustActiveCount(now, dest, +1);
+    }
+  }
+  if (residency != VmResidency::kPartial) {
+    vm.ws_bytes = vm.ws_unfetched = vm.dirty_bytes = 0;
+  } else if (vm.residency != VmResidency::kPartial) {
+    vm.ws_bytes = vm.ws_unfetched = ws;  // nothing fetched or dirtied yet
+  }
+  SetResidency(vm, residency);
+  if (HostOf(dest).IsConsolidationHost()) {
+    HostOf(dest).Reserve(footprint());
+  }
 }
 
 void Actuator::SetResidency(VmSlot& vm, VmResidency next) {
@@ -136,9 +161,10 @@ void Actuator::SettleAllUpkeep() {
 void Actuator::HandleActivation(SimTime now, VmId vm_id, SimTime activation_time) {
   VmSlot& vm = Slot(vm_id);
   SettleUpkeep(vm);
-  if (vm.migration_in_flight && TryAbortPendingMigration(now, vm)) {
-    // The queued move was cancelled; fall through with the VM's restored
-    // state (full at home for vacate/swap aborts, still partial for drains).
+  if (vm.migration_in_flight && now < vm.migration_start && RollbackMigration(now, vm)) {
+    // The queued move had not started and was cancelled; fall through with
+    // the VM's restored state (full at home for vacate/swap aborts, still
+    // partial for drains).
   } else if (vm.migration_in_flight) {
     if (vm.pending_op == VmSlot::PendingOp::kReturnMove) {
       // The VM is already being reintegrated as part of a group return; the
@@ -176,23 +202,18 @@ void Actuator::HandleActivation(SimTime now, VmId vm_id, SimTime activation_time
 
 bool Actuator::TryConvertInPlace(SimTime now, VmSlot& vm, SimTime activation_time) {
   ClusterHost& host = HostOf(vm.location);
-  uint64_t extra = vm.full_bytes - vm.ws_bytes;
-  if (!host.CanFit(extra)) {
+  if (!host.CanFit(vm.full_bytes - vm.ws_bytes)) {
     return false;
   }
   // CPU bound (§3 assumption 1): the activation was already counted here.
   if (host.active_vms() > config_.MaxActiveVmsPerHost()) {
     return false;
   }
-  host.Reserve(extra);
   // Pre-fetch the remaining footprint from the memory server (§4.4.4: a
   // partial VM that turns active converts to a full VM).
   uint64_t fetched = vm.ws_bytes - vm.ws_unfetched;
   metrics_.traffic.Add(TrafficCategory::kOnDemandPages, vm.full_bytes - fetched);
-  SetResidency(vm, VmResidency::kFullAtConsolidation);
-  vm.ws_bytes = 0;
-  vm.ws_unfetched = 0;
-  vm.dirty_bytes = 0;
+  Relocate(now, vm, vm.location, VmResidency::kFullAtConsolidation);
   // The VM's working set is already resident, so it responds as soon as its
   // vCPUs are rescheduled with full memory commitment; the bulk of the
   // footprint streams in from the memory server in the background.
@@ -223,24 +244,11 @@ bool Actuator::TryNewHome(SimTime now, VmSlot& vm, SimTime activation_time) {
   }
   HostId target_id = candidates[rng_.NextBelow(candidates.size())];
   HostId old_location = vm.location;
-
-  HostOf(target_id).Reserve(vm.full_bytes);
-  HostOf(old_location).Release(vm.ws_bytes);
-  MoveResident(now, vm, target_id);
-  AdjustActiveCount(now, old_location, -1);
-  AdjustActiveCount(now, target_id, +1);
-  SetResidency(vm, VmResidency::kFullAtConsolidation);
-  vm.ws_bytes = 0;
-  vm.ws_unfetched = 0;
-  vm.dirty_bytes = 0;
-
-  metrics_.traffic.Add(TrafficCategory::kFullMigration, vm.full_bytes);
-  ++metrics_.full_migrations;
+  Relocate(now, vm, target_id, VmResidency::kFullAtConsolidation);
   ++metrics_.new_home_moves;
-
   const ClusterTimings& t = config_.timings;
   SimTime done = now + t.reintegration_fixed + t.reintegration_transfer;
-  TraceMigration("full_migration", now, done, vm.id, target_id, vm.full_bytes);
+  BookFullMigration(now, done, vm, target_id);
   ScheduleMigration(vm, now, done, VmSlot::PendingOp::kOther, old_location);
   metrics_.transition_delay_s.Add((done - activation_time).seconds());
   RefreshMemoryServer(now, vm.home);
@@ -289,22 +297,13 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
   for (VmId id : partials) {
     VmSlot& vm = Slot(id);
     SettleUpkeep(vm);
-    HostId source_id = vm.location;
-    HostOf(source_id).Release(vm.ws_bytes);
-    MoveResident(now, vm, home_id);
-    if (vm.activity == VmActivity::kActive) {
-      AdjustActiveCount(now, source_id, -1);
-      AdjustActiveCount(now, home_id, +1);
-    }
-    metrics_.traffic.Add(TrafficCategory::kReintegration, vm.dirty_bytes);
+    uint64_t dirty = vm.dirty_bytes;
+    Relocate(now, vm, home_id, VmResidency::kFullAtHome);
+    metrics_.traffic.Add(TrafficCategory::kReintegration, dirty);
     ++metrics_.reintegrations;
     SimTime done =
         home.EnqueueInboundTransfer(t0, t.reintegration_transfer) + t.reintegration_fixed;
-    TraceMigration("reintegration", t0, done, id, home_id, vm.dirty_bytes);
-    SetResidency(vm, VmResidency::kFullAtHome);
-    vm.ws_bytes = 0;
-    vm.ws_unfetched = 0;
-    vm.dirty_bytes = 0;
+    TraceMigration("reintegration", t0, done, id, home_id, dirty);
     ScheduleMigration(vm, t0, done,
                       id == requester ? VmSlot::PendingOp::kOther
                                       : VmSlot::PendingOp::kReturnMove,
@@ -317,15 +316,9 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
   for (VmId id : idle_fulls) {
     VmSlot& vm = Slot(id);
     HostId source_id = vm.location;
-    ClusterHost& source = HostOf(source_id);
-    source.Release(vm.full_bytes);
-    MoveResident(now, vm, home_id);
-    metrics_.traffic.Add(TrafficCategory::kFullMigration, vm.full_bytes);
-    ++metrics_.full_migrations;
-    SimTime done = source.EnqueueOutboundMigration(t0, t.full_migration);
-    TraceMigration("full_migration", done - t.full_migration, done, id, home_id,
-                   vm.full_bytes);
-    SetResidency(vm, VmResidency::kFullAtHome);
+    Relocate(now, vm, home_id, VmResidency::kFullAtHome);
+    SimTime done = HostOf(source_id).EnqueueOutboundMigration(t0, t.full_migration);
+    BookFullMigration(done - t.full_migration, done, vm, home_id);
     ScheduleMigration(vm, done - t.full_migration, done, VmSlot::PendingOp::kFullReturnMove,
                       source_id);
     last_done = std::max(last_done, done);
@@ -387,27 +380,16 @@ void Actuator::FullToPartialSwapGroup(SimTime now, HostId home_id,
   SimTime t0 = woken.ok() ? *woken : home.EarliestPoweredTime(now);
   for (VmId id : group) {
     VmSlot& vm = Slot(id);
-    ClusterHost& cons = HostOf(vm.location);
     HostId cons_id = vm.location;
+    ClusterHost& cons = HostOf(cons_id);
     // Leg 1: live-migrate the full VM back home.
     SimTime done1 = cons.EnqueueOutboundMigration(t0, t.full_migration);
-    TraceMigration("full_migration", done1 - t.full_migration, done1, id, home_id,
-                   vm.full_bytes);
-    cons.Release(vm.full_bytes);
-    MoveResident(now, vm, home_id);
-    SetResidency(vm, VmResidency::kFullAtHome);
-    metrics_.traffic.Add(TrafficCategory::kFullMigration, vm.full_bytes);
-    ++metrics_.full_migrations;
+    BookFullMigration(done1 - t.full_migration, done1, vm, home_id);
+    Relocate(now, vm, home_id, VmResidency::kFullAtHome);
     // Leg 2: partial-migrate back to the same consolidation host.
-    uint64_t ws = SampleWorkingSet();
+    uint64_t ws = ws_sampler_.Sample();
     if (cons.CanFit(ws)) {
-      cons.Reserve(ws);
-      MoveResident(now, vm, cons_id);
-      SetResidency(vm, VmResidency::kPartial);
-      vm.ws_bytes = ws;
-      vm.ws_unfetched = ws;
-      vm.dirty_bytes = 0;
-      vm.consolidated_since = now;
+      Relocate(now, vm, cons_id, VmResidency::kPartial, ws);
       RecordPartialMigrationTraffic(now, vm);
       ++metrics_.full_to_partial_swaps;
       SimTime done2 = home.EnqueueOutboundMigration(done1, t.partial_migration);
@@ -438,39 +420,22 @@ void Actuator::CommitVacatePlan(SimTime now, const VacatePlan& plan) {
       ClusterHost& dest = HostOf(dest_id);
       StatusOr<SimTime> woken = WakeHost(now, dest_id);
       SimTime dest_ready = woken.ok() ? *woken : dest.EarliestPoweredTime(now);
-      SimTime done;
       if (!placement.as_partial) {
         // Active (or not-yet-trusted idle) VMs move in full via live
         // migration, so they keep their resources and performance.
-        done = source.EnqueueOutboundMigration(dest_ready, t.full_migration);
-        dest.Reserve(vm.full_bytes);
-        SetResidency(vm, VmResidency::kFullAtConsolidation);
-        if (vm.activity == VmActivity::kActive) {
-          AdjustActiveCount(now, source_id, -1);
-          AdjustActiveCount(now, dest_id, +1);
-        }
-        metrics_.traffic.Add(TrafficCategory::kFullMigration, vm.full_bytes);
-        ++metrics_.full_migrations;
-        TraceMigration("full_migration", now, done, vm_id, dest_id, vm.full_bytes);
+        SimTime done = source.EnqueueOutboundMigration(dest_ready, t.full_migration);
+        Relocate(now, vm, dest_id, VmResidency::kFullAtConsolidation);
+        BookFullMigration(now, done, vm, dest_id);
+        ScheduleMigration(vm, now, done, VmSlot::PendingOp::kOther, source_id);
       } else {
-        done = source.EnqueueOutboundMigration(dest_ready, t.partial_migration);
-        uint64_t ws = placement.bytes;
-        dest.Reserve(ws);
-        SetResidency(vm, VmResidency::kPartial);
-        vm.ws_bytes = ws;
-        vm.ws_unfetched = ws;
-        vm.dirty_bytes = 0;
-        vm.consolidated_since = now;
+        SimTime done = source.EnqueueOutboundMigration(dest_ready, t.partial_migration);
         RecordPartialMigrationTraffic(now, vm);
+        Relocate(now, vm, dest_id, VmResidency::kPartial, placement.bytes);
         TraceMigration("partial_migration", done - t.partial_migration, done, vm_id, dest_id,
-                       ws);
+                       placement.bytes);
+        ScheduleMigration(vm, done - t.partial_migration, done,
+                          VmSlot::PendingOp::kVacatePartial, source_id);
       }
-      MoveResident(now, vm, dest_id);
-      bool partial = vm.residency == VmResidency::kPartial;
-      ScheduleMigration(vm, partial ? done - t.partial_migration : now, done,
-                        partial ? VmSlot::PendingOp::kVacatePartial
-                                : VmSlot::PendingOp::kOther,
-                        source_id);
     }
     SimTime all_done = std::max(now, source.outbound_busy_until());
     HostId hid = source_id;
@@ -483,15 +448,11 @@ void Actuator::DrainMove(SimTime now, VmId vm_id, HostId dest_id) {
   VmSlot& vm = Slot(vm_id);
   SettleUpkeep(vm);
   HostId source_id = vm.location;
-  ClusterHost& source = HostOf(source_id);
-  ClusterHost& dest = HostOf(dest_id);
-  source.Release(vm.ws_bytes);
-  dest.Reserve(vm.ws_bytes);
-  MoveResident(now, vm, dest_id);
+  Relocate(now, vm, dest_id, VmResidency::kPartial);
   metrics_.traffic.Add(TrafficCategory::kPartialDescriptor,
                        config_.volumes.descriptor_bytes);
   ++metrics_.partial_migrations;
-  SimTime done = source.EnqueueOutboundMigration(now, t.partial_migration);
+  SimTime done = HostOf(source_id).EnqueueOutboundMigration(now, t.partial_migration);
   if (obs::Tracer* tr = obs::Tracer::IfEnabled()) {
     // Drains ship only the descriptor; the memory image stays on the
     // home's memory server.
@@ -608,15 +569,10 @@ void Actuator::RefreshMemoryServer(SimTime now, HostId home_id) {
     return;  // consolidation hosts' memory servers are never powered (§5.1)
   }
   ClusterHost& host = HostOf(home_id);
-  bool needed = host.IsAsleep() && CountPartialsHomedAt(home_id) > 0;
+  // partials_homed is maintained by SetResidency (a VM's home never
+  // changes), so the refresh on every host sleep is O(1).
+  bool needed = host.IsAsleep() && state_.partials_homed[home_id] > 0;
   host.SetMemoryServerPowered(now, needed);
-}
-
-int Actuator::CountPartialsHomedAt(HostId home_id) const {
-  // Maintained exactly by SetResidency (a VM's home never changes), so the
-  // memory-server refresh on every host sleep is O(1) instead of a VM-table
-  // scan; the invariant checker re-derives it from scratch each round.
-  return state_.partials_homed[home_id];
 }
 
 void Actuator::ScheduleMigration(VmSlot& vm, SimTime start, SimTime done,
@@ -630,90 +586,44 @@ void Actuator::ScheduleMigration(VmSlot& vm, SimTime start, SimTime done,
   sim_.ScheduleAt(done, [this, id, epoch]() { FinishMigration(sim_.now(), id, epoch); });
 }
 
-bool Actuator::TryAbortPendingMigration(SimTime now, VmSlot& vm) {
-  if (now >= vm.migration_start) {
-    return false;  // the transfer already started; ride it out
-  }
-  return RollbackMigration(now, vm);
-}
-
-bool Actuator::RollbackMigration(SimTime now, VmSlot& vm) {
+bool Actuator::RollbackMigration(SimTime now, VmSlot& vm, bool check_only) {
+  HostId back_to = kNoHost;
+  VmResidency residency = VmResidency::kFullAtHome;
   switch (vm.pending_op) {
     case VmSlot::PendingOp::kVacatePartial:
-    case VmSlot::PendingOp::kSwapReturn: {
+    case VmSlot::PendingOp::kSwapReturn:
       // The VM has not been suspended yet; it keeps running at home with its
       // full footprint. Undo the partial placement.
-      HostId dest_id = vm.location;
-      HostOf(dest_id).Release(vm.ws_bytes);
-      MoveResident(now, vm, vm.home);
-      if (vm.activity == VmActivity::kActive) {
-        AdjustActiveCount(now, dest_id, -1);
-        AdjustActiveCount(now, vm.home, +1);
-      }
-      SetResidency(vm, VmResidency::kFullAtHome);
-      vm.ws_bytes = 0;
-      vm.ws_unfetched = 0;
-      vm.dirty_bytes = 0;
+      back_to = vm.home;
       break;
-    }
-    case VmSlot::PendingOp::kDrainMove: {
+    case VmSlot::PendingOp::kDrainMove:
       // The VM stays on the consolidation host it was being drained from.
-      HostId dest_id = vm.location;
-      HostOf(dest_id).Release(vm.ws_bytes);
-      HostOf(vm.migration_source).Reserve(vm.ws_bytes);
-      MoveResident(now, vm, vm.migration_source);
-      if (vm.activity == VmActivity::kActive) {
-        AdjustActiveCount(now, dest_id, -1);
-        AdjustActiveCount(now, vm.migration_source, +1);
-      }
+      back_to = vm.migration_source;
+      residency = VmResidency::kPartial;
       break;
-    }
-    case VmSlot::PendingOp::kFullReturnMove: {
+    case VmSlot::PendingOp::kFullReturnMove:
       // The return-home live migration has not started: the VM simply stays
       // full on its consolidation host, already holding all its resources.
-      ClusterHost& cons = HostOf(vm.migration_source);
-      HostId home_id = vm.location;
-      if (!cons.CanFit(vm.full_bytes)) {
+      if (!HostOf(vm.migration_source).CanFit(vm.full_bytes)) {
         return false;  // space was re-used meanwhile; ride the migration out
       }
-      cons.Reserve(vm.full_bytes);
-      MoveResident(now, vm, vm.migration_source);
-      if (vm.activity == VmActivity::kActive) {
-        AdjustActiveCount(now, home_id, -1);
-        AdjustActiveCount(now, vm.migration_source, +1);
-      }
-      SetResidency(vm, VmResidency::kFullAtConsolidation);
+      back_to = vm.migration_source;
+      residency = VmResidency::kFullAtConsolidation;
       break;
-    }
     case VmSlot::PendingOp::kReturnMove:
     case VmSlot::PendingOp::kOther:
     case VmSlot::PendingOp::kNone:
       return false;
   }
+  if (check_only) {
+    return true;
+  }
+  Relocate(now, vm, back_to, residency);
   ++vm.op_epoch;  // invalidate the scheduled completion event
   SetInFlight(vm, false);
   vm.pending_op = VmSlot::PendingOp::kNone;
   vm.activation_pending = false;
   return true;
-}
-
-bool Actuator::RollbackFeasible(const VmSlot& vm) const {
-  if (!vm.migration_in_flight) {
-    return false;
-  }
-  switch (vm.pending_op) {
-    case VmSlot::PendingOp::kVacatePartial:
-    case VmSlot::PendingOp::kSwapReturn:
-    case VmSlot::PendingOp::kDrainMove:
-      return true;
-    case VmSlot::PendingOp::kFullReturnMove:
-      return state_.hosts[vm.migration_source]->CanFit(vm.full_bytes);
-    case VmSlot::PendingOp::kReturnMove:
-    case VmSlot::PendingOp::kOther:
-    case VmSlot::PendingOp::kNone:
-      return false;
-  }
-  return false;
 }
 
 void Actuator::ApplyScheduledFault(SimTime now, const ScheduledFault& event) {
@@ -794,8 +704,8 @@ void Actuator::CrashHost(SimTime now, HostId id) {
   // unkillable — the crash is skipped rather than leaving a VM in a state
   // the simulation cannot account for.
   for (VmId vid : host.vms()) {
-    const VmSlot& vm = state_.vms[vid];
-    if (vm.migration_in_flight && !RollbackFeasible(vm)) {
+    VmSlot& vm = Slot(vid);
+    if (vm.migration_in_flight && !RollbackMigration(now, vm, /*check_only=*/true)) {
       fault_.RecordSkipped(FaultClass::kHostCrash, now,
                            obs::TraceArgs{static_cast<int64_t>(id),
                                           static_cast<int64_t>(vid)});
@@ -848,16 +758,9 @@ void Actuator::CrashHost(SimTime now, HostId id) {
       partial_homes.insert(vm.home);
       continue;
     }
-    ClusterHost& home = HostOf(vm.home);
     StatusOr<SimTime> woken = WakeHost(now, vm.home);
-    SimTime powered = woken.ok() ? *woken : home.EarliestPoweredTime(now);
-    host.Release(vm.full_bytes);
-    MoveResident(now, vm, vm.home);
-    if (vm.activity == VmActivity::kActive) {
-      AdjustActiveCount(now, id, -1);
-      AdjustActiveCount(now, vm.home, +1);
-    }
-    SetResidency(vm, VmResidency::kFullAtHome);
+    SimTime powered = woken.ok() ? *woken : HostOf(vm.home).EarliestPoweredTime(now);
+    Relocate(now, vm, vm.home, VmResidency::kFullAtHome);
     SimTime done = powered + config_.fault.vm_restart_latency;
     TraceMigration("crash_restart", now, done, vid, vm.home, vm.full_bytes);
     ScheduleMigration(vm, now, done, VmSlot::PendingOp::kOther, id);
@@ -880,7 +783,7 @@ void Actuator::FailMemoryServer(SimTime now, HostId home_id) {
   ClusterHost& home = HostOf(home_id);
   fault_.RecordInjected(FaultClass::kMemoryServerFailure, now,
                         obs::TraceArgs{static_cast<int64_t>(home_id), -1,
-                                       CountPartialsHomedAt(home_id)});
+                                       state_.partials_homed[home_id]});
   OASIS_CLOG(kWarning, "cluster")
       << "memory server of home " << home_id
       << " failed; emergency-reintegrating its partial VMs";
@@ -903,7 +806,7 @@ void Actuator::InjectMigrationAbort(SimTime now, int64_t target) {
     if (target >= 0 && vm.id != static_cast<VmId>(target)) {
       continue;
     }
-    if (!RollbackFeasible(vm)) {
+    if (!RollbackMigration(now, vm, /*check_only=*/true)) {
       continue;
     }
     // The stream aborts at a page boundary: the destination discards the
@@ -915,7 +818,7 @@ void Actuator::InjectMigrationAbort(SimTime now, int64_t target) {
                           obs::TraceArgs{static_cast<int64_t>(dest),
                                          static_cast<int64_t>(vm.id)});
     bool rolled = RollbackMigration(now, vm);
-    assert(rolled && "RollbackFeasible admitted an un-rollbackable op");
+    assert(rolled && "the check-only pass admitted an un-rollbackable op");
     (void)rolled;
     fault_.RecordRecovered(FaultClass::kMigrationAbort, started, now,
                            obs::TraceArgs{static_cast<int64_t>(vm.location),
@@ -958,8 +861,10 @@ void Actuator::AccrueEnergy(SimTime now) {
   }
 }
 
-uint64_t Actuator::SampleWorkingSet() {
-  return ws_sampler_.Sample();
+void Actuator::BookFullMigration(SimTime start, SimTime end, const VmSlot& vm, HostId dest) {
+  metrics_.traffic.Add(TrafficCategory::kFullMigration, vm.full_bytes);
+  ++metrics_.full_migrations;
+  TraceMigration("full_migration", start, end, vm.id, dest, vm.full_bytes);
 }
 
 void Actuator::RecordPartialMigrationTraffic(SimTime now, VmSlot& vm) {

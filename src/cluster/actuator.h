@@ -93,26 +93,32 @@ class Actuator {
   void CrashHost(SimTime now, HostId id);
   void FailMemoryServer(SimTime now, HostId home_id);
   void InjectMigrationAbort(SimTime now, int64_t target);
-  bool RollbackMigration(SimTime now, VmSlot& vm);
-  bool RollbackFeasible(const VmSlot& vm) const;
+  // Rolls `vm`'s in-flight migration back to its pre-move state and returns
+  // true, or returns false when its op cannot roll back (conversions,
+  // reintegrations, a full return whose source re-used the space). With
+  // `check_only` it changes nothing and only answers whether it could.
+  bool RollbackMigration(SimTime now, VmSlot& vm, bool check_only = false);
 
   // --- helpers ------------------------------------------------------------
   ClusterHost& HostOf(HostId id) { return *state_.hosts[id]; }
   VmSlot& Slot(VmId id) { return state_.vms[id]; }
-  // The funnel for the maintained aggregates in ClusterState. No actuator
-  // code touches a resident set, vm.location, vm.residency or
-  // vm.migration_in_flight except through these three.
+  // The funnel for the maintained aggregates in ClusterState and on the
+  // hosts. Apart from activity flips (AdjustActiveCount) and PartialVmUpkeep's
+  // growth reservation, nothing touches a resident set, a reservation, an
+  // active count, vm.location, vm.residency, the partial byte counters or
+  // vm.migration_in_flight except Relocate and SetInFlight.
   //
-  // MoveResident moves `vm` from vm.location's resident set to `dest`'s and
-  // updates vm.location, carrying the VM's in-flight/partial/upkeep
-  // contributions to the per-host counts along with it. SetResidency and
-  // SetInFlight adjust the counts of vm.location (and of vm.home), so both
-  // must only run while the VM is resident at vm.location — which
-  // MoveResident keeps true at every instant outside its own body. A VM
-  // that becomes upkeep-eligible starts at upkeep_mark = upkeep_round; one
-  // that moves or stops being eligible must have been settled first, which
-  // the funnel asserts.
-  void MoveResident(SimTime now, VmSlot& vm, HostId dest);
+  // Relocate makes `vm` resident on `dest` (possibly where it already is) in
+  // `residency`, applying the rule the invariant walk re-derives: a
+  // consolidation host reserves each partial resident's settled working set
+  // and each other resident's full footprint, releasing before it reserves;
+  // a home's reservation for its own VMs never moves; an active VM's slot
+  // and its in-flight, partial and upkeep counts travel with it. Leaving
+  // kPartial zeroes the partial byte counters; entering it starts a fresh
+  // working set of `ws` bytes, all unfetched. A VM that becomes
+  // upkeep-eligible starts at upkeep_mark = upkeep_round; one that moves or
+  // stops being eligible must have been settled first, which is asserted.
+  void Relocate(SimTime now, VmSlot& vm, HostId dest, VmResidency residency, uint64_t ws = 0);
   void SetResidency(VmSlot& vm, VmResidency next);
   void SetInFlight(VmSlot& vm, bool in_flight);
   // Follows `vm` across a residency or in-flight change: adjusts
@@ -129,17 +135,16 @@ class Actuator {
   // the host directly.
   StatusOr<SimTime> WakeHost(SimTime now, HostId id);
   void RefreshMemoryServer(SimTime now, HostId home_id);
-  int CountPartialsHomedAt(HostId home_id) const;
   // Marks `vm` in flight for [start, done) and schedules completion.
   void ScheduleMigration(VmSlot& vm, SimTime start, SimTime done, VmSlot::PendingOp op,
                          HostId source);
-  // Cancels a queued-but-not-started migration when the user returns.
-  bool TryAbortPendingMigration(SimTime now, VmSlot& vm);
   void FinishMigration(SimTime now, VmId vm_id, uint32_t epoch);
   // Adds (delta +1) or removes (-1) `vm`'s contribution to `host`'s
   // resident counts.
   void CountResident(HostId host, const VmSlot& vm, int delta);
-  uint64_t SampleWorkingSet();
+  // Books one full (pre-copy live) migration of `vm` to `dest` over
+  // [start, end): its traffic, its count and its trace span.
+  void BookFullMigration(SimTime start, SimTime end, const VmSlot& vm, HostId dest);
   void RecordPartialMigrationTraffic(SimTime now, VmSlot& vm);
 
   const ClusterConfig& config_;

@@ -55,9 +55,8 @@ struct ClusterTimings {
   // the destination host's NIC — together the paper's 3.7 s.
   SimTime reintegration_fixed = SimTime::Seconds(2.2);
   SimTime reintegration_transfer = SimTime::Seconds(1.5);
-  // ACPI S3 transitions (Table 1).
-  SimTime suspend = SimTime::Seconds(3.1);
-  SimTime resume = SimTime::Seconds(2.3);
+  // ACPI S3 latencies are per host: HostPowerProfile::suspend_latency and
+  // resume_latency.
 };
 
 // Byte-volume models for traffic accounting (Fig 10) — latency uses the
@@ -180,7 +179,6 @@ struct VmSlot {
   uint64_t ws_bytes = 0;        // current idle working-set reservation (partial only)
   uint64_t ws_unfetched = 0;    // portion of the working set not yet faulted in
   uint64_t dirty_bytes = 0;     // dirtied while consolidated (reintegration volume)
-  SimTime consolidated_since;   // when the VM last left its home
   bool migration_in_flight = false;
   bool activation_pending = false;  // went active while a migration was in flight
   // The upkeep rounds already applied to the byte counters; meaningful only

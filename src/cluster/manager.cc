@@ -188,10 +188,10 @@ void ClusterManager::OnInterval(SimTime now, int interval) {
   OASIS_CLOG(kDebug, "cluster") << "planning round " << interval;
   UpdateActivities(now, interval);
   act_.PartialVmUpkeep(now);
-  PlanAndRecord(now, interval);
+  PlanAndRecord(now);
 }
 
-void ClusterManager::PlanAndRecord(SimTime now, int interval) {
+void ClusterManager::PlanAndRecord(SimTime now) {
   PlanActions actions = strategy_->PlanInterval(View(), now, act_);
   act_.SleepIdleConsolidationHosts(now);
   // Sweep home hosts that drained since the last interval.
@@ -200,7 +200,7 @@ void ClusterManager::PlanAndRecord(SimTime now, int interval) {
       act_.MaybeSleepHomeHost(now, host->id());
     }
   }
-  RecordSnapshot(now, interval);
+  RecordSnapshot(now);
   if (check::InvariantChecker* c = check::InvariantChecker::IfEnabled()) {
     // The conservation walk runs after every planning round, so a violation
     // is reported within one interval of the step that introduced it.
@@ -265,8 +265,7 @@ void ClusterManager::UpdateActivities(SimTime now, int interval) {
   }
 }
 
-void ClusterManager::RecordSnapshot(SimTime now, int interval) {
-  (void)interval;
+void ClusterManager::RecordSnapshot(SimTime now) {
   IntervalSnapshot snap;
   snap.time = now;
   // Every VM counts toward exactly one host's active count and exactly one

@@ -117,8 +117,8 @@ class ClusterManager {
   // invariant walk).
   void OnInterval(SimTime now, int interval);
   void UpdateActivities(SimTime now, int interval);
-  void PlanAndRecord(SimTime now, int interval);
-  void RecordSnapshot(SimTime now, int interval);
+  void PlanAndRecord(SimTime now);
+  void RecordSnapshot(SimTime now);
   int RoundsPerDay() const;
   const uint64_t* ActivityRow(int interval) const {
     return &activity_rows_[static_cast<size_t>(interval) * row_words_];

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <tuple>
 #include <vector>
 
+#include "src/common/digest.h"
 #include "src/common/rng.h"
 #include "src/mem/working_set.h"
 
@@ -506,29 +506,14 @@ void Anneal(Schedule& s, const OracleConfig& cfg, Rng& rng) {
   }
 }
 
-uint64_t FnvMix(uint64_t hash, uint64_t value) {
-  for (int b = 0; b < 8; ++b) {
-    hash ^= (value >> (b * 8)) & 0xFFu;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-uint64_t DoubleBits(double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
 }  // namespace
 
 uint64_t OracleResult::Digest() const {
-  uint64_t hash = 1469598103934665603ULL;
-  hash = FnvMix(hash, DoubleBits(relaxed_lower_bound));
-  hash = FnvMix(hash, DoubleBits(schedule_energy));
-  hash = FnvMix(hash, DoubleBits(baseline_energy));
-  return hash;
+  Fnv1a fnv(Fnv1a::kShortBasis);
+  fnv.Fold(relaxed_lower_bound);
+  fnv.Fold(schedule_energy);
+  fnv.Fold(baseline_energy);
+  return fnv.hash();
 }
 
 OfflineOracle::OfflineOracle(const ClusterConfig& config, OracleConfig oracle_config)

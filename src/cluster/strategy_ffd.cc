@@ -15,7 +15,8 @@
 // "oasis-greedy" it consolidates less often but with tighter packings.
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "src/cluster/actuator.h"
@@ -35,11 +36,14 @@ class FirstFitDecreasingStrategy : public ConsolidationStrategy {
     // Eligible homes: powered, S3-capable (a home that cannot sleep saves
     // nothing by being packed away), occupied, every resident settled here
     // and trusted-idle. Sample each VM's working set in deterministic order
-    // (homes by id, residents in set order) as we go.
+    // (homes by id, residents in set order) as we go, so the items of each
+    // home sit together in its vms() order.
+    constexpr size_t kUnplaced = SIZE_MAX;
     struct Item {
       VmId vm;
-      HostId home;
+      size_t home;  // index into `homes`
       uint64_t ws;
+      size_t bin = kUnplaced;  // index into `bins` once packed
     };
     std::vector<HostId> homes;
     std::vector<Item> items;
@@ -61,16 +65,19 @@ class FirstFitDecreasingStrategy : public ConsolidationStrategy {
       if (!eligible) {
         continue;
       }
-      homes.push_back(host.id());
       for (VmId id : host.vms()) {
-        items.push_back({id, host.id(), view.SampleWorkingSet()});
+        items.push_back({id, homes.size(), view.SampleWorkingSet()});
       }
+      homes.push_back(host.id());
     }
     if (homes.empty()) {
       return actions;
     }
-    std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-      return a.ws != b.ws ? a.ws > b.ws : a.vm < b.vm;
+    std::vector<size_t> by_size(items.size());
+    std::iota(by_size.begin(), by_size.end(), size_t{0});
+    std::sort(by_size.begin(), by_size.end(), [&items](size_t a, size_t b) {
+      return items[a].ws != items[b].ws ? items[a].ws > items[b].ws
+                                        : items[a].vm < items[b].vm;
     });
 
     // Bins: consolidation hosts in id order with their live free space.
@@ -79,7 +86,7 @@ class FirstFitDecreasingStrategy : public ConsolidationStrategy {
       HostId host;
       uint64_t available;
       bool sleeping;
-      bool used = false;
+      bool woken_by_survivor = false;
     };
     std::vector<Bin> bins;
     for (size_t h = 0; h < view.num_hosts(); ++h) {
@@ -91,66 +98,36 @@ class FirstFitDecreasingStrategy : public ConsolidationStrategy {
       bins.push_back({host.id(), host.AvailableBytes(), !awake});
     }
 
-    std::unordered_map<VmId, HostId> dest_of;
-    std::unordered_map<HostId, bool> home_complete;
-    for (HostId home : homes) {
-      home_complete[home] = true;
-    }
-    for (const Item& item : items) {
-      bool placed = false;
-      for (Bin& bin : bins) {
-        if (bin.available >= item.ws) {
-          bin.available -= item.ws;
-          bin.used = true;
-          dest_of[item.vm] = bin.host;
-          placed = true;
-          break;
+    std::vector<bool> home_complete(homes.size(), true);
+    for (size_t i : by_size) {
+      Item& item = items[i];
+      for (size_t b = 0; b < bins.size() && item.bin == kUnplaced; ++b) {
+        if (bins[b].available >= item.ws) {
+          bins[b].available -= item.ws;
+          item.bin = b;
         }
       }
-      if (!placed) {
+      if (item.bin == kUnplaced) {
         home_complete[item.home] = false;
       }
     }
 
-    // Assemble the surviving (fully placed) homes, then re-derive which bins
-    // the survivors actually wake: a bin used only by dropped homes costs
+    // Assemble the surviving (fully placed) homes, and mark which bins the
+    // survivors actually wake: a bin used only by dropped homes costs
     // nothing.
     VacatePlan plan;
-    std::unordered_map<HostId, bool> bin_woken_by_survivor;
-    for (HostId home : homes) {
-      if (!home_complete[home]) {
+    for (const Item& item : items) {
+      if (!home_complete[item.home]) {
         continue;
       }
-      std::vector<VacatePlacement> placements;
-      for (VmId id : view.host(home).vms()) {
-        auto it = dest_of.find(id);
-        if (it == dest_of.end()) {
-          continue;  // packed before its home was dropped; unreachable here
-        }
-        placements.push_back({id, it->second, /*as_partial=*/true,
-                              /*bytes=*/0});
+      if (plan.hosts_to_vacate.empty() || plan.hosts_to_vacate.back() != homes[item.home]) {
+        plan.hosts_to_vacate.push_back(homes[item.home]);
+        plan.placements.emplace_back();
       }
-      plan.hosts_to_vacate.push_back(home);
-      plan.placements.push_back(std::move(placements));
+      Bin& bin = bins[item.bin];
+      plan.placements.back().push_back({item.vm, bin.host, /*as_partial=*/true, item.ws});
+      bin.woken_by_survivor |= bin.sleeping;
     }
-    // Fill in the sampled bytes (the item list, not the placement walk,
-    // holds them) and count woken bins among surviving destinations.
-    std::unordered_map<VmId, uint64_t> ws_of;
-    for (const Item& item : items) {
-      ws_of[item.vm] = item.ws;
-    }
-    for (auto& placements : plan.placements) {
-      for (VacatePlacement& p : placements) {
-        p.bytes = ws_of.at(p.vm);
-        for (const Bin& bin : bins) {
-          if (bin.host == p.dest && bin.sleeping) {
-            bin_woken_by_survivor[p.dest] = true;
-          }
-        }
-      }
-    }
-    plan.newly_woken_consolidation_hosts =
-        static_cast<int>(bin_woken_by_survivor.size());
 
     // The same §3.1 gate as the greedy strategy, priced per host profile:
     // commit only when the plan saves power net of the consolidation hosts
@@ -160,9 +137,12 @@ class FirstFitDecreasingStrategy : public ConsolidationStrategy {
     for (HostId home : plan.hosts_to_vacate) {
       delta.AddVacatedHome(home);
     }
-    for (const auto& woken : bin_woken_by_survivor) {
-      delta.AddWokenConsolidationHost(woken.first);
+    for (const Bin& bin : bins) {
+      if (bin.woken_by_survivor) {
+        delta.AddWokenConsolidationHost(bin.host);
+      }
     }
+    plan.newly_woken_consolidation_hosts = delta.total_woken();
     plan.net_power_delta_watts = delta.NetWatts();
     if (plan.net_power_delta_watts <= 0.0 || plan.hosts_to_vacate.empty()) {
       return actions;

@@ -52,10 +52,10 @@ struct ClusterState {
   // construction and lets home-keyed walks skip the full VM table.
   std::vector<std::vector<VmId>> vms_by_home;
   // Maintained aggregates, each updated in O(1) by the Actuator's funnel
-  // (MoveResident / SetResidency / SetInFlight) and re-derived from scratch
-  // by the invariant checker every planning round. The counts are indexed
-  // by host id. Per home host: how many of its VMs have kPartial residency
-  // (the memory-server refresh on every host sleep reads it) ...
+  // (Relocate / SetInFlight) and re-derived from scratch by the invariant
+  // checker every planning round. The counts are indexed by host id. Per
+  // home host: how many of its VMs have kPartial residency (the
+  // memory-server refresh on every host sleep reads it) ...
   std::vector<int> partials_homed;
   // ... and how many have kFullAtConsolidation (the swap pass skips homes
   // with none).
@@ -92,14 +92,6 @@ class ClusterView {
   size_t num_vms() const { return state_->vms.size(); }
   const ClusterHost& host(HostId id) const { return *state_->hosts[id]; }
   const VmSlot& vm(VmId id) const { return state_->vms[id]; }
-
-  // Per-host hardware profile shortcuts (heterogeneous fleets): the host's
-  // authoritative resolved power curve and S3 capability. Strategies price
-  // savings from these — config().host_power is only the class-0 template.
-  const HostPowerProfile& host_power(HostId id) const {
-    return state_->hosts[id]->power_profile();
-  }
-  bool host_s3_capable(HostId id) const { return state_->hosts[id]->s3_capable(); }
 
   // Idle long enough that the idleness detector trusts it (§3.1's smoothing
   // window over the resource-usage monitor).

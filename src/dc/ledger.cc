@@ -1,32 +1,11 @@
 #include "src/dc/ledger.h"
 
 #include <algorithm>
-#include <cstring>
+
+#include "src/common/digest.h"
 
 namespace oasis {
 namespace dc {
-namespace {
-
-// FNV-1a, folding 64-bit values byte-wise; doubles hash by bit pattern so
-// the digest pins exact floating-point results, not approximations.
-struct Fnv {
-  uint64_t h = 1469598103934665603ull;
-
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  void I64(long long v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
-};
-
-}  // namespace
 
 DatacenterLedger DatacenterLedger::Build(const DatacenterRun& run,
                                          const CoordinatorStats& coordinator) {
@@ -81,47 +60,48 @@ DatacenterLedger DatacenterLedger::Build(const DatacenterRun& run,
 }
 
 uint64_t DatacenterLedger::Digest() const {
-  Fnv fnv;
-  fnv.U64(racks.size());
+  Fnv1a fnv(Fnv1a::kShortBasis);
+  auto i64 = [&fnv](long long v) { fnv.Fold(static_cast<uint64_t>(v)); };
+  fnv.Fold(static_cast<uint64_t>(racks.size()));
   for (const RackLedgerRow& row : racks) {
-    fnv.I64(row.rack);
-    fnv.I64(row.pod);
-    fnv.I64(row.users);
-    fnv.F64(row.total_energy);
-    fnv.F64(row.baseline_energy);
-    fnv.F64(row.savings);
-    fnv.U64(row.full_migrations);
-    fnv.U64(row.partial_migrations);
-    fnv.U64(row.host_sleeps);
-    fnv.U64(row.host_wakes);
-    fnv.U64(row.faults_injected);
-    fnv.U64(row.events_dispatched);
+    i64(row.rack);
+    i64(row.pod);
+    i64(row.users);
+    fnv.Fold(row.total_energy);
+    fnv.Fold(row.baseline_energy);
+    fnv.Fold(row.savings);
+    fnv.Fold(row.full_migrations);
+    fnv.Fold(row.partial_migrations);
+    fnv.Fold(row.host_sleeps);
+    fnv.Fold(row.host_wakes);
+    fnv.Fold(row.faults_injected);
+    fnv.Fold(row.events_dispatched);
   }
-  fnv.U64(pods.size());
+  fnv.Fold(static_cast<uint64_t>(pods.size()));
   for (const PodLedgerRow& pod : pods) {
-    fnv.I64(pod.pod);
-    fnv.I64(pod.racks);
-    fnv.F64(pod.total_energy);
-    fnv.F64(pod.baseline_energy);
-    fnv.F64(pod.savings);
+    i64(pod.pod);
+    i64(pod.racks);
+    fnv.Fold(pod.total_energy);
+    fnv.Fold(pod.baseline_energy);
+    fnv.Fold(pod.savings);
   }
-  fnv.I64(total_users);
-  fnv.F64(total_energy);
-  fnv.F64(baseline_energy);
-  fnv.U64(total_migrations);
-  fnv.U64(total_faults);
-  fnv.U64(total_events);
-  fnv.U64(coordinator.drains_started);
-  fnv.U64(coordinator.drain_returns);
-  fnv.U64(coordinator.vms_drained);
-  fnv.U64(coordinator.drain_intervals);
-  fnv.U64(coordinator.cross_rack_traffic_bytes);
-  fnv.U64(coordinator.cap_windows);
-  fnv.U64(coordinator.cap_blocked_sponsorships);
-  fnv.U64(coordinator.fault_excluded_sponsors);
-  fnv.F64(coordinator.energy_saved);
-  fnv.F64(coordinator.migration_energy);
-  return fnv.h;
+  i64(total_users);
+  fnv.Fold(total_energy);
+  fnv.Fold(baseline_energy);
+  fnv.Fold(total_migrations);
+  fnv.Fold(total_faults);
+  fnv.Fold(total_events);
+  fnv.Fold(coordinator.drains_started);
+  fnv.Fold(coordinator.drain_returns);
+  fnv.Fold(coordinator.vms_drained);
+  fnv.Fold(coordinator.drain_intervals);
+  fnv.Fold(coordinator.cross_rack_traffic_bytes);
+  fnv.Fold(coordinator.cap_windows);
+  fnv.Fold(coordinator.cap_blocked_sponsorships);
+  fnv.Fold(coordinator.fault_excluded_sponsors);
+  fnv.Fold(coordinator.energy_saved);
+  fnv.Fold(coordinator.migration_energy);
+  return fnv.hash();
 }
 
 }  // namespace dc

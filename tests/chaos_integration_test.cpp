@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/check/check.h"
 #include "src/core/oasis.h"
 #include "src/fault/fault.h"
 #include "src/hyper/memory_server.h"
@@ -45,16 +46,24 @@ TraceSet ChaosTrace(const ClusterConfig& config) {
   return generator.GenerateTraceSet(config.TotalVms(), DayKind::kWeekday);
 }
 
+// Every chaos day also runs the conservation walk after each planning round:
+// crashes, memory-server failures and aborts drive every relocation path.
 class ChaosIntegrationTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::Tracer::Global().SetCapacity(1 << 19);
     obs::Tracer::Global().set_enabled(true);
+    check::InvariantChecker::Install(&checker_);
   }
   void TearDown() override {
+    check::InvariantChecker::Install(nullptr);
     obs::Tracer::Global().set_enabled(false);
     obs::Tracer::Global().Clear();
+    EXPECT_EQ(checker_.violation_count(), 0u) << "invariant violations recorded; "
+                                                 "see stderr for the structured report";
   }
+
+  check::InvariantChecker checker_{check::CheckMode::kWarn};
 };
 
 TEST_F(ChaosIntegrationTest, FullChaosDayPairsEveryInjectionWithRecovery) {
@@ -73,6 +82,7 @@ TEST_F(ChaosIntegrationTest, FullChaosDayPairsEveryInjectionWithRecovery) {
   EXPECT_GT(metrics.faults_injected, 0u);
   EXPECT_EQ(metrics.faults_injected, metrics.faults_recovered);
   EXPECT_GT(metrics.crash_vm_restarts, 0u);
+  EXPECT_GT(checker_.checks_run(), 0u);
 
   // No VM lost: every VM is resident exactly where the manager thinks it is,
   // and the cluster-wide census still adds up.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/check/check.h"
 #include "src/cluster/manager.h"
 #include "src/trace/trace_generator.h"
 
@@ -11,6 +12,21 @@ namespace {
 
 TraceSet IdleTrace(int users) { return TraceSet(static_cast<size_t>(users), UserDay{}); }
 
+// Runs every scenario with a warn-mode checker installed, so the
+// conservation walk follows each planning round, and fails the scenario if
+// any invariant fired.
+class ManagerScenarioTest : public ::testing::Test {
+ protected:
+  void SetUp() override { check::InvariantChecker::Install(&checker_); }
+  void TearDown() override {
+    check::InvariantChecker::Install(nullptr);
+    EXPECT_EQ(checker_.violation_count(), 0u) << "invariant violations recorded; "
+                                                 "see stderr for the structured report";
+  }
+
+  check::InvariantChecker checker_{check::CheckMode::kWarn};
+};
+
 // Activates `user` for [from, to) intervals.
 void Activate(TraceSet& trace, int user, int from, int to) {
   for (int i = from; i < to && i < kIntervalsPerDay; ++i) {
@@ -18,7 +34,7 @@ void Activate(TraceSet& trace, int user, int from, int to) {
   }
 }
 
-TEST(ManagerScenarioTest, QueuedPartialMigrationAbortsWhenUserReturns) {
+TEST_F(ManagerScenarioTest, QueuedPartialMigrationAbortsWhenUserReturns) {
   // One dense home host: vacating its 45 idle VMs takes 45 x 7.2 s = 324 s,
   // longer than one planning interval. A VM near the end of the queue whose
   // user returns at the next interval has not been suspended yet — the move
@@ -40,7 +56,7 @@ TEST(ManagerScenarioTest, QueuedPartialMigrationAbortsWhenUserReturns) {
   EXPECT_LT(m.transition_delay_s.Max(), 30.0);
 }
 
-TEST(ManagerScenarioTest, CapacityExhaustionReturnsWholeHomeGroup) {
+TEST_F(ManagerScenarioTest, CapacityExhaustionReturnsWholeHomeGroup) {
   // A consolidation host too small to hold a converting VM forces the
   // §3.2 Default fallback: wake the home, return all its VMs.
   ClusterConfig config;
@@ -68,7 +84,7 @@ TEST(ManagerScenarioTest, CapacityExhaustionReturnsWholeHomeGroup) {
   }
 }
 
-TEST(ManagerScenarioTest, FullToPartialSwapRecyclesConsolidationMemory) {
+TEST_F(ManagerScenarioTest, FullToPartialSwapRecyclesConsolidationMemory) {
   // A user active overnight gets vacated in full; when they stop at 02:00,
   // FulltoPartial returns the VM home and re-consolidates it partially,
   // freeing most of its reservation.
@@ -89,7 +105,7 @@ TEST(ManagerScenarioTest, FullToPartialSwapRecyclesConsolidationMemory) {
   EXPECT_LT(manager.GetVm(0).ws_bytes, 1 * kGiB);
 }
 
-TEST(ManagerScenarioTest, DefaultLeavesIdleFullVmsParked) {
+TEST_F(ManagerScenarioTest, DefaultLeavesIdleFullVmsParked) {
   ClusterConfig config;
   config.num_home_hosts = 2;
   config.num_consolidation_hosts = 1;
@@ -104,7 +120,7 @@ TEST(ManagerScenarioTest, DefaultLeavesIdleFullVmsParked) {
   EXPECT_EQ(manager.GetVm(0).residency, VmResidency::kFullAtConsolidation);
 }
 
-TEST(ManagerScenarioTest, DrainCollapsesConsolidationHosts) {
+TEST_F(ManagerScenarioTest, DrainCollapsesConsolidationHosts) {
   // Plenty of consolidation hosts for few VMs: after the initial spread the
   // drain step should concentrate the partials and let the spares sleep.
   ClusterConfig config;
@@ -118,7 +134,7 @@ TEST(ManagerScenarioTest, DrainCollapsesConsolidationHosts) {
   EXPECT_EQ(m.timeline.back().powered_consolidation_hosts, 1);
 }
 
-TEST(ManagerScenarioTest, NewHomeMovesInsteadOfWakingHome) {
+TEST_F(ManagerScenarioTest, NewHomeMovesInsteadOfWakingHome) {
   // NewHome: when a conversion would not fit, the VM moves to another
   // *currently powered* consolidation host instead of waking its home. That
   // situation needs both consolidation hosts busy, so this scenario uses a
@@ -133,12 +149,13 @@ TEST(ManagerScenarioTest, NewHomeMovesInsteadOfWakingHome) {
   ClusterManager manager(config, gen.GenerateTraceSet(config.TotalVms(), DayKind::kWeekday));
   ClusterMetrics m = manager.Run();
   EXPECT_GT(m.new_home_moves, 0u);
+  EXPECT_GT(checker_.checks_run(), 0u);  // the walk followed every NewHome move
   // NewHome only refines the fallback; exhaustion returns still occur when
   // no powered host has room.
   EXPECT_GT(m.capacity_exhaustions, 0u);
 }
 
-TEST(ManagerScenarioTest, ResumeStormUnderWolLossStaysBoundedAndLosesNoVm) {
+TEST_F(ManagerScenarioTest, ResumeStormUnderWolLossStaysBoundedAndLosesNoVm) {
   // The 09:00 storm with a lossy wake path: every home wakes at once while
   // WoL packets drop and S3 resumes hang. The recovery policy (re-send on a
   // timeout, watchdog on the hang) bounds the extra user-visible delay by
@@ -245,7 +262,7 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(suite_info.param.cons);
     });
 
-TEST(ManagerScenarioTest, CpuCapBindsWhenConfiguredTight) {
+TEST_F(ManagerScenarioTest, CpuCapBindsWhenConfiguredTight) {
   // With no CPU over-subscription and 4-core hosts, a consolidation host may
   // execute at most 4 active VMs even though 128 GiB fits 32 of them.
   ClusterConfig config;
@@ -273,7 +290,7 @@ TEST(ManagerScenarioTest, CpuCapBindsWhenConfiguredTight) {
   EXPECT_GT(relaxed.Run().full_migrations, 0u);
 }
 
-TEST(ManagerScenarioTest, OvercommitRaisesConsolidationCapacity) {
+TEST_F(ManagerScenarioTest, OvercommitRaisesConsolidationCapacity) {
   ClusterConfig tight;
   tight.num_home_hosts = 4;
   tight.num_consolidation_hosts = 1;

@@ -12,33 +12,18 @@
 #define OASIS_TESTS_METRIC_DIGEST_H_
 
 #include <cstdint>
-#include <cstring>
 
+#include "src/common/digest.h"
 #include "src/core/oasis.h"
 
 namespace oasis {
 namespace testing {
 
-class MetricDigest {
+// The shared FNV-1a fold, plus simulated times by their microsecond count.
+class MetricDigest : public Fnv1a {
  public:
-  void Fold(uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (value >> (8 * byte)) & 0xFF;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void Fold(double value) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    Fold(bits);
-  }
+  using Fnv1a::Fold;
   void Fold(SimTime t) { Fold(static_cast<uint64_t>(t.micros())); }
-
-  uint64_t hash() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis
 };
 
 inline uint64_t DigestMetrics(const ClusterMetrics& m) {

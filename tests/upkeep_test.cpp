@@ -131,7 +131,7 @@ void UpkeepTestPeer::ScheduleDay(ClusterManager& m, int* eager_exhaustions) {
       } else {
         m.act_.PartialVmUpkeep(now);
       }
-      m.PlanAndRecord(now, interval);
+      m.PlanAndRecord(now);
     });
   }
   if (m.fault_.enabled()) {

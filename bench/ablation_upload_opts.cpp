@@ -46,13 +46,11 @@ int main() {
                         "partial-migration latency, plus the chunk cache's effect on "
                         "demand paging.");
 
-  MigrationModel model;
-
   // --- First upload: with and without compression -------------------------
   uint64_t vm_seed = 1;
   obs::ApplySeedOverride(&vm_seed);
   Vm vm1 = PrimedVm(vm_seed);
-  PartialMigrationPlan first = model.ExecutePartialMigration(vm1, /*differential=*/false);
+  PartialMigrationPlan first = ExecutePartialMigration(vm1, /*differential=*/false);
   double compressed_s = UploadSeconds(first.upload_bytes_compressed);
   double raw_s = UploadSeconds(first.upload_bytes_raw);
 

@@ -40,7 +40,6 @@ struct RunResult {
 };
 
 RunResult OneRun(uint64_t seed) {
-  MigrationModel model;  // GigE testbed timings (§4.4)
   MemoryServer server;
   Rng rng(seed);
 
@@ -56,10 +55,10 @@ RunResult OneRun(uint64_t seed) {
   ApplyWorkload(vm, IdleBackgroundChurn(SimTime::Minutes(5)));
 
   RunResult r{};
-  r.full_s = model.PlanFullMigration(config.memory_bytes).duration.seconds();
+  r.full_s = PlanFullMigration(config.memory_bytes).duration.seconds();
 
   // Partial migration #1: full upload of the touched image + descriptor.
-  PartialMigrationPlan p1 = model.ExecutePartialMigration(vm, /*differential=*/false);
+  PartialMigrationPlan p1 = ExecutePartialMigration(vm, /*differential=*/false);
   server.Upload(SimTime::Zero(), vm.id(), p1.upload_bytes_compressed);
   r.partial1_s = p1.total.seconds();
   r.upload1_s = p1.upload_time.seconds();
@@ -74,21 +73,21 @@ RunResult OneRun(uint64_t seed) {
   vm.image().DirtyTouchedPages(dirty1 / kPageSize);
 
   // Reintegration #1: only the dirty state returns home.
-  ReintegrationPlan ri1 = model.PlanReintegration(dirty1);
+  ReintegrationPlan ri1 = PlanReintegration(dirty1);
   r.reintegration1_s = ri1.duration.seconds();
   r.reintegration_mib = ToMiB(dirty1);
 
   // Workload 2 + idle, then partial migration #2 with differential upload.
   ApplyWorkload(vm, DesktopWorkload2());
   ApplyWorkload(vm, IdleBackgroundChurn(SimTime::Minutes(5)));
-  PartialMigrationPlan p2 = model.ExecutePartialMigration(vm, /*differential=*/true);
+  PartialMigrationPlan p2 = ExecutePartialMigration(vm, /*differential=*/true);
   server.Upload(SimTime::Zero(), vm.id(), p2.upload_bytes_compressed);
   r.partial2_s = p2.total.seconds();
   r.upload2_s = p2.upload_time.seconds();
 
   // A second consolidation stint and reintegration.
   uint64_t dirty2 = MiBToBytes(std::max(60.0, rng.NextGaussian(175.3, 49.3)));
-  r.reintegration2_s = model.PlanReintegration(dirty2).duration.seconds();
+  r.reintegration2_s = PlanReintegration(dirty2).duration.seconds();
   return r;
 }
 

@@ -48,8 +48,7 @@ int main() {
   }
   table.Print(std::cout);
 
-  MigrationModel model;
-  double prefetch = model.PlanFullMigration(4 * kGiB).duration.seconds();
+  double prefetch = PlanFullMigration(4 * kGiB).duration.seconds();
   std::printf("\nWorst slowdown: %.0fx (paper: up to 111x).\n", worst_slowdown);
   std::printf("Pre-fetching the VM's entire remaining state takes only %.0f s (paper: 41 s),\n"
               "so Oasis converts activating partial VMs into full VMs instead of letting\n"

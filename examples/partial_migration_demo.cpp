@@ -41,9 +41,8 @@ int main() {
   //    consolidate. The agent compresses and uploads the memory image to the
   //    host's memory server over the shared SAS drive.
   ApplyWorkload(vm, IdleBackgroundChurn(SimTime::Minutes(5)));
-  MigrationModel model;
   MemoryServer server;
-  PartialMigrationPlan plan = model.ExecutePartialMigration(vm, /*differential=*/false);
+  PartialMigrationPlan plan = ExecutePartialMigration(vm, /*differential=*/false);
   SimTime clock = server.Upload(SimTime::Zero(), vm.id(), plan.upload_bytes_compressed);
   vm.set_activity(VmActivity::kIdle);
   vm.set_residency(VmResidency::kPartial);
@@ -52,7 +51,7 @@ int main() {
               FormatBytes(plan.upload_bytes_compressed).c_str(),
               FormatBytes(plan.upload_bytes_raw).c_str(), plan.upload_time.seconds(),
               plan.descriptor_time.seconds(), plan.total.seconds(),
-              model.PlanFullMigration(config.memory_bytes).duration.seconds());
+              PlanFullMigration(config.memory_bytes).duration.seconds());
 
   // 3. The home host sleeps; the partial VM faults pages in on demand.
   std::printf("\n3. home host suspends to S3 (3.1 s); its 42.2 W memory server keeps\n"
@@ -74,7 +73,7 @@ int main() {
   // 4. The user returns: reintegrate the dirty state back home.
   uint64_t dirty = MiBToBytes(175.3);
   vm.image().DirtyTouchedPages(dirty / kPageSize);
-  ReintegrationPlan reint = model.PlanReintegration(dirty);
+  ReintegrationPlan reint = PlanReintegration(dirty);
   vm.set_activity(VmActivity::kActive);
   vm.set_residency(VmResidency::kFullAtHome);
   server.Remove(vm.id());
@@ -85,7 +84,7 @@ int main() {
   // 5. Next consolidation only uploads the delta.
   ApplyWorkload(vm, DesktopWorkload2());
   ApplyWorkload(vm, IdleBackgroundChurn(SimTime::Minutes(5)));
-  PartialMigrationPlan delta = model.ExecutePartialMigration(vm, /*differential=*/true);
+  PartialMigrationPlan delta = ExecutePartialMigration(vm, /*differential=*/true);
   std::printf("\n5. next idle period: differential upload moves only %s -> %.1f s total\n"
               "   (first migration was %.1f s)\n",
               FormatBytes(delta.upload_bytes_compressed).c_str(), delta.total.seconds(),

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "src/common/log.h"
+#include "src/hyper/migration_model.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -170,10 +171,7 @@ void Actuator::HandleActivation(SimTime now, VmId vm_id, SimTime activation_time
       // The VM is already being reintegrated as part of a group return; the
       // agent promotes it to the front of the queue, so the user waits only
       // one reintegration (§5.5), not the whole storm.
-      const ClusterTimings& t = config_.timings;
-      metrics_.transition_delay_s.Add(
-          (now - activation_time + t.reintegration_fixed + t.reintegration_transfer)
-              .seconds());
+      metrics_.transition_delay_s.Add((now - activation_time + kReintegrationTime).seconds());
       return;
     }
     vm.activation_pending = true;
@@ -217,8 +215,7 @@ bool Actuator::TryConvertInPlace(SimTime now, VmSlot& vm, SimTime activation_tim
   // The VM's working set is already resident, so it responds as soon as its
   // vCPUs are rescheduled with full memory commitment; the bulk of the
   // footprint streams in from the memory server in the background.
-  const ClusterTimings& t = config_.timings;
-  SimTime done = now + t.reintegration_fixed + t.reintegration_transfer;
+  SimTime done = now + kReintegrationTime;
   TraceMigration("convert_in_place", now, done, vm.id, vm.location, vm.full_bytes - fetched);
   ScheduleMigration(vm, now, done, VmSlot::PendingOp::kOther, vm.location);
   metrics_.transition_delay_s.Add((done - activation_time).seconds());
@@ -246,8 +243,7 @@ bool Actuator::TryNewHome(SimTime now, VmSlot& vm, SimTime activation_time) {
   HostId old_location = vm.location;
   Relocate(now, vm, target_id, VmResidency::kFullAtConsolidation);
   ++metrics_.new_home_moves;
-  const ClusterTimings& t = config_.timings;
-  SimTime done = now + t.reintegration_fixed + t.reintegration_transfer;
+  SimTime done = now + kReintegrationTime;
   BookFullMigration(now, done, vm, target_id);
   ScheduleMigration(vm, now, done, VmSlot::PendingOp::kOther, old_location);
   metrics_.transition_delay_s.Add((done - activation_time).seconds());
@@ -293,7 +289,6 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
       idle_fulls.push_back(vm.id);
     }
   }
-  const ClusterTimings& t = config_.timings;
   for (VmId id : partials) {
     VmSlot& vm = Slot(id);
     SettleUpkeep(vm);
@@ -301,8 +296,7 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
     Relocate(now, vm, home_id, VmResidency::kFullAtHome);
     metrics_.traffic.Add(TrafficCategory::kReintegration, dirty);
     ++metrics_.reintegrations;
-    SimTime done =
-        home.EnqueueInboundTransfer(t0, t.reintegration_transfer) + t.reintegration_fixed;
+    SimTime done = home.EnqueueInboundTransfer(t0, kReintegrationTransfer) + kReintegrationFixed;
     TraceMigration("reintegration", t0, done, id, home_id, dirty);
     ScheduleMigration(vm, t0, done,
                       id == requester ? VmSlot::PendingOp::kOther
@@ -317,9 +311,9 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
     VmSlot& vm = Slot(id);
     HostId source_id = vm.location;
     Relocate(now, vm, home_id, VmResidency::kFullAtHome);
-    SimTime done = HostOf(source_id).EnqueueOutboundMigration(t0, t.full_migration);
-    BookFullMigration(done - t.full_migration, done, vm, home_id);
-    ScheduleMigration(vm, done - t.full_migration, done, VmSlot::PendingOp::kFullReturnMove,
+    SimTime done = HostOf(source_id).EnqueueOutboundMigration(t0, kFullMigrationTime);
+    BookFullMigration(done - kFullMigrationTime, done, vm, home_id);
+    ScheduleMigration(vm, done - kFullMigrationTime, done, VmSlot::PendingOp::kFullReturnMove,
                       source_id);
     last_done = std::max(last_done, done);
   }
@@ -374,7 +368,6 @@ void Actuator::FullToPartialSwapGroup(SimTime now, HostId home_id,
                                       std::span<const VmId> group) {
   // Idle full VMs parked on consolidation hosts go home and come back as
   // partials, freeing most of their reservation (§3.2 FulltoPartial).
-  const ClusterTimings& t = config_.timings;
   ClusterHost& home = HostOf(home_id);
   StatusOr<SimTime> woken = WakeHost(now, home_id);
   SimTime t0 = woken.ok() ? *woken : home.EarliestPoweredTime(now);
@@ -383,19 +376,19 @@ void Actuator::FullToPartialSwapGroup(SimTime now, HostId home_id,
     HostId cons_id = vm.location;
     ClusterHost& cons = HostOf(cons_id);
     // Leg 1: live-migrate the full VM back home.
-    SimTime done1 = cons.EnqueueOutboundMigration(t0, t.full_migration);
-    BookFullMigration(done1 - t.full_migration, done1, vm, home_id);
+    SimTime done1 = cons.EnqueueOutboundMigration(t0, kFullMigrationTime);
+    BookFullMigration(done1 - kFullMigrationTime, done1, vm, home_id);
     Relocate(now, vm, home_id, VmResidency::kFullAtHome);
     // Leg 2: partial-migrate back to the same consolidation host.
     uint64_t ws = ws_sampler_.Sample();
     if (cons.CanFit(ws)) {
       Relocate(now, vm, cons_id, VmResidency::kPartial, ws);
-      RecordPartialMigrationTraffic(now, vm);
+      RecordPartialMigrationTraffic(now, vm, cons_id);
       ++metrics_.full_to_partial_swaps;
-      SimTime done2 = home.EnqueueOutboundMigration(done1, t.partial_migration);
-      TraceMigration("partial_migration", done2 - t.partial_migration, done2, id, cons_id,
+      SimTime done2 = home.EnqueueOutboundMigration(done1, kPartialMigrationTime);
+      TraceMigration("partial_migration", done2 - kPartialMigrationTime, done2, id, cons_id,
                      ws);
-      ScheduleMigration(vm, done2 - t.partial_migration, done2,
+      ScheduleMigration(vm, done2 - kPartialMigrationTime, done2,
                         VmSlot::PendingOp::kSwapReturn, home_id);
     } else {
       // No room for even the partial: the VM stays home.
@@ -409,7 +402,6 @@ void Actuator::FullToPartialSwapGroup(SimTime now, HostId home_id,
 }
 
 void Actuator::CommitVacatePlan(SimTime now, const VacatePlan& plan) {
-  const ClusterTimings& t = config_.timings;
   for (size_t i = 0; i < plan.hosts_to_vacate.size(); ++i) {
     HostId source_id = plan.hosts_to_vacate[i];
     ClusterHost& source = HostOf(source_id);
@@ -423,17 +415,17 @@ void Actuator::CommitVacatePlan(SimTime now, const VacatePlan& plan) {
       if (!placement.as_partial) {
         // Active (or not-yet-trusted idle) VMs move in full via live
         // migration, so they keep their resources and performance.
-        SimTime done = source.EnqueueOutboundMigration(dest_ready, t.full_migration);
+        SimTime done = source.EnqueueOutboundMigration(dest_ready, kFullMigrationTime);
         Relocate(now, vm, dest_id, VmResidency::kFullAtConsolidation);
         BookFullMigration(now, done, vm, dest_id);
         ScheduleMigration(vm, now, done, VmSlot::PendingOp::kOther, source_id);
       } else {
-        SimTime done = source.EnqueueOutboundMigration(dest_ready, t.partial_migration);
-        RecordPartialMigrationTraffic(now, vm);
+        SimTime done = source.EnqueueOutboundMigration(dest_ready, kPartialMigrationTime);
+        RecordPartialMigrationTraffic(now, vm, dest_id);
         Relocate(now, vm, dest_id, VmResidency::kPartial, placement.bytes);
-        TraceMigration("partial_migration", done - t.partial_migration, done, vm_id, dest_id,
+        TraceMigration("partial_migration", done - kPartialMigrationTime, done, vm_id, dest_id,
                        placement.bytes);
-        ScheduleMigration(vm, done - t.partial_migration, done,
+        ScheduleMigration(vm, done - kPartialMigrationTime, done,
                           VmSlot::PendingOp::kVacatePartial, source_id);
       }
     }
@@ -444,26 +436,24 @@ void Actuator::CommitVacatePlan(SimTime now, const VacatePlan& plan) {
 }
 
 void Actuator::DrainMove(SimTime now, VmId vm_id, HostId dest_id) {
-  const ClusterTimings& t = config_.timings;
   VmSlot& vm = Slot(vm_id);
   SettleUpkeep(vm);
   HostId source_id = vm.location;
   Relocate(now, vm, dest_id, VmResidency::kPartial);
-  metrics_.traffic.Add(TrafficCategory::kPartialDescriptor,
-                       config_.volumes.descriptor_bytes);
+  metrics_.traffic.Add(TrafficCategory::kPartialDescriptor, kDescriptorBytes);
   ++metrics_.partial_migrations;
-  SimTime done = HostOf(source_id).EnqueueOutboundMigration(now, t.partial_migration);
+  SimTime done = HostOf(source_id).EnqueueOutboundMigration(now, kPartialMigrationTime);
   if (obs::Tracer* tr = obs::Tracer::IfEnabled()) {
     // Drains ship only the descriptor; the memory image stays on the
     // home's memory server.
     tr->Complete("migration", "descriptor_push", now, now,
                  obs::TraceArgs{static_cast<int64_t>(dest_id),
                                 static_cast<int64_t>(vm_id),
-                                static_cast<int64_t>(config_.volumes.descriptor_bytes)});
+                                static_cast<int64_t>(kDescriptorBytes)});
   }
-  TraceMigration("partial_migration", done - t.partial_migration, done, vm_id, dest_id,
+  TraceMigration("partial_migration", done - kPartialMigrationTime, done, vm_id, dest_id,
                  vm.ws_bytes);
-  ScheduleMigration(vm, done - t.partial_migration, done, VmSlot::PendingOp::kDrainMove,
+  ScheduleMigration(vm, done - kPartialMigrationTime, done, VmSlot::PendingOp::kDrainMove,
                     source_id);
 }
 
@@ -867,19 +857,18 @@ void Actuator::BookFullMigration(SimTime start, SimTime end, const VmSlot& vm, H
   TraceMigration("full_migration", start, end, vm.id, dest, vm.full_bytes);
 }
 
-void Actuator::RecordPartialMigrationTraffic(SimTime now, VmSlot& vm) {
-  metrics_.traffic.Add(TrafficCategory::kPartialDescriptor, config_.volumes.descriptor_bytes);
+void Actuator::RecordPartialMigrationTraffic(SimTime now, VmSlot& vm, HostId dest) {
+  metrics_.traffic.Add(TrafficCategory::kPartialDescriptor, kDescriptorBytes);
   bool first = !state_.vm_ever_uploaded[vm.id];
   state_.vm_ever_uploaded[vm.id] = true;
-  uint64_t upload = first ? config_.volumes.first_upload_bytes
-                          : config_.volumes.repeat_upload_bytes;
+  uint64_t upload = first ? kFirstUploadBytes : kRepeatUploadBytes;
   metrics_.traffic.Add(TrafficCategory::kMemoryUpload, upload);
   ++metrics_.partial_migrations;
   if (obs::Tracer* t = obs::Tracer::IfEnabled()) {
     t->Complete("migration", "descriptor_push", now, now,
-                obs::TraceArgs{static_cast<int64_t>(vm.location),
+                obs::TraceArgs{static_cast<int64_t>(dest),
                                static_cast<int64_t>(vm.id),
-                               static_cast<int64_t>(config_.volumes.descriptor_bytes)});
+                               static_cast<int64_t>(kDescriptorBytes)});
     t->Complete("migration", "memory_upload", now, now,
                 obs::TraceArgs{static_cast<int64_t>(vm.home),
                                static_cast<int64_t>(vm.id),

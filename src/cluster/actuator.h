@@ -145,7 +145,10 @@ class Actuator {
   // Books one full (pre-copy live) migration of `vm` to `dest` over
   // [start, end): its traffic, its count and its trace span.
   void BookFullMigration(SimTime start, SimTime end, const VmSlot& vm, HostId dest);
-  void RecordPartialMigrationTraffic(SimTime now, VmSlot& vm);
+  // Books one partial migration of `vm` to `dest`: its descriptor push and
+  // memory upload traffic, its count, and the push's trace span on `dest`'s
+  // track (the upload's on the home's).
+  void RecordPartialMigrationTraffic(SimTime now, VmSlot& vm, HostId dest);
 
   const ClusterConfig& config_;
   Simulator& sim_;

@@ -43,26 +43,12 @@ enum class HostRole { kHome, kConsolidation };
 
 const char* HostRoleName(HostRole role);
 
-// Fixed migration/transition parameters for the cluster simulation, straight
-// from §5.1 ("we use the conservative parameters from 4.4.2") and Table 1.
-struct ClusterTimings {
-  // Full (pre-copy live) migration of a 4 GiB VM over the rack's 10 GigE.
-  SimTime full_migration = SimTime::Seconds(10.0);
-  // Partial migration including the memory upload.
-  SimTime partial_migration = SimTime::Seconds(7.2);
-  // Reintegration of a partial VM: a fixed portion (suspend partial VM,
-  // rebuild page tables, resume) plus a transfer portion that serializes on
-  // the destination host's NIC — together the paper's 3.7 s.
-  SimTime reintegration_fixed = SimTime::Seconds(2.2);
-  SimTime reintegration_transfer = SimTime::Seconds(1.5);
-  // ACPI S3 latencies are per host: HostPowerProfile::suspend_latency and
-  // resume_latency.
-};
-
-// Byte-volume models for traffic accounting (Fig 10) — latency uses the
-// fixed ClusterTimings; volumes follow the §4.4.3 measurements.
+// The per-round upkeep rates of a consolidated partial VM, from the §4.4.3
+// measurements; UpkeepRates reads them. Every migration's latency and
+// per-migration byte volume is a constant of the migration cost table
+// (src/hyper/migration_model.h); ACPI S3 latencies are per host
+// (HostPowerProfile).
 struct TrafficVolumes {
-  uint64_t descriptor_bytes = 16 * kMiB;  // partial VM creation push
   // On-demand page fetches drain the unfetched working set geometrically:
   // each interval a partial VM fetches this fraction of what remains,
   // capped at the per-interval ceiling.
@@ -74,10 +60,6 @@ struct TrafficVolumes {
   uint64_t dirty_cap_bytes = 400 * kMiB;
   // Idle working sets creep upward while consolidated (§3.2's grow case).
   double ws_growth_mib_per_hour = 6.0;
-  // Compressed memory-upload volumes on the SAS channel (§4.4.2: the first
-  // upload pushes the whole touched image, later ones only the delta).
-  uint64_t first_upload_bytes = 1306 * kMiB;
-  uint64_t repeat_upload_bytes = 282 * kMiB;
 };
 
 struct ClusterConfig {
@@ -115,7 +97,6 @@ struct ClusterConfig {
   // monitoring, e.g. page-dirtying rate, which needs a sampling window; it
   // also keeps momentary pauses from triggering migration ping-pong).
   int idle_smoothing_intervals = 2;
-  ClusterTimings timings;
   TrafficVolumes volumes;
   HostPowerProfile host_power;
   // Per-host hardware generations (src/power/host_profile.h). Fleet
@@ -164,7 +145,7 @@ struct ClusterConfig {
 
 // Cluster-level VM bookkeeping. Unlike hyper::Vm this carries aggregate byte
 // counters instead of page bitmaps, so 900-VM day simulations stay cheap;
-// the byte arithmetic matches the page-level MigrationModel.
+// migrations charge the §5.1 constants of the migration cost table.
 struct VmSlot {
   VmId id = 0;
   HostId home = kNoHost;        // owner of the VM's full image / memory server

@@ -129,7 +129,7 @@ ClusterMetrics ClusterManager::Run() {
   if (check::InvariantChecker* c = check::InvariantChecker::IfEnabled()) {
     CheckClusterInvariants(*this, end, *c);
   }
-  metrics_.baseline_energy = BaselineEnergy(config_, trace_);
+  metrics_.baseline_energy = BaselineEnergy(config_);
   metrics_.hosts_by_class.assign(static_cast<size_t>(config_.NumProfileClasses()), 0);
   metrics_.host_sleep_seconds_by_class.assign(
       static_cast<size_t>(config_.NumProfileClasses()), 0.0);
@@ -161,13 +161,12 @@ int ClusterManager::TraceIntervalAt(SimTime now) const {
   return std::min(kIntervalsPerDay - 1, static_cast<int>(when.seconds()) / kTraceIntervalSeconds);
 }
 
-Joules ClusterManager::BaselineEnergy(const ClusterConfig& config, const TraceSet& trace) {
+Joules ClusterManager::BaselineEnergy(const ClusterConfig& config) {
   // Every home host stays powered all day running its own VMs (§5.3's
   // normalization). The draw saturates with the resident VM count, so the
   // baseline is flat regardless of user activity. On a mixed fleet each
   // home is billed at its own generation's loaded draw; the per-class fold
   // reduces to the legacy single product on the homogeneous default.
-  (void)trace;
   std::vector<int> homes_in_class(config.NumProfileClasses(), 0);
   for (int h = 0; h < config.num_home_hosts; ++h) {
     ++homes_in_class[config.ProfileClassOf(static_cast<HostId>(h))];

@@ -66,9 +66,10 @@ class ClusterManager {
   // Simulates one full day and returns the collected metrics.
   ClusterMetrics Run();
 
-  // Baseline energy: every home host powered all day with the same VM
-  // activity and no consolidation (the §5.3 normalization).
-  static Joules BaselineEnergy(const ClusterConfig& config, const TraceSet& trace);
+  // Baseline energy: every home host powered all day at its loaded draw,
+  // with no consolidation (the §5.3 normalization). User activity does not
+  // enter it.
+  static Joules BaselineEnergy(const ClusterConfig& config);
 
   const ClusterConfig& config() const { return config_; }
   // VM u follows trace()[u % trace().size()].

@@ -31,9 +31,9 @@
 //
 // Search: seeded simulated annealing over per-home sleep windows, started
 // from the hindsight-greedy schedule (sleep every all-idle run). The whole
-// solve is a pure function of (cluster config, trace, seed, OracleConfig) —
-// it touches no global stream and no wall clock — so it is deterministic
-// across reruns and OASIS_JOBS settings by construction.
+// solve is a pure function of (cluster config, trace, seed) — it touches no
+// global stream and no wall clock — so it is deterministic across reruns
+// and OASIS_JOBS settings by construction.
 
 #ifndef OASIS_SRC_CLUSTER_ORACLE_H_
 #define OASIS_SRC_CLUSTER_ORACLE_H_
@@ -44,21 +44,6 @@
 #include "src/trace/activity_trace.h"
 
 namespace oasis {
-
-struct OracleConfig {
-  // Annealing budget and geometric temperature schedule (joules). The
-  // defaults converge well within the gap harness's tolerances on the
-  // 30-home paper rack; they are part of the oracle's pinned definition, so
-  // changing them moves golden digests.
-  int sa_iterations = 40000;
-  double initial_temperature_j = 30000.0;
-  double final_temperature_j = 100.0;
-  // Longest window (in intervals) a single annealing move rewrites.
-  int max_move_intervals = 24;
-  // Folded into the caller's seed so the oracle's working-set draws and move
-  // sequence are decorrelated from the simulation's own streams.
-  uint64_t seed_salt = 0x6F7261636C65ULL;  // "oracle"
-};
 
 struct OracleResult {
   // Per-interval relaxation (transition costs dropped, each interval
@@ -79,7 +64,7 @@ struct OracleResult {
 
 class OfflineOracle {
  public:
-  explicit OfflineOracle(const ClusterConfig& config, OracleConfig oracle_config = {});
+  explicit OfflineOracle(const ClusterConfig& config);
 
   // Solves one completed day. `trace` drives VM activity exactly as
   // ClusterManager maps it (vm id modulo trace size); `seed` seeds the
@@ -88,7 +73,6 @@ class OfflineOracle {
 
  private:
   ClusterConfig config_;
-  OracleConfig oracle_;
 };
 
 // strategy_energy / oracle schedule energy - 1 (0 = matched the oracle).

@@ -78,7 +78,6 @@ struct VacatePlan {
 // by PlanInterval, used for observability only (never folded into
 // ClusterMetrics, so enabling it cannot perturb pinned outputs).
 struct PlanActions {
-  int full_to_partial_swap_groups = 0;
   int swapped_vms = 0;
   int vacated_hosts = 0;
   int vacate_moves = 0;

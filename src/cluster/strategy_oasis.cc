@@ -8,6 +8,7 @@
 
 #include "src/cluster/actuator.h"
 #include "src/cluster/power_delta.h"
+#include "src/hyper/migration_model.h"
 
 namespace oasis {
 
@@ -75,7 +76,6 @@ void OasisGreedyStrategy::ExecuteSwapGroups(const SwapGroups& swaps, SimTime now
   for (const SwapGroups::Group& g : swaps.groups) {
     act.FullToPartialSwapGroup(
         now, g.home, std::span<const VmId>(swaps.vms.data() + g.begin, g.end - g.begin));
-    ++actions.full_to_partial_swap_groups;
     actions.swapped_vms += static_cast<int>(g.end - g.begin);
   }
 }
@@ -325,9 +325,8 @@ int OasisGreedyStrategy::ExecuteDrain(const ClusterView& view, SimTime now, Actu
     return 0;
   }
   const ClusterConfig& config = view.config();
-  const ClusterTimings& t = config.timings;
   size_t max_moves = static_cast<size_t>(config.planning_interval.seconds() /
-                                         t.partial_migration.seconds());
+                                         kPartialMigrationTime.seconds());
   const ClusterHost& source = view.host(source_id);
   size_t first_cons = static_cast<size_t>(config.num_home_hosts);
   uint64_t peer_spare = 0;

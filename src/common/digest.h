@@ -16,9 +16,12 @@ class Fnv1a {
  public:
   // The FNV-1a offset basis.
   static constexpr uint64_t kOffsetBasis = 0xcbf29ce484222325ull;
-  // The offset basis with its last decimal digit dropped. The datacenter
-  // ledger, the oracle and the oracle benches start from it, and their
-  // printed digests are pinned, so they keep it.
+  // The offset basis with its last decimal digit dropped, so a digest that
+  // starts from it is not standard FNV-1a. The datacenter ledger, the oracle,
+  // ablation_policy and heterogeneous_fleet start from it. Their digests are
+  // pinned in goldens, and perfbench/oasis_bench.cpp folds the ledger's
+  // digest into one pinned in perfbench/baseline.json, so moving them to
+  // kOffsetBasis needs a benchmark change as well as a golden re-pin.
   static constexpr uint64_t kShortBasis = 1469598103934665603ull;
 
   explicit Fnv1a(uint64_t basis = kOffsetBasis) : hash_(basis) {}

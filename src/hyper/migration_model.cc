@@ -3,18 +3,26 @@
 #include <string>
 
 #include "src/check/check.h"
+#include "src/net/link.h"
 
 namespace oasis {
+namespace {
 
-FullMigrationPlan MigrationModel::PlanFullMigration(uint64_t memory_bytes) const {
+// Time to move `bytes` at `bytes_per_sec`.
+SimTime TransferTime(uint64_t bytes, double bytes_per_sec) {
+  return SimTime::Seconds(static_cast<double>(bytes) / bytes_per_sec);
+}
+
+}  // namespace
+
+FullMigrationPlan PlanFullMigration(uint64_t memory_bytes) {
   FullMigrationPlan plan;
   plan.bytes = memory_bytes;
-  plan.duration =
-      SimTime::Seconds(static_cast<double>(memory_bytes) / config_.live_migration_bytes_per_sec);
+  plan.duration = TransferTime(memory_bytes, kTestbedLiveMigrationBytesPerSec);
   return plan;
 }
 
-PartialMigrationPlan MigrationModel::ExecutePartialMigration(Vm& vm, bool differential) const {
+PartialMigrationPlan ExecutePartialMigration(Vm& vm, bool differential) {
   PartialMigrationPlan plan;
   plan.differential = differential;
   if (differential) {
@@ -25,13 +33,10 @@ PartialMigrationPlan MigrationModel::ExecutePartialMigration(Vm& vm, bool differ
   }
   plan.upload_bytes_raw = plan.upload_pages * kPageSize;
   plan.upload_bytes_compressed = vm.image().CompressedBytesFor(plan.upload_pages);
-  plan.upload_time = SimTime::Seconds(static_cast<double>(plan.upload_bytes_compressed) /
-                                      config_.upload_bytes_per_sec);
-  plan.descriptor_bytes = vm.config().descriptor_bytes;
+  plan.upload_time = TransferTime(plan.upload_bytes_compressed, kSasBytesPerSec);
+  plan.descriptor_bytes = kDescriptorBytes;
   plan.descriptor_time =
-      config_.descriptor_fixed_overhead +
-      SimTime::Seconds(static_cast<double>(plan.descriptor_bytes) /
-                       config_.descriptor_bytes_per_sec);
+      kDescriptorFixedOverhead + TransferTime(plan.descriptor_bytes, kGigEBytesPerSec);
   plan.total = plan.upload_time + plan.descriptor_time;
   if (check::InvariantChecker* c = check::InvariantChecker::IfEnabled()) {
     // Page/byte conservation for the partial-migration upload: the pages
@@ -60,12 +65,10 @@ PartialMigrationPlan MigrationModel::ExecutePartialMigration(Vm& vm, bool differ
   return plan;
 }
 
-ReintegrationPlan MigrationModel::PlanReintegration(uint64_t dirty_bytes) const {
+ReintegrationPlan PlanReintegration(uint64_t dirty_bytes) {
   ReintegrationPlan plan;
   plan.dirty_bytes = dirty_bytes;
-  plan.duration = config_.reintegration_fixed_overhead +
-                  SimTime::Seconds(static_cast<double>(dirty_bytes) /
-                                   config_.reintegration_bytes_per_sec);
+  plan.duration = kReintegrationFixed + TransferTime(dirty_bytes, kGigEBytesPerSec);
   return plan;
 }
 

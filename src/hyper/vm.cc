@@ -26,9 +26,8 @@ Vm::Vm(const VmConfig& config)
 std::string Vm::DebugString() const {
   std::ostringstream os;
   os << "vm" << config_.id << "[" << VmTypeName(config_.type) << ", "
-     << VmActivityName(activity_) << ", " << VmResidencyName(residency_) << ", home=h"
-     << home_host_ << ", at=h" << current_host_ << ", touched="
-     << FormatBytes(image_.touched_bytes()) << "]";
+     << VmActivityName(activity_) << ", " << VmResidencyName(residency_)
+     << ", touched=" << FormatBytes(image_.touched_bytes()) << "]";
   return os.str();
 }
 

@@ -2,8 +2,9 @@
 //
 // A Vm couples identity/configuration with a page-granular MemoryImage.
 // Activity (active/idle) is what the cluster manager's policies react to;
-// residency records where the VM currently executes and in what form
-// (full at home, full on a consolidation host, or partial).
+// residency records in what form the VM currently executes (full at home,
+// full on a consolidation host, or partial). Which host that is, the
+// cluster's VmSlot records.
 
 #ifndef OASIS_SRC_HYPER_VM_H_
 #define OASIS_SRC_HYPER_VM_H_
@@ -38,9 +39,6 @@ struct VmConfig {
   int vcpus = 1;
   VmType type = VmType::kDesktop;
   uint64_t seed = 1;
-  // Size of the descriptor (page tables, execution context, device state)
-  // pushed to create a partial VM — §4.4.3 measures 16.0±0.5 MiB.
-  uint64_t descriptor_bytes = 16 * kMiB;
 };
 
 class Vm {
@@ -56,11 +54,6 @@ class Vm {
   VmResidency residency() const { return residency_; }
   void set_residency(VmResidency r) { residency_ = r; }
 
-  HostId home_host() const { return home_host_; }
-  void set_home_host(HostId h) { home_host_ = h; }
-  HostId current_host() const { return current_host_; }
-  void set_current_host(HostId h) { current_host_ = h; }
-
   MemoryImage& image() { return image_; }
   const MemoryImage& image() const { return image_; }
 
@@ -70,8 +63,6 @@ class Vm {
   VmConfig config_;
   VmActivity activity_ = VmActivity::kActive;
   VmResidency residency_ = VmResidency::kFullAtHome;
-  HostId home_host_ = kNoHost;
-  HostId current_host_ = kNoHost;
   MemoryImage image_;
 };
 

@@ -19,10 +19,6 @@ namespace oasis {
 inline constexpr double kGigEBytesPerSec = 117.0 * kMiB;      // 1 GigE effective
 inline constexpr double kTenGigEBytesPerSec = 1170.0 * kMiB;  // 10 GigE effective
 inline constexpr double kSasBytesPerSec = 128.0 * kMiB;       // §4.3 measurement
-// Effective pre-copy live-migration throughput over 10 GigE: §5.1 assumes a
-// 4 GiB VM migrates in 10 s (from Deshpande et al.), i.e. ~409.6 MiB/s once
-// dirty-round overhead is folded in.
-inline constexpr double kLiveMigrationBytesPerSec = 4.0 * 1024 * kMiB / 10.0;
 
 class Link {
  public:

@@ -17,11 +17,10 @@ TEST(LinkTest, ZeroBytesCostsOnlyLatency) {
 }
 
 TEST(LinkTest, PaperBandwidthConstants) {
-  // §4.3: SAS sustains 128 MiB/s; §5.1 assumes 4 GiB over 10 GigE in 10 s.
+  // §4.3: SAS sustains 128 MiB/s. (§5.1's live-migration rate is checked
+  // against the migration cost table in migration_model_test.)
   Link sas(kSasBytesPerSec, SimTime::Zero());
   EXPECT_NEAR(sas.TransferTime(1306 * kMiB).seconds(), 10.2, 0.05);
-  Link live(kLiveMigrationBytesPerSec, SimTime::Zero());
-  EXPECT_NEAR(live.TransferTime(4 * kGiB).seconds(), 10.0, 0.01);
 }
 
 TEST(SharedChannelTest, IdleChannelStartsImmediately) {

@@ -50,15 +50,6 @@ TraceSet OfficeHoursTrace(int users, int active_users) {
   return set;
 }
 
-TEST(ManagerTest, BaselineEnergyIsFlatLoadedDraw) {
-  ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
-  TraceSet trace = UniformTrace(config.TotalVms(), false);
-  Joules baseline = ClusterManager::BaselineEnergy(config, trace);
-  // 4 homes, each saturating below 20 VMs: 102.2 + 5 * 1.785 W, 24 h.
-  double per_host = 102.2 + 5 * (137.9 - 102.2) / 20.0;
-  EXPECT_NEAR(ToKWh(baseline), 4 * per_host * 24.0 / 1000.0, 0.01);
-}
-
 TEST(ManagerTest, AllIdleClusterConsolidatesEverythingAndSleeps) {
   ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
   ClusterManager manager(config, UniformTrace(config.TotalVms(), false));

@@ -1,12 +1,17 @@
 // Verifies that the migration model reproduces the §4.4.2 micro-benchmark
 // latencies (Fig 5) from first principles: workload priming, real
-// compression ratios, and the measured channel bandwidths.
+// compression ratios, and the measured channel bandwidths. Also compares the
+// model with the §5.1 constants the cluster simulation charges.
 
 #include "src/hyper/migration_model.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+
 #include "src/hyper/workloads.h"
+#include "src/net/link.h"
 
 namespace oasis {
 namespace {
@@ -22,19 +27,29 @@ Vm PrimedVm() {
   return vm;
 }
 
+// The §4.4.1 sequence up to the second partial migration: a full upload,
+// ~175 MiB dirtied on the consolidation host (§4.4.3), Workload 2 and another
+// idle wait, then the differential upload.
+PartialMigrationPlan SecondPartialMigration() {
+  Vm vm = PrimedVm();
+  ExecutePartialMigration(vm, /*differential=*/false);
+  vm.image().DirtyTouchedPages(MiBToBytes(175.3) / kPageSize);
+  ApplyWorkload(vm, DesktopWorkload2());
+  ApplyWorkload(vm, IdleBackgroundChurn(SimTime::Minutes(5)));
+  return ExecutePartialMigration(vm, /*differential=*/true);
+}
+
 TEST(MigrationModelTest, FullMigrationMatchesPaper41Seconds) {
   // §4.4.2: fully migrating the 4 GiB VM over GigE takes ~41 s.
-  MigrationModel model;
-  FullMigrationPlan plan = model.PlanFullMigration(4 * kGiB);
+  FullMigrationPlan plan = PlanFullMigration(4 * kGiB);
   EXPECT_EQ(plan.bytes, 4 * kGiB);
   EXPECT_NEAR(plan.duration.seconds(), 41.0, 0.5);
 }
 
 TEST(MigrationModelTest, FirstPartialMigrationNearPaper15point7Seconds) {
   // §4.4.2: 15.7 s total = ~10.2 s memory upload + ~5.2 s descriptor push.
-  MigrationModel model;
   Vm vm = PrimedVm();
-  PartialMigrationPlan plan = model.ExecutePartialMigration(vm, /*differential=*/false);
+  PartialMigrationPlan plan = ExecutePartialMigration(vm, /*differential=*/false);
   EXPECT_FALSE(plan.differential);
   EXPECT_NEAR(plan.upload_time.seconds(), 10.2, 1.5);
   EXPECT_NEAR(plan.descriptor_time.seconds(), 5.2, 0.2);
@@ -44,69 +59,81 @@ TEST(MigrationModelTest, FirstPartialMigrationNearPaper15point7Seconds) {
 TEST(MigrationModelTest, DifferentialUploadNearPaper2point2Seconds) {
   // After reintegration + Workload 2 + idle churn, only the delta uploads:
   // §4.4.2 measures ~2.2 s, for a ~7.2 s second partial migration.
-  MigrationModel model;
-  Vm vm = PrimedVm();
-  model.ExecutePartialMigration(vm, /*differential=*/false);
-  // Dirty state from running on the consolidation host (~175 MiB, §4.4.3)…
-  vm.image().DirtyTouchedPages(MiBToBytes(175.3) / kPageSize);
-  // …plus Workload 2 and another idle wait.
-  ApplyWorkload(vm, DesktopWorkload2());
-  ApplyWorkload(vm, IdleBackgroundChurn(SimTime::Minutes(5)));
-  PartialMigrationPlan plan = model.ExecutePartialMigration(vm, /*differential=*/true);
+  PartialMigrationPlan plan = SecondPartialMigration();
   EXPECT_TRUE(plan.differential);
   EXPECT_NEAR(plan.upload_time.seconds(), 2.2, 0.8);
   EXPECT_NEAR(plan.total.seconds(), 7.2, 0.9);
 }
 
 TEST(MigrationModelTest, PartialBeatsFullMigration) {
-  MigrationModel model;
   Vm vm = PrimedVm();
-  PartialMigrationPlan partial = model.ExecutePartialMigration(vm, false);
-  FullMigrationPlan full = model.PlanFullMigration(vm.config().memory_bytes);
+  PartialMigrationPlan partial = ExecutePartialMigration(vm, false);
+  FullMigrationPlan full = PlanFullMigration(vm.config().memory_bytes);
   EXPECT_LT(partial.total, full.duration);
 }
 
 TEST(MigrationModelTest, ReintegrationNearPaper3point7Seconds) {
   // §4.4.2: reintegration averages 3.7 s while moving ~175 MiB of dirty state.
-  MigrationModel model;
-  ReintegrationPlan plan = model.PlanReintegration(MiBToBytes(175.3));
+  ReintegrationPlan plan = PlanReintegration(MiBToBytes(175.3));
   EXPECT_NEAR(plan.duration.seconds(), 3.7, 0.3);
 }
 
 TEST(MigrationModelTest, ReintegrationScalesWithDirtyBytes) {
-  MigrationModel model;
-  SimTime small = model.PlanReintegration(10 * kMiB).duration;
-  SimTime large = model.PlanReintegration(400 * kMiB).duration;
+  SimTime small = PlanReintegration(10 * kMiB).duration;
+  SimTime large = PlanReintegration(400 * kMiB).duration;
   EXPECT_LT(small, large);
   // Fixed overhead dominates tiny reintegrations.
   EXPECT_GT(small.seconds(), 2.0);
 }
 
 TEST(MigrationModelTest, UploadConsumesDirtySet) {
-  MigrationModel model;
   Vm vm = PrimedVm();
-  model.ExecutePartialMigration(vm, false);
+  ExecutePartialMigration(vm, false);
   EXPECT_EQ(vm.image().dirty_pages(), 0u);
   // With nothing dirtied since, a differential upload is almost free.
-  PartialMigrationPlan plan = model.ExecutePartialMigration(vm, true);
+  PartialMigrationPlan plan = ExecutePartialMigration(vm, true);
   EXPECT_EQ(plan.upload_pages, 0u);
   EXPECT_NEAR(plan.total.seconds(), plan.descriptor_time.seconds(), 1e-9);
 }
 
 TEST(MigrationModelTest, CompressionShrinksUpload) {
-  MigrationModel model;
   Vm vm = PrimedVm();
-  PartialMigrationPlan plan = model.ExecutePartialMigration(vm, false);
+  PartialMigrationPlan plan = ExecutePartialMigration(vm, false);
   EXPECT_LT(plan.upload_bytes_compressed, plan.upload_bytes_raw);
   EXPECT_GT(plan.upload_bytes_compressed, plan.upload_bytes_raw / 10);
 }
 
-TEST(MigrationModelTest, ClusterTimingConfigMatchesSection51) {
-  // §5.1 assumes 10 s for a 4 GiB full migration over 10 GigE.
-  MigrationTimingConfig cluster;
-  cluster.live_migration_bytes_per_sec = kLiveMigrationBytesPerSec;
-  MigrationModel model(cluster);
-  EXPECT_NEAR(model.PlanFullMigration(4 * kGiB).duration.seconds(), 10.0, 0.1);
+TEST(MigrationModelTest, Section51ConstantsAgainstTheModel) {
+  // §5.1 simulates the cluster "with the conservative parameters from 4.4.2":
+  // the fixed costs of the migration cost table. Where the model and §5.1
+  // must agree, they agree exactly: 4 GiB at the live-migration rate takes
+  // the full-migration time, the model pushes the table's descriptor, and a
+  // reintegration with nothing dirty costs only the fixed part.
+  Link live(kLiveMigrationBytesPerSec, SimTime::Zero());
+  EXPECT_EQ(live.TransferTime(4 * kGiB), kFullMigrationTime);
+  Vm vm = PrimedVm();
+  EXPECT_EQ(ExecutePartialMigration(vm, /*differential=*/false).descriptor_bytes,
+            kDescriptorBytes);
+  EXPECT_EQ(PlanReintegration(0).duration, kReintegrationFixed);
+
+  // Deliberate gap 1: the cluster charges every partial migration §4.4.2's
+  // 7.2 s; the model's differential one (Fig 5, partial migration #2) comes
+  // out longer.
+  double partial_s = SecondPartialMigration().total.seconds();
+  double partial_gap_s = partial_s - kPartialMigrationTime.seconds();
+  std::printf("partial migration: cluster %.3f s, model (differential) %.3f s, gap %+.3f s\n",
+              kPartialMigrationTime.seconds(), partial_s, partial_gap_s);
+  EXPECT_GT(partial_gap_s, 0.0);
+  EXPECT_LT(partial_gap_s, 1.0);
+
+  // Deliberate gap 2: the cluster charges a reintegration 2.2 s fixed plus
+  // 1.5 s on the NIC; the model charges 2.2 s plus §4.4.3's 175.3 MiB of
+  // dirty state at GigE.
+  double reintegration_s = PlanReintegration(MiBToBytes(175.3)).duration.seconds();
+  double reintegration_gap_s = reintegration_s - kReintegrationTime.seconds();
+  std::printf("reintegration: cluster %.3f s, model %.3f s, gap %+.3f s\n",
+              kReintegrationTime.seconds(), reintegration_s, reintegration_gap_s);
+  EXPECT_LT(std::abs(reintegration_gap_s), 0.01);
 }
 
 }  // namespace

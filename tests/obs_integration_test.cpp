@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -73,10 +74,29 @@ TEST_F(ObsIntegrationTest, ClusterRunEmitsAllRequiredSpans) {
   ASSERT_GT(events.array.size(), 0u);
 
   std::set<std::string> names;
+  // Every descriptor push lands on the track of the host its partial VM
+  // migrates to: the tid of the VM's next partial_migration span.
+  std::map<double, double> push_tid;  // vm -> tid of its open push
+  int pushes_checked = 0;
   for (const JsonValue& e : events.array) {
     ASSERT_TRUE(e.is_object());
-    names.insert(e.at("name").str);
+    const std::string& name = e.at("name").str;
+    names.insert(name);
+    if (name != "descriptor_push" && name != "partial_migration") {
+      continue;
+    }
+    double vm = e.at("args").at("vm").number;
+    double tid = e.at("tid").number;
+    if (name == "descriptor_push") {
+      push_tid[vm] = tid;
+    } else if (auto it = push_tid.find(vm); it != push_tid.end()) {
+      EXPECT_EQ(it->second, tid) << "vm " << vm << "'s descriptor push is on another track";
+      push_tid.erase(it);
+      ++pushes_checked;
+    }
   }
+  EXPECT_GT(pushes_checked, 0);
+  EXPECT_TRUE(push_tid.empty()) << push_tid.size() << " pushes without a partial migration";
   EXPECT_TRUE(names.count("planning_round")) << "no planning round span";
   EXPECT_TRUE(names.count("full_migration")) << "no full migration span";
   EXPECT_TRUE(names.count("descriptor_push")) << "no descriptor push span";

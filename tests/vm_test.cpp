@@ -18,27 +18,19 @@ TEST(VmTest, ConstructionDefaults) {
   EXPECT_EQ(vm.id(), 7u);
   EXPECT_EQ(vm.activity(), VmActivity::kActive);
   EXPECT_EQ(vm.residency(), VmResidency::kFullAtHome);
-  EXPECT_EQ(vm.home_host(), kNoHost);
   EXPECT_EQ(vm.image().total_bytes(), 64 * kMiB);
-  EXPECT_EQ(vm.config().descriptor_bytes, 16 * kMiB);
 }
 
 TEST(VmTest, StateTransitions) {
   Vm vm(SmallConfig());
   vm.set_activity(VmActivity::kIdle);
   vm.set_residency(VmResidency::kPartial);
-  vm.set_home_host(2);
-  vm.set_current_host(5);
   EXPECT_EQ(vm.activity(), VmActivity::kIdle);
   EXPECT_EQ(vm.residency(), VmResidency::kPartial);
-  EXPECT_EQ(vm.home_host(), 2u);
-  EXPECT_EQ(vm.current_host(), 5u);
 }
 
 TEST(VmTest, DebugStringMentionsKeyState) {
   Vm vm(SmallConfig());
-  vm.set_home_host(1);
-  vm.set_current_host(1);
   std::string s = vm.DebugString();
   EXPECT_NE(s.find("vm7"), std::string::npos);
   EXPECT_NE(s.find("desktop"), std::string::npos);

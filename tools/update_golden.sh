@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Regenerates the golden files pinned by the `ctest -L golden` suite
 # (quickstart, fig07, fig08, table3, perf_sweep, datacenter_day,
-# ablation_policy, heterogeneous_fleet, ablation_planning_interval) from the
-# binaries in a build tree:
+# ablation_policy, heterogeneous_fleet, ablation_planning_interval, fig05,
+# fig06, ablation_upload_opts) from the binaries in a build tree:
 #
 #   tools/update_golden.sh [build_dir]     # default build dir: ./build
 #
@@ -43,5 +43,8 @@ update datacenter_day bench/datacenter_day OASIS_DC_RACKS=8
 update ablation_policy bench/ablation_policy
 update heterogeneous_fleet bench/heterogeneous_fleet
 update ablation_planning_interval bench/ablation_planning_interval
+update fig05 bench/fig05_consolidation_latency
+update fig06 bench/fig06_app_startup
+update ablation_upload_opts bench/ablation_upload_opts
 
 echo "update_golden: done - review 'git diff tests/golden/' before committing"

@@ -174,7 +174,17 @@ void Actuator::HandleActivation(SimTime now, VmId vm_id, SimTime activation_time
       metrics_.transition_delay_s.Add((now - activation_time + kReintegrationTime).seconds());
       return;
     }
-    vm.activation_pending = true;
+    if (!vm.activation_pending) {
+      // The user waits for the move to land: its completion becomes an
+      // event at its reserved key.
+      vm.activation_pending = true;
+      const std::vector<PendingCompletion>& pending = state_.completions;
+      auto live = std::find_if(pending.begin(), pending.end(), [&vm](const PendingCompletion& c) {
+        return c.vm == vm.id && c.epoch == vm.op_epoch;
+      });
+      assert(live != pending.end() && "an in-flight VM has a pending completion");
+      QueueKeyedCompletion(*live);
+    }
     return;
   }
   switch (vm.residency) {
@@ -440,17 +450,10 @@ void Actuator::DrainMove(SimTime now, VmId vm_id, HostId dest_id) {
   SettleUpkeep(vm);
   HostId source_id = vm.location;
   Relocate(now, vm, dest_id, VmResidency::kPartial);
-  metrics_.traffic.Add(TrafficCategory::kPartialDescriptor, kDescriptorBytes);
-  ++metrics_.partial_migrations;
+  // Drains ship only the descriptor; the memory image stays on the home's
+  // memory server.
+  BookDescriptorPush(now, vm_id, dest_id);
   SimTime done = HostOf(source_id).EnqueueOutboundMigration(now, kPartialMigrationTime);
-  if (obs::Tracer* tr = obs::Tracer::IfEnabled()) {
-    // Drains ship only the descriptor; the memory image stays on the
-    // home's memory server.
-    tr->Complete("migration", "descriptor_push", now, now,
-                 obs::TraceArgs{static_cast<int64_t>(dest_id),
-                                static_cast<int64_t>(vm_id),
-                                static_cast<int64_t>(kDescriptorBytes)});
-  }
   TraceMigration("partial_migration", done - kPartialMigrationTime, done, vm_id, dest_id,
                  vm.ws_bytes);
   ScheduleMigration(vm, done - kPartialMigrationTime, done, VmSlot::PendingOp::kDrainMove,
@@ -571,9 +574,38 @@ void Actuator::ScheduleMigration(VmSlot& vm, SimTime start, SimTime done,
   vm.migration_start = start;
   vm.pending_op = op;
   vm.migration_source = source;
-  uint32_t epoch = ++vm.op_epoch;
-  VmId id = vm.id;
-  sim_.ScheduleAt(done, [this, id, epoch]() { FinishMigration(sim_.now(), id, epoch); });
+  const PendingCompletion c{done, sim_.ReserveSeq(), vm.id, ++vm.op_epoch};
+  state_.completions.push_back(c);
+  // A crash restart that supersedes a move the user was already waiting on
+  // keeps the wait.
+  if (vm.activation_pending) {
+    QueueKeyedCompletion(c);
+  }
+}
+
+void Actuator::QueueKeyedCompletion(const PendingCompletion& c) {
+  sim_.ScheduleKeyed(c.done, c.seq, [this, c]() { FinishMigration(c); });
+}
+
+void Actuator::RetireCompletions() {
+  const SimTime now = sim_.now();
+  const uint64_t seq = sim_.current_seq();
+  std::vector<PendingCompletion>& pending = state_.completions;
+  size_t kept = 0;
+  for (const PendingCompletion& c : pending) {
+    if (c.done > now || (c.done == now && c.seq >= seq)) {
+      pending[kept++] = c;
+      continue;
+    }
+    ++completions_retired_;
+    VmSlot& vm = Slot(c.vm);
+    if (vm.op_epoch == c.epoch) {
+      assert(!vm.activation_pending && "a waited-on completion retires as its own event");
+      SetInFlight(vm, false);
+      vm.pending_op = VmSlot::PendingOp::kNone;
+    }
+  }
+  pending.resize(kept);
 }
 
 bool Actuator::RollbackMigration(SimTime now, VmSlot& vm, bool check_only) {
@@ -609,7 +641,7 @@ bool Actuator::RollbackMigration(SimTime now, VmSlot& vm, bool check_only) {
     return true;
   }
   Relocate(now, vm, back_to, residency);
-  ++vm.op_epoch;  // invalidate the scheduled completion event
+  ++vm.op_epoch;  // its pending completion retires as a no-op
   SetInFlight(vm, false);
   vm.pending_op = VmSlot::PendingOp::kNone;
   vm.activation_pending = false;
@@ -617,6 +649,7 @@ bool Actuator::RollbackMigration(SimTime now, VmSlot& vm, bool check_only) {
 }
 
 void Actuator::ApplyScheduledFault(SimTime now, const ScheduledFault& event) {
+  RetireCompletions();
   switch (event.fault) {
     case FaultClass::kHostCrash: {
       HostId victim = kNoHost;
@@ -818,20 +851,29 @@ void Actuator::InjectMigrationAbort(SimTime now, int64_t target) {
   fault_.RecordSkipped(FaultClass::kMigrationAbort, now, obs::TraceArgs{-1, target});
 }
 
-void Actuator::FinishMigration(SimTime now, VmId vm_id, uint32_t epoch) {
-  VmSlot& vm = Slot(vm_id);
-  if (vm.op_epoch != epoch) {
+void Actuator::FinishMigration(const PendingCompletion& c) {
+  RetireCompletions();
+  // The batch keeps entries at or after this event's key, so this one is
+  // still listed; it leaves as this event, not as a retirement.
+  std::vector<PendingCompletion>& pending = state_.completions;
+  auto own = std::find_if(pending.begin(), pending.end(),
+                          [&c](const PendingCompletion& p) { return p.seq == c.seq; });
+  assert(own != pending.end());
+  *own = pending.back();
+  pending.pop_back();
+  VmSlot& vm = Slot(c.vm);
+  if (vm.op_epoch != c.epoch) {
     return;  // aborted (or superseded) in the meantime
   }
+  assert(vm.activation_pending);
   SetInFlight(vm, false);
   vm.pending_op = VmSlot::PendingOp::kNone;
-  if (vm.activation_pending) {
-    vm.activation_pending = false;
-    if (vm.residency == VmResidency::kPartial) {
-      HandleActivation(now, vm_id, vm.activation_time);
-    } else {
-      metrics_.transition_delay_s.Add((now - vm.activation_time).seconds());
-    }
+  vm.activation_pending = false;
+  const SimTime now = sim_.now();
+  if (vm.residency == VmResidency::kPartial) {
+    HandleActivation(now, c.vm, vm.activation_time);
+  } else {
+    metrics_.transition_delay_s.Add((now - vm.activation_time).seconds());
   }
 }
 
@@ -857,25 +899,30 @@ void Actuator::BookFullMigration(SimTime start, SimTime end, const VmSlot& vm, H
   TraceMigration("full_migration", start, end, vm.id, dest, vm.full_bytes);
 }
 
-void Actuator::RecordPartialMigrationTraffic(SimTime now, VmSlot& vm, HostId dest) {
+void Actuator::BookDescriptorPush(SimTime now, VmId vm, HostId dest) {
   metrics_.traffic.Add(TrafficCategory::kPartialDescriptor, kDescriptorBytes);
+  ++metrics_.partial_migrations;
+  if (obs::Tracer* t = obs::Tracer::IfEnabled()) {
+    t->Complete("migration", "descriptor_push", now, now,
+                obs::TraceArgs{static_cast<int64_t>(dest), static_cast<int64_t>(vm),
+                               static_cast<int64_t>(kDescriptorBytes)});
+  }
+  if (obs::MetricsRegistry* m = obs::MetricsRegistry::IfEnabled()) {
+    m->counter("cluster.descriptor_pushes")->Increment();
+  }
+}
+
+void Actuator::RecordPartialMigrationTraffic(SimTime now, VmSlot& vm, HostId dest) {
+  BookDescriptorPush(now, vm.id, dest);
   bool first = !state_.vm_ever_uploaded[vm.id];
   state_.vm_ever_uploaded[vm.id] = true;
   uint64_t upload = first ? kFirstUploadBytes : kRepeatUploadBytes;
   metrics_.traffic.Add(TrafficCategory::kMemoryUpload, upload);
-  ++metrics_.partial_migrations;
   if (obs::Tracer* t = obs::Tracer::IfEnabled()) {
-    t->Complete("migration", "descriptor_push", now, now,
-                obs::TraceArgs{static_cast<int64_t>(dest),
-                               static_cast<int64_t>(vm.id),
-                               static_cast<int64_t>(kDescriptorBytes)});
     t->Complete("migration", "memory_upload", now, now,
                 obs::TraceArgs{static_cast<int64_t>(vm.home),
                                static_cast<int64_t>(vm.id),
                                static_cast<int64_t>(upload)});
-  }
-  if (obs::MetricsRegistry* m = obs::MetricsRegistry::IfEnabled()) {
-    m->counter("cluster.descriptor_pushes")->Increment();
   }
 }
 

@@ -74,6 +74,17 @@ class Actuator {
   void MaybeSleepHomeHost(SimTime now, HostId host_id);
   // Dispatches one FaultPlan event at its scheduled time.
   void ApplyScheduledFault(SimTime now, const ScheduledFault& event);
+  // Retires every pending completion keyed before the simulator's current
+  // key (DESIGN.md, "Migration completions"): each live one clears its VM's
+  // in-flight state. Every event that reads in-flight state starts with
+  // this batch: the manager's planning round, ApplyScheduledFault and a
+  // keyed completion; the manager runs it once more after the day's last
+  // event.
+  void RetireCompletions();
+  // Completions retired by RetireCompletions so far, stale ones included.
+  // Each used to be an event of its own, so the manager counts each as one
+  // dispatched event.
+  uint64_t completions_retired() const { return completions_retired_; }
   void AccrueEnergy(SimTime now);
 
  private:
@@ -135,19 +146,27 @@ class Actuator {
   // the host directly.
   StatusOr<SimTime> WakeHost(SimTime now, HostId id);
   void RefreshMemoryServer(SimTime now, HostId home_id);
-  // Marks `vm` in flight for [start, done) and schedules completion.
+  // Marks `vm` in flight for [start, done) and lists its completion at the
+  // key (done, a freshly reserved sequence number).
   void ScheduleMigration(VmSlot& vm, SimTime start, SimTime done, VmSlot::PendingOp op,
                          HostId source);
-  void FinishMigration(SimTime now, VmId vm_id, uint32_t epoch);
+  // Files `c` as an event at its own key: its VM's user is waiting on it.
+  void QueueKeyedCompletion(const PendingCompletion& c);
+  // The keyed event: lands the migration and services the activation that
+  // waited on it.
+  void FinishMigration(const PendingCompletion& c);
   // Adds (delta +1) or removes (-1) `vm`'s contribution to `host`'s
   // resident counts.
   void CountResident(HostId host, const VmSlot& vm, int delta);
   // Books one full (pre-copy live) migration of `vm` to `dest` over
   // [start, end): its traffic, its count and its trace span.
   void BookFullMigration(SimTime start, SimTime end, const VmSlot& vm, HostId dest);
-  // Books one partial migration of `vm` to `dest`: its descriptor push and
-  // memory upload traffic, its count, and the push's trace span on `dest`'s
-  // track (the upload's on the home's).
+  // Books one partial migration's descriptor push to `dest`: its traffic,
+  // the partial-migration count, the push's trace span on `dest`'s track
+  // and the cluster.descriptor_pushes counter. Drains book only this.
+  void BookDescriptorPush(SimTime now, VmId vm, HostId dest);
+  // Books one partial migration of `vm` to `dest`: its descriptor push, and
+  // its memory upload traffic and trace span (on the home's track).
   void RecordPartialMigrationTraffic(SimTime now, VmSlot& vm, HostId dest);
 
   const ClusterConfig& config_;
@@ -157,6 +176,7 @@ class Actuator {
   FaultInjector& fault_;
   ClusterState& state_;
   ClusterMetrics& metrics_;
+  uint64_t completions_retired_ = 0;
 };
 
 }  // namespace oasis

@@ -184,13 +184,26 @@ struct VmSlot {
   PendingOp pending_op = PendingOp::kNone;
   SimTime migration_start;   // when this VM's own transfer begins
   HostId migration_source = kNoHost;
-  uint32_t op_epoch = 0;     // invalidates completion events after an abort
+  uint32_t op_epoch = 0;     // invalidates pending completions after an abort
 
   // Partial and not mid-migration: every planning round drains its
   // on-demand pages, grows its dirty state and grows its working set.
   bool UpkeepEligible() const {
     return residency == VmResidency::kPartial && !migration_in_flight;
   }
+};
+
+// One scheduled migration completion (DESIGN.md, "Migration completions"):
+// the migration of `vm` whose op_epoch was `epoch` lands at the simulator
+// key (done, seq). While that key is ahead of the current event's key the
+// VM is in flight; once it is behind, the actuator retires the entry in
+// its next batch. An entry whose epoch no longer matches the VM's was
+// aborted or superseded and retires as a no-op.
+struct PendingCompletion {
+  SimTime done;
+  uint64_t seq = 0;
+  VmId vm = 0;
+  uint32_t epoch = 0;
 };
 
 // A partial VM's byte counters, plus the on-demand fetches it took to reach

@@ -1,6 +1,8 @@
 #include "src/cluster/invariants.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -24,10 +26,36 @@ bool WithinEnvelope(double value, double lo, double hi) {
 int64_t H(HostId id) { return static_cast<int64_t>(id); }
 int64_t V(VmId id) { return static_cast<int64_t>(id); }
 
+// The walk's view of the checker: checks are counted here and handed over
+// in one CountChecks when the walk ends, because the checker's shared
+// counter, bumped once per check, puts every shard worker on one cache
+// line millions of times a rack-day.
+class LocalChecks {
+ public:
+  explicit LocalChecks(check::InvariantChecker& checker) : checker_(checker) {}
+  ~LocalChecks() { checker_.CountChecks(checks_); }
+  LocalChecks(const LocalChecks&) = delete;
+  LocalChecks& operator=(const LocalChecks&) = delete;
+
+  template <typename DetailFn>
+  void Expect(bool ok, const char* invariant, SimTime at, DetailFn&& detail,
+              obs::TraceArgs args = {}) {
+    ++checks_;
+    if (!ok) {
+      checker_.Report(invariant, at, detail(), args);
+    }
+  }
+
+ private:
+  check::InvariantChecker& checker_;
+  uint64_t checks_ = 0;
+};
+
 }  // namespace
 
 void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
-                            check::InvariantChecker& checker) {
+                            check::InvariantChecker& shared_checker) {
+  LocalChecks checker(shared_checker);
   const ClusterConfig& config = manager.config();
   const size_t num_hosts = manager.num_hosts();
   const size_t num_vms = manager.num_vms();
@@ -230,6 +258,25 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
     }
   }
 
+  // --- pending completions --------------------------------------------------
+  // A live entry (its epoch still the VM's) is the completion of the VM's
+  // current migration. The batch that opened this event retired every
+  // entry keyed before it, so each live one must still lie ahead of
+  // (now, current_seq()); the per-VM loop below wants exactly one for an
+  // in-flight VM and none for any other.
+  std::vector<uint8_t> live_completions(num_vms, 0);
+  std::vector<uint8_t> completion_due(num_vms, 0);
+  const uint64_t seq = manager.current_seq();
+  for (const PendingCompletion& c : manager.PendingCompletions()) {
+    if (static_cast<size_t>(c.vm) >= num_vms || manager.GetVm(c.vm).op_epoch != c.epoch) {
+      continue;  // stale: retires as a no-op
+    }
+    live_completions[c.vm] = static_cast<uint8_t>(std::min(live_completions[c.vm] + 1, 2));
+    if (c.done < now || (c.done == now && c.seq <= seq)) {
+      completion_due[c.vm] = 1;
+    }
+  }
+
   // --- per-VM state machine -------------------------------------------------
   // UpdateActivities only visits VMs whose trace bit flipped, so re-read
   // every VM's bit at the interval the last planning round applied.
@@ -326,6 +373,17 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
                      return "VM " + std::to_string(vid) + " migration_in_flight=" +
                             (vm.migration_in_flight ? "true" : "false") +
                             " disagrees with pending_op";
+                   },
+                   obs::TraceArgs{H(vm.location), V(vid)});
+    checker.Expect(live_completions[v] == (vm.migration_in_flight ? 1 : 0) &&
+                       completion_due[v] == 0,
+                   "cluster.completion_pending_exact", now,
+                   [&] {
+                     return "VM " + std::to_string(vid) + " migration_in_flight=" +
+                            (vm.migration_in_flight ? "true" : "false") + " has " +
+                            std::to_string(live_completions[v]) +
+                            " live pending completions" +
+                            (completion_due[v] != 0 ? ", one already due" : "");
                    },
                    obs::TraceArgs{H(vm.location), V(vid)});
   }

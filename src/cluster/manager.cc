@@ -122,6 +122,10 @@ ClusterMetrics ClusterManager::Run() {
     }
   }
   sim_.RunUntil(end);
+  // Completions due by the end of the day land before anything is settled
+  // or read; what is still in flight stays listed, in a list cut to size.
+  act_.RetireCompletions();
+  state_.completions.shrink_to_fit();
   // Upkeep is lazy, so on-demand traffic and each VM's counters are only
   // complete once every VM is settled.
   act_.SettleAllUpkeep();
@@ -147,7 +151,12 @@ ClusterMetrics ClusterManager::Run() {
     metrics_.fault_recovered_by_class[c] = fault_.recovered(fault);
     metrics_.fault_skipped_by_class[c] = fault_.skipped(fault);
   }
-  metrics_.events_dispatched = sim_.events_dispatched();
+  // A retired completion counts as the event it once was, in the metrics
+  // and in the registry counter the simulator keeps for its own pops.
+  metrics_.events_dispatched = sim_.events_dispatched() + act_.completions_retired();
+  if (obs::MetricsRegistry* m = obs::MetricsRegistry::IfEnabled()) {
+    m->counter("sim.events_dispatched")->Increment(act_.completions_retired());
+  }
   return metrics_;
 }
 
@@ -185,6 +194,7 @@ Joules ClusterManager::BaselineEnergy(const ClusterConfig& config) {
 
 void ClusterManager::OnInterval(SimTime now, int interval) {
   OASIS_CLOG(kDebug, "cluster") << "planning round " << interval;
+  act_.RetireCompletions();
   UpdateActivities(now, interval);
   act_.PartialVmUpkeep(now);
   PlanAndRecord(now);

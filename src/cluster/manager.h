@@ -8,6 +8,8 @@
 //   Actuator               all mechanism/mutation  (src/cluster/actuator.h)
 //
 // Every planning interval (5 minutes) the manager:
+//   0. retires the migration completions that landed since the last event
+//      that read in-flight state (DESIGN.md, "Migration completions");
 //   1. applies the activity trace to the VMs whose activity flipped since
 //      the previous round (an XOR of two rows of a per-interval VM bitset),
 //      handing idle->active transitions to the actuator (in-place
@@ -93,6 +95,13 @@ class ClusterManager {
   int PartialResidentsOn(HostId host) const { return state_.partial_residents[host]; }
   int UpkeepResidentsOn(HostId host) const { return state_.upkeep_residents[host]; }
   uint32_t upkeep_round() const { return state_.upkeep_round; }
+  // The migration completions not yet retired, and the simulator key they
+  // are measured against: a completion keyed before (now, current_seq())
+  // has landed.
+  const std::vector<PendingCompletion>& PendingCompletions() const {
+    return state_.completions;
+  }
+  uint64_t current_seq() const { return sim_.current_seq(); }
   // `vm`'s counters as an eager upkeep walk would hold them now; derived
   // read-only, so looking never settles anything.
   UpkeepCounters SettledUpkeep(VmId vm) const {
@@ -111,11 +120,13 @@ class ClusterManager {
   // Steps a day round by round against the eager upkeep walk kept as a
   // reference in tests/upkeep_test.cpp.
   friend struct UpkeepTestPeer;
+  // Breaks the pending-completion list mid-day in tests/check_cluster_test.cpp.
+  friend struct CheckClusterTestPeer;
 
   // --- interval pipeline --------------------------------------------------
-  // One planning round: UpdateActivities, the actuator's PartialVmUpkeep,
-  // then PlanAndRecord (the strategy, the sleep sweeps, the snapshot and the
-  // invariant walk).
+  // One planning round: the actuator's completion batch, UpdateActivities,
+  // its PartialVmUpkeep, then PlanAndRecord (the strategy, the sleep sweeps,
+  // the snapshot and the invariant walk).
   void OnInterval(SimTime now, int interval);
   void UpdateActivities(SimTime now, int interval);
   void PlanAndRecord(SimTime now);

@@ -74,6 +74,8 @@ struct ClusterState {
   // eligible VM's counters catch up only when it is settled.
   uint32_t upkeep_round = 0;
   std::vector<int> upkeep_residents;
+  // Every migration completion not yet retired, in no particular order.
+  std::vector<PendingCompletion> completions;
   // Resolved once from the config; never changes.
   UpkeepRates upkeep;
 };

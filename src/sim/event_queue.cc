@@ -19,7 +19,7 @@ int BucketOf(uint64_t key, uint64_t base) { return std::bit_width(key ^ base); }
 
 }  // namespace
 
-void EventQueue::Schedule(SimTime when, EventFn fn) {
+uint32_t EventQueue::Store(SimTime when, uint64_t seq, EventFn fn) {
   uint32_t slot_index;
   if (!free_slots_.empty()) {
     slot_index = free_slots_.back();
@@ -30,7 +30,13 @@ void EventQueue::Schedule(SimTime when, EventFn fn) {
   }
   Slot& slot = slots_[slot_index];
   slot.time = when;
+  slot.seq = seq;
   slot.closure = std::move(fn);
+  return slot_index;
+}
+
+void EventQueue::Schedule(SimTime when, EventFn fn) {
+  const uint32_t slot_index = Store(when, next_seq_++, std::move(fn));
   // A key below the last popped one would break the radix invariant; file
   // it at the last popped instant instead (the past-scheduling rule).
   const uint64_t key = std::max(KeyOf(when), last_key_);
@@ -39,6 +45,16 @@ void EventQueue::Schedule(SimTime when, EventFn fn) {
   if (b > 0) {
     nonempty_ |= uint64_t{1} << (b - 1);
   }
+}
+
+void EventQueue::ScheduleKeyed(SimTime when, uint64_t seq, EventFn fn) {
+  assert(seq < next_seq_ && "ScheduleKeyed needs a reserved sequence number");
+  assert(KeyOf(when) >= last_key_ && "a keyed event cannot run in the past");
+  const Entry entry{KeyOf(when), Store(when, seq, std::move(fn))};
+  // Few keyed events are pending at once, so a sorted insert is cheapest.
+  auto at = std::find_if(keyed_.begin(), keyed_.end(),
+                         [&](const Entry& e) { return Before(e, entry); });
+  keyed_.insert(at, entry);
 }
 
 uint64_t EventQueue::MinKey(const std::vector<Entry>& bucket) {
@@ -51,19 +67,19 @@ uint64_t EventQueue::MinKey(const std::vector<Entry>& bucket) {
 }
 
 SimTime EventQueue::NextTime() const {
+  SimTime next = keyed_.empty() ? SimTime::Max() : slots_[keyed_.back().slot].time;
   if (head_ < buckets_[0].size()) {
-    return slots_[buckets_[0][head_].slot].time;
+    return std::min(next, slots_[buckets_[0][head_].slot].time);
   }
   // Peek without re-basing: a caller may still schedule below the pending
   // minimum (but not below the last pop) before the next Pop.
-  return nonempty_ == 0 ? SimTime::Max() : TimeOf(MinKey(buckets_[LowestBucket()]));
+  return nonempty_ == 0 ? next : std::min(next, TimeOf(MinKey(buckets_[LowestBucket()])));
 }
 
-void EventQueue::Refill() {
-  assert(nonempty_ != 0 && "Pop() on empty EventQueue");
+void EventQueue::Refill(uint64_t min_key) {
   const int b = LowestBucket();
   std::vector<Entry>& source = buckets_[b];
-  last_key_ = MinKey(source);
+  last_key_ = min_key;
   // Every entry of bucket b agrees with the new base above bit b - 1, so it
   // lands in a bucket below b, all of which are empty now (b is the lowest
   // non-empty one and bucket 0 is exhausted). Moving the entries in bucket
@@ -82,19 +98,31 @@ void EventQueue::Refill() {
 
 EventQueue::Popped EventQueue::Pop() {
   std::vector<Entry>& front = buckets_[0];
-  if (head_ == front.size()) {
-    front.clear();
-    head_ = 0;
-    Refill();
+  if (head_ == front.size() && nonempty_ != 0) {
+    // A keyed event ahead of every bucket entry pops without re-basing, so
+    // what it schedules may still land below the buckets' minimum.
+    const uint64_t min_key = MinKey(buckets_[LowestBucket()]);
+    if (keyed_.empty() || keyed_.back().key >= min_key) {
+      front.clear();
+      head_ = 0;
+      Refill(min_key);
+    }
   }
-  const uint32_t index = front[head_++].slot;
+  uint32_t index;
+  if (!keyed_.empty() && (head_ == front.size() || Before(keyed_.back(), front[head_]))) {
+    index = keyed_.back().slot;
+    keyed_.pop_back();
+  } else {
+    assert(head_ < front.size() && "Pop() on empty EventQueue");
+    index = front[head_++].slot;
+  }
   Slot& slot = slots_[index];
   // Move the closure to the caller before recycling the slot: the callable
   // may schedule new events, which may claim this very slot (or grow the
   // slot table and invalidate references into it).
   EventFn fn = std::move(slot.closure);
   free_slots_.push_back(index);
-  return Popped{slot.time, std::move(fn)};
+  return Popped{slot.time, slot.seq, std::move(fn)};
 }
 
 }  // namespace oasis

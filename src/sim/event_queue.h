@@ -16,7 +16,18 @@
 // defined meaning: the entry is filed at the last popped instant and runs
 // next among that instant's events, after the ones already queued there.
 // Pop still reports the entry's own (past) time, so the simulator's
-// monotonicity checks see it.
+// monotonicity checks see it. (A keyed event that pops ahead of every
+// bucket entry leaves that instant where it was.)
+//
+// Every slot carries a sequence number from one counter, taken when the
+// event is scheduled, so (time, seq) is the event's total order and its
+// key. A caller may also reserve a number without scheduling anything
+// (ReserveSeq) and file an event at that key later (ScheduleKeyed): it then
+// runs exactly where an event scheduled at reservation time would have.
+// Keyed events sit in a short sorted list beside the radix buckets, and Pop
+// takes whichever of the two heads has the smaller key. The cluster keeps
+// its migration completions as such reserved keys rather than events, and
+// files one only when something must happen at that instant.
 //
 // Events cannot be cancelled. A component whose scheduled completion may go
 // stale (an aborted migration, a crashed host's S3 transition) bumps an
@@ -50,6 +61,12 @@ class EventQueue {
   // (see the header comment); Pop still reports `when`.
   void Schedule(SimTime when, EventFn fn);
 
+  // Takes the next sequence number without scheduling anything.
+  uint64_t ReserveSeq() { return next_seq_++; }
+  // Schedules `fn` at the key (`when`, `seq`), where `seq` came from
+  // ReserveSeq and `when` is not before the last popped event's time.
+  void ScheduleKeyed(SimTime when, uint64_t seq, EventFn fn);
+
   bool empty() const { return size() == 0; }
   size_t size() const { return slots_.size() - free_slots_.size(); }
 
@@ -61,6 +78,7 @@ class EventQueue {
   // callable may freely schedule new events (which can reuse its old slot).
   struct Popped {
     SimTime time;
+    uint64_t seq;
     EventFn fn;
   };
   Popped Pop();
@@ -82,6 +100,7 @@ class EventQueue {
   // reports even when the entry was filed later.
   struct Slot {
     SimTime time;
+    uint64_t seq;
     EventClosure closure;
   };
 
@@ -89,16 +108,26 @@ class EventQueue {
   // non-empty.
   int LowestBucket() const { return std::countr_zero(nonempty_) + 1; }
   static uint64_t MinKey(const std::vector<Entry>& bucket);  // bucket non-empty
-  // Re-bases the queue on the smallest pending key and moves the lowest
-  // non-empty bucket into the buckets below it. Bucket 0 must be exhausted.
-  void Refill();
+  // Re-bases the queue on `min_key`, the smallest key of the lowest
+  // non-empty bucket, and moves that bucket into the buckets below it.
+  // Bucket 0 must be exhausted.
+  void Refill(uint64_t min_key);
+  // Claims a free slot for an event at (`when`, `seq`).
+  uint32_t Store(SimTime when, uint64_t seq, EventFn fn);
+  // Whether keyed entry `k` orders before bucket entry `e`.
+  bool Before(const Entry& k, const Entry& e) const {
+    return k.key < e.key || (k.key == e.key && slots_[k.slot].seq < slots_[e.slot].seq);
+  }
 
   std::array<std::vector<Entry>, kBuckets> buckets_;
   size_t head_ = 0;        // next entry of buckets_[0] to pop
   uint64_t nonempty_ = 0;  // bit b - 1 set iff buckets_[b] is non-empty
   uint64_t last_key_ = 0;  // key of the last popped entry
+  // Keyed events, sorted by descending (key, seq): the next one is last.
+  std::vector<Entry> keyed_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
+  uint64_t next_seq_ = 0;
 };
 
 }  // namespace oasis

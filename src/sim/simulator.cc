@@ -29,6 +29,11 @@ void Simulator::ScheduleAt(SimTime when, EventFn fn) {
   queue_.Schedule(when, std::move(fn));
 }
 
+void Simulator::ScheduleKeyed(SimTime when, uint64_t seq, EventFn fn) {
+  assert(when >= now_ && "scheduling into the past");
+  queue_.ScheduleKeyed(when, seq, std::move(fn));
+}
+
 void Simulator::RunUntil(SimTime deadline) {
   RunLoop(deadline);
   if (now_ < deadline) {
@@ -77,6 +82,7 @@ void Simulator::RunLoop(SimTime deadline) {
     }
     assert(ev.time >= now_);
     now_ = ev.time;
+    seq_ = ev.seq;
     SetLogSimTime(now_);
     ++dispatched_;
     ++batched;
@@ -94,6 +100,7 @@ void Simulator::RunLoop(SimTime deadline) {
                                             prof::Profiler::NowNs());
     }
   }
+  seq_ = UINT64_MAX;
   if (dispatched_counter != nullptr && batched > 0) {
     dispatched_counter->Increment(batched);
   }

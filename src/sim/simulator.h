@@ -7,6 +7,8 @@
 #ifndef OASIS_SRC_SIM_SIMULATOR_H_
 #define OASIS_SRC_SIM_SIMULATOR_H_
 
+#include <cstdint>
+
 #include "src/common/units.h"
 #include "src/obs/run_context.h"
 #include "src/sim/event_queue.h"
@@ -31,6 +33,18 @@ class Simulator {
   // Schedules `fn` at the absolute time `when` (must be >= now).
   void ScheduleAt(SimTime when, EventFn fn);
 
+  // Takes the sequence number the next scheduled event would get, so a
+  // caller can hold a key (time, seq) that orders against queued events
+  // exactly as an event scheduled now would, without scheduling one.
+  uint64_t ReserveSeq() { return queue_.ReserveSeq(); }
+  // Schedules `fn` at the key (`when`, `seq`); `seq` must come from
+  // ReserveSeq and `when` must be >= now.
+  void ScheduleKeyed(SimTime when, uint64_t seq, EventFn fn);
+  // The sequence number of the event being dispatched, so (now(),
+  // current_seq()) is its key. Between runs it is UINT64_MAX: every event
+  // at or before now() has run.
+  uint64_t current_seq() const { return seq_; }
+
   // Runs every event at or before `deadline` (events scheduled exactly at
   // the deadline still run) and then advances the clock to `deadline`, so
   // the clock ends at the deadline even when the queue empties earlier.
@@ -51,6 +65,7 @@ class Simulator {
 
   EventQueue queue_;
   SimTime now_ = SimTime::Zero();
+  uint64_t seq_ = UINT64_MAX;
   uint64_t dispatched_ = 0;
   obs::RunContext* run_context_ = nullptr;
 };

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <string>
+#include <vector>
 
 #include "src/check/check.h"
 #include "src/cluster/invariants.h"
@@ -16,6 +19,17 @@
 #include "src/trace/trace_generator.h"
 
 namespace oasis {
+
+// Reaches into a manager to break its pending-completion list mid-day.
+struct CheckClusterTestPeer {
+  static Simulator& Sim(ClusterManager& m) { return m.sim_; }
+  static std::vector<PendingCompletion>& Completions(ClusterManager& m) {
+    return m.state_.completions;
+  }
+  // Makes the current event a batch point, as the walk expects.
+  static void RetireCompletions(ClusterManager& m) { m.act_.RetireCompletions(); }
+};
+
 namespace {
 
 using check::CheckMode;
@@ -151,6 +165,54 @@ TEST(CheckClusterAggregatesTest, ChaosDayKeepsMaintainedCountsExact) {
   for (const check::Violation& v : checker.violations()) {
     ADD_FAILURE() << v.invariant << ": " << v.detail;
   }
+}
+
+// Each way of breaking the pending-completion list fails the walk under a
+// strict checker: an in-flight VM whose entry was dropped, one listed
+// twice, and one whose entry is already due but was never retired.
+TEST(CheckClusterCompletionsTest, BrokenCompletionListFailsTheWalk) {
+  using Peer = CheckClusterTestPeer;
+  ClusterConfig config = SmallCluster(42);
+  ClusterManager manager(config, TraceFor(config));
+  int broken_instants = 0;
+  // One second past each hour's first round, while its moves are in flight.
+  for (int hour = 1; hour < 24; ++hour) {
+    Peer::Sim(manager).ScheduleAt(SimTime::Hours(hour) + SimTime::Seconds(1), [&] {
+      Peer::RetireCompletions(manager);
+      std::vector<PendingCompletion>& pending = Peer::Completions(manager);
+      auto live = std::find_if(pending.begin(), pending.end(), [&](const PendingCompletion& c) {
+        return manager.GetVm(c.vm).op_epoch == c.epoch;
+      });
+      if (live == pending.end()) {
+        return;
+      }
+      const SimTime now = Peer::Sim(manager).now();
+      auto violations = [&] {
+        InvariantChecker strict(CheckMode::kStrict);
+        CheckClusterInvariants(manager, now, strict);
+        uint64_t found = 0;
+        for (const check::Violation& v : strict.violations()) {
+          found += std::string(v.invariant) == "cluster.completion_pending_exact" ? 1 : 0;
+        }
+        EXPECT_EQ(found, strict.violation_count()) << "only the list was broken";
+        return found;
+      };
+      EXPECT_EQ(violations(), 0u) << "the unbroken list at " << now.seconds() << " s";
+      const PendingCompletion entry = *live;
+      pending.erase(live);
+      EXPECT_EQ(violations(), 1u) << "dropped entry";
+      pending.push_back(entry);
+      pending.push_back(entry);
+      EXPECT_EQ(violations(), 1u) << "duplicated entry";
+      pending.pop_back();
+      pending.back().done = now - SimTime::Micros(1);
+      EXPECT_EQ(violations(), 1u) << "due entry left behind";
+      pending.back().done = entry.done;
+      ++broken_instants;
+    });
+  }
+  (void)manager.Run();
+  EXPECT_GT(broken_instants, 0) << "no migration was in flight at any probe";
 }
 
 TEST_F(CheckClusterTest, CleanDayRunsMillionsOfChecksWithZeroViolations) {

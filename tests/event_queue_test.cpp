@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <utility>
@@ -235,6 +236,86 @@ TEST(EventQueueTest, PeekDoesNotRebaseTheQueue) {
   EXPECT_EQ(q.NextTime(), SimTime::Seconds(50));
   EXPECT_EQ(q.Pop().time, SimTime::Seconds(50));
   EXPECT_EQ(q.Pop().time, SimTime::Seconds(100));
+}
+
+TEST(EventQueueTest, KeyedEventAheadOfTheBucketsLeavesTheBaseAlone) {
+  // A keyed event that pops before every bucket entry must not re-base the
+  // buckets on their minimum: what it schedules in the gap still pops first.
+  EventQueue q;
+  const uint64_t seq = q.ReserveSeq();
+  q.Schedule(SimTime::Seconds(100), [] {});
+  q.ScheduleKeyed(SimTime::Seconds(5), seq, [] {});
+  EXPECT_EQ(q.NextTime(), SimTime::Seconds(5));
+  EventQueue::Popped keyed = q.Pop();
+  EXPECT_EQ(keyed.time, SimTime::Seconds(5));
+  EXPECT_EQ(keyed.seq, seq);
+  q.Schedule(SimTime::Seconds(50), [] {});
+  EXPECT_EQ(q.Pop().time, SimTime::Seconds(50));
+  EXPECT_EQ(q.Pop().time, SimTime::Seconds(100));
+  EXPECT_TRUE(q.empty());
+}
+
+// Keyed events against a reference that scans for the smallest (time, seq)
+// over everything filed. Reserved keys are filed later, in random order,
+// some never; nothing is scheduled into the past.
+TEST(EventQueueTest, KeyedEventsMergeInKeyOrder) {
+  struct Ref {
+    SimTime when;
+    uint64_t seq;
+  };
+  const int seeds = testing::FuzzTrials(40);
+  for (int seed = 0; seed < seeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(0x5EC5 + static_cast<uint64_t>(seed));
+    EventQueue q;
+    std::vector<Ref> ref;
+    std::vector<Ref> reserved;
+    uint64_t next_seq = 0;
+    int64_t now = 0;
+    auto min_ref = [&]() {
+      return std::min_element(ref.begin(), ref.end(), [](const Ref& a, const Ref& b) {
+        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+      });
+    };
+    auto later = [&]() {
+      // Many ties: a few distinct offsets from now.
+      return SimTime(now + static_cast<int64_t>(rng.NextBelow(4)) * 1000);
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const uint64_t op = rng.NextBelow(100);
+      if (op < 35) {
+        ref.push_back(Ref{later(), next_seq++});
+        q.Schedule(ref.back().when, [] {});
+      } else if (op < 55) {
+        ASSERT_EQ(q.ReserveSeq(), next_seq);
+        reserved.push_back(Ref{later(), next_seq++});
+      } else if (op < 70 && !reserved.empty()) {
+        const size_t i = rng.NextBelow(reserved.size());
+        const Ref key = reserved[i];
+        reserved.erase(reserved.begin() + static_cast<ptrdiff_t>(i));
+        if (key.when.micros() >= now) {
+          q.ScheduleKeyed(key.when, key.seq, [] {});
+          ref.push_back(key);
+        }
+      } else if (!ref.empty()) {
+        auto it = min_ref();
+        ASSERT_EQ(q.NextTime(), it->when) << "step " << step;
+        EventQueue::Popped popped = q.Pop();
+        ASSERT_EQ(popped.time, it->when) << "step " << step;
+        ASSERT_EQ(popped.seq, it->seq) << "step " << step;
+        now = it->when.micros();
+        ref.erase(it);
+      }
+      ASSERT_EQ(q.size(), ref.size()) << "step " << step;
+    }
+    while (!ref.empty()) {
+      auto it = min_ref();
+      EventQueue::Popped popped = q.Pop();
+      ASSERT_EQ(popped.seq, it->seq);
+      ref.erase(it);
+    }
+    EXPECT_TRUE(q.empty());
+  }
 }
 
 // Differential check against a reference that scans for the smallest

@@ -16,7 +16,9 @@
 #include "src/core/oasis.h"
 #include "src/hyper/memory_server.h"
 #include "src/hyper/memtap.h"
+#include "src/obs/run_context.h"
 #include "src/obs/trace.h"
+#include "src/trace/trace_generator.h"
 #include "tests/mini_json.h"
 
 namespace oasis {
@@ -105,6 +107,29 @@ TEST_F(ObsIntegrationTest, ClusterRunEmitsAllRequiredSpans) {
   EXPECT_TRUE(names.count("s3_resume")) << "no S3 resume span";
 
   std::remove(path.c_str());
+}
+
+// Every partial migration pushes one descriptor, drains included, and the
+// registry's dispatched-event count is the one the run reports.
+TEST(ObsMetricsTest, EveryPartialMigrationPushesOneDescriptor) {
+  // Spare consolidation hosts leave all-partial ones worth draining.
+  ClusterConfig config;
+  config.num_consolidation_hosts = 8;
+  config.seed = 20160418;
+  TraceGenerator generator(TraceGeneratorConfig{}, config.seed ^ 0x7ACEBA5Eull);
+  TraceSet trace = generator.GenerateTraceSet(config.TotalVms(), DayKind::kWeekday);
+  obs::RunContext context;
+  context.metrics().set_enabled(true);
+  ClusterManager manager(config, trace, &context);
+  ClusterMetrics metrics = manager.Run();
+  obs::MetricsRegistry& registry = context.metrics();
+  const std::string policy = std::string("cluster.policy.") + config.strategy_name;
+  EXPECT_GT(registry.counter(policy + ".drain_moves")->value(), 0u)
+      << "no drain ran, so drain pushes went unexercised";
+  EXPECT_EQ(registry.counter("cluster.descriptor_pushes")->value(),
+            registry.counter("cluster.migrations.partial_migration")->value());
+  EXPECT_EQ(registry.counter("cluster.descriptor_pushes")->value(), metrics.partial_migrations);
+  EXPECT_EQ(registry.counter("sim.events_dispatched")->value(), metrics.events_dispatched);
 }
 
 }  // namespace

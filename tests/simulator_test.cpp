@@ -68,5 +68,45 @@ TEST(SimulatorTest, ScheduleAtAbsoluteTime) {
   EXPECT_DOUBLE_EQ(seen, 42.0);
 }
 
+// A keyed event runs where an event scheduled at its reservation would
+// have: before a queued event at the same microsecond that was scheduled
+// after the reservation, after one scheduled before it. Each event sees its
+// own key as (now(), current_seq()).
+TEST(SimulatorTest, KeyedAndQueuedEventsAtOneInstantRunInSeqOrder) {
+  const SimTime at = SimTime::Seconds(7);
+  for (bool reserve_first : {true, false}) {
+    SCOPED_TRACE(reserve_first ? "reserved first" : "queued first");
+    Simulator sim;
+    std::vector<char> order;
+    std::vector<uint64_t> seqs;
+    auto record = [&](char tag) {
+      order.push_back(tag);
+      seqs.push_back(sim.current_seq());
+      EXPECT_EQ(sim.now(), at);
+    };
+    uint64_t reserved = 0;
+    if (reserve_first) {
+      reserved = sim.ReserveSeq();
+      sim.ScheduleAt(at, [&] { record('q'); });
+    } else {
+      sim.ScheduleAt(at, [&] { record('q'); });
+      reserved = sim.ReserveSeq();
+    }
+    // The keyed event is filed later, from an earlier event, as the cluster
+    // files a completion once a user starts waiting on it.
+    sim.ScheduleAt(SimTime::Seconds(1),
+                   [&] { sim.ScheduleKeyed(at, reserved, [&] { record('k'); }); });
+    EXPECT_EQ(sim.current_seq(), UINT64_MAX);
+    sim.RunToCompletion();
+    EXPECT_EQ(order, reserve_first ? (std::vector<char>{'k', 'q'})
+                                   : (std::vector<char>{'q', 'k'}));
+    ASSERT_EQ(seqs.size(), 2u);
+    EXPECT_EQ(seqs[reserve_first ? 0 : 1], reserved);
+    EXPECT_LT(seqs[0], seqs[1]);
+    EXPECT_EQ(sim.current_seq(), UINT64_MAX);
+    EXPECT_EQ(sim.events_dispatched(), 3u);
+  }
+}
+
 }  // namespace
 }  // namespace oasis

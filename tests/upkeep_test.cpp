@@ -31,13 +31,16 @@ namespace oasis {
 // time with either upkeep.
 struct UpkeepTestPeer {
   // Schedules the day exactly as ClusterManager::Run does (rounds first,
-  // then the fault plan). With `eager_exhaustions` set, the eager reference
-  // walk replaces the actuator's PartialVmUpkeep and counts its exhaustion
+  // then the fault plan); each round starts with the completion batch, as
+  // OnInterval does. With `eager_exhaustions` set, the eager reference walk
+  // replaces the actuator's PartialVmUpkeep and counts its exhaustion
   // rounds there.
   static void ScheduleDay(ClusterManager& m, int* eager_exhaustions);
   static Simulator& Sim(ClusterManager& m) { return m.sim_; }
   static ClusterMetrics& Metrics(ClusterManager& m) { return m.metrics_; }
   static int RoundsPerDay(const ClusterManager& m) { return m.RoundsPerDay(); }
+  // The completion batch ClusterManager::Run runs after the day's events.
+  static void RetireCompletions(ClusterManager& m) { m.act_.RetireCompletions(); }
   static void SettleAll(ClusterManager& m) { m.act_.SettleAllUpkeep(); }
   // Actuator::PartialVmUpkeep as it stood before upkeep went lazy: every
   // round visits every eligible VM. Returns whether the round exhausted a
@@ -125,6 +128,7 @@ void UpkeepTestPeer::ScheduleDay(ClusterManager& m, int* eager_exhaustions) {
     int interval = m.TraceIntervalAt(when);
     m.sim_.ScheduleAt(when, [&m, interval, eager_exhaustions]() {
       SimTime now = m.sim_.now();
+      m.act_.RetireCompletions();
       m.UpdateActivities(now, interval);
       if (eager_exhaustions != nullptr) {
         *eager_exhaustions += EagerUpkeep(m, now) ? 1 : 0;
@@ -254,6 +258,8 @@ Coverage ExpectLazyMatchesEager(const ClusterConfig& config, const TraceSet& tra
   SimTime end = SimTime::Hours(24.0);
   Peer::Sim(lazy).RunUntil(end);
   Peer::Sim(eager).RunUntil(end);
+  Peer::RetireCompletions(lazy);
+  Peer::RetireCompletions(eager);
   Peer::SettleAll(lazy);
   InvariantChecker::Install(nullptr);
   EXPECT_EQ(checker.violation_count(), 0u);

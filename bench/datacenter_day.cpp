@@ -39,7 +39,6 @@
 #include "src/dc/runner.h"
 #include "src/dc/topology.h"
 #include "src/obs/obs.h"
-#include "src/obs/prof.h"
 
 namespace oasis {
 namespace dc {
@@ -163,10 +162,10 @@ int DatacenterDay() {
 
 int main() {
   // Invariant checking per OASIS_CHECK; declared before ObsScope so traces
-  // flush before any strict exit. Wall-clock profiling per OASIS_PROF.
+  // flush before any strict exit. ObsScope also runs the wall-clock
+  // profiler per OASIS_PROF.
   oasis::check::CheckScope check_scope;
   oasis::obs::ObsScope obs_scope;
-  oasis::prof::ProfSession prof_session;
   oasis::PrintExperimentHeader(
       std::cout, "Datacenter day - sharded hierarchical simulation",
       "Pods of self-contained consolidation racks executed as parallel "

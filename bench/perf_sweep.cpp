@@ -17,7 +17,7 @@
 // through obs::TimingLine to stderr, so timing output can change freely
 // without touching tests/golden/.
 //
-// With OASIS_PROF=summary (or timeline) every sweep step also collects a
+// With OASIS_PROF=summary every sweep step also collects a
 // wall-clock profile — per-phase breakdown, parallel efficiency, serial
 // merge fraction, per-worker busy/idle — printed per step to stderr and
 // embedded per step as the "prof" block in BENCH_sweep.json, so the jobs=N
@@ -100,14 +100,12 @@ struct CollapsedPoint {
 }  // namespace oasis
 
 int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit. Wall-clock
-  // profiling per OASIS_PROF (off | summary | timeline); declared after
-  // ObsScope so session-end collection runs before the trace is exported.
+  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL / OASIS_PROF
+  // (off | summary) for this run. Invariant checking per OASIS_CHECK
+  // (off | warn | strict); declared before ObsScope so traces flush before
+  // any strict exit.
   oasis::check::CheckScope check_scope;
   oasis::obs::ObsScope obs_scope;
-  oasis::prof::ProfSession prof_session;
   using namespace oasis;
   int runs = std::max(1, BenchRuns() - 2);
   PrintExperimentHeader(std::cout, "Perf sweep - parallel experiment runner throughput",
@@ -153,7 +151,7 @@ int main() {
     }
   }
 
-  const bool profiling = prof_session.config().Enabled();
+  const bool profiling = obs_scope.config().ProfilingRequested();
   // Each step is timed best-of-3: the plan is deterministic, so the fastest
   // repetition is the one least disturbed by scheduler noise — the right
   // estimator for a snapshot whose step-to-step *ratios* are compared
@@ -229,7 +227,7 @@ int main() {
                   static_cast<unsigned long long>(points.front().checksum));
     json << "  \"results_checksum\": \"" << checksum_hex << "\",\n";
     json << "  \"deterministic\": " << (deterministic ? "true" : "false") << ",\n";
-    json << "  \"prof_mode\": \"" << prof::ProfModeName(prof_session.config().mode)
+    json << "  \"prof_mode\": \"" << prof::ProfModeName(obs_scope.config().prof_mode)
          << "\",\n";
     // Requested job counts whose effective worker count duplicated an
     // earlier point; kept in the record so a trajectory diff can tell "the

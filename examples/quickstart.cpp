@@ -14,7 +14,6 @@
 #include "src/exp/exp.h"
 #include "src/check/check.h"
 #include "src/obs/obs.h"
-#include "src/obs/prof.h"
 
 namespace {
 
@@ -34,14 +33,12 @@ oasis::ConsolidationPolicy ParsePolicy(const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit. Wall-clock
-  // profiling per OASIS_PROF (off | summary | timeline); declared after
-  // ObsScope so the session-end report runs before the trace is exported.
+  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL / OASIS_PROF
+  // (off | summary) for this run. Invariant checking per OASIS_CHECK
+  // (off | warn | strict); declared before ObsScope so traces flush before
+  // any strict exit.
   oasis::check::CheckScope check_scope;
   oasis::obs::ObsScope obs_scope;
-  oasis::prof::ProfSession prof_session;
   oasis::SimulationConfig config;
   oasis::obs::ApplySeedOverride(&config.seed);
   oasis::ApplyPolicyOverride(&config.cluster);  // honour OASIS_POLICY

@@ -20,39 +20,6 @@ const char* ConsolidationPolicyName(ConsolidationPolicy p) {
   return "?";
 }
 
-StatusOr<ConsolidationPolicy> ParseConsolidationPolicy(const std::string& name) {
-  constexpr ConsolidationPolicy kAll[] = {
-      ConsolidationPolicy::kOnlyPartial,
-      ConsolidationPolicy::kDefault,
-      ConsolidationPolicy::kFullToPartial,
-      ConsolidationPolicy::kNewHome,
-  };
-  for (ConsolidationPolicy p : kAll) {
-    if (name == ConsolidationPolicyName(p)) {
-      return p;
-    }
-  }
-  std::string valid;
-  for (ConsolidationPolicy p : kAll) {
-    if (!valid.empty()) {
-      valid += ", ";
-    }
-    valid += ConsolidationPolicyName(p);
-  }
-  return Status::InvalidArgument("unknown consolidation policy '" + name +
-                                 "' (valid: " + valid + ")");
-}
-
-const char* HostRoleName(HostRole role) {
-  switch (role) {
-    case HostRole::kHome:
-      return "home";
-    case HostRole::kConsolidation:
-      return "consolidation";
-  }
-  return "?";
-}
-
 Status ClusterConfig::Validate() const {
   if (num_home_hosts <= 0 || num_consolidation_hosts < 0 || vms_per_home <= 0) {
     return Status::InvalidArgument("host/VM counts must be positive");

@@ -31,17 +31,11 @@ enum class ConsolidationPolicy {
 
 const char* ConsolidationPolicyName(ConsolidationPolicy p);
 
-// Inverse of ConsolidationPolicyName (round-trip stable). Unknown names get
-// INVALID_ARGUMENT with a message listing every valid name.
-StatusOr<ConsolidationPolicy> ParseConsolidationPolicy(const std::string& name);
-
 // A host's structural role in the rack (§3.1): home hosts own VMs and their
 // memory servers; consolidation hosts only ever host guests and start the
 // day asleep. The role is carried on every ClusterHost — code must branch on
 // it rather than on id arithmetic against num_home_hosts.
 enum class HostRole { kHome, kConsolidation };
-
-const char* HostRoleName(HostRole role);
 
 // The per-round upkeep rates of a consolidated partial VM, from the §4.4.3
 // measurements; UpkeepRates reads them. Every migration's latency and

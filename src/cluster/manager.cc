@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,12 +14,9 @@
 
 namespace oasis {
 
-ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace,
-                               obs::RunContext* run_context)
+ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace)
     : config_(config),
       trace_(std::move(trace)),
-      run_context_(run_context),
-      sim_(run_context),
       rng_(config.seed),
       ws_sampler_(config.working_set, config.vm_memory_bytes, config.seed ^ 0x5EED5EEDull),
       fault_(config.fault, config.seed ^ 0xFA0175EEDull),
@@ -93,14 +89,6 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace,
 }
 
 ClusterMetrics ClusterManager::Run() {
-  // While the run executes, every instrumentation site below this frame —
-  // hosts, migrations, memory servers, the fault injector — resolves to the
-  // run-local collectors. Without a context of our own the thread's
-  // installed context (or the globals) stays in effect.
-  std::optional<obs::RunContext::Scope> obs_scope;
-  if (run_context_ != nullptr) {
-    obs_scope.emplace(run_context_);
-  }
   // Plans fire every planning_interval (§3.1's configurable knob); each tick
   // reads the activity trace at its own 5-minute resolution.
   SimTime end = SimTime::Hours(24.0);

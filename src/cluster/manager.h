@@ -58,12 +58,11 @@ class ClusterManager {
   // `trace` must hold at least one user-day; VM u follows user
   // u % trace.size().
   //
-  // `run_context` (optional) scopes all observability of this cluster's run
-  // to a run-local collector — the experiment runner passes one per worker
-  // so concurrent runs never share a tracer or metrics registry. With
-  // nullptr the process-global collectors are used, exactly as before.
-  ClusterManager(const ClusterConfig& config, TraceSet trace,
-                 obs::RunContext* run_context = nullptr);
+  // Observability goes wherever the constructing and running thread
+  // resolves it: the run-local obs::RunContext exp::RunOrdered installs
+  // around each task, so concurrent runs never share a tracer or metrics
+  // registry, else the process-global collectors.
+  ClusterManager(const ClusterConfig& config, TraceSet trace);
 
   // Simulates one full day and returns the collected metrics.
   ClusterMetrics Run();
@@ -145,7 +144,6 @@ class ClusterManager {
   size_t row_words_ = 0;
   // The interval whose row every vm.activity currently matches.
   int applied_interval_ = 0;
-  obs::RunContext* run_context_ = nullptr;
   Simulator sim_;
   Rng rng_;
   WorkingSetSampler ws_sampler_;

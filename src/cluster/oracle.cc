@@ -5,6 +5,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/cluster/manager.h"
 #include "src/common/digest.h"
 #include "src/common/rng.h"
 #include "src/hyper/migration_model.h"
@@ -531,23 +532,7 @@ OfflineOracle::OfflineOracle(const ClusterConfig& config) : config_(config) {}
 
 OracleResult OfflineOracle::Solve(const TraceSet& trace, uint64_t seed) const {
   OracleResult result;
-  // Per-class baseline (every home powered all day at its own loaded draw);
-  // one class on the homogeneous default, where the fold is the legacy
-  // draw * num_home_hosts product bit for bit.
-  Watts baseline_w = 0.0;
-  std::vector<int> homes_in_class(static_cast<size_t>(config_.NumProfileClasses()), 0);
-  for (int h = 0; h < config_.num_home_hosts; ++h) {
-    ++homes_in_class[static_cast<size_t>(config_.ProfileClassOf(static_cast<HostId>(h)))];
-  }
-  for (int cls = 0; cls < config_.NumProfileClasses(); ++cls) {
-    if (homes_in_class[static_cast<size_t>(cls)] == 0) {
-      continue;
-    }
-    baseline_w += config_.ResolvedProfile(cls).power.Draw(HostPowerState::kPowered,
-                                                          config_.vms_per_home) *
-                  homes_in_class[static_cast<size_t>(cls)];
-  }
-  result.baseline_energy = baseline_w * 24.0 * 3600.0;
+  result.baseline_energy = ClusterManager::BaselineEnergy(config_);
   if (trace.empty() || config_.num_home_hosts == 0) {
     result.schedule_energy = result.baseline_energy;
     result.relaxed_lower_bound = result.baseline_energy;

@@ -52,7 +52,8 @@ struct OracleResult {
   // Energy of the best whole-day schedule the annealer found — the
   // denominator of every optimality gap.
   Joules schedule_energy = 0.0;
-  // All home hosts powered all day (the simulator's baseline definition).
+  // All home hosts powered all day: ClusterManager::BaselineEnergy, the
+  // simulator's own baseline.
   Joules baseline_energy = 0.0;
 
   double ScheduleSavings() const {

@@ -44,8 +44,6 @@ LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
 
 void SetLogSimTime(SimTime now) { t_sim_time_us = now.micros(); }
 
-void ClearLogSimTime() { t_sim_time_us = kNoSimTime; }
-
 bool GetLogSimTime(SimTime* out) {
   if (t_sim_time_us == kNoSimTime) {
     return false;

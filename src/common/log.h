@@ -29,7 +29,6 @@ LogLevel GetLogLevel();
 // Simulated-clock annotation. The simulator publishes its clock before each
 // event dispatch; while set, log lines carry the time as hh:mm:ss.
 void SetLogSimTime(SimTime now);
-void ClearLogSimTime();
 bool GetLogSimTime(SimTime* out);
 
 // Emits one formatted line to stderr. Prefer the OASIS_LOG / OASIS_CLOG

@@ -2,9 +2,7 @@
 
 namespace oasis {
 
-ClusterSimulation::ClusterSimulation(const SimulationConfig& config,
-                                     obs::RunContext* run_context)
-    : config_(config), run_context_(run_context) {}
+ClusterSimulation::ClusterSimulation(const SimulationConfig& config) : config_(config) {}
 
 SimulationResult ClusterSimulation::Run() {
   SimulationResult result;
@@ -16,7 +14,7 @@ SimulationResult ClusterSimulation::Run() {
   }
   ClusterConfig cluster = config_.cluster;
   cluster.seed = config_.seed;
-  ClusterManager manager(cluster, result.trace, run_context_);
+  ClusterManager manager(cluster, result.trace);
   result.metrics = manager.Run();
   return result;
 }

@@ -24,7 +24,6 @@
 #include "src/cluster/manager.h"
 #include "src/cluster/metrics.h"
 #include "src/common/stats.h"
-#include "src/obs/run_context.h"
 #include "src/trace/activity_trace.h"
 #include "src/trace/trace_generator.h"
 
@@ -54,12 +53,10 @@ struct SimulationResult {
 
 class ClusterSimulation {
  public:
-  // `run_context` (optional) scopes the run's observability — tracer,
-  // metrics, sim-time logging — to a run-local collector; the batch runner
-  // (src/exp) passes one per run while a global collector is on. nullptr
-  // keeps the process-global collectors.
-  explicit ClusterSimulation(const SimulationConfig& config,
-                             obs::RunContext* run_context = nullptr);
+  // The run records into the collectors its thread resolves: the
+  // run-local obs::RunContext the batch runner (src/exp) installs while a
+  // global collector is on, else the process globals.
+  explicit ClusterSimulation(const SimulationConfig& config);
 
   // Simulates one day.
   SimulationResult Run();
@@ -68,7 +65,6 @@ class ClusterSimulation {
 
  private:
   SimulationConfig config_;
-  obs::RunContext* run_context_ = nullptr;
 };
 
 // Aggregate of N independent runs (fresh trace sample + seed per run), the

@@ -69,7 +69,7 @@ void RunOrdered(size_t count, int jobs, const BatchTask& task,
   // contexts would collect nothing and merge nothing, so none are built:
   // every IfEnabled site stays null and the tasks run context-free. The
   // decision is taken once, here, so no worker races a concurrent
-  // SetEnabled.
+  // set_enabled.
   const bool collect = obs::Tracer::Global().enabled() ||
                        obs::MetricsRegistry::Global().enabled();
   auto make_context = [collect]() -> std::unique_ptr<obs::RunContext> {
@@ -80,12 +80,11 @@ void RunOrdered(size_t count, int jobs, const BatchTask& task,
     return std::make_unique<obs::RunContext>();
   };
   auto run = [&task](size_t i, obs::RunContext* context) {
-    // The Scope reroutes instrumentation reached through thread-local
-    // lookup (log sim-time, IfEnabled sites outside the manager); the task
-    // passes `context` on for the manager's own resolution.
+    // The task's one route to its collectors: every IfEnabled site it
+    // reaches resolves through this thread's installed context.
     prof::ProfScope prof_run(prof::Phase::kRunSim);
     obs::RunContext::Scope scope(context);
-    task(i, context);
+    task(i);
   };
   // The index-order merge is what makes OASIS_TRACE / OASIS_METRICS exports
   // independent of the job count. It is the serial tail Amdahl charges
@@ -165,8 +164,8 @@ void RunOrdered(size_t count, int jobs, const BatchTask& task,
 
 std::vector<SimulationResult> RunParallel(const ExperimentPlan& plan, int jobs) {
   std::vector<SimulationResult> results(plan.size());
-  RunOrdered(plan.size(), jobs, [&plan, &results](size_t i, obs::RunContext* context) {
-    results[i] = ClusterSimulation(plan.runs()[i].config, context).Run();
+  RunOrdered(plan.size(), jobs, [&plan, &results](size_t i) {
+    results[i] = ClusterSimulation(plan.runs()[i].config).Run();
   });
   return results;
 }

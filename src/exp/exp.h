@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "src/core/oasis.h"
-#include "src/obs/run_context.h"
 
 namespace oasis {
 namespace exp {
@@ -87,23 +86,25 @@ int JobsFromEnv();
 // run.
 int EffectiveWorkers(int jobs, size_t count);
 
-// Runs task(i, context) once for every i in [0, count) and merges the
-// run-local contexts into the global collectors in index order, task i's
-// metrics under metrics_prefix(i) when one is given.
+// Runs task(i) once for every i in [0, count) and merges the run-local
+// contexts into the global collectors in index order, task i's metrics under
+// metrics_prefix(i) when one is given.
 //
-// `context` is null when both global collectors are dark (the runs then
-// record nothing, exactly like an unobserved serial loop); otherwise it is
-// a fresh obs::RunContext, also installed on the running thread for the
-// duration of the task. With one effective worker the tasks run inline and
-// each context is merged and released right after its task, so a traced
-// serial sweep holds one run-local ring at a time. With more, the tasks run
-// on EffectiveWorkers(jobs, count) threads claiming indices from a shared
-// cursor, and the merge follows the batch: until then every context is
-// alive, so a traced batch holds up to count x Tracer::Global().capacity()
-// events at peak.
+// While a global collector is on, each task runs with a fresh
+// obs::RunContext installed on its thread (RunContext::Scope), and that is
+// how the task's simulation finds its collectors: every instrumentation site
+// resolves through Tracer::IfEnabled() / MetricsRegistry::IfEnabled(). With
+// both global collectors dark no context is built or installed, and the runs
+// record nothing, exactly like an unobserved serial loop. With one effective
+// worker the tasks run inline and each context is merged and released right
+// after its task, so a traced serial sweep holds one run-local ring at a
+// time. With more, the tasks run on EffectiveWorkers(jobs, count) threads
+// claiming indices from a shared cursor, and the merge follows the batch:
+// until then every context is alive, so a traced batch holds up to
+// count x Tracer::Global().capacity() events at peak.
 //
 // A task must write only state owned by its index.
-using BatchTask = std::function<void(size_t index, obs::RunContext* context)>;
+using BatchTask = std::function<void(size_t index)>;
 using MetricsPrefix = std::function<std::string(size_t index)>;
 void RunOrdered(size_t count, int jobs, const BatchTask& task,
                 const MetricsPrefix& metrics_prefix = nullptr);

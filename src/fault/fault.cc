@@ -65,8 +65,7 @@ const char* FaultClassName(FaultClass fault) {
 }
 
 Status FaultConfig::Validate() const {
-  for (double p :
-       {wol_loss_probability, resume_hang_probability, serve_failure_probability}) {
+  for (double p : {wol_loss_probability, resume_hang_probability}) {
     if (p < 0.0 || p > 1.0) {
       return Status::InvalidArgument("fault probability outside [0,1]");
     }
@@ -88,7 +87,6 @@ FaultConfig FaultConfig::ChaosDay() {
   config.enabled = true;
   config.wol_loss_probability = 0.10;
   config.resume_hang_probability = 0.05;
-  config.serve_failure_probability = 0.0;  // opt-in; fails the whole server
   config.host_crash_per_hour = 0.25;
   config.memory_server_failure_per_hour = 0.5;
   config.migration_abort_per_hour = 1.0;
@@ -168,18 +166,6 @@ bool FaultInjector::SampleResumeHang(SimTime now, int64_t host) {
     return false;
   }
   RecordInjected(FaultClass::kResumeHang, now, obs::TraceArgs{host});
-  return true;
-}
-
-bool FaultInjector::SampleServeFailure(SimTime now, int64_t vm) {
-  if (!enabled() || config_.serve_failure_probability <= 0.0) {
-    return false;
-  }
-  if (!StreamFor(FaultClass::kMemoryServerFailure)
-           .NextBool(config_.serve_failure_probability)) {
-    return false;
-  }
-  RecordInjected(FaultClass::kMemoryServerFailure, now, obs::TraceArgs{-1, vm});
   return true;
 }
 

@@ -12,7 +12,7 @@
 //     FaultPlan::Build pre-samples their firing times as a Poisson process
 //     over the configured horizon and merges explicitly scheduled entries;
 //     the cluster manager walks the plan as simulator events.
-//   * query-sampled (WoL loss, S3 resume hang, memory-server serve failure):
+//   * query-sampled (WoL loss, S3 resume hang):
 //     the affected component asks the injector at the moment the operation
 //     happens (Sample*); each class draws from its own stream so interleaving
 //     across components cannot perturb another class.
@@ -87,7 +87,6 @@ struct FaultConfig {
   // --- query-sampled classes (per-operation probabilities) ---------------
   double wol_loss_probability = 0.0;         // per WoL send
   double resume_hang_probability = 0.0;      // per S3 resume
-  double serve_failure_probability = 0.0;    // per memory-server page serve
 
   // --- time-scheduled classes (Poisson rates over `horizon`) -------------
   double host_crash_per_hour = 0.0;
@@ -110,7 +109,7 @@ struct FaultConfig {
 
   // A representative mix for chaos runs: every live class enabled at rates
   // that keep the cluster functional while firing each class several times
-  // per simulated day (serve failures stay opt-in).
+  // per simulated day.
   static FaultConfig ChaosDay();
 };
 
@@ -124,8 +123,7 @@ struct FaultPlan {
   static FaultPlan Build(const FaultConfig& config, uint64_t seed);
 };
 
-// The run-time injection engine. One instance per simulated cluster (and
-// shared with the memory servers of that cluster), holding
+// The run-time injection engine. One instance per simulated cluster, holding
 // the plan, the per-class query streams, and the injected/recovered/skipped
 // accounting the chaos tests assert on.
 class FaultInjector {
@@ -146,8 +144,6 @@ class FaultInjector {
   int SampleWolLosses(SimTime now, int64_t host);
   // True when this S3 resume wedges and costs the watchdog timeout.
   bool SampleResumeHang(SimTime now, int64_t host);
-  // True when this memory-server page serve fails the whole server.
-  bool SampleServeFailure(SimTime now, int64_t vm);
 
   // --- recording ----------------------------------------------------------
   // The injection sites call these so counters and the trace stay the single

@@ -5,16 +5,13 @@
 
 #include "src/check/check.h"
 #include "src/common/log.h"
-#include "src/fault/fault.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace oasis {
 
 MemoryServer::MemoryServer(const MemoryServerConfig& config)
-    : config_(config),
-      sas_(Link(config.sas_bytes_per_sec, config.sas_latency)),
-      meter_(SimTime::Zero(), 0.0) {}
+    : config_(config), sas_(Link(config.sas_bytes_per_sec, config.sas_latency)) {}
 
 SimTime MemoryServer::Upload(SimTime now, VmId vm, uint64_t compressed_bytes) {
   images_[vm] += compressed_bytes;
@@ -34,17 +31,9 @@ SimTime MemoryServer::Upload(SimTime now, VmId vm, uint64_t compressed_bytes) {
 }
 
 StatusOr<SimTime> MemoryServer::ServePageRequest(SimTime now, VmId vm, uint64_t page_number) {
-  (void)now;
-  if (failed_) {
-    return Status::Unavailable("memory server failed");
-  }
   auto it = images_.find(vm);
   if (it == images_.end()) {
     return Status::NotFound("no image for vm " + std::to_string(vm));
-  }
-  if (injector_ && injector_->SampleServeFailure(now, static_cast<int64_t>(vm))) {
-    Fail(now);
-    return Status::Aborted("memory server died serving vm " + std::to_string(vm));
   }
   ++pages_served_;
   uint64_t chunk = page_number / kPagesPerChunk;
@@ -117,48 +106,6 @@ bool MemoryServer::CacheLookupInsert(VmId vm, uint64_t chunk) {
     cache_lru_.pop_front();
   }
   return hit;
-}
-
-void MemoryServer::PowerOn(SimTime now) {
-  if (!powered_) {
-    meter_.SetDraw(now, config_.power.TotalWatts());
-    powered_ = true;
-  }
-}
-
-void MemoryServer::PowerOff(SimTime now) {
-  if (powered_) {
-    meter_.SetDraw(now, 0.0);
-    powered_ = false;
-  }
-}
-
-Joules MemoryServer::EnergyUsed(SimTime now) {
-  meter_.Advance(now);
-  return meter_.total_joules();
-}
-
-void MemoryServer::Fail(SimTime now) {
-  if (failed_) {
-    return;
-  }
-  failed_ = true;
-  failed_since_ = now;
-  OASIS_CLOG(kWarning, "memsrv") << "board failed at " << now.seconds() << " s";
-  PowerOff(now);
-}
-
-void MemoryServer::Repair(SimTime now) {
-  if (!failed_) {
-    return;
-  }
-  failed_ = false;
-  sas_.InjectOutage(failed_since_, now - failed_since_);
-  if (injector_) {
-    injector_->RecordRecovered(FaultClass::kMemoryServerFailure, failed_since_, now);
-  }
-  OASIS_CLOG(kInfo, "memsrv") << "board replaced at " << now.seconds() << " s";
-  PowerOn(now);
 }
 
 }  // namespace oasis

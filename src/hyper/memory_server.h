@@ -4,8 +4,10 @@
 // memory image across the shared SAS drive; the low-power board then serves
 // page requests over the network by guest pseudo-frame number while the
 // host stays in S3. This model captures the pieces performance depends on:
-// the serializing SAS upload channel, per-request service latency with a
-// small chunk-granular read cache, and the on/off power bookkeeping.
+// the serializing SAS upload channel and per-request service latency with a
+// small chunk-granular read cache. The board's power draw and its failures
+// belong to the cluster day: ClusterHost bills the board, and the actuator
+// kills it on FaultClass::kMemoryServerFailure.
 
 #ifndef OASIS_SRC_HYPER_MEMORY_SERVER_H_
 #define OASIS_SRC_HYPER_MEMORY_SERVER_H_
@@ -18,12 +20,8 @@
 #include "src/common/units.h"
 #include "src/hyper/vm.h"
 #include "src/net/link.h"
-#include "src/power/energy_meter.h"
-#include "src/power/power_model.h"
 
 namespace oasis {
-
-class FaultInjector;
 
 struct MemoryServerConfig {
   // The SAS channel the host uses to push images (§4.3: 128 MiB/s).
@@ -36,8 +34,6 @@ struct MemoryServerConfig {
   SimTime decompress_per_page = SimTime::Micros(45);
   // Recently read 2 MiB chunks stay in the board's RAM; hits skip the seek.
   size_t chunk_cache_entries = 64;
-
-  MemoryServerProfile power = MemoryServerProfile{};
 };
 
 class MemoryServer {
@@ -61,26 +57,8 @@ class MemoryServer {
   bool HasImage(VmId vm) const;
   uint64_t StoredBytes() const;
 
-  // Power bookkeeping: the board+drive draw power only while serving.
-  void PowerOn(SimTime now);
-  void PowerOff(SimTime now);
-  bool powered() const { return powered_; }
-  Joules EnergyUsed(SimTime now);
-
   uint64_t pages_served() const { return pages_served_; }
   uint64_t cache_hits() const { return cache_hits_; }
-
-  // --- fault injection -----------------------------------------------------
-  // With an injector attached, a page serve can kill the whole board
-  // (FaultClass::kMemoryServerFailure); without one, Fail/Repair still model
-  // an externally detected board failure.
-  void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-  // The board dies: stops serving and drawing power until Repair().
-  void Fail(SimTime now);
-  // Replaces the board. Images survive (they live on the shared drive), but
-  // uploads queued during the outage drain only after the repair.
-  void Repair(SimTime now);
-  bool failed() const { return failed_; }
 
  private:
   bool CacheLookupInsert(VmId vm, uint64_t chunk);
@@ -90,13 +68,8 @@ class MemoryServer {
   std::unordered_map<VmId, uint64_t> images_;  // vm -> stored compressed bytes
   // Tiny LRU of (vm, chunk) pairs.
   std::deque<std::pair<VmId, uint64_t>> cache_lru_;
-  bool powered_ = false;
-  EnergyMeter meter_;
   uint64_t pages_served_ = 0;
   uint64_t cache_hits_ = 0;
-  FaultInjector* injector_ = nullptr;
-  bool failed_ = false;
-  SimTime failed_since_;
 };
 
 }  // namespace oasis

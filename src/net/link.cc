@@ -24,10 +24,4 @@ SimTime SharedChannel::QueueDelay(SimTime now) const {
   return busy_until_ > now ? busy_until_ - now : SimTime::Zero();
 }
 
-void SharedChannel::InjectOutage(SimTime from, SimTime duration) {
-  assert(duration >= SimTime::Zero());
-  busy_until_ = std::max(busy_until_, from) + duration;
-  ++outages_;
-}
-
 }  // namespace oasis

@@ -53,25 +53,16 @@ class SharedChannel {
   // service starts.
   SimTime QueueDelay(SimTime now) const;
 
-  // Takes the channel out of service for `duration` starting at `from`
-  // (which may lie in the past, covering an outage discovered at repair
-  // time): queued and future transfers finish `duration` later. Used by
-  // fault injection to model a dead memory-server board stalling its SAS
-  // path.
-  void InjectOutage(SimTime from, SimTime duration);
-
   const Link& link() const { return link_; }
 
   uint64_t total_bytes() const { return total_bytes_; }
   uint64_t total_transfers() const { return total_transfers_; }
-  uint64_t outages() const { return outages_; }
 
  private:
   Link link_;
   SimTime busy_until_ = SimTime::Zero();
   uint64_t total_bytes_ = 0;
   uint64_t total_transfers_ = 0;
-  uint64_t outages_ = 0;
 };
 
 }  // namespace oasis

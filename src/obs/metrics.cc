@@ -223,8 +223,6 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-bool MetricsRegistry::Enabled() { return IfEnabled() != nullptr; }
-
 MetricsRegistry* MetricsRegistry::IfEnabled() {
   if (RunContext* context = RunContext::Current()) {
     MetricsRegistry& local = context->metrics();

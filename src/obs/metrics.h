@@ -3,8 +3,9 @@
 //
 // The registry is designed for hot-path instrumentation: sites cache the
 // Counter/Gauge/Histogram pointer once (objects are never deleted or moved
-// after creation) and gate the update on MetricsRegistry::Enabled(), a single
-// relaxed atomic load, so a disabled build path costs one predictable branch.
+// after creation) and gate the update on MetricsRegistry::IfEnabled(), a
+// thread-local read and a relaxed atomic load, so a disabled build path costs
+// one predictable branch.
 // The simulation is single-threaded; metric updates are not synchronized.
 
 #ifndef OASIS_SRC_OBS_METRICS_H_
@@ -156,12 +157,8 @@ class MetricsRegistry {
   // --- process-wide wiring -------------------------------------------------
   // Instrumentation sites resolve through the thread's installed RunContext
   // first (run-local registries for parallel experiments) and fall back to
-  // the process-global registry — the backward-compatible default.
+  // the process-global registry.
   static MetricsRegistry& Global();
-  // Whether IfEnabled() would return a registry for this thread.
-  static bool Enabled();
-  // Back-compat switch for the global registry (ObsScope, tests).
-  static void SetEnabled(bool on) { Global().set_enabled(on); }
   // The enabled run-local registry, else the enabled global, else nullptr.
   static MetricsRegistry* IfEnabled();
 

@@ -2,6 +2,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <iostream>
 
 #include "src/common/knobs.h"
 #include "src/common/log.h"
@@ -32,6 +33,8 @@ ObsConfig ObsConfig::FromEnv() {
     config.has_seed = true;
     config.seed = *seed;
   }
+  config.prof_mode =
+      static_cast<prof::ProfMode>(knobs::Choice(knobs::Knob::kProf).value_or(0));
   return config;
 }
 
@@ -67,7 +70,13 @@ ObsScope::ObsScope(const ObsConfig& config) : config_(config) {
     tracer.set_enabled(true);
   }
   if (config_.MetricsRequested()) {
-    MetricsRegistry::SetEnabled(true);
+    MetricsRegistry::Global().set_enabled(true);
+  }
+  prof::Profiler& profiler = prof::Profiler::Instance();
+  profiler.SetMode(config_.prof_mode);
+  if (config_.ProfilingRequested()) {
+    profiler.Reset();
+    profiler.LabelCurrentThread("main");
   }
 }
 
@@ -76,6 +85,14 @@ void ObsScope::Flush() {
     return;
   }
   flushed_ = true;
+  if (config_.ProfilingRequested()) {
+    prof::Profiler& profiler = prof::Profiler::Instance();
+    prof::Report report = profiler.Collect(/*reset=*/true);
+    if (report.HasSamples()) {
+      report.WriteTable(std::cerr);
+    }
+    profiler.SetMode(prof::ProfMode::kOff);
+  }
   if (config_.TracingRequested()) {
     Tracer& tracer = Tracer::Global();
     tracer.set_enabled(false);
@@ -92,7 +109,7 @@ void ObsScope::Flush() {
     }
   }
   if (config_.MetricsRequested()) {
-    MetricsRegistry::SetEnabled(false);
+    MetricsRegistry::Global().set_enabled(false);
     Status written = MetricsRegistry::Global().WriteCsvFile(config_.metrics_path);
     if (written.ok()) {
       std::fprintf(stderr, "[obs] metrics -> %s\n", config_.metrics_path.c_str());

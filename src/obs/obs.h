@@ -1,16 +1,19 @@
 // Process-level observability wiring.
 //
 // ObsConfig collects the environment-controlled knobs; ObsScope installs them
-// on the global Tracer / MetricsRegistry for the duration of a binary's main
-// and exports the collected data on the way out. Every bench/ and examples/
-// binary opens an ObsScope first thing, so
+// on the global Tracer / MetricsRegistry and the wall-clock profiler for the
+// duration of a binary's main and reports the collected data on the way out.
+// Every bench/ and examples/ binary opens an ObsScope first thing, so
 //
 //     OASIS_TRACE=trace.json ./build/bench/fig05_consolidation_latency
+//     OASIS_PROF=summary ./build/bench/table1_power_profiles
 //
-// emits a Perfetto-loadable trace with zero further plumbing.
+// emit a Perfetto-loadable trace and a profile report with zero further
+// plumbing.
 //
 // Its knobs (OASIS_TRACE, OASIS_METRICS, OASIS_TRACE_CAPACITY,
-// OASIS_LOG_LEVEL, OASIS_SEED) are rows of the table in src/common/knobs.h.
+// OASIS_LOG_LEVEL, OASIS_SEED, OASIS_PROF) are rows of the table in
+// src/common/knobs.h.
 
 #ifndef OASIS_SRC_OBS_OBS_H_
 #define OASIS_SRC_OBS_OBS_H_
@@ -21,6 +24,7 @@
 
 #include "src/common/log.h"
 #include "src/obs/metrics.h"
+#include "src/obs/prof.h"
 #include "src/obs/trace.h"
 
 namespace oasis {
@@ -33,9 +37,11 @@ struct ObsConfig {
   std::optional<LogLevel> log_level;  // unset = leave the global level alone
   bool has_seed = false;  // OASIS_SEED set
   uint64_t seed = 0;
+  prof::ProfMode prof_mode = prof::ProfMode::kOff;
 
   bool TracingRequested() const { return !trace_path.empty(); }
   bool MetricsRequested() const { return !metrics_path.empty(); }
+  bool ProfilingRequested() const { return prof_mode != prof::ProfMode::kOff; }
   bool TraceIsJsonl() const;
 
   static ObsConfig FromEnv();
@@ -56,8 +62,9 @@ __attribute__((format(printf, 1, 2)))
 #endif
 void TimingLine(const char* format, ...);
 
-// RAII: enables the requested global collectors on construction, exports and
-// disables them on destruction (or on an explicit Flush()).
+// RAII: enables the requested global collectors and the profiler on
+// construction; reports, exports and disables them on destruction (or on an
+// explicit Flush()).
 class ObsScope {
  public:
   explicit ObsScope(const ObsConfig& config = ObsConfig::FromEnv());
@@ -65,7 +72,11 @@ class ObsScope {
   ObsScope(const ObsScope&) = delete;
   ObsScope& operator=(const ObsScope&) = delete;
 
-  // Writes the trace/metrics files now and disables collection. Idempotent.
+  // Prints the profile report to stderr, then writes the trace/metrics files
+  // and disables collection. Idempotent. The report is skipped when nothing
+  // was recorded since the last Profiler::Collect(reset=true), so perf_sweep,
+  // which collects and prints its own report per sweep step, gets no extra
+  // one.
   void Flush();
 
   const ObsConfig& config() const { return config_; }

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <iostream>
 #include <map>
 
-#include "src/common/knobs.h"
 #include "src/obs/trace.h"
 
 namespace oasis {
@@ -37,14 +35,6 @@ const char* ProfModeName(ProfMode mode) {
 }
 
 const char* PhaseName(Phase phase) { return kPhaseName[static_cast<int>(phase)]; }
-
-const char* CountName(Count count) { return kCountName[static_cast<int>(count)]; }
-
-ProfConfig ProfConfig::FromEnv() {
-  ProfConfig config;
-  config.mode = static_cast<ProfMode>(knobs::Choice(knobs::Knob::kProf).value_or(0));
-  return config;
-}
 
 // --- Profiler ----------------------------------------------------------------
 
@@ -344,35 +334,6 @@ void Report::WriteJson(std::ostream& out, int indent) const {
   out << (workers.empty() ? "]" : "\n" + pad + "  ]") << "\n";
   out << pad << "}";
 }
-
-// --- ProfSession -------------------------------------------------------------
-
-ProfSession::ProfSession(const ProfConfig& config) : config_(config) {
-  Profiler& profiler = Profiler::Instance();
-  profiler.SetMode(config_.mode);
-  if (config_.Enabled()) {
-    profiler.Reset();
-    profiler.LabelCurrentThread("main");
-  }
-}
-
-void ProfSession::Finish() {
-  if (finished_) {
-    return;
-  }
-  finished_ = true;
-  if (!config_.Enabled()) {
-    return;
-  }
-  Profiler& profiler = Profiler::Instance();
-  Report report = profiler.Collect(/*reset=*/true);
-  if (report.HasSamples()) {
-    report.WriteTable(std::cerr);
-  }
-  profiler.SetMode(ProfMode::kOff);
-}
-
-ProfSession::~ProfSession() { Finish(); }
 
 }  // namespace prof
 }  // namespace oasis

@@ -16,10 +16,10 @@
 // jobs=N scaling loss — plus the trace-ring and metrics-merge drop counts so
 // silently truncated observability is visible.
 //
-// OASIS_PROF (a row of src/common/knobs.h) picks the mode: off (default)
-// makes zero clock reads — every site gates on one relaxed atomic load and
-// records nothing; summary records phase histograms and counters and
-// reports them to stderr.
+// OASIS_PROF (a row of src/common/knobs.h, read by obs::ObsConfig) picks the
+// mode: off (default) makes zero clock reads — every site gates on one
+// relaxed atomic load and records nothing; summary records phase histograms
+// and counters, and the binary's obs::ObsScope reports them to stderr.
 //
 // The profiler never touches simulation state, RNG streams, or the sim-time
 // collectors, so goldens and metric digests are byte-identical in every
@@ -28,7 +28,7 @@
 //
 // Threading contract: recording is safe from any thread at any time;
 // Collect()/Reset() must not run concurrently with recording threads (call
-// them after exp::RunOrdered returns, as bench/perf_sweep and ProfSession
+// them after exp::RunOrdered returns, as bench/perf_sweep and obs::ObsScope
 // do).
 
 #ifndef OASIS_SRC_OBS_PROF_H_
@@ -55,15 +55,6 @@ enum class ProfMode {
 };
 
 const char* ProfModeName(ProfMode mode);
-
-struct ProfConfig {
-  ProfMode mode = ProfMode::kOff;
-
-  bool Enabled() const { return mode != ProfMode::kOff; }
-
-  // Reads OASIS_PROF; an unknown mode exits 2 (knobs::Reject).
-  static ProfConfig FromEnv();
-};
 
 // The instrumented wall-clock phases.
 enum class Phase : int {
@@ -96,8 +87,6 @@ enum class Count : int {
 };
 inline constexpr int kNumCounts = static_cast<int>(Count::kCountCount);
 inline constexpr int kNumLiveCounts = static_cast<int>(Count::kPoolSteals);
-
-const char* CountName(Count count);
 
 // One aggregated phase in a Report. Durations in seconds.
 struct PhaseStats {
@@ -219,34 +208,6 @@ class ProfScope {
   Phase phase_;
   uint64_t start_ns_ = 0;
   bool armed_ = false;
-};
-
-// RAII: wires the profiler to OASIS_PROF for a binary's main. Declare it
-// *after* ObsScope, so Finish() (destructor order) prints the profile before
-// ObsScope's export lines:
-//
-//     oasis::check::CheckScope check_scope;   // OASIS_CHECK
-//     oasis::obs::ObsScope obs_scope;         // OASIS_TRACE / OASIS_METRICS
-//     oasis::prof::ProfSession prof_session;  // OASIS_PROF
-//
-// On destruction it collects whatever the binary has not collected itself
-// and prints the report table to stderr (skipped when empty, so harnesses
-// like perf_sweep that Collect(reset=true) per phase report exactly once).
-class ProfSession {
- public:
-  explicit ProfSession(const ProfConfig& config = ProfConfig::FromEnv());
-  ~ProfSession();
-  ProfSession(const ProfSession&) = delete;
-  ProfSession& operator=(const ProfSession&) = delete;
-
-  // Collects, reports to stderr, and disables the profiler. Idempotent.
-  void Finish();
-
-  const ProfConfig& config() const { return config_; }
-
- private:
-  ProfConfig config_;
-  bool finished_ = false;
 };
 
 }  // namespace prof

@@ -8,6 +8,11 @@
 // Tracer::IfEnabled() / MetricsRegistry::IfEnabled() to the run-local
 // collectors, with zero changes at the sites themselves.
 //
+// The thread is the only route from a run to its context: no simulator,
+// manager or simulation holds a RunContext pointer. exp::RunOrdered installs
+// one Scope around each task; code that drives a run outside the batch
+// runner (a test) installs its own.
+//
 // When no context is installed (code outside the batch runner, and every
 // batch run while both global collectors are dark) the globals are used.
 //

@@ -54,17 +54,11 @@ void Simulator::RunLoop(SimTime deadline) {
   // is pinned by the metric digests.
   const bool profiling = prof::Profiler::Enabled();
   check::InvariantChecker* checker = check::InvariantChecker::IfEnabled();
-  obs::MetricsRegistry* metrics =
-      run_context_ != nullptr
-          ? (run_context_->metrics().enabled() ? &run_context_->metrics() : nullptr)
-          : obs::MetricsRegistry::IfEnabled();
+  obs::MetricsRegistry* metrics = obs::MetricsRegistry::IfEnabled();
   obs::Counter* dispatched_counter =
       metrics != nullptr ? metrics->counter("sim.events_dispatched") : nullptr;
   obs::Gauge* depth_gauge = metrics != nullptr ? metrics->gauge("sim.queue_depth") : nullptr;
-  obs::Tracer* tracer =
-      run_context_ != nullptr
-          ? (run_context_->tracer().enabled() ? &run_context_->tracer() : nullptr)
-          : obs::Tracer::IfEnabled();
+  obs::Tracer* tracer = obs::Tracer::IfEnabled();
   uint64_t batched = 0;
   while (!queue_.empty() && queue_.NextTime() <= deadline) {
     // Wall-clock attribution of the event loop (OASIS_PROF): queue

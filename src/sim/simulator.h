@@ -2,7 +2,10 @@
 //
 // A Simulator owns an EventQueue and a monotone clock. Components schedule
 // closures relative to `now()`; RunUntil/RunToCompletion drain events until
-// a deadline or until the queue empties.
+// a deadline or until the queue empties. The run loop's tracer and metrics
+// registry are the ones Tracer::IfEnabled() / MetricsRegistry::IfEnabled()
+// resolve for the calling thread: a run-local obs::RunContext installed by
+// exp::RunOrdered, else the process globals.
 
 #ifndef OASIS_SRC_SIM_SIMULATOR_H_
 #define OASIS_SRC_SIM_SIMULATOR_H_
@@ -10,18 +13,13 @@
 #include <cstdint>
 
 #include "src/common/units.h"
-#include "src/obs/run_context.h"
 #include "src/sim/event_queue.h"
 
 namespace oasis {
 
 class Simulator {
  public:
-  // `run_context` scopes this simulator's instrumentation to a run-local
-  // collector (parallel experiments); nullptr — the default — resolves
-  // through the thread's installed context or the process globals.
-  explicit Simulator(obs::RunContext* run_context = nullptr)
-      : run_context_(run_context) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -67,7 +65,6 @@ class Simulator {
   SimTime now_ = SimTime::Zero();
   uint64_t seq_ = UINT64_MAX;
   uint64_t dispatched_ = 0;
-  obs::RunContext* run_context_ = nullptr;
 };
 
 }  // namespace oasis

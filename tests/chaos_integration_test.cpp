@@ -1,6 +1,5 @@
 // Chaos integration: a full simulated cluster day with nonzero rates for
-// every live fault class, plus a memory-server episode covering the
-// query-sampled serve failure. Validates through the observability export
+// every live fault class. Validates through the observability export
 // that every injected fault has a matching recovery, that no VM is lost,
 // and that energy/time accounting still balances to the simulated day.
 
@@ -15,7 +14,6 @@
 #include "src/check/check.h"
 #include "src/core/oasis.h"
 #include "src/fault/fault.h"
-#include "src/hyper/memory_server.h"
 #include "src/obs/trace.h"
 #include "src/trace/trace_generator.h"
 #include "tests/mini_json.h"
@@ -188,40 +186,6 @@ TEST_F(ChaosIntegrationTest, DisabledAndZeroRateRunsAreByteIdentical) {
   }
   EXPECT_EQ(mb.faults_injected, 0u);
   EXPECT_EQ(mb.faults_recovered, 0u);
-}
-
-TEST_F(ChaosIntegrationTest, MemoryServerServeFailureRecoversViaRepair) {
-  FaultConfig config;
-  config.enabled = true;
-  config.serve_failure_probability = 0.05;
-  FaultInjector injector(config, 99);
-
-  MemoryServer server{MemoryServerConfig{}};
-  server.set_fault_injector(&injector);
-  server.Upload(SimTime::Zero(), /*vm=*/1, 256 * kPageSize);
-
-  SimTime now = SimTime::Seconds(1);
-  bool failed = false;
-  for (int page = 0; page < 512 && !failed; ++page) {
-    StatusOr<SimTime> served = server.ServePageRequest(now, 1, page % 256);
-    now = now + SimTime::Millis(1);
-    if (!served.ok()) {
-      EXPECT_EQ(served.status().code(), StatusCode::kAborted);
-      failed = true;
-    }
-  }
-  ASSERT_TRUE(failed) << "serve-failure probability never fired";
-  ASSERT_TRUE(server.failed());
-  // While failed, every request bounces with kUnavailable.
-  EXPECT_EQ(server.ServePageRequest(now, 1, 0).status().code(),
-            StatusCode::kUnavailable);
-  // Repair closes the loop: the injector pairs the injection with a recovery
-  // spanning the outage.
-  server.Repair(now + SimTime::Seconds(30));
-  EXPECT_FALSE(server.failed());
-  EXPECT_EQ(injector.injected(FaultClass::kMemoryServerFailure), 1u);
-  EXPECT_EQ(injector.recovered(FaultClass::kMemoryServerFailure), 1u);
-  EXPECT_TRUE(server.ServePageRequest(now + SimTime::Seconds(31), 1, 0).ok());
 }
 
 }  // namespace

@@ -159,8 +159,9 @@ TEST(RunOrderedTest, RunsEveryIndexExactlyOnce) {
     for (int jobs : {1, 4, 16}) {
       SCOPED_TRACE(::testing::Message() << "count=" << count << " jobs=" << jobs);
       std::vector<std::atomic<int>> hits(count);
-      exp::RunOrdered(count, jobs, [&hits](size_t i, obs::RunContext* context) {
-        EXPECT_EQ(context, nullptr) << "collectors are dark: no context expected";
+      exp::RunOrdered(count, jobs, [&hits](size_t i) {
+        EXPECT_EQ(obs::RunContext::Current(), nullptr)
+            << "collectors are dark: no context expected";
         hits[i].fetch_add(1, std::memory_order_relaxed);
       });
       for (size_t i = 0; i < count; ++i) {
@@ -178,9 +179,10 @@ TEST(RunOrderedTest, InstallsContextsAndMergesUnderPrefixInIndexOrder) {
     metrics.set_enabled(true);
     exp::RunOrdered(
         5, jobs,
-        [](size_t i, obs::RunContext* context) {
+        [](size_t i) {
+          obs::RunContext* context = obs::RunContext::Current();
           ASSERT_NE(context, nullptr);
-          EXPECT_EQ(obs::RunContext::Current(), context);
+          EXPECT_EQ(obs::MetricsRegistry::IfEnabled(), &context->metrics());
           obs::MetricsRegistry::IfEnabled()->counter("tasks")->Increment(i + 1);
           obs::MetricsRegistry::IfEnabled()->gauge("last")->Set(static_cast<double>(i));
         },

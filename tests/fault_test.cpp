@@ -128,7 +128,6 @@ TEST(FaultInjectorTest, DisabledInjectorIsInert) {
     SimTime now = SimTime::Seconds(i);
     EXPECT_EQ(injector.SampleWolLosses(now, 0), 0);
     EXPECT_FALSE(injector.SampleResumeHang(now, 0));
-    EXPECT_FALSE(injector.SampleServeFailure(now, 0));
   }
   EXPECT_EQ(injector.TotalInjected(), 0u);
   EXPECT_EQ(injector.TotalRecovered(), 0u);

@@ -42,13 +42,11 @@ void ReadThroughConsumer(Knob knob) {
     case Knob::kTraceCapacity:
     case Knob::kLogLevel:
     case Knob::kSeed:
+    case Knob::kProf:
       obs::ObsConfig::FromEnv();
       return;
     case Knob::kCheck:
       check::CheckConfig::FromEnv();
-      return;
-    case Knob::kProf:
-      prof::ProfConfig::FromEnv();
       return;
     case Knob::kJobs:
       exp::JobsFromEnv();

@@ -74,25 +74,6 @@ TEST(MemoryServerTest, RemoveFreesImageAndCache) {
   EXPECT_FALSE(server.ServePageRequest(SimTime::Zero(), 1, 0).ok());
 }
 
-TEST(MemoryServerTest, PowerAccountingOnlyWhileOn) {
-  MemoryServer server;
-  server.PowerOn(SimTime::Zero());
-  EXPECT_TRUE(server.powered());
-  server.PowerOff(SimTime::Hours(1));
-  EXPECT_FALSE(server.powered());
-  Joules after_off = server.EnergyUsed(SimTime::Hours(10));
-  // 42.2 W for exactly one hour.
-  EXPECT_NEAR(ToWattHours(after_off), 42.2, 0.01);
-}
-
-TEST(MemoryServerTest, DoublePowerOnIsIdempotent) {
-  MemoryServer server;
-  server.PowerOn(SimTime::Zero());
-  server.PowerOn(SimTime::Hours(1));
-  server.PowerOff(SimTime::Hours(2));
-  EXPECT_NEAR(ToWattHours(server.EnergyUsed(SimTime::Hours(2))), 84.4, 0.01);
-}
-
 TEST(MemoryServerTest, MultipleVmImagesAccumulate) {
   MemoryServer server;
   server.Upload(SimTime::Zero(), 1, 100 * kMiB);

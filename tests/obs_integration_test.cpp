@@ -120,8 +120,12 @@ TEST(ObsMetricsTest, EveryPartialMigrationPushesOneDescriptor) {
   TraceSet trace = generator.GenerateTraceSet(config.TotalVms(), DayKind::kWeekday);
   obs::RunContext context;
   context.metrics().set_enabled(true);
-  ClusterManager manager(config, trace, &context);
-  ClusterMetrics metrics = manager.Run();
+  ClusterMetrics metrics;
+  {
+    // The run finds its collectors through this thread, as a batch task does.
+    obs::RunContext::Scope scope(&context);
+    metrics = ClusterManager(config, trace).Run();
+  }
   obs::MetricsRegistry& registry = context.metrics();
   const std::string policy = std::string("cluster.policy.") + config.strategy_name;
   EXPECT_GT(registry.counter(policy + ".drain_moves")->value(), 0u)

@@ -126,11 +126,11 @@ TEST(MetricsRegistryTest, CsvExportIsSortedAndParsable) {
 }
 
 TEST(MetricsRegistryTest, DisabledGateReturnsNull) {
-  MetricsRegistry::SetEnabled(false);
+  MetricsRegistry::Global().set_enabled(false);
   EXPECT_EQ(MetricsRegistry::IfEnabled(), nullptr);
-  MetricsRegistry::SetEnabled(true);
+  MetricsRegistry::Global().set_enabled(true);
   EXPECT_EQ(MetricsRegistry::IfEnabled(), &MetricsRegistry::Global());
-  MetricsRegistry::SetEnabled(false);
+  MetricsRegistry::Global().set_enabled(false);
 }
 
 TEST(TracerTest, DisabledRecordingIsANoOp) {

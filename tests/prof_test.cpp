@@ -1,8 +1,8 @@
 // The wall-clock profiler's contract: percentile math is honest within the
-// log-linear bucket error, OASIS_PROF spellings select the right mode,
-// profiling provably never perturbs
-// simulation results, and the per-thread buffers survive a real parallel
-// run at jobs=4 with a self-consistent report.
+// log-linear bucket error, OASIS_PROF spellings select the right mode and
+// obs::ObsScope runs the profiler until it flushes, profiling provably never
+// perturbs simulation results, and the per-thread buffers survive a real
+// parallel run at jobs=4 with a self-consistent report.
 
 #include "src/obs/prof.h"
 
@@ -14,6 +14,7 @@
 
 #include "src/exp/exp.h"
 #include "src/obs/metrics.h"
+#include "src/obs/obs.h"
 #include "tests/metric_digest.h"
 #include "tests/test_env.h"
 
@@ -98,9 +99,9 @@ TEST(ProfHistogramTest, PercentileClampedToObservedRange) {
   EXPECT_LE(h->Percentile(100.0), 5e-6);
 }
 
-// --- OASIS_PROF parsing ------------------------------------------------------
+// --- OASIS_PROF through obs::ObsScope ----------------------------------------
 
-TEST(ProfConfigTest, FromEnvAcceptedSpellings) {
+TEST(ProfModeTest, ObsConfigReadsAcceptedSpellings) {
   struct Case {
     const char* value;  // nullptr = unset
     ProfMode expected;
@@ -113,9 +114,22 @@ TEST(ProfConfigTest, FromEnvAcceptedSpellings) {
   };
   for (const Case& c : cases) {
     testing::EnvGuard guard("OASIS_PROF", c.value);
-    EXPECT_EQ(ProfConfig::FromEnv().mode, c.expected)
+    EXPECT_EQ(obs::ObsConfig::FromEnv().prof_mode, c.expected)
         << "OASIS_PROF=" << (c.value ? c.value : "<unset>");
   }
+}
+
+TEST(ProfModeTest, ObsScopeRunsTheProfilerUntilFlush) {
+  ProfilerGuard profiler_guard;
+  obs::ObsConfig config;
+  config.prof_mode = ProfMode::kSummary;
+  obs::ObsScope scope(config);
+  EXPECT_TRUE(Profiler::Enabled());
+  { ProfScope span(Phase::kRunSim); }
+  scope.Flush();
+  EXPECT_FALSE(Profiler::Enabled());
+  // Flush collected the window it reported.
+  EXPECT_FALSE(Profiler::Instance().Collect(/*reset=*/true).HasSamples());
 }
 
 // --- no effect on simulation output ------------------------------------------
@@ -157,7 +171,7 @@ TEST(ProfParallelTest, CollectAfterJobs4IsSelfConsistent) {
   // built (with collectors dark the runner skips them entirely).
   ProfilerGuard profiler_guard;
   const int expected_workers = std::min(4, exp::HardwareJobs());
-  obs::MetricsRegistry::SetEnabled(true);
+  obs::MetricsRegistry::Global().set_enabled(true);
   Profiler::Instance().SetMode(ProfMode::kSummary);
   Profiler::Instance().LabelCurrentThread("main");
   exp::ExperimentPlan plan;
@@ -165,7 +179,7 @@ TEST(ProfParallelTest, CollectAfterJobs4IsSelfConsistent) {
     plan.Add(SmallCluster(seed));
   }
   std::vector<SimulationResult> results = exp::RunParallel(plan, 4);
-  obs::MetricsRegistry::SetEnabled(false);
+  obs::MetricsRegistry::Global().set_enabled(false);
   obs::MetricsRegistry::Global().ResetValues();
   Report report = Profiler::Instance().Collect(/*reset=*/true);
 

@@ -2,14 +2,14 @@
 //
 // Runs the paper's standard rack for one weekday under every registered
 // ConsolidationStrategy and compares the headline outcomes side by side:
-// how much of the greedy §3 algorithm's savings a static bin-packer, a
-// purely local per-host rule, or the forecast-driven predictive planner can
-// recover, and what each one pays in migrations and network traffic. Every
-// strategy is additionally measured against the offline oracle
-// (src/cluster/oracle.h): "gap vs oracle" is how much more energy the
-// online strategy burned than the best whole-day schedule the oracle found
-// on the same completed day. Run with OASIS_CHECK=strict to assert that
-// every strategy keeps the cluster invariants intact.
+// how much of the greedy §3 algorithm's savings a static bin-packer or a
+// purely local per-host rule can recover, and what each one pays in
+// migrations and network traffic. Every strategy is additionally measured
+// against the offline oracle (src/cluster/oracle.h): "gap vs oracle" is how
+// much more energy the online strategy burned than the best whole-day
+// schedule the oracle found on the same completed day. Run with
+// OASIS_CHECK=strict to assert that every strategy keeps the cluster
+// invariants intact.
 //
 // When OASIS_BENCH_JSON is set, the per-strategy gaps are spliced into that
 // snapshot as a "policy_gaps" member (tools/update_bench.sh runs this bench
@@ -168,11 +168,10 @@ void PolicySweep(int runs) {
       "\noasis-greedy is the paper's §3 planner (and the byte-identical default);\n"
       "first-fit-decreasing drops its incremental draining and power-aware host\n"
       "choice for one static packing pass; local-threshold drops the global view\n"
-      "entirely and lets each home park its VMs on a fixed consolidation host;\n"
-      "predictive adds a diurnal forecast to oasis-greedy, pre-draining into the\n"
-      "trough and pre-waking ahead of the peak. \"gap vs oracle\" is each online\n"
-      "strategy's extra energy over the offline oracle's whole-day schedule on\n"
-      "the same completed day (0%% = matched perfect hindsight).\n");
+      "entirely and lets each home park its VMs on a fixed consolidation host.\n"
+      "\"gap vs oracle\" is each online strategy's extra energy over the offline\n"
+      "oracle's whole-day schedule on the same completed day (0%% = matched\n"
+      "perfect hindsight).\n");
   SpliceBenchJson(names, mean_gap, oracle_savings, digest);
 }
 
@@ -187,9 +186,9 @@ int main() {
   using namespace oasis;
   PrintExperimentHeader(std::cout, "Ablation - consolidation strategy",
                         "The pluggable policy layer: the paper's greedy planner vs "
-                        "first-fit-decreasing packing vs purely local thresholds vs "
-                        "the predictive forecaster on the standard 30+4 weekday "
-                        "rack, each measured against the offline oracle bound.");
+                        "first-fit-decreasing packing vs purely local thresholds on "
+                        "the standard 30+4 weekday rack, each measured against the "
+                        "offline oracle bound.");
   PolicySweep(std::max(1, BenchRuns() - 2));
   return 0;
 }

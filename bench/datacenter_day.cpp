@@ -87,8 +87,9 @@ int DatacenterDay() {
     return 1;
   }
 
-  std::printf("topology: %d pods x %d racks/pod = %d racks, %d hosts, %lld users\n",
-              config.NumPods(), config.racks_per_pod, config.total_racks,
+  // The last pod may be partial, so the rack count is not pods x racks/pod.
+  std::printf("topology: %d racks in %d pod(s) of up to %d racks, %d hosts, %lld users\n",
+              config.total_racks, config.NumPods(), config.racks_per_pod,
               config.TotalHosts(), config.TotalUsers());
   std::printf("rack: %d home hosts x %d VMs + %d consolidation hosts (%s, %s)\n\n",
               config.rack.home_hosts, config.rack.vms_per_home,

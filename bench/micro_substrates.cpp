@@ -1,9 +1,14 @@
 // google-benchmark microbenchmarks of the substrates the simulations sit on:
 // the LZ compressor (per page class), event queue, bitmaps, memory images,
 // working-set sampling, trace generation and a whole cluster day.
+//
+// Like every bench main, this one opens the checker and observability
+// scopes before Google Benchmark parses its flags, so a malformed OASIS_*
+// knob exits 2 before any benchmark output.
 
 #include <benchmark/benchmark.h>
 
+#include "src/check/check.h"
 #include "src/cluster/manager.h"
 #include "src/core/oasis.h"
 #include "src/mem/compression.h"
@@ -174,12 +179,15 @@ void BM_TraceGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGeneration);
 
+// The cluster day's run seed; main applies OASIS_SEED to it once.
+uint64_t cluster_day_seed = SimulationConfig{}.seed;
+
 void BM_ClusterDaySimulation(benchmark::State& state) {
   SimulationConfig config;
   config.cluster.num_home_hosts = static_cast<int>(state.range(0));
   config.cluster.num_consolidation_hosts = 4;
   config.cluster.vms_per_home = 30;
-  obs::ApplySeedOverride(&config.seed);
+  config.seed = cluster_day_seed;
   for (auto _ : state) {
     ClusterSimulation sim(config);
     benchmark::DoNotOptimize(sim.Run().metrics.TotalEnergy());
@@ -191,4 +199,19 @@ BENCHMARK(BM_ClusterDaySimulation)->Arg(10)->Arg(30)->Unit(benchmark::kMilliseco
 }  // namespace
 }  // namespace oasis
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL / OASIS_PROF
+  // (off | summary) for this run. Invariant checking per OASIS_CHECK
+  // (off | warn | strict); declared before ObsScope so traces flush before
+  // any strict exit.
+  oasis::check::CheckScope check_scope;
+  oasis::obs::ObsScope obs_scope;
+  oasis::obs::ApplySeedOverride(&oasis::cluster_day_seed);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return 1;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

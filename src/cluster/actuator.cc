@@ -460,17 +460,6 @@ void Actuator::DrainMove(SimTime now, VmId vm_id, HostId dest_id) {
                     source_id);
 }
 
-bool Actuator::PrewakeHost(SimTime now, HostId host_id) {
-  if (static_cast<size_t>(host_id) >= state_.hosts.size() ||
-      !HostOf(host_id).IsAsleep()) {
-    return false;
-  }
-  // The full fault-aware wake path (WoL losses, resume hangs) applies to a
-  // speculative wake too; the strategy doesn't wait on the powered-at time.
-  (void)WakeHost(now, host_id);
-  return true;
-}
-
 void Actuator::SleepIdleConsolidationHosts(SimTime now) {
   for (const auto& host_ptr : state_.hosts) {
     if (!host_ptr->IsConsolidationHost()) {

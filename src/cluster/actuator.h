@@ -47,12 +47,6 @@ class Actuator {
   // (only the descriptor travels; the memory image stays on the home's
   // memory server).
   void DrainMove(SimTime now, VmId vm_id, HostId dest_id);
-  // Starts waking `host_id` now so it is powered before forecast demand
-  // arrives (PredictiveStrategy's pre-wake). Acts only on sleeping hosts and
-  // returns whether a wake was started; a pre-woken host that goes unused is
-  // re-slept by the manager's normal end-of-interval sweep, so a wrong
-  // forecast costs at most one interval of idle draw.
-  bool PrewakeHost(SimTime now, HostId host_id);
 
   // --- manager entry points -----------------------------------------------
   // Services an idle->active edge: aborts or rides out in-flight moves,

@@ -225,8 +225,6 @@ void ClusterManager::PlanAndRecord(SimTime now) {
         ->Increment(static_cast<uint64_t>(actions.drain_moves));
     m->counter(prefix + ".swapped_vms")
         ->Increment(static_cast<uint64_t>(actions.swapped_vms));
-    m->counter(prefix + ".prewoken_hosts")
-        ->Increment(static_cast<uint64_t>(actions.prewoken_hosts));
   }
 }
 

@@ -15,7 +15,6 @@ const RegistryEntry kRegistry[] = {
     {"oasis-greedy", &MakeOasisGreedyStrategy},
     {"first-fit-decreasing", &MakeFirstFitDecreasingStrategy},
     {"local-threshold", &MakeLocalThresholdStrategy},
-    {"predictive", &MakePredictiveStrategy},
 };
 
 }  // namespace

@@ -4,18 +4,11 @@
 // A strategy decides, once per planning interval, which VMs move where and
 // which hosts get to sleep. It reads the cluster only through ClusterView
 // and effects every decision through Actuator verbs — it can never touch a
-// host or VM slot directly. Strategies are pure functions of the view: they
-// carry no *decision* state between intervals. Per-host aggregates a scan
-// needs belong in ClusterState, maintained by the Actuator and exposed
-// through the view — not in a strategy-side cache.
-//
-// One declared exception to the no-decision-state rule: a *forecast* — an
-// online summary of past observed activity used to predict future activity
-// (see PredictiveStrategy). Forecast state is genuine cross-interval memory,
-// so it must be (a) declared here, (b) derived exclusively from what the
-// view exposed at past planning instants, and (c) never a hidden channel
-// for replaying its own past decisions. See DESIGN.md, "Strategy depth &
-// oracle bound".
+// host or VM slot directly. Every strategy is a pure function of the view:
+// it carries no state between intervals (per-interval scratch aside, see
+// view.h). Per-host aggregates a scan needs belong in ClusterState,
+// maintained by the Actuator and exposed through the view — not in a
+// strategy-side cache.
 //
 // Registered strategies:
 //   "oasis-greedy"         — the paper's §3 algorithm (full-to-partial swaps,
@@ -31,11 +24,6 @@
 //                            scan: each fully-idle home independently parks
 //                            its group on its statically designated
 //                            consolidation host whenever it fits.
-//   "predictive"           — oasis-greedy plus a diurnal activity forecast:
-//                            pre-drains almost-idle homes ahead of the
-//                            forecast trough and pre-wakes parked homes
-//                            ahead of the forecast peak, both behind the
-//                            same §3.1 power gate.
 
 #ifndef OASIS_SRC_CLUSTER_STRATEGY_H_
 #define OASIS_SRC_CLUSTER_STRATEGY_H_
@@ -82,7 +70,6 @@ struct PlanActions {
   int vacated_hosts = 0;
   int vacate_moves = 0;
   int drain_moves = 0;
-  int prewoken_hosts = 0;
   double committed_power_delta_watts = 0.0;
 };
 
@@ -132,7 +119,6 @@ void ApplyPolicyOverride(ClusterConfig* config);
 std::unique_ptr<ConsolidationStrategy> MakeOasisGreedyStrategy();
 std::unique_ptr<ConsolidationStrategy> MakeFirstFitDecreasingStrategy();
 std::unique_ptr<ConsolidationStrategy> MakeLocalThresholdStrategy();
-std::unique_ptr<ConsolidationStrategy> MakePredictiveStrategy();
 
 }  // namespace oasis
 

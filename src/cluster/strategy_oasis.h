@@ -29,7 +29,7 @@
 
 namespace oasis {
 
-class OasisGreedyStrategy : public ConsolidationStrategy {
+class OasisGreedyStrategy final : public ConsolidationStrategy {
  public:
   const char* name() const override { return kDefaultStrategyName; }
   PlanActions PlanInterval(const ClusterView& view, SimTime now, Actuator& act) override;
@@ -83,7 +83,7 @@ class OasisGreedyStrategy : public ConsolidationStrategy {
                                   const std::vector<VacateItem>& items,
                                   std::vector<Dest> dests, size_t powered_dests);
 
- protected:
+ private:
   // Prices the candidates twice — conservatively on the awake hosts only,
   // aggressively allowing sleeping ones to be woken — and returns the plan
   // that saves more (the conservative one on ties).
@@ -94,11 +94,9 @@ class OasisGreedyStrategy : public ConsolidationStrategy {
                              const VacatePlan& best) const;
 
   // Per-interval scratch: the vacate item table, reserved once at the VM
-  // count and rewritten whole by each candidate scan (the greedy one, then
-  // the predictive pre-drain) before it is read.
+  // count and rewritten whole by the candidate scan before it is read.
   std::vector<VacateItem> vacate_items_;
 
- private:
   // Pass 1 decisions: every swap group's VMs in one vector, and per home
   // (ascending) the range [begin, end) of `vms` that is its group.
   struct SwapGroups {

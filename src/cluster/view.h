@@ -12,12 +12,10 @@
 //
 // A strategy holds no state of its own and receives nothing but a view and
 // an actuator, so by construction it can neither touch a host directly nor
-// smuggle information between intervals. Two declared carve-outs:
-// PredictiveStrategy's activity forecast (documented in strategy.h), which
-// summarizes only what past views exposed; and per-interval scratch, such as
-// OasisGreedyStrategy's vacate item table, which is kept only to reuse its
-// allocation, is overwritten whole before it is read, and never carries
-// anything from one interval to the next.
+// smuggle information between intervals. The one carve-out is per-interval
+// scratch, such as OasisGreedyStrategy's vacate item table, which is kept
+// only to reuse its allocation, is overwritten whole before it is read, and
+// never carries anything from one interval to the next.
 
 #ifndef OASIS_SRC_CLUSTER_VIEW_H_
 #define OASIS_SRC_CLUSTER_VIEW_H_

@@ -564,7 +564,7 @@ TEST_F(StrategySelectionTest, RegisteredStrategiesAreDistinctAndClean) {
 
 TEST(StrategyRegistryTest, EveryNameInstantiatesAndRoundTrips) {
   const std::vector<std::string>& names = RegisteredStrategyNames();
-  ASSERT_EQ(names.size(), 4u);
+  ASSERT_EQ(names.size(), 3u);
   EXPECT_EQ(names.front(), kDefaultStrategyName);
   for (const std::string& name : names) {
     EXPECT_TRUE(IsRegisteredStrategyName(name));

@@ -278,9 +278,9 @@ TEST_F(CompletionChaosTest, TiedDaysMatchPinnedDigests) {
   RunTiedDay("local-threshold", 1, 0x164c6cc9ee981ed4ull, total);
   RunTiedDay("local-threshold", 2, 0x1f49b51b3d3b2d97ull, total);
   RunTiedDay("local-threshold", 3, 0x0ee1ff44b7e018b7ull, total);
-  RunTiedDay("predictive", 1, 0xd7e232bcb65e8cdeull, total);
-  RunTiedDay("predictive", 2, 0x96ce5190f95ffabdull, total);
-  RunTiedDay("predictive", 3, 0x2b5b26579fa0a676ull, total);
+  RunTiedDay("first-fit-decreasing", 1, 0xe7b51204eeeeb1b5ull, total);
+  RunTiedDay("first-fit-decreasing", 2, 0x65937188f570430eull, total);
+  RunTiedDay("first-fit-decreasing", 3, 0x8bf65aa11385da37ull, total);
   EXPECT_GT(total.at_round, 0);
   EXPECT_GT(total.at_fault, 0);
   EXPECT_GT(total.activation_pending, 0);

@@ -89,7 +89,6 @@ TEST(StrategyTraitsTest, TraitsMatchTheRegistryContract) {
   };
   // local-threshold is the only strategy without the §3.1 gate.
   EXPECT_TRUE(traits_of("oasis-greedy").has_power_gate);
-  EXPECT_TRUE(traits_of("predictive").has_power_gate);
   EXPECT_TRUE(traits_of("first-fit-decreasing").has_power_gate);
   EXPECT_FALSE(traits_of("local-threshold").has_power_gate);
 }

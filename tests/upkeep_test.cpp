@@ -418,7 +418,7 @@ TEST(LazyUpkeepTest, MatchesTheEagerWalkEveryRound) {
       covered.push_back(ExpectLazyMatchesEager(config, TraceFor(config, day)));
     }
   }
-  for (const char* strategy : {"local-threshold", "predictive", "first-fit-decreasing"}) {
+  for (const char* strategy : {"local-threshold", "first-fit-decreasing"}) {
     SCOPED_TRACE(strategy);
     ClusterConfig config = TightCluster(ConsolidationPolicy::kFullToPartial, 5);
     config.strategy_name = strategy;

@@ -14,8 +14,7 @@
 #include "src/common/table.h"
 #include "src/exp/exp.h"
 #include "src/mem/dedup.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
+#include "src/check/run_scope.h"
 
 namespace oasis {
 namespace {
@@ -74,11 +73,7 @@ void MemoryServerDedup() {
 }  // namespace oasis
 
 int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
+  oasis::check::RunScope run_scope;
   using namespace oasis;
   int runs = std::max(1, BenchRuns() - 2);
   PrintExperimentHeader(std::cout, "Ablation - memory over-commitment and dedup",

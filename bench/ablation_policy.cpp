@@ -25,13 +25,11 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/check/check.h"
-#include "src/cluster/oracle.h"
+#include "bench/oracle_sweep.h"
+#include "src/check/run_scope.h"
 #include "src/cluster/strategy.h"
-#include "src/common/digest.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/obs/obs.h"
 
 namespace oasis {
 namespace {
@@ -45,21 +43,12 @@ uint64_t NetworkTraffic(const ClusterMetrics& m) {
          m.traffic.Total(TrafficCategory::kReintegration);
 }
 
-uint64_t CombineDigests(const std::vector<OracleResult>& oracle) {
-  Fnv1a fnv(Fnv1a::kShortBasis);
-  for (const OracleResult& r : oracle) {
-    fnv.Fold(r.Digest());
-  }
-  return fnv.hash();
-}
-
 // Splices the gap results into the OASIS_BENCH_JSON snapshot as a
 // "policy_gaps" member, replacing any previous splice. perf_sweep owns the
 // file and writes it whole; this bench only appends one member before the
 // closing brace (or creates a minimal object if run standalone).
-void SpliceBenchJson(const std::vector<std::string>& names,
-                     const std::vector<double>& gaps, double oracle_savings,
-                     uint64_t digest) {
+void SpliceBenchJson(const std::vector<std::string>& names, const std::vector<double>& gaps,
+                     double oracle_savings, uint64_t digest) {
   const std::string path = knobs::String(knobs::Knob::kBenchJson);
   if (path.empty()) {
     return;
@@ -68,8 +57,7 @@ void SpliceBenchJson(const std::vector<std::string>& names,
   {
     std::ifstream in(path);
     if (in) {
-      content.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
+      content.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
     }
   }
   size_t previous = content.find(",\n  \"policy_gaps\":");
@@ -103,67 +91,29 @@ void SpliceBenchJson(const std::vector<std::string>& names,
 
 void PolicySweep(int runs) {
   const std::vector<std::string>& names = RegisteredStrategyNames();
-  exp::ExperimentPlan plan;
-  std::vector<exp::RepetitionSpan> spans;
-  uint64_t base_seed = 0;
-  ClusterConfig oracle_cluster;
+  std::vector<SimulationConfig> rows;
   for (const std::string& name : names) {
     SimulationConfig config =
         PaperCluster(ConsolidationPolicy::kFullToPartial, 4, DayKind::kWeekday);
     // Per-row assignment after PaperCluster so it wins over OASIS_POLICY.
     config.cluster.strategy_name = name;
-    base_seed = config.seed;
-    oracle_cluster = config.cluster;
-    spans.push_back(plan.AddRepetitions(config, runs));
+    rows.push_back(config);
   }
-  std::vector<SimulationResult> results = exp::RunParallel(plan);
-
-  // One oracle solve per repetition. Repetition r's day is identical across
-  // strategy rows (same derived seed, same trace), so row 0's traces stand
-  // in for everyone and each row's rep-r energy compares against the same
-  // bound. Solved before CollectRepeated, which moves the results away.
-  OfflineOracle solver(oracle_cluster);
-  std::vector<OracleResult> oracle;
-  oracle.reserve(static_cast<size_t>(runs));
-  for (int r = 0; r < runs; ++r) {
-    const SimulationResult& rep = results[spans[0].first + static_cast<size_t>(r)];
-    oracle.push_back(solver.Solve(rep.trace, exp::ExperimentPlan::DeriveSeed(base_seed, r)));
-  }
-  std::vector<double> mean_gap(names.size(), 0.0);
-  for (size_t row = 0; row < names.size(); ++row) {
-    for (int r = 0; r < runs; ++r) {
-      const ClusterMetrics& m =
-          results[spans[row].first + static_cast<size_t>(r)].metrics;
-      mean_gap[row] +=
-          OptimalityGap(m.TotalEnergy(), oracle[static_cast<size_t>(r)]);
-    }
-    mean_gap[row] /= static_cast<double>(runs);
-  }
-  double oracle_savings = 0.0;
-  double relaxed_savings = 0.0;
-  for (const OracleResult& r : oracle) {
-    oracle_savings += r.ScheduleSavings();
-    relaxed_savings += 1.0 - r.relaxed_lower_bound / r.baseline_energy;
-  }
-  oracle_savings /= static_cast<double>(runs);
-  relaxed_savings /= static_cast<double>(runs);
-  uint64_t digest = CombineDigests(oracle);
+  OracleSweep sweep = RunOracleSweep(rows, runs);
 
   TextTable table({"strategy", "savings", "gap vs oracle", "partial migs", "full migs",
                    "host sleeps", "delay p50 (s)", "network traffic"});
   for (size_t row = 0; row < names.size(); ++row) {
-    RepeatedRunResult result = exp::CollectRepeated(results, spans[row]);
+    RepeatedRunResult result = exp::CollectRepeated(sweep.results, sweep.spans[row]);
     const ClusterMetrics& m = result.runs[0].metrics;
     double p50 = m.transition_delay_s.empty() ? 0.0 : m.transition_delay_s.Quantile(0.5);
     table.AddRow({names[row], TextTable::Pct(result.savings.mean()),
-                  TextTable::Pct(mean_gap[row]), std::to_string(m.partial_migrations),
+                  TextTable::Pct(sweep.mean_gap[row]), std::to_string(m.partial_migrations),
                   std::to_string(m.full_migrations), std::to_string(m.host_sleeps),
                   TextTable::Num(p50, 2), FormatBytes(NetworkTraffic(m))});
   }
   table.Print(std::cout);
-  std::printf("\noracle: hindsight schedule saves %.1f%% (relaxed interval bound %.1f%%), "
-              "digest 0x%016" PRIx64 "\n",
-              oracle_savings * 100.0, relaxed_savings * 100.0, digest);
+  sweep.PrintOracleLine();
   std::printf(
       "\noasis-greedy is the paper's §3 planner (and the byte-identical default);\n"
       "first-fit-decreasing drops its incremental draining and power-aware host\n"
@@ -172,17 +122,14 @@ void PolicySweep(int runs) {
       "\"gap vs oracle\" is each online strategy's extra energy over the offline\n"
       "oracle's whole-day schedule on the same completed day (0%% = matched\n"
       "perfect hindsight).\n");
-  SpliceBenchJson(names, mean_gap, oracle_savings, digest);
+  SpliceBenchJson(names, sweep.mean_gap, sweep.schedule_savings, sweep.digest);
 }
 
 }  // namespace
 }  // namespace oasis
 
 int main() {
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
+  oasis::check::RunScope run_scope;
   using namespace oasis;
   PrintExperimentHeader(std::cout, "Ablation - consolidation strategy",
                         "The pluggable policy layer: the paper's greedy planner vs "

@@ -19,16 +19,11 @@
 #include "src/common/table.h"
 #include "src/exp/exp.h"
 #include "src/fault/fault.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
+#include "src/check/run_scope.h"
 #include "src/trace/trace_generator.h"
 
 int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
+  oasis::check::RunScope run_scope;
   using namespace oasis;
   PrintExperimentHeader(std::cout, "Chaos day - failure injection and recovery",
                         "One simulated day of the 30+4 rack under ChaosDay fault rates "

@@ -32,7 +32,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/check/check.h"
+#include "src/check/run_scope.h"
 #include "src/common/table.h"
 #include "src/dc/coordinator.h"
 #include "src/dc/ledger.h"
@@ -162,11 +162,7 @@ int DatacenterDay() {
 }  // namespace oasis
 
 int main() {
-  // Invariant checking per OASIS_CHECK; declared before ObsScope so traces
-  // flush before any strict exit. ObsScope also runs the wall-clock
-  // profiler per OASIS_PROF.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
+  oasis::check::RunScope run_scope;
   oasis::PrintExperimentHeader(
       std::cout, "Datacenter day - sharded hierarchical simulation",
       "Pods of self-contained consolidation racks executed as parallel "

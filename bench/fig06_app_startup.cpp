@@ -14,15 +14,10 @@
 #include "src/hyper/memtap.h"
 #include "src/hyper/migration_model.h"
 #include "src/hyper/workloads.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
+#include "src/check/run_scope.h"
 
 int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
+  oasis::check::RunScope run_scope;
   using namespace oasis;
   PrintExperimentHeader(std::cout, "Figure 6 - Application start-up latency",
                         "Full VM vs partial VM (demand paging through the memory server).");

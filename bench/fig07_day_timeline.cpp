@@ -13,8 +13,7 @@
 #include "src/common/csv.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
+#include "src/check/run_scope.h"
 
 namespace oasis {
 namespace {
@@ -65,11 +64,7 @@ void PrintDay(DayKind day, const SimulationConfig& config, const SimulationResul
 }  // namespace oasis
 
 int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
+  oasis::check::RunScope run_scope;
   using namespace oasis;
   PrintExperimentHeader(std::cout,
                         "Figure 7 - Active VMs and powered hosts over a simulation day",

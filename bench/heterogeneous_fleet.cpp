@@ -4,8 +4,8 @@
 // procurement generations side by side. This bench builds the standard
 // 30+4 weekday rack from three catalog generations — table1 homes, hungry
 // legacy-no-s3 homes that cannot enter S3, and efficient-v2 hosts with a
-// cheaper sleep state and 25% more memory — and compares all four registry
-// strategies plus the offline oracle bound on the exact same days.
+// cheaper sleep state and 25% more memory — and compares every registered
+// strategy plus the offline oracle bound on the exact same days.
 //
 // The per-generation sleep columns are the point: every strategy's §3.1
 // gate now prices each home at its own curve, and the s3 eligibility gate
@@ -19,20 +19,17 @@
 //                                with status 2, matching the OASIS_CHECK /
 //                                OASIS_DC_RACKS convention.
 
-#include <cinttypes>
 #include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/check/check.h"
-#include "src/cluster/oracle.h"
+#include "bench/oracle_sweep.h"
+#include "src/check/run_scope.h"
 #include "src/cluster/strategy.h"
-#include "src/common/digest.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/obs/obs.h"
 #include "src/power/host_profile.h"
 
 namespace oasis {
@@ -58,10 +55,7 @@ void FleetSweep(int runs) {
   const FleetMix mix = FleetFromEnv();
   const std::vector<std::string>& names = RegisteredStrategyNames();
 
-  exp::ExperimentPlan plan;
-  std::vector<exp::RepetitionSpan> spans;
-  uint64_t base_seed = 0;
-  ClusterConfig oracle_cluster;
+  std::vector<SimulationConfig> rows;
   for (const std::string& name : names) {
     SimulationConfig config =
         PaperCluster(ConsolidationPolicy::kFullToPartial, 4, DayKind::kWeekday);
@@ -72,40 +66,11 @@ void FleetSweep(int runs) {
       const std::string spec = knobs::String(knobs::Knob::kFleet, kDefaultFleetSpec);
       knobs::Reject(knobs::Knob::kFleet, spec, "a 30+4-host fleet (" + valid.ToString() + ")");
     }
-    base_seed = config.seed;
-    oracle_cluster = config.cluster;
-    spans.push_back(plan.AddRepetitions(config, runs));
+    rows.push_back(config);
   }
-  std::vector<SimulationResult> results = exp::RunParallel(plan);
-
-  // One oracle solve per repetition (the per-class DayModel prices each
-  // home generation separately and never sleeps the legacy band), shared
-  // across strategy rows exactly like ablation_policy.
-  OfflineOracle solver(oracle_cluster);
-  std::vector<OracleResult> oracle;
-  oracle.reserve(static_cast<size_t>(runs));
-  for (int r = 0; r < runs; ++r) {
-    const SimulationResult& rep = results[spans[0].first + static_cast<size_t>(r)];
-    oracle.push_back(
-        solver.Solve(rep.trace, exp::ExperimentPlan::DeriveSeed(base_seed, r)));
-  }
-  std::vector<double> mean_gap(names.size(), 0.0);
-  for (size_t row = 0; row < names.size(); ++row) {
-    for (int r = 0; r < runs; ++r) {
-      const ClusterMetrics& m =
-          results[spans[row].first + static_cast<size_t>(r)].metrics;
-      mean_gap[row] += OptimalityGap(m.TotalEnergy(), oracle[static_cast<size_t>(r)]);
-    }
-    mean_gap[row] /= static_cast<double>(runs);
-  }
-  double oracle_savings = 0.0;
-  double relaxed_savings = 0.0;
-  for (const OracleResult& r : oracle) {
-    oracle_savings += r.ScheduleSavings();
-    relaxed_savings += 1.0 - r.relaxed_lower_bound / r.baseline_energy;
-  }
-  oracle_savings /= static_cast<double>(runs);
-  relaxed_savings /= static_cast<double>(runs);
+  // The oracle's per-class DayModel prices each home generation separately
+  // and never sleeps the legacy band.
+  OracleSweep sweep = RunOracleSweep(rows, runs);
 
   std::printf("fleet:");
   for (const FleetSegment& segment : mix.segments) {
@@ -116,30 +81,22 @@ void FleetSweep(int runs) {
   // One sleep-hours-per-host column per fleet segment (profile class
   // k + 1); the uncovered class-0 remainder gets a column only if it has
   // hosts.
-  std::vector<std::string> header = {"strategy", "savings", "gap vs oracle",
-                                     "host sleeps"};
+  std::vector<std::string> header = {"strategy", "savings", "gap vs oracle", "host sleeps"};
   for (const FleetSegment& segment : mix.segments) {
     header.push_back(segment.generation + " slp h");
   }
-  const ClusterMetrics& probe =
-      results[spans[0].first].metrics;
-  const bool has_default_band =
-      !probe.hosts_by_class.empty() && probe.hosts_by_class[0] > 0;
+  const ClusterMetrics& probe = sweep.results[sweep.spans[0].first].metrics;
+  const bool has_default_band = !probe.hosts_by_class.empty() && probe.hosts_by_class[0] > 0;
   if (has_default_band) {
     header.push_back("default slp h");
   }
 
-  Fnv1a digest(Fnv1a::kShortBasis);
-  for (const OracleResult& r : oracle) {
-    digest.Fold(r.Digest());
-  }
-
   TextTable table(header);
   for (size_t row = 0; row < names.size(); ++row) {
-    RepeatedRunResult result = exp::CollectRepeated(results, spans[row]);
+    RepeatedRunResult result = exp::CollectRepeated(sweep.results, sweep.spans[row]);
     const ClusterMetrics& m = result.runs[0].metrics;
     std::vector<std::string> cells = {names[row], TextTable::Pct(result.savings.mean()),
-                                      TextTable::Pct(mean_gap[row]),
+                                      TextTable::Pct(sweep.mean_gap[row]),
                                       std::to_string(m.host_sleeps)};
     auto band_hours = [&m](size_t cls) {
       if (cls >= m.hosts_by_class.size() || m.hosts_by_class[cls] == 0) {
@@ -155,12 +112,9 @@ void FleetSweep(int runs) {
       cells.push_back(TextTable::Num(band_hours(0), 1));
     }
     table.AddRow(cells);
-    digest.Fold(result.savings.mean());
   }
   table.Print(std::cout);
-  std::printf("\noracle: hindsight schedule saves %.1f%% (relaxed interval bound %.1f%%), "
-              "digest 0x%016" PRIx64 "\n",
-              oracle_savings * 100.0, relaxed_savings * 100.0, digest.hash());
+  sweep.PrintOracleLine();
   std::printf(
       "\nEach home is priced at its own generation's curve: vacating a table1\n"
       "home saves more absolute watts than an efficient-v2 home, and the s3\n"
@@ -174,10 +128,7 @@ void FleetSweep(int runs) {
 }  // namespace oasis
 
 int main() {
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
+  oasis::check::RunScope run_scope;
   using namespace oasis;
   PrintExperimentHeader(std::cout, "Heterogeneous fleet - mixed host generations",
                         "The standard 30+4 weekday rack built from three catalog "

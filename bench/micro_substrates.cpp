@@ -8,7 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "src/check/check.h"
+#include "src/check/run_scope.h"
 #include "src/cluster/manager.h"
 #include "src/core/oasis.h"
 #include "src/mem/compression.h"
@@ -200,12 +200,7 @@ BENCHMARK(BM_ClusterDaySimulation)->Arg(10)->Arg(30)->Unit(benchmark::kMilliseco
 }  // namespace oasis
 
 int main(int argc, char** argv) {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL / OASIS_PROF
-  // (off | summary) for this run. Invariant checking per OASIS_CHECK
-  // (off | warn | strict); declared before ObsScope so traces flush before
-  // any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
+  oasis::check::RunScope run_scope;
   oasis::obs::ApplySeedOverride(&oasis::cluster_day_seed);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {

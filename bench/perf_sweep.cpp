@@ -31,10 +31,10 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/check/run_scope.h"
 #include "src/common/digest.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/check/check.h"
 #include "src/obs/obs.h"
 #include "src/obs/prof.h"
 
@@ -100,12 +100,7 @@ struct CollapsedPoint {
 }  // namespace oasis
 
 int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL / OASIS_PROF
-  // (off | summary) for this run. Invariant checking per OASIS_CHECK
-  // (off | warn | strict); declared before ObsScope so traces flush before
-  // any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
+  oasis::check::RunScope run_scope;
   using namespace oasis;
   int runs = std::max(1, BenchRuns() - 2);
   PrintExperimentHeader(std::cout, "Perf sweep - parallel experiment runner throughput",
@@ -151,7 +146,7 @@ int main() {
     }
   }
 
-  const bool profiling = obs_scope.config().ProfilingRequested();
+  const bool profiling = run_scope.config().obs.ProfilingRequested();
   // Each step is timed best-of-3: the plan is deterministic, so the fastest
   // repetition is the one least disturbed by scheduler noise — the right
   // estimator for a snapshot whose step-to-step *ratios* are compared
@@ -227,7 +222,7 @@ int main() {
                   static_cast<unsigned long long>(points.front().checksum));
     json << "  \"results_checksum\": \"" << checksum_hex << "\",\n";
     json << "  \"deterministic\": " << (deterministic ? "true" : "false") << ",\n";
-    json << "  \"prof_mode\": \"" << prof::ProfModeName(obs_scope.config().prof_mode)
+    json << "  \"prof_mode\": \"" << prof::ProfModeName(run_scope.config().obs.prof_mode)
          << "\",\n";
     // Requested job counts whose effective worker count duplicated an
     // earlier point; kept in the record so a trajectory diff can tell "the

@@ -9,15 +9,10 @@
 #include "bench/bench_util.h"
 #include "src/common/table.h"
 #include "src/exp/exp.h"
-#include "src/check/check.h"
-#include "src/obs/obs.h"
+#include "src/check/run_scope.h"
 
 int main() {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
+  oasis::check::RunScope run_scope;
   using namespace oasis;
   int runs = BenchRuns();
   PrintExperimentHeader(std::cout, "Table 3 - Alternative memory server implementations",

@@ -12,7 +12,7 @@
 #include "src/cluster/strategy.h"
 #include "src/core/oasis.h"
 #include "src/exp/exp.h"
-#include "src/check/check.h"
+#include "src/check/run_scope.h"
 #include "src/obs/obs.h"
 
 namespace {
@@ -33,12 +33,7 @@ oasis::ConsolidationPolicy ParsePolicy(const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL / OASIS_PROF
-  // (off | summary) for this run. Invariant checking per OASIS_CHECK
-  // (off | warn | strict); declared before ObsScope so traces flush before
-  // any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
+  oasis::check::RunScope run_scope;
   oasis::SimulationConfig config;
   oasis::obs::ApplySeedOverride(&config.seed);
   oasis::ApplyPolicyOverride(&config.cluster);  // honour OASIS_POLICY

@@ -16,7 +16,7 @@
 #include "src/trace/trace_generator.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_stats.h"
-#include "src/check/check.h"
+#include "src/check/run_scope.h"
 #include "src/obs/obs.h"
 
 namespace {
@@ -105,11 +105,7 @@ int Stats(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
+  oasis::check::RunScope run_scope;
   if (argc < 2) {
     return Usage();
   }

@@ -18,15 +18,11 @@
 #include "src/exp/exp.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_stats.h"
-#include "src/check/check.h"
+#include "src/check/run_scope.h"
 #include "src/obs/obs.h"
 
 int main(int argc, char** argv) {
-  // Honour OASIS_TRACE / OASIS_METRICS / OASIS_LOG_LEVEL for this run.
-  // Invariant checking per OASIS_CHECK (off | warn | strict); declared
-  // before ObsScope so traces flush before any strict exit.
-  oasis::check::CheckScope check_scope;
-  oasis::obs::ObsScope obs_scope;
+  oasis::check::RunScope run_scope;
   using namespace oasis;
 
   SimulationConfig config;

@@ -1,10 +1,8 @@
 #include "src/check/check.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
-#include "src/common/knobs.h"
 #include "src/obs/metrics.h"
 
 namespace oasis {
@@ -21,8 +19,7 @@ void WriteViolationLine(const Violation& v) {
                         "[check] violation invariant=%s t_us=%lld host=%lld vm=%lld "
                         "bytes=%lld detail=\"%s\"\n",
                         v.invariant, static_cast<long long>(v.at.micros()),
-                        static_cast<long long>(v.args.host),
-                        static_cast<long long>(v.args.vm),
+                        static_cast<long long>(v.args.host), static_cast<long long>(v.args.vm),
                         static_cast<long long>(v.args.bytes), v.detail.c_str());
   if (n > 0) {
     std::fwrite(line, 1, static_cast<size_t>(n) < sizeof(line) ? static_cast<size_t>(n)
@@ -43,12 +40,6 @@ const char* CheckModeName(CheckMode mode) {
       return "strict";
   }
   return "?";
-}
-
-CheckConfig CheckConfig::FromEnv() {
-  CheckConfig config;
-  config.mode = static_cast<CheckMode>(knobs::Choice(knobs::Knob::kCheck).value_or(0));
-  return config;
 }
 
 void InvariantChecker::Report(const char* invariant, SimTime at, std::string detail,
@@ -80,8 +71,7 @@ uint64_t InvariantChecker::ReportToStderr() const {
                  CheckModeName(mode_), static_cast<unsigned long long>(checks_run()));
     return 0;
   }
-  std::fprintf(stderr,
-               "[check] invariant checker (%s): %llu checks, %llu VIOLATIONS\n",
+  std::fprintf(stderr, "[check] invariant checker (%s): %llu checks, %llu VIOLATIONS\n",
                CheckModeName(mode_), static_cast<unsigned long long>(checks_run()),
                static_cast<unsigned long long>(count));
   std::vector<Violation> stored = violations();
@@ -101,31 +91,6 @@ InvariantChecker* InvariantChecker::IfEnabled() {
 
 void InvariantChecker::Install(InvariantChecker* checker) {
   g_checker.store(checker, std::memory_order_release);
-}
-
-CheckScope::CheckScope(const CheckConfig& config) : config_(config) {
-  if (config_.Enabled()) {
-    checker_ = std::make_unique<InvariantChecker>(config_.mode);
-    InvariantChecker::Install(checker_.get());
-  }
-}
-
-bool CheckScope::Finish() {
-  if (finished_ || checker_ == nullptr) {
-    return false;
-  }
-  finished_ = true;
-  InvariantChecker::Install(nullptr);
-  uint64_t count = checker_->ReportToStderr();
-  return config_.mode == CheckMode::kStrict && count > 0;
-}
-
-CheckScope::~CheckScope() {
-  if (Finish()) {
-    // Deferred strict exit: collectors declared after this scope (ObsScope)
-    // have already flushed, and sibling experiment runs finished normally.
-    std::exit(kStrictExitCode);
-  }
 }
 
 }  // namespace check

@@ -7,8 +7,8 @@
 // concurrency. InvariantChecker is the collection point: instrumentation
 // sites across sim/, power/, hyper/ and cluster/ gate on IfEnabled() (one
 // relaxed atomic load, mirroring obs::Tracer) and report violations with the
-// simulated timestamp and structured args. CheckScope wires the checker to
-// the environment for a binary's main, exactly like obs::ObsScope:
+// simulated timestamp and structured args. A binary's RunScope
+// (src/check/run_scope.h) installs the checker per OASIS_CHECK:
 //
 //     OASIS_CHECK=strict ./build/bench/fig08_energy_savings
 //
@@ -17,8 +17,8 @@
 //
 // OASIS_CHECK (a row of src/common/knobs.h) picks the mode: off (default)
 // costs one predictable branch per hook and no RNG draws; warn records and
-// reports violations; strict also exits with status 2 once the scope closes
-// if any violation was recorded.
+// reports violations; strict also exits with status 2 once the RunScope
+// closes if any violation was recorded.
 //
 // Violations are triple-reported: a structured stderr line at record time,
 // an obs instant event (category "check") plus "check.violations" counter
@@ -32,7 +32,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -51,19 +50,8 @@ enum class CheckMode {
 
 const char* CheckModeName(CheckMode mode);
 
-// Exit status a strict CheckScope uses when violations were recorded.
+// Exit status a strict RunScope uses when violations were recorded.
 inline constexpr int kStrictExitCode = 2;
-
-struct CheckConfig {
-  CheckMode mode = CheckMode::kOff;
-
-  bool Enabled() const { return mode != CheckMode::kOff; }
-
-  // Reads OASIS_CHECK; CheckMode's order is the row's choice order. An
-  // unknown value exits 2 (knobs::Reject): a mistyped strict gate must not
-  // run in warn mode and pass whatever violations occur.
-  static CheckConfig FromEnv();
-};
 
 // One recorded invariant failure. `invariant` is a stable dotted identifier
 // (e.g. "cluster.vm_unique_location"); it must be a string literal — events
@@ -86,8 +74,7 @@ class InvariantChecker {
   // Records one violation: stores it (up to kMaxStoredViolations; the count
   // is always exact), writes one structured stderr line, and emits an obs
   // instant + counter when those collectors are enabled. Thread-safe.
-  void Report(const char* invariant, SimTime at, std::string detail,
-              obs::TraceArgs args = {});
+  void Report(const char* invariant, SimTime at, std::string detail, obs::TraceArgs args = {});
 
   // The bulk-accounting entry point for instrumentation sites: counts
   // `checks` executed assertions and reports when `ok` is false. Hot paths
@@ -133,39 +120,6 @@ class InvariantChecker {
   std::atomic<uint64_t> violation_count_{0};
   mutable std::mutex mu_;
   std::vector<Violation> stored_;
-};
-
-// RAII: installs an InvariantChecker per CheckConfig::FromEnv() for the
-// duration of a binary's main. On destruction it uninstalls, prints the
-// summary, and — in strict mode with violations recorded — exits the process
-// with kStrictExitCode. Declare it *before* ObsScope so traces and metrics
-// flush before a strict exit:
-//
-//     int main() {
-//       oasis::check::CheckScope check_scope;  // OASIS_CHECK
-//       oasis::obs::ObsScope obs_scope;        // OASIS_TRACE / OASIS_METRICS
-//       ...
-//     }
-class CheckScope {
- public:
-  explicit CheckScope(const CheckConfig& config = CheckConfig::FromEnv());
-  ~CheckScope();
-  CheckScope(const CheckScope&) = delete;
-  CheckScope& operator=(const CheckScope&) = delete;
-
-  // Uninstalls the checker and prints the summary now (idempotent). Returns
-  // true when the strict contract is violated (strict mode + violations);
-  // the destructor turns that into a process exit.
-  bool Finish();
-
-  const CheckConfig& config() const { return config_; }
-  // nullptr when the scope is disabled (OASIS_CHECK unset/off).
-  InvariantChecker* checker() { return checker_.get(); }
-
- private:
-  CheckConfig config_;
-  std::unique_ptr<InvariantChecker> checker_;
-  bool finished_ = false;
 };
 
 }  // namespace check

@@ -2,7 +2,6 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <iostream>
 
 #include "src/common/knobs.h"
 #include "src/common/log.h"
@@ -33,8 +32,7 @@ ObsConfig ObsConfig::FromEnv() {
     config.has_seed = true;
     config.seed = *seed;
   }
-  config.prof_mode =
-      static_cast<prof::ProfMode>(knobs::Choice(knobs::Knob::kProf).value_or(0));
+  config.prof_mode = static_cast<prof::ProfMode>(knobs::Choice(knobs::Knob::kProf).value_or(0));
   return config;
 }
 
@@ -59,67 +57,6 @@ bool ApplySeedOverride(uint64_t* seed) {
   *seed = config.seed;
   return true;
 }
-
-ObsScope::ObsScope(const ObsConfig& config) : config_(config) {
-  if (config_.log_level) {
-    SetLogLevel(*config_.log_level);
-  }
-  if (config_.TracingRequested()) {
-    Tracer& tracer = Tracer::Global();
-    tracer.SetCapacity(config_.trace_capacity);
-    tracer.set_enabled(true);
-  }
-  if (config_.MetricsRequested()) {
-    MetricsRegistry::Global().set_enabled(true);
-  }
-  prof::Profiler& profiler = prof::Profiler::Instance();
-  profiler.SetMode(config_.prof_mode);
-  if (config_.ProfilingRequested()) {
-    profiler.Reset();
-    profiler.LabelCurrentThread("main");
-  }
-}
-
-void ObsScope::Flush() {
-  if (flushed_) {
-    return;
-  }
-  flushed_ = true;
-  if (config_.ProfilingRequested()) {
-    prof::Profiler& profiler = prof::Profiler::Instance();
-    prof::Report report = profiler.Collect(/*reset=*/true);
-    if (report.HasSamples()) {
-      report.WriteTable(std::cerr);
-    }
-    profiler.SetMode(prof::ProfMode::kOff);
-  }
-  if (config_.TracingRequested()) {
-    Tracer& tracer = Tracer::Global();
-    tracer.set_enabled(false);
-    Status written = config_.TraceIsJsonl()
-                         ? tracer.ExportJsonlFile(config_.trace_path)
-                         : tracer.ExportChromeJsonFile(config_.trace_path);
-    if (written.ok()) {
-      std::fprintf(stderr, "[obs] %llu trace events (%llu dropped) -> %s\n",
-                   static_cast<unsigned long long>(tracer.size()),
-                   static_cast<unsigned long long>(tracer.dropped()),
-                   config_.trace_path.c_str());
-    } else {
-      OASIS_LOG(kError) << "trace export failed: " << written.ToString();
-    }
-  }
-  if (config_.MetricsRequested()) {
-    MetricsRegistry::Global().set_enabled(false);
-    Status written = MetricsRegistry::Global().WriteCsvFile(config_.metrics_path);
-    if (written.ok()) {
-      std::fprintf(stderr, "[obs] metrics -> %s\n", config_.metrics_path.c_str());
-    } else {
-      OASIS_LOG(kError) << "metrics export failed: " << written.ToString();
-    }
-  }
-}
-
-ObsScope::~ObsScope() { Flush(); }
 
 }  // namespace obs
 }  // namespace oasis

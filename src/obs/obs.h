@@ -1,19 +1,17 @@
-// Process-level observability wiring.
+// Process-level observability knobs.
 //
-// ObsConfig collects the environment-controlled knobs; ObsScope installs them
-// on the global Tracer / MetricsRegistry and the wall-clock profiler for the
-// duration of a binary's main and reports the collected data on the way out.
-// Every bench/ and examples/ binary opens an ObsScope first thing, so
+// ObsConfig collects the environment-controlled knobs (OASIS_TRACE,
+// OASIS_METRICS, OASIS_TRACE_CAPACITY, OASIS_LOG_LEVEL, OASIS_SEED,
+// OASIS_PROF — rows of the table in src/common/knobs.h). A binary's
+// check::RunScope (src/check/run_scope.h) reads it, installs the requested
+// collectors and the wall-clock profiler for the duration of main, and
+// reports the collected data on the way out, so
 //
 //     OASIS_TRACE=trace.json ./build/bench/fig05_consolidation_latency
 //     OASIS_PROF=summary ./build/bench/table1_power_profiles
 //
 // emit a Perfetto-loadable trace and a profile report with zero further
 // plumbing.
-//
-// Its knobs (OASIS_TRACE, OASIS_METRICS, OASIS_TRACE_CAPACITY,
-// OASIS_LOG_LEVEL, OASIS_SEED, OASIS_PROF) are rows of the table in
-// src/common/knobs.h.
 
 #ifndef OASIS_SRC_OBS_OBS_H_
 #define OASIS_SRC_OBS_OBS_H_
@@ -61,30 +59,6 @@ bool ApplySeedOverride(uint64_t* seed);
 __attribute__((format(printf, 1, 2)))
 #endif
 void TimingLine(const char* format, ...);
-
-// RAII: enables the requested global collectors and the profiler on
-// construction; reports, exports and disables them on destruction (or on an
-// explicit Flush()).
-class ObsScope {
- public:
-  explicit ObsScope(const ObsConfig& config = ObsConfig::FromEnv());
-  ~ObsScope();
-  ObsScope(const ObsScope&) = delete;
-  ObsScope& operator=(const ObsScope&) = delete;
-
-  // Prints the profile report to stderr, then writes the trace/metrics files
-  // and disables collection. Idempotent. The report is skipped when nothing
-  // was recorded since the last Profiler::Collect(reset=true), so perf_sweep,
-  // which collects and prints its own report per sweep step, gets no extra
-  // one.
-  void Flush();
-
-  const ObsConfig& config() const { return config_; }
-
- private:
-  ObsConfig config_;
-  bool flushed_ = false;
-};
 
 }  // namespace obs
 }  // namespace oasis

@@ -2,8 +2,8 @@
 //
 // Everything else in src/obs observes the *simulated* clock; this module
 // observes where the *wall clock* goes — the measurement substrate for the
-// parallel runner's scaling work (ROADMAP item 1). Instrumentation sites
-// wrap a phase in a ProfScope:
+// parallel runner's scaling work. Instrumentation sites wrap a phase in a
+// ProfScope:
 //
 //     prof::ProfScope scope(prof::Phase::kRunSim);   // two clock reads
 //
@@ -19,7 +19,7 @@
 // OASIS_PROF (a row of src/common/knobs.h, read by obs::ObsConfig) picks the
 // mode: off (default) makes zero clock reads — every site gates on one
 // relaxed atomic load and records nothing; summary records phase histograms
-// and counters, and the binary's obs::ObsScope reports them to stderr.
+// and counters, and the binary's check::RunScope reports them to stderr.
 //
 // The profiler never touches simulation state, RNG streams, or the sim-time
 // collectors, so goldens and metric digests are byte-identical in every
@@ -28,8 +28,8 @@
 //
 // Threading contract: recording is safe from any thread at any time;
 // Collect()/Reset() must not run concurrently with recording threads (call
-// them after exp::RunOrdered returns, as bench/perf_sweep and obs::ObsScope
-// do).
+// them after exp::RunOrdered returns, as bench/perf_sweep and
+// check::RunScope do).
 
 #ifndef OASIS_SRC_OBS_PROF_H_
 #define OASIS_SRC_OBS_PROF_H_

@@ -1,51 +1,63 @@
 // The invariant checker itself: OASIS_CHECK spellings, recording semantics,
 // the process-wide install gate, the power-state transition legality hook,
-// and the strict-mode exit contract (a seeded violation must turn into a
-// non-zero process exit with a structured stderr report — the acceptance
-// test for the whole subsystem).
+// and the RunScope's strict-mode exit contract (a seeded violation must turn
+// into a non-zero process exit with a structured stderr report, after the
+// trace and metrics files are written — the acceptance test for the whole
+// subsystem).
 
 #include "src/check/check.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 
+#include "src/check/run_scope.h"
+#include "src/obs/prof.h"
 #include "src/power/energy_meter.h"
 
 namespace oasis {
 namespace {
 
-using check::CheckConfig;
 using check::CheckMode;
-using check::CheckScope;
 using check::InvariantChecker;
+using check::RunConfig;
+using check::RunScope;
 using check::Violation;
 
-CheckConfig ParseEnv(const char* value) {
+RunConfig ParseEnv(const char* value) {
   if (value == nullptr) {
     unsetenv("OASIS_CHECK");
   } else {
     setenv("OASIS_CHECK", value, 1);
   }
-  CheckConfig config = CheckConfig::FromEnv();
+  RunConfig config = RunConfig::FromEnv();
   unsetenv("OASIS_CHECK");
   return config;
 }
 
-TEST(CheckConfigTest, FromEnvParsesEverySpelling) {
-  EXPECT_EQ(ParseEnv(nullptr).mode, CheckMode::kOff);
-  EXPECT_EQ(ParseEnv("").mode, CheckMode::kOff);
-  EXPECT_EQ(ParseEnv("0").mode, CheckMode::kOff);
-  EXPECT_EQ(ParseEnv("off").mode, CheckMode::kOff);
-  EXPECT_EQ(ParseEnv("1").mode, CheckMode::kWarn);
-  EXPECT_EQ(ParseEnv("on").mode, CheckMode::kWarn);
-  EXPECT_EQ(ParseEnv("warn").mode, CheckMode::kWarn);
-  EXPECT_EQ(ParseEnv("2").mode, CheckMode::kStrict);
-  EXPECT_EQ(ParseEnv("strict").mode, CheckMode::kStrict);
-  EXPECT_FALSE(ParseEnv("off").Enabled());
-  EXPECT_TRUE(ParseEnv("warn").Enabled());
-  EXPECT_TRUE(ParseEnv("strict").Enabled());
+// A scope that checks in `mode` and enables no collector.
+RunConfig CheckOnly(CheckMode mode) {
+  RunConfig config;
+  config.check_mode = mode;
+  return config;
+}
+
+TEST(RunConfigTest, FromEnvParsesEveryCheckSpelling) {
+  EXPECT_EQ(ParseEnv(nullptr).check_mode, CheckMode::kOff);
+  EXPECT_EQ(ParseEnv("").check_mode, CheckMode::kOff);
+  EXPECT_EQ(ParseEnv("0").check_mode, CheckMode::kOff);
+  EXPECT_EQ(ParseEnv("off").check_mode, CheckMode::kOff);
+  EXPECT_EQ(ParseEnv("1").check_mode, CheckMode::kWarn);
+  EXPECT_EQ(ParseEnv("on").check_mode, CheckMode::kWarn);
+  EXPECT_EQ(ParseEnv("warn").check_mode, CheckMode::kWarn);
+  EXPECT_EQ(ParseEnv("2").check_mode, CheckMode::kStrict);
+  EXPECT_EQ(ParseEnv("strict").check_mode, CheckMode::kStrict);
+  EXPECT_FALSE(ParseEnv("off").CheckingRequested());
+  EXPECT_TRUE(ParseEnv("warn").CheckingRequested());
+  EXPECT_TRUE(ParseEnv("strict").CheckingRequested());
 }
 
 TEST(InvariantCheckerTest, ExpectCountsAndReportsOnlyFailures) {
@@ -90,23 +102,37 @@ TEST(InvariantCheckerTest, InstallGatesTheHotPath) {
   EXPECT_EQ(InvariantChecker::IfEnabled(), nullptr);
 }
 
-TEST(CheckScopeTest, OffScopeInstallsNothing) {
-  CheckScope scope(CheckConfig{CheckMode::kOff});
-  EXPECT_EQ(scope.checker(), nullptr);
-  EXPECT_EQ(InvariantChecker::IfEnabled(), nullptr);
-  EXPECT_FALSE(scope.Finish());
+TEST(RunScopeTest, OffScopeInstallsNothing) {
+  ::testing::internal::CaptureStderr();
+  {
+    RunScope scope(CheckOnly(CheckMode::kOff));
+    EXPECT_EQ(InvariantChecker::IfEnabled(), nullptr);
+  }
+  // Closing an off scope prints no summary and does not exit the process
+  // (this test keeps running).
+  EXPECT_EQ(::testing::internal::GetCapturedStderr().find("[check]"), std::string::npos);
 }
 
-TEST(CheckScopeTest, WarnScopeRecordsWithoutChangingExitStatus) {
-  CheckScope scope(CheckConfig{CheckMode::kWarn});
-  ASSERT_NE(scope.checker(), nullptr);
-  EXPECT_EQ(InvariantChecker::IfEnabled(), scope.checker());
-  scope.checker()->Report("test.warn_mode", SimTime::Seconds(5), "recorded only");
-  // Warn mode: Finish reports but the strict contract is not violated, so
-  // the destructor will not exit the process (this test keeps running).
-  EXPECT_FALSE(scope.Finish());
+TEST(RunScopeTest, WarnScopeRecordsWithoutChangingExitStatus) {
+  ::testing::internal::CaptureStderr();
+  InvariantChecker* checker = nullptr;
+  {
+    RunScope scope(CheckOnly(CheckMode::kWarn));
+    checker = InvariantChecker::IfEnabled();
+    if (checker != nullptr) {
+      checker->Report("test.warn_mode", SimTime::Seconds(5), "recorded only");
+    }
+  }
+  // Warn mode: closing the scope uninstalls the checker and reports once,
+  // but the strict contract is not violated, so it does not exit the
+  // process (this test keeps running).
+  std::string err = ::testing::internal::GetCapturedStderr();
+  ASSERT_NE(checker, nullptr);
   EXPECT_EQ(InvariantChecker::IfEnabled(), nullptr);
-  EXPECT_FALSE(scope.Finish());  // idempotent
+  const std::string summary = "[check] invariant checker (warn): 0 checks, 1 VIOLATIONS";
+  size_t first = err.find(summary);
+  ASSERT_NE(first, std::string::npos) << err;
+  EXPECT_EQ(err.find(summary, first + 1), std::string::npos) << "summary printed twice";
 }
 
 // The power-state machine hook: StateTimeLedger::Transition must flag
@@ -142,10 +168,10 @@ TEST(PowerTransitionCheckTest, FullSuspendResumeCycleIsLegal) {
 // The acceptance test for strict mode: an intentionally seeded violation
 // must exit the process with kStrictExitCode and print the structured
 // violation line plus the VIOLATIONS summary.
-TEST(CheckScopeDeathTest, StrictScopeExitsNonZeroOnSeededViolation) {
+TEST(RunScopeDeathTest, StrictScopeExitsNonZeroOnSeededViolation) {
   EXPECT_EXIT(
       {
-        CheckScope scope(CheckConfig{CheckMode::kStrict});
+        RunScope scope(CheckOnly(CheckMode::kStrict));
         StateTimeLedger ledger(SimTime::Zero(), HostPowerState::kPowered);
         ledger.Transition(SimTime::Seconds(1), HostPowerState::kResuming);
         // Scope destruction reports and exits with status 2.
@@ -154,16 +180,63 @@ TEST(CheckScopeDeathTest, StrictScopeExitsNonZeroOnSeededViolation) {
       "violation invariant=power\\.legal_transition");
 }
 
-TEST(CheckScopeDeathTest, StrictScopeWithNoViolationsExitsNormally) {
+TEST(RunScopeDeathTest, StrictScopeWithNoViolationsExitsNormally) {
   EXPECT_EXIT(
       {
-        CheckScope scope(CheckConfig{CheckMode::kStrict});
-        StateTimeLedger ledger(SimTime::Zero(), HostPowerState::kPowered);
-        ledger.Transition(SimTime::Seconds(1), HostPowerState::kSuspending);
-        scope.Finish();
+        {
+          RunScope scope(CheckOnly(CheckMode::kStrict));
+          StateTimeLedger ledger(SimTime::Zero(), HostPowerState::kPowered);
+          ledger.Transition(SimTime::Seconds(1), HostPowerState::kSuspending);
+        }
         std::exit(0);
       },
       ::testing::ExitedWithCode(0), "0 violations");
+}
+
+// The scope's exit order: a strict run that recorded a violation prints the
+// profile report, writes the trace and the metrics (each holding the
+// violation), and only then prints the checker summary and exits 2, so a
+// failing run still leaves its evidence behind.
+TEST(RunScopeDeathTest, StrictExitComesAfterTheTraceAndMetricsExports) {
+  const std::string trace = ::testing::TempDir() + "/oasis_run_scope.trace.jsonl";
+  const std::string metrics = ::testing::TempDir() + "/oasis_run_scope.metrics.csv";
+  std::remove(trace.c_str());
+  std::remove(metrics.c_str());
+  EXPECT_EXIT(
+      {
+        setenv("OASIS_CHECK", "strict", 1);
+        setenv("OASIS_TRACE", trace.c_str(), 1);
+        setenv("OASIS_METRICS", metrics.c_str(), 1);
+        setenv("OASIS_PROF", "summary", 1);
+        RunScope scope;
+        { prof::ProfScope span(prof::Phase::kRunSim); }
+        StateTimeLedger ledger(SimTime::Zero(), HostPowerState::kPowered);
+        ledger.Transition(SimTime::Seconds(1), HostPowerState::kResuming);
+      },
+      ::testing::ExitedWithCode(check::kStrictExitCode),
+      "\\[prof\\] wall-clock profile.*"
+      "\\[obs\\] [0-9]+ trace events \\(0 dropped\\) -> [^\n]*\\.jsonl\n.*"
+      "\\[obs\\] metrics -> [^\n]*\\.csv\n.*"
+      "\\[check\\] invariant checker \\(strict\\): [0-9]+ checks, 1 VIOLATIONS");
+
+  std::ifstream trace_in(trace);
+  ASSERT_TRUE(trace_in.good()) << trace;
+  bool check_instant = false;
+  for (std::string line; std::getline(trace_in, line);) {
+    check_instant |= line.find("\"cat\":\"check\",\"name\":\"power.legal_transition\"") !=
+                     std::string::npos;
+  }
+  EXPECT_TRUE(check_instant) << "no check instant in " << trace;
+
+  std::ifstream metrics_in(metrics);
+  ASSERT_TRUE(metrics_in.good()) << metrics;
+  bool violations_row = false;
+  for (std::string line; std::getline(metrics_in, line);) {
+    violations_row |= line.rfind("check.violations,", 0) == 0;
+  }
+  EXPECT_TRUE(violations_row) << "no check.violations row in " << metrics;
+  std::remove(trace.c_str());
+  std::remove(metrics.c_str());
 }
 
 }  // namespace

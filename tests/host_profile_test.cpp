@@ -14,7 +14,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "src/check/check.h"
+#include "src/check/run_scope.h"
 #include "src/cluster/cluster_types.h"
 #include "src/cluster/host.h"
 #include "src/power/power_model.h"
@@ -225,15 +225,15 @@ TEST(NoS3DeathTest, StrictCheckerRejectsSuspendingAnIncapableHost) {
   // strict-mode violation.
   auto force_suspend = [] {
     {
-      check::CheckConfig strict;
-      strict.mode = check::CheckMode::kStrict;
-      check::CheckScope scope(strict);
+      check::RunConfig strict;
+      strict.check_mode = check::CheckMode::kStrict;
+      check::RunScope scope(strict);
       ClusterConfig config;
       config.fleet.segments = {{"legacy-no-s3", 1}};
       Simulator sim;
       ClusterHost host(0, HostRole::kHome, config, true);
       host.RequestSleep(sim);
-    }  // strict CheckScope closes with a recorded violation -> exit 2
+    }  // strict RunScope closes with a recorded violation -> exit 2
     std::exit(0);
   };
   EXPECT_EXIT(force_suspend(), ::testing::ExitedWithCode(2),

@@ -19,6 +19,7 @@
 
 #include "bench/bench_util.h"
 #include "src/check/check.h"
+#include "src/check/run_scope.h"
 #include "src/cluster/strategy.h"
 #include "src/common/log.h"
 #include "src/dc/topology.h"
@@ -46,7 +47,7 @@ void ReadThroughConsumer(Knob knob) {
       obs::ObsConfig::FromEnv();
       return;
     case Knob::kCheck:
-      check::CheckConfig::FromEnv();
+      check::RunConfig::FromEnv();
       return;
     case Knob::kJobs:
       exp::JobsFromEnv();

@@ -1,6 +1,6 @@
 // The wall-clock profiler's contract: percentile math is honest within the
 // log-linear bucket error, OASIS_PROF spellings select the right mode and
-// obs::ObsScope runs the profiler until it flushes, profiling provably never
+// a check::RunScope runs the profiler until it closes, profiling provably never
 // perturbs simulation results, and the per-thread buffers survive a real
 // parallel run at jobs=4 with a self-consistent report.
 
@@ -12,6 +12,7 @@
 #include <sstream>
 #include <vector>
 
+#include "src/check/run_scope.h"
 #include "src/exp/exp.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
@@ -99,7 +100,7 @@ TEST(ProfHistogramTest, PercentileClampedToObservedRange) {
   EXPECT_LE(h->Percentile(100.0), 5e-6);
 }
 
-// --- OASIS_PROF through obs::ObsScope ----------------------------------------
+// --- OASIS_PROF through check::RunScope --------------------------------------
 
 TEST(ProfModeTest, ObsConfigReadsAcceptedSpellings) {
   struct Case {
@@ -119,16 +120,17 @@ TEST(ProfModeTest, ObsConfigReadsAcceptedSpellings) {
   }
 }
 
-TEST(ProfModeTest, ObsScopeRunsTheProfilerUntilFlush) {
+TEST(ProfModeTest, RunScopeRunsTheProfilerUntilItCloses) {
   ProfilerGuard profiler_guard;
-  obs::ObsConfig config;
-  config.prof_mode = ProfMode::kSummary;
-  obs::ObsScope scope(config);
-  EXPECT_TRUE(Profiler::Enabled());
-  { ProfScope span(Phase::kRunSim); }
-  scope.Flush();
+  check::RunConfig config;
+  config.obs.prof_mode = ProfMode::kSummary;
+  {
+    check::RunScope scope(config);
+    EXPECT_TRUE(Profiler::Enabled());
+    { ProfScope span(Phase::kRunSim); }
+  }
   EXPECT_FALSE(Profiler::Enabled());
-  // Flush collected the window it reported.
+  // Closing the scope collected the window it reported.
   EXPECT_FALSE(Profiler::Instance().Collect(/*reset=*/true).HasSamples());
 }
 

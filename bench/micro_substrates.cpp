@@ -99,7 +99,7 @@ void BM_EventQueueSteadyState(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EventQueueSteadyState)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_EventQueueSteadyState)->Arg(128)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_BitmapCount(benchmark::State& state) {
   Bitmap bitmap(1u << 20);

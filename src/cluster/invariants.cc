@@ -60,6 +60,16 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
   const size_t num_hosts = manager.num_hosts();
   const size_t num_vms = manager.num_vms();
 
+  // Homes carry their own VMs' full reservation whether or not the VM is
+  // away (the §3.2 capacity guarantee): one pass sums every home's share.
+  std::vector<uint64_t> homed_bytes(num_hosts, 0);
+  for (size_t v = 0; v < num_vms; ++v) {
+    const VmSlot& vm = manager.GetVm(static_cast<VmId>(v));
+    if (static_cast<size_t>(vm.home) < num_hosts) {  // else reported per VM below
+      homed_bytes[vm.home] += vm.full_bytes;
+    }
+  }
+
   // --- VM partition: every VM resident on exactly one host ------------------
   std::vector<uint32_t> residencies(num_vms, 0);
   for (size_t h = 0; h < num_hosts; ++h) {
@@ -85,10 +95,8 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
       if (vm.activity == VmActivity::kActive) {
         ++active_here;
       }
-      // Homes carry their own VMs' full reservation whether or not the VM is
-      // away (the §3.2 capacity guarantee), accounted below; a resident
-      // foreign VM only appears on consolidation hosts. A partial reserves
-      // its working set with the growth its lazy upkeep has pending.
+      // A resident foreign VM only appears on consolidation hosts. A partial
+      // reserves its working set with the growth its lazy upkeep has pending.
       if (host.IsConsolidationHost()) {
         reserved_expected += vm.residency == VmResidency::kPartial
                                  ? manager.SettledUpkeep(vid).ws_bytes
@@ -96,12 +104,7 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
       }
     }
     if (host.IsHomeHost()) {
-      for (size_t v = 0; v < num_vms; ++v) {
-        const VmSlot& vm = manager.GetVm(static_cast<VmId>(v));
-        if (vm.home == host.id()) {
-          reserved_expected += vm.full_bytes;
-        }
-      }
+      reserved_expected += homed_bytes[h];
     }
     checker.Expect(host.active_vms() == active_here, "cluster.active_count_balanced", now,
                    [&] {

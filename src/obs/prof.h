@@ -65,7 +65,7 @@ enum class Phase : int {
   kRunContextCtor,   // one obs::RunContext construction
   kPoolTaskRun,      // one batch task on a worker thread (busy)
   kPoolIdle,         // a worker's wait from its last task to the batch end
-  kSimHeapPop,       // event-queue pop (historical name) [per event]
+  kSimHeapPop,       // event-queue pop                  [per event]
   kSimDispatch,      // event closure execution          [per event]
   kPhaseCount,
 };

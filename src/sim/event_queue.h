@@ -2,32 +2,23 @@
 //
 // Events are closures scheduled at absolute simulated times. Closure state
 // lives inline in the pooled slot table (EventClosure below, a fixed-capacity
-// small-buffer type) and queue entries are trivially copyable 16-byte
-// records, so Schedule and Pop perform no per-event heap allocation.
+// small-buffer type), and the pending entries form one binary heap of
+// trivially copyable {filed time, seq, slot} records, so sift steps never
+// move a closure and Schedule and Pop perform no per-event heap allocation.
 //
-// The queue is a monotone radix queue: an entry sits in one of 65 FIFO
-// buckets chosen by the highest bit in which its key differs from the key of
-// the last popped entry, so Schedule is an append and Pop takes the front of
-// bucket 0, refilling it from the lowest non-empty bucket when it runs dry.
-// Pops come out in exactly (time, schedule order), the order of a binary
-// heap on (time, seq); see Refill in event_queue.cc for why ties survive.
-//
-// Scheduling into the past (before the last popped event's time) has one
-// defined meaning: the entry is filed at the last popped instant and runs
-// next among that instant's events, after the ones already queued there.
-// Pop still reports the entry's own (past) time, so the simulator's
-// monotonicity checks see it. (A keyed event that pops ahead of every
-// bucket entry leaves that instant where it was.)
-//
-// Every slot carries a sequence number from one counter, taken when the
-// event is scheduled, so (time, seq) is the event's total order and its
-// key. A caller may also reserve a number without scheduling anything
-// (ReserveSeq) and file an event at that key later (ScheduleKeyed): it then
-// runs exactly where an event scheduled at reservation time would have.
-// Keyed events sit in a short sorted list beside the radix buckets, and Pop
-// takes whichever of the two heads has the smaller key. The cluster keeps
+// Every event carries a sequence number from one counter, taken when the
+// event is scheduled, and pops come out in exactly (time, seq) order. A
+// caller may also reserve a number without scheduling anything (ReserveSeq)
+// and file an event at that key later (ScheduleKeyed): it then runs exactly
+// where an event scheduled at reservation time would have. The cluster keeps
 // its migration completions as such reserved keys rather than events, and
 // files one only when something must happen at that instant.
+//
+// Scheduling into the past (before the last popped event's time) has one
+// defined meaning: the entry is filed at the last popped instant, so it runs
+// after the events already queued there and in schedule order among other
+// past entries. Pop still reports the entry's own (past) time, so the
+// simulator's monotonicity checks see it.
 //
 // Events cannot be cancelled. A component whose scheduled completion may go
 // stale (an aborted migration, a crashed host's S3 transition) bumps an
@@ -36,8 +27,6 @@
 #ifndef OASIS_SRC_SIM_EVENT_QUEUE_H_
 #define OASIS_SRC_SIM_EVENT_QUEUE_H_
 
-#include <array>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -67,11 +56,11 @@ class EventQueue {
   // ReserveSeq and `when` is not before the last popped event's time.
   void ScheduleKeyed(SimTime when, uint64_t seq, EventFn fn);
 
-  bool empty() const { return size() == 0; }
-  size_t size() const { return slots_.size() - free_slots_.size(); }
+  bool empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
 
   // Time of the earliest pending event; SimTime::Max() when empty.
-  SimTime NextTime() const;
+  SimTime NextTime() const { return empty() ? SimTime::Max() : slots_[heap_.front().slot].time; }
 
   // Pops and returns the earliest pending event. Must not be empty. The
   // closure is moved out of the slot before the slot is recycled, so the
@@ -84,49 +73,35 @@ class EventQueue {
   Popped Pop();
 
  private:
-  // Bucket b > 0 holds entries whose key differs from last_key_ first at bit
-  // b - 1; bucket 0 holds entries at exactly last_key_.
-  static constexpr int kBuckets = 65;
-
   struct Entry {
-    uint64_t key;  // micros with the sign bit flipped: unsigned order == time order
+    SimTime filed;  // the event's time, or the last popped one if that is later
+    uint64_t seq;
     uint32_t slot;
   };
-  static_assert(std::is_trivially_copyable_v<Entry>,
-                "bucket moves must copy plain words");
+  static_assert(std::is_trivially_copyable_v<Entry>, "sift steps must copy plain words");
+  // The heap's comparator: the std heap algorithms keep the "greatest" entry
+  // in front, so ordering by "pops later" puts the smallest (filed, seq) there.
+  // A function object, not a function pointer, so the sift loops inline it.
+  struct PopsLater {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.filed != b.filed ? a.filed > b.filed : a.seq > b.seq;
+    }
+  };
 
-  // The pooled closure storage. A slot is recycled as soon as its event is
-  // popped. `time` is the time the event was scheduled for, which Pop
-  // reports even when the entry was filed later.
+  // The pooled closure storage, recycled as soon as its event pops. `time` is
+  // the event's own time, which Pop reports even when the entry was filed later.
   struct Slot {
     SimTime time;
-    uint64_t seq;
     EventClosure closure;
   };
 
-  // The lowest non-empty bucket above 0; some bucket above 0 must be
-  // non-empty.
-  int LowestBucket() const { return std::countr_zero(nonempty_) + 1; }
-  static uint64_t MinKey(const std::vector<Entry>& bucket);  // bucket non-empty
-  // Re-bases the queue on `min_key`, the smallest key of the lowest
-  // non-empty bucket, and moves that bucket into the buckets below it.
-  // Bucket 0 must be exhausted.
-  void Refill(uint64_t min_key);
-  // Claims a free slot for an event at (`when`, `seq`).
-  uint32_t Store(SimTime when, uint64_t seq, EventFn fn);
-  // Whether keyed entry `k` orders before bucket entry `e`.
-  bool Before(const Entry& k, const Entry& e) const {
-    return k.key < e.key || (k.key == e.key && slots_[k.slot].seq < slots_[e.slot].seq);
-  }
+  // Files `fn` at (`filed`, `seq`) and reports `when` when it pops.
+  void Push(SimTime filed, uint64_t seq, SimTime when, EventFn fn);
 
-  std::array<std::vector<Entry>, kBuckets> buckets_;
-  size_t head_ = 0;        // next entry of buckets_[0] to pop
-  uint64_t nonempty_ = 0;  // bit b - 1 set iff buckets_[b] is non-empty
-  uint64_t last_key_ = 0;  // key of the last popped entry
-  // Keyed events, sorted by descending (key, seq): the next one is last.
-  std::vector<Entry> keyed_;
+  std::vector<Entry> heap_;  // min-heap on (filed, seq)
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
+  SimTime last_filed_ = SimTime(INT64_MIN);  // filed time of the last popped entry
   uint64_t next_seq_ = 0;
 };
 

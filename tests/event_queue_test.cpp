@@ -224,7 +224,7 @@ TEST(EventQueueTest, PastScheduleIntoADrainedInstantRunsFirst) {
   EXPECT_EQ(q.Pop().time, SimTime::Seconds(30));
 }
 
-TEST(EventQueueTest, PeekDoesNotRebaseTheQueue) {
+TEST(EventQueueTest, EventScheduledInsideAPeekedGapPopsFirst) {
   // NextTime() may look past a gap; an event scheduled inside the gap
   // afterwards (legal: it is after the last pop) must still pop first.
   EventQueue q;
@@ -238,9 +238,9 @@ TEST(EventQueueTest, PeekDoesNotRebaseTheQueue) {
   EXPECT_EQ(q.Pop().time, SimTime::Seconds(100));
 }
 
-TEST(EventQueueTest, KeyedEventAheadOfTheBucketsLeavesTheBaseAlone) {
-  // A keyed event that pops before every bucket entry must not re-base the
-  // buckets on their minimum: what it schedules in the gap still pops first.
+TEST(EventQueueTest, EventScheduledAfterAnEarlyKeyedPopKeepsTimeOrder) {
+  // A keyed event filed ahead of every pending one pops first; what is then
+  // scheduled between it and the pending ones still pops in time order.
   EventQueue q;
   const uint64_t seq = q.ReserveSeq();
   q.Schedule(SimTime::Seconds(100), [] {});
@@ -255,74 +255,28 @@ TEST(EventQueueTest, KeyedEventAheadOfTheBucketsLeavesTheBaseAlone) {
   EXPECT_TRUE(q.empty());
 }
 
-// Keyed events against a reference that scans for the smallest (time, seq)
-// over everything filed. Reserved keys are filed later, in random order,
-// some never; nothing is scheduled into the past.
-TEST(EventQueueTest, KeyedEventsMergeInKeyOrder) {
-  struct Ref {
-    SimTime when;
-    uint64_t seq;
-  };
-  const int seeds = testing::FuzzTrials(40);
-  for (int seed = 0; seed < seeds; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    Rng rng(0x5EC5 + static_cast<uint64_t>(seed));
-    EventQueue q;
-    std::vector<Ref> ref;
-    std::vector<Ref> reserved;
-    uint64_t next_seq = 0;
-    int64_t now = 0;
-    auto min_ref = [&]() {
-      return std::min_element(ref.begin(), ref.end(), [](const Ref& a, const Ref& b) {
-        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
-      });
-    };
-    auto later = [&]() {
-      // Many ties: a few distinct offsets from now.
-      return SimTime(now + static_cast<int64_t>(rng.NextBelow(4)) * 1000);
-    };
-    for (int step = 0; step < 3000; ++step) {
-      const uint64_t op = rng.NextBelow(100);
-      if (op < 35) {
-        ref.push_back(Ref{later(), next_seq++});
-        q.Schedule(ref.back().when, [] {});
-      } else if (op < 55) {
-        ASSERT_EQ(q.ReserveSeq(), next_seq);
-        reserved.push_back(Ref{later(), next_seq++});
-      } else if (op < 70 && !reserved.empty()) {
-        const size_t i = rng.NextBelow(reserved.size());
-        const Ref key = reserved[i];
-        reserved.erase(reserved.begin() + static_cast<ptrdiff_t>(i));
-        if (key.when.micros() >= now) {
-          q.ScheduleKeyed(key.when, key.seq, [] {});
-          ref.push_back(key);
-        }
-      } else if (!ref.empty()) {
-        auto it = min_ref();
-        ASSERT_EQ(q.NextTime(), it->when) << "step " << step;
-        EventQueue::Popped popped = q.Pop();
-        ASSERT_EQ(popped.time, it->when) << "step " << step;
-        ASSERT_EQ(popped.seq, it->seq) << "step " << step;
-        now = it->when.micros();
-        ref.erase(it);
-      }
-      ASSERT_EQ(q.size(), ref.size()) << "step " << step;
-    }
-    while (!ref.empty()) {
-      auto it = min_ref();
-      EventQueue::Popped popped = q.Pop();
-      ASSERT_EQ(popped.seq, it->seq);
-      ref.erase(it);
-    }
-    EXPECT_TRUE(q.empty());
-  }
+TEST(EventQueueTest, PastSchedulesAfterAKeyedPopRunInScheduleOrder) {
+  // A keyed pop sets the last popped instant like any other pop, so later
+  // past entries are all filed at 5 s and run in schedule order. (Simulator
+  // never gets here: it asserts and reports sim.schedule_into_past first.)
+  EventQueue q;
+  const uint64_t seq = q.ReserveSeq();
+  q.ScheduleKeyed(SimTime::Seconds(5), seq, [] {});
+  ASSERT_EQ(q.Pop().time, SimTime::Seconds(5));
+  q.Schedule(SimTime::Seconds(4), [] {});
+  q.Schedule(SimTime::Seconds(3), [] {});
+  EXPECT_EQ(q.NextTime(), SimTime::Seconds(4));
+  EXPECT_EQ(q.Pop().time, SimTime::Seconds(4));
+  EXPECT_EQ(q.Pop().time, SimTime::Seconds(3));
+  EXPECT_TRUE(q.empty());
 }
 
 // Differential check against a reference that scans for the smallest
-// (filed time, seq), where an entry's filed time is max(when, last popped
-// filed time): the queue's documented order, past-scheduling rule included.
-// Each closure records its tag, so running a popped event names which
-// scheduled event came out.
+// (filed time, seq), where a scheduled entry's filed time is max(when, last
+// popped filed time) and a keyed entry is filed at its own time, never in
+// the past: the queue's documented order, past-scheduling rule included.
+// Reserved keys are filed later, in random order, some never. Each closure
+// records its tag, so running a popped event names which one came out.
 TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
   struct Ref {
     int64_t filed;
@@ -336,6 +290,7 @@ TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
     Rng rng(0xE7E47 + static_cast<uint64_t>(seed));
     EventQueue q;
     std::vector<Ref> ref;
+    std::vector<uint64_t> reserved;
     std::vector<int> ran;
     int64_t last_filed = INT64_MIN;
     // Base for new times: the latest popped time, capped so that offsets
@@ -349,9 +304,20 @@ TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
         return a.filed != b.filed ? a.filed < b.filed : a.seq < b.seq;
       });
     };
+    auto pop_and_match = [&](int step) {
+      auto it = min_ref();
+      EventQueue::Popped popped = q.Pop();
+      ASSERT_EQ(popped.time, it->when) << "step " << step;
+      ASSERT_EQ(popped.seq, it->seq) << "step " << step;
+      popped.fn();
+      ASSERT_EQ(ran.back(), it->tag) << "step " << step;
+      last_filed = it->filed;
+      last_time = std::min(std::max(last_time, it->when.micros()), kBaseCap);
+      ref.erase(it);
+    };
     for (int step = 0; step < 3000; ++step) {
       const uint64_t op = rng.NextBelow(100);
-      if (op < 52 || ref.empty()) {
+      if (op < 40 || ref.empty()) {
         int64_t when;
         const uint64_t kind = rng.NextBelow(20);
         if (kind < 6) {
@@ -372,31 +338,42 @@ TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
         const int tag = next_tag++;
         q.Schedule(SimTime(when), [&ran, tag] { ran.push_back(tag); });
         ref.push_back(Ref{std::max(when, last_filed), seq++, SimTime(when), tag});
+      } else if (op < 52) {
+        ASSERT_EQ(q.ReserveSeq(), seq) << "step " << step;
+        reserved.push_back(seq++);
+      } else if (op < 64 && !reserved.empty()) {
+        const size_t i = rng.NextBelow(reserved.size());
+        const uint64_t key_seq = reserved[i];
+        reserved.erase(reserved.begin() + static_cast<ptrdiff_t>(i));
+        // Many ties: a few distinct offsets from the last pop, or a pending
+        // entry's time.
+        int64_t when = last_time + static_cast<int64_t>(rng.NextBelow(4)) * 1000;
+        if (rng.NextBelow(4) == 0) {
+          when = ref[rng.NextBelow(ref.size())].when.micros();
+        }
+        when = std::max(when, last_filed);  // never in the past
+        const int tag = next_tag++;
+        q.ScheduleKeyed(SimTime(when), key_seq, [&ran, tag] { ran.push_back(tag); });
+        ref.push_back(Ref{when, key_seq, SimTime(when), tag});
       } else {
-        auto it = min_ref();
-        EventQueue::Popped popped = q.Pop();
-        ASSERT_EQ(popped.time, it->when) << "step " << step;
-        popped.fn();
-        ASSERT_EQ(ran.back(), it->tag) << "step " << step;
-        last_filed = it->filed;
-        last_time = std::min(std::max(last_time, it->when.micros()), kBaseCap);
-        ref.erase(it);
+        pop_and_match(step);
+        if (HasFatalFailure()) {
+          return;
+        }
       }
       ASSERT_EQ(q.size(), ref.size()) << "step " << step;
       ASSERT_EQ(q.empty(), ref.empty()) << "step " << step;
       ASSERT_EQ(q.NextTime(), ref.empty() ? SimTime::Max() : min_ref()->when) << "step " << step;
     }
-    while (!ref.empty()) {
-      auto it = min_ref();
-      ASSERT_EQ(q.NextTime(), it->when);
-      EventQueue::Popped popped = q.Pop();
-      ASSERT_EQ(popped.time, it->when);
-      popped.fn();
-      ASSERT_EQ(ran.back(), it->tag);
-      ref.erase(it);
+    for (int step = 3000; !ref.empty(); ++step) {
+      pop_and_match(step);
+      if (HasFatalFailure()) {
+        return;
+      }
+      ASSERT_EQ(q.size(), ref.size()) << "step " << step;
+      ASSERT_EQ(q.NextTime(), ref.empty() ? SimTime::Max() : min_ref()->when) << "step " << step;
     }
     EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.NextTime(), SimTime::Max());
   }
 }
 

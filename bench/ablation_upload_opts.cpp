@@ -80,11 +80,8 @@ int main() {
   constexpr uint64_t kVmPages = (4 * kGiB) / kPageSize;
   AppStartupProfile app{"LibreOffice (document)", 131 * kMiB, SimTime::Seconds(1.5)};
 
-  MemoryServerConfig with_cache;
-  MemoryServerConfig no_cache;
-  no_cache.chunk_cache_entries = 0;
-  MemoryServer cached(with_cache);
-  MemoryServer uncached(no_cache);
+  MemoryServer cached;
+  MemoryServer uncached(/*chunk_cache_entries=*/0);
   cached.Upload(SimTime::Zero(), 1, 1306 * kMiB);
   uncached.Upload(SimTime::Zero(), 1, 1306 * kMiB);
   Memtap tap_cached(&cached, 1, kVmPages, 3);

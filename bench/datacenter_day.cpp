@@ -57,7 +57,9 @@ DatacenterConfig DayConfig() {
   config.rack.fault.enabled = true;
   config.rack.fault.host_crash_per_hour = 0.02;
   // The assisted tier samples rack power-cap windows (2 h at ~1 window per
-  // 4 racks per day) and refuses to sponsor load into a capped rack.
+  // 4 racks per day) and refuses to sponsor load into a capped rack. The
+  // 3200 W only switches the windows on: no rack's power is ever compared
+  // against it.
   config.coordinator.rack_power_cap_watts = 3200.0;
   config.coordinator.cap_events_per_rack_day = 0.25;
   config.seed = 20160418;  // EuroSys'16 opening day

@@ -214,7 +214,7 @@ bool Actuator::TryConvertInPlace(SimTime now, VmSlot& vm, SimTime activation_tim
     return false;
   }
   // CPU bound (§3 assumption 1): the activation was already counted here.
-  if (host.active_vms() > config_.MaxActiveVmsPerHost()) {
+  if (host.active_vms() > kMaxActiveVmsPerHost) {
     return false;
   }
   // Pre-fetch the remaining footprint from the memory server (§4.4.4: a
@@ -242,7 +242,7 @@ bool Actuator::TryNewHome(SimTime now, VmSlot& vm, SimTime activation_time) {
     }
     HostId id = candidate->id();
     if (id != vm.location && candidate->IsPowered() && candidate->CanFit(vm.full_bytes) &&
-        candidate->active_vms() < config_.MaxActiveVmsPerHost()) {
+        candidate->active_vms() < kMaxActiveVmsPerHost) {
       candidates.push_back(id);
     }
   }
@@ -510,11 +510,11 @@ StatusOr<SimTime> Actuator::WakeHost(SimTime now, HostId id) {
     SimTime t = now;
     int losses = fault_.SampleWolLosses(now, static_cast<int64_t>(id));
     if (losses > 0) {
-      SimTime waited = config_.fault.wol_retry_timeout * static_cast<double>(losses);
+      SimTime waited = kWolRetryTimeout * static_cast<double>(losses);
       fault_.RecordRecovered(FaultClass::kWolLoss, t, t + waited,
                              obs::TraceArgs{static_cast<int64_t>(id), -1, losses});
       t = t + waited;
-      if (losses >= config_.fault.max_wol_retries) {
+      if (losses >= kMaxWolRetries) {
         OASIS_CLOG(kWarning, "cluster")
             << "host " << id << " ignored " << losses
             << " WoL packets; escalating to the management processor";
@@ -524,10 +524,9 @@ StatusOr<SimTime> Actuator::WakeHost(SimTime now, HostId id) {
       }
     }
     if (fault_.SampleResumeHang(now, static_cast<int64_t>(id))) {
-      SimTime watchdog = config_.fault.resume_watchdog;
-      fault_.RecordRecovered(FaultClass::kResumeHang, t, t + watchdog,
+      fault_.RecordRecovered(FaultClass::kResumeHang, t, t + kResumeWatchdog,
                              obs::TraceArgs{static_cast<int64_t>(id)});
-      t = t + watchdog;
+      t = t + kResumeWatchdog;
     }
     if (t > now) {
       // The WoL that sticks goes out at t; the host powers one resume later.
@@ -752,7 +751,7 @@ void Actuator::CrashHost(SimTime now, HostId id) {
       continue;
     }
     SimTime powered = HostOf(vm.home).EarliestPoweredTime(now);
-    SimTime done = powered + config_.fault.vm_restart_latency;
+    SimTime done = powered + kVmRestartLatency;
     TraceMigration("crash_restart", now, done, vm.id, vm.home, vm.full_bytes);
     ScheduleMigration(vm, now, done, VmSlot::PendingOp::kOther, id);
     ++metrics_.crash_vm_restarts;
@@ -773,7 +772,7 @@ void Actuator::CrashHost(SimTime now, HostId id) {
     StatusOr<SimTime> woken = WakeHost(now, vm.home);
     SimTime powered = woken.ok() ? *woken : HostOf(vm.home).EarliestPoweredTime(now);
     Relocate(now, vm, vm.home, VmResidency::kFullAtHome);
-    SimTime done = powered + config_.fault.vm_restart_latency;
+    SimTime done = powered + kVmRestartLatency;
     TraceMigration("crash_restart", now, done, vid, vm.home, vm.full_bytes);
     ScheduleMigration(vm, now, done, VmSlot::PendingOp::kOther, id);
     if (vm.activity == VmActivity::kActive) {

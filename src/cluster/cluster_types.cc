@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "src/cluster/strategy.h"
+#include "src/mem/working_set.h"
 
 namespace oasis {
 
@@ -33,7 +34,7 @@ Status ClusterConfig::Validate() const {
         FormatBytes(vm_memory_bytes) + " > " + FormatBytes(host_memory_bytes) +
         " (use SetVmsPerHome to scale host capacity)");
   }
-  Status working_set_ok = ValidateWorkingSet(working_set, vm_memory_bytes);
+  Status working_set_ok = ValidateWorkingSet(WorkingSetDistribution{}, vm_memory_bytes);
   if (!working_set_ok.ok()) {
     return working_set_ok;
   }
@@ -42,9 +43,6 @@ Status ClusterConfig::Validate() const {
   }
   if (memory_overcommit < 1.0 || memory_overcommit > 3.0) {
     return Status::InvalidArgument("memory_overcommit must be in [1, 3]");
-  }
-  if (host_cores <= 0 || cpu_overcommit < 1.0) {
-    return Status::InvalidArgument("host_cores must be positive, cpu_overcommit >= 1");
   }
   if (idle_smoothing_intervals < 0) {
     return Status::InvalidArgument("idle smoothing must be non-negative");

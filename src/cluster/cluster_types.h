@@ -12,7 +12,6 @@
 #include "src/common/units.h"
 #include "src/fault/fault.h"
 #include "src/hyper/vm.h"
-#include "src/mem/working_set.h"
 #include "src/power/host_profile.h"
 #include "src/power/power_model.h"
 
@@ -56,33 +55,29 @@ struct TrafficVolumes {
   double ws_growth_mib_per_hour = 6.0;
 };
 
+// CPU side of §3 assumption 1: a host executes at most 16 cores x 3 *active*
+// 1-vCPU VMs ("over-committing CPU by a factor of 3 is regarded as a safe
+// practice"). Idle and partial VMs consume no accountable CPU. With the
+// default 128 GiB hosts the memory bound (32 full VMs) binds first, which is
+// exactly the paper's point.
+inline constexpr int kMaxActiveVmsPerHost = 48;
+
 struct ClusterConfig {
   int num_home_hosts = 30;
   int num_consolidation_hosts = 4;
   int vms_per_home = 30;
   uint64_t host_memory_bytes = 128 * kGiB;
+  // Each VM's allocation. It also caps the idle working sets, which are
+  // drawn from the §5.1 distribution (WorkingSetDistribution's defaults).
   uint64_t vm_memory_bytes = 4 * kGiB;
   // Memory over-commitment via ballooning/de-duplication (§3 assumption 1:
   // "a factor of 1.5" is regarded as safe). Scales every host's effective
   // capacity; 1.0 disables over-commitment.
   double memory_overcommit = 1.0;
-  // CPU side of assumption 1: hosts run at most cores x overcommit *active*
-  // 1-vCPU VMs ("over-committing CPU by a factor of 3 is regarded as a safe
-  // practice"). Idle/partial VMs consume no accountable CPU. With the
-  // default 16-core hosts the memory bound (32 full VMs) binds first, which
-  // is exactly the paper's point.
-  int host_cores = 16;
-  double cpu_overcommit = 3.0;
-
-  // Most active VMs a single host may execute.
-  int MaxActiveVmsPerHost() const {
-    return static_cast<int>(static_cast<double>(host_cores) * cpu_overcommit);
-  }
   ConsolidationPolicy policy = ConsolidationPolicy::kFullToPartial;
   // Which ConsolidationStrategy plans each interval (src/cluster/strategy.h).
   // Must name a registered strategy; the default is the paper's greedy
-  // algorithm and is guaranteed to reproduce the legacy monolithic manager
-  // byte for byte. Override per process with OASIS_POLICY (see
+  // algorithm. Override per process with OASIS_POLICY (see
   // ApplyPolicyOverride).
   std::string strategy_name = "oasis-greedy";
   SimTime planning_interval = SimTime::Seconds(300);
@@ -97,13 +92,11 @@ struct ClusterConfig {
   // segments cover hosts [0, CoveredHosts()) in order; every host past the
   // covered prefix — and the whole cluster when the mix is empty, the
   // default — resolves to profile class 0, whose power curve is exactly
-  // `host_power`. Class 0 keeps the homogeneous cluster byte-identical to
-  // the pre-fleet code path; catalog generations additionally pick up the
-  // compounded SetVmsPerHome scale via `fleet_power_scale`.
+  // `host_power`. Catalog generations additionally pick up the compounded
+  // SetVmsPerHome scale via `fleet_power_scale`.
   FleetMix fleet;
   double fleet_power_scale = 1.0;
   MemoryServerProfile memory_server_power;
-  WorkingSetDistribution working_set;
   uint64_t seed = 42;
   // Fault injection (disabled by default; a disabled config is guaranteed
   // not to perturb the simulation in any way).

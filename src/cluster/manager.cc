@@ -18,7 +18,7 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace)
     : config_(config),
       trace_(std::move(trace)),
       rng_(config.seed),
-      ws_sampler_(config.working_set, config.vm_memory_bytes, config.seed ^ 0x5EED5EEDull),
+      ws_sampler_(config.vm_memory_bytes, config.seed ^ 0x5EED5EEDull),
       fault_(config.fault, config.seed ^ 0xFA0175EEDull),
       strategy_(MakeStrategy(config.strategy_name)),
       act_(config_, sim_, rng_, ws_sampler_, fault_, state_, metrics_) {

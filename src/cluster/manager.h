@@ -19,8 +19,7 @@
 //      growth, and working-set growth (which can exhaust a consolidation
 //      host and force a return), applied lazily (DESIGN.md, "Lazy upkeep");
 //   3. runs the configured consolidation strategy (config.strategy_name;
-//      the default "oasis-greedy" reproduces the paper's §3 algorithm and
-//      the pre-refactor manager byte for byte);
+//      the default "oasis-greedy" is the paper's §3 algorithm);
 //   4. sweeps mechanism-owned sleep opportunities and records the
 //      timeline/energy/latency/traffic metrics of §5.
 //

@@ -48,7 +48,6 @@ struct DayModel {
   int vms_per_home;
   int intervals;
   uint64_t cons_capacity;  // effective bytes per consolidation host
-  int active_slots;        // MaxActiveVmsPerHost
   double ms_w;
   double cons_idle_w;
   double per_vm_w;
@@ -87,7 +86,6 @@ DayModel BuildModel(const ClusterConfig& config, const TraceSet& trace,
   m.num_cons = config.num_consolidation_hosts;
   m.vms_per_home = config.vms_per_home;
   m.intervals = kIntervalsPerDay;
-  m.active_slots = config.MaxActiveVmsPerHost();
   m.ms_w = config.memory_server_power.TotalWatts();
   m.partial_mig_s = kPartialMigrationTime.seconds();
   m.full_mig_s = kFullMigrationTime.seconds();
@@ -190,7 +188,7 @@ double PowerAt(const DayModel& m, const int* sleeping_by_class, int parked_activ
       parked_bytes == 0 ? 0 : (parked_bytes + m.cons_capacity - 1) / m.cons_capacity;
   int by_cpu = parked_active == 0
                    ? 0
-                   : (parked_active + m.active_slots - 1) / m.active_slots;
+                   : (parked_active + kMaxActiveVmsPerHost - 1) / kMaxActiveVmsPerHost;
   int cons = static_cast<int>(std::max<uint64_t>(by_bytes, static_cast<uint64_t>(by_cpu)));
   if (feasible != nullptr) {
     *feasible = cons <= m.num_cons;
@@ -542,7 +540,7 @@ OracleResult OfflineOracle::Solve(const TraceSet& trace, uint64_t seed) const {
   // sampler seeded off (seed, salt) only, so the result is independent of
   // anything the simulation drew.
   size_t num_vms = static_cast<size_t>(config_.TotalVms());
-  WorkingSetSampler sampler(config_.working_set, config_.vm_memory_bytes, seed ^ kSeedSalt);
+  WorkingSetSampler sampler(config_.vm_memory_bytes, seed ^ kSeedSalt);
   std::vector<uint64_t> ws(num_vms, 0);
   for (size_t v = 0; v < num_vms; ++v) {
     ws[v] = sampler.Sample();

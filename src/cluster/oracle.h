@@ -17,7 +17,7 @@
 //     perfect foresight and no idleness-smoothing delay.
 //   * Each interval needs c(t) powered consolidation hosts, the max of the
 //     byte bound (parked bytes / effective host capacity) and the CPU bound
-//     (parked actives / MaxActiveVmsPerHost); a schedule is feasible only if
+//     (parked actives / kMaxActiveVmsPerHost); a schedule is feasible only if
 //     c(t) never exceeds the consolidation tier.
 //   * Interval power: powered homes draw the loaded Table 1 rate, sleeping
 //     homes S3 plus their memory server (when they park any idle VM),

@@ -132,7 +132,6 @@ std::vector<OasisGreedyStrategy::Dest> OasisGreedyStrategy::BuildDestTable(
     const ClusterView& view, size_t* powered_dests) {
   // Powered hosts come first so the random destination choice only spills
   // onto sleeping hosts (waking them) when the powered ones are full.
-  const ClusterConfig& config = view.config();
   std::vector<Dest> dests;
   *powered_dests = 0;
   for (int pass = 0; pass < 2; ++pass) {
@@ -141,7 +140,7 @@ std::vector<OasisGreedyStrategy::Dest> OasisGreedyStrategy::BuildDestTable(
       if (!host.IsConsolidationHost()) {
         continue;
       }
-      int slots = config.MaxActiveVmsPerHost() - host.active_vms();
+      int slots = kMaxActiveVmsPerHost - host.active_vms();
       bool awake = host.IsPowered() || host.power_state() == HostPowerState::kResuming;
       if (pass == 0 && awake) {
         dests.push_back({host.id(), host.AvailableBytes(), slots, false});

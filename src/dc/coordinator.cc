@@ -20,9 +20,7 @@ constexpr uint64_t kCapStreamSalt = 0x9D39247E33776D41ull;
 
 // The demand signal the drain tier reads per rack-interval: the population
 // parked on consolidation hosts (partials plus idle-full guests).
-int ParkedVms(const IntervalSnapshot& s) {
-  return s.partial_vms + s.full_at_consolidation_vms;
-}
+int ParkedVms(const IntervalSnapshot& s) { return s.partial_vms + s.full_at_consolidation_vms; }
 
 }  // namespace
 
@@ -39,18 +37,6 @@ const char* CoordinatorModeName(CoordinatorMode mode) {
 }
 
 Status CoordinatorConfig::Validate() const {
-  if (near_empty_max_parked < 0) {
-    return Status::InvalidArgument("near_empty_max_parked must be >= 0");
-  }
-  if (min_drain_intervals < 1) {
-    return Status::InvalidArgument("min_drain_intervals must be >= 1");
-  }
-  if (cons_host_vm_capacity < 0) {
-    return Status::InvalidArgument("cons_host_vm_capacity must be >= 0 (0 = auto)");
-  }
-  if (sponsor_fill_ratio <= 0.0 || sponsor_fill_ratio > 1.0) {
-    return Status::InvalidArgument("sponsor_fill_ratio must be in (0, 1]");
-  }
   if (cap_events_per_rack_day < 0.0) {
     return Status::InvalidArgument("cap_events_per_rack_day must be >= 0");
   }
@@ -87,8 +73,7 @@ CoordinatorStats GlobalCoordinator::Coordinate(const DatacenterRun& run) const {
   }
 
   const std::vector<IntervalSnapshot>& t0 = racks[0]->metrics.timeline;
-  const double interval_s =
-      intervals >= 2 ? (t0[1].time - t0[0].time).seconds() : 300.0;
+  const double interval_s = intervals >= 2 ? (t0[1].time - t0[0].time).seconds() : 300.0;
 
   // An avoided powered consolidation host sleeps in S3 instead of idling,
   // and its guests' marginal per-VM draw follows them to the sponsor — so
@@ -111,9 +96,8 @@ CoordinatorStats GlobalCoordinator::Coordinate(const DatacenterRun& run) const {
         continue;  // Validate() rejects unknown names; keep the default here
       }
       s3_capable_of[i] = profile->s3_capable ? 1 : 0;
-      s3_delta_of[i] = profile->s3_capable
-                           ? profile->power.idle_watts - profile->power.sleep_watts
-                           : 0.0;
+      s3_delta_of[i] =
+          profile->s3_capable ? profile->power.idle_watts - profile->power.sleep_watts : 0.0;
     }
   }
   // The pooled global-greedy sweep cannot attribute avoided hosts to a
@@ -127,17 +111,14 @@ CoordinatorStats GlobalCoordinator::Coordinate(const DatacenterRun& run) const {
   // Deterministic per-rack cap windows: expected-count rounding plus uniform
   // starts, all drawn from (datacenter seed, rack) — independent of rack
   // count and execution order, the same stream discipline src/fault uses.
-  const bool caps_on =
-      config_.rack_power_cap_watts > 0.0 && config_.cap_events_per_rack_day > 0.0;
+  const bool caps_on = config_.rack_power_cap_watts > 0.0 && config_.cap_events_per_rack_day > 0.0;
   std::vector<std::vector<char>> capped;
   if (caps_on) {
     capped.resize(num_racks);
-    const int span = std::max(
-        1, static_cast<int>(config_.cap_event_duration.seconds() / interval_s));
+    const int span = std::max(1, static_cast<int>(kCapEventDuration.seconds() / interval_s));
     for (size_t i = 0; i < num_racks; ++i) {
       capped[i].assign(intervals, 0);
-      Rng rng(DatacenterTopology::RackSeed(run.config.seed ^ kCapStreamSalt,
-                                           racks[i]->rack));
+      Rng rng(DatacenterTopology::RackSeed(run.config.seed ^ kCapStreamSalt, racks[i]->rack));
       int windows = static_cast<int>(config_.cap_events_per_rack_day);
       if (rng.NextBool(config_.cap_events_per_rack_day - windows)) {
         ++windows;
@@ -163,32 +144,28 @@ CoordinatorStats GlobalCoordinator::Coordinate(const DatacenterRun& run) const {
     return racks[i]->metrics.timeline[t];
   };
 
-  // Auto-calibrate from the run itself: the capacity of a consolidation
-  // host is the densest parked-per-powered-host packing any rack achieved
-  // (a max over racks — order-independent), and "near-empty" is a quarter
-  // of one host's worth. Both remain pure functions of the shard results.
-  int capacity = config_.cons_host_vm_capacity;
-  if (capacity <= 0) {
-    capacity = 1;
-    for (size_t i = 0; i < num_racks; ++i) {
-      for (size_t t = 0; t < intervals; ++t) {
-        const IntervalSnapshot& s = timeline(i, t);
-        if (s.powered_consolidation_hosts > 0) {
-          const int density = (ParkedVms(s) + s.powered_consolidation_hosts - 1) /
-                              s.powered_consolidation_hosts;
-          capacity = std::max(capacity, density);
-        }
+  // Calibrate from the run itself: the capacity of a consolidation host is
+  // the densest parked-per-powered-host packing any rack achieved in any
+  // interval (the empirically proven limit, Fig 9's ratio; a max over
+  // racks, so order-independent), and a rack is near-empty while its
+  // parked population is in [1, a quarter of one host's worth]. Both
+  // remain pure functions of the shard results.
+  int capacity = 1;
+  for (size_t i = 0; i < num_racks; ++i) {
+    for (size_t t = 0; t < intervals; ++t) {
+      const IntervalSnapshot& s = timeline(i, t);
+      if (s.powered_consolidation_hosts > 0) {
+        const int density =
+            (ParkedVms(s) + s.powered_consolidation_hosts - 1) / s.powered_consolidation_hosts;
+        capacity = std::max(capacity, density);
       }
     }
   }
-  const int near_empty = config_.near_empty_max_parked > 0
-                             ? config_.near_empty_max_parked
-                             : std::max(1, capacity / 4);
-  auto charge_move = [this, &stats](int vms) {
-    const uint64_t bytes =
-        static_cast<uint64_t>(vms) * config_.drain_bytes_per_vm;
+  const int near_empty = std::max(1, capacity / 4);
+  auto charge_move = [&stats](int vms) {
+    const uint64_t bytes = static_cast<uint64_t>(vms) * kDrainBytesPerVm;
     stats.cross_rack_traffic_bytes += bytes;
-    stats.migration_energy += ToGiB(bytes) * config_.wire_joules_per_gib;
+    stats.migration_energy += ToGiB(bytes) * kWireJoulesPerGib;
   };
 
   if (config_.mode == CoordinatorMode::kGlobalGreedy) {
@@ -202,11 +179,9 @@ CoordinatorStats GlobalCoordinator::Coordinate(const DatacenterRun& run) const {
         parked += ParkedVms(timeline(i, t));
         powered += timeline(i, t).powered_consolidation_hosts;
       }
-      const long long ideal =
-          (parked + capacity - 1) / capacity;
+      const long long ideal = (parked + capacity - 1) / capacity;
       if (powered > ideal) {
-        stats.energy_saved +=
-            static_cast<double>(powered - ideal) * pooled_s3_delta * interval_s;
+        stats.energy_saved += static_cast<double>(powered - ideal) * pooled_s3_delta * interval_s;
       }
     }
     return stats;
@@ -239,9 +214,7 @@ CoordinatorStats GlobalCoordinator::Coordinate(const DatacenterRun& run) const {
         if (s.powered_consolidation_hosts < 1) {
           continue;
         }
-        const double room = config_.sponsor_fill_ratio *
-                            capacity *
-                            s.powered_consolidation_hosts;
+        const double room = kSponsorFillRatio * capacity * s.powered_consolidation_hosts;
         if (ParkedVms(s) + extra[j] + parked > room) {
           continue;
         }
@@ -279,8 +252,7 @@ CoordinatorStats GlobalCoordinator::Coordinate(const DatacenterRun& run) const {
       }
       const IntervalSnapshot& s = timeline(i, t);
       const int parked = ParkedVms(s);
-      if (parked > near_empty &&
-          t - state[i].since >= static_cast<size_t>(config_.min_drain_intervals)) {
+      if (parked > near_empty && t - state[i].since >= static_cast<size_t>(kMinDrainIntervals)) {
         ++stats.drain_returns;
         charge_move(parked);
         extra[state[i].sponsor] -= parked;
@@ -288,8 +260,8 @@ CoordinatorStats GlobalCoordinator::Coordinate(const DatacenterRun& run) const {
         continue;
       }
       ++stats.drain_intervals;
-      stats.energy_saved += static_cast<double>(s.powered_consolidation_hosts) *
-                            s3_delta_of[i] * interval_s;
+      stats.energy_saved +=
+          static_cast<double>(s.powered_consolidation_hosts) * s3_delta_of[i] * interval_s;
     }
 
     // Phase 2: near-empty racks look for a sponsor and drain.
@@ -302,8 +274,7 @@ CoordinatorStats GlobalCoordinator::Coordinate(const DatacenterRun& run) const {
       }
       const IntervalSnapshot& s = timeline(i, t);
       const int parked = ParkedVms(s);
-      if (parked < 1 || parked > near_empty ||
-          s.powered_consolidation_hosts < 1) {
+      if (parked < 1 || parked > near_empty || s.powered_consolidation_hosts < 1) {
         continue;
       }
       if (caps_on && capped[i][t]) {

@@ -50,37 +50,35 @@ enum class CoordinatorMode {
 
 const char* CoordinatorModeName(CoordinatorMode mode);
 
+// The drain tier's fixed policy. A consolidation host's capacity and the
+// near-empty band are calibrated from each run (see Coordinate); these
+// constants are the rest.
+//
+// Once drained, a rack stays drained for at least kMinDrainIntervals
+// intervals (anti-ping-pong hysteresis); it undrains as soon as the local
+// demand signal rises above the near-empty band afterwards.
+inline constexpr int kMinDrainIntervals = 3;
+// The fraction of its calibrated capacity a sponsor may be filled to.
+inline constexpr double kSponsorFillRatio = 0.9;
+// Cross-rack move cost: partial-VM descriptor plus the idle working set
+// (~16 MiB + ~48 MiB), charged per drained VM at drain start and again at
+// return, plus per-GiB wire energy for the inter-rack fabric.
+inline constexpr uint64_t kDrainBytesPerVm = 64 * kMiB;
+inline constexpr double kWireJoulesPerGib = 180.0;
+// How long one sampled rack power-cap window lasts.
+inline constexpr SimTime kCapEventDuration = SimTime::Hours(2.0);
+
 struct CoordinatorConfig {
   CoordinatorMode mode = CoordinatorMode::kAssisted;
 
-  // A rack is drainable while its parked population (partial + full VMs on
-  // consolidation hosts) is in [1, near_empty_max_parked] with at least one
-  // consolidation host still powered. 0 = auto: a quarter of one
-  // consolidation host's capacity.
-  int near_empty_max_parked = 0;
-  // Once drained, a rack stays drained for at least this many intervals
-  // (anti-ping-pong hysteresis); it undrains as soon as the local demand
-  // signal rises above near_empty_max_parked afterwards.
-  int min_drain_intervals = 3;
-  // Parked VMs a single powered consolidation host absorbs, and the
-  // fraction of that capacity a sponsor may be filled to. 0 = auto: the
-  // densest parked-VMs-per-powered-host packing any rack in the run
-  // actually achieved (the empirically-proven limit, Fig 9's ratio).
-  int cons_host_vm_capacity = 0;
-  double sponsor_fill_ratio = 0.9;
-
-  // Cross-rack move cost: partial-VM descriptor plus the idle working set
-  // (~16 MiB + ~48 MiB), charged per drained VM at drain start and again at
-  // return, plus per-GiB wire energy for the inter-rack fabric.
-  uint64_t drain_bytes_per_vm = 64ull * 1024 * 1024;
-  double wire_joules_per_gib = 180.0;
-
-  // Rack power caps. With cap_events_per_rack_day > 0 and a positive cap,
-  // each rack samples Poisson cap windows from (datacenter seed, rack) —
-  // deterministic, per-rack streams exactly like the fault planner's.
+  // Rack power-cap windows. With cap_events_per_rack_day > 0 and a positive
+  // cap, each rack samples Poisson cap windows from (datacenter seed, rack) —
+  // deterministic, per-rack streams exactly like the fault planner's. A
+  // capped rack never sponsors and never starts a drain. The watt value is
+  // only ever tested for > 0: it switches the windows on, but no rack's
+  // power is compared against it, so any positive value gives the same run.
   double rack_power_cap_watts = 0.0;
   double cap_events_per_rack_day = 0.0;
-  SimTime cap_event_duration = SimTime::Hours(2.0);
 
   Status Validate() const;
 };
@@ -90,14 +88,14 @@ struct CoordinatorConfig {
 struct CoordinatorStats {
   uint64_t drains_started = 0;
   uint64_t drain_returns = 0;
-  uint64_t vms_drained = 0;             // VM moves charged at drain starts
-  uint64_t drain_intervals = 0;         // rack-intervals spent drained
+  uint64_t vms_drained = 0;      // VM moves charged at drain starts
+  uint64_t drain_intervals = 0;  // rack-intervals spent drained
   uint64_t cross_rack_traffic_bytes = 0;
-  uint64_t cap_windows = 0;             // sampled cap windows across racks
+  uint64_t cap_windows = 0;  // sampled cap windows across racks
   uint64_t cap_blocked_sponsorships = 0;
   uint64_t fault_excluded_sponsors = 0;
-  Joules energy_saved = 0.0;       // S3 delta of drained consolidation hosts
-  Joules migration_energy = 0.0;   // wire energy of cross-rack moves
+  Joules energy_saved = 0.0;      // S3 delta of drained consolidation hosts
+  Joules migration_energy = 0.0;  // wire energy of cross-rack moves
 
   Joules NetSaved() const { return energy_saved - migration_energy; }
 };
@@ -108,7 +106,10 @@ class GlobalCoordinator {
 
   // Replays `run`'s merged interval timelines and returns the inter-rack
   // action ledger. Pure: same run, same stats, regardless of how the shards
-  // were executed. kOff returns all-zero stats.
+  // were executed. kOff returns all-zero stats. A consolidation host's
+  // capacity is the densest packing any rack reached in any interval,
+  // max ceil(parked / powered consolidation hosts); a rack is near-empty
+  // while it parks between 1 and max(1, capacity / 4) VMs.
   CoordinatorStats Coordinate(const DatacenterRun& run) const;
 
   const CoordinatorConfig& config() const { return config_; }

@@ -29,22 +29,18 @@ constexpr const char* kRecoverNames[kNumFaultClasses] = {
 // query streams drive per-operation Bernoulli draws. Deriving both from the
 // run seed with golden-ratio multiples keeps classes decorrelated while the
 // whole schedule stays a pure function of (config, seed).
-uint64_t PlanSalt(int c) {
-  return 0x9E3779B97F4A7C15ull * static_cast<uint64_t>(c + 1);
-}
-uint64_t QuerySalt(int c) {
-  return 0xC2B2AE3D27D4EB4Full * static_cast<uint64_t>(c + 1);
-}
+uint64_t PlanSalt(int c) { return 0x9E3779B97F4A7C15ull * static_cast<uint64_t>(c + 1); }
+uint64_t QuerySalt(int c) { return 0xC2B2AE3D27D4EB4Full * static_cast<uint64_t>(c + 1); }
 
-void SamplePoisson(FaultClass fault, double per_hour, SimTime horizon, uint64_t seed,
+void SamplePoisson(FaultClass fault, double per_hour, uint64_t seed,
                    std::vector<ScheduledFault>& out) {
-  if (per_hour <= 0.0 || horizon <= SimTime::Zero()) {
+  if (per_hour <= 0.0) {
     return;
   }
   Rng rng(seed ^ PlanSalt(static_cast<int>(fault)));
   double mean_hours = 1.0 / per_hour;
   SimTime t = SimTime::Hours(rng.NextExponential(mean_hours));
-  while (t <= horizon) {
+  while (t <= kFaultHorizon) {
     out.push_back({t, fault, -1});
     t += SimTime::Hours(rng.NextExponential(mean_hours));
   }
@@ -52,17 +48,14 @@ void SamplePoisson(FaultClass fault, double per_hour, SimTime horizon, uint64_t 
 
 void BumpCounter(const char* kind, FaultClass fault) {
   if (obs::MetricsRegistry* m = obs::MetricsRegistry::IfEnabled()) {
-    m->counter(std::string("fault.") + kind + "." +
-               kClassNames[static_cast<int>(fault)])
+    m->counter(std::string("fault.") + kind + "." + kClassNames[static_cast<int>(fault)])
         ->Increment();
   }
 }
 
 }  // namespace
 
-const char* FaultClassName(FaultClass fault) {
-  return kClassNames[static_cast<int>(fault)];
-}
+const char* FaultClassName(FaultClass fault) { return kClassNames[static_cast<int>(fault)]; }
 
 Status FaultConfig::Validate() const {
   for (double p : {wol_loss_probability, resume_hang_probability}) {
@@ -70,14 +63,10 @@ Status FaultConfig::Validate() const {
       return Status::InvalidArgument("fault probability outside [0,1]");
     }
   }
-  for (double r :
-       {host_crash_per_hour, memory_server_failure_per_hour, migration_abort_per_hour}) {
+  for (double r : {host_crash_per_hour, memory_server_failure_per_hour, migration_abort_per_hour}) {
     if (r < 0.0) {
       return Status::InvalidArgument("fault rate must be non-negative");
     }
-  }
-  if (max_wol_retries < 1 || wol_retry_timeout <= SimTime::Zero()) {
-    return Status::InvalidArgument("invalid WoL retry limit/timeout");
   }
   return Status::Ok();
 }
@@ -98,12 +87,10 @@ FaultPlan FaultPlan::Build(const FaultConfig& config, uint64_t seed) {
   if (!config.enabled) {
     return plan;
   }
-  SamplePoisson(FaultClass::kHostCrash, config.host_crash_per_hour, config.horizon, seed,
+  SamplePoisson(FaultClass::kHostCrash, config.host_crash_per_hour, seed, plan.events);
+  SamplePoisson(FaultClass::kMemoryServerFailure, config.memory_server_failure_per_hour, seed,
                 plan.events);
-  SamplePoisson(FaultClass::kMemoryServerFailure, config.memory_server_failure_per_hour,
-                config.horizon, seed, plan.events);
-  SamplePoisson(FaultClass::kMigrationAbort, config.migration_abort_per_hour,
-                config.horizon, seed, plan.events);
+  SamplePoisson(FaultClass::kMigrationAbort, config.migration_abort_per_hour, seed, plan.events);
   for (const ScheduledFault& f : config.scheduled) {
     plan.events.push_back(f);
   }
@@ -149,7 +136,7 @@ int FaultInjector::SampleWolLosses(SimTime now, int64_t host) {
   }
   Rng& rng = StreamFor(FaultClass::kWolLoss);
   int losses = 0;
-  while (losses < config_.max_wol_retries && rng.NextBool(config_.wol_loss_probability)) {
+  while (losses < kMaxWolRetries && rng.NextBool(config_.wol_loss_probability)) {
     ++losses;
   }
   if (losses > 0) {
@@ -190,8 +177,7 @@ void FaultInjector::RecordRecovered(FaultClass fault, SimTime start, SimTime end
 
 void FaultInjector::RecordSkipped(FaultClass fault, SimTime at, obs::TraceArgs args) {
   ++skipped_[static_cast<int>(fault)];
-  OASIS_CLOG(kDebug, "fault") << "skip " << FaultClassName(fault)
-                              << " (no eligible target)";
+  OASIS_CLOG(kDebug, "fault") << "skip " << FaultClassName(fault) << " (no eligible target)";
   if (obs::Tracer* t = obs::Tracer::IfEnabled()) {
     t->Instant("fault", "skipped", at, args);
   }

@@ -10,7 +10,7 @@
 // Two kinds of fault classes exist:
 //   * time-scheduled (host crash, memory-server failure, migration abort):
 //     FaultPlan::Build pre-samples their firing times as a Poisson process
-//     over the configured horizon and merges explicitly scheduled entries;
+//     over one simulated day and merges explicitly scheduled entries;
 //     the cluster manager walks the plan as simulator events.
 //   * query-sampled (WoL loss, S3 resume hang):
 //     the affected component asks the injector at the moment the operation
@@ -46,13 +46,13 @@ namespace oasis {
 // the per-class metric arrays folded into pinned digests, so renumbering
 // would change every fault schedule and digest.
 enum class FaultClass {
-  kHostCrash = 0,          // consolidation host loses power instantly
-  kWolLoss,                // wake-on-LAN packet dropped; re-sent on a timeout
-  kRpcDrop,                // retired
-  kRpcDelay,               // retired
-  kMemoryServerFailure,    // a sleeping home's memory server dies
-  kMigrationAbort,         // an in-flight migration aborts at a page boundary
-  kResumeHang,             // S3 resume wedges until the watchdog fires
+  kHostCrash = 0,        // consolidation host loses power instantly
+  kWolLoss,              // wake-on-LAN packet dropped; re-sent on a timeout
+  kRpcDrop,              // retired
+  kRpcDelay,             // retired
+  kMemoryServerFailure,  // a sleeping home's memory server dies
+  kMigrationAbort,       // an in-flight migration aborts at a page boundary
+  kResumeHang,           // S3 resume wedges until the watchdog fires
 };
 
 inline constexpr int kNumFaultClasses = 7;
@@ -64,6 +64,19 @@ inline constexpr FaultClass kLiveFaultClasses[] = {
 
 // Stable lowercase identifier used in metric names ("fault.injected.<name>").
 const char* FaultClassName(FaultClass fault);
+
+// The time-scheduled classes are sampled over one simulated day.
+inline constexpr SimTime kFaultHorizon = SimTime::Hours(24.0);
+
+// Recovery policy. A lost WoL packet is re-sent after kWolRetryTimeout
+// without link-up; after kMaxWolRetries lost packets the wake escalates to
+// the management processor. A hung S3 resume is re-tried once
+// kResumeWatchdog fires. A VM on a crashed host restarts from its home's
+// disk image, booting kVmRestartLatency after the home host is powered.
+inline constexpr SimTime kWolRetryTimeout = SimTime::Seconds(1.0);
+inline constexpr int kMaxWolRetries = 5;
+inline constexpr SimTime kResumeWatchdog = SimTime::Seconds(10.0);
+inline constexpr SimTime kVmRestartLatency = SimTime::Seconds(30.0);
 
 // One explicitly scheduled (or plan-sampled) fault firing.
 struct ScheduledFault {
@@ -85,25 +98,16 @@ struct FaultConfig {
   bool enabled = false;
 
   // --- query-sampled classes (per-operation probabilities) ---------------
-  double wol_loss_probability = 0.0;         // per WoL send
-  double resume_hang_probability = 0.0;      // per S3 resume
+  double wol_loss_probability = 0.0;     // per WoL send
+  double resume_hang_probability = 0.0;  // per S3 resume
 
-  // --- time-scheduled classes (Poisson rates over `horizon`) -------------
+  // --- time-scheduled classes (Poisson rates over kFaultHorizon) --------
   double host_crash_per_hour = 0.0;
   double memory_server_failure_per_hour = 0.0;
   double migration_abort_per_hour = 0.0;
-  SimTime horizon = SimTime::Hours(24.0);
 
   // Explicit fault schedule, merged (and time-sorted) with the sampled plan.
   std::vector<ScheduledFault> scheduled;
-
-  // --- recovery policy knobs ---------------------------------------------
-  SimTime wol_retry_timeout = SimTime::Seconds(1.0);  // re-send after no link-up
-  int max_wol_retries = 5;                            // then escalate
-  SimTime resume_watchdog = SimTime::Seconds(10.0);   // hung resume is re-tried
-  // A VM on a crashed host restarts from its home's disk image; boot takes
-  // this long after the home host is powered.
-  SimTime vm_restart_latency = SimTime::Seconds(30.0);
 
   Status Validate() const;
 
@@ -139,7 +143,7 @@ class FaultInjector {
 
   // --- query-sampled classes ---------------------------------------------
   // Number of consecutive WoL packets lost for this wake (0 = delivered
-  // first try; capped at max_wol_retries, at which point the caller
+  // first try; capped at kMaxWolRetries, at which point the caller
   // escalates). Records the injection instant when non-zero.
   int SampleWolLosses(SimTime now, int64_t host);
   // True when this S3 resume wedges and costs the watchdog timeout.
@@ -149,19 +153,12 @@ class FaultInjector {
   // The injection sites call these so counters and the trace stay the single
   // source of truth for the inject/recover pairing tests.
   void RecordInjected(FaultClass fault, SimTime at, obs::TraceArgs args = {});
-  void RecordRecovered(FaultClass fault, SimTime start, SimTime end,
-                       obs::TraceArgs args = {});
+  void RecordRecovered(FaultClass fault, SimTime start, SimTime end, obs::TraceArgs args = {});
   void RecordSkipped(FaultClass fault, SimTime at, obs::TraceArgs args = {});
 
-  uint64_t injected(FaultClass fault) const {
-    return injected_[static_cast<int>(fault)];
-  }
-  uint64_t recovered(FaultClass fault) const {
-    return recovered_[static_cast<int>(fault)];
-  }
-  uint64_t skipped(FaultClass fault) const {
-    return skipped_[static_cast<int>(fault)];
-  }
+  uint64_t injected(FaultClass fault) const { return injected_[static_cast<int>(fault)]; }
+  uint64_t recovered(FaultClass fault) const { return recovered_[static_cast<int>(fault)]; }
+  uint64_t skipped(FaultClass fault) const { return skipped_[static_cast<int>(fault)]; }
   uint64_t TotalInjected() const;
   uint64_t TotalRecovered() const;
 

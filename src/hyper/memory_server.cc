@@ -10,8 +10,8 @@
 
 namespace oasis {
 
-MemoryServer::MemoryServer(const MemoryServerConfig& config)
-    : config_(config), sas_(Link(config.sas_bytes_per_sec, config.sas_latency)) {}
+MemoryServer::MemoryServer(size_t chunk_cache_entries)
+    : chunk_cache_entries_(chunk_cache_entries), sas_(Link(kSasBytesPerSec, kSasLatency)) {}
 
 SimTime MemoryServer::Upload(SimTime now, VmId vm, uint64_t compressed_bytes) {
   images_[vm] += compressed_bytes;
@@ -37,17 +37,16 @@ StatusOr<SimTime> MemoryServer::ServePageRequest(SimTime now, VmId vm, uint64_t 
   }
   ++pages_served_;
   uint64_t chunk = page_number / kPagesPerChunk;
-  SimTime latency = config_.network_rtt + config_.decompress_per_page;
+  SimTime latency = kNetworkRtt + kDecompressPerPage;
   bool hit = CacheLookupInsert(vm, chunk);
   if (hit) {
     ++cache_hits_;
   } else {
-    latency += config_.disk_seek;
+    latency += kDiskSeek;
   }
   if (obs::Tracer* t = obs::Tracer::IfEnabled()) {
     t->Complete("memsrv", "page_serve", now, now + latency,
-                obs::TraceArgs{-1, static_cast<int64_t>(vm),
-                               static_cast<int64_t>(kPageSize)});
+                obs::TraceArgs{-1, static_cast<int64_t>(vm), static_cast<int64_t>(kPageSize)});
   }
   if (obs::MetricsRegistry* m = obs::MetricsRegistry::IfEnabled()) {
     m->counter("memsrv.pages_served")->Increment();
@@ -66,11 +65,11 @@ StatusOr<SimTime> MemoryServer::ServePageRequest(SimTime now, VmId vm, uint64_t 
                        std::to_string(pages_served_) + " pages served";
               },
               obs::TraceArgs{-1, static_cast<int64_t>(vm)});
-    c->Expect(latency >= config_.network_rtt, "memsrv.latency_includes_rtt", now,
+    c->Expect(latency >= kNetworkRtt, "memsrv.latency_includes_rtt", now,
               [&] {
                 return "page served in " + std::to_string(latency.micros()) +
                        " us, below the network RTT of " +
-                       std::to_string(config_.network_rtt.micros()) + " us";
+                       std::to_string(kNetworkRtt.micros()) + " us";
               },
               obs::TraceArgs{-1, static_cast<int64_t>(vm)});
   }
@@ -102,7 +101,7 @@ bool MemoryServer::CacheLookupInsert(VmId vm, uint64_t chunk) {
     cache_lru_.erase(it);
   }
   cache_lru_.push_back(key);
-  while (cache_lru_.size() > config_.chunk_cache_entries) {
+  while (cache_lru_.size() > chunk_cache_entries_) {
     cache_lru_.pop_front();
   }
   return hit;

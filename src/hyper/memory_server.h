@@ -12,6 +12,7 @@
 #ifndef OASIS_SRC_HYPER_MEMORY_SERVER_H_
 #define OASIS_SRC_HYPER_MEMORY_SERVER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
@@ -23,25 +24,19 @@
 
 namespace oasis {
 
-struct MemoryServerConfig {
-  // The SAS channel the host uses to push images (§4.3: 128 MiB/s).
-  double sas_bytes_per_sec = kSasBytesPerSec;
-  SimTime sas_latency = SimTime::Millis(1);
-
-  // Page-request service: network round trip + disk read + decompression.
-  SimTime network_rtt = SimTime::Micros(200);
-  SimTime disk_seek = SimTime::Micros(5300);  // random read on the SAS drive
-  SimTime decompress_per_page = SimTime::Micros(45);
-  // Recently read 2 MiB chunks stay in the board's RAM; hits skip the seek.
-  size_t chunk_cache_entries = 64;
-};
+// The SAS channel the host pushes images over runs at kSasBytesPerSec
+// (§4.3: 128 MiB/s) with this per-transfer latency.
+inline constexpr SimTime kSasLatency = SimTime::Millis(1);
+// Page-request service: network round trip + disk read + decompression.
+inline constexpr SimTime kNetworkRtt = SimTime::Micros(200);
+inline constexpr SimTime kDiskSeek = SimTime::Micros(5300);  // random read on the SAS drive
+inline constexpr SimTime kDecompressPerPage = SimTime::Micros(45);
+// Recently read 2 MiB chunks stay in the board's RAM; hits skip the seek.
+inline constexpr size_t kChunkCacheEntries = 64;
 
 class MemoryServer {
  public:
-  explicit MemoryServer(const MemoryServerConfig& config);
-  MemoryServer() : MemoryServer(MemoryServerConfig{}) {}
-
-  const MemoryServerConfig& config() const { return config_; }
+  explicit MemoryServer(size_t chunk_cache_entries = kChunkCacheEntries);
 
   // Writes `compressed_bytes` of VM `vm` to the shared drive, queueing
   // behind in-flight uploads. Returns the completion time.
@@ -63,7 +58,7 @@ class MemoryServer {
  private:
   bool CacheLookupInsert(VmId vm, uint64_t chunk);
 
-  MemoryServerConfig config_;
+  size_t chunk_cache_entries_;
   SharedChannel sas_;
   std::unordered_map<VmId, uint64_t> images_;  // vm -> stored compressed bytes
   // Tiny LRU of (vm, chunk) pairs.

@@ -36,7 +36,6 @@ const char* VmResidencyName(VmResidency r);
 struct VmConfig {
   VmId id = 0;
   uint64_t memory_bytes = 4 * kGiB;
-  int vcpus = 1;
   VmType type = VmType::kDesktop;
   uint64_t seed = 1;
 };

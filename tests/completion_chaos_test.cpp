@@ -40,8 +40,6 @@
 namespace oasis {
 namespace {
 
-constexpr SimTime kRestartLatency = SimTime::Seconds(30.0);
-
 ClusterConfig ChaosConfig(const std::string& strategy, uint64_t seed) {
   ClusterConfig config;
   config.num_home_hosts = 8;
@@ -54,11 +52,10 @@ ClusterConfig ChaosConfig(const std::string& strategy, uint64_t seed) {
   config.fault.host_crash_per_hour = 0.5;
   config.fault.memory_server_failure_per_hour = 0.75;
   config.fault.migration_abort_per_hour = 2.0;
-  config.fault.vm_restart_latency = kRestartLatency;
   // One crash per hour, one restart latency before the hour's first round:
   // a full VM whose home is powered restarts exactly on that round.
   for (int hour = 1; hour < 24; ++hour) {
-    SimTime at = SimTime::Hours(static_cast<double>(hour)) - kRestartLatency;
+    SimTime at = SimTime::Hours(static_cast<double>(hour)) - kVmRestartLatency;
     config.fault.scheduled.push_back(ScheduledFault{at, FaultClass::kHostCrash, -1});
   }
   return config;

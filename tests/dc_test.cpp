@@ -3,14 +3,16 @@
 // drain sweep on hand-built timelines, and the merged ledger.
 //
 // Everything here runs on synthetic DatacenterRuns — no cluster simulation —
-// so the coordinator's arithmetic (S3 credits, wire-energy charges, cap and
-// fault exclusions) is pinned against closed-form expectations. The
-// whole-simulation properties live in dc_metamorphic_test.cpp.
+// so the coordinator's arithmetic (auto-calibration, S3 credits, wire-energy
+// charges, cap and fault exclusions) is pinned against closed-form
+// expectations. The whole-simulation properties live in
+// dc_metamorphic_test.cpp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "src/dc/coordinator.h"
@@ -47,15 +49,20 @@ RackResult SyntheticRack(int rack, int pod, const std::vector<int>& parked,
   return result;
 }
 
-// Fixed thresholds so every expectation below is closed-form (auto
-// calibration is exercised by the bench and the metamorphic suite).
-CoordinatorConfig DrainConfig() {
-  CoordinatorConfig config;
-  config.mode = CoordinatorMode::kAssisted;
-  config.near_empty_max_parked = 4;
-  config.min_drain_intervals = 3;
-  config.cons_host_vm_capacity = 64;
-  return config;
+// `racks` plus one calibration rack: 16 parked VMs on one powered
+// consolidation host every interval. Unless another rack packs denser,
+// auto-calibration reads a capacity of 16 VMs per host (sponsor room 14.4
+// per powered host) and a near-empty band of [1, 4], so the expectations
+// below are closed-form. The calibration rack is too full either to drain
+// (16 > 4) or to sponsor (16 > 14.4).
+constexpr int kCalibrationRack = 99;
+
+DatacenterRun CalibratedRun(std::vector<RackResult> racks) {
+  DatacenterRun run;
+  const size_t intervals = racks.front().metrics.timeline.size();
+  run.racks = std::move(racks);
+  run.racks.push_back(SyntheticRack(kCalibrationRack, 0, std::vector<int>(intervals, 16), 1));
+  return run;
 }
 
 Watts S3Delta() {
@@ -119,10 +126,6 @@ TEST(DatacenterTopologyTest, ValidateRejectsBadConfigs) {
   EXPECT_FALSE(DatacenterTopology::Build(config).ok());
 
   config = DatacenterConfig();
-  config.coordinator.sponsor_fill_ratio = 0.0;
-  EXPECT_FALSE(DatacenterTopology::Build(config).ok());
-
-  config = DatacenterConfig();
   config.coordinator.cap_events_per_rack_day = 1.0;  // cap events, no cap watts
   EXPECT_FALSE(DatacenterTopology::Build(config).ok());
 }
@@ -136,10 +139,9 @@ TEST(DatacenterEnvTest, RackCountOverrideParses) {
 }
 
 TEST(CoordinatorTest, OffModeReturnsZeroStats) {
-  CoordinatorConfig config = DrainConfig();
+  CoordinatorConfig config;
   config.mode = CoordinatorMode::kOff;
-  DatacenterRun run;
-  run.racks.push_back(SyntheticRack(0, 0, {2, 2, 2}, 1));
+  DatacenterRun run = CalibratedRun({SyntheticRack(0, 0, {2, 2, 2}, 1)});
   CoordinatorStats stats = GlobalCoordinator(config).Coordinate(run);
   EXPECT_EQ(stats.drains_started, 0u);
   EXPECT_EQ(stats.energy_saved, 0.0);
@@ -147,11 +149,11 @@ TEST(CoordinatorTest, OffModeReturnsZeroStats) {
 }
 
 TEST(CoordinatorTest, GlobalGreedyCreditsIdealPacking) {
-  DatacenterRun run;
-  // 4 parked VMs across two racks fit one 64-VM host; two are powered.
-  run.racks.push_back(SyntheticRack(0, 0, std::vector<int>(10, 2), 1));
-  run.racks.push_back(SyntheticRack(1, 0, std::vector<int>(10, 2), 1));
-  CoordinatorConfig config = DrainConfig();
+  // 2 + 2 + 16 parked VMs across three racks fit two 16-VM hosts; three are
+  // powered.
+  DatacenterRun run = CalibratedRun({SyntheticRack(0, 0, std::vector<int>(10, 2), 1),
+                                     SyntheticRack(1, 0, std::vector<int>(10, 2), 1)});
+  CoordinatorConfig config;
   config.mode = CoordinatorMode::kGlobalGreedy;
   CoordinatorStats stats = GlobalCoordinator(config).Coordinate(run);
   EXPECT_DOUBLE_EQ(stats.energy_saved, 10.0 * S3Delta() * kIntervalS);
@@ -160,23 +162,20 @@ TEST(CoordinatorTest, GlobalGreedyCreditsIdealPacking) {
 }
 
 TEST(CoordinatorTest, AssistedDrainsNearEmptyRackIntoPodSponsor) {
-  DatacenterRun run;
-  run.racks.push_back(SyntheticRack(0, 0, std::vector<int>(10, 2), 1));
-  run.racks.push_back(SyntheticRack(1, 0, std::vector<int>(10, 10), 1));
-  const CoordinatorConfig config = DrainConfig();
-  CoordinatorStats stats = GlobalCoordinator(config).Coordinate(run);
+  DatacenterRun run = CalibratedRun({SyntheticRack(0, 0, std::vector<int>(10, 2), 1),
+                                     SyntheticRack(1, 0, std::vector<int>(10, 10), 1)});
+  CoordinatorStats stats = GlobalCoordinator(CoordinatorConfig()).Coordinate(run);
 
-  // Rack 0 (2 parked <= near-empty 4) drains into rack 1 at t=0, then earns
-  // the S3 credit of its one consolidation host for the 9 remaining
-  // intervals. Rack 1 (10 parked) never qualifies.
+  // Rack 0 (2 parked <= near-empty 4) drains into rack 1 (10 + 2 <= 14.4)
+  // at t=0, then earns the S3 credit of its one consolidation host for the
+  // 9 remaining intervals. Rack 1 (10 parked) never qualifies.
   EXPECT_EQ(stats.drains_started, 1u);
   EXPECT_EQ(stats.drain_returns, 0u);
   EXPECT_EQ(stats.vms_drained, 2u);
   EXPECT_EQ(stats.drain_intervals, 9u);
   EXPECT_DOUBLE_EQ(stats.energy_saved, 9.0 * S3Delta() * kIntervalS);
-  EXPECT_EQ(stats.cross_rack_traffic_bytes, 2u * config.drain_bytes_per_vm);
-  EXPECT_DOUBLE_EQ(stats.migration_energy,
-                   ToGiB(2u * config.drain_bytes_per_vm) * config.wire_joules_per_gib);
+  EXPECT_EQ(stats.cross_rack_traffic_bytes, 2u * kDrainBytesPerVm);
+  EXPECT_DOUBLE_EQ(stats.migration_energy, ToGiB(2u * kDrainBytesPerVm) * kWireJoulesPerGib);
   EXPECT_GT(stats.NetSaved(), 0.0);
 }
 
@@ -185,59 +184,55 @@ TEST(CoordinatorTest, DrainReturnsWhenDemandRisesAfterHysteresis) {
   for (size_t t = 5; t < parked.size(); ++t) {
     parked[t] = 10;  // demand returns mid-day
   }
-  DatacenterRun run;
-  run.racks.push_back(SyntheticRack(0, 0, parked, 1));
-  run.racks.push_back(SyntheticRack(1, 0, std::vector<int>(10, 10), 1));
-  const CoordinatorConfig config = DrainConfig();
-  CoordinatorStats stats = GlobalCoordinator(config).Coordinate(run);
+  DatacenterRun run = CalibratedRun(
+      {SyntheticRack(0, 0, parked, 1), SyntheticRack(1, 0, std::vector<int>(10, 10), 1)});
+  CoordinatorStats stats = GlobalCoordinator(CoordinatorConfig()).Coordinate(run);
 
-  // Drained at t=0, credited t=1..4, returned at t=5 (past the 3-interval
-  // hysteresis window), charged the move back at the then-current demand.
+  // Drained at t=0, credited t=1..4, returned at t=5 (past the
+  // kMinDrainIntervals = 3 hysteresis window), charged the move back at the
+  // then-current demand.
   EXPECT_EQ(stats.drains_started, 1u);
   EXPECT_EQ(stats.drain_returns, 1u);
   EXPECT_EQ(stats.drain_intervals, 4u);
   EXPECT_DOUBLE_EQ(stats.energy_saved, 4.0 * S3Delta() * kIntervalS);
-  EXPECT_EQ(stats.cross_rack_traffic_bytes, (2u + 10u) * config.drain_bytes_per_vm);
+  EXPECT_EQ(stats.cross_rack_traffic_bytes, (2u + 10u) * kDrainBytesPerVm);
 }
 
 TEST(CoordinatorTest, HysteresisHoldsDrainThroughShortSpikes) {
   std::vector<int> parked(10, 2);
   parked[1] = 10;
-  parked[2] = 10;  // spike shorter than min_drain_intervals
-  DatacenterRun run;
-  run.racks.push_back(SyntheticRack(0, 0, parked, 1));
-  run.racks.push_back(SyntheticRack(1, 0, std::vector<int>(10, 10), 1));
-  CoordinatorStats stats = GlobalCoordinator(DrainConfig()).Coordinate(run);
+  parked[2] = 10;  // spike shorter than kMinDrainIntervals
+  DatacenterRun run = CalibratedRun(
+      {SyntheticRack(0, 0, parked, 1), SyntheticRack(1, 0, std::vector<int>(10, 10), 1)});
+  CoordinatorStats stats = GlobalCoordinator(CoordinatorConfig()).Coordinate(run);
   EXPECT_EQ(stats.drains_started, 1u);
   EXPECT_EQ(stats.drain_returns, 0u);
   EXPECT_EQ(stats.drain_intervals, 9u);
 }
 
 TEST(CoordinatorTest, FaultedRackNeverSponsors) {
-  DatacenterRun run;
-  run.racks.push_back(SyntheticRack(0, 0, std::vector<int>(10, 2), 1));
-  run.racks.push_back(SyntheticRack(1, 0, std::vector<int>(10, 10), 1));
+  DatacenterRun run = CalibratedRun({SyntheticRack(0, 0, std::vector<int>(10, 2), 1),
+                                     SyntheticRack(1, 0, std::vector<int>(10, 10), 1)});
   run.racks[1].metrics.faults_injected = 1;
-  CoordinatorStats stats = GlobalCoordinator(DrainConfig()).Coordinate(run);
-  // The only candidate sponsor crashed hosts today: rack 0 retries (and is
-  // refused) every interval.
+  CoordinatorStats stats = GlobalCoordinator(CoordinatorConfig()).Coordinate(run);
+  // The only candidate sponsor with room crashed hosts today: rack 0 retries
+  // (and is refused) every interval.
   EXPECT_EQ(stats.drains_started, 0u);
   EXPECT_EQ(stats.fault_excluded_sponsors, 10u);
   EXPECT_EQ(stats.energy_saved, 0.0);
 }
 
 TEST(CoordinatorTest, CapWindowsAreSampledDeterministically) {
-  DatacenterRun run;
+  DatacenterRun run = CalibratedRun({SyntheticRack(0, 0, std::vector<int>(20, 2), 1),
+                                     SyntheticRack(1, 0, std::vector<int>(20, 10), 1)});
   run.config.seed = 42;
-  run.racks.push_back(SyntheticRack(0, 0, std::vector<int>(20, 2), 1));
-  run.racks.push_back(SyntheticRack(1, 0, std::vector<int>(20, 10), 1));
-  CoordinatorConfig config = DrainConfig();
+  CoordinatorConfig config;
   config.rack_power_cap_watts = 1000.0;
   config.cap_events_per_rack_day = 1.0;  // exactly one window per rack
   const GlobalCoordinator coordinator(config);
   CoordinatorStats a = GlobalCoordinator(config).Coordinate(run);
   CoordinatorStats b = coordinator.Coordinate(run);
-  EXPECT_EQ(a.cap_windows, 2u);
+  EXPECT_EQ(a.cap_windows, 3u);
   // Same run, same stats — the windows come from (seed, rack), not from any
   // per-call state.
   EXPECT_EQ(a.cap_windows, b.cap_windows);
@@ -247,20 +242,67 @@ TEST(CoordinatorTest, CapWindowsAreSampledDeterministically) {
 }
 
 TEST(CoordinatorTest, StatsAreInvariantUnderRackPermutation) {
-  DatacenterRun run;
-  run.racks.push_back(SyntheticRack(0, 0, std::vector<int>(10, 2), 1));
-  run.racks.push_back(SyntheticRack(1, 0, std::vector<int>(10, 10), 1));
-  run.racks.push_back(SyntheticRack(2, 1, std::vector<int>(10, 3), 1));
-  run.racks.push_back(SyntheticRack(3, 1, std::vector<int>(10, 20), 1));
+  DatacenterRun run = CalibratedRun({SyntheticRack(0, 0, std::vector<int>(10, 2), 1),
+                                     SyntheticRack(1, 0, std::vector<int>(10, 10), 1),
+                                     SyntheticRack(2, 1, std::vector<int>(10, 3), 1),
+                                     SyntheticRack(3, 1, std::vector<int>(10, 20), 1)});
   DatacenterRun permuted = run;
   std::reverse(permuted.racks.begin(), permuted.racks.end());
 
-  const GlobalCoordinator coordinator(DrainConfig());
+  const GlobalCoordinator coordinator{CoordinatorConfig()};
   CoordinatorStats a = coordinator.Coordinate(run);
   CoordinatorStats b = coordinator.Coordinate(permuted);
   EXPECT_EQ(DatacenterLedger::Build(run, a).Digest(),
             DatacenterLedger::Build(permuted, b).Digest());
   EXPECT_GE(a.drains_started, 1u);  // the property is non-vacuous
+}
+
+// Capacity is the maximum over racks and intervals of
+// ceil(parked / powered consolidation hosts). Rack 1 packs 17 VMs onto 2
+// hosts at t=0, so capacity is 9 (8 if rounded down; 5 if only the last
+// interval counted; 1 if only rack 0 did). The global-greedy bound shows it:
+// 18 and 10 parked VMs need two 9-VM hosts each, one fewer than the three
+// powered.
+TEST(CoordinatorTest, CalibratedCapacityIsTheDensestPackingRoundedUp) {
+  DatacenterRun run;
+  run.racks.push_back(SyntheticRack(0, 0, {1, 1}, 1));
+  run.racks.push_back(SyntheticRack(1, 0, {17, 9}, 2));
+  CoordinatorConfig config;
+  config.mode = CoordinatorMode::kGlobalGreedy;
+  CoordinatorStats stats = GlobalCoordinator(config).Coordinate(run);
+  EXPECT_DOUBLE_EQ(stats.energy_saved, 2.0 * S3Delta() * kIntervalS);
+}
+
+// A rack is near-empty while it parks between 1 and max(1, capacity / 4)
+// VMs.
+TEST(CoordinatorTest, NearEmptyBandIsAQuarterOfCapacityAndAtLeastOne) {
+  {
+    // 31 parked on 2 hosts: capacity 16, near-empty 4 (15 and 3 if rounded
+    // down). Rack 2 (4 parked) drains into rack 1 (5 + 4 <= 14.4); rack 1
+    // (5 parked) is past the band, and rack 0 is too full to sponsor
+    // (31 + 4 > 28.8).
+    DatacenterRun run;
+    run.racks.push_back(SyntheticRack(0, 0, std::vector<int>(4, 31), 2));
+    run.racks.push_back(SyntheticRack(1, 0, std::vector<int>(4, 5), 1));
+    run.racks.push_back(SyntheticRack(2, 0, std::vector<int>(4, 4), 1));
+    CoordinatorStats stats = GlobalCoordinator(CoordinatorConfig()).Coordinate(run);
+    EXPECT_EQ(stats.drains_started, 1u);
+    EXPECT_EQ(stats.vms_drained, 4u);
+    EXPECT_EQ(stats.drain_intervals, 3u);
+  }
+  {
+    // 3 parked on 1 host: capacity 3, a quarter of which rounds to 0, so the
+    // band is [1, 1]. Rack 2 (1 parked) drains into rack 1 (2 + 1 <= 8.1);
+    // rack 0 cannot take it (3 + 1 > 2.7).
+    DatacenterRun run;
+    run.racks.push_back(SyntheticRack(0, 0, std::vector<int>(4, 3), 1));
+    run.racks.push_back(SyntheticRack(1, 0, std::vector<int>(4, 2), 3));
+    run.racks.push_back(SyntheticRack(2, 0, std::vector<int>(4, 1), 1));
+    CoordinatorStats stats = GlobalCoordinator(CoordinatorConfig()).Coordinate(run);
+    EXPECT_EQ(stats.drains_started, 1u);
+    EXPECT_EQ(stats.vms_drained, 1u);
+    EXPECT_EQ(stats.drain_intervals, 3u);
+  }
 }
 
 TEST(DatacenterLedgerTest, BuildSortsRowsAndSumsTotals) {

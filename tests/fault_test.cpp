@@ -59,11 +59,9 @@ TEST(FaultPlanTest, ClassStreamsAreIndependent) {
 }
 
 TEST(FaultPlanTest, PlanIsTimeSortedAndBounded) {
-  FaultConfig config = RatesOnly();
-  config.horizon = SimTime::Hours(6.0);
-  FaultPlan plan = FaultPlan::Build(config, 1);
+  FaultPlan plan = FaultPlan::Build(RatesOnly(), 1);
   for (size_t i = 0; i < plan.events.size(); ++i) {
-    EXPECT_LE(plan.events[i].at, config.horizon);
+    EXPECT_LE(plan.events[i].at, kFaultHorizon);
     if (i > 0) {
       EXPECT_LE(plan.events[i - 1].at, plan.events[i].at);
     }
@@ -91,14 +89,6 @@ TEST(FaultConfigTest, ValidateRejectsBadValues) {
   config.host_crash_per_hour = -1.0;
   EXPECT_FALSE(config.Validate().ok());
   config.host_crash_per_hour = 0.0;
-  config.max_wol_retries = 0;
-  EXPECT_FALSE(config.Validate().ok());
-  config.max_wol_retries = 5;
-  config.wol_retry_timeout = SimTime::Zero();
-  EXPECT_FALSE(config.Validate().ok());
-  config.wol_retry_timeout = SimTime::Seconds(-1.0);
-  EXPECT_FALSE(config.Validate().ok());
-  config.wol_retry_timeout = SimTime::Seconds(1.0);
   EXPECT_TRUE(config.Validate().ok());
 }
 
@@ -173,9 +163,8 @@ TEST(FaultInjectorTest, WolLossRunsAreCappedAtMaxRetries) {
   FaultConfig config;
   config.enabled = true;
   config.wol_loss_probability = 1.0;  // every packet lost
-  config.max_wol_retries = 3;
   FaultInjector injector(config, 5);
-  EXPECT_EQ(injector.SampleWolLosses(SimTime::Zero(), 0), 3);
+  EXPECT_EQ(injector.SampleWolLosses(SimTime::Zero(), 0), kMaxWolRetries);
   EXPECT_EQ(injector.injected(FaultClass::kWolLoss), 1u);
 }
 

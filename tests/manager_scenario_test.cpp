@@ -159,7 +159,7 @@ TEST_F(ManagerScenarioTest, ResumeStormUnderWolLossStaysBoundedAndLosesNoVm) {
   // The 09:00 storm with a lossy wake path: every home wakes at once while
   // WoL packets drop and S3 resumes hang. The recovery policy (re-send on a
   // timeout, watchdog on the hang) bounds the extra user-visible delay by
-  // max_wol_retries * wol_retry_timeout + resume_watchdog per wake, and no
+  // kMaxWolRetries * kWolRetryTimeout + kResumeWatchdog per wake, and no
   // VM may be lost or left partial while its user is active.
   ClusterConfig config;
   config.num_home_hosts = 6;
@@ -184,11 +184,10 @@ TEST_F(ManagerScenarioTest, ResumeStormUnderWolLossStaysBoundedAndLosesNoVm) {
   EXPECT_GT(injector.injected(FaultClass::kResumeHang), 0u);
   EXPECT_EQ(m.faults_injected, m.faults_recovered);
 
-  // Bounded: a wake can lose at most max_wol_retries packets and hang once,
+  // Bounded: a wake can lose at most kMaxWolRetries packets and hang once,
   // so no transition stretches beyond the fault-free one by more than that.
   double worst_wake_penalty_s =
-      lossy.fault.max_wol_retries * lossy.fault.wol_retry_timeout.seconds() +
-      lossy.fault.resume_watchdog.seconds();
+      kMaxWolRetries * kWolRetryTimeout.seconds() + kResumeWatchdog.seconds();
   ASSERT_GT(m.transition_delay_s.count(), 0u);
   EXPECT_LE(m.transition_delay_s.Max(),
             control.transition_delay_s.Max() + worst_wake_penalty_s + 0.5);
@@ -262,32 +261,38 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(suite_info.param.cons);
     });
 
-TEST_F(ManagerScenarioTest, CpuCapBindsWhenConfiguredTight) {
-  // With no CPU over-subscription and 4-core hosts, a consolidation host may
-  // execute at most 4 active VMs even though 128 GiB fits 32 of them.
+TEST_F(ManagerScenarioTest, CpuCapBindsBeforeMemoryOnLargeHosts) {
+  // Two homes of 60 VMs on 256 GiB hosts: one consolidation host has the
+  // memory for 64 full VMs but executes at most kMaxActiveVmsPerHost = 48
+  // active ones. Home 1 idles all day; home 0 runs `active` always-active
+  // VMs and idles the rest. Vacating one home alone never pays for waking
+  // the consolidation host, so the power gate commits only a plan that
+  // vacates both, and that plan needs every active VM of home 0 to get a CPU
+  // slot: memory alone would admit 49.
   ClusterConfig config;
   config.num_home_hosts = 2;
   config.num_consolidation_hosts = 1;
-  config.vms_per_home = 6;
-  config.host_cores = 4;
-  config.cpu_overcommit = 1.0;
+  config.SetVmsPerHome(60);
   config.policy = ConsolidationPolicy::kFullToPartial;
-  TraceSet trace(12, UserDay{});
-  for (int u = 0; u < 12; ++u) {
-    for (int i = 0; i < kIntervalsPerDay; ++i) {
-      trace[static_cast<size_t>(u)].SetActive(i, true);
+  for (int active : {kMaxActiveVmsPerHost, kMaxActiveVmsPerHost + 1}) {
+    TraceSet trace = IdleTrace(120);
+    for (int u = 0; u < active; ++u) {
+      Activate(trace, u, 0, kIntervalsPerDay);
+    }
+    ClusterManager manager(config, trace);
+    ClusterMetrics m = manager.Run();
+    if (active <= kMaxActiveVmsPerHost) {
+      // Every active VM moves in full, and both homes end the day asleep.
+      EXPECT_EQ(m.full_migrations, static_cast<uint64_t>(active));
+      EXPECT_FALSE(manager.GetHost(0).IsPowered());
+      EXPECT_FALSE(manager.GetHost(1).IsPowered());
+    } else {
+      // Nothing moves: a vacate is all-or-nothing per home.
+      EXPECT_EQ(m.full_migrations, 0u);
+      EXPECT_EQ(m.partial_migrations, 0u);
+      EXPECT_TRUE(manager.GetHost(0).IsPowered());
     }
   }
-  ClusterManager manager(config, trace);
-  ClusterMetrics m = manager.Run();
-  // 12 always-active VMs cannot be consolidated onto one 4-slot host, and a
-  // vacate is all-or-nothing per home: nothing moves.
-  EXPECT_EQ(m.full_migrations, 0u);
-  EXPECT_NEAR(m.EnergySavings(), 0.0, 0.08);
-  // The same cluster with the paper's 3x over-subscription consolidates.
-  config.cpu_overcommit = 3.0;
-  ClusterManager relaxed(config, trace);
-  EXPECT_GT(relaxed.Run().full_migrations, 0u);
 }
 
 TEST_F(ManagerScenarioTest, OvercommitRaisesConsolidationCapacity) {

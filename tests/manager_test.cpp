@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <string>
 
 #include "src/trace/trace_generator.h"
@@ -286,9 +285,9 @@ TEST(ManagerTest, PlanningIntervalDigestsArePinned) {
   }
 }
 
-// A VM allocation at or below the 16 MiB working-set floor, or a distribution
-// whose draws cannot land under the allocation, would make the working-set
-// sampler reject every draw and spin; Validate refuses both up front.
+// A VM allocation at or below the 16 MiB working-set floor would make the
+// working-set sampler reject every draw and spin; Validate refuses it up
+// front. (Distributions that cannot draw are working_set_test's subject.)
 TEST(ManagerTest, ValidateRejectsWorkingSetsThatCannotFit) {
   ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
   ASSERT_TRUE(config.Validate().ok());
@@ -300,17 +299,6 @@ TEST(ManagerTest, ValidateRejectsWorkingSetsThatCannotFit) {
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
   config.vm_memory_bytes = 64 * kMiB;
   EXPECT_TRUE(config.Validate().ok());
-  config.working_set.mean_mib = 500.0;
-  config.working_set.stddev_mib = 10.0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config = SmallCluster(ConsolidationPolicy::kFullToPartial);
-  config.working_set.stddev_mib = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config.working_set.stddev_mib = -1.0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config = SmallCluster(ConsolidationPolicy::kFullToPartial);
-  config.working_set.floor_mib = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ManagerTest, PolicyNames) {

@@ -33,9 +33,7 @@ TEST(MemoryServerTest, ColdRequestPaysDiskSeek) {
   server.Upload(SimTime::Zero(), 1, 100 * kMiB);
   StatusOr<SimTime> r = server.ServePageRequest(SimTime::Zero(), 1, 12345);
   ASSERT_TRUE(r.ok());
-  MemoryServerConfig config;
-  SimTime expected_miss = config.network_rtt + config.disk_seek + config.decompress_per_page;
-  EXPECT_EQ(*r, expected_miss);
+  EXPECT_EQ(*r, kNetworkRtt + kDiskSeek + kDecompressPerPage);
 }
 
 TEST(MemoryServerTest, SameChunkHitsCache) {
@@ -52,9 +50,7 @@ TEST(MemoryServerTest, SameChunkHitsCache) {
 }
 
 TEST(MemoryServerTest, CacheEvictsOldChunks) {
-  MemoryServerConfig config;
-  config.chunk_cache_entries = 2;
-  MemoryServer server(config);
+  MemoryServer server(/*chunk_cache_entries=*/2);
   server.Upload(SimTime::Zero(), 1, 100 * kMiB);
   server.ServePageRequest(SimTime::Zero(), 1, 0 * kPagesPerChunk);      // miss chunk 0
   server.ServePageRequest(SimTime::Zero(), 1, 1 * kPagesPerChunk);      // miss chunk 1

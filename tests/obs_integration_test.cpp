@@ -56,7 +56,7 @@ TEST_F(ObsIntegrationTest, ClusterRunEmitsAllRequiredSpans) {
 
   // One direct fault fetch (the cluster model accounts page traffic in bulk,
   // the memtap path is the per-page mechanism).
-  MemoryServer server{MemoryServerConfig{}};
+  MemoryServer server;
   server.Upload(SimTime::Zero(), /*vm=*/1, 64 * kPageSize);
   Memtap memtap(&server, /*vm=*/1, /*total_pages=*/64, /*fault_seed=*/7);
   ASSERT_TRUE(memtap.FaultIn(SimTime::Seconds(1), 5).ok());

@@ -11,24 +11,6 @@
 #include "src/obs/trace.h"
 
 namespace oasis {
-namespace {
-
-// One migration leg as a span on the destination host's track, plus the
-// per-kind counter. `name` must be a string literal.
-void TraceMigration(const char* name, SimTime start, SimTime end, VmId vm, HostId dest,
-                    uint64_t bytes) {
-  if (obs::Tracer* t = obs::Tracer::IfEnabled()) {
-    t->Complete("migration", name, start, end,
-                obs::TraceArgs{static_cast<int64_t>(dest), static_cast<int64_t>(vm),
-                               static_cast<int64_t>(bytes)});
-  }
-  if (obs::MetricsRegistry* m = obs::MetricsRegistry::IfEnabled()) {
-    m->counter(std::string("cluster.migrations.") + name)->Increment();
-    m->histogram("cluster.migration_s")->Record((end - start).seconds());
-  }
-}
-
-}  // namespace
 
 Actuator::Actuator(const ClusterConfig& config, Simulator& sim, Rng& rng,
                    WorkingSetSampler& ws_sampler, FaultInjector& fault, ClusterState& state,
@@ -54,8 +36,7 @@ void Actuator::CountResident(HostId host, const VmSlot& vm, int delta) {
   }
 }
 
-void Actuator::Relocate(SimTime now, VmSlot& vm, HostId dest, VmResidency residency,
-                        uint64_t ws) {
+void Actuator::Relocate(SimTime now, VmSlot& vm, HostId dest, VmResidency residency, uint64_t ws) {
   // What a consolidation host reserves for a resident; a home reserves its
   // own VMs' full footprints for the whole day.
   auto footprint = [&vm] {
@@ -135,33 +116,56 @@ void Actuator::NoteUpkeepEligibility(VmSlot& vm, bool was_eligible) {
   }
 }
 
-void Actuator::SettleUpkeep(VmSlot& vm) {
-  uint64_t pending = UpkeepRates::PendingRounds(vm, state_.upkeep_round);
-  if (pending > 0) {
-    AdvanceUpkeep(vm, pending, pending);
-    vm.upkeep_mark = state_.upkeep_round;
+void Actuator::SettleUpkeep(std::span<const VmId> ids, uint32_t extra) {
+  // The traffic totals are sums, so one booking for the batch equals one
+  // per VM.
+  uint64_t fetched_bytes = 0;
+  uint64_t fetches = 0;
+  // The walk takes the batch kUpkeepChunk VMs at a time, which bounds the
+  // scratch on racks of thousands of VMs.
+  for (size_t begin = 0; begin < ids.size(); begin += kUpkeepChunk) {
+    upkeep_steps_.clear();
+    for (VmId id : ids.subspan(begin, std::min(kUpkeepChunk, ids.size() - begin))) {
+      const VmSlot& vm = Slot(id);
+      uint64_t pending = UpkeepRates::PendingRounds(vm, state_.upkeep_round);
+      if (pending + extra > 0) {
+        upkeep_steps_.push_back({&vm, pending + extra, pending});
+      }
+    }
+    if (upkeep_steps_.empty()) {
+      continue;
+    }
+    upkeep_out_.resize(upkeep_steps_.size());
+    state_.upkeep.Advance(upkeep_steps_, upkeep_out_);
+    for (size_t i = 0; i < upkeep_steps_.size(); ++i) {
+      VmSlot& vm = Slot(upkeep_steps_[i].vm->id);
+      const UpkeepCounters& c = upkeep_out_[i];
+      vm.ws_bytes = c.ws_bytes;
+      vm.ws_unfetched = c.ws_unfetched;
+      vm.dirty_bytes = c.dirty_bytes;
+      vm.upkeep_mark = state_.upkeep_round + extra;
+      fetched_bytes += c.fetched_bytes;
+      fetches += c.fetches;
+    }
   }
-}
-
-void Actuator::AdvanceUpkeep(VmSlot& vm, uint64_t rounds, uint64_t grown) {
-  UpkeepCounters c = state_.upkeep.Advance(vm, rounds, grown);
-  vm.ws_bytes = c.ws_bytes;
-  vm.ws_unfetched = c.ws_unfetched;
-  vm.dirty_bytes = c.dirty_bytes;
-  if (c.fetches > 0) {
-    metrics_.traffic.Add(TrafficCategory::kOnDemandPages, c.fetched_bytes, c.fetches);
+  if (fetches > 0) {
+    metrics_.traffic.Add(TrafficCategory::kOnDemandPages, fetched_bytes, fetches);
   }
 }
 
 void Actuator::SettleAllUpkeep() {
-  for (VmSlot& vm : state_.vms) {
-    SettleUpkeep(vm);
+  std::vector<VmId> pending;
+  for (const VmSlot& vm : state_.vms) {
+    if (UpkeepRates::PendingRounds(vm, state_.upkeep_round) > 0) {
+      pending.push_back(vm.id);
+    }
   }
+  SettleUpkeep(pending);
 }
 
 void Actuator::HandleActivation(SimTime now, VmId vm_id, SimTime activation_time) {
   VmSlot& vm = Slot(vm_id);
-  SettleUpkeep(vm);
+  SettleUpkeep(vm_id);
   if (vm.migration_in_flight && now < vm.migration_start && RollbackMigration(now, vm)) {
     // The queued move had not started and was cancelled; fall through with
     // the VM's restored state (full at home for vacate/swap aborts, still
@@ -299,9 +303,11 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
       idle_fulls.push_back(vm.id);
     }
   }
+  // Relocate only asserts that each mover is settled, so the whole group
+  // settles up front as one batch.
+  SettleUpkeep(partials);
   for (VmId id : partials) {
     VmSlot& vm = Slot(id);
-    SettleUpkeep(vm);
     uint64_t dirty = vm.dirty_bytes;
     Relocate(now, vm, home_id, VmResidency::kFullAtHome);
     metrics_.traffic.Add(TrafficCategory::kReintegration, dirty);
@@ -333,6 +339,7 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
 
 void Actuator::PartialVmUpkeep(SimTime now) {
   const uint64_t growth = state_.upkeep.growth;
+  std::vector<VmId> exhausted;
   std::vector<HostId> exhausted_homes;
   // Growth on one host never affects another, and every eligible VM asks
   // for the same growth, so the first AvailableBytes() / growth eligible
@@ -351,18 +358,18 @@ void Actuator::PartialVmUpkeep(SimTime now) {
       continue;
     }
     // An exhaustion round: each eligible resident past the first `fits`
-    // takes this round without growth, now.
+    // settles and takes this round without growth, now, in one batch.
+    exhausted.clear();
     uint64_t seen = 0;
     for (VmId id : host.vms()) {
-      VmSlot& vm = Slot(id);
+      const VmSlot& vm = Slot(id);
       if (!vm.UpkeepEligible() || seen++ < fits) {
         continue;
       }
-      SettleUpkeep(vm);
-      AdvanceUpkeep(vm, 1, 0);
-      vm.upkeep_mark = state_.upkeep_round + 1;
+      exhausted.push_back(id);
       exhausted_homes.push_back(vm.home);
     }
+    SettleUpkeep(exhausted, 1);
   }
   ++state_.upkeep_round;
   std::sort(exhausted_homes.begin(), exhausted_homes.end());
@@ -447,7 +454,7 @@ void Actuator::CommitVacatePlan(SimTime now, const VacatePlan& plan) {
 
 void Actuator::DrainMove(SimTime now, VmId vm_id, HostId dest_id) {
   VmSlot& vm = Slot(vm_id);
-  SettleUpkeep(vm);
+  SettleUpkeep(vm_id);
   HostId source_id = vm.location;
   Relocate(now, vm, dest_id, VmResidency::kPartial);
   // Drains ship only the descriptor; the memory image stays on the home's
@@ -518,8 +525,8 @@ StatusOr<SimTime> Actuator::WakeHost(SimTime now, HostId id) {
         OASIS_CLOG(kWarning, "cluster")
             << "host " << id << " ignored " << losses
             << " WoL packets; escalating to the management processor";
-        if (obs::MetricsRegistry* m = obs::MetricsRegistry::IfEnabled()) {
-          m->counter("fault.wol_escalations")->Increment();
+        if (registry_ != nullptr) {
+          registry_->counter("fault.wol_escalations")->Increment();
         }
       }
     }
@@ -881,6 +888,19 @@ void Actuator::AccrueEnergy(SimTime now) {
   }
 }
 
+void Actuator::TraceMigration(const char* name, SimTime start, SimTime end, VmId vm, HostId dest,
+                              uint64_t bytes) {
+  if (tracer_ != nullptr) {
+    tracer_->Complete("migration", name, start, end,
+                      obs::TraceArgs{static_cast<int64_t>(dest), static_cast<int64_t>(vm),
+                                     static_cast<int64_t>(bytes)});
+  }
+  if (registry_ != nullptr) {
+    registry_->counter(std::string("cluster.migrations.") + name)->Increment();
+    registry_->histogram("cluster.migration_s")->Record((end - start).seconds());
+  }
+}
+
 void Actuator::BookFullMigration(SimTime start, SimTime end, const VmSlot& vm, HostId dest) {
   metrics_.traffic.Add(TrafficCategory::kFullMigration, vm.full_bytes);
   ++metrics_.full_migrations;
@@ -890,13 +910,13 @@ void Actuator::BookFullMigration(SimTime start, SimTime end, const VmSlot& vm, H
 void Actuator::BookDescriptorPush(SimTime now, VmId vm, HostId dest) {
   metrics_.traffic.Add(TrafficCategory::kPartialDescriptor, kDescriptorBytes);
   ++metrics_.partial_migrations;
-  if (obs::Tracer* t = obs::Tracer::IfEnabled()) {
-    t->Complete("migration", "descriptor_push", now, now,
-                obs::TraceArgs{static_cast<int64_t>(dest), static_cast<int64_t>(vm),
-                               static_cast<int64_t>(kDescriptorBytes)});
+  if (tracer_ != nullptr) {
+    tracer_->Complete("migration", "descriptor_push", now, now,
+                      obs::TraceArgs{static_cast<int64_t>(dest), static_cast<int64_t>(vm),
+                                     static_cast<int64_t>(kDescriptorBytes)});
   }
-  if (obs::MetricsRegistry* m = obs::MetricsRegistry::IfEnabled()) {
-    m->counter("cluster.descriptor_pushes")->Increment();
+  if (registry_ != nullptr) {
+    registry_->counter("cluster.descriptor_pushes")->Increment();
   }
 }
 
@@ -906,11 +926,10 @@ void Actuator::RecordPartialMigrationTraffic(SimTime now, VmSlot& vm, HostId des
   state_.vm_ever_uploaded[vm.id] = true;
   uint64_t upload = first ? kFirstUploadBytes : kRepeatUploadBytes;
   metrics_.traffic.Add(TrafficCategory::kMemoryUpload, upload);
-  if (obs::Tracer* t = obs::Tracer::IfEnabled()) {
-    t->Complete("migration", "memory_upload", now, now,
-                obs::TraceArgs{static_cast<int64_t>(vm.home),
-                               static_cast<int64_t>(vm.id),
-                               static_cast<int64_t>(upload)});
+  if (tracer_ != nullptr) {
+    tracer_->Complete("migration", "memory_upload", now, now,
+                      obs::TraceArgs{static_cast<int64_t>(vm.home), static_cast<int64_t>(vm.id),
+                                     static_cast<int64_t>(upload)});
   }
 }
 

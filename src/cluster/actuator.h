@@ -25,6 +25,10 @@
 #include "src/sim/simulator.h"
 
 namespace oasis {
+namespace obs {
+class MetricsRegistry;
+class Tracer;
+}  // namespace obs
 
 class Actuator {
  public:
@@ -80,6 +84,15 @@ class Actuator {
   // dispatched event.
   uint64_t completions_retired() const { return completions_retired_; }
   void AccrueEnergy(SimTime now);
+  // The run's collectors (null = off). Collectors never change mid-run, so
+  // the manager resolves them once when a run starts and every per-migration
+  // site tests these pointers.
+  void SetCollectors(obs::Tracer* tracer, obs::MetricsRegistry* registry) {
+    tracer_ = tracer;
+    registry_ = registry;
+  }
+  obs::Tracer* tracer() const { return tracer_; }
+  obs::MetricsRegistry* registry() const { return registry_; }
 
  private:
   // Steps a day round by round against the eager upkeep walk kept as a
@@ -91,8 +104,7 @@ class Actuator {
   bool TryNewHome(SimTime now, VmSlot& vm, SimTime activation_time);
   // Returns when the last migration of the group completes (>= now even when
   // there was nothing to move), so fault recovery can bound its spans.
-  SimTime ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
-                          SimTime activation_time);
+  SimTime ReturnHomeGroup(SimTime now, HostId home_id, VmId requester, SimTime activation_time);
 
   // --- fault handling -----------------------------------------------------
   void CrashHost(SimTime now, HostId id);
@@ -129,11 +141,12 @@ class Actuator {
   // Follows `vm` across a residency or in-flight change: adjusts
   // upkeep_residents and the mark when its eligibility flipped.
   void NoteUpkeepEligibility(VmSlot& vm, bool was_eligible);
-  // Applies every upkeep round `vm` has pending (none unless eligible).
-  void SettleUpkeep(VmSlot& vm);
-  // Applies `rounds` rounds, `grown` of them with working-set growth, and
-  // books their on-demand fetches.
-  void AdvanceUpkeep(VmSlot& vm, uint64_t rounds, uint64_t grown);
+  // Applies every upkeep round each of `ids` has pending (none unless
+  // eligible), plus `extra` rounds without growth, as one lockstep batch;
+  // books their on-demand fetches and marks each VM settled through
+  // upkeep_round + extra.
+  void SettleUpkeep(std::span<const VmId> ids, uint32_t extra = 0);
+  void SettleUpkeep(VmId id) { SettleUpkeep(std::span<const VmId>(&id, 1)); }
   // Sends the WoL and returns the time the host will be executing VMs. With
   // fault injection the wake can lose WoL packets or hang in resume, pushing
   // that time out; callers must use the returned value rather than asking
@@ -152,6 +165,10 @@ class Actuator {
   // Adds (delta +1) or removes (-1) `vm`'s contribution to `host`'s
   // resident counts.
   void CountResident(HostId host, const VmSlot& vm, int delta);
+  // One migration leg as a span on the destination host's track, plus the
+  // per-kind counter. `name` must be a string literal.
+  void TraceMigration(const char* name, SimTime start, SimTime end, VmId vm, HostId dest,
+                      uint64_t bytes);
   // Books one full (pre-copy live) migration of `vm` to `dest` over
   // [start, end): its traffic, its count and its trace span.
   void BookFullMigration(SimTime start, SimTime end, const VmSlot& vm, HostId dest);
@@ -170,7 +187,14 @@ class Actuator {
   FaultInjector& fault_;
   ClusterState& state_;
   ClusterMetrics& metrics_;
+  obs::Tracer* tracer_ = nullptr;
+  obs::MetricsRegistry* registry_ = nullptr;
   uint64_t completions_retired_ = 0;
+  // SettleUpkeep's scratch, reused across calls and never longer than
+  // kUpkeepChunk.
+  static constexpr size_t kUpkeepChunk = 64;
+  std::vector<UpkeepRates::Step> upkeep_steps_;
+  std::vector<UpkeepCounters> upkeep_out_;
 };
 
 }  // namespace oasis

@@ -1,5 +1,7 @@
 #include "src/cluster/cluster_types.h"
 
+#include <array>
+#include <bit>
 #include <cassert>
 
 #include "src/cluster/strategy.h"
@@ -49,8 +51,7 @@ Status ClusterConfig::Validate() const {
   }
   if (!IsRegisteredStrategyName(strategy_name)) {
     return Status::InvalidArgument("unknown consolidation strategy '" + strategy_name +
-                                   "' (registered: " + RegisteredStrategyNamesJoined() +
-                                   ")");
+                                   "' (registered: " + RegisteredStrategyNamesJoined() + ")");
   }
   if (fault.enabled) {
     Status fault_ok = fault.Validate();
@@ -64,9 +65,8 @@ Status ClusterConfig::Validate() const {
       return fleet_ok;
     }
     if (fleet.CoveredHosts() > TotalHosts()) {
-      return Status::InvalidArgument(
-          "fleet mix covers " + std::to_string(fleet.CoveredHosts()) +
-          " hosts but the cluster has " + std::to_string(TotalHosts()));
+      return Status::InvalidArgument("fleet mix covers " + std::to_string(fleet.CoveredHosts()) +
+                                     " hosts but the cluster has " + std::to_string(TotalHosts()));
     }
     // Every generation assigned to a home range must still fit that home's
     // own VM population (the class-0 check above, per capacity_scale).
@@ -78,9 +78,8 @@ Status ClusterConfig::Validate() const {
             static_cast<double>(host_memory_bytes) * profile.capacity_scale);
         if (static_cast<uint64_t>(vms_per_home) * vm_memory_bytes > capacity) {
           return Status::InvalidArgument(
-              "home hosts of generation '" + segment.generation +
-              "' cannot fit their own VMs: " + std::to_string(vms_per_home) +
-              " x " + FormatBytes(vm_memory_bytes) + " > " +
+              "home hosts of generation '" + segment.generation + "' cannot fit their own VMs: " +
+              std::to_string(vms_per_home) + " x " + FormatBytes(vm_memory_bytes) + " > " +
               FormatBytes(capacity));
         }
       }
@@ -102,14 +101,12 @@ int ClusterConfig::ProfileClassOf(HostId id) const {
 }
 
 HostProfile ClusterConfig::ResolvedProfile(int profile_class) const {
-  if (profile_class <= 0 ||
-      profile_class > static_cast<int>(fleet.segments.size())) {
+  if (profile_class <= 0 || profile_class > static_cast<int>(fleet.segments.size())) {
     HostProfile profile;
     profile.power = host_power;
     return profile;
   }
-  const HostProfile* found =
-      FindHostGeneration(fleet.segments[profile_class - 1].generation);
+  const HostProfile* found = FindHostGeneration(fleet.segments[profile_class - 1].generation);
   if (found == nullptr) {  // Validate() rejects this; stay total anyway.
     HostProfile profile;
     profile.power = host_power;
@@ -172,38 +169,109 @@ UpkeepRates::UpkeepRates(const ClusterConfig& config)
   }
 }
 
-UpkeepCounters UpkeepRates::Advance(const VmSlot& vm, uint64_t rounds, uint64_t grown) const {
-  UpkeepCounters c;
-  c.ws_bytes = vm.ws_bytes + grown * growth;
-  c.dirty_bytes = rounds > 0 ? std::min(vm.dirty_bytes + rounds * dirty_step, dirty_cap)
-                             : vm.dirty_bytes;
-  uint64_t x = vm.ws_unfetched;
-  // Cap phase: while x >= cap_threshold every round fetches the whole cap.
-  if (cap_threshold != kNoCapPhase && x >= cap_threshold) {
-    uint64_t n = std::min(rounds, (x - cap_threshold) / fetch_cap + 1);
-    x -= n * fetch_cap;
-    c.fetches += n;
-    rounds -= n;
-  }
-  // Geometric phase: the exact per-round recurrence, until the fetch rounds
-  // down to nothing, the rounds run out, or x is small enough that the
-  // memoized tail finishes the walk.
-  for (; rounds > 0; --rounds) {
-    if (x < tail.size() && tail[x].rounds <= rounds) {
-      c.fetches += tail[x].rounds;
-      x = tail[x].rest;
-      break;
+namespace {
+
+// The fetch walk of UpkeepRates::Advance, `kWidth` walks at a time.
+template <size_t kWidth>
+void WalkInLockstep(const UpkeepRates& rates, std::span<const UpkeepRates::Step> steps,
+                    std::span<UpkeepCounters> out) {
+  static_assert(kWidth <= 32, "the lane masks are 32 bits");
+  constexpr uint64_t kTailSizes = UpkeepRates::kTailSizes;
+  const std::vector<UpkeepRates::Tail>& tail = rates.tail;
+  // Lane l walks steps[owner[l]]: `x` bytes unfetched with `left` rounds to
+  // go. A lane that holds no walk sits at x = 0, which fetches nothing.
+  std::array<uint64_t, kWidth> x{};
+  std::array<uint64_t, kWidth> left{};
+  std::array<uint64_t, kWidth> fetches{};
+  std::array<size_t, kWidth> owner{};
+  uint32_t live = 0;
+  size_t next = 0;
+  // Loads the next step that still has geometric rounds to walk into
+  // `lane`, finishing every step before it in closed form.
+  auto enter = [&](size_t lane) {
+    while (next < steps.size()) {
+      const size_t i = next++;
+      const VmSlot& vm = *steps[i].vm;
+      uint64_t rounds = steps[i].rounds;
+      UpkeepCounters& c = out[i];
+      c = UpkeepCounters{};
+      c.ws_bytes = vm.ws_bytes + steps[i].grown * rates.growth;
+      const uint64_t dirtied = vm.dirty_bytes + rounds * rates.dirty_step;
+      c.dirty_bytes = rounds > 0 ? std::min(dirtied, rates.dirty_cap) : vm.dirty_bytes;
+      uint64_t unfetched = vm.ws_unfetched;
+      // Cap phase: while the size is at least cap_threshold every round
+      // fetches the whole cap.
+      if (rates.cap_threshold != UpkeepRates::kNoCapPhase && unfetched >= rates.cap_threshold) {
+        uint64_t n = std::min(rounds, (unfetched - rates.cap_threshold) / rates.fetch_cap + 1);
+        unfetched -= n * rates.fetch_cap;
+        c.fetches = n;
+        rounds -= n;
+      }
+      if (rounds == 0) {
+        c.ws_unfetched = unfetched;
+        c.fetched_bytes = vm.ws_unfetched - unfetched;
+        continue;
+      }
+      assert(tail.size() == kTailSizes && "walks need rates built from a config");
+      x[lane] = unfetched;
+      left[lane] = rounds;
+      fetches[lane] = c.fetches;
+      owner[lane] = i;
+      live |= uint32_t{1} << lane;
+      return;
     }
-    uint64_t fetch = Fetch(x);
-    if (fetch == 0) {
-      break;
-    }
-    x -= fetch;
-    ++c.fetches;
+    x[lane] = left[lane] = 0;
+    live &= ~(uint32_t{1} << lane);
+  };
+  for (size_t lane = 0; lane < kWidth; ++lane) {
+    enter(lane);
   }
-  c.ws_unfetched = x;
-  c.fetched_bytes = vm.ws_unfetched - x;
-  return c;
+  while (live != 0) {
+    // Geometric phase: every lane takes the exact per-round recurrence in
+    // lockstep until one leaves because its rounds ran out, its fetch
+    // rounds down to nothing, or its size is small enough that the
+    // memoized tail finishes the walk.
+    uint32_t stopped = 0;
+    do {
+      for (size_t l = 0; l < kWidth; ++l) {
+        const uint64_t xl = x[l];
+        const UpkeepRates::Tail t = tail[std::min(xl, kTailSizes - 1)];
+        const bool tail_ends = xl < kTailSizes && t.rounds <= left[l];
+        const uint64_t fetch = rates.Fetch(xl);
+        const bool step = left[l] != 0 && !tail_ends && fetch != 0;
+        x[l] = xl - (step ? fetch : 0);
+        fetches[l] += step ? 1 : 0;
+        left[l] -= step ? 1 : 0;
+        stopped |= static_cast<uint32_t>(!step) << l;
+      }
+    } while ((stopped & live) == 0);
+    for (uint32_t leaving = stopped & live; leaving != 0; leaving &= leaving - 1) {
+      const size_t l = static_cast<size_t>(std::countr_zero(leaving));
+      uint64_t xl = x[l];
+      if (xl < kTailSizes && tail[xl].rounds <= left[l]) {
+        fetches[l] += tail[xl].rounds;
+        xl = tail[xl].rest;
+      }
+      UpkeepCounters& c = out[owner[l]];
+      c.ws_unfetched = xl;
+      c.fetched_bytes = steps[owner[l]].vm->ws_unfetched - xl;
+      c.fetches = fetches[l];
+      enter(l);
+    }
+  }
+}
+
+}  // namespace
+
+void UpkeepRates::Advance(std::span<const Step> steps, std::span<UpkeepCounters> out) const {
+  assert(out.size() == steps.size());
+  // Idle lanes still cost instruction throughput, so a batch of one walks
+  // alone.
+  if (steps.size() == 1) {
+    WalkInLockstep<1>(*this, steps, out);
+  } else {
+    WalkInLockstep<kLanes>(*this, steps, out);
+  }
 }
 
 }  // namespace oasis

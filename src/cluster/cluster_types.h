@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -108,16 +109,11 @@ struct ClusterConfig {
   // --- fleet resolution -----------------------------------------------------
   // Profile classes: 0 is the default (host_power, S3-capable, scale 1.0);
   // class c >= 1 is fleet segment c-1's catalog generation. Strategies price
-  // plans per class with integer counts so a single-class fleet folds to the
-  // exact legacy arithmetic.
-  int NumProfileClasses() const {
-    return 1 + static_cast<int>(fleet.segments.size());
-  }
+  // plans per class with integer counts (power_delta.h).
+  int NumProfileClasses() const { return 1 + static_cast<int>(fleet.segments.size()); }
   int ProfileClassOf(HostId id) const;
   HostProfile ResolvedProfile(int profile_class) const;
-  HostProfile HostProfileFor(HostId id) const {
-    return ResolvedProfile(ProfileClassOf(id));
-  }
+  HostProfile HostProfileFor(HostId id) const { return ResolvedProfile(ProfileClassOf(id)); }
 
   // Rejects configurations the simulation cannot represent, most notably a
   // home host without enough memory for its own VMs.
@@ -153,7 +149,6 @@ struct VmSlot {
   // while the VM is upkeep-eligible.
   uint32_t upkeep_mark = 0;
   SimTime activation_time;          // when the user became active (delay accounting)
-  SimTime idle_since = SimTime::Micros(INT64_MIN / 2);  // last active->idle edge
 
   // In-flight operation bookkeeping. Outbound migrations serialize on the
   // source host, so a VM late in the queue has not actually been suspended
@@ -175,9 +170,7 @@ struct VmSlot {
 
   // Partial and not mid-migration: every planning round drains its
   // on-demand pages, grows its dirty state and grows its working set.
-  bool UpkeepEligible() const {
-    return residency == VmResidency::kPartial && !migration_in_flight;
-  }
+  bool UpkeepEligible() const { return residency == VmResidency::kPartial && !migration_in_flight; }
 };
 
 // One scheduled migration completion (DESIGN.md, "Migration completions"):
@@ -233,24 +226,51 @@ struct UpkeepRates {
   };
   std::vector<Tail> tail;
 
-  // One round's on-demand fetch: floor(unfetched x fraction), capped.
+  // One round's on-demand fetch: floor(unfetched x fraction), capped. Sizes
+  // stay below 2^62, where the signed conversions give exactly the values
+  // of the unsigned ones without their range fix-ups.
   uint64_t Fetch(uint64_t unfetched) const {
-    return std::min(static_cast<uint64_t>(static_cast<double>(unfetched) * fetch_fraction),
-                    fetch_cap);
+    const int64_t fetch = static_cast<int64_t>(
+        static_cast<double>(static_cast<int64_t>(unfetched)) * fetch_fraction);
+    return std::min(static_cast<uint64_t>(fetch), fetch_cap);
   }
-  // `vm`'s counters after `rounds` more rounds, in `grown` of which the
-  // working set grew, with the fetches those rounds took: exactly what
-  // applying the rounds one at a time yields. The cap phase is closed form
-  // and the tail is memoized, so only the rounds between the threshold and
-  // kTailSizes are iterated.
-  UpkeepCounters Advance(const VmSlot& vm, uint64_t rounds, uint64_t grown) const;
+
+  // One VM's upkeep to apply: `rounds` more rounds, in `grown` of which the
+  // working set grew.
+  struct Step {
+    const VmSlot* vm;
+    uint64_t rounds;
+    uint64_t grown;
+  };
+  // How many walks the fetch kernel steps together. The per-round fetch is
+  // a chain of dependent conversions and a multiply, so independent walks
+  // interleaved on one core hide each other's latency.
+  static constexpr size_t kLanes = 4;
+  // out[i] = steps[i].vm's counters after its step, with the fetches it
+  // took: exactly what applying the rounds one at a time yields. The cap
+  // phase is closed form and the tail is memoized; the rounds between the
+  // threshold and kTailSizes are iterated kLanes walks at a time (a batch
+  // of one walks alone).
+  void Advance(std::span<const Step> steps, std::span<UpkeepCounters> out) const;
+  // A batch of one.
+  UpkeepCounters Advance(const VmSlot& vm, uint64_t rounds, uint64_t grown) const {
+    const Step step{&vm, rounds, grown};
+    UpkeepCounters c;
+    Advance(std::span<const Step>(&step, 1), std::span<UpkeepCounters>(&c, 1));
+    return c;
+  }
   // Rounds run so far that `vm`'s counters do not yet include.
   static uint64_t PendingRounds(const VmSlot& vm, uint32_t round) {
     return vm.UpkeepEligible() ? round - vm.upkeep_mark : 0;
   }
-  // `vm`'s counters with every round up to `round` applied (read-only).
+  // `vm`'s counters with every round up to `round` applied (read-only). The
+  // conservation walk asks this of every VM every round, and most have
+  // nothing pending.
   UpkeepCounters Settled(const VmSlot& vm, uint32_t round) const {
     uint64_t k = PendingRounds(vm, round);
+    if (k == 0) {
+      return {vm.ws_bytes, vm.ws_unfetched, vm.dirty_bytes, 0, 0};
+    }
     return Advance(vm, k, k);
   }
   // The working-set part of Settled, in O(1).

@@ -63,9 +63,8 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace)
     slot.home = static_cast<HostId>(v / config_.vms_per_home);
     slot.location = slot.home;
     slot.full_bytes = config_.vm_memory_bytes;
-    slot.activity = trace_[static_cast<size_t>(v) % trace_.size()].IsActive(0)
-                        ? VmActivity::kActive
-                        : VmActivity::kIdle;
+    const bool active = trace_[static_cast<size_t>(v) % trace_.size()].IsActive(0);
+    slot.activity = active ? VmActivity::kActive : VmActivity::kIdle;
     slot.residency = VmResidency::kFullAtHome;
     state_.vms.push_back(slot);
     state_.vms_by_home[slot.home].push_back(slot.id);
@@ -86,16 +85,18 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace)
   state_.partial_residents.assign(state_.hosts.size(), 0);
   state_.upkeep_residents.assign(state_.hosts.size(), 0);
   state_.upkeep = UpkeepRates(config_);
+  state_.trusted_idle.assign(row_words_, 0);
+  UpdateTrustedIdleBits(0);
 }
 
 ClusterMetrics ClusterManager::Run() {
+  // Collectors never change mid-run, so they are resolved once, here.
+  act_.SetCollectors(obs::Tracer::IfEnabled(), obs::MetricsRegistry::IfEnabled());
   // Plans fire every planning_interval (§3.1's configurable knob); each tick
   // reads the activity trace at its own 5-minute resolution.
   SimTime end = SimTime::Hours(24.0);
   for (int t = 0; t < RoundsPerDay(); ++t) {
-    SimTime when = config_.planning_interval * t;
-    int interval = TraceIntervalAt(when);
-    sim_.ScheduleAt(when, [this, interval]() { OnInterval(sim_.now(), interval); });
+    sim_.ScheduleAt(config_.planning_interval * t, [this, t]() { OnInterval(sim_.now(), t); });
   }
   // The pre-sampled fault schedule rides the same event queue, so a fault
   // landing between planning rounds interleaves with migrations exactly as
@@ -142,7 +143,7 @@ ClusterMetrics ClusterManager::Run() {
   // A retired completion counts as the event it once was, in the metrics
   // and in the registry counter the simulator keeps for its own pops.
   metrics_.events_dispatched = sim_.events_dispatched() + act_.completions_retired();
-  if (obs::MetricsRegistry* m = obs::MetricsRegistry::IfEnabled()) {
+  if (obs::MetricsRegistry* m = act_.registry()) {
     m->counter("sim.events_dispatched")->Increment(act_.completions_retired());
   }
   return metrics_;
@@ -154,6 +155,10 @@ int ClusterManager::RoundsPerDay() const {
 
 int ClusterManager::TraceIntervalAt(SimTime now) const {
   int round = std::min(RoundsPerDay() - 1, static_cast<int>(now / config_.planning_interval));
+  return RoundInterval(round);
+}
+
+int ClusterManager::RoundInterval(int round) const {
   SimTime when = config_.planning_interval * round;
   return std::min(kIntervalsPerDay - 1, static_cast<int>(when.seconds()) / kTraceIntervalSeconds);
 }
@@ -162,8 +167,8 @@ Joules ClusterManager::BaselineEnergy(const ClusterConfig& config) {
   // Every home host stays powered all day running its own VMs (§5.3's
   // normalization). The draw saturates with the resident VM count, so the
   // baseline is flat regardless of user activity. On a mixed fleet each
-  // home is billed at its own generation's loaded draw; the per-class fold
-  // reduces to the legacy single product on the homogeneous default.
+  // home is billed at its own generation's loaded draw; the homogeneous
+  // default is a single product.
   std::vector<int> homes_in_class(config.NumProfileClasses(), 0);
   for (int h = 0; h < config.num_home_hosts; ++h) {
     ++homes_in_class[config.ProfileClassOf(static_cast<HostId>(h))];
@@ -180,10 +185,10 @@ Joules ClusterManager::BaselineEnergy(const ClusterConfig& config) {
   return EnergyOver(total, SimTime::Hours(24.0));
 }
 
-void ClusterManager::OnInterval(SimTime now, int interval) {
-  OASIS_CLOG(kDebug, "cluster") << "planning round " << interval;
+void ClusterManager::OnInterval(SimTime now, int round) {
+  OASIS_CLOG(kDebug, "cluster") << "planning round " << RoundInterval(round);
   act_.RetireCompletions();
-  UpdateActivities(now, interval);
+  UpdateActivities(now, round);
   act_.PartialVmUpkeep(now);
   PlanAndRecord(now);
 }
@@ -205,7 +210,7 @@ void ClusterManager::PlanAndRecord(SimTime now) {
   }
   // All the work above happens at one simulated instant; the round still
   // gets a span so Perfetto shows where each burst of migrations came from.
-  if (obs::Tracer* t = obs::Tracer::IfEnabled()) {
+  if (obs::Tracer* t = act_.tracer()) {
     t->Complete("ctrl", "planning_round", now, now);
     // The strategy's executed-action record is observability-only: it never
     // feeds ClusterMetrics, so enabling it cannot perturb pinned outputs.
@@ -214,26 +219,23 @@ void ClusterManager::PlanAndRecord(SimTime now) {
                               static_cast<int64_t>(actions.vacate_moves),
                               static_cast<int64_t>(actions.drain_moves)});
   }
-  if (obs::MetricsRegistry* m = obs::MetricsRegistry::IfEnabled()) {
+  if (obs::MetricsRegistry* m = act_.registry()) {
     m->counter("cluster.planning_rounds")->Increment();
     std::string prefix = std::string("cluster.policy.") + strategy_->name();
-    m->counter(prefix + ".vacated_hosts")
-        ->Increment(static_cast<uint64_t>(actions.vacated_hosts));
-    m->counter(prefix + ".vacate_moves")
-        ->Increment(static_cast<uint64_t>(actions.vacate_moves));
-    m->counter(prefix + ".drain_moves")
-        ->Increment(static_cast<uint64_t>(actions.drain_moves));
-    m->counter(prefix + ".swapped_vms")
-        ->Increment(static_cast<uint64_t>(actions.swapped_vms));
+    m->counter(prefix + ".vacated_hosts")->Increment(static_cast<uint64_t>(actions.vacated_hosts));
+    m->counter(prefix + ".vacate_moves")->Increment(static_cast<uint64_t>(actions.vacate_moves));
+    m->counter(prefix + ".drain_moves")->Increment(static_cast<uint64_t>(actions.drain_moves));
+    m->counter(prefix + ".swapped_vms")->Increment(static_cast<uint64_t>(actions.swapped_vms));
   }
 }
 
-void ClusterManager::UpdateActivities(SimTime now, int interval) {
+void ClusterManager::UpdateActivities(SimTime now, int round) {
   // Every vm.activity matches the row of the interval applied last, so the
   // XOR of the two rows names exactly the VMs that flip, visited in
   // ascending id. A round that revisits its interval (planning below 5
   // minutes) flips nothing; one that skips intervals flips straight to its
   // own row.
+  const int interval = RoundInterval(round);
   const uint64_t* next = ActivityRow(interval);
   const uint64_t* prev = ActivityRow(applied_interval_);
   applied_interval_ = interval;
@@ -245,18 +247,36 @@ void ClusterManager::UpdateActivities(SimTime now, int interval) {
         vm.activity = VmActivity::kActive;
         vm.activation_time = now;
         act_.AdjustActiveCount(now, vm.location, +1);
-        if (obs::Tracer* t = obs::Tracer::IfEnabled()) {
-          t->Instant("ctrl", "vm_activation", now,
-                     obs::TraceArgs{static_cast<int64_t>(vm.location),
-                                    static_cast<int64_t>(vm.id)});
+        if (obs::Tracer* t = act_.tracer()) {
+          obs::TraceArgs args{static_cast<int64_t>(vm.location), static_cast<int64_t>(vm.id)};
+          t->Instant("ctrl", "vm_activation", now, args);
         }
         act_.HandleActivation(now, vm.id, now);
       } else {
         vm.activity = VmActivity::kIdle;
-        vm.idle_since = now;
         act_.AdjustActiveCount(now, vm.location, -1);
       }
     }
+  }
+  UpdateTrustedIdleBits(round);
+}
+
+void ClusterManager::UpdateTrustedIdleBits(int round) {
+  // Rounds sit at planning_interval * t, so "idle for the smoothing window"
+  // is "idle in the rows of rounds round - k .. round"; a round before 0
+  // reads row 0.
+  std::vector<uint64_t>& trusted = state_.trusted_idle;
+  std::fill(trusted.begin(), trusted.end(), ~uint64_t{0});
+  for (int r = std::max(0, round - config_.idle_smoothing_intervals); r <= round; ++r) {
+    const uint64_t* row = ActivityRow(RoundInterval(r));
+    for (size_t w = 0; w < row_words_; ++w) {
+      trusted[w] &= ~row[w];
+    }
+  }
+  // Bits past the last VM stay clear.
+  size_t total_vms = state_.vms.size();
+  if (total_vms % 64 != 0) {
+    trusted[row_words_ - 1] &= ~uint64_t{0} >> (64 - total_vms % 64);
   }
 }
 

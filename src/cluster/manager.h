@@ -57,13 +57,14 @@ class ClusterManager {
   // `trace` must hold at least one user-day; VM u follows user
   // u % trace.size().
   //
-  // Observability goes wherever the constructing and running thread
-  // resolves it: the run-local obs::RunContext exp::RunOrdered installs
-  // around each task, so concurrent runs never share a tracer or metrics
-  // registry, else the process-global collectors.
+  // Observability goes wherever the running thread resolves it when Run
+  // starts: the run-local obs::RunContext exp::RunOrdered installs around
+  // each task, so concurrent runs never share a tracer or metrics registry,
+  // else the process-global collectors.
   ClusterManager(const ClusterConfig& config, TraceSet trace);
 
-  // Simulates one full day and returns the collected metrics.
+  // Simulates one full day and returns the collected metrics. The tracer
+  // and metrics registry are resolved once, on entry.
   ClusterMetrics Run();
 
   // Baseline energy: every home host powered all day at its loaded draw,
@@ -96,9 +97,7 @@ class ClusterManager {
   // The migration completions not yet retired, and the simulator key they
   // are measured against: a completion keyed before (now, current_seq())
   // has landed.
-  const std::vector<PendingCompletion>& PendingCompletions() const {
-    return state_.completions;
-  }
+  const std::vector<PendingCompletion>& PendingCompletions() const { return state_.completions; }
   uint64_t current_seq() const { return sim_.current_seq(); }
   // `vm`'s counters as an eager upkeep walk would hold them now; derived
   // read-only, so looking never settles anything.
@@ -125,11 +124,16 @@ class ClusterManager {
   // One planning round: the actuator's completion batch, UpdateActivities,
   // its PartialVmUpkeep, then PlanAndRecord (the strategy, the sleep sweeps,
   // the snapshot and the invariant walk).
-  void OnInterval(SimTime now, int interval);
-  void UpdateActivities(SimTime now, int interval);
+  void OnInterval(SimTime now, int round);
+  // Applies round `round`'s activity row, then its trusted-idle bits.
+  void UpdateActivities(SimTime now, int round);
+  // Derives state_.trusted_idle for round `round` from the activity rows.
+  void UpdateTrustedIdleBits(int round);
   void PlanAndRecord(SimTime now);
   void RecordSnapshot(SimTime now);
   int RoundsPerDay() const;
+  // The trace interval round `round` applies (TraceIntervalAt its start).
+  int RoundInterval(int round) const;
   const uint64_t* ActivityRow(int interval) const {
     return &activity_rows_[static_cast<size_t>(interval) * row_words_];
   }

@@ -71,8 +71,7 @@ struct DayModel {
   std::vector<uint8_t> parks_idle;     // parks at least one idle VM (ms on)
 
   size_t At(int h, int t) const {
-    return static_cast<size_t>(h) * static_cast<size_t>(intervals) +
-           static_cast<size_t>(t);
+    return static_cast<size_t>(h) * static_cast<size_t>(intervals) + static_cast<size_t>(t);
   }
   bool Sleepable(int h) const {
     return class_sleepable[static_cast<size_t>(home_class[static_cast<size_t>(h)])] != 0;
@@ -152,8 +151,7 @@ DayModel BuildModel(const ClusterConfig& config, const TraceSet& trace,
   m.per_vm_w = cons_per_vm;
   m.cons_sleep_w = cons_sleep;
   m.cons_capacity = static_cast<uint64_t>(
-      static_cast<double>(config.host_memory_bytes) * config.memory_overcommit *
-      cons_scale);
+      static_cast<double>(config.host_memory_bytes) * config.memory_overcommit * cons_scale);
 
   size_t cells = static_cast<size_t>(m.num_homes) * static_cast<size_t>(m.intervals);
   m.active_count.assign(cells, 0);

@@ -3,19 +3,16 @@
 // Every consolidation strategy — and the offline oracle — prices a plan
 // with the same three quantities: the draw of a loaded home, the net watts
 // saved by parking one home (loaded minus S3 minus the memory server left
-// on), and the watts spent waking one consolidation host. Before the
-// heterogeneous-fleet refactor each strategy recomputed them inline from
-// the single global config.host_power; these helpers take the host's own
-// resolved profile instead, and DeltaAccumulator folds a whole plan into
-// a net delta with per-profile-class integer counts.
+// on), and the watts spent waking one consolidation host. These helpers
+// take the host's own resolved profile, and DeltaAccumulator folds a whole
+// plan into a net delta with per-profile-class integer counts.
 //
-// Byte-identity note: the accumulator multiplies each class's count by its
+// Rounding note: the accumulator multiplies each class's count by its
 // per-home value (count * value, one multiply) rather than summing the
 // value per host. On a homogeneous fleet there is exactly one class, so
-// the fold reproduces the legacy
+// the delta is the single expression
 //     N * saved_per_home - W * (loaded - sleep_watts)
-// expression bit for bit — which is what keeps every pre-fleet golden and
-// metamorphic digest pinned through this refactor.
+// and every golden and metamorphic digest depends on that rounding.
 
 #ifndef OASIS_SRC_CLUSTER_POWER_DELTA_H_
 #define OASIS_SRC_CLUSTER_POWER_DELTA_H_
@@ -53,7 +50,7 @@ inline double WakeCostWatts(const HostPowerProfile& p, int vms_per_home) {
 }
 
 // Folds a vacate plan's savings and wake costs into one net delta,
-// bucketing hosts by profile class (see the byte-identity note above).
+// bucketing hosts by profile class (see the rounding note above).
 // Per-class values are resolved lazily from the first host of each class
 // the plan touches.
 class DeltaAccumulator {
@@ -71,8 +68,7 @@ class DeltaAccumulator {
     const int cls = h.profile_class();
     if (saved_count_[cls] == 0) {
       saved_value_[cls] =
-          SavedPerHome(h.power_profile(), h.s3_capable(),
-                       view_.config().vms_per_home, ms_watts_);
+          SavedPerHome(h.power_profile(), h.s3_capable(), view_.config().vms_per_home, ms_watts_);
     }
     ++saved_count_[cls];
   }
@@ -81,8 +77,7 @@ class DeltaAccumulator {
     const ClusterHost& h = view_.host(host);
     const int cls = h.profile_class();
     if (woken_count_[cls] == 0) {
-      wake_value_[cls] =
-          WakeCostWatts(h.power_profile(), view_.config().vms_per_home);
+      wake_value_[cls] = WakeCostWatts(h.power_profile(), view_.config().vms_per_home);
     }
     ++woken_count_[cls];
     ++total_woken_;

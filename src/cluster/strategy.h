@@ -13,9 +13,7 @@
 // Registered strategies:
 //   "oasis-greedy"         — the paper's §3 algorithm (full-to-partial swaps,
 //                            power-gated greedy vacate planning, incremental
-//                            consolidation-host draining). The default, and
-//                            byte-identical to the pre-refactor monolithic
-//                            manager.
+//                            consolidation-host draining). The default.
 //   "first-fit-decreasing" — static bin-packing: sort all trusted-idle
 //                            working sets decreasing and first-fit them onto
 //                            the consolidation hosts, all-or-nothing per
@@ -87,8 +85,7 @@ struct StrategyTraits {
 // Interface every consolidation strategy implements. PlanInterval runs at
 // one simulated instant; the actuator executes verbs immediately, so a
 // strategy that plans in several passes observes its own earlier actions
-// through the (live) view — exactly the legacy manager's plan/execute
-// interleaving.
+// through the (live) view.
 class ConsolidationStrategy {
  public:
   virtual ~ConsolidationStrategy() = default;

@@ -34,10 +34,10 @@ class FirstFitDecreasingStrategy : public ConsolidationStrategy {
     PlanActions actions;
 
     // Eligible homes: powered, S3-capable (a home that cannot sleep saves
-    // nothing by being packed away), occupied, every resident settled here
-    // and trusted-idle. Sample each VM's working set in deterministic order
-    // (homes by id, residents in set order) as we go, so the items of each
-    // home sit together in its vms() order.
+    // nothing by being packed away), occupied, no resident in flight and
+    // every resident trusted-idle. Sample each VM's working set in
+    // deterministic order (homes by id, residents in set order) as we go, so
+    // the items of each home sit together in its vms() order.
     constexpr size_t kUnplaced = SIZE_MAX;
     struct Item {
       VmId vm;
@@ -49,20 +49,8 @@ class FirstFitDecreasingStrategy : public ConsolidationStrategy {
     std::vector<Item> items;
     for (size_t h = 0; h < view.num_hosts(); ++h) {
       const ClusterHost& host = view.host(static_cast<HostId>(h));
-      if (!host.IsHomeHost() || !host.IsPowered() || !host.HasVms() ||
-          !host.s3_capable()) {
-        continue;
-      }
-      bool eligible = true;
-      for (VmId id : host.vms()) {
-        const VmSlot& vm = view.vm(id);
-        if (vm.migration_in_flight || vm.location != host.id() ||
-            !view.TrustedIdle(vm, now)) {
-          eligible = false;
-          break;
-        }
-      }
-      if (!eligible) {
+      if (!host.IsHomeHost() || !host.IsPowered() || !host.HasVms() || !host.s3_capable() ||
+          view.inflight_residents(host.id()) > 0 || !view.TrustedIdleHome(host.id())) {
         continue;
       }
       for (VmId id : host.vms()) {

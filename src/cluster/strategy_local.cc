@@ -27,9 +27,7 @@ class LocalThresholdStrategy : public ConsolidationStrategy {
  public:
   const char* name() const override { return "local-threshold"; }
   // Commits any plan that fits, even a power-losing one — no §3.1 gate.
-  StrategyTraits traits() const override {
-    return {/*has_power_gate=*/false};
-  }
+  StrategyTraits traits() const override { return {/*has_power_gate=*/false}; }
 
   PlanActions PlanInterval(const ClusterView& view, SimTime now, Actuator& act) override {
     PlanActions actions;
@@ -56,19 +54,8 @@ class LocalThresholdStrategy : public ConsolidationStrategy {
       // The s3 gate rides after ++home_index so skipping an S3-incapable
       // home (it can never sleep, so parking its VMs frees nothing) does
       // not shift the static home -> consolidation-host mapping.
-      if (!host.IsPowered() || !host.HasVms() || !host.s3_capable()) {
-        continue;
-      }
-      bool all_idle = true;
-      for (VmId id : host.vms()) {
-        const VmSlot& vm = view.vm(id);
-        if (vm.migration_in_flight || vm.location != host.id() ||
-            !view.TrustedIdle(vm, now)) {
-          all_idle = false;
-          break;
-        }
-      }
-      if (!all_idle) {
+      if (!host.IsPowered() || !host.HasVms() || !host.s3_capable() ||
+          view.inflight_residents(host.id()) > 0 || !view.TrustedIdleHome(host.id())) {
         continue;
       }
       const ClusterHost& dest =

@@ -12,16 +12,15 @@
 
 namespace oasis {
 
-PlanActions OasisGreedyStrategy::PlanInterval(const ClusterView& view, SimTime now,
-                                              Actuator& act) {
+PlanActions OasisGreedyStrategy::PlanInterval(const ClusterView& view, SimTime now, Actuator& act) {
   // Each pass reads the live view, so it observes the previous pass's
   // executed actions (and the maintained aggregates they updated).
   PlanActions actions;
   const ConsolidationPolicy policy = view.config().policy;
   if (policy == ConsolidationPolicy::kFullToPartial || policy == ConsolidationPolicy::kNewHome) {
-    ExecuteSwapGroups(ComputeSwapGroups(view, now), now, act, actions);
+    ExecuteSwapGroups(ComputeSwapGroups(view), now, act, actions);
   }
-  std::vector<Candidate> candidates = ScanVacateCandidates(view, now, vacate_items_);
+  std::vector<Candidate> candidates = ScanVacateCandidates(view, vacate_items_);
   MaybeCommitVacatePlan(now, act, actions, BestVacatePlan(view, candidates, vacate_items_));
   actions.drain_moves += ExecuteDrain(view, now, act, SelectDrainSource(view, now));
   return actions;
@@ -30,15 +29,16 @@ PlanActions OasisGreedyStrategy::PlanInterval(const ClusterView& view, SimTime n
 // --- pass 1: FulltoPartial swaps ---------------------------------------------
 
 OasisGreedyStrategy::SwapGroups OasisGreedyStrategy::ComputeSwapGroups(
-    const ClusterView& view, SimTime now) const {
+    const ClusterView& view) const {
   // Idle full VMs parked on consolidation hosts go home and come back as
   // partials, freeing most of their reservation (§3.2 FulltoPartial). Homes
   // with no VM full at a consolidation host are skipped wholesale; VM ids
   // are contiguous per home, so walking homes ascending and the set bits of
-  // each home's id range in the full-at-consolidation bitset ascending
-  // visits candidates in ascending VM id.
+  // each home's id range in the full-at-consolidation and trusted-idle
+  // bitsets ascending visits candidates in ascending VM id.
   SwapGroups swaps;
   const std::vector<uint64_t>& fac_bits = view.fac_vm_bits();
+  const std::vector<uint64_t>& trusted = view.trusted_idle_bits();
   int num_homes = view.config().num_home_hosts;
   for (HostId h = 0; h < static_cast<HostId>(num_homes); ++h) {
     if (view.fac_homed(h) == 0) {
@@ -49,7 +49,7 @@ OasisGreedyStrategy::SwapGroups OasisGreedyStrategy::ComputeSwapGroups(
     size_t last = ids.back();
     size_t begin = swaps.vms.size();
     for (size_t w = first / 64; w <= last / 64; ++w) {
-      uint64_t word = fac_bits[w];
+      uint64_t word = fac_bits[w] & trusted[w];
       if (w == first / 64) {
         word &= ~uint64_t{0} << (first % 64);
       }
@@ -58,8 +58,7 @@ OasisGreedyStrategy::SwapGroups OasisGreedyStrategy::ComputeSwapGroups(
       }
       for (; word != 0; word &= word - 1) {
         VmId id = static_cast<VmId>(64 * w + static_cast<size_t>(std::countr_zero(word)));
-        const VmSlot& vm = view.vm(id);
-        if (view.TrustedIdle(vm, now) && !vm.migration_in_flight) {
+        if (!view.vm(id).migration_in_flight) {
           swaps.vms.push_back(id);
         }
       }
@@ -83,10 +82,9 @@ void OasisGreedyStrategy::ExecuteSwapGroups(const SwapGroups& swaps, SimTime now
 // --- pass 2: power-gated vacate planning -------------------------------------
 
 std::vector<OasisGreedyStrategy::Candidate> OasisGreedyStrategy::ScanVacateCandidates(
-    const ClusterView& view, SimTime now, std::vector<VacateItem>& items) {
+    const ClusterView& view, std::vector<VacateItem>& items) {
   const ClusterConfig& config = view.config();
   bool only_partial = config.policy == ConsolidationPolicy::kOnlyPartial;
-  auto trusted_idle = [&view, now](VmId id) { return view.TrustedIdle(view.vm(id), now); };
   // At most every VM becomes an item; reserving once keeps the table from
   // regrowing across intervals (DESIGN.md, "Reserve once").
   items.clear();
@@ -104,18 +102,18 @@ std::vector<OasisGreedyStrategy::Candidate> OasisGreedyStrategy::ScanVacateCandi
     }
     // OnlyPartial never migrates VMs in full, so every VM must be (trusted)
     // idle before the host can be emptied.
-    if (only_partial && !std::all_of(host.vms().begin(), host.vms().end(), trusted_idle)) {
+    if (only_partial && !view.TrustedIdleHome(h)) {
       continue;
     }
     uint64_t demand = 0;
     uint32_t begin = static_cast<uint32_t>(items.size());
     for (VmId id : host.vms()) {
-      const VmSlot& vm = view.vm(id);
-      if (view.TrustedIdle(vm, now)) {
+      if (view.trusted_idle(id)) {
         uint64_t ws = view.SampleWorkingSet();
         items.push_back({ws, id, /*as_partial=*/true, /*active=*/false});
         demand += ws;
       } else {
+        const VmSlot& vm = view.vm(id);
         items.push_back({vm.full_bytes, id, /*as_partial=*/false,
                          /*active=*/vm.activity == VmActivity::kActive});
         demand += vm.full_bytes;
@@ -231,8 +229,7 @@ VacatePlan OasisGreedyStrategy::PlaceAndPrice(const ClusterView& view,
   // per host profile: a vacated home stops drawing its *own* loaded power
   // and costs its own S3 draw plus the memory server; every sleeping
   // consolidation host we wake runs loaded at its own curve. The fold
-  // buckets by profile class (power_delta.h), so the homogeneous default
-  // reproduces the legacy single-profile arithmetic bit for bit.
+  // buckets by profile class (power_delta.h).
   power_delta::DeltaAccumulator delta(view);
   for (HostId home : plan.hosts_to_vacate) {
     delta.AddVacatedHome(home);

@@ -1,10 +1,10 @@
 // The paper's §3 consolidation algorithm as a pluggable strategy (the
 // "oasis-greedy" registry entry, and the default).
 //
-// The planning passes run in the legacy monolithic manager's exact order —
-// FulltoPartial swaps, power-gated vacate planning, incremental draining —
-// and draw from the shared planning streams at the exact same points, so a
-// run under this strategy is byte-identical to the pre-refactor manager.
+// The planning passes run in a fixed order — FulltoPartial swaps,
+// power-gated vacate planning, incremental draining — and draw from the
+// shared planning streams at fixed points; that draw order is observable in
+// every pinned output.
 //
 // Every pass scans the live ClusterView. The per-host questions the scans
 // ask ("is any resident in flight?", "are all residents partial?", "is any
@@ -67,7 +67,7 @@ class OasisGreedyStrategy final : public ConsolidationStrategy {
   // appends one row to `items` (cleared first), and each trusted-idle one
   // draws one working-set sample and goes as a partial — the draw order
   // every pinned output depends on.
-  static std::vector<Candidate> ScanVacateCandidates(const ClusterView& view, SimTime now,
+  static std::vector<Candidate> ScanVacateCandidates(const ClusterView& view,
                                                      std::vector<VacateItem>& items);
   // The destination table over consolidation hosts: awake (powered or
   // resuming) ones first, `*powered_dests` of them, then sleeping ones.
@@ -109,7 +109,7 @@ class OasisGreedyStrategy final : public ConsolidationStrategy {
     std::vector<Group> groups;
   };
 
-  SwapGroups ComputeSwapGroups(const ClusterView& view, SimTime now) const;
+  SwapGroups ComputeSwapGroups(const ClusterView& view) const;
   void ExecuteSwapGroups(const SwapGroups& swaps, SimTime now, Actuator& act,
                          PlanActions& actions) const;
   HostId SelectDrainSource(const ClusterView& view, SimTime now) const;

@@ -20,6 +20,7 @@
 #ifndef OASIS_SRC_CLUSTER_VIEW_H_
 #define OASIS_SRC_CLUSTER_VIEW_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -72,6 +73,12 @@ struct ClusterState {
   // eligible VM's counters catch up only when it is settled.
   uint32_t upkeep_round = 0;
   std::vector<int> upkeep_residents;
+  // Per VM, bit v % 64 of word v / 64: set iff VM v is trusted idle, i.e.
+  // idle in the activity rows of the last idle_smoothing_intervals + 1
+  // planning rounds (§3.1's smoothing window over the resource-usage
+  // monitor). Derived by the manager every round; before round 0 it reads
+  // "idle at row 0".
+  std::vector<uint64_t> trusted_idle;
   // Every migration completion not yet retired, in no particular order.
   std::vector<PendingCompletion> completions;
   // Resolved once from the config; never changes.
@@ -93,32 +100,48 @@ class ClusterView {
   const ClusterHost& host(HostId id) const { return *state_->hosts[id]; }
   const VmSlot& vm(VmId id) const { return state_->vms[id]; }
 
-  // Idle long enough that the idleness detector trusts it (§3.1's smoothing
-  // window over the resource-usage monitor).
-  bool TrustedIdle(const VmSlot& vm, SimTime now) const {
-    if (vm.activity != VmActivity::kIdle) {
-      return false;
-    }
-    SimTime window = config_->planning_interval * config_->idle_smoothing_intervals;
-    return now - vm.idle_since >= window;
-  }
-
   // The deterministic planning streams. Both advance a cursor shared with
   // the whole simulation, so *when* a strategy draws is part of its
-  // observable behavior: the default strategy reproduces the legacy manager
-  // byte for byte precisely because it draws in the same order the monolith
-  // did. Strategies must draw only while planning (never store the refs).
+  // observable behavior, pinned by every golden. Strategies must draw only
+  // while planning (never store the refs).
   Rng& planning_rng() const { return *rng_; }
   uint64_t SampleWorkingSet() const { return ws_sampler_->Sample(); }
 
   // Home-keyed VM index and the maintained aggregates (see ClusterState).
-  const std::vector<VmId>& vms_of_home(HostId home) const {
-    return state_->vms_by_home[home];
-  }
+  const std::vector<VmId>& vms_of_home(HostId home) const { return state_->vms_by_home[home]; }
   int fac_homed(HostId home) const { return state_->fac_homed[home]; }
   const std::vector<uint64_t>& fac_vm_bits() const { return state_->fac_vm_bits; }
   int inflight_residents(HostId host) const { return state_->inflight_residents[host]; }
   int partial_residents(HostId host) const { return state_->partial_residents[host]; }
+
+  // Idle long enough that the idleness detector trusts it (see
+  // ClusterState::trusted_idle).
+  const std::vector<uint64_t>& trusted_idle_bits() const { return state_->trusted_idle; }
+  bool trusted_idle(VmId vm) const { return (state_->trusted_idle[vm / 64] >> (vm % 64)) & 1; }
+  // Whether every VM resident on home host `home` is trusted idle. A home
+  // holds only its own VMs, whose ids are contiguous, so the test runs a
+  // word at a time over the untrusted bits of that id range.
+  bool TrustedIdleHome(HostId home) const {
+    const std::vector<VmId>& ids = state_->vms_by_home[home];
+    const size_t first = ids.front();
+    const size_t last = ids.back();
+    for (size_t w = first / 64; w <= last / 64; ++w) {
+      uint64_t untrusted = ~state_->trusted_idle[w];
+      if (w == first / 64) {
+        untrusted &= ~uint64_t{0} << (first % 64);
+      }
+      if (w == last / 64) {
+        untrusted &= ~uint64_t{0} >> (63 - last % 64);
+      }
+      for (; untrusted != 0; untrusted &= untrusted - 1) {
+        size_t vm = 64 * w + static_cast<size_t>(std::countr_zero(untrusted));
+        if (state_->vms[vm].location == home) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
 
   // A VM's working-set reservation, including growth its host has already
   // reserved but its slot does not yet show. Strategies read it here, never

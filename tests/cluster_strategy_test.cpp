@@ -89,10 +89,10 @@ TEST(BaselineEnergyTest, AllActiveRunDrawsExactlyTheBaseline) {
 // One aggressive vacate plan (sleeping consolidation hosts may be woken),
 // built the way the greedy planner builds it; `items` receives the
 // candidate scan's item table.
-VacatePlan AggressivePlan(const ClusterView& view, SimTime now,
+VacatePlan AggressivePlan(const ClusterView& view,
                           std::vector<OasisGreedyStrategy::Candidate>* candidates,
                           std::vector<OasisGreedyStrategy::VacateItem>* items) {
-  *candidates = OasisGreedyStrategy::ScanVacateCandidates(view, now, *items);
+  *candidates = OasisGreedyStrategy::ScanVacateCandidates(view, *items);
   size_t powered_dests = 0;
   std::vector<OasisGreedyStrategy::Dest> dests =
       OasisGreedyStrategy::BuildDestTable(view, &powered_dests);
@@ -105,13 +105,12 @@ TEST(VacatePlanGateTest, AllIdleClusterBuildsAPowerSavingPlan) {
   ClusterManager manager(config, UniformTrace(config.TotalVms(), false));
   ClusterView view = manager.View();
 
-  // VmSlot::idle_since predates the epoch by eras, so a VM idle from trace
-  // interval 0 is already trusted-idle at t=0: every home is a candidate and
-  // every VM draws a working-set sample.
-  SimTime now = SimTime::Zero();
+  // A fresh manager reads every VM idle at row 0 as idle since long before,
+  // so it is already trusted-idle: every home is a candidate and every VM
+  // draws a working-set sample.
   std::vector<OasisGreedyStrategy::Candidate> candidates;
   std::vector<OasisGreedyStrategy::VacateItem> items;
-  VacatePlan plan = AggressivePlan(view, now, &candidates, &items);
+  VacatePlan plan = AggressivePlan(view, &candidates, &items);
   std::set<HostId> candidate_homes;
   for (const OasisGreedyStrategy::Candidate& c : candidates) {
     candidate_homes.insert(c.host);
@@ -142,23 +141,34 @@ TEST(VacatePlanGateTest, AllIdleClusterBuildsAPowerSavingPlan) {
 }
 
 TEST(VacatePlanGateTest, TrustedIdleGatesEligibility) {
-  ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
-  ClusterManager manager(config, UniformTrace(config.TotalVms(), true));
-  ClusterView view = manager.View();
-
   // An active VM is never trusted-idle, and a freshly-idled one stays
-  // untrusted until the smoothing window has elapsed (§3.1).
-  VmSlot active_vm = view.vm(0);
-  active_vm.activity = VmActivity::kActive;
-  EXPECT_FALSE(view.TrustedIdle(active_vm, SimTime::Hours(12)));
+  // untrusted until the smoothing window has elapsed (§3.1). With 5-minute
+  // rounds and the default two-interval window, the day's last round
+  // (interval 287) trusts exactly the VMs idle in intervals 285-287. VM v
+  // is active in every interval before 285 + v - 2 and idle from then on.
+  ClusterConfig config = SmallCluster(ConsolidationPolicy::kOnlyPartial);
+  ASSERT_EQ(config.idle_smoothing_intervals, 2);
+  TraceSet trace = UniformTrace(config.TotalVms(), false);
+  for (int v = 0; v < 5; ++v) {
+    for (int i = 0; i < 285 + v - 2; ++i) {
+      trace[static_cast<size_t>(v)].SetActive(i, true);
+    }
+  }
+  ClusterManager fresh(config, trace);
+  EXPECT_FALSE(fresh.View().trusted_idle(0)) << "active at row 0";
+  EXPECT_TRUE(fresh.View().trusted_idle(5)) << "idle at row 0";
 
-  VmSlot fresh = view.vm(0);
-  fresh.activity = VmActivity::kIdle;
-  fresh.idle_since = SimTime::Hours(12);
-  EXPECT_FALSE(view.TrustedIdle(fresh, SimTime::Hours(12)));
-  EXPECT_TRUE(view.TrustedIdle(fresh, SimTime::Hours(12) +
-                                          config.planning_interval *
-                                              config.idle_smoothing_intervals));
+  ClusterManager manager(config, trace);
+  manager.Run();
+  ClusterView view = manager.View();
+  EXPECT_TRUE(view.trusted_idle(0)) << "idle in intervals 283-287";
+  EXPECT_TRUE(view.trusted_idle(1)) << "idle in intervals 284-287";
+  EXPECT_TRUE(view.trusted_idle(2)) << "idle in intervals 285-287";
+  EXPECT_FALSE(view.trusted_idle(3)) << "idle in intervals 286-287 only";
+  EXPECT_FALSE(view.trusted_idle(4)) << "idle in interval 287 only";
+  EXPECT_TRUE(view.trusted_idle(5)) << "idle all day";
+  // Home 0 still holds the untrusted VMs 3 and 4.
+  EXPECT_FALSE(view.TrustedIdleHome(0));
 }
 
 TEST(VacatePlanGateTest, RuinousMemoryServerPowerClosesTheGate) {
@@ -171,7 +181,7 @@ TEST(VacatePlanGateTest, RuinousMemoryServerPowerClosesTheGate) {
 
   std::vector<OasisGreedyStrategy::Candidate> candidates;
   std::vector<OasisGreedyStrategy::VacateItem> items;
-  VacatePlan plan = AggressivePlan(view, SimTime::Zero(), &candidates, &items);
+  VacatePlan plan = AggressivePlan(view, &candidates, &items);
   EXPECT_FALSE(plan.hosts_to_vacate.empty());
   EXPECT_LT(plan.net_power_delta_watts, 0.0);
 }
@@ -208,11 +218,11 @@ struct Candidate {
   uint64_t demand;
 };
 
-std::vector<Candidate> ScanVacateCandidates(const ClusterView& view, SimTime now,
+std::vector<Candidate> ScanVacateCandidates(const ClusterView& view,
                                             std::vector<uint64_t>& planned_ws) {
   const ClusterConfig& config = view.config();
   bool only_partial = config.policy == ConsolidationPolicy::kOnlyPartial;
-  auto trusted_idle = [&view, now](VmId id) { return view.TrustedIdle(view.vm(id), now); };
+  auto trusted_idle = [&view](VmId id) { return view.trusted_idle(id); };
   planned_ws.assign(view.num_vms(), 0);
   std::vector<Candidate> candidates;
   for (HostId h = 0; h < static_cast<HostId>(config.num_home_hosts); ++h) {
@@ -227,7 +237,7 @@ std::vector<Candidate> ScanVacateCandidates(const ClusterView& view, SimTime now
     uint64_t demand = 0;
     for (VmId id : host.vms()) {
       const VmSlot& vm = view.vm(id);
-      if (view.TrustedIdle(vm, now)) {
+      if (view.trusted_idle(id)) {
         uint64_t ws = view.SampleWorkingSet();
         planned_ws[id] = ws;
         demand += ws;
@@ -357,21 +367,19 @@ PlannerCoverage ExpectPlannersAgree(const ClusterConfig& config, const TraceSet&
                                     bool run_day) {
   ClusterManager ref_manager(config, trace);
   ClusterManager new_manager(config, trace);
-  SimTime now = SimTime::Zero();
   if (run_day) {
     ref_manager.Run();
     new_manager.Run();
-    now = SimTime::Hours(24.0);
   }
   ClusterView ref_view = ref_manager.View();
   ClusterView new_view = new_manager.View();
 
   std::vector<uint64_t> planned_ws;
   std::vector<reference::Candidate> ref_candidates =
-      reference::ScanVacateCandidates(ref_view, now, planned_ws);
+      reference::ScanVacateCandidates(ref_view, planned_ws);
   std::vector<OasisGreedyStrategy::VacateItem> items;
   std::vector<OasisGreedyStrategy::Candidate> candidates =
-      OasisGreedyStrategy::ScanVacateCandidates(new_view, now, items);
+      OasisGreedyStrategy::ScanVacateCandidates(new_view, items);
   PlannerCoverage coverage;
   coverage.candidates = candidates.size();
   EXPECT_EQ(ref_candidates.size(), candidates.size());

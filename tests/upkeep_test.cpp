@@ -2,8 +2,9 @@
 //
 //   - UpkeepRates: the closed-form cap phase and the memoized tail of the
 //     on-demand fetch equal round-by-round iteration around the cap
-//     threshold, over every memoized size and at random sizes; dirty and
-//     working-set growth equal their per-round sums.
+//     threshold, over every memoized size and at random sizes; lockstep
+//     batches equal one VM at a time; dirty and working-set growth equal
+//     their per-round sums.
 //   - Differential days: two managers on the same config and trace, stepped
 //     round by round. One runs the actuator's lazy PartialVmUpkeep, the
 //     other the eager walk kept below as the reference. Between them the
@@ -12,6 +13,9 @@
 //     After every round each VM's settled counters, every host's reservation
 //     and the traffic totals and counts must be identical, with the
 //     invariant checker on in both worlds.
+//   - Trusted idle: stepped days at several planning intervals and
+//     smoothing windows, against the last-idle-edge rule kept below as the
+//     reference.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +27,8 @@
 #include "src/cluster/manager.h"
 #include "src/common/rng.h"
 #include "src/fault/fault.h"
+#include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/trace/trace_generator.h"
 
 namespace oasis {
@@ -30,11 +36,11 @@ namespace oasis {
 // Reaches into the manager and its actuator to run a day one round at a
 // time with either upkeep.
 struct UpkeepTestPeer {
-  // Schedules the day exactly as ClusterManager::Run does (rounds first,
-  // then the fault plan); each round starts with the completion batch, as
-  // OnInterval does. With `eager_exhaustions` set, the eager reference walk
-  // replaces the actuator's PartialVmUpkeep and counts its exhaustion
-  // rounds there.
+  // Resolves the collectors and schedules the day exactly as
+  // ClusterManager::Run does (rounds first, then the fault plan); each round
+  // starts with the completion batch, as OnInterval does. With
+  // `eager_exhaustions` set, the eager reference walk replaces the
+  // actuator's PartialVmUpkeep and counts its exhaustion rounds there.
   static void ScheduleDay(ClusterManager& m, int* eager_exhaustions);
   static Simulator& Sim(ClusterManager& m) { return m.sim_; }
   static ClusterMetrics& Metrics(ClusterManager& m) { return m.metrics_; }
@@ -66,8 +72,7 @@ bool UpkeepTestPeer::EagerUpkeep(ClusterManager& m, SimTime now) {
   const ClusterConfig& config = m.config_;
   const TrafficVolumes& vol = config.volumes;
   uint64_t growth = GrowthPerInterval(config);
-  uint64_t dirty_step =
-      MiBToBytes(vol.dirty_mib_per_minute * config.planning_interval.minutes());
+  uint64_t dirty_step = MiBToBytes(vol.dirty_mib_per_minute * config.planning_interval.minutes());
   uint64_t fetched_bytes = 0;
   uint64_t fetches = 0;
   std::vector<HostId> exhausted_homes;
@@ -123,13 +128,12 @@ bool UpkeepTestPeer::EagerUpkeep(ClusterManager& m, SimTime now) {
 }
 
 void UpkeepTestPeer::ScheduleDay(ClusterManager& m, int* eager_exhaustions) {
+  m.act_.SetCollectors(obs::Tracer::IfEnabled(), obs::MetricsRegistry::IfEnabled());
   for (int t = 0; t < m.RoundsPerDay(); ++t) {
-    SimTime when = m.config_.planning_interval * t;
-    int interval = m.TraceIntervalAt(when);
-    m.sim_.ScheduleAt(when, [&m, interval, eager_exhaustions]() {
+    m.sim_.ScheduleAt(m.config_.planning_interval * t, [&m, t, eager_exhaustions]() {
       SimTime now = m.sim_.now();
       m.act_.RetireCompletions();
-      m.UpdateActivities(now, interval);
+      m.UpdateActivities(now, t);
       if (eager_exhaustions != nullptr) {
         *eager_exhaustions += EagerUpkeep(m, now) ? 1 : 0;
       } else {
@@ -169,8 +173,7 @@ struct Coverage {
 // Expects the lazy world, settled in thought, to equal the eager world;
 // reports only the first difference. The fetches the lazy world owes but
 // has not booked count toward its traffic.
-bool ExpectSameUpkeepState(ClusterManager& lazy, ClusterManager& eager,
-                           const std::string& where) {
+bool ExpectSameUpkeepState(ClusterManager& lazy, ClusterManager& eager, const std::string& where) {
   if (lazy.upkeep_round() != eager.upkeep_round()) {
     ADD_FAILURE() << where << ": upkeep rounds " << lazy.upkeep_round() << " vs "
                   << eager.upkeep_round();
@@ -269,9 +272,8 @@ Coverage ExpectLazyMatchesEager(const ClusterConfig& config, const TraceSet& tra
   if (same) {
     ExpectSameUpkeepState(lazy, eager, "end of day");
     for (size_t v = 0; v < lazy.num_vms(); ++v) {
-      EXPECT_EQ(UpkeepRates::PendingRounds(lazy.GetVm(static_cast<VmId>(v)),
-                                           lazy.upkeep_round()),
-                0u)
+      const VmSlot& vm = lazy.GetVm(static_cast<VmId>(v));
+      EXPECT_EQ(UpkeepRates::PendingRounds(vm, lazy.upkeep_round()), 0u)
           << "VM " << v << " left unsettled";
     }
   }
@@ -374,6 +376,72 @@ TEST(UpkeepRatesTest, FetchShortcutsMatchIteration) {
       expect_same(unfetched, rounds);
     }
   }
+
+  // Lockstep batches against one VM at a time, each round applied in turn
+  // with the unsigned conversions: random lanes with sizes in the cap phase,
+  // in the band and in the memoized tail and with 0-60 rounds, so lanes
+  // leave at different steps and batches longer than kLanes refill them. The
+  // same on rates without a cap, without fetches and fetching everything.
+  auto one_by_one = [](const UpkeepRates& r, const VmSlot& vm, uint64_t rounds, uint64_t grown) {
+    UpkeepCounters c{vm.ws_bytes + grown * r.growth, vm.ws_unfetched, vm.dirty_bytes, 0, 0};
+    for (uint64_t k = 0; k < rounds; ++k) {
+      const double product = static_cast<double>(c.ws_unfetched) * r.fetch_fraction;
+      uint64_t fetch = std::min(static_cast<uint64_t>(product), r.fetch_cap);
+      if (fetch > 0) {
+        c.ws_unfetched -= fetch;
+        c.fetched_bytes += fetch;
+        ++c.fetches;
+      }
+      c.dirty_bytes = std::min(c.dirty_bytes + r.dirty_step, r.dirty_cap);
+    }
+    return c;
+  };
+  std::vector<ClusterConfig> variants(4);
+  variants[1].volumes.on_demand_cap_per_interval = 0;
+  variants[2].volumes.on_demand_fraction_per_interval = 0.0;
+  variants[3].volumes.on_demand_fraction_per_interval = 1.0;
+  for (const ClusterConfig& variant : variants) {
+    UpkeepRates r(variant);
+    uint64_t band_floor = UpkeepRates::kTailSizes;
+    const bool capped = r.cap_threshold != UpkeepRates::kNoCapPhase;
+    uint64_t band_ceiling = capped ? r.cap_threshold : 64 * kMiB;
+    for (int batch = 0; batch < 400; ++batch) {
+      size_t n = 1 + rng.NextBelow(3 * UpkeepRates::kLanes + 2);
+      std::vector<VmSlot> vms(n);
+      std::vector<UpkeepRates::Step> steps(n);
+      for (size_t i = 0; i < n; ++i) {
+        VmSlot& vm = vms[i];
+        switch (rng.NextBelow(3)) {
+          case 0:  // cap phase
+            vm.ws_unfetched = band_ceiling + rng.NextBelow(200 * kMiB);
+            break;
+          case 1:  // band
+            vm.ws_unfetched = band_floor + rng.NextBelow(band_ceiling - band_floor);
+            break;
+          default:  // memoized tail
+            vm.ws_unfetched = rng.NextBelow(UpkeepRates::kTailSizes);
+            break;
+        }
+        vm.ws_bytes = vm.ws_unfetched + rng.NextBelow(64 * kMiB);
+        vm.dirty_bytes = rng.NextBelow(variant.volumes.dirty_cap_bytes);
+        uint64_t rounds = rng.NextBelow(61);
+        steps[i] = {&vm, rounds, rng.NextBelow(rounds + 1)};
+      }
+      std::vector<UpkeepCounters> got(n);
+      r.Advance(steps, got);
+      for (size_t i = 0; i < n; ++i) {
+        UpkeepCounters want = one_by_one(r, vms[i], steps[i].rounds, steps[i].grown);
+        std::string lane = "lane " + std::to_string(i) + " of " + std::to_string(n) + ": " +
+                           std::to_string(vms[i].ws_unfetched) + " B over " +
+                           std::to_string(steps[i].rounds) + " rounds";
+        EXPECT_EQ(want.ws_bytes, got[i].ws_bytes) << lane;
+        EXPECT_EQ(want.ws_unfetched, got[i].ws_unfetched) << lane;
+        EXPECT_EQ(want.dirty_bytes, got[i].dirty_bytes) << lane;
+        EXPECT_EQ(want.fetched_bytes, got[i].fetched_bytes) << lane;
+        EXPECT_EQ(want.fetches, got[i].fetches) << lane;
+      }
+    }
+  }
 }
 
 TEST(UpkeepRatesTest, DirtyAndGrowthAreTheirPerRoundSums) {
@@ -456,6 +524,62 @@ TEST(LazyUpkeepTest, MatchesTheEagerWalkEveryRound) {
   EXPECT_GT(total(&Coverage::crashes), 0u);
   EXPECT_GT(total(&Coverage::memory_server_failures), 0u);
   EXPECT_GT(total(&Coverage::migration_aborts), 0u);
+}
+
+// The rule the trusted-idle bits replaced: a VM is trusted idle iff it is
+// idle and its last active->idle edge, seen at a planning round, lies at
+// least idle_smoothing_intervals planning intervals back. A VM idle at row 0
+// has been idle since long before the day.
+TEST(TrustedIdleTest, BitsMatchTheLastIdleEdgeRule) {
+  for (int minutes : {1, 5, 15, 30}) {
+    for (int window : {0, 2, 5}) {
+      SCOPED_TRACE(std::to_string(minutes) + "-minute rounds, window " + std::to_string(window));
+      ClusterConfig config = TightCluster(ConsolidationPolicy::kFullToPartial, 9);
+      config.planning_interval = SimTime::Seconds(60.0 * minutes);
+      config.idle_smoothing_intervals = window;
+      ClusterManager m(config, TraceFor(config, DayKind::kWeekday));
+      const size_t num_vms = m.num_vms();
+      std::vector<SimTime> idle_since(num_vms, SimTime::Micros(INT64_MIN / 2));
+      std::vector<VmActivity> seen(num_vms);
+      for (size_t v = 0; v < num_vms; ++v) {
+        seen[v] = m.GetVm(static_cast<VmId>(v)).activity;
+      }
+      uint64_t idle_untrusted = 0;
+      // Reports only the first VM that breaks the rule at `now`.
+      auto expect_rule = [&](SimTime now, const std::string& where) {
+        ClusterView view = m.View();
+        for (size_t v = 0; v < num_vms; ++v) {
+          VmId id = static_cast<VmId>(v);
+          bool idle = m.GetVm(id).activity == VmActivity::kIdle;
+          bool want = idle && now - idle_since[v] >= config.planning_interval * window;
+          idle_untrusted += idle && !want ? 1 : 0;
+          if (view.trusted_idle(id) != want) {
+            ADD_FAILURE() << where << ": VM " << v << " trusted-idle bit should be " << want;
+            return false;
+          }
+        }
+        return true;
+      };
+      bool same = expect_rule(SimTime::Zero(), "before round 0");
+      Peer::ScheduleDay(m, nullptr);
+      for (int t = 0; same && t < Peer::RoundsPerDay(m); ++t) {
+        SimTime when = config.planning_interval * t;
+        Peer::Sim(m).RunUntil(when);
+        for (size_t v = 0; v < num_vms; ++v) {
+          VmActivity now_activity = m.GetVm(static_cast<VmId>(v)).activity;
+          if (seen[v] == VmActivity::kActive && now_activity == VmActivity::kIdle) {
+            idle_since[v] = when;
+          }
+          seen[v] = now_activity;
+        }
+        same = expect_rule(when, "round " + std::to_string(t));
+      }
+      // The window really held some idle VMs back.
+      if (window > 0) {
+        EXPECT_GT(idle_untrusted, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -281,12 +281,11 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
   SimTime last_done = t0;
 
   // The requester reintegrates first; its delay is what the user feels.
-  // vms_by_home lists the home's VMs in ascending id order — the same order
-  // the original full-table walk visited them.
+  // The home's VMs in ascending id order, the order a walk over the whole
+  // table visits them.
   std::vector<VmId> partials;
   std::vector<VmId> idle_fulls;
-  for (VmId vid : state_.vms_by_home[home_id]) {
-    const VmSlot& vm = state_.vms[vid];
+  for (const VmSlot& vm : state_.VmsOfHome(home_id)) {
     if (vm.migration_in_flight) {
       continue;
     }
@@ -419,6 +418,16 @@ void Actuator::FullToPartialSwapGroup(SimTime now, HostId home_id,
 }
 
 void Actuator::CommitVacatePlan(SimTime now, const VacatePlan& plan) {
+  // Each destination is woken once, by its first placement, and every later
+  // placement reuses the time it is ready: nothing else runs at this
+  // instant, so a second wake would find the same host and return the same
+  // time. host_wakes counts every placement onto an unpowered destination,
+  // because pinned digests fold that count.
+  struct Woken {
+    HostId host;
+    SimTime ready;
+  };
+  std::vector<Woken> woken_dests;
   for (size_t i = 0; i < plan.hosts_to_vacate.size(); ++i) {
     HostId source_id = plan.hosts_to_vacate[i];
     ClusterHost& source = HostOf(source_id);
@@ -427,8 +436,16 @@ void Actuator::CommitVacatePlan(SimTime now, const VacatePlan& plan) {
       HostId dest_id = placement.dest;
       VmSlot& vm = Slot(vm_id);
       ClusterHost& dest = HostOf(dest_id);
-      StatusOr<SimTime> woken = WakeHost(now, dest_id);
-      SimTime dest_ready = woken.ok() ? *woken : dest.EarliestPoweredTime(now);
+      auto seen = std::find_if(woken_dests.begin(), woken_dests.end(),
+                               [dest_id](const Woken& w) { return w.host == dest_id; });
+      if (seen == woken_dests.end()) {
+        StatusOr<SimTime> woken = WakeHost(now, dest_id);
+        woken_dests.push_back({dest_id, woken.ok() ? *woken : dest.EarliestPoweredTime(now)});
+        seen = woken_dests.end() - 1;
+      } else if (!dest.IsPowered()) {
+        ++metrics_.host_wakes;
+      }
+      const SimTime dest_ready = seen->ready;
       if (!placement.as_partial) {
         // Active (or not-yet-trusted idle) VMs move in full via live
         // migration, so they keep their resources and performance.
@@ -808,8 +825,7 @@ void Actuator::FailMemoryServer(SimTime now, HostId home_id) {
   home.SetMemoryServerPowered(now, false);
   // Partials homed here that are mid-drain lose their backing store too;
   // roll them back so the group return below covers them.
-  for (VmId vid : state_.vms_by_home[home_id]) {
-    VmSlot& vm = state_.vms[vid];
+  for (VmSlot& vm : state_.VmsOfHome(home_id)) {
     if (vm.migration_in_flight && vm.pending_op == VmSlot::PendingOp::kDrainMove) {
       RollbackMigration(now, vm);
     }

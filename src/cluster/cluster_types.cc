@@ -3,8 +3,10 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <climits>
 
 #include "src/cluster/strategy.h"
+#include "src/common/interned.h"
 #include "src/mem/working_set.h"
 
 namespace oasis {
@@ -27,6 +29,13 @@ Status ClusterConfig::Validate() const {
   if (num_home_hosts <= 0 || num_consolidation_hosts < 0 || vms_per_home <= 0) {
     return Status::InvalidArgument("host/VM counts must be positive");
   }
+  // TotalVms() and TotalHosts() are ints.
+  const int64_t total_vms = int64_t{num_home_hosts} * vms_per_home;
+  const int64_t total_hosts = int64_t{num_home_hosts} + num_consolidation_hosts;
+  if (total_vms > INT_MAX || total_hosts > INT_MAX) {
+    return Status::InvalidArgument("too many VMs or hosts: " + std::to_string(total_vms) +
+                                   " VMs on " + std::to_string(total_hosts) + " hosts");
+  }
   if (vm_memory_bytes == 0 || host_memory_bytes == 0) {
     return Status::InvalidArgument("memory sizes must be positive");
   }
@@ -40,8 +49,9 @@ Status ClusterConfig::Validate() const {
   if (!working_set_ok.ok()) {
     return working_set_ok;
   }
-  if (planning_interval <= SimTime::Zero()) {
-    return Status::InvalidArgument("planning interval must be positive");
+  // A day needs at least one planning round.
+  if (planning_interval <= SimTime::Zero() || planning_interval > SimTime::Hours(24.0)) {
+    return Status::InvalidArgument("planning interval must be positive and at most a day");
   }
   if (memory_overcommit < 1.0 || memory_overcommit > 3.0) {
     return Status::InvalidArgument("memory_overcommit must be in [1, 3]");
@@ -131,6 +141,107 @@ void ClusterConfig::SetVmsPerHome(int vms) {
   fleet_power_scale *= scale;
 }
 
+namespace {
+
+// The tables of `fetch`'s rates, built from the very Fetch expression the
+// walk evaluates (the jump rows from one that gives the same values).
+UpkeepRates::FetchTables BuildFetchTables(const UpkeepRates& fetch) {
+  using Tables = UpkeepRates::FetchTables;
+  Tables t;
+  // Fetch is monotone in the unfetched size (a product with a non-negative
+  // constant, truncated), so the threshold is a binary search on the very
+  // expression each round evaluates. Working sets stay far below 2^62.
+  constexpr uint64_t kLimit = uint64_t{1} << 62;
+  if (fetch.fetch_cap > 0 && fetch.Fetch(kLimit) == fetch.fetch_cap) {
+    uint64_t lo = 0;
+    uint64_t hi = kLimit;
+    while (lo < hi) {
+      uint64_t mid = lo + (hi - lo) / 2;
+      if (fetch.Fetch(mid) == fetch.fetch_cap) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    t.cap_threshold = hi;
+  }
+  // A fetch never exceeds what remains, so every entry builds on a smaller
+  // one; each walk takes at most x rounds, which fits a uint16_t.
+  constexpr uint64_t kTailSizes = UpkeepRates::kTailSizes;
+  t.tail.resize(kTailSizes);
+  for (uint64_t x = 0; x < kTailSizes; ++x) {
+    uint64_t f = fetch.Fetch(x);
+    assert(f <= x && "the on-demand fraction must be in [0, 1]");
+    t.tail[x] = f == 0 ? UpkeepRates::Tail{0, static_cast<uint16_t>(x)}
+                       : UpkeepRates::Tail{static_cast<uint16_t>(t.tail[x - f].rounds + 1),
+                                           t.tail[x - f].rest};
+  }
+  if (t.cap_threshold > UpkeepRates::kJumpRowsBound) {
+    return t;
+  }
+  // Jump rows. A walk from a larger size never falls behind one from a
+  // smaller size, so the largest start's walk sizes the rows: they keep a
+  // stop per stride until that walk reaches the memoized tail, and the tail
+  // then gives each row's length. A row that has not reached the tail by
+  // its last stop, or walks longer than a length can say, leaves no rows.
+  constexpr uint64_t kStride = UpkeepRates::kJumpStride;
+  const size_t rows = static_cast<size_t>((t.cap_threshold + kPageSize - 1) / kPageSize);
+  uint64_t to_tail = 0;  // rounds until the largest start's walk is in the tail
+  for (uint64_t x = (rows - 1) * kPageSize; x >= kTailSizes; ++to_tail) {
+    const uint64_t f = fetch.Fetch(x);
+    if (f == 0 || to_tail == kStride * UpkeepRates::kMaxStopsPerRow) {
+      return t;
+    }
+    x -= f;
+  }
+  const size_t stops_per_row = static_cast<size_t>((to_tail + kStride - 1) / kStride);
+  if (stops_per_row == 0) {
+    return t;
+  }
+  // Below the threshold a fetch is trunc(x * fraction), never the cap, and
+  // below kJumpRowsBound sizes fit an int32_t, whose conversions give the
+  // same values as the walk's int64_t ones. A chunk of rows steps a round
+  // at a time, which keeps hundreds of independent walks in flight.
+  constexpr size_t kChunk = 512;
+  std::vector<uint8_t> length(rows);
+  std::vector<uint32_t> stops(rows * stops_per_row);
+  const double fraction = fetch.fetch_fraction;
+  std::array<int32_t, kChunk> x;
+  std::array<int32_t, kChunk> fetching;
+  for (size_t first = 0; first < rows; first += kChunk) {
+    const size_t n = std::min(kChunk, rows - first);
+    for (size_t i = 0; i < n; ++i) {
+      x[i] = static_cast<int32_t>((first + i) * kPageSize);
+      fetching[i] = 0;
+    }
+    for (size_t j = 0; j < stops_per_row; ++j) {
+      for (uint64_t round = 0; round < kStride; ++round) {
+        for (size_t i = 0; i < n; ++i) {
+          const int32_t f = static_cast<int32_t>(static_cast<double>(x[i]) * fraction);
+          x[i] -= f;
+          fetching[i] += f != 0 ? 1 : 0;
+        }
+      }
+      for (size_t i = 0; i < n; ++i) {
+        stops[(first + i) * stops_per_row + j] = static_cast<uint32_t>(x[i]);
+      }
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t at = static_cast<uint64_t>(x[i]);
+      if (at >= kTailSizes || fetching[i] + t.tail[at].rounds > UINT8_MAX) {
+        return t;
+      }
+      length[first + i] = static_cast<uint8_t>(fetching[i] + t.tail[at].rounds);
+    }
+  }
+  t.stops_per_row = stops_per_row;
+  t.length = std::move(length);
+  t.stops = std::move(stops);
+  return t;
+}
+
+}  // namespace
+
 UpkeepRates::UpkeepRates(const ClusterConfig& config)
     : dirty_step(MiBToBytes(config.volumes.dirty_mib_per_minute *
                             config.planning_interval.minutes())),
@@ -140,33 +251,10 @@ UpkeepRates::UpkeepRates(const ClusterConfig& config)
   uint64_t bytes = MiBToBytes(config.volumes.ws_growth_mib_per_hour *
                               config.planning_interval.hours());
   growth = (bytes / kPageSize) * kPageSize;
-  // Fetch is monotone in the unfetched size (a product with a non-negative
-  // constant, truncated), so the threshold is a binary search on the very
-  // expression each round evaluates. Working sets stay far below 2^62.
-  constexpr uint64_t kLimit = uint64_t{1} << 62;
-  if (fetch_cap > 0 && Fetch(kLimit) == fetch_cap) {
-    uint64_t lo = 0;
-    uint64_t hi = kLimit;
-    while (lo < hi) {
-      uint64_t mid = lo + (hi - lo) / 2;
-      if (Fetch(mid) == fetch_cap) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    cap_threshold = hi;
-  }
-  // A fetch never exceeds what remains, so every entry builds on a smaller
-  // one; each walk takes at most x rounds, which fits a uint16_t.
-  tail.resize(kTailSizes);
-  for (uint64_t x = 0; x < kTailSizes; ++x) {
-    uint64_t fetch = Fetch(x);
-    assert(fetch <= x && "the on-demand fraction must be in [0, 1]");
-    tail[x] = fetch == 0 ? Tail{0, static_cast<uint16_t>(x)}
-                         : Tail{static_cast<uint16_t>(tail[x - fetch].rounds + 1),
-                                tail[x - fetch].rest};
-  }
+  static Interned<std::pair<uint64_t, uint64_t>, FetchTables> shared;
+  tables = &shared.Get({std::bit_cast<uint64_t>(fetch_fraction), fetch_cap},
+                       [this] { return BuildFetchTables(*this); });
+  cap_threshold = tables->cap_threshold;
 }
 
 namespace {
@@ -177,7 +265,11 @@ void WalkInLockstep(const UpkeepRates& rates, std::span<const UpkeepRates::Step>
                     std::span<UpkeepCounters> out) {
   static_assert(kWidth <= 32, "the lane masks are 32 bits");
   constexpr uint64_t kTailSizes = UpkeepRates::kTailSizes;
-  const std::vector<UpkeepRates::Tail>& tail = rates.tail;
+  constexpr uint64_t kStride = UpkeepRates::kJumpStride;
+  assert(rates.tables != nullptr && "walks need rates built from a config");
+  const UpkeepRates::FetchTables& tables = *rates.tables;
+  const std::vector<UpkeepRates::Tail>& tail = tables.tail;
+  const bool jumps = !tables.length.empty();
   // Lane l walks steps[owner[l]]: `x` bytes unfetched with `left` rounds to
   // go. A lane that holds no walk sits at x = 0, which fetches nothing.
   std::array<uint64_t, kWidth> x{};
@@ -207,12 +299,31 @@ void WalkInLockstep(const UpkeepRates& rates, std::span<const UpkeepRates::Step>
         c.fetches = n;
         rounds -= n;
       }
+      // A page-aligned size below the threshold jumps whole strides of its
+      // walk, as far as its stops reach: only min(rounds, length) of its
+      // rounds fetch.
+      if (jumps && rounds >= kStride && unfetched < rates.cap_threshold &&
+          unfetched % kPageSize == 0) {
+        const size_t row = static_cast<size_t>(unfetched / kPageSize);
+        const uint64_t fetching = std::min<uint64_t>(rounds, tables.length[row]);
+        const uint64_t j = std::min<uint64_t>(fetching / kStride, tables.stops_per_row);
+        if (j > 0) {
+          unfetched = tables.stops[row * tables.stops_per_row + j - 1];
+          c.fetches += j * kStride;
+          rounds -= j * kStride;
+        }
+      }
+      // The memoized tail finishes a walk that has the rounds for it.
+      if (unfetched < kTailSizes && tail[unfetched].rounds <= rounds) {
+        c.fetches += tail[unfetched].rounds;
+        unfetched = tail[unfetched].rest;
+        rounds = 0;
+      }
       if (rounds == 0) {
         c.ws_unfetched = unfetched;
         c.fetched_bytes = vm.ws_unfetched - unfetched;
         continue;
       }
-      assert(tail.size() == kTailSizes && "walks need rates built from a config");
       x[lane] = unfetched;
       left[lane] = rounds;
       fetches[lane] = c.fetches;

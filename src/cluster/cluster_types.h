@@ -215,16 +215,40 @@ struct UpkeepRates {
   // no size reaches it.
   static constexpr uint64_t kNoCapPhase = UINT64_MAX;
   uint64_t cap_threshold = kNoCapPhase;
-  // Below the threshold each fetch is a fraction of what remains. For the
-  // kTailSizes smallest sizes, tail[x] memoizes the rest of that walk: how
-  // many rounds still fetch, and the size where the fetch first rounds down
-  // to zero (after which the size never changes).
+
+  // Memo tables of the fetch walk below the threshold, where each fetch is
+  // a fraction of what remains. They depend only on fetch_fraction and
+  // fetch_cap, so each distinct pair's tables are built once per process
+  // (src/common/interned.h) and shared, read-only, by every UpkeepRates
+  // with those rates on any thread.
   static constexpr uint64_t kTailSizes = 4096;
+  static constexpr uint64_t kJumpStride = 8;
+  // Jump rows cost a row per page below the threshold and a stop per
+  // stride of the longest walk, so past these bounds none are built.
+  static constexpr uint64_t kJumpRowsBound = 64 * kMiB;
+  static constexpr size_t kMaxStopsPerRow = 8;
   struct Tail {
     uint16_t rounds;
     uint16_t rest;
   };
-  std::vector<Tail> tail;
+  struct FetchTables {
+    uint64_t cap_threshold = kNoCapPhase;
+    // For the kTailSizes smallest sizes, tail[x] is the rest of the walk
+    // from x: how many rounds still fetch, and the size where the fetch
+    // first rounds down to zero (after which the size never changes).
+    std::vector<Tail> tail;
+    // Jump rows, one per page-aligned size p * kPageSize below the
+    // threshold: the walk from it fetches in length[p] rounds, and after
+    // kJumpStride * j of them it stands at stops[p * stops_per_row + j - 1],
+    // for j up to length[p] / kJumpStride and stops_per_row. A row keeps
+    // the stops until the longest walk reaches the memoized tail. Empty
+    // when the threshold is past kJumpRowsBound or that takes more than
+    // kMaxStopsPerRow stops.
+    size_t stops_per_row = 0;
+    std::vector<uint8_t> length;
+    std::vector<uint32_t> stops;
+  };
+  const FetchTables* tables = nullptr;  // set by the config constructor
 
   // One round's on-demand fetch: floor(unfetched x fraction), capped. Sizes
   // stay below 2^62, where the signed conversions give exactly the values
@@ -248,9 +272,10 @@ struct UpkeepRates {
   static constexpr size_t kLanes = 4;
   // out[i] = steps[i].vm's counters after its step, with the fetches it
   // took: exactly what applying the rounds one at a time yields. The cap
-  // phase is closed form and the tail is memoized; the rounds between the
-  // threshold and kTailSizes are iterated kLanes walks at a time (a batch
-  // of one walks alone).
+  // phase is closed form, a walk from a page-aligned size jumps whole
+  // strides along its jump row, and the tail is memoized; the rounds left
+  // between are iterated kLanes walks at a time (a batch of one walks
+  // alone).
   void Advance(std::span<const Step> steps, std::span<UpkeepCounters> out) const;
   // A batch of one.
   UpkeepCounters Advance(const VmSlot& vm, uint64_t rounds, uint64_t grown) const {

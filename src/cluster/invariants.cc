@@ -99,7 +99,7 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
       // reserves its working set with the growth its lazy upkeep has pending.
       if (host.IsConsolidationHost()) {
         reserved_expected += vm.residency == VmResidency::kPartial
-                                 ? manager.SettledUpkeep(vid).ws_bytes
+                                 ? manager.SettledWsBytes(vid)
                                  : vm.full_bytes;
       }
     }

@@ -39,24 +39,13 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace)
         static_cast<HostId>(config_.num_home_hosts + c), HostRole::kConsolidation, config_,
         /*initially_powered=*/false));
   }
-  // The activity bitset, lifted from each user-day's set bits.
   int total_vms = config_.TotalVms();
-  row_words_ = (static_cast<size_t>(total_vms) + 63) / 64;
-  activity_rows_.assign(static_cast<size_t>(kIntervalsPerDay) * row_words_, 0);
-  for (size_t v = 0; v < static_cast<size_t>(total_vms); ++v) {
-    const UserDay::Words& words = trace_[v % trace_.size()].words();
-    uint64_t vm_bit = uint64_t{1} << (v % 64);
-    for (size_t w = 0; w < words.size(); ++w) {
-      for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
-        size_t interval = 64 * w + static_cast<size_t>(std::countr_zero(bits));
-        activity_rows_[interval * row_words_ + v / 64] |= vm_bit;
-      }
-    }
-  }
+  row_words_ = RowWords(static_cast<size_t>(total_vms));
+  activity_rows_ = ActivityRows(trace_, static_cast<size_t>(total_vms));
   // VMs: vms_per_home per home host; activity from trace interval 0.
   state_.vms.reserve(static_cast<size_t>(total_vms));
   state_.vm_ever_uploaded.assign(static_cast<size_t>(total_vms), false);
-  state_.vms_by_home.assign(state_.hosts.size(), {});
+  state_.vms_per_home = static_cast<size_t>(config_.vms_per_home);
   for (int v = 0; v < total_vms; ++v) {
     VmSlot slot;
     slot.id = static_cast<VmId>(v);
@@ -67,7 +56,6 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace)
     slot.activity = active ? VmActivity::kActive : VmActivity::kIdle;
     slot.residency = VmResidency::kFullAtHome;
     state_.vms.push_back(slot);
-    state_.vms_by_home[slot.home].push_back(slot.id);
     ClusterHost& home = *state_.hosts[slot.home];
     home.AddVm(SimTime::Zero(), slot.id);
     home.Reserve(slot.full_bytes);

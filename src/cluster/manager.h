@@ -104,6 +104,10 @@ class ClusterManager {
   UpkeepCounters SettledUpkeep(VmId vm) const {
     return state_.upkeep.Settled(state_.vms[vm], state_.upkeep_round);
   }
+  // Its working-set part, in O(1).
+  uint64_t SettledWsBytes(VmId vm) const {
+    return state_.upkeep.SettledWsBytes(state_.vms[vm], state_.upkeep_round);
+  }
   const FaultInjector& fault_injector() const { return fault_; }
   const ConsolidationStrategy& strategy() const { return *strategy_; }
 

@@ -44,9 +44,9 @@ OasisGreedyStrategy::SwapGroups OasisGreedyStrategy::ComputeSwapGroups(
     if (view.fac_homed(h) == 0) {
       continue;
     }
-    const std::vector<VmId>& ids = view.vms_of_home(h);
-    size_t first = ids.front();
-    size_t last = ids.back();
+    const std::span<const VmSlot> own = view.vms_of_home(h);
+    size_t first = own.front().id;
+    size_t last = own.back().id;
     size_t begin = swaps.vms.size();
     for (size_t w = first / 64; w <= last / 64; ++w) {
       uint64_t word = fac_bits[w] & trusted[w];

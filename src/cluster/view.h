@@ -23,6 +23,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/cluster/cluster_types.h"
@@ -46,10 +47,16 @@ struct ClusterState {
   // Per host: when a fault-delayed wake will have the host powered
   // (SimTime::Zero() = no delayed wake pending).
   std::vector<SimTime> pending_wake_powered_at;
-  // Per home host: its VM ids in ascending order. A VM's home never changes
-  // (documented deviation from the paper), so this index is built once at
-  // construction and lets home-keyed walks skip the full VM table.
-  std::vector<std::vector<VmId>> vms_by_home;
+  // Home host h owns the VM ids [h * vms_per_home, (h + 1) * vms_per_home),
+  // and a VM's home never changes (documented deviation from the paper), so
+  // a home-keyed walk visits that slice of the VM table and nothing else.
+  size_t vms_per_home = 0;
+  std::span<VmSlot> VmsOfHome(HostId home) {
+    return std::span<VmSlot>(vms).subspan(home * vms_per_home, vms_per_home);
+  }
+  std::span<const VmSlot> VmsOfHome(HostId home) const {
+    return std::span<const VmSlot>(vms).subspan(home * vms_per_home, vms_per_home);
+  }
   // Maintained aggregates, each updated in O(1) by the Actuator's funnel
   // (Relocate / SetInFlight) and re-derived from scratch by the invariant
   // checker every planning round. The counts are indexed by host id. Per
@@ -107,8 +114,9 @@ class ClusterView {
   Rng& planning_rng() const { return *rng_; }
   uint64_t SampleWorkingSet() const { return ws_sampler_->Sample(); }
 
-  // Home-keyed VM index and the maintained aggregates (see ClusterState).
-  const std::vector<VmId>& vms_of_home(HostId home) const { return state_->vms_by_home[home]; }
+  // A home host's own VMs, ascending by id, and the maintained aggregates
+  // (see ClusterState).
+  std::span<const VmSlot> vms_of_home(HostId home) const { return state_->VmsOfHome(home); }
   int fac_homed(HostId home) const { return state_->fac_homed[home]; }
   const std::vector<uint64_t>& fac_vm_bits() const { return state_->fac_vm_bits; }
   int inflight_residents(HostId host) const { return state_->inflight_residents[host]; }
@@ -122,9 +130,9 @@ class ClusterView {
   // holds only its own VMs, whose ids are contiguous, so the test runs a
   // word at a time over the untrusted bits of that id range.
   bool TrustedIdleHome(HostId home) const {
-    const std::vector<VmId>& ids = state_->vms_by_home[home];
-    const size_t first = ids.front();
-    const size_t last = ids.back();
+    const std::span<const VmSlot> own = state_->VmsOfHome(home);
+    const size_t first = own.front().id;
+    const size_t last = own.back().id;
     for (size_t w = first / 64; w <= last / 64; ++w) {
       uint64_t untrusted = ~state_->trusted_idle[w];
       if (w == first / 64) {

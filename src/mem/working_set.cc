@@ -1,8 +1,13 @@
 #include "src/mem/working_set.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <utility>
+
+#include "src/common/interned.h"
 
 namespace oasis {
 namespace {
@@ -29,7 +34,7 @@ void TruncatedMoments(double mu, double sigma, double floor, double* mean, doubl
 // Fixed-point solve for the underlying normal whose floor-truncation has the
 // configured moments (the paper reports the *observed* 165.63 ± 91.38, which
 // already includes the physical floor).
-void SolveUnderlying(const WorkingSetDistribution& dist, double* mu, double* sigma) {
+void SolveUnderlyingOnce(const WorkingSetDistribution& dist, double* mu, double* sigma) {
   *mu = dist.mean_mib;
   *sigma = dist.stddev_mib;
   for (int iter = 0; iter < 60; ++iter) {
@@ -43,6 +48,22 @@ void SolveUnderlying(const WorkingSetDistribution& dist, double* mu, double* sig
     *sigma *= dist.stddev_mib / s;
     *sigma = std::clamp(*sigma, 1e-3, 10.0 * dist.stddev_mib + 1.0);
   }
+}
+
+// The solve above, once per process for each distinct distribution: every
+// cluster validates and samples the same one.
+void SolveUnderlying(const WorkingSetDistribution& dist, double* mu, double* sigma) {
+  static Interned<std::array<uint64_t, 3>, std::pair<double, double>> solved;
+  const std::array<uint64_t, 3> key{std::bit_cast<uint64_t>(dist.mean_mib),
+                                    std::bit_cast<uint64_t>(dist.stddev_mib),
+                                    std::bit_cast<uint64_t>(dist.floor_mib)};
+  const std::pair<double, double>& underlying = solved.Get(key, [&dist] {
+    std::pair<double, double> out;
+    SolveUnderlyingOnce(dist, &out.first, &out.second);
+    return out;
+  });
+  *mu = underlying.first;
+  *sigma = underlying.second;
 }
 
 }  // namespace

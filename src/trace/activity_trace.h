@@ -7,7 +7,8 @@
 // (trace_generator.h) and this module defines the trace representation both
 // share: one bit per 5-minute interval per user-day, packed into five 64-bit
 // words held inline, so a user-day (and a TraceSet copy) allocates nothing
-// per user and the cluster manager can lift a day's set bits word by word.
+// per user and a set of them transposes into per-interval VM bitsets a
+// 64 x 64 block at a time (ActivityRows).
 
 #ifndef OASIS_SRC_TRACE_ACTIVITY_TRACE_H_
 #define OASIS_SRC_TRACE_ACTIVITY_TRACE_H_
@@ -47,6 +48,9 @@ class UserDay {
                                     : words_[Word(interval)] & ~mask;
   }
 
+  // Marks intervals [begin, end) active, a word at a time.
+  void SetActiveRange(int begin, int end);
+
   int ActiveIntervals() const;
   double ActiveFraction() const;
 
@@ -69,6 +73,14 @@ class UserDay {
 // A set of user-days that drives one simulated day: element u is the
 // activity of VM u's user.
 using TraceSet = std::vector<UserDay>;
+
+// The set's activity as one bitset over `vms` VMs per interval, VM v
+// following set[v % set.size()] (`set` must not be empty): bit v % 64 of
+// word i * RowWords(vms) + v / 64 is set iff VM v is active in interval i.
+// Each 64-VM x 64-interval block of user-day words is transposed in one
+// piece.
+size_t RowWords(size_t vms);
+std::vector<uint64_t> ActivityRows(const TraceSet& set, size_t vms);
 
 // Interval index for a time-of-day (e.g. 14:00 -> 168).
 int IntervalAt(double hour_of_day);

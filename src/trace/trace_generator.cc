@@ -1,6 +1,7 @@
 #include "src/trace/trace_generator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace oasis {
@@ -9,6 +10,50 @@ namespace {
 constexpr double kIntervalMinutes = kTraceIntervalSeconds / 60.0;
 
 double ClampHour(double h, double lo, double hi) { return std::clamp(h, lo, hi); }
+
+// The diurnal envelope 1 + strength * exp(-(hour - peak)^2 / (2 * 3^2)) at
+// each interval's midpoint hour, tabulated once per envelope from the
+// expression the burst/gap process evaluates at a burst's last interval.
+using Envelope = std::array<double, kIntervalsPerDay>;
+
+Envelope MakeEnvelope(double peak_hour, double strength) {
+  Envelope envelope;
+  for (int i = 0; i < kIntervalsPerDay; ++i) {
+    double hour = HourOfInterval(i);
+    envelope[static_cast<size_t>(i)] =
+        1.0 + strength * std::exp(-std::pow(hour - peak_hour, 2.0) / (2.0 * 3.0 * 3.0));
+  }
+  return envelope;
+}
+
+const Envelope& WorkdayEnvelope() {  // peaks at 14:00
+  static const Envelope envelope = MakeEnvelope(14.0, 1.0);
+  return envelope;
+}
+const Envelope& EveningEnvelope() {  // flat
+  static const Envelope envelope = MakeEnvelope(20.5, 0.0);
+  return envelope;
+}
+const Envelope& WeekendEnvelope() {  // a mild 13:00 peak
+  static const Envelope envelope = MakeEnvelope(13.0, 0.2);
+  return envelope;
+}
+
+// How many intervals a run of `minutes` (at least one interval's worth)
+// lasts: the number of `minutes -= kIntervalMinutes` steps until it is no
+// longer positive. Below 2^53 minutes every positive intermediate is exact
+// (it and the step are multiples of its ulp), so the count is the smallest
+// k with minutes <= 5k: the quotient's ceiling. The rounded quotient has the
+// same ceiling, because a double above 5k exceeds it by at least
+// ulp(4k) = 4 ulp(k), so its quotient lands at least 0.8 ulp(k) above k.
+// Runs past the end of the day all count as a day and one interval.
+int RunIntervals(double minutes) {
+  constexpr int kPastTheDay = kIntervalsPerDay + 1;
+  if (!(minutes < kIntervalMinutes * kPastTheDay)) {
+    return kPastTheDay;
+  }
+  return static_cast<int>(std::ceil(minutes / kIntervalMinutes));
+}
 
 }  // namespace
 
@@ -48,40 +93,38 @@ void TraceGenerator::ApplyNightSessions(UserDay& day, int from, int to) {
     double len_minutes =
         std::max(kIntervalMinutes, rng_.NextExponential(config_.night_session_mean_minutes));
     int len = static_cast<int>(std::ceil(len_minutes / kIntervalMinutes));
-    for (int i = start; i < std::min(start + len, kIntervalsPerDay); ++i) {
-      day.SetActive(i, true);
-    }
+    day.SetActiveRange(start, std::min(start + len, kIntervalsPerDay));
   }
 }
 
 void TraceGenerator::ApplyBurstGapProcess(UserDay& day, int from, int to,
-                                          double envelope_peak_hour,
-                                          double envelope_strength) {
+                                          const std::array<double, kIntervalsPerDay>& envelope) {
   // Alternating renewal process: exponential active bursts, exponential idle
   // gaps whose mean shrinks near the envelope peak (more bursts mid-afternoon).
+  // Each run spans whole intervals, and the next run is drawn at the last
+  // one, so a run that outlasts [from, to) draws nothing after it.
   bool active = true;  // sessions begin with input (the user just sat down)
   double remaining_minutes = std::max(kIntervalMinutes,
                                       rng_.NextExponential(config_.burst_mean_minutes));
-  for (int i = std::max(0, from); i < std::min(kIntervalsPerDay, to); ++i) {
+  const int end = std::min(kIntervalsPerDay, to);
+  for (int i = std::max(0, from); i < end;) {
+    const int last = i + RunIntervals(remaining_minutes) - 1;
     if (active) {
-      day.SetActive(i, true);
+      day.SetActiveRange(i, std::min(last + 1, end));
     }
-    remaining_minutes -= kIntervalMinutes;
-    if (remaining_minutes <= 0.0) {
-      if (active) {
-        double hour = HourOfInterval(i);
-        double envelope =
-            1.0 + envelope_strength *
-                      std::exp(-std::pow(hour - envelope_peak_hour, 2.0) / (2.0 * 3.0 * 3.0));
-        double gap_mean = config_.gap_mean_minutes / envelope;
-        active = false;
-        remaining_minutes = std::max(kIntervalMinutes, rng_.NextExponential(gap_mean));
-      } else {
-        active = true;
-        remaining_minutes =
-            std::max(kIntervalMinutes, rng_.NextExponential(config_.burst_mean_minutes));
-      }
+    if (last >= end) {
+      break;
     }
+    if (active) {
+      double gap_mean = config_.gap_mean_minutes / envelope[static_cast<size_t>(last)];
+      active = false;
+      remaining_minutes = std::max(kIntervalMinutes, rng_.NextExponential(gap_mean));
+    } else {
+      active = true;
+      remaining_minutes =
+          std::max(kIntervalMinutes, rng_.NextExponential(config_.burst_mean_minutes));
+    }
+    i = last + 1;
   }
 }
 
@@ -92,9 +135,7 @@ UserDay TraceGenerator::GenerateWeekday() {
     if (rng_.NextBool(config_.absent_remote_check_probability)) {
       int start = static_cast<int>(rng_.NextBelow(kIntervalsPerDay - 3));
       int len = 1 + static_cast<int>(rng_.NextBelow(3));
-      for (int i = start; i < start + len; ++i) {
-        day.SetActive(i, true);
-      }
+      day.SetActiveRange(start, start + len);
     }
     ApplyNightSessions(day, 0, kIntervalsPerDay);
     return day;
@@ -108,8 +149,7 @@ UserDay TraceGenerator::GenerateWeekday() {
   int arr_i = IntervalAt(arrival);
   int dep_i = IntervalAt(departure);
 
-  ApplyBurstGapProcess(day, arr_i, dep_i, /*envelope_peak_hour=*/14.0,
-                       /*envelope_strength=*/1.0);
+  ApplyBurstGapProcess(day, arr_i, dep_i, WorkdayEnvelope());
 
   // Lunch dip: thin activity down to the lunch probability.
   double lunch_start = rng_.NextGaussian(config_.lunch_start_mean_hour, 0.6);
@@ -128,7 +168,7 @@ UserDay TraceGenerator::GenerateWeekday() {
     double ev_start = rng_.NextRange(19.5, 21.5);
     double ev_len = rng_.NextRange(0.5, 1.5);
     ApplyBurstGapProcess(day, IntervalAt(ev_start), IntervalAt(ev_start + ev_len),
-                         /*envelope_peak_hour=*/20.5, /*envelope_strength=*/0.0);
+                         EveningEnvelope());
   }
 
   // Rare contiguous night sessions before arrival / after departure.
@@ -142,8 +182,7 @@ UserDay TraceGenerator::GenerateWeekend() {
   if (rng_.NextBool(config_.weekend_attendance)) {
     double start = rng_.NextRange(9.0, 16.0);
     double len = std::max(0.5, rng_.NextExponential(config_.weekend_session_mean_hours));
-    ApplyBurstGapProcess(day, IntervalAt(start), IntervalAt(start + len),
-                         /*envelope_peak_hour=*/13.0, /*envelope_strength=*/0.2);
+    ApplyBurstGapProcess(day, IntervalAt(start), IntervalAt(start + len), WeekendEnvelope());
   }
   ApplyNightSessions(day, 0, kIntervalsPerDay);
   return day;

@@ -19,6 +19,7 @@
 #ifndef OASIS_SRC_TRACE_TRACE_GENERATOR_H_
 #define OASIS_SRC_TRACE_TRACE_GENERATOR_H_
 
+#include <array>
 #include <cstdint>
 
 #include "src/common/rng.h"
@@ -84,8 +85,10 @@ class TraceGenerator {
   // Contiguous off-hours remote sessions (Poisson count, uniform start in
   // [from, to), exponential length).
   void ApplyNightSessions(UserDay& day, int from, int to);
-  void ApplyBurstGapProcess(UserDay& day, int from, int to, double envelope_peak_hour,
-                            double envelope_strength);
+  // Bursts and gaps over [from, to); `envelope` scales the gap density at
+  // each interval.
+  void ApplyBurstGapProcess(UserDay& day, int from, int to,
+                            const std::array<double, kIntervalsPerDay>& envelope);
 
   TraceGeneratorConfig config_;
   Rng rng_;

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <iterator>
+#include <vector>
+
+#include "src/common/rng.h"
 
 namespace oasis {
 namespace {
@@ -117,6 +120,62 @@ TEST(UserDayTest, EqualityComparesEveryInterval) {
     EXPECT_NE(a, b) << interval;
     b.SetActive(interval, true);
     EXPECT_EQ(a, b) << interval;
+  }
+}
+
+TEST(UserDayTest, SetActiveRangeMatchesOneIntervalAtATime) {
+  // Ranges that start and end on either side of every word boundary.
+  std::vector<int> edges{0, 1, 287, 288};
+  for (int boundary : {64, 128, 192, 256}) {
+    for (int d : {-2, -1, 0, 1}) {
+      edges.push_back(boundary + d);
+    }
+  }
+  for (int begin : edges) {
+    for (int end : edges) {
+      UserDay ranged;
+      UserDay stepped;
+      ranged.SetActive(50, true);
+      stepped.SetActive(50, true);
+      ranged.SetActiveRange(begin, end);
+      for (int i = begin; i < end; ++i) {
+        stepped.SetActive(i, true);
+      }
+      EXPECT_EQ(ranged, stepped) << "[" << begin << ", " << end << ")";
+    }
+  }
+}
+
+TEST(ActivityRowsTest, TransposedBlocksMatchAPerBitLift) {
+  // Random user-days (a few all-active or idle) lifted over VM counts on
+  // and off a 64-VM block boundary, including more VMs than user-days.
+  Rng rng(20160418);
+  TraceSet set(1000);
+  for (size_t u = 0; u < set.size(); ++u) {
+    for (int i = 0; i < kIntervalsPerDay; ++i) {
+      const bool active = u % 97 == 1 || (u % 97 != 2 && rng.NextBool(0.3));
+      set[u].SetActive(i, active);
+    }
+  }
+  const TraceSet few(set.begin(), set.begin() + 37);
+  struct Case {
+    const TraceSet* trace;
+    size_t vms;
+  };
+  for (const Case& c : {Case{&set, 900}, Case{&set, 901}, Case{&set, 1000}, Case{&few, 900},
+                        Case{&few, 64}, Case{&few, 1}}) {
+    const size_t words = RowWords(c.vms);
+    std::vector<uint64_t> want(static_cast<size_t>(kIntervalsPerDay) * words, 0);
+    for (size_t v = 0; v < c.vms; ++v) {
+      const UserDay& day = (*c.trace)[v % c.trace->size()];
+      for (int i = 0; i < kIntervalsPerDay; ++i) {
+        if (day.IsActive(i)) {
+          want[static_cast<size_t>(i) * words + v / 64] |= uint64_t{1} << (v % 64);
+        }
+      }
+    }
+    EXPECT_EQ(ActivityRows(*c.trace, c.vms), want)
+        << c.vms << " VMs over " << c.trace->size() << " user-days";
   }
 }
 

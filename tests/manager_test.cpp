@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <string>
 
 #include "src/trace/trace_generator.h"
@@ -298,6 +299,39 @@ TEST(ManagerTest, ValidateRejectsWorkingSetsThatCannotFit) {
   config.vm_memory_bytes = 16 * kMiB;
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
   config.vm_memory_bytes = 64 * kMiB;
+  EXPECT_TRUE(config.Validate().ok());
+}
+
+// A planning interval past a day leaves the day without a planning round,
+// and the trace interval a round reads would go negative.
+TEST(ManagerTest, ValidateRejectsPlanningIntervalsOverADay) {
+  ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
+  config.planning_interval = SimTime::Hours(24.0);
+  EXPECT_TRUE(config.Validate().ok());
+  config.planning_interval = SimTime::Hours(25.0);
+  Status status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("planning interval"), std::string::npos) << status.message();
+}
+
+// 70,000 homes of 70,000 VMs each fit their hosts' memory, but 4.9e9 VMs
+// overflow the int that TotalVms() returns.
+TEST(ManagerTest, ValidateRejectsCountsThatOverflowAnInt) {
+  ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
+  config.num_home_hosts = 70000;
+  config.vms_per_home = 70000;
+  config.host_memory_bytes = 70000 * config.vm_memory_bytes;
+  Status status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("4900000000 VMs"), std::string::npos) << status.message();
+  config.vms_per_home = 31000;  // 2.17e9 VMs: just past INT_MAX
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config.num_home_hosts = INT_MAX;
+  config.vms_per_home = 1;
+  config.num_consolidation_hosts = 1;  // the hosts overflow, the VMs do not
+  config.host_memory_bytes = config.vm_memory_bytes;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config.num_consolidation_hosts = 0;
   EXPECT_TRUE(config.Validate().ok());
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/digest.h"
 #include "src/trace/trace_stats.h"
 
 namespace oasis {
@@ -114,6 +115,60 @@ TEST(TraceGeneratorTest, AttendanceControlsActivity) {
   TraceGenerator gen2(everyone, 3);
   TraceSet set2 = gen2.GenerateTraceSet(50, DayKind::kWeekday);
   EXPECT_GT(MeanActiveFraction(set2), 0.10);
+}
+
+// One FNV-1a fold over every word of every user-day of a set.
+uint64_t TraceDigest(const TraceSet& set) {
+  Fnv1a digest;
+  for (const UserDay& day : set) {
+    for (uint64_t word : day.words()) {
+      digest.Fold(word);
+    }
+  }
+  return digest.hash();
+}
+
+TEST(TraceGeneratorTest, GeneratedSetsMatchTheirPinnedDigests) {
+  // The generator's output is pinned bit for bit: the Fig 12 grid's traces
+  // (900 users, both days, the three repetition seeds ClusterSimulation
+  // derives from 20160418), one datacenter rack of 36 x 110 users, and two
+  // configurations that take every branch (everyone attends and works an
+  // evening; nobody attends and everyone checks in remotely).
+  struct Case {
+    TraceGeneratorConfig config;
+    uint64_t seed;
+    int users;
+    DayKind day;
+    uint64_t digest;
+  };
+  TraceGeneratorConfig everyone;
+  everyone.weekday_attendance = 1.0;
+  everyone.weekend_attendance = 1.0;
+  everyone.evening_session_probability = 1.0;
+  TraceGeneratorConfig remote;
+  remote.weekday_attendance = 0.0;
+  remote.absent_remote_check_probability = 1.0;
+  remote.night_sessions_per_user_day = 3.0;
+  // ClusterSimulation's trace stream for ExperimentPlan's repetition r of
+  // base seed 20160418.
+  auto fig12 = [](uint64_t r) { return (20160418 + r * 0x9E3779B9ull) ^ 0x7ACEBA5Eull; };
+  const Case cases[] = {
+      {{}, fig12(0), 900, DayKind::kWeekday, 0x3c612a6f17ee4945ull},
+      {{}, fig12(1), 900, DayKind::kWeekday, 0x30f48904aeb579a4ull},
+      {{}, fig12(2), 900, DayKind::kWeekday, 0x5ea922872d7583adull},
+      {{}, fig12(0), 900, DayKind::kWeekend, 0x789fef93b1b98c93ull},
+      {{}, fig12(1), 900, DayKind::kWeekend, 0xe61f96bfb04cd42aull},
+      {{}, fig12(2), 900, DayKind::kWeekend, 0x9e916fc852fd3f9aull},
+      {{}, fig12(0), 36 * 110, DayKind::kWeekday, 0xf6cda49e2b76f32full},
+      {everyone, 7, 900, DayKind::kWeekday, 0x56a4697b701f26c1ull},
+      {everyone, 7, 900, DayKind::kWeekend, 0x23275d38dfbf5224ull},
+      {remote, 7, 900, DayKind::kWeekday, 0x36d854a429593901ull},
+  };
+  for (const Case& c : cases) {
+    TraceGenerator gen(c.config, c.seed);
+    EXPECT_EQ(TraceDigest(gen.GenerateTraceSet(c.users, c.day)), c.digest)
+        << DayKindName(c.day) << " seed " << c.seed << ", " << c.users << " users";
+  }
 }
 
 class TraceStatsGroupTest : public ::testing::TestWithParam<size_t> {};

@@ -1,10 +1,11 @@
 // Lazy partial-VM upkeep against the eager per-round walk it replaced.
 //
-//   - UpkeepRates: the closed-form cap phase and the memoized tail of the
-//     on-demand fetch equal round-by-round iteration around the cap
-//     threshold, over every memoized size and at random sizes; lockstep
-//     batches equal one VM at a time; dirty and working-set growth equal
-//     their per-round sums.
+//   - UpkeepRates: the closed-form cap phase, the memoized tail and the
+//     jump rows of the on-demand fetch equal round-by-round iteration
+//     around the cap threshold, over every memoized size, every page-aligned
+//     size below the threshold and at random sizes; lockstep batches equal
+//     one VM at a time; dirty and working-set growth equal their per-round
+//     sums.
 //   - Differential days: two managers on the same config and trace, stepped
 //     round by round. One runs the actuator's lazy PartialVmUpkeep, the
 //     other the eager walk kept below as the reference. Between them the
@@ -370,7 +371,7 @@ TEST(UpkeepRatesTest, FetchShortcutsMatchIteration) {
   }
   // Every size the memoized tail covers, and a little past it, with fewer
   // and more rounds than its walk takes.
-  ASSERT_EQ(rates.tail.size(), UpkeepRates::kTailSizes);
+  ASSERT_EQ(rates.tables->tail.size(), UpkeepRates::kTailSizes);
   for (uint64_t unfetched = 0; unfetched < UpkeepRates::kTailSizes + 64; ++unfetched) {
     for (uint64_t rounds : {1u, 4u, 11u, 19u, 288u}) {
       expect_same(unfetched, rounds);
@@ -442,6 +443,106 @@ TEST(UpkeepRatesTest, FetchShortcutsMatchIteration) {
       }
     }
   }
+}
+
+TEST(UpkeepRatesTest, JumpRowsMatchTheRoundByRoundWalk) {
+  // The walk round by round from `start`: where it stands after each round
+  // until its fetch rounds down to nothing.
+  auto positions = [](const UpkeepRates& r, uint64_t start) {
+    std::vector<uint64_t> at{start};
+    while (r.Fetch(at.back()) != 0) {
+      at.push_back(at.back() - r.Fetch(at.back()));
+    }
+    return at;
+  };
+  // Advance(start, rounds) against those positions, in batches of one and
+  // in lockstep batches of a few starts with the same rounds.
+  auto expect_walks = [&](const UpkeepRates& r, const std::vector<uint64_t>& starts,
+                          uint64_t max_extra) {
+    std::vector<std::vector<uint64_t>> walks;
+    for (uint64_t start : starts) {
+      walks.push_back(positions(r, start));
+    }
+    for (size_t s0 = 0; s0 < starts.size(); s0 += 5) {
+      const size_t n = std::min<size_t>(5, starts.size() - s0);
+      std::vector<VmSlot> vms(n);
+      uint64_t longest = 0;
+      for (size_t i = 0; i < n; ++i) {
+        vms[i].ws_unfetched = starts[s0 + i];
+        longest = std::max<uint64_t>(longest, walks[s0 + i].size() - 1);
+      }
+      for (uint64_t rounds = 0; rounds <= longest + max_extra; ++rounds) {
+        std::vector<UpkeepRates::Step> steps;
+        for (const VmSlot& vm : vms) {
+          steps.push_back({&vm, rounds, 0});
+        }
+        std::vector<UpkeepCounters> batch(n);
+        r.Advance(steps, batch);
+        for (size_t i = 0; i < n; ++i) {
+          const std::vector<uint64_t>& walk = walks[s0 + i];
+          const uint64_t fetching = std::min<uint64_t>(rounds, walk.size() - 1);
+          const UpkeepCounters one = r.Advance(vms[i], rounds, 0);
+          for (const UpkeepCounters& got : {one, batch[i]}) {
+            ASSERT_EQ(got.ws_unfetched, walk[fetching]) << starts[s0 + i] << " over " << rounds;
+            ASSERT_EQ(got.fetched_bytes, walk[0] - walk[fetching]) << starts[s0 + i];
+            ASSERT_EQ(got.fetches, fetching) << starts[s0 + i] << " over " << rounds;
+          }
+        }
+      }
+    }
+  };
+
+  // The default rates: a row for every page-aligned size below the
+  // threshold, each matching its walk's length and stops, and every start
+  // advanced by every rounds value up to its length and a stride past it.
+  ClusterConfig config;
+  UpkeepRates rates(config);
+  const UpkeepRates::FetchTables& tables = *rates.tables;
+  const size_t rows = (rates.cap_threshold + kPageSize - 1) / kPageSize;
+  ASSERT_EQ(tables.length.size(), rows);
+  ASSERT_GT(tables.stops_per_row, 0u);
+  ASSERT_EQ(tables.stops.size(), rows * tables.stops_per_row);
+  std::vector<uint64_t> aligned;
+  for (size_t p = 0; p < rows; ++p) {
+    const std::vector<uint64_t> walk = positions(rates, p * kPageSize);
+    ASSERT_EQ(tables.length[p], walk.size() - 1) << p;
+    const size_t stops =
+        std::min(tables.stops_per_row, (walk.size() - 1) / UpkeepRates::kJumpStride);
+    for (size_t j = 1; j <= stops; ++j) {
+      ASSERT_EQ(tables.stops[p * tables.stops_per_row + j - 1], walk[j * UpkeepRates::kJumpStride])
+          << p << " stop " << j;
+    }
+    aligned.push_back(p * kPageSize);
+  }
+  expect_walks(rates, aligned, UpkeepRates::kJumpStride);
+
+  // Rates past either bound build no rows, and their walks step from the
+  // start: a threshold of 100 MiB, and a 5% fraction whose walks take
+  // hundreds of rounds.
+  ClusterConfig wide;
+  wide.volumes.on_demand_cap_per_interval = 30 * kMiB;
+  ClusterConfig slow;
+  slow.volumes.on_demand_fraction_per_interval = 0.05;
+  slow.volumes.on_demand_cap_per_interval = 1 * kMiB;
+  Rng rng(20160420);
+  for (const ClusterConfig& variant : {wide, slow}) {
+    UpkeepRates r(variant);
+    ASSERT_LE(r.cap_threshold, 128 * kMiB);
+    EXPECT_TRUE(r.tables->length.empty());
+    EXPECT_TRUE(r.tables->stops.empty());
+    std::vector<uint64_t> starts;
+    for (int i = 0; i < 20; ++i) {
+      starts.push_back(rng.NextBelow(r.cap_threshold / kPageSize) * kPageSize);
+    }
+    expect_walks(r, starts, 2);
+  }
+
+  // Equal fetch rates share one set of tables, whatever else differs.
+  ClusterConfig other;
+  other.planning_interval = SimTime::Seconds(600);
+  other.volumes.dirty_mib_per_minute = 1.0;
+  EXPECT_EQ(UpkeepRates(other).tables, rates.tables);
+  EXPECT_NE(UpkeepRates(wide).tables, rates.tables);
 }
 
 TEST(UpkeepRatesTest, DirtyAndGrowthAreTheirPerRoundSums) {

@@ -2,7 +2,7 @@
 # Regenerates the golden files pinned by the `ctest -L golden` suite
 # (quickstart, fig07, fig08, table3, perf_sweep, datacenter_day,
 # ablation_policy, heterogeneous_fleet, ablation_planning_interval, fig05,
-# fig06, ablation_upload_opts) from the binaries in a build tree:
+# fig06, ablation_upload_opts, fig12) from the binaries in a build tree:
 #
 #   tools/update_golden.sh [build_dir]     # default build dir: ./build
 #
@@ -46,5 +46,6 @@ update ablation_planning_interval bench/ablation_planning_interval
 update fig05 bench/fig05_consolidation_latency
 update fig06 bench/fig06_app_startup
 update ablation_upload_opts bench/ablation_upload_opts
+update fig12 bench/fig12_sensitivity
 
 echo "update_golden: done - review 'git diff tests/golden/' before committing"

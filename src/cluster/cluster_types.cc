@@ -1,9 +1,11 @@
 #include "src/cluster/cluster_types.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cassert>
 #include <climits>
+#include <cstdint>
 
 #include "src/cluster/strategy.h"
 #include "src/common/interned.h"
@@ -39,11 +41,33 @@ Status ClusterConfig::Validate() const {
   if (vm_memory_bytes == 0 || host_memory_bytes == 0) {
     return Status::InvalidArgument("memory sizes must be positive");
   }
-  if (static_cast<uint64_t>(vms_per_home) * vm_memory_bytes > host_memory_bytes) {
+  // Byte products are compared by division, so none can wrap.
+  if (vm_memory_bytes > host_memory_bytes / static_cast<uint64_t>(vms_per_home)) {
     return Status::InvalidArgument(
         "home hosts cannot fit their own VMs: " + std::to_string(vms_per_home) + " x " +
         FormatBytes(vm_memory_bytes) + " > " + FormatBytes(host_memory_bytes) +
         " (use SetVmsPerHome to scale host capacity)");
+  }
+  // The rack's VM memory is summed in 64 bits (the oracle's parked bytes).
+  if (vm_memory_bytes > UINT64_MAX / static_cast<uint64_t>(total_vms)) {
+    return Status::InvalidArgument("the rack's VM memory overflows 64 bits: " +
+                                   std::to_string(total_vms) + " x " +
+                                   FormatBytes(vm_memory_bytes));
+  }
+  if (!(memory_overcommit >= 1.0 && memory_overcommit <= 3.0)) {
+    return Status::InvalidArgument("memory_overcommit must be in [1, 3]");
+  }
+  // Every host's capacity, host_memory_bytes x memory_overcommit x its
+  // generation's capacity_scale, is converted from a double to 64 bits.
+  double max_scale = 1.0;
+  for (size_t s = 0; s < fleet.segments.size(); ++s) {
+    max_scale = std::max(max_scale, ResolvedProfile(static_cast<int>(s) + 1).capacity_scale);
+  }
+  if (!(static_cast<double>(host_memory_bytes) * memory_overcommit * max_scale < 0x1p64)) {
+    return Status::InvalidArgument("host capacity overflows 64 bits: " +
+                                   FormatBytes(host_memory_bytes) + " x overcommit " +
+                                   std::to_string(memory_overcommit) + " x capacity scale " +
+                                   std::to_string(max_scale));
   }
   Status working_set_ok = ValidateWorkingSet(WorkingSetDistribution{}, vm_memory_bytes);
   if (!working_set_ok.ok()) {
@@ -52,9 +76,6 @@ Status ClusterConfig::Validate() const {
   // A day needs at least one planning round.
   if (planning_interval <= SimTime::Zero() || planning_interval > SimTime::Hours(24.0)) {
     return Status::InvalidArgument("planning interval must be positive and at most a day");
-  }
-  if (memory_overcommit < 1.0 || memory_overcommit > 3.0) {
-    return Status::InvalidArgument("memory_overcommit must be in [1, 3]");
   }
   if (idle_smoothing_intervals < 0) {
     return Status::InvalidArgument("idle smoothing must be non-negative");
@@ -86,7 +107,7 @@ Status ClusterConfig::Validate() const {
         const HostProfile profile = ResolvedProfile(static_cast<int>(s) + 1);
         const uint64_t capacity = static_cast<uint64_t>(
             static_cast<double>(host_memory_bytes) * profile.capacity_scale);
-        if (static_cast<uint64_t>(vms_per_home) * vm_memory_bytes > capacity) {
+        if (vm_memory_bytes > capacity / static_cast<uint64_t>(vms_per_home)) {
           return Status::InvalidArgument(
               "home hosts of generation '" + segment.generation + "' cannot fit their own VMs: " +
               std::to_string(vms_per_home) + " x " + FormatBytes(vm_memory_bytes) + " > " +

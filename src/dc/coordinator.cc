@@ -1,7 +1,9 @@
 #include "src/dc/coordinator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -37,8 +39,13 @@ const char* CoordinatorModeName(CoordinatorMode mode) {
 }
 
 Status CoordinatorConfig::Validate() const {
-  if (cap_events_per_rack_day < 0.0) {
-    return Status::InvalidArgument("cap_events_per_rack_day must be >= 0");
+  // Written so that NaN fails each range test.
+  if (!(cap_events_per_rack_day >= 0.0 && cap_events_per_rack_day <= kMaxCapEventsPerRackDay)) {
+    return Status::InvalidArgument("cap_events_per_rack_day must be in [0, " +
+                                   std::to_string(static_cast<int>(kMaxCapEventsPerRackDay)) + "]");
+  }
+  if (!std::isfinite(rack_power_cap_watts)) {
+    return Status::InvalidArgument("rack_power_cap_watts must be finite");
   }
   if (cap_events_per_rack_day > 0.0 && rack_power_cap_watts <= 0.0) {
     return Status::InvalidArgument("cap events need a positive rack_power_cap_watts");

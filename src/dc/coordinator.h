@@ -67,6 +67,9 @@ inline constexpr uint64_t kDrainBytesPerVm = 64 * kMiB;
 inline constexpr double kWireJoulesPerGib = 180.0;
 // How long one sampled rack power-cap window lasts.
 inline constexpr SimTime kCapEventDuration = SimTime::Hours(2.0);
+// The most cap windows a rack may expect per day: one starting every hour,
+// so with kCapEventDuration windows a rack is capped most of the day.
+inline constexpr double kMaxCapEventsPerRackDay = 24.0;
 
 struct CoordinatorConfig {
   CoordinatorMode mode = CoordinatorMode::kAssisted;
@@ -77,6 +80,8 @@ struct CoordinatorConfig {
   // capped rack never sponsors and never starts a drain. The watt value is
   // only ever tested for > 0: it switches the windows on, but no rack's
   // power is compared against it, so any positive value gives the same run.
+  // Both must be finite; cap_events_per_rack_day lies in
+  // [0, kMaxCapEventsPerRackDay].
   double rack_power_cap_watts = 0.0;
   double cap_events_per_rack_day = 0.0;
 

@@ -58,14 +58,17 @@ void BumpCounter(const char* kind, FaultClass fault) {
 const char* FaultClassName(FaultClass fault) { return kClassNames[static_cast<int>(fault)]; }
 
 Status FaultConfig::Validate() const {
+  // Written so that NaN fails each range test.
   for (double p : {wol_loss_probability, resume_hang_probability}) {
-    if (p < 0.0 || p > 1.0) {
+    if (!(p >= 0.0 && p <= 1.0)) {
       return Status::InvalidArgument("fault probability outside [0,1]");
     }
   }
   for (double r : {host_crash_per_hour, memory_server_failure_per_hour, migration_abort_per_hour}) {
-    if (r < 0.0) {
-      return Status::InvalidArgument("fault rate must be non-negative");
+    if (!(r >= 0.0 && r <= kMaxFaultsPerHour)) {
+      return Status::InvalidArgument("fault rate outside [0, " +
+                                     std::to_string(static_cast<int>(kMaxFaultsPerHour)) +
+                                     "] per hour");
     }
   }
   return Status::Ok();

@@ -67,6 +67,10 @@ const char* FaultClassName(FaultClass fault);
 
 // The time-scheduled classes are sampled over one simulated day.
 inline constexpr SimTime kFaultHorizon = SimTime::Hours(24.0);
+// The largest Poisson rate a time-scheduled class accepts: one fault a
+// minute on average, far past any failure rate worth modelling. It bounds a
+// class's sampled plan to ~1,440 events a day.
+inline constexpr double kMaxFaultsPerHour = 60.0;
 
 // Recovery policy. A lost WoL packet is re-sent after kWolRetryTimeout
 // without link-up; after kMaxWolRetries lost packets the wake escalates to
@@ -102,6 +106,7 @@ struct FaultConfig {
   double resume_hang_probability = 0.0;  // per S3 resume
 
   // --- time-scheduled classes (Poisson rates over kFaultHorizon) --------
+  // Each rate lies in [0, kMaxFaultsPerHour].
   double host_crash_per_hour = 0.0;
   double memory_server_failure_per_hour = 0.0;
   double migration_abort_per_hour = 0.0;

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -128,6 +129,25 @@ TEST(DatacenterTopologyTest, ValidateRejectsBadConfigs) {
   config = DatacenterConfig();
   config.coordinator.cap_events_per_rack_day = 1.0;  // cap events, no cap watts
   EXPECT_FALSE(DatacenterTopology::Build(config).ok());
+}
+
+// Cap-window counts are converted to int when a rack's windows are drawn;
+// inf or NaN there is undefined. Validate alone is called here.
+TEST(DatacenterTopologyTest, ValidateRejectsNonFiniteAndUnboundedCapSettings) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  CoordinatorConfig config;
+  config.rack_power_cap_watts = 3200.0;
+  for (double bad : {inf, nan, -1.0, kMaxCapEventsPerRackDay + 1.0}) {
+    config.cap_events_per_rack_day = bad;
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  config.cap_events_per_rack_day = kMaxCapEventsPerRackDay;
+  EXPECT_TRUE(config.Validate().ok());
+  for (double bad : {inf, nan}) {
+    config.rack_power_cap_watts = bad;
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(DatacenterEnvTest, RackCountOverrideParses) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/fault/fault.h"
 
 namespace oasis {
@@ -90,6 +92,35 @@ TEST(FaultConfigTest, ValidateRejectsBadValues) {
   EXPECT_FALSE(config.Validate().ok());
   config.host_crash_per_hour = 0.0;
   EXPECT_TRUE(config.Validate().ok());
+}
+
+// An infinite rate would give the Poisson sampler a zero mean gap and an
+// endless plan; NaN would reach SimTime::Hours. Validate alone is called
+// here: no plan is ever built from these configs.
+TEST(FaultConfigTest, ValidateRejectsNonFiniteAndUnboundedValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {inf, nan, -inf, kMaxFaultsPerHour * 2.0}) {
+    for (double FaultConfig::*rate :
+         {&FaultConfig::host_crash_per_hour, &FaultConfig::memory_server_failure_per_hour,
+          &FaultConfig::migration_abort_per_hour}) {
+      FaultConfig config;
+      config.enabled = true;
+      config.*rate = bad;
+      EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument) << bad;
+      config.*rate = kMaxFaultsPerHour;
+      EXPECT_TRUE(config.Validate().ok());
+    }
+  }
+  for (double bad : {nan, inf}) {
+    FaultConfig config;
+    config.enabled = true;
+    config.wol_loss_probability = bad;
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument) << bad;
+    config.wol_loss_probability = 0.0;
+    config.resume_hang_probability = bad;
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(FaultConfigTest, ChaosDayValidates) {

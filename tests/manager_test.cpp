@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "src/trace/trace_generator.h"
@@ -114,6 +116,18 @@ TEST(ManagerTest, ZeroDelayForActivationsOnPoweredHomes) {
   ASSERT_GT(m.transition_delay_s.count(), 0u);
   EXPECT_GE(m.transition_delay_s.Min(), 0.0);
   EXPECT_LT(m.transition_delay_s.Max(), 120.0);
+}
+
+// The transition-delay CDF stores one entry per distinct delay: a default
+// rack's weekday records thousands of delays but only a few distinct values.
+TEST(ManagerTest, TransitionDelaysStoreDistinctValuesNotSamples) {
+  ClusterConfig config;
+  TraceGenerator gen(TraceGeneratorConfig{}, 1);
+  ClusterMetrics m =
+      ClusterManager(config, gen.GenerateTraceSet(config.TotalVms(), DayKind::kWeekday)).Run();
+  EXPECT_GT(m.transition_delay_s.count(), 2000u);
+  EXPECT_LE(m.transition_delay_s.distinct_values(), 300u);
+  EXPECT_LE(m.consolidation_ratio.distinct_values(), static_cast<size_t>(config.TotalVms()) + 1);
 }
 
 TEST(ManagerTest, DeterministicForSameSeedAndTrace) {
@@ -332,6 +346,57 @@ TEST(ManagerTest, ValidateRejectsCountsThatOverflowAnInt) {
   config.host_memory_bytes = config.vm_memory_bytes;
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
   config.num_consolidation_hosts = 0;
+  EXPECT_TRUE(config.Validate().ok());
+}
+
+// Byte sizes whose products wrap 64 bits used to validate and then trip
+// ClusterHost::Reserve's assert mid-run. Validate alone is called here: no
+// such config is ever built into a manager.
+TEST(ManagerTest, ValidateRejectsByteProductsThatOverflow64Bits) {
+  constexpr uint64_t kEiB = uint64_t{1} << 60;
+  ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
+  // 4 x 2^62 wraps to 0, which "fits" 1 GiB.
+  config.vms_per_home = 4;
+  config.vm_memory_bytes = 4 * kEiB;
+  config.host_memory_bytes = kGiB;
+  Status status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("cannot fit their own VMs"), std::string::npos)
+      << status.message();
+
+  // One 2^62-byte VM per home fits a 2^62-byte host, but 4 homes' VMs sum to 2^64.
+  config.vms_per_home = 1;
+  config.host_memory_bytes = 4 * kEiB;
+  status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("VM memory overflows 64 bits"), std::string::npos)
+      << status.message();
+  config.num_home_hosts = 3;
+  config.num_consolidation_hosts = 1;
+  EXPECT_TRUE(config.Validate().ok());
+
+  // Over-commitment scales every host's capacity past 2^64.
+  config.memory_overcommit = 3.0;
+  EXPECT_TRUE(config.Validate().ok());  // 3 x 2^62 fits
+  config.host_memory_bytes = 8 * kEiB;
+  status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("host capacity overflows 64 bits"), std::string::npos)
+      << status.message();
+  config.memory_overcommit = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config.memory_overcommit = 1.0;
+  EXPECT_TRUE(config.Validate().ok());  // 2^63 fits
+
+  // So does a fleet generation's capacity_scale (efficient-v2: 1.25).
+  config.host_memory_bytes = 15 * kEiB;  // 0.94 x 2^64
+  EXPECT_TRUE(config.Validate().ok());
+  config.fleet.segments = {{"efficient-v2", 1}};
+  status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("host capacity overflows 64 bits"), std::string::npos)
+      << status.message();
+  config.fleet.segments = {{"table1", 1}};
   EXPECT_TRUE(config.Validate().ok());
 }
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/common/log.h"
 #include "src/hyper/migration_model.h"
@@ -116,56 +117,30 @@ void Actuator::NoteUpkeepEligibility(VmSlot& vm, bool was_eligible) {
   }
 }
 
-void Actuator::SettleUpkeep(std::span<const VmId> ids, uint32_t extra) {
-  // The traffic totals are sums, so one booking for the batch equals one
-  // per VM.
-  uint64_t fetched_bytes = 0;
-  uint64_t fetches = 0;
-  // The walk takes the batch kUpkeepChunk VMs at a time, which bounds the
-  // scratch on racks of thousands of VMs.
-  for (size_t begin = 0; begin < ids.size(); begin += kUpkeepChunk) {
-    upkeep_steps_.clear();
-    for (VmId id : ids.subspan(begin, std::min(kUpkeepChunk, ids.size() - begin))) {
-      const VmSlot& vm = Slot(id);
-      uint64_t pending = UpkeepRates::PendingRounds(vm, state_.upkeep_round);
-      if (pending + extra > 0) {
-        upkeep_steps_.push_back({&vm, pending + extra, pending});
-      }
-    }
-    if (upkeep_steps_.empty()) {
-      continue;
-    }
-    upkeep_out_.resize(upkeep_steps_.size());
-    state_.upkeep.Advance(upkeep_steps_, upkeep_out_);
-    for (size_t i = 0; i < upkeep_steps_.size(); ++i) {
-      VmSlot& vm = Slot(upkeep_steps_[i].vm->id);
-      const UpkeepCounters& c = upkeep_out_[i];
-      vm.ws_bytes = c.ws_bytes;
-      vm.ws_unfetched = c.ws_unfetched;
-      vm.dirty_bytes = c.dirty_bytes;
-      vm.upkeep_mark = state_.upkeep_round + extra;
-      fetched_bytes += c.fetched_bytes;
-      fetches += c.fetches;
-    }
+void Actuator::SettleUpkeep(VmSlot& vm, uint32_t extra) {
+  const uint64_t pending = UpkeepRates::PendingRounds(vm, state_.upkeep_round);
+  if (pending + extra == 0) {
+    return;
   }
-  if (fetches > 0) {
-    metrics_.traffic.Add(TrafficCategory::kOnDemandPages, fetched_bytes, fetches);
+  const UpkeepCounters c = state_.upkeep.Advance(vm, pending + extra, pending);
+  vm.ws_bytes = c.ws_bytes;
+  vm.ws_unfetched = c.ws_unfetched;
+  vm.dirty_bytes = c.dirty_bytes;
+  vm.upkeep_mark = state_.upkeep_round + extra;
+  if (c.fetches > 0) {
+    metrics_.traffic.Add(TrafficCategory::kOnDemandPages, c.fetched_bytes, c.fetches);
   }
 }
 
 void Actuator::SettleAllUpkeep() {
-  std::vector<VmId> pending;
-  for (const VmSlot& vm : state_.vms) {
-    if (UpkeepRates::PendingRounds(vm, state_.upkeep_round) > 0) {
-      pending.push_back(vm.id);
-    }
+  for (VmSlot& vm : state_.vms) {
+    SettleUpkeep(vm);
   }
-  SettleUpkeep(pending);
 }
 
 void Actuator::HandleActivation(SimTime now, VmId vm_id, SimTime activation_time) {
   VmSlot& vm = Slot(vm_id);
-  SettleUpkeep(vm_id);
+  SettleUpkeep(vm);
   if (vm.migration_in_flight && now < vm.migration_start && RollbackMigration(now, vm)) {
     // The queued move had not started and was cancelled; fall through with
     // the VM's restored state (full at home for vacate/swap aborts, still
@@ -302,11 +277,9 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
       idle_fulls.push_back(vm.id);
     }
   }
-  // Relocate only asserts that each mover is settled, so the whole group
-  // settles up front as one batch.
-  SettleUpkeep(partials);
   for (VmId id : partials) {
     VmSlot& vm = Slot(id);
+    SettleUpkeep(vm);
     uint64_t dirty = vm.dirty_bytes;
     Relocate(now, vm, home_id, VmResidency::kFullAtHome);
     metrics_.traffic.Add(TrafficCategory::kReintegration, dirty);
@@ -338,7 +311,6 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
 
 void Actuator::PartialVmUpkeep(SimTime now) {
   const uint64_t growth = state_.upkeep.growth;
-  std::vector<VmId> exhausted;
   std::vector<HostId> exhausted_homes;
   // Growth on one host never affects another, and every eligible VM asks
   // for the same growth, so the first AvailableBytes() / growth eligible
@@ -357,18 +329,16 @@ void Actuator::PartialVmUpkeep(SimTime now) {
       continue;
     }
     // An exhaustion round: each eligible resident past the first `fits`
-    // settles and takes this round without growth, now, in one batch.
-    exhausted.clear();
+    // settles and takes this round without growth, now.
     uint64_t seen = 0;
     for (VmId id : host.vms()) {
-      const VmSlot& vm = Slot(id);
+      VmSlot& vm = Slot(id);
       if (!vm.UpkeepEligible() || seen++ < fits) {
         continue;
       }
-      exhausted.push_back(id);
+      SettleUpkeep(vm, 1);
       exhausted_homes.push_back(vm.home);
     }
-    SettleUpkeep(exhausted, 1);
   }
   ++state_.upkeep_round;
   std::sort(exhausted_homes.begin(), exhausted_homes.end());
@@ -471,7 +441,7 @@ void Actuator::CommitVacatePlan(SimTime now, const VacatePlan& plan) {
 
 void Actuator::DrainMove(SimTime now, VmId vm_id, HostId dest_id) {
   VmSlot& vm = Slot(vm_id);
-  SettleUpkeep(vm_id);
+  SettleUpkeep(vm);
   HostId source_id = vm.location;
   Relocate(now, vm, dest_id, VmResidency::kPartial);
   // Drains ship only the descriptor; the memory image stays on the home's

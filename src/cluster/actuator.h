@@ -13,7 +13,6 @@
 #define OASIS_SRC_CLUSTER_ACTUATOR_H_
 
 #include <span>
-#include <vector>
 
 #include "src/cluster/cluster_types.h"
 #include "src/cluster/host.h"
@@ -141,12 +140,11 @@ class Actuator {
   // Follows `vm` across a residency or in-flight change: adjusts
   // upkeep_residents and the mark when its eligibility flipped.
   void NoteUpkeepEligibility(VmSlot& vm, bool was_eligible);
-  // Applies every upkeep round each of `ids` has pending (none unless
-  // eligible), plus `extra` rounds without growth, as one lockstep batch;
-  // books their on-demand fetches and marks each VM settled through
-  // upkeep_round + extra.
-  void SettleUpkeep(std::span<const VmId> ids, uint32_t extra = 0);
-  void SettleUpkeep(VmId id) { SettleUpkeep(std::span<const VmId>(&id, 1)); }
+  // Applies every upkeep round `vm` has pending (none unless eligible),
+  // plus `extra` rounds without growth; books its on-demand fetches and
+  // marks it settled through upkeep_round + extra. Each VM settles where it
+  // is needed: before it activates, moves or is read at the end of the day.
+  void SettleUpkeep(VmSlot& vm, uint32_t extra = 0);
   // Sends the WoL and returns the time the host will be executing VMs. With
   // fault injection the wake can lose WoL packets or hang in resume, pushing
   // that time out; callers must use the returned value rather than asking
@@ -190,11 +188,6 @@ class Actuator {
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* registry_ = nullptr;
   uint64_t completions_retired_ = 0;
-  // SettleUpkeep's scratch, reused across calls and never longer than
-  // kUpkeepChunk.
-  static constexpr size_t kUpkeepChunk = 64;
-  std::vector<UpkeepRates::Step> upkeep_steps_;
-  std::vector<UpkeepCounters> upkeep_out_;
 };
 
 }  // namespace oasis

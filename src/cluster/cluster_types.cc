@@ -77,6 +77,24 @@ Status ClusterConfig::Validate() const {
   if (planning_interval <= SimTime::Zero() || planning_interval > SimTime::Hours(24.0)) {
     return Status::InvalidArgument("planning interval must be positive and at most a day");
   }
+  // A round fetches at most what remains, and a day's dirty or working-set
+  // growth must stay below 2^62 bytes, where the upkeep counters' sums
+  // cannot wrap and each round's step converts from a double in range.
+  if (!(volumes.on_demand_fraction_per_interval >= 0.0 &&
+        volumes.on_demand_fraction_per_interval <= 1.0)) {
+    return Status::InvalidArgument("on_demand_fraction_per_interval must be in [0, 1]");
+  }
+  constexpr double kMaxDayMiB = 0x1p62 / static_cast<double>(kMiB);
+  if (!(volumes.dirty_mib_per_minute >= 0.0 &&
+        volumes.dirty_mib_per_minute * (24.0 * 60.0) < kMaxDayMiB)) {
+    return Status::InvalidArgument(
+        "dirty_mib_per_minute must be non-negative and dirty less than 2^62 bytes a day");
+  }
+  if (!(volumes.ws_growth_mib_per_hour >= 0.0 &&
+        volumes.ws_growth_mib_per_hour * 24.0 < kMaxDayMiB)) {
+    return Status::InvalidArgument(
+        "ws_growth_mib_per_hour must be non-negative and grow less than 2^62 bytes a day");
+  }
   if (idle_smoothing_intervals < 0) {
     return Status::InvalidArgument("idle smoothing must be non-negative");
   }
@@ -278,132 +296,56 @@ UpkeepRates::UpkeepRates(const ClusterConfig& config)
   cap_threshold = tables->cap_threshold;
 }
 
-namespace {
-
-// The fetch walk of UpkeepRates::Advance, `kWidth` walks at a time.
-template <size_t kWidth>
-void WalkInLockstep(const UpkeepRates& rates, std::span<const UpkeepRates::Step> steps,
-                    std::span<UpkeepCounters> out) {
-  static_assert(kWidth <= 32, "the lane masks are 32 bits");
-  constexpr uint64_t kTailSizes = UpkeepRates::kTailSizes;
-  constexpr uint64_t kStride = UpkeepRates::kJumpStride;
-  assert(rates.tables != nullptr && "walks need rates built from a config");
-  const UpkeepRates::FetchTables& tables = *rates.tables;
-  const std::vector<UpkeepRates::Tail>& tail = tables.tail;
-  const bool jumps = !tables.length.empty();
-  // Lane l walks steps[owner[l]]: `x` bytes unfetched with `left` rounds to
-  // go. A lane that holds no walk sits at x = 0, which fetches nothing.
-  std::array<uint64_t, kWidth> x{};
-  std::array<uint64_t, kWidth> left{};
-  std::array<uint64_t, kWidth> fetches{};
-  std::array<size_t, kWidth> owner{};
-  uint32_t live = 0;
-  size_t next = 0;
-  // Loads the next step that still has geometric rounds to walk into
-  // `lane`, finishing every step before it in closed form.
-  auto enter = [&](size_t lane) {
-    while (next < steps.size()) {
-      const size_t i = next++;
-      const VmSlot& vm = *steps[i].vm;
-      uint64_t rounds = steps[i].rounds;
-      UpkeepCounters& c = out[i];
-      c = UpkeepCounters{};
-      c.ws_bytes = vm.ws_bytes + steps[i].grown * rates.growth;
-      const uint64_t dirtied = vm.dirty_bytes + rounds * rates.dirty_step;
-      c.dirty_bytes = rounds > 0 ? std::min(dirtied, rates.dirty_cap) : vm.dirty_bytes;
-      uint64_t unfetched = vm.ws_unfetched;
-      // Cap phase: while the size is at least cap_threshold every round
-      // fetches the whole cap.
-      if (rates.cap_threshold != UpkeepRates::kNoCapPhase && unfetched >= rates.cap_threshold) {
-        uint64_t n = std::min(rounds, (unfetched - rates.cap_threshold) / rates.fetch_cap + 1);
-        unfetched -= n * rates.fetch_cap;
-        c.fetches = n;
-        rounds -= n;
-      }
-      // A page-aligned size below the threshold jumps whole strides of its
-      // walk, as far as its stops reach: only min(rounds, length) of its
-      // rounds fetch.
-      if (jumps && rounds >= kStride && unfetched < rates.cap_threshold &&
-          unfetched % kPageSize == 0) {
-        const size_t row = static_cast<size_t>(unfetched / kPageSize);
-        const uint64_t fetching = std::min<uint64_t>(rounds, tables.length[row]);
-        const uint64_t j = std::min<uint64_t>(fetching / kStride, tables.stops_per_row);
-        if (j > 0) {
-          unfetched = tables.stops[row * tables.stops_per_row + j - 1];
-          c.fetches += j * kStride;
-          rounds -= j * kStride;
-        }
-      }
-      // The memoized tail finishes a walk that has the rounds for it.
-      if (unfetched < kTailSizes && tail[unfetched].rounds <= rounds) {
-        c.fetches += tail[unfetched].rounds;
-        unfetched = tail[unfetched].rest;
-        rounds = 0;
-      }
-      if (rounds == 0) {
-        c.ws_unfetched = unfetched;
-        c.fetched_bytes = vm.ws_unfetched - unfetched;
-        continue;
-      }
-      x[lane] = unfetched;
-      left[lane] = rounds;
-      fetches[lane] = c.fetches;
-      owner[lane] = i;
-      live |= uint32_t{1} << lane;
-      return;
-    }
-    x[lane] = left[lane] = 0;
-    live &= ~(uint32_t{1} << lane);
-  };
-  for (size_t lane = 0; lane < kWidth; ++lane) {
-    enter(lane);
+UpkeepCounters UpkeepRates::Advance(const VmSlot& vm, uint64_t rounds, uint64_t grown) const {
+  assert(tables != nullptr && "walks need rates built from a config");
+  const std::vector<Tail>& tail = tables->tail;
+  UpkeepCounters c;
+  c.ws_bytes = vm.ws_bytes + grown * growth;
+  c.dirty_bytes = rounds > 0 ? std::min(vm.dirty_bytes + rounds * dirty_step, dirty_cap)
+                             : vm.dirty_bytes;
+  uint64_t x = vm.ws_unfetched;
+  // Cap phase: while the size is at least cap_threshold every round fetches
+  // the whole cap.
+  if (cap_threshold != kNoCapPhase && x >= cap_threshold) {
+    const uint64_t n = std::min(rounds, (x - cap_threshold) / fetch_cap + 1);
+    x -= n * fetch_cap;
+    c.fetches = n;
+    rounds -= n;
   }
-  while (live != 0) {
-    // Geometric phase: every lane takes the exact per-round recurrence in
-    // lockstep until one leaves because its rounds ran out, its fetch
-    // rounds down to nothing, or its size is small enough that the
-    // memoized tail finishes the walk.
-    uint32_t stopped = 0;
-    do {
-      for (size_t l = 0; l < kWidth; ++l) {
-        const uint64_t xl = x[l];
-        const UpkeepRates::Tail t = tail[std::min(xl, kTailSizes - 1)];
-        const bool tail_ends = xl < kTailSizes && t.rounds <= left[l];
-        const uint64_t fetch = rates.Fetch(xl);
-        const bool step = left[l] != 0 && !tail_ends && fetch != 0;
-        x[l] = xl - (step ? fetch : 0);
-        fetches[l] += step ? 1 : 0;
-        left[l] -= step ? 1 : 0;
-        stopped |= static_cast<uint32_t>(!step) << l;
-      }
-    } while ((stopped & live) == 0);
-    for (uint32_t leaving = stopped & live; leaving != 0; leaving &= leaving - 1) {
-      const size_t l = static_cast<size_t>(std::countr_zero(leaving));
-      uint64_t xl = x[l];
-      if (xl < kTailSizes && tail[xl].rounds <= left[l]) {
-        fetches[l] += tail[xl].rounds;
-        xl = tail[xl].rest;
-      }
-      UpkeepCounters& c = out[owner[l]];
-      c.ws_unfetched = xl;
-      c.fetched_bytes = steps[owner[l]].vm->ws_unfetched - xl;
-      c.fetches = fetches[l];
-      enter(l);
+  // A page-aligned size below the threshold jumps whole strides of its
+  // walk, as far as its stops reach: only min(rounds, length) of its rounds
+  // fetch.
+  if (!tables->length.empty() && rounds >= kJumpStride && x < cap_threshold &&
+      x % kPageSize == 0) {
+    const size_t row = static_cast<size_t>(x / kPageSize);
+    const uint64_t fetching = std::min<uint64_t>(rounds, tables->length[row]);
+    const uint64_t j = std::min<uint64_t>(fetching / kJumpStride, tables->stops_per_row);
+    if (j > 0) {
+      x = tables->stops[row * tables->stops_per_row + j - 1];
+      c.fetches += j * kJumpStride;
+      rounds -= j * kJumpStride;
     }
   }
-}
-
-}  // namespace
-
-void UpkeepRates::Advance(std::span<const Step> steps, std::span<UpkeepCounters> out) const {
-  assert(out.size() == steps.size());
-  // Idle lanes still cost instruction throughput, so a batch of one walks
-  // alone.
-  if (steps.size() == 1) {
-    WalkInLockstep<1>(*this, steps, out);
-  } else {
-    WalkInLockstep<kLanes>(*this, steps, out);
+  // The exact per-round recurrence, until the rounds run out, a fetch
+  // rounds down to nothing, or the memoized tail has the rounds to finish
+  // the walk.
+  while (rounds > 0) {
+    if (x < kTailSizes && tail[x].rounds <= rounds) {
+      c.fetches += tail[x].rounds;
+      x = tail[x].rest;
+      break;
+    }
+    const uint64_t fetch = Fetch(x);
+    if (fetch == 0) {
+      break;
+    }
+    x -= fetch;
+    ++c.fetches;
+    --rounds;
   }
+  c.ws_unfetched = x;
+  c.fetched_bytes = vm.ws_unfetched - x;
+  return c;
 }
 
 }  // namespace oasis

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -259,31 +258,12 @@ struct UpkeepRates {
     return std::min(static_cast<uint64_t>(fetch), fetch_cap);
   }
 
-  // One VM's upkeep to apply: `rounds` more rounds, in `grown` of which the
-  // working set grew.
-  struct Step {
-    const VmSlot* vm;
-    uint64_t rounds;
-    uint64_t grown;
-  };
-  // How many walks the fetch kernel steps together. The per-round fetch is
-  // a chain of dependent conversions and a multiply, so independent walks
-  // interleaved on one core hide each other's latency.
-  static constexpr size_t kLanes = 4;
-  // out[i] = steps[i].vm's counters after its step, with the fetches it
-  // took: exactly what applying the rounds one at a time yields. The cap
-  // phase is closed form, a walk from a page-aligned size jumps whole
-  // strides along its jump row, and the tail is memoized; the rounds left
-  // between are iterated kLanes walks at a time (a batch of one walks
-  // alone).
-  void Advance(std::span<const Step> steps, std::span<UpkeepCounters> out) const;
-  // A batch of one.
-  UpkeepCounters Advance(const VmSlot& vm, uint64_t rounds, uint64_t grown) const {
-    const Step step{&vm, rounds, grown};
-    UpkeepCounters c;
-    Advance(std::span<const Step>(&step, 1), std::span<UpkeepCounters>(&c, 1));
-    return c;
-  }
+  // `vm`'s counters after `rounds` more rounds, in `grown` of which the
+  // working set grew, with the fetches they took: exactly what applying the
+  // rounds one at a time yields. The cap phase is closed form, a walk from
+  // a page-aligned size jumps whole strides along its jump row, and the
+  // memoized tail ends it; the few rounds left between are iterated.
+  UpkeepCounters Advance(const VmSlot& vm, uint64_t rounds, uint64_t grown) const;
   // Rounds run so far that `vm`'s counters do not yet include.
   static uint64_t PendingRounds(const VmSlot& vm, uint32_t round) {
     return vm.UpkeepEligible() ? round - vm.upkeep_mark : 0;

@@ -328,6 +328,55 @@ TEST(ManagerTest, ValidateRejectsPlanningIntervalsOverADay) {
   EXPECT_NE(status.message().find("planning interval"), std::string::npos) << status.message();
 }
 
+// An on-demand fraction outside [0, 1] used to validate and then abort the
+// manager's constructor on the fetch tables' assert; a negative rate went
+// through a negative double's conversion to bytes, which is undefined.
+TEST(ManagerTest, ValidateRejectsOutOfRangeTrafficVolumes) {
+  const ClusterConfig base = SmallCluster(ConsolidationPolicy::kFullToPartial);
+  ASSERT_TRUE(base.Validate().ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double fraction : {1.5, -0.5, 1.0000001, -1e-300, nan, inf}) {
+    ClusterConfig config = base;
+    config.volumes.on_demand_fraction_per_interval = fraction;
+    Status status = config.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << fraction;
+    EXPECT_NE(status.message().find("on_demand_fraction"), std::string::npos)
+        << status.message();
+  }
+  for (double fraction : {0.0, 1.0}) {
+    ClusterConfig config = base;
+    config.volumes.on_demand_fraction_per_interval = fraction;
+    EXPECT_TRUE(config.Validate().ok()) << fraction;
+  }
+  // 2^62 bytes is 2^42 MiB: 2^42 / 1440 MiB a minute or 2^42 / 24 MiB an
+  // hour fill it in a day.
+  const double day_mib = 0x1p42;
+  for (double rate : {-6.0, -1e-300, nan, inf, day_mib / 1440.0 * 1.000001, 1e30}) {
+    ClusterConfig config = base;
+    config.volumes.dirty_mib_per_minute = rate;
+    Status status = config.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << rate;
+    EXPECT_NE(status.message().find("dirty_mib_per_minute"), std::string::npos)
+        << status.message();
+  }
+  for (double rate : {-6.0, -1e-300, nan, inf, day_mib / 24.0 * 1.000001, 1e30}) {
+    ClusterConfig config = base;
+    config.volumes.ws_growth_mib_per_hour = rate;
+    Status status = config.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << rate;
+    EXPECT_NE(status.message().find("ws_growth_mib_per_hour"), std::string::npos)
+        << status.message();
+  }
+  ClusterConfig config = base;
+  config.volumes.dirty_mib_per_minute = 0.0;
+  config.volumes.ws_growth_mib_per_hour = 0.0;
+  EXPECT_TRUE(config.Validate().ok());
+  config.volumes.dirty_mib_per_minute = day_mib / 1440.0 / 2.0;
+  config.volumes.ws_growth_mib_per_hour = day_mib / 24.0 / 2.0;
+  EXPECT_TRUE(config.Validate().ok());
+}
+
 // 70,000 homes of 70,000 VMs each fit their hosts' memory, but 4.9e9 VMs
 // overflow the int that TotalVms() returns.
 TEST(ManagerTest, ValidateRejectsCountsThatOverflowAnInt) {

@@ -3,9 +3,9 @@
 //   - UpkeepRates: the closed-form cap phase, the memoized tail and the
 //     jump rows of the on-demand fetch equal round-by-round iteration
 //     around the cap threshold, over every memoized size, every page-aligned
-//     size below the threshold and at random sizes; lockstep batches equal
-//     one VM at a time; dirty and working-set growth equal their per-round
-//     sums.
+//     size below the threshold and at random sizes, including random VMs
+//     in every phase under four rate variants; dirty and working-set growth
+//     equal their per-round sums.
 //   - Differential days: two managers on the same config and trace, stepped
 //     round by round. One runs the actuator's lazy PartialVmUpkeep, the
 //     other the eager walk kept below as the reference. Between them the
@@ -378,11 +378,11 @@ TEST(UpkeepRatesTest, FetchShortcutsMatchIteration) {
     }
   }
 
-  // Lockstep batches against one VM at a time, each round applied in turn
-  // with the unsigned conversions: random lanes with sizes in the cap phase,
-  // in the band and in the memoized tail and with 0-60 rounds, so lanes
-  // leave at different steps and batches longer than kLanes refill them. The
-  // same on rates without a cap, without fetches and fetching everything.
+  // Random VMs against the rounds applied one at a time with the unsigned
+  // conversions: sizes in the cap phase, in the band and in the memoized
+  // tail, 0-60 rounds and a random number of them grown. The same on rates
+  // without a cap, without fetches and fetching everything. Each variant
+  // draws 400 groups of 1-14 VMs.
   auto one_by_one = [](const UpkeepRates& r, const VmSlot& vm, uint64_t rounds, uint64_t grown) {
     UpkeepCounters c{vm.ws_bytes + grown * r.growth, vm.ws_unfetched, vm.dirty_bytes, 0, 0};
     for (uint64_t k = 0; k < rounds; ++k) {
@@ -406,12 +406,10 @@ TEST(UpkeepRatesTest, FetchShortcutsMatchIteration) {
     uint64_t band_floor = UpkeepRates::kTailSizes;
     const bool capped = r.cap_threshold != UpkeepRates::kNoCapPhase;
     uint64_t band_ceiling = capped ? r.cap_threshold : 64 * kMiB;
-    for (int batch = 0; batch < 400; ++batch) {
-      size_t n = 1 + rng.NextBelow(3 * UpkeepRates::kLanes + 2);
-      std::vector<VmSlot> vms(n);
-      std::vector<UpkeepRates::Step> steps(n);
-      for (size_t i = 0; i < n; ++i) {
-        VmSlot& vm = vms[i];
+    for (int group = 0; group < 400; ++group) {
+      const uint64_t n = 1 + rng.NextBelow(14);
+      for (uint64_t i = 0; i < n; ++i) {
+        VmSlot vm;
         switch (rng.NextBelow(3)) {
           case 0:  // cap phase
             vm.ws_unfetched = band_ceiling + rng.NextBelow(200 * kMiB);
@@ -425,21 +423,17 @@ TEST(UpkeepRatesTest, FetchShortcutsMatchIteration) {
         }
         vm.ws_bytes = vm.ws_unfetched + rng.NextBelow(64 * kMiB);
         vm.dirty_bytes = rng.NextBelow(variant.volumes.dirty_cap_bytes);
-        uint64_t rounds = rng.NextBelow(61);
-        steps[i] = {&vm, rounds, rng.NextBelow(rounds + 1)};
-      }
-      std::vector<UpkeepCounters> got(n);
-      r.Advance(steps, got);
-      for (size_t i = 0; i < n; ++i) {
-        UpkeepCounters want = one_by_one(r, vms[i], steps[i].rounds, steps[i].grown);
-        std::string lane = "lane " + std::to_string(i) + " of " + std::to_string(n) + ": " +
-                           std::to_string(vms[i].ws_unfetched) + " B over " +
-                           std::to_string(steps[i].rounds) + " rounds";
-        EXPECT_EQ(want.ws_bytes, got[i].ws_bytes) << lane;
-        EXPECT_EQ(want.ws_unfetched, got[i].ws_unfetched) << lane;
-        EXPECT_EQ(want.dirty_bytes, got[i].dirty_bytes) << lane;
-        EXPECT_EQ(want.fetched_bytes, got[i].fetched_bytes) << lane;
-        EXPECT_EQ(want.fetches, got[i].fetches) << lane;
+        const uint64_t rounds = rng.NextBelow(61);
+        const uint64_t grown = rng.NextBelow(rounds + 1);
+        const UpkeepCounters want = one_by_one(r, vm, rounds, grown);
+        const UpkeepCounters got = r.Advance(vm, rounds, grown);
+        const std::string what =
+            std::to_string(vm.ws_unfetched) + " B over " + std::to_string(rounds) + " rounds";
+        EXPECT_EQ(want.ws_bytes, got.ws_bytes) << what;
+        EXPECT_EQ(want.ws_unfetched, got.ws_unfetched) << what;
+        EXPECT_EQ(want.dirty_bytes, got.dirty_bytes) << what;
+        EXPECT_EQ(want.fetched_bytes, got.fetched_bytes) << what;
+        EXPECT_EQ(want.fetches, got.fetches) << what;
       }
     }
   }
@@ -455,39 +449,26 @@ TEST(UpkeepRatesTest, JumpRowsMatchTheRoundByRoundWalk) {
     }
     return at;
   };
-  // Advance(start, rounds) against those positions, in batches of one and
-  // in lockstep batches of a few starts with the same rounds.
+  // Advance(start, rounds) against those positions, for every rounds value
+  // up to the longest walk's length plus `max_extra`.
   auto expect_walks = [&](const UpkeepRates& r, const std::vector<uint64_t>& starts,
                           uint64_t max_extra) {
     std::vector<std::vector<uint64_t>> walks;
+    uint64_t longest = 0;
     for (uint64_t start : starts) {
       walks.push_back(positions(r, start));
+      longest = std::max<uint64_t>(longest, walks.back().size() - 1);
     }
-    for (size_t s0 = 0; s0 < starts.size(); s0 += 5) {
-      const size_t n = std::min<size_t>(5, starts.size() - s0);
-      std::vector<VmSlot> vms(n);
-      uint64_t longest = 0;
-      for (size_t i = 0; i < n; ++i) {
-        vms[i].ws_unfetched = starts[s0 + i];
-        longest = std::max<uint64_t>(longest, walks[s0 + i].size() - 1);
-      }
+    for (size_t i = 0; i < starts.size(); ++i) {
+      VmSlot vm;
+      vm.ws_unfetched = starts[i];
+      const std::vector<uint64_t>& walk = walks[i];
       for (uint64_t rounds = 0; rounds <= longest + max_extra; ++rounds) {
-        std::vector<UpkeepRates::Step> steps;
-        for (const VmSlot& vm : vms) {
-          steps.push_back({&vm, rounds, 0});
-        }
-        std::vector<UpkeepCounters> batch(n);
-        r.Advance(steps, batch);
-        for (size_t i = 0; i < n; ++i) {
-          const std::vector<uint64_t>& walk = walks[s0 + i];
-          const uint64_t fetching = std::min<uint64_t>(rounds, walk.size() - 1);
-          const UpkeepCounters one = r.Advance(vms[i], rounds, 0);
-          for (const UpkeepCounters& got : {one, batch[i]}) {
-            ASSERT_EQ(got.ws_unfetched, walk[fetching]) << starts[s0 + i] << " over " << rounds;
-            ASSERT_EQ(got.fetched_bytes, walk[0] - walk[fetching]) << starts[s0 + i];
-            ASSERT_EQ(got.fetches, fetching) << starts[s0 + i] << " over " << rounds;
-          }
-        }
+        const uint64_t fetching = std::min<uint64_t>(rounds, walk.size() - 1);
+        const UpkeepCounters got = r.Advance(vm, rounds, 0);
+        ASSERT_EQ(got.ws_unfetched, walk[fetching]) << starts[i] << " over " << rounds;
+        ASSERT_EQ(got.fetched_bytes, walk[0] - walk[fetching]) << starts[i];
+        ASSERT_EQ(got.fetches, fetching) << starts[i] << " over " << rounds;
       }
     }
   };

@@ -69,7 +69,7 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   for (auto _ : state) {
     EventQueue q;
     for (int i = 0; i < state.range(0); ++i) {
-      q.Schedule(SimTime::Micros((i * 7919) % 100000), [] {});
+      q.Schedule(SimTime::Micros((i * 7919) % 100000), Event{0, static_cast<uint64_t>(i), 0});
     }
     while (!q.empty()) {
       q.Pop();
@@ -88,13 +88,13 @@ void BM_EventQueueSteadyState(benchmark::State& state) {
                                  SimTime::Millis(10000)};
   EventQueue q;
   for (int i = 0; i < state.range(0); ++i) {
-    q.Schedule(SimTime::Millis(100 * (i % 97)), [] {});
+    q.Schedule(SimTime::Millis(100 * (i % 97)), Event{0, static_cast<uint64_t>(i), 0});
   }
   size_t next_delay = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(q.NextTime());
     EventQueue::Popped ev = q.Pop();
-    q.Schedule(ev.time + kDelays[next_delay], [] {});
+    q.Schedule(ev.time + kDelays[next_delay], ev.event);
     next_delay = next_delay == 2 ? 0 : next_delay + 1;
   }
   state.SetItemsProcessed(state.iterations());

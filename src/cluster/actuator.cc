@@ -381,10 +381,8 @@ void Actuator::FullToPartialSwapGroup(SimTime now, HostId home_id,
       ScheduleMigration(vm, t0, done1, VmSlot::PendingOp::kOther, cons_id);
     }
   }
-  SimTime all_done = home.outbound_busy_until();
-  HostId hid = home_id;
-  sim_.ScheduleAt(std::max(now, all_done),
-                  [this, hid]() { MaybeSleepHomeHost(sim_.now(), hid); });
+  sim_.ScheduleAt(std::max(now, home.outbound_busy_until()),
+                  MakeEvent(ClusterEvent::kSleepCheck, home_id));
 }
 
 void Actuator::CommitVacatePlan(SimTime now, const VacatePlan& plan) {
@@ -433,9 +431,8 @@ void Actuator::CommitVacatePlan(SimTime now, const VacatePlan& plan) {
                           VmSlot::PendingOp::kVacatePartial, source_id);
       }
     }
-    SimTime all_done = std::max(now, source.outbound_busy_until());
-    HostId hid = source_id;
-    sim_.ScheduleAt(all_done, [this, hid]() { MaybeSleepHomeHost(sim_.now(), hid); });
+    sim_.ScheduleAt(std::max(now, source.outbound_busy_until()),
+                    MakeEvent(ClusterEvent::kSleepCheck, source_id));
   }
 }
 
@@ -474,8 +471,7 @@ void Actuator::MaybeSleepHomeHost(SimTime now, HostId host_id) {
       host.HasVms() || host.active_vms() != 0 || host.outbound_busy_until() > now) {
     return;
   }
-  HostId id = host_id;
-  host.RequestSleep(sim_, [this, id](SimTime at) { RefreshMemoryServer(at, id); });
+  host.RequestSleep(sim_);
   ++metrics_.host_sleeps;
 }
 
@@ -497,7 +493,6 @@ StatusOr<SimTime> Actuator::WakeHost(SimTime now, HostId id) {
   if (state_.pending_wake_powered_at[id] > now) {
     return state_.pending_wake_powered_at[id];
   }
-  HostId hid = id;
   if (fault_.enabled() && host.IsAsleep()) {
     // Faults attach to the WoL actually sent: each lost packet costs one
     // retry timeout, and a wedged resume costs a watchdog power-cycle.
@@ -526,17 +521,26 @@ StatusOr<SimTime> Actuator::WakeHost(SimTime now, HostId id) {
       // The WoL that sticks goes out at t; the host powers one resume later.
       SimTime powered_at = host.EarliestPoweredTime(t);
       state_.pending_wake_powered_at[id] = powered_at;
-      sim_.ScheduleAt(t, [this, hid]() {
-        HostOf(hid).RequestWake(sim_, [this, hid](SimTime at) {
-          state_.pending_wake_powered_at[hid] = SimTime::Zero();
-          RefreshMemoryServer(at, hid);
-        });
-      });
+      sim_.ScheduleAt(t, MakeEvent(ClusterEvent::kWolRetry, id));
       return powered_at;
     }
   }
-  host.RequestWake(sim_, [this, hid](SimTime at) { RefreshMemoryServer(at, hid); });
+  host.RequestWake(sim_);
   return host.EarliestPoweredTime(now);
+}
+
+void Actuator::ResendWake(HostId id) { HostOf(id).RequestWake(sim_); }
+
+void Actuator::FinishResume(HostId id, uint64_t epoch) {
+  if (HostOf(id).FinishResume(sim_.now(), epoch)) {
+    RefreshMemoryServer(sim_.now(), id);
+  }
+}
+
+void Actuator::FinishSuspend(HostId id, uint64_t epoch) {
+  if (HostOf(id).FinishSuspend(sim_, epoch)) {
+    RefreshMemoryServer(sim_.now(), id);
+  }
 }
 
 void Actuator::RefreshMemoryServer(SimTime now, HostId home_id) {
@@ -566,7 +570,7 @@ void Actuator::ScheduleMigration(VmSlot& vm, SimTime start, SimTime done,
 }
 
 void Actuator::QueueKeyedCompletion(const PendingCompletion& c) {
-  sim_.ScheduleKeyed(c.done, c.seq, [this, c]() { FinishMigration(c); });
+  sim_.ScheduleKeyed(c.done, c.seq, MakeEvent(ClusterEvent::kMigrationDone, c.vm, c.epoch));
 }
 
 void Actuator::RetireCompletions() {
@@ -832,18 +836,19 @@ void Actuator::InjectMigrationAbort(SimTime now, int64_t target) {
   fault_.RecordSkipped(FaultClass::kMigrationAbort, now, obs::TraceArgs{-1, target});
 }
 
-void Actuator::FinishMigration(const PendingCompletion& c) {
+void Actuator::FinishMigration(VmId vm_id, uint32_t epoch) {
   RetireCompletions();
   // The batch keeps entries at or after this event's key, so this one is
   // still listed; it leaves as this event, not as a retirement.
+  const uint64_t seq = sim_.current_seq();
   std::vector<PendingCompletion>& pending = state_.completions;
   auto own = std::find_if(pending.begin(), pending.end(),
-                          [&c](const PendingCompletion& p) { return p.seq == c.seq; });
+                          [seq](const PendingCompletion& p) { return p.seq == seq; });
   assert(own != pending.end());
   *own = pending.back();
   pending.pop_back();
-  VmSlot& vm = Slot(c.vm);
-  if (vm.op_epoch != c.epoch) {
+  VmSlot& vm = Slot(vm_id);
+  if (vm.op_epoch != epoch) {
     return;  // aborted (or superseded) in the meantime
   }
   assert(vm.activation_pending);
@@ -852,7 +857,7 @@ void Actuator::FinishMigration(const PendingCompletion& c) {
   vm.activation_pending = false;
   const SimTime now = sim_.now();
   if (vm.residency == VmResidency::kPartial) {
-    HandleActivation(now, c.vm, vm.activation_time);
+    HandleActivation(now, vm_id, vm.activation_time);
   } else {
     metrics_.transition_delay_s.Add((now - vm.activation_time).seconds());
   }

@@ -68,9 +68,22 @@ class Actuator {
   void SettleAllUpkeep();
   // Sweeps mechanism-owned sleep opportunities after planning.
   void SleepIdleConsolidationHosts(SimTime now);
+  // Also the kSleepCheck event, scheduled for when a home's channel drains.
   void MaybeSleepHomeHost(SimTime now, HostId host_id);
   // Dispatches one FaultPlan event at its scheduled time.
   void ApplyScheduledFault(SimTime now, const ScheduledFault& event);
+  // The kWolRetry event: the fault-delayed WoL that sticks goes out to `id`.
+  void ResendWake(HostId id);
+  // The kResumeDone and kSuspendDone events: land host `id`'s S3 transition
+  // scheduled at transition epoch `epoch` and, unless it went stale,
+  // refresh the host's memory server (a no-op on a consolidation host, and
+  // on a powered one, whose memory server is already off).
+  void FinishResume(HostId id, uint64_t epoch);
+  void FinishSuspend(HostId id, uint64_t epoch);
+  // The kMigrationDone event, filed at a completion's own key because its
+  // VM's user is waiting on it: lands the migration at op epoch `epoch`
+  // (unless aborted or superseded since) and services the activation.
+  void FinishMigration(VmId vm_id, uint32_t epoch);
   // Retires every pending completion keyed before the simulator's current
   // key (DESIGN.md, "Migration completions"): each live one clears its VM's
   // in-flight state. Every event that reads in-flight state starts with
@@ -84,7 +97,7 @@ class Actuator {
   uint64_t completions_retired() const { return completions_retired_; }
   void AccrueEnergy(SimTime now);
   // The run's collectors (null = off). Collectors never change mid-run, so
-  // the manager resolves them once when a run starts and every per-migration
+  // the manager resolves them on entry to each step and every per-migration
   // site tests these pointers.
   void SetCollectors(obs::Tracer* tracer, obs::MetricsRegistry* registry) {
     tracer_ = tracer;
@@ -155,11 +168,9 @@ class Actuator {
   // key (done, a freshly reserved sequence number).
   void ScheduleMigration(VmSlot& vm, SimTime start, SimTime done, VmSlot::PendingOp op,
                          HostId source);
-  // Files `c` as an event at its own key: its VM's user is waiting on it.
+  // Files `c` as a kMigrationDone event at its own key: its VM's user is
+  // waiting on it.
   void QueueKeyedCompletion(const PendingCompletion& c);
-  // The keyed event: lands the migration and services the activation that
-  // waited on it.
-  void FinishMigration(const PendingCompletion& c);
   // Adds (delta +1) or removes (-1) `vm`'s contribution to `host`'s
   // resident counts.
   void CountResident(HostId host, const VmSlot& vm, int delta);

@@ -99,65 +99,51 @@ void ClusterHost::Transition(SimTime now, HostPowerState next) {
   meter_.SetDraw(now, CurrentDraw());
 }
 
-void ClusterHost::RequestWake(Simulator& sim, HostWaiter on_powered) {
+void ClusterHost::RequestWake(Simulator& sim) {
   switch (state_) {
     case HostPowerState::kPowered:
-      on_powered(sim.now());
-      return;
     case HostPowerState::kResuming:
-      wake_waiters_.push_back(std::move(on_powered));
       return;
     case HostPowerState::kSuspending:
-      // The S3 entry cannot abort; the wake fires right after it completes.
+      // The S3 entry cannot abort; the wake starts right after it completes.
       wake_after_suspend_ = true;
-      wake_waiters_.push_back(std::move(on_powered));
       return;
     case HostPowerState::kSleeping:
       break;
   }
-  wake_waiters_.push_back(std::move(on_powered));
   Transition(sim.now(), HostPowerState::kResuming);
-  uint64_t epoch = ++transition_epoch_;
-  sim.ScheduleAfter(power_.resume_latency, [this, &sim, epoch]() {
-    if (transition_epoch_ != epoch || state_ != HostPowerState::kResuming) {
-      return;
-    }
-    Transition(sim.now(), HostPowerState::kPowered);
-    auto waiters = std::move(wake_waiters_);
-    wake_waiters_.clear();
-    for (auto& w : waiters) {
-      w(sim.now());
-    }
-  });
+  sim.ScheduleAfter(power_.resume_latency,
+                    MakeEvent(ClusterEvent::kResumeDone, id_, ++transition_epoch_));
 }
 
-void ClusterHost::RequestSleep(Simulator& sim, HostWaiter on_asleep) {
+void ClusterHost::RequestSleep(Simulator& sim) {
   if (state_ != HostPowerState::kPowered) {
     return;
   }
   assert(active_vms_ == 0 && "host with active VMs must never sleep");
   Transition(sim.now(), HostPowerState::kSuspending);
-  uint64_t epoch = ++transition_epoch_;
-  sleep_waiter_ = std::move(on_asleep);
-  sim.ScheduleAfter(power_.suspend_latency, [this, &sim, epoch]() {
-    if (transition_epoch_ != epoch || state_ != HostPowerState::kSuspending) {
-      return;
-    }
-    Transition(sim.now(), HostPowerState::kSleeping);
-    HostWaiter waiter = std::move(sleep_waiter_);
-    if (waiter && !wake_after_suspend_) {
-      waiter(sim.now());
-    }
-    if (wake_after_suspend_) {
-      wake_after_suspend_ = false;
-      // Re-enter the wake path for the queued waiters.
-      auto waiters = std::move(wake_waiters_);
-      wake_waiters_.clear();
-      for (auto& w : waiters) {
-        RequestWake(sim, std::move(w));
-      }
-    }
-  });
+  sim.ScheduleAfter(power_.suspend_latency,
+                    MakeEvent(ClusterEvent::kSuspendDone, id_, ++transition_epoch_));
+}
+
+bool ClusterHost::FinishResume(SimTime now, uint64_t epoch) {
+  if (transition_epoch_ != epoch || state_ != HostPowerState::kResuming) {
+    return false;
+  }
+  Transition(now, HostPowerState::kPowered);
+  return true;
+}
+
+bool ClusterHost::FinishSuspend(Simulator& sim, uint64_t epoch) {
+  if (transition_epoch_ != epoch || state_ != HostPowerState::kSuspending) {
+    return false;
+  }
+  Transition(sim.now(), HostPowerState::kSleeping);
+  if (wake_after_suspend_) {
+    wake_after_suspend_ = false;
+    RequestWake(sim);
+  }
+  return true;
 }
 
 void ClusterHost::Crash(SimTime now) {
@@ -165,8 +151,6 @@ void ClusterHost::Crash(SimTime now) {
   assert(active_vms_ == 0);
   ++transition_epoch_;  // invalidate any in-flight suspend/resume completion
   wake_after_suspend_ = false;
-  wake_waiters_.clear();
-  sleep_waiter_.Reset();
   if (state_ != HostPowerState::kSleeping) {
     Transition(now, HostPowerState::kSleeping);
   }

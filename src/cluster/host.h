@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/cluster/cluster_types.h"
-#include "src/common/inline_function.h"
 #include "src/power/energy_meter.h"
 #include "src/sim/simulator.h"
 
@@ -99,9 +98,21 @@ class ResidentSet {
   std::vector<uint64_t> words_;
 };
 
-// A wake or sleep completion callback; it gets the completion time. Like an
-// event closure it lives inline, here in at most two pointers of captures.
-using HostWaiter = InlineFunction<void(SimTime), 16>;
+// The kinds of event a rack-day queues (Event::kind) and the two words each
+// carries. ClusterManager::Dispatch is the one switch over them.
+enum class ClusterEvent : uint32_t {
+  kRound,          // a: the round's index t
+  kFault,          // a: index into the fault plan's events
+  kSleepCheck,     // a: home host to put to sleep once its channel drained
+  kWolRetry,       // a: host whose fault-delayed WoL goes out now
+  kMigrationDone,  // a: VM, b: its op epoch (a keyed completion)
+  kResumeDone,     // a: host, b: its transition epoch
+  kSuspendDone,    // a: host, b: its transition epoch
+};
+
+inline Event MakeEvent(ClusterEvent kind, uint64_t a, uint64_t b = 0) {
+  return Event{static_cast<uint32_t>(kind), a, b};
+}
 
 class ClusterHost {
  public:
@@ -164,25 +175,33 @@ class ClusterHost {
   int active_vms() const { return active_vms_; }
 
   // --- Power-state machine ------------------------------------------------
-  // Wake-on-LAN: transitions toward kPowered and invokes `on_powered` once
-  // the host is up (immediately if already powered). Safe to call in any
-  // state; a wake during suspend queues behind the suspend.
-  void RequestWake(Simulator& sim, HostWaiter on_powered);
+  // Wake-on-LAN, safe in any state. A sleeping host starts its resume and
+  // schedules the kResumeDone that powers it; a wake while resuming joins
+  // that resume, one while suspending queues behind the suspend, and one
+  // while powered does nothing.
+  void RequestWake(Simulator& sim);
 
   // Suspends to S3 once outstanding migrations drain (the caller gates on
-  // that); ignored unless currently powered. A wake request cancels a
-  // not-yet-finished suspend at its completion boundary. `on_asleep` fires
-  // when S3 entry completes (and is dropped if a wake pre-empts it).
-  void RequestSleep(Simulator& sim, HostWaiter on_asleep = {});
+  // that) and schedules the kSuspendDone; ignored unless currently powered.
+  void RequestSleep(Simulator& sim);
+
+  // Land the transition scheduled at transition epoch `epoch`: a resume
+  // powers the host; a suspend puts it to sleep, then starts the resume a
+  // wake queued during the suspend asked for. Each returns false and
+  // changes nothing for a stale completion, one whose epoch a crash or a
+  // later transition moved on.
+  bool FinishResume(SimTime now, uint64_t epoch);
+  bool FinishSuspend(Simulator& sim, uint64_t epoch);
 
   // Earliest time the host could be executing VMs if woken at `now`.
   SimTime EarliestPoweredTime(SimTime now) const;
 
   // Injected power loss: the host drops to kSleeping instantly (no S3 entry
-  // latency), pending transitions and queued wake waiters are discarded, and
-  // the memory server goes dark with it. The caller must have relocated all
-  // resident VMs first — a crash is only modelled after its recovery plan is
-  // in place, because a VM left behind would silently stop being simulated.
+  // latency), pending transitions and a wake queued behind a suspend are
+  // discarded, and the memory server goes dark with it. The caller must have
+  // relocated all resident VMs first — a crash is only modelled after its
+  // recovery plan is in place, because a VM left behind would silently stop
+  // being simulated.
   void Crash(SimTime now);
 
   // --- Outbound migration / inbound reintegration serialization ----------
@@ -229,11 +248,6 @@ class ClusterHost {
   HostPowerState state_;
   uint64_t transition_epoch_ = 0;  // invalidates stale scheduled transitions
   bool wake_after_suspend_ = false;
-  std::vector<HostWaiter> wake_waiters_;
-  // At most one suspend is ever in flight (RequestSleep only acts from
-  // kPowered), so its completion callback lives here instead of in the
-  // scheduled closure — keeping that closure inside EventClosure::kCapacity.
-  HostWaiter sleep_waiter_;
 
   SimTime outbound_busy_until_;
   SimTime inbound_busy_until_;

@@ -131,11 +131,18 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
                             std::to_string(host.capacity_bytes()) + " B capacity";
                    },
                    obs::TraceArgs{H(host.id())});
-    checker.Expect(!host.memory_server_powered() || host.IsHomeHost(),
+    // Only a home that is asleep or resuming serves pages: the memory server
+    // is refreshed when a suspend or resume lands, so a powered or
+    // suspending host's is off.
+    const bool serving = host.power_state() == HostPowerState::kSleeping ||
+                         host.power_state() == HostPowerState::kResuming;
+    checker.Expect(!host.memory_server_powered() || (host.IsHomeHost() && serving),
                    "cluster.memory_server_on_homes_only", now,
                    [&] {
-                     return "consolidation host " + std::to_string(host.id()) +
-                            " has a powered memory server";
+                     return std::string(host.IsHomeHost() ? "home" : "consolidation") +
+                            " host " + std::to_string(host.id()) + " (" +
+                            HostPowerStateName(host.power_state()) +
+                            ") has a powered memory server";
                    },
                    obs::TraceArgs{H(host.id())});
 

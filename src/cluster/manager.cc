@@ -75,30 +75,63 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace)
   state_.upkeep = UpkeepRates(config_);
   state_.trusted_idle.assign(row_words_, 0);
   UpdateTrustedIdleBits(0);
-}
-
-ClusterMetrics ClusterManager::Run() {
-  // Collectors never change mid-run, so they are resolved once, here.
-  act_.SetCollectors(obs::Tracer::IfEnabled(), obs::MetricsRegistry::IfEnabled());
   // Plans fire every planning_interval (§3.1's configurable knob); each tick
   // reads the activity trace at its own 5-minute resolution.
-  SimTime end = SimTime::Hours(24.0);
   for (int t = 0; t < RoundsPerDay(); ++t) {
-    sim_.ScheduleAt(config_.planning_interval * t, [this, t]() { OnInterval(sim_.now(), t); });
+    sim_.ScheduleAt(config_.planning_interval * t,
+                    MakeEvent(ClusterEvent::kRound, static_cast<uint64_t>(t)));
   }
   // The pre-sampled fault schedule rides the same event queue, so a fault
   // landing between planning rounds interleaves with migrations exactly as
   // a real failure would.
   if (fault_.enabled()) {
-    for (const ScheduledFault& event : fault_.plan().events) {
-      if (event.at > end) {
-        continue;
+    const std::vector<ScheduledFault>& faults = fault_.plan().events;
+    for (size_t i = 0; i < faults.size(); ++i) {
+      if (faults[i].at <= SimTime::Hours(24.0)) {
+        sim_.ScheduleAt(faults[i].at, MakeEvent(ClusterEvent::kFault, i));
       }
-      ScheduledFault ev = event;
-      sim_.ScheduleAt(ev.at, [this, ev]() { act_.ApplyScheduledFault(sim_.now(), ev); });
     }
   }
-  sim_.RunUntil(end);
+}
+
+void ClusterManager::RunUntil(SimTime until) {
+  // Collectors never change mid-run, so each step resolves them on entry.
+  act_.SetCollectors(obs::Tracer::IfEnabled(), obs::MetricsRegistry::IfEnabled());
+  sim_.RunUntil(until, [this](const Event& ev) { Dispatch(ev); });
+}
+
+void ClusterManager::Dispatch(const Event& ev) {
+  const SimTime now = sim_.now();
+  const HostId host = static_cast<HostId>(ev.a);
+  switch (static_cast<ClusterEvent>(ev.kind)) {
+    case ClusterEvent::kRound:
+      OnInterval(now, static_cast<int>(ev.a));
+      return;
+    case ClusterEvent::kFault:
+      act_.ApplyScheduledFault(now, fault_.plan().events[ev.a]);
+      return;
+    case ClusterEvent::kSleepCheck:
+      act_.MaybeSleepHomeHost(now, host);
+      return;
+    case ClusterEvent::kWolRetry:
+      act_.ResendWake(host);
+      return;
+    case ClusterEvent::kMigrationDone:
+      act_.FinishMigration(static_cast<VmId>(ev.a), static_cast<uint32_t>(ev.b));
+      return;
+    case ClusterEvent::kResumeDone:
+      act_.FinishResume(host, ev.b);
+      return;
+    case ClusterEvent::kSuspendDone:
+      act_.FinishSuspend(host, ev.b);
+      return;
+  }
+  assert(false && "unknown event kind");
+}
+
+ClusterMetrics ClusterManager::Run() {
+  const SimTime end = SimTime::Hours(24.0);
+  RunUntil(end);
   // Completions due by the end of the day land before anything is settled
   // or read; what is still in flight stays listed, in a list cut to size.
   act_.RetireCompletions();

@@ -57,15 +57,18 @@ class ClusterManager {
   // `trace` must hold at least one user-day; VM u follows user
   // u % trace.size().
   //
-  // Observability goes wherever the running thread resolves it when Run
-  // starts: the run-local obs::RunContext exp::RunOrdered installs around
-  // each task, so concurrent runs never share a tracer or metrics registry,
-  // else the process-global collectors.
+  // The constructor lays the day's planning rounds and fault plan on the
+  // event queue. Observability goes wherever the running thread resolves it
+  // when a step (RunUntil, or Run) starts: the run-local obs::RunContext
+  // exp::RunOrdered installs around each task, so concurrent runs never
+  // share a tracer or metrics registry, else the process-global collectors.
   ClusterManager(const ClusterConfig& config, TraceSet trace);
 
-  // Simulates one full day and returns the collected metrics. The tracer
-  // and metrics registry are resolved once, on entry.
+  // Simulates the rest of the day and returns the collected metrics.
   ClusterMetrics Run();
+  // Steps the day: dispatches every event at or before `until` and leaves
+  // the clock there. Run finishes a stepped day.
+  void RunUntil(SimTime until);
 
   // Baseline energy: every home host powered all day at its loaded draw,
   // with no consolidation (the §5.3 normalization). User activity does not
@@ -123,6 +126,9 @@ class ClusterManager {
   friend struct UpkeepTestPeer;
   // Breaks the pending-completion list mid-day in tests/check_cluster_test.cpp.
   friend struct CheckClusterTestPeer;
+
+  // Runs one popped event: the one switch over ClusterEvent.
+  void Dispatch(const Event& ev);
 
   // --- interval pipeline --------------------------------------------------
   // One planning round: the actuator's completion batch, UpdateActivities,

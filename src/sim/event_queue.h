@@ -1,10 +1,9 @@
 // Discrete-event queue.
 //
-// Events are closures scheduled at absolute simulated times. Closure state
-// lives inline in the pooled slot table (EventClosure below, a fixed-capacity
-// small-buffer type), and the pending entries form one binary heap of
-// trivially copyable {filed time, seq, slot} records, so sift steps never
-// move a closure and Schedule and Pop perform no per-event heap allocation.
+// An event is plain data: an integer kind and two integer words, which the
+// caller's dispatcher interprets. The pending entries form one binary heap of
+// trivially copyable records keyed (filed time, seq), the event stored
+// inline, so Schedule and Pop perform no per-event heap allocation.
 //
 // Every event carries a sequence number from one counter, taken when the
 // event is scheduled, and pops come out in exactly (time, seq) order. A
@@ -22,7 +21,8 @@
 //
 // Events cannot be cancelled. A component whose scheduled completion may go
 // stale (an aborted migration, a crashed host's S3 transition) bumps an
-// epoch it owns, and the closure returns early when the epoch has moved.
+// epoch it owns and carries it in the event, and the dispatch ignores an
+// event whose epoch has moved.
 
 #ifndef OASIS_SRC_SIM_EVENT_QUEUE_H_
 #define OASIS_SRC_SIM_EVENT_QUEUE_H_
@@ -32,43 +32,42 @@
 #include <type_traits>
 #include <vector>
 
-#include "src/common/inline_function.h"
 #include "src/common/units.h"
 
 namespace oasis {
 
-// An event's closure: scheduling an event is a placement-new into the slot
-// table, dispatching it one indirect call. The 48-byte cap keeps slot-table
-// relocation cheap; see src/common/inline_function.h.
-using EventClosure = InlineFunction<void(), 48>;
-using EventFn = EventClosure;
+// What happens at an event: `kind` names it, `a` and `b` are its arguments
+// (an id, an index, an epoch). The kinds belong to the caller.
+struct Event {
+  uint32_t kind = 0;
+  uint64_t a = 0;
+  uint64_t b = 0;
+};
 
 class EventQueue {
  public:
-  // Schedules `fn` at absolute time `when`. Ties break in schedule order.
+  // Schedules `ev` at absolute time `when`. Ties break in schedule order.
   // A `when` before the last popped event's time is filed at that time
   // (see the header comment); Pop still reports `when`.
-  void Schedule(SimTime when, EventFn fn);
+  void Schedule(SimTime when, Event ev);
 
   // Takes the next sequence number without scheduling anything.
   uint64_t ReserveSeq() { return next_seq_++; }
-  // Schedules `fn` at the key (`when`, `seq`), where `seq` came from
+  // Schedules `ev` at the key (`when`, `seq`), where `seq` came from
   // ReserveSeq and `when` is not before the last popped event's time.
-  void ScheduleKeyed(SimTime when, uint64_t seq, EventFn fn);
+  void ScheduleKeyed(SimTime when, uint64_t seq, Event ev);
 
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
 
   // Time of the earliest pending event; SimTime::Max() when empty.
-  SimTime NextTime() const { return empty() ? SimTime::Max() : slots_[heap_.front().slot].time; }
+  SimTime NextTime() const { return empty() ? SimTime::Max() : heap_.front().time; }
 
-  // Pops and returns the earliest pending event. Must not be empty. The
-  // closure is moved out of the slot before the slot is recycled, so the
-  // callable may freely schedule new events (which can reuse its old slot).
+  // Pops and returns the earliest pending event. Must not be empty.
   struct Popped {
     SimTime time;
     uint64_t seq;
-    EventFn fn;
+    Event event;
   };
   Popped Pop();
 
@@ -76,7 +75,8 @@ class EventQueue {
   struct Entry {
     SimTime filed;  // the event's time, or the last popped one if that is later
     uint64_t seq;
-    uint32_t slot;
+    SimTime time;  // the event's own time, which Pop reports
+    Event event;
   };
   static_assert(std::is_trivially_copyable_v<Entry>, "sift steps must copy plain words");
   // The heap's comparator: the std heap algorithms keep the "greatest" entry
@@ -88,19 +88,9 @@ class EventQueue {
     }
   };
 
-  // The pooled closure storage, recycled as soon as its event pops. `time` is
-  // the event's own time, which Pop reports even when the entry was filed later.
-  struct Slot {
-    SimTime time;
-    EventClosure closure;
-  };
-
-  // Files `fn` at (`filed`, `seq`) and reports `when` when it pops.
-  void Push(SimTime filed, uint64_t seq, SimTime when, EventFn fn);
+  void Push(const Entry& entry);
 
   std::vector<Entry> heap_;  // min-heap on (filed, seq)
-  std::vector<Slot> slots_;
-  std::vector<uint32_t> free_slots_;
   SimTime last_filed_ = SimTime(INT64_MIN);  // filed time of the last popped entry
   uint64_t next_seq_ = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <string>
-#include <utility>
 
 #include "src/check/check.h"
 #include "src/common/log.h"
@@ -12,12 +11,12 @@
 
 namespace oasis {
 
-void Simulator::ScheduleAfter(SimTime delay, EventFn fn) {
+void Simulator::ScheduleAfter(SimTime delay, Event ev) {
   assert(delay >= SimTime::Zero() && "negative delay");
-  queue_.Schedule(now_ + delay, std::move(fn));
+  queue_.Schedule(now_ + delay, ev);
 }
 
-void Simulator::ScheduleAt(SimTime when, EventFn fn) {
+void Simulator::ScheduleAt(SimTime when, Event ev) {
   if (check::InvariantChecker* c = check::InvariantChecker::IfEnabled()) {
     if (when < now_) {
       c->Report("sim.schedule_into_past", now_,
@@ -26,32 +25,23 @@ void Simulator::ScheduleAt(SimTime when, EventFn fn) {
     }
   }
   assert(when >= now_ && "scheduling into the past");
-  queue_.Schedule(when, std::move(fn));
+  queue_.Schedule(when, ev);
 }
 
-void Simulator::ScheduleKeyed(SimTime when, uint64_t seq, EventFn fn) {
+void Simulator::ScheduleKeyed(SimTime when, uint64_t seq, Event ev) {
   assert(when >= now_ && "scheduling into the past");
-  queue_.ScheduleKeyed(when, seq, std::move(fn));
+  queue_.ScheduleKeyed(when, seq, ev);
 }
 
-void Simulator::RunUntil(SimTime deadline) {
-  RunLoop(deadline);
-  if (now_ < deadline) {
-    now_ = deadline;
-  }
-}
-
-void Simulator::RunToCompletion() { RunLoop(SimTime::Max()); }
-
-void Simulator::RunLoop(SimTime deadline) {
+void Simulator::RunUntil(SimTime deadline, const Dispatcher& dispatch) {
   // The hot dispatch loop. Observability gates (profiler, checker, metrics,
   // tracer) are resolved once here instead of per event; collectors are
   // configured before a run starts and never flip mid-run. The
   // sim.events_dispatched counter is accumulated locally and flushed on
-  // exit (the registry is only exported after the run returns); the
-  // queue-depth gauge keeps its per-pop store because its last-written
-  // value — depth after the final pop, before that event's own schedules —
-  // is pinned by the metric digests.
+  // exit (the registry is only exported after the run returns). The
+  // queue-depth gauge keeps its per-pop store: the OASIS_METRICS export
+  // shows its last value, the depth after the final pop and before that
+  // event's own schedules. No metric digest folds it.
   const bool profiling = prof::Profiler::Enabled();
   check::InvariantChecker* checker = check::InvariantChecker::IfEnabled();
   obs::MetricsRegistry* metrics = obs::MetricsRegistry::IfEnabled();
@@ -62,7 +52,7 @@ void Simulator::RunLoop(SimTime deadline) {
   uint64_t batched = 0;
   while (!queue_.empty() && queue_.NextTime() <= deadline) {
     // Wall-clock attribution of the event loop (OASIS_PROF): queue
-    // maintenance vs. closure execution.
+    // maintenance vs. dispatch.
     const uint64_t t_pop = profiling ? prof::Profiler::NowNs() : 0;
     EventQueue::Popped ev = queue_.Pop();
     const uint64_t t_run = profiling ? prof::Profiler::NowNs() : 0;
@@ -88,7 +78,7 @@ void Simulator::RunLoop(SimTime deadline) {
     if (tracer != nullptr && (dispatched_ & 0x3f) == 0) {
       tracer->CounterValue("sim", "queue_depth", now_, static_cast<int64_t>(queue_.size()));
     }
-    ev.fn();
+    dispatch(ev.event);
     if (profiling) {
       prof::Profiler::Instance().RecordSpan(prof::Phase::kSimDispatch, t_run,
                                             prof::Profiler::NowNs());
@@ -97,6 +87,9 @@ void Simulator::RunLoop(SimTime deadline) {
   seq_ = UINT64_MAX;
   if (dispatched_counter != nullptr && batched > 0) {
     dispatched_counter->Increment(batched);
+  }
+  if (now_ < deadline) {
+    now_ = deadline;
   }
 }
 

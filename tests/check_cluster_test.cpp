@@ -22,11 +22,10 @@ namespace oasis {
 
 // Reaches into a manager to break its pending-completion list mid-day.
 struct CheckClusterTestPeer {
-  static Simulator& Sim(ClusterManager& m) { return m.sim_; }
   static std::vector<PendingCompletion>& Completions(ClusterManager& m) {
     return m.state_.completions;
   }
-  // Makes the current event a batch point, as the walk expects.
+  // Makes the probe instant a batch point, as the walk expects.
   static void RetireCompletions(ClusterManager& m) { m.act_.RetireCompletions(); }
 };
 
@@ -177,42 +176,72 @@ TEST(CheckClusterCompletionsTest, BrokenCompletionListFailsTheWalk) {
   int broken_instants = 0;
   // One second past each hour's first round, while its moves are in flight.
   for (int hour = 1; hour < 24; ++hour) {
-    Peer::Sim(manager).ScheduleAt(SimTime::Hours(hour) + SimTime::Seconds(1), [&] {
-      Peer::RetireCompletions(manager);
-      std::vector<PendingCompletion>& pending = Peer::Completions(manager);
-      auto live = std::find_if(pending.begin(), pending.end(), [&](const PendingCompletion& c) {
-        return manager.GetVm(c.vm).op_epoch == c.epoch;
-      });
-      if (live == pending.end()) {
-        return;
-      }
-      const SimTime now = Peer::Sim(manager).now();
-      auto violations = [&] {
-        InvariantChecker strict(CheckMode::kStrict);
-        CheckClusterInvariants(manager, now, strict);
-        uint64_t found = 0;
-        for (const check::Violation& v : strict.violations()) {
-          found += std::string(v.invariant) == "cluster.completion_pending_exact" ? 1 : 0;
-        }
-        EXPECT_EQ(found, strict.violation_count()) << "only the list was broken";
-        return found;
-      };
-      EXPECT_EQ(violations(), 0u) << "the unbroken list at " << now.seconds() << " s";
-      const PendingCompletion entry = *live;
-      pending.erase(live);
-      EXPECT_EQ(violations(), 1u) << "dropped entry";
-      pending.push_back(entry);
-      pending.push_back(entry);
-      EXPECT_EQ(violations(), 1u) << "duplicated entry";
-      pending.pop_back();
-      pending.back().done = now - SimTime::Micros(1);
-      EXPECT_EQ(violations(), 1u) << "due entry left behind";
-      pending.back().done = entry.done;
-      ++broken_instants;
+    const SimTime now = SimTime::Hours(hour) + SimTime::Seconds(1);
+    manager.RunUntil(now);
+    Peer::RetireCompletions(manager);
+    std::vector<PendingCompletion>& pending = Peer::Completions(manager);
+    auto live = std::find_if(pending.begin(), pending.end(), [&](const PendingCompletion& c) {
+      return manager.GetVm(c.vm).op_epoch == c.epoch;
     });
+    if (live == pending.end()) {
+      continue;
+    }
+    auto violations = [&] {
+      InvariantChecker strict(CheckMode::kStrict);
+      CheckClusterInvariants(manager, now, strict);
+      uint64_t found = 0;
+      for (const check::Violation& v : strict.violations()) {
+        found += std::string(v.invariant) == "cluster.completion_pending_exact" ? 1 : 0;
+      }
+      EXPECT_EQ(found, strict.violation_count()) << "only the list was broken";
+      return found;
+    };
+    EXPECT_EQ(violations(), 0u) << "the unbroken list at " << now.seconds() << " s";
+    const PendingCompletion entry = *live;
+    pending.erase(live);
+    EXPECT_EQ(violations(), 1u) << "dropped entry";
+    pending.push_back(entry);
+    pending.push_back(entry);
+    EXPECT_EQ(violations(), 1u) << "duplicated entry";
+    pending.pop_back();
+    pending.back().done = now - SimTime::Micros(1);
+    EXPECT_EQ(violations(), 1u) << "due entry left behind";
+    pending.back().done = entry.done;
+    ++broken_instants;
   }
   (void)manager.Run();
   EXPECT_GT(broken_instants, 0) << "no migration was in flight at any probe";
+}
+
+// A memory server follows its home's S3 transitions between rounds too: a
+// strict walk every five seconds of a day finds a powered memory server only
+// on a home that is asleep or resuming. The probes cover homes that are
+// powered while partials homed on them run elsewhere (woken for a swap group
+// or a return), where a resume that skipped its memory-server refresh would
+// leave the server on.
+TEST(CheckClusterMemoryServerTest, MemoryServersFollowHostPowerBetweenRounds) {
+  using Peer = CheckClusterTestPeer;
+  ClusterConfig config = SmallCluster(42);
+  ClusterManager manager(config, TraceFor(config));
+  uint64_t violations = 0;
+  uint64_t powered_homes_serving_partials = 0;
+  for (SimTime now = SimTime::Seconds(5); now < SimTime::Hours(24.0);
+       now = now + SimTime::Seconds(5)) {
+    manager.RunUntil(now);
+    Peer::RetireCompletions(manager);
+    InvariantChecker strict(CheckMode::kStrict);
+    CheckClusterInvariants(manager, now, strict);
+    violations += strict.violation_count();
+    for (size_t h = 0; h < manager.num_hosts(); ++h) {
+      const ClusterHost& host = manager.GetHost(static_cast<HostId>(h));
+      if (host.IsHomeHost() && host.IsPowered() && manager.PartialsHomedAt(host.id()) > 0) {
+        ++powered_homes_serving_partials;
+      }
+    }
+  }
+  EXPECT_EQ(violations, 0u);
+  EXPECT_GT(powered_homes_serving_partials, 0u) << "no probe saw the window under test";
+  (void)manager.Run();
 }
 
 TEST_F(CheckClusterTest, CleanDayRunsMillionsOfChecksWithZeroViolations) {

@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -15,15 +13,10 @@
 namespace oasis {
 namespace {
 
-// Counts live instances so tests can pin exactly *when* a captured payload
-// is destroyed.
-struct InstanceCounter {
-  explicit InstanceCounter(int* c) : count(c) { ++*count; }
-  InstanceCounter(const InstanceCounter& o) : count(o.count) { ++*count; }
-  InstanceCounter(InstanceCounter&& o) noexcept : count(o.count) { ++*count; }
-  ~InstanceCounter() { --*count; }
-  int* count;
-};
+// An event whose payload is `tag`, so a pop names which event came out.
+Event Tagged(int tag) { return Event{0, static_cast<uint64_t>(tag), 0}; }
+
+int TagOf(const EventQueue::Popped& popped) { return static_cast<int>(popped.event.a); }
 
 TEST(EventQueueTest, EmptyQueue) {
   EventQueue q;
@@ -35,11 +28,11 @@ TEST(EventQueueTest, EmptyQueue) {
 TEST(EventQueueTest, PopsInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
-  q.Schedule(SimTime::Seconds(3), [&] { order.push_back(3); });
-  q.Schedule(SimTime::Seconds(1), [&] { order.push_back(1); });
-  q.Schedule(SimTime::Seconds(2), [&] { order.push_back(2); });
+  q.Schedule(SimTime::Seconds(3), Tagged(3));
+  q.Schedule(SimTime::Seconds(1), Tagged(1));
+  q.Schedule(SimTime::Seconds(2), Tagged(2));
   while (!q.empty()) {
-    q.Pop().fn();
+    order.push_back(TagOf(q.Pop()));
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -48,133 +41,29 @@ TEST(EventQueueTest, TiesBreakInScheduleOrder) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    q.Schedule(SimTime::Seconds(1), [&, i] { order.push_back(i); });
+    q.Schedule(SimTime::Seconds(1), Tagged(i));
   }
   while (!q.empty()) {
-    q.Pop().fn();
+    order.push_back(TagOf(q.Pop()));
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueueTest, PopReportsTime) {
+TEST(EventQueueTest, PopReportsTimeAndPayload) {
   EventQueue q;
-  q.Schedule(SimTime::Seconds(7), [] {});
+  q.Schedule(SimTime::Seconds(7), Event{3, 41, 42});
   auto popped = q.Pop();
   EXPECT_EQ(popped.time, SimTime::Seconds(7));
+  EXPECT_EQ(popped.event.kind, 3u);
+  EXPECT_EQ(popped.event.a, 41u);
+  EXPECT_EQ(popped.event.b, 42u);
   EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueTest, PopDestroysClosureAfterInvocation) {
-  EventQueue q;
-  int live = 0;
-  q.Schedule(SimTime::Seconds(1), [c = InstanceCounter(&live)] {});
-  ASSERT_EQ(live, 1);
-  {
-    auto popped = q.Pop();
-    // Moved out of the slot table into the caller's hands: still alive.
-    EXPECT_EQ(live, 1);
-    popped.fn();
-    EXPECT_EQ(live, 1);
-  }
-  // Destroyed when the popped record goes out of scope, and exactly once
-  // (relocation through the slot table must not leak or double-destroy).
-  EXPECT_EQ(live, 0);
-}
-
-TEST(EventQueueTest, QueueDestructorDestroysPendingClosures) {
-  int live = 0;
-  {
-    EventQueue q;
-    q.Schedule(SimTime::Seconds(1), [c = InstanceCounter(&live)] {});
-    q.Schedule(SimTime::Seconds(2), [c = InstanceCounter(&live)] {});
-    ASSERT_EQ(q.Pop().time, SimTime::Seconds(1));
-    q.Schedule(SimTime::Seconds(3), [c = InstanceCounter(&live)] {});
-    EXPECT_EQ(live, 2);
-  }
-  EXPECT_EQ(live, 0);
-}
-
-TEST(EventClosureTest, CaptureAtExactCapacityFits) {
-  // A capture of exactly kCapacity bytes must compile and round-trip through
-  // the slot table; one byte more is a static_assert (compile-time, so not
-  // testable here — this pins the boundary from the passing side).
-  struct Blob {
-    unsigned char bytes[EventClosure::kCapacity - sizeof(int*)];
-    int* out;
-  };
-  static_assert(sizeof(Blob) == EventClosure::kCapacity);
-  int result = 0;
-  Blob blob{};
-  std::memset(blob.bytes, 0x5a, sizeof(blob.bytes));
-  blob.out = &result;
-  EventQueue q;
-  q.Schedule(SimTime::Seconds(1), [blob] {
-    int sum = 0;
-    for (unsigned char b : blob.bytes) {
-      sum += b;
-    }
-    *blob.out = sum;
-  });
-  q.Pop().fn();
-  EXPECT_EQ(result, 0x5a * static_cast<int>(sizeof(blob.bytes)));
-}
-
-// The same inline storage with arguments and a result, as ClusterHost's
-// wake and sleep waiters use it.
-TEST(InlineFunctionTest, PassesArgumentsAndReturnsResults) {
-  int calls = 0;
-  InlineFunction<int(int, SimTime), 16> f = [&calls](int k, SimTime t) {
-    ++calls;
-    return k + static_cast<int>(t.seconds());
-  };
-  EXPECT_EQ(f(2, SimTime::Seconds(3)), 5);
-  InlineFunction<int(int, SimTime), 16> g = std::move(f);
-  EXPECT_FALSE(f);
-  ASSERT_TRUE(g);
-  EXPECT_EQ(g(1, SimTime::Seconds(1)), 2);
-  EXPECT_EQ(calls, 2);
-  g.Reset();
-  EXPECT_FALSE(g);
-}
-
-TEST(EventClosureTest, MoveTransfersOwnership) {
-  int live = 0;
-  int runs = 0;
-  EventClosure a([c = InstanceCounter(&live), &runs] { ++runs; });
-  EXPECT_TRUE(static_cast<bool>(a));
-  EXPECT_EQ(live, 1);
-  EventClosure b(std::move(a));
-  // Relocation move-constructs into the new home then destroys the source:
-  // exactly one instance survives and the source is empty.
-  EXPECT_EQ(live, 1);
-  EXPECT_FALSE(static_cast<bool>(a));
-  EXPECT_TRUE(static_cast<bool>(b));
-  b();
-  EXPECT_EQ(runs, 1);
-  b.Reset();
-  EXPECT_EQ(live, 0);
-  EXPECT_FALSE(static_cast<bool>(b));
-}
-
-TEST(EventClosureTest, MoveAssignDestroysPreviousTenant) {
-  int live_a = 0;
-  int live_b = 0;
-  EventClosure a([c = InstanceCounter(&live_a)] {});
-  EventClosure b([c = InstanceCounter(&live_b)] {});
-  a = std::move(b);
-  // The assignee's old closure is destroyed first, then the source's capture
-  // relocates in.
-  EXPECT_EQ(live_a, 0);
-  EXPECT_EQ(live_b, 1);
-  EXPECT_FALSE(static_cast<bool>(b));
-  a.Reset();
-  EXPECT_EQ(live_b, 0);
 }
 
 TEST(EventQueueTest, ManyEventsStressOrder) {
   EventQueue q;
   for (int i = 999; i >= 0; --i) {
-    q.Schedule(SimTime::Micros(i * 13 % 997), [] {});
+    q.Schedule(SimTime::Micros(i * 13 % 997), Tagged(i));
   }
   SimTime prev = SimTime::Zero();
   while (!q.empty()) {
@@ -191,20 +80,20 @@ TEST(EventQueueTest, PastScheduleRunsNextAtTheLastPoppedInstant) {
   // own rule, so it holds with or without the simulator's assert.
   EventQueue q;
   std::vector<int> order;
-  q.Schedule(SimTime::Seconds(10), [&] { order.push_back(10); });
-  q.Schedule(SimTime::Seconds(10), [&] { order.push_back(11); });
-  q.Schedule(SimTime::Seconds(20), [&] { order.push_back(20); });
+  q.Schedule(SimTime::Seconds(10), Tagged(10));
+  q.Schedule(SimTime::Seconds(10), Tagged(11));
+  q.Schedule(SimTime::Seconds(20), Tagged(20));
   EventQueue::Popped first = q.Pop();
   ASSERT_EQ(first.time, SimTime::Seconds(10));
-  first.fn();
-  q.Schedule(SimTime::Seconds(4), [&] { order.push_back(4); });
-  q.Schedule(SimTime::Seconds(15), [&] { order.push_back(15); });
+  order.push_back(TagOf(first));
+  q.Schedule(SimTime::Seconds(4), Tagged(4));
+  q.Schedule(SimTime::Seconds(15), Tagged(15));
   EXPECT_EQ(q.NextTime(), SimTime::Seconds(10));
   std::vector<SimTime> times;
   while (!q.empty()) {
     EventQueue::Popped e = q.Pop();
     times.push_back(e.time);
-    e.fn();
+    order.push_back(TagOf(e));
   }
   EXPECT_EQ(order, (std::vector<int>{10, 11, 4, 15, 20}));
   EXPECT_EQ(times, (std::vector<SimTime>{SimTime::Seconds(10), SimTime::Seconds(4),
@@ -215,10 +104,10 @@ TEST(EventQueueTest, PastScheduleIntoADrainedInstantRunsFirst) {
   // With the last popped instant drained, a past entry is the front: it pops
   // before later events, and NextTime reports its own time.
   EventQueue q;
-  q.Schedule(SimTime::Seconds(10), [] {});
-  q.Schedule(SimTime::Seconds(30), [] {});
+  q.Schedule(SimTime::Seconds(10), Event{});
+  q.Schedule(SimTime::Seconds(30), Event{});
   ASSERT_EQ(q.Pop().time, SimTime::Seconds(10));
-  q.Schedule(SimTime::Seconds(1), [] {});
+  q.Schedule(SimTime::Seconds(1), Event{});
   EXPECT_EQ(q.NextTime(), SimTime::Seconds(1));
   EXPECT_EQ(q.Pop().time, SimTime::Seconds(1));
   EXPECT_EQ(q.Pop().time, SimTime::Seconds(30));
@@ -228,11 +117,11 @@ TEST(EventQueueTest, EventScheduledInsideAPeekedGapPopsFirst) {
   // NextTime() may look past a gap; an event scheduled inside the gap
   // afterwards (legal: it is after the last pop) must still pop first.
   EventQueue q;
-  q.Schedule(SimTime::Seconds(1), [] {});
-  q.Schedule(SimTime::Seconds(100), [] {});
+  q.Schedule(SimTime::Seconds(1), Event{});
+  q.Schedule(SimTime::Seconds(100), Event{});
   ASSERT_EQ(q.Pop().time, SimTime::Seconds(1));
   EXPECT_EQ(q.NextTime(), SimTime::Seconds(100));
-  q.Schedule(SimTime::Seconds(50), [] {});
+  q.Schedule(SimTime::Seconds(50), Event{});
   EXPECT_EQ(q.NextTime(), SimTime::Seconds(50));
   EXPECT_EQ(q.Pop().time, SimTime::Seconds(50));
   EXPECT_EQ(q.Pop().time, SimTime::Seconds(100));
@@ -243,13 +132,13 @@ TEST(EventQueueTest, EventScheduledAfterAnEarlyKeyedPopKeepsTimeOrder) {
   // scheduled between it and the pending ones still pops in time order.
   EventQueue q;
   const uint64_t seq = q.ReserveSeq();
-  q.Schedule(SimTime::Seconds(100), [] {});
-  q.ScheduleKeyed(SimTime::Seconds(5), seq, [] {});
+  q.Schedule(SimTime::Seconds(100), Event{});
+  q.ScheduleKeyed(SimTime::Seconds(5), seq, Event{});
   EXPECT_EQ(q.NextTime(), SimTime::Seconds(5));
   EventQueue::Popped keyed = q.Pop();
   EXPECT_EQ(keyed.time, SimTime::Seconds(5));
   EXPECT_EQ(keyed.seq, seq);
-  q.Schedule(SimTime::Seconds(50), [] {});
+  q.Schedule(SimTime::Seconds(50), Event{});
   EXPECT_EQ(q.Pop().time, SimTime::Seconds(50));
   EXPECT_EQ(q.Pop().time, SimTime::Seconds(100));
   EXPECT_TRUE(q.empty());
@@ -261,10 +150,10 @@ TEST(EventQueueTest, PastSchedulesAfterAKeyedPopRunInScheduleOrder) {
   // never gets here: it asserts and reports sim.schedule_into_past first.)
   EventQueue q;
   const uint64_t seq = q.ReserveSeq();
-  q.ScheduleKeyed(SimTime::Seconds(5), seq, [] {});
+  q.ScheduleKeyed(SimTime::Seconds(5), seq, Event{});
   ASSERT_EQ(q.Pop().time, SimTime::Seconds(5));
-  q.Schedule(SimTime::Seconds(4), [] {});
-  q.Schedule(SimTime::Seconds(3), [] {});
+  q.Schedule(SimTime::Seconds(4), Event{});
+  q.Schedule(SimTime::Seconds(3), Event{});
   EXPECT_EQ(q.NextTime(), SimTime::Seconds(4));
   EXPECT_EQ(q.Pop().time, SimTime::Seconds(4));
   EXPECT_EQ(q.Pop().time, SimTime::Seconds(3));
@@ -275,8 +164,8 @@ TEST(EventQueueTest, PastSchedulesAfterAKeyedPopRunInScheduleOrder) {
 // (filed time, seq), where a scheduled entry's filed time is max(when, last
 // popped filed time) and a keyed entry is filed at its own time, never in
 // the past: the queue's documented order, past-scheduling rule included.
-// Reserved keys are filed later, in random order, some never. Each closure
-// records its tag, so running a popped event names which one came out.
+// Reserved keys are filed later, in random order, some never. Each event
+// carries its tag, so a pop names which one came out.
 TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
   struct Ref {
     int64_t filed;
@@ -291,7 +180,6 @@ TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
     EventQueue q;
     std::vector<Ref> ref;
     std::vector<uint64_t> reserved;
-    std::vector<int> ran;
     int64_t last_filed = INT64_MIN;
     // Base for new times: the latest popped time, capped so that offsets
     // from it cannot overflow once a far-future or SimTime::Max() event pops.
@@ -309,8 +197,7 @@ TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
       EventQueue::Popped popped = q.Pop();
       ASSERT_EQ(popped.time, it->when) << "step " << step;
       ASSERT_EQ(popped.seq, it->seq) << "step " << step;
-      popped.fn();
-      ASSERT_EQ(ran.back(), it->tag) << "step " << step;
+      ASSERT_EQ(TagOf(popped), it->tag) << "step " << step;
       last_filed = it->filed;
       last_time = std::min(std::max(last_time, it->when.micros()), kBaseCap);
       ref.erase(it);
@@ -336,7 +223,7 @@ TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
           when = -static_cast<int64_t>(rng.NextBelow(1'000'000));  // negative micros
         }
         const int tag = next_tag++;
-        q.Schedule(SimTime(when), [&ran, tag] { ran.push_back(tag); });
+        q.Schedule(SimTime(when), Tagged(tag));
         ref.push_back(Ref{std::max(when, last_filed), seq++, SimTime(when), tag});
       } else if (op < 52) {
         ASSERT_EQ(q.ReserveSeq(), seq) << "step " << step;
@@ -353,7 +240,7 @@ TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
         }
         when = std::max(when, last_filed);  // never in the past
         const int tag = next_tag++;
-        q.ScheduleKeyed(SimTime(when), key_seq, [&ran, tag] { ran.push_back(tag); });
+        q.ScheduleKeyed(SimTime(when), key_seq, Tagged(tag));
         ref.push_back(Ref{when, key_seq, SimTime(when), tag});
       } else {
         pop_and_match(step);

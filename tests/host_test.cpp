@@ -38,129 +38,151 @@ TEST(ClusterHostTest, ReserveRelease) {
   EXPECT_EQ(host.reserved_bytes(), 50 * kGiB);
 }
 
-TEST(ClusterHostTest, SleepTakesSuspendLatency) {
+// One host on its own clock. RunUntil lands the host's S3 completions as
+// the cluster's dispatch does and logs each one that was not stale.
+struct HostWorld {
+  explicit HostWorld(bool initially_powered)
+      : host(0, HostRole::kHome, TestConfig(), initially_powered) {}
+
+  void RunUntil(SimTime until) {
+    sim.RunUntil(until, [this](const Event& ev) {
+      EXPECT_EQ(ev.a, host.id());
+      if (static_cast<ClusterEvent>(ev.kind) == ClusterEvent::kResumeDone) {
+        if (host.FinishResume(sim.now(), ev.b)) {
+          powered_at.push_back(sim.now());
+        }
+      } else {
+        ASSERT_EQ(static_cast<ClusterEvent>(ev.kind), ClusterEvent::kSuspendDone);
+        if (host.FinishSuspend(sim, ev.b)) {
+          asleep_at.push_back(sim.now());
+        }
+      }
+    });
+  }
+
   Simulator sim;
-  ClusterHost host(0, HostRole::kHome, TestConfig(), true);
-  host.RequestSleep(sim);
-  EXPECT_EQ(host.power_state(), HostPowerState::kSuspending);
-  sim.RunUntil(SimTime::Seconds(3.0));
-  EXPECT_EQ(host.power_state(), HostPowerState::kSuspending);
-  sim.RunUntil(SimTime::Seconds(3.2));
-  EXPECT_TRUE(host.IsAsleep());
+  ClusterHost host;
+  std::vector<SimTime> powered_at;  // each resume that landed
+  std::vector<SimTime> asleep_at;   // each suspend that landed
+};
+
+TEST(ClusterHostTest, SleepTakesSuspendLatency) {
+  HostWorld w(true);
+  w.host.RequestSleep(w.sim);
+  EXPECT_EQ(w.host.power_state(), HostPowerState::kSuspending);
+  w.RunUntil(SimTime::Seconds(3.0));
+  EXPECT_EQ(w.host.power_state(), HostPowerState::kSuspending);
+  w.RunUntil(SimTime::Seconds(3.2));
+  EXPECT_TRUE(w.host.IsAsleep());
+  EXPECT_EQ(w.asleep_at, (std::vector<SimTime>{SimTime::Seconds(3.1)}));
 }
 
 TEST(ClusterHostTest, WakeTakesResumeLatency) {
-  Simulator sim;
-  ClusterHost host(0, HostRole::kHome, TestConfig(), false);
-  SimTime powered_at;
-  host.RequestWake(sim, [&](SimTime t) { powered_at = t; });
-  EXPECT_EQ(host.power_state(), HostPowerState::kResuming);
-  sim.RunToCompletion();
-  EXPECT_TRUE(host.IsPowered());
-  EXPECT_EQ(powered_at, SimTime::Seconds(2.3));
+  HostWorld w(false);
+  w.host.RequestWake(w.sim);
+  EXPECT_EQ(w.host.power_state(), HostPowerState::kResuming);
+  w.RunUntil(SimTime::Seconds(10));
+  EXPECT_TRUE(w.host.IsPowered());
+  EXPECT_EQ(w.powered_at, (std::vector<SimTime>{SimTime::Seconds(2.3)}));
 }
 
-TEST(ClusterHostTest, WakeWhenPoweredFiresImmediately) {
-  Simulator sim;
-  ClusterHost host(0, HostRole::kHome, TestConfig(), true);
-  bool fired = false;
-  host.RequestWake(sim, [&](SimTime) { fired = true; });
-  EXPECT_TRUE(fired);
+TEST(ClusterHostTest, WakeWhenPoweredSchedulesNothing) {
+  HostWorld w(true);
+  w.host.RequestWake(w.sim);
+  EXPECT_TRUE(w.host.IsPowered());
+  EXPECT_EQ(w.sim.pending_events(), 0u);
 }
 
 TEST(ClusterHostTest, WakeDuringSuspendQueuesBehindIt) {
-  Simulator sim;
-  ClusterHost host(0, HostRole::kHome, TestConfig(), true);
-  host.RequestSleep(sim);
-  SimTime powered_at;
-  sim.ScheduleAfter(SimTime::Seconds(1), [&] {
-    host.RequestWake(sim, [&](SimTime t) { powered_at = t; });
-  });
-  sim.RunToCompletion();
-  EXPECT_TRUE(host.IsPowered());
+  HostWorld w(true);
+  w.host.RequestSleep(w.sim);
+  w.RunUntil(SimTime::Seconds(1));
+  w.host.RequestWake(w.sim);
+  w.RunUntil(SimTime::Seconds(10));
+  EXPECT_TRUE(w.host.IsPowered());
   // Full suspend (3.1 s) then resume (2.3 s).
-  EXPECT_NEAR(powered_at.seconds(), 5.4, 0.01);
+  EXPECT_EQ(w.asleep_at, (std::vector<SimTime>{SimTime::Seconds(3.1)}));
+  ASSERT_EQ(w.powered_at.size(), 1u);
+  EXPECT_NEAR(w.powered_at[0].seconds(), 5.4, 0.01);
+}
+
+// However many wakes queue behind a suspend, its completion starts one
+// resume, and so schedules exactly one resume completion.
+TEST(ClusterHostTest, SuspendWithAQueuedWakeSchedulesExactlyOneResume) {
+  HostWorld w(true);
+  w.host.RequestSleep(w.sim);
+  w.RunUntil(SimTime::Seconds(1));
+  w.host.RequestWake(w.sim);
+  w.host.RequestWake(w.sim);
+  EXPECT_EQ(w.sim.pending_events(), 1u) << "the suspend only";
+  w.RunUntil(SimTime::Seconds(3.1));
+  EXPECT_EQ(w.host.power_state(), HostPowerState::kResuming);
+  EXPECT_EQ(w.sim.pending_events(), 1u) << "one resume";
+  w.RunUntil(SimTime::Seconds(10));
+  EXPECT_EQ(w.powered_at, (std::vector<SimTime>{SimTime::Seconds(3.1) + SimTime::Seconds(2.3)}));
 }
 
 // A crash bumps the host's transition epoch; that epoch alone retires a
 // completion scheduled before the crash once a new transition has put the
 // host back in the state the stale completion expects.
 TEST(ClusterHostTest, CrashDuringResumeRetiresTheStaleCompletion) {
-  Simulator sim;
-  ClusterHost host(0, HostRole::kHome, TestConfig(), false);
-  bool first_fired = false;
-  host.RequestWake(sim, [&](SimTime) { first_fired = true; });
-  SimTime powered_at;
-  sim.ScheduleAt(SimTime::Seconds(1), [&] {
-    host.Crash(sim.now());
-    host.RequestWake(sim, [&](SimTime t) { powered_at = t; });
-  });
+  HostWorld w(false);
+  w.host.RequestWake(w.sim);
+  w.RunUntil(SimTime::Seconds(1));
+  w.host.Crash(w.sim.now());
+  w.host.RequestWake(w.sim);
   // The first resume's completion (at 2.3 s) must not power the host early.
-  sim.RunUntil(SimTime::Seconds(3));
-  EXPECT_EQ(host.power_state(), HostPowerState::kResuming);
-  sim.RunToCompletion();
-  EXPECT_TRUE(host.IsPowered());
-  EXPECT_EQ(powered_at, SimTime::Seconds(1) + SimTime::Seconds(2.3));
-  EXPECT_FALSE(first_fired);
+  w.RunUntil(SimTime::Seconds(3));
+  EXPECT_EQ(w.host.power_state(), HostPowerState::kResuming);
+  EXPECT_TRUE(w.powered_at.empty());
+  w.RunUntil(SimTime::Seconds(10));
+  EXPECT_TRUE(w.host.IsPowered());
+  EXPECT_EQ(w.powered_at, (std::vector<SimTime>{SimTime::Seconds(1) + SimTime::Seconds(2.3)}));
 }
 
 TEST(ClusterHostTest, CrashDuringSuspendRetiresTheStaleCompletion) {
-  Simulator sim;
-  ClusterHost host(0, HostRole::kHome, TestConfig(), true);
-  host.RequestSleep(sim);
-  SimTime asleep_at;
-  sim.ScheduleAt(SimTime::Seconds(0.2), [&] {
-    host.Crash(sim.now());
-    host.RequestWake(sim, [](SimTime) {});
-  });
+  HostWorld w(true);
+  w.host.RequestSleep(w.sim);
+  w.RunUntil(SimTime::Seconds(0.2));
+  w.host.Crash(w.sim.now());
+  w.host.RequestWake(w.sim);
   // Powered again at 2.5 s; suspend anew while the first suspend's
   // completion (at 3.1 s) is still queued.
-  sim.ScheduleAt(SimTime::Seconds(2.6), [&] {
-    ASSERT_TRUE(host.IsPowered());
-    host.RequestSleep(sim, [&](SimTime t) { asleep_at = t; });
-  });
-  sim.RunUntil(SimTime::Seconds(4));
-  EXPECT_EQ(host.power_state(), HostPowerState::kSuspending);
-  sim.RunToCompletion();
-  EXPECT_TRUE(host.IsAsleep());
-  EXPECT_EQ(asleep_at, SimTime::Seconds(2.6) + SimTime::Seconds(3.1));
-}
-
-TEST(ClusterHostTest, OnAsleepCallbackFires) {
-  Simulator sim;
-  ClusterHost host(0, HostRole::kHome, TestConfig(), true);
-  SimTime asleep_at;
-  host.RequestSleep(sim, [&](SimTime t) { asleep_at = t; });
-  sim.RunToCompletion();
-  EXPECT_EQ(asleep_at, SimTime::Seconds(3.1));
+  w.RunUntil(SimTime::Seconds(2.6));
+  ASSERT_TRUE(w.host.IsPowered());
+  w.host.RequestSleep(w.sim);
+  w.RunUntil(SimTime::Seconds(4));
+  EXPECT_EQ(w.host.power_state(), HostPowerState::kSuspending);
+  EXPECT_TRUE(w.asleep_at.empty());
+  w.RunUntil(SimTime::Seconds(10));
+  EXPECT_TRUE(w.host.IsAsleep());
+  EXPECT_EQ(w.asleep_at, (std::vector<SimTime>{SimTime::Seconds(2.6) + SimTime::Seconds(3.1)}));
 }
 
 TEST(ClusterHostTest, SleepRequestIgnoredUnlessPowered) {
-  Simulator sim;
-  ClusterHost host(0, HostRole::kHome, TestConfig(), false);
-  host.RequestSleep(sim);
-  EXPECT_TRUE(host.IsAsleep());  // unchanged, no crash
+  HostWorld w(false);
+  w.host.RequestSleep(w.sim);
+  EXPECT_TRUE(w.host.IsAsleep());  // unchanged, no crash
+  EXPECT_EQ(w.sim.pending_events(), 0u);
 }
 
-TEST(ClusterHostTest, MultipleWakeWaitersAllFire) {
-  Simulator sim;
-  ClusterHost host(0, HostRole::kHome, TestConfig(), false);
-  int fired = 0;
-  host.RequestWake(sim, [&](SimTime) { ++fired; });
-  host.RequestWake(sim, [&](SimTime) { ++fired; });
-  sim.RunToCompletion();
-  EXPECT_EQ(fired, 2);
+TEST(ClusterHostTest, TwoWakesDuringOneResumeLeaveOneCompletion) {
+  HostWorld w(false);
+  w.host.RequestWake(w.sim);
+  w.host.RequestWake(w.sim);
+  EXPECT_EQ(w.sim.pending_events(), 1u);
+  w.RunUntil(SimTime::Seconds(10));
+  EXPECT_EQ(w.powered_at, (std::vector<SimTime>{SimTime::Seconds(2.3)}));
 }
 
 TEST(ClusterHostTest, EarliestPoweredTime) {
-  Simulator sim;
-  ClusterHost host(0, HostRole::kHome, TestConfig(), true);
-  EXPECT_EQ(host.EarliestPoweredTime(SimTime::Zero()), SimTime::Zero());
-  host.RequestSleep(sim);
+  HostWorld w(true);
+  EXPECT_EQ(w.host.EarliestPoweredTime(SimTime::Zero()), SimTime::Zero());
+  w.host.RequestSleep(w.sim);
   // Suspending: must finish suspend then resume.
-  EXPECT_NEAR(host.EarliestPoweredTime(SimTime::Zero()).seconds(), 5.4, 0.01);
-  sim.RunToCompletion();
-  EXPECT_NEAR(host.EarliestPoweredTime(SimTime::Seconds(10)).seconds(), 12.3, 0.01);
+  EXPECT_NEAR(w.host.EarliestPoweredTime(SimTime::Zero()).seconds(), 5.4, 0.01);
+  w.RunUntil(SimTime::Seconds(10));
+  EXPECT_NEAR(w.host.EarliestPoweredTime(SimTime::Seconds(10)).seconds(), 12.3, 0.01);
 }
 
 TEST(ClusterHostTest, OutboundMigrationsSerialize) {
@@ -180,7 +202,6 @@ TEST(ClusterHostTest, InboundTransfersSerializeIndependently) {
 }
 
 TEST(ClusterHostTest, EnergyAccountsStates) {
-  Simulator sim;
   ClusterHost host(0, HostRole::kHome, TestConfig(), true);
   // Powered and empty: 102.2 W for one hour.
   Joules e1 = host.HostEnergy(SimTime::Hours(1));
@@ -299,11 +320,10 @@ TEST(ClusterHostDeathTest, ForeignVmOnAHomeAsserts) {
 }
 
 TEST(ClusterHostTest, SleepEnergyIncludesTransitionSpike) {
-  Simulator sim;
-  ClusterHost host(0, HostRole::kHome, TestConfig(), true);
-  host.RequestSleep(sim);
-  sim.RunToCompletion();
-  Joules e = host.HostEnergy(SimTime::Hours(1));
+  HostWorld w(true);
+  w.host.RequestSleep(w.sim);
+  w.RunUntil(SimTime::Seconds(10));
+  Joules e = w.host.HostEnergy(SimTime::Hours(1));
   double expected = 138.2 * 3.1 + 12.9 * (3600.0 - 3.1);
   EXPECT_NEAR(e, expected, 1.0);
 }
@@ -316,12 +336,11 @@ TEST(ClusterHostTest, MemoryServerEnergySeparate) {
 }
 
 TEST(ClusterHostTest, LedgerTracksSleepFraction) {
-  Simulator sim;
-  ClusterHost host(0, HostRole::kHome, TestConfig(), true);
-  host.RequestSleep(sim);
-  sim.RunToCompletion();
-  host.AdvanceLedger(SimTime::Hours(24));
-  EXPECT_GT(host.ledger().SleepFraction(SimTime::Hours(24)), 0.99);
+  HostWorld w(true);
+  w.host.RequestSleep(w.sim);
+  w.RunUntil(SimTime::Seconds(10));
+  w.host.AdvanceLedger(SimTime::Hours(24));
+  EXPECT_GT(w.host.ledger().SleepFraction(SimTime::Hours(24)), 0.99);
 }
 
 }  // namespace

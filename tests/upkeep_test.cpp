@@ -37,13 +37,12 @@ namespace oasis {
 // Reaches into the manager and its actuator to run a day one round at a
 // time with either upkeep.
 struct UpkeepTestPeer {
-  // Resolves the collectors and schedules the day exactly as
-  // ClusterManager::Run does (rounds first, then the fault plan); each round
-  // starts with the completion batch, as OnInterval does. With
-  // `eager_exhaustions` set, the eager reference walk replaces the
-  // actuator's PartialVmUpkeep and counts its exhaustion rounds there.
-  static void ScheduleDay(ClusterManager& m, int* eager_exhaustions);
-  static Simulator& Sim(ClusterManager& m) { return m.sim_; }
+  // Steps `m` to `until` through the manager's own events, as
+  // ClusterManager::RunUntil does. With `eager_exhaustions` set, each
+  // planning round runs the eager reference walk in place of the actuator's
+  // PartialVmUpkeep and counts its exhaustion rounds there; every other
+  // event, and every other step of the round, is the manager's.
+  static void RunUntil(ClusterManager& m, SimTime until, int* eager_exhaustions);
   static ClusterMetrics& Metrics(ClusterManager& m) { return m.metrics_; }
   static int RoundsPerDay(const ClusterManager& m) { return m.RoundsPerDay(); }
   // The completion batch ClusterManager::Run runs after the day's events.
@@ -128,30 +127,24 @@ bool UpkeepTestPeer::EagerUpkeep(ClusterManager& m, SimTime now) {
   return !exhausted_homes.empty();
 }
 
-void UpkeepTestPeer::ScheduleDay(ClusterManager& m, int* eager_exhaustions) {
+void UpkeepTestPeer::RunUntil(ClusterManager& m, SimTime until, int* eager_exhaustions) {
+  if (eager_exhaustions == nullptr) {
+    m.RunUntil(until);
+    return;
+  }
   m.act_.SetCollectors(obs::Tracer::IfEnabled(), obs::MetricsRegistry::IfEnabled());
-  for (int t = 0; t < m.RoundsPerDay(); ++t) {
-    m.sim_.ScheduleAt(m.config_.planning_interval * t, [&m, t, eager_exhaustions]() {
-      SimTime now = m.sim_.now();
-      m.act_.RetireCompletions();
-      m.UpdateActivities(now, t);
-      if (eager_exhaustions != nullptr) {
-        *eager_exhaustions += EagerUpkeep(m, now) ? 1 : 0;
-      } else {
-        m.act_.PartialVmUpkeep(now);
-      }
-      m.PlanAndRecord(now);
-    });
-  }
-  if (m.fault_.enabled()) {
-    for (const ScheduledFault& event : m.fault_.plan().events) {
-      if (event.at > SimTime::Hours(24.0)) {
-        continue;
-      }
-      ScheduledFault ev = event;
-      m.sim_.ScheduleAt(ev.at, [&m, ev]() { m.act_.ApplyScheduledFault(m.sim_.now(), ev); });
+  m.sim_.RunUntil(until, [&m, eager_exhaustions](const Event& ev) {
+    if (static_cast<ClusterEvent>(ev.kind) != ClusterEvent::kRound) {
+      m.Dispatch(ev);
+      return;
     }
-  }
+    // ClusterManager::OnInterval with the eager walk as its upkeep step.
+    const SimTime now = m.sim_.now();
+    m.act_.RetireCompletions();
+    m.UpdateActivities(now, static_cast<int>(ev.a));
+    *eager_exhaustions += EagerUpkeep(m, now) ? 1 : 0;
+    m.PlanAndRecord(now);
+  });
 }
 
 namespace {
@@ -249,19 +242,17 @@ Coverage ExpectLazyMatchesEager(const ClusterConfig& config, const TraceSet& tra
   ClusterManager lazy(config, trace);
   ClusterManager eager(config, trace);
   Coverage cov;
-  Peer::ScheduleDay(lazy, nullptr);
-  Peer::ScheduleDay(eager, &cov.exhaustion_rounds);
   bool same = true;
   for (int t = 0; same && t < Peer::RoundsPerDay(lazy); ++t) {
     SimTime when = config.planning_interval * t;
-    Peer::Sim(lazy).RunUntil(when);
-    Peer::Sim(eager).RunUntil(when);
+    Peer::RunUntil(lazy, when, nullptr);
+    Peer::RunUntil(eager, when, &cov.exhaustion_rounds);
     same = ExpectSameUpkeepState(lazy, eager, "round " + std::to_string(t));
     Tally(lazy, cov);
   }
   SimTime end = SimTime::Hours(24.0);
-  Peer::Sim(lazy).RunUntil(end);
-  Peer::Sim(eager).RunUntil(end);
+  Peer::RunUntil(lazy, end, nullptr);
+  Peer::RunUntil(eager, end, &cov.exhaustion_rounds);
   Peer::RetireCompletions(lazy);
   Peer::RetireCompletions(eager);
   Peer::SettleAll(lazy);
@@ -643,10 +634,9 @@ TEST(TrustedIdleTest, BitsMatchTheLastIdleEdgeRule) {
         return true;
       };
       bool same = expect_rule(SimTime::Zero(), "before round 0");
-      Peer::ScheduleDay(m, nullptr);
       for (int t = 0; same && t < Peer::RoundsPerDay(m); ++t) {
         SimTime when = config.planning_interval * t;
-        Peer::Sim(m).RunUntil(when);
+        m.RunUntil(when);
         for (size_t v = 0; v < num_vms; ++v) {
           VmActivity now_activity = m.GetVm(static_cast<VmId>(v)).activity;
           if (seen[v] == VmActivity::kActive && now_activity == VmActivity::kIdle) {

@@ -182,11 +182,13 @@ BENCHMARK(BM_TraceGeneration);
 // The cluster day's run seed; main applies OASIS_SEED to it once.
 uint64_t cluster_day_seed = SimulationConfig{}.seed;
 
+// Args: homes, VMs per home. 36 x 110 is the datacenter rack, resized as
+// datacenter_day sizes it; its homes' VM windows start off word boundaries.
 void BM_ClusterDaySimulation(benchmark::State& state) {
   SimulationConfig config;
   config.cluster.num_home_hosts = static_cast<int>(state.range(0));
   config.cluster.num_consolidation_hosts = 4;
-  config.cluster.vms_per_home = 30;
+  config.cluster.SetVmsPerHome(static_cast<int>(state.range(1)));
   config.seed = cluster_day_seed;
   for (auto _ : state) {
     ClusterSimulation sim(config);
@@ -194,7 +196,11 @@ void BM_ClusterDaySimulation(benchmark::State& state) {
   }
   state.SetLabel(std::to_string(config.cluster.TotalVms()) + " VMs/day");
 }
-BENCHMARK(BM_ClusterDaySimulation)->Arg(10)->Arg(30)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ClusterDaySimulation)
+    ->Args({10, 30})
+    ->Args({30, 30})
+    ->Args({36, 110})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace oasis

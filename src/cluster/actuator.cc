@@ -24,74 +24,93 @@ Actuator::Actuator(const ClusterConfig& config, Simulator& sim, Rng& rng,
       state_(state),
       metrics_(metrics) {}
 
-void Actuator::CountResident(HostId host, const VmSlot& vm, int delta) {
-  if (vm.migration_in_flight) {
-    state_.inflight_residents[host] += delta;
+void Actuator::RelocateGroup(SimTime now, std::span<const Move> moves) {
+  if (host_delta_.size() < state_.hosts.size()) {
+    host_delta_.resize(state_.hosts.size());
   }
-  if (vm.residency == VmResidency::kPartial) {
-    state_.partial_residents[host] += delta;
-  }
-  if (vm.UpkeepEligible()) {
-    assert(vm.upkeep_mark == state_.upkeep_round && "an unsettled VM moved");
-    state_.upkeep_residents[host] += delta;
-  }
-}
-
-void Actuator::Relocate(SimTime now, VmSlot& vm, HostId dest, VmResidency residency, uint64_t ws) {
-  // What a consolidation host reserves for a resident; a home reserves its
-  // own VMs' full footprints for the whole day.
-  auto footprint = [&vm] {
-    return vm.residency == VmResidency::kPartial ? vm.ws_bytes : vm.full_bytes;
-  };
-  const HostId source = vm.location;
-  if (HostOf(source).IsConsolidationHost()) {
-    HostOf(source).Release(footprint());
-  }
-  if (dest != source) {
-    HostOf(source).RemoveVm(now, vm.id);
-    CountResident(source, vm, -1);
-    HostOf(dest).AddVm(now, vm.id);
-    CountResident(dest, vm, +1);
-    vm.location = dest;
-    if (vm.activity == VmActivity::kActive) {
-      AdjustActiveCount(now, source, -1);
-      AdjustActiveCount(now, dest, +1);
+  auto touch = [this](HostId host) -> HostDelta& {
+    HostDelta& d = host_delta_[host];
+    if (d.host == nullptr) {
+      d.host = &HostOf(host);
+      d.consolidation = d.host->IsConsolidationHost();
+      touched_.push_back(host);
     }
-  }
-  if (residency != VmResidency::kPartial) {
-    vm.ws_bytes = vm.ws_unfetched = vm.dirty_bytes = 0;
-  } else if (vm.residency != VmResidency::kPartial) {
-    vm.ws_bytes = vm.ws_unfetched = ws;  // nothing fetched or dirtied yet
-  }
-  SetResidency(vm, residency);
-  if (HostOf(dest).IsConsolidationHost()) {
-    HostOf(dest).Reserve(footprint());
-  }
-}
-
-void Actuator::SetResidency(VmSlot& vm, VmResidency next) {
-  if (vm.residency == next) {
-    return;
-  }
-  bool was_eligible = vm.UpkeepEligible();
-  // A VM's home never changes, so the per-home counts follow the residency
-  // alone; the per-host one follows it at the host the VM is resident on,
-  // and the per-VM full-at-consolidation bit follows the VM itself.
-  auto count = [this, &vm](int delta) {
-    if (vm.residency == VmResidency::kPartial) {
-      state_.partials_homed[vm.home] += delta;
-      state_.partial_residents[vm.location] += delta;
-    } else if (vm.residency == VmResidency::kFullAtConsolidation) {
-      state_.fac_homed[vm.home] += delta;
-      uint64_t bit = uint64_t{1} << (vm.id % 64);
+    return d;
+  };
+  // A VM's share of its host's sums: its counts, and what a consolidation
+  // host reserves for it (a home reserves its own VMs' full footprints for
+  // the whole day, wherever they are).
+  auto count = [this](HostDelta& d, const VmSlot& vm, int sign) {
+    d.inflight += vm.migration_in_flight ? sign : 0;
+    d.partial += vm.residency == VmResidency::kPartial ? sign : 0;
+    d.upkeep += vm.UpkeepEligible() ? sign : 0;
+    d.active += vm.activity == VmActivity::kActive ? sign : 0;
+    if (d.consolidation) {
+      const uint64_t footprint =
+          vm.residency == VmResidency::kPartial ? vm.ws_bytes : config_.vm_memory_bytes;
+      (sign > 0 ? d.reserve : d.release) += footprint;
+    }
+  };
+  for (const Move& m : moves) {
+    VmSlot& vm = Slot(m.vm);
+    const HostId source = vm.location;
+    const bool was_eligible = vm.UpkeepEligible();
+    const bool eligible_after = m.residency == VmResidency::kPartial &&
+                                !vm.migration_in_flight && m.op == VmSlot::PendingOp::kNone;
+    assert((!was_eligible || (m.dest == source && eligible_after) ||
+            vm.upkeep_mark == state_.upkeep_round) &&
+           "an unsettled VM moved");
+    HostDelta& from = touch(source);
+    HostDelta& to = touch(m.dest);
+    count(from, vm, -1);
+    if (m.dest != source) {
+      from.host->RemoveVm(now, vm.id);
+      to.host->AddVm(now, vm.id);
+      vm.location = m.dest;
+    }
+    if (m.residency != VmResidency::kPartial) {
+      vm.ws_bytes = vm.ws_unfetched = vm.dirty_bytes = 0;
+    } else if (vm.residency != VmResidency::kPartial) {
+      vm.ws_bytes = vm.ws_unfetched = m.ws;  // nothing fetched or dirtied yet
+    }
+    // A VM's home never changes, so the per-home counts follow the residency
+    // alone, and the per-VM full-at-consolidation bit follows the VM itself.
+    if (m.residency != vm.residency) {
+      HostDelta& home = touch(vm.home);
+      const uint64_t bit = uint64_t{1} << (vm.id % 64);
       uint64_t& word = state_.fac_vm_bits[vm.id / 64];
-      word = delta > 0 ? word | bit : word & ~bit;
+      home.homed_partial += (m.residency == VmResidency::kPartial) -
+                            (vm.residency == VmResidency::kPartial);
+      home.homed_fac += (m.residency == VmResidency::kFullAtConsolidation) -
+                        (vm.residency == VmResidency::kFullAtConsolidation);
+      word = m.residency == VmResidency::kFullAtConsolidation ? word | bit : word & ~bit;
+      vm.residency = m.residency;
     }
-  };
-  count(-1);
-  vm.residency = next;
-  count(+1);
-  NoteUpkeepEligibility(vm, was_eligible);
+    if (!was_eligible && vm.UpkeepEligible()) {
+      vm.upkeep_mark = state_.upkeep_round;
+    }
+    if (m.op != VmSlot::PendingOp::kNone) {
+      vm.migration_in_flight = true;
+      FileCompletion(vm, m.start, m.done, m.op, m.source);
+    }
+    count(to, vm, +1);
+  }
+  for (HostId id : touched_) {
+    HostDelta& d = host_delta_[id];
+    ClusterHost& host = *d.host;
+    state_.inflight_residents[id] += d.inflight;
+    state_.partial_residents[id] += d.partial;
+    state_.upkeep_residents[id] += d.upkeep;
+    state_.partials_homed[id] += d.homed_partial;
+    state_.fac_homed[id] += d.homed_fac;
+    host.Release(d.release);
+    host.Reserve(d.reserve);
+    if (d.active != 0) {
+      host.SetActiveVms(now, host.active_vms() + d.active);
+    }
+    d = HostDelta{};
+  }
+  touched_.clear();
 }
 
 void Actuator::SetInFlight(VmSlot& vm, bool in_flight) {
@@ -101,10 +120,6 @@ void Actuator::SetInFlight(VmSlot& vm, bool in_flight) {
   bool was_eligible = vm.UpkeepEligible();
   vm.migration_in_flight = in_flight;
   state_.inflight_residents[vm.location] += in_flight ? 1 : -1;
-  NoteUpkeepEligibility(vm, was_eligible);
-}
-
-void Actuator::NoteUpkeepEligibility(VmSlot& vm, bool was_eligible) {
   if (vm.UpkeepEligible() == was_eligible) {
     return;
   }
@@ -189,7 +204,8 @@ void Actuator::HandleActivation(SimTime now, VmId vm_id, SimTime activation_time
 
 bool Actuator::TryConvertInPlace(SimTime now, VmSlot& vm, SimTime activation_time) {
   ClusterHost& host = HostOf(vm.location);
-  if (!host.CanFit(vm.full_bytes - vm.ws_bytes)) {
+  const uint64_t vm_bytes = config_.vm_memory_bytes;
+  if (!host.CanFit(vm_bytes - vm.ws_bytes)) {
     return false;
   }
   // CPU bound (§3 assumption 1): the activation was already counted here.
@@ -199,14 +215,14 @@ bool Actuator::TryConvertInPlace(SimTime now, VmSlot& vm, SimTime activation_tim
   // Pre-fetch the remaining footprint from the memory server (§4.4.4: a
   // partial VM that turns active converts to a full VM).
   uint64_t fetched = vm.ws_bytes - vm.ws_unfetched;
-  metrics_.traffic.Add(TrafficCategory::kOnDemandPages, vm.full_bytes - fetched);
-  Relocate(now, vm, vm.location, VmResidency::kFullAtConsolidation);
+  metrics_.traffic.Add(TrafficCategory::kOnDemandPages, vm_bytes - fetched);
   // The VM's working set is already resident, so it responds as soon as its
   // vCPUs are rescheduled with full memory commitment; the bulk of the
   // footprint streams in from the memory server in the background.
   SimTime done = now + kReintegrationTime;
-  TraceMigration("convert_in_place", now, done, vm.id, vm.location, vm.full_bytes - fetched);
-  ScheduleMigration(vm, now, done, VmSlot::PendingOp::kOther, vm.location);
+  Relocate(now, {vm.id, vm.location, VmResidency::kFullAtConsolidation, 0,
+                 VmSlot::PendingOp::kOther, now, done, vm.location});
+  TraceMigration("convert_in_place", now, done, vm.id, vm.location, vm_bytes - fetched);
   metrics_.transition_delay_s.Add((done - activation_time).seconds());
   RefreshMemoryServer(now, vm.home);
   return true;
@@ -220,7 +236,8 @@ bool Actuator::TryNewHome(SimTime now, VmSlot& vm, SimTime activation_time) {
       continue;
     }
     HostId id = candidate->id();
-    if (id != vm.location && candidate->IsPowered() && candidate->CanFit(vm.full_bytes) &&
+    if (id != vm.location && candidate->IsPowered() &&
+        candidate->CanFit(config_.vm_memory_bytes) &&
         candidate->active_vms() < kMaxActiveVmsPerHost) {
       candidates.push_back(id);
     }
@@ -230,11 +247,13 @@ bool Actuator::TryNewHome(SimTime now, VmSlot& vm, SimTime activation_time) {
   }
   HostId target_id = candidates[rng_.NextBelow(candidates.size())];
   HostId old_location = vm.location;
-  Relocate(now, vm, target_id, VmResidency::kFullAtConsolidation);
   ++metrics_.new_home_moves;
   SimTime done = now + kReintegrationTime;
-  BookFullMigration(now, done, vm, target_id);
-  ScheduleMigration(vm, now, done, VmSlot::PendingOp::kOther, old_location);
+  Relocate(now, {vm.id, target_id, VmResidency::kFullAtConsolidation, 0,
+                 VmSlot::PendingOp::kOther, now, done, old_location});
+  Tally tally;
+  TallyFullMigration(tally, now, done, vm.id, target_id);
+  Book(tally);
   metrics_.transition_delay_s.Add((done - activation_time).seconds());
   RefreshMemoryServer(now, vm.home);
 
@@ -255,56 +274,57 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
   }
   SimTime last_done = t0;
 
-  // The requester reintegrates first; its delay is what the user feels.
-  // The home's VMs in ascending id order, the order a walk over the whole
-  // table visits them.
-  std::vector<VmId> partials;
-  std::vector<VmId> idle_fulls;
-  for (const VmSlot& vm : state_.VmsOfHome(home_id)) {
-    if (vm.migration_in_flight) {
-      continue;
-    }
-    if (vm.residency == VmResidency::kPartial) {
-      if (vm.id == requester) {
-        partials.insert(partials.begin(), vm.id);
-      } else {
-        partials.push_back(vm.id);
-      }
-    } else if (vm.residency == VmResidency::kFullAtConsolidation &&
-               vm.activity == VmActivity::kIdle) {
-      // §3.2: "Migrating back all full VMs that were originally homed on the
-      // awake host creates additional space on the consolidation hosts."
-      idle_fulls.push_back(vm.id);
-    }
-  }
-  for (VmId id : partials) {
-    VmSlot& vm = Slot(id);
+  // One group, each move priced in its order: the requester reintegrates
+  // first (its delay is what the user feels), then the home's other partial
+  // VMs, then its idle full VMs live-migrate back (§3.2: "Migrating back all
+  // full VMs that were originally homed on the awake host creates additional
+  // space on the consolidation hosts"), each in ascending id.
+  moves_.clear();
+  uint64_t dirty_total = 0;
+  auto reintegrate = [&](VmSlot& vm) {
     SettleUpkeep(vm);
-    uint64_t dirty = vm.dirty_bytes;
-    Relocate(now, vm, home_id, VmResidency::kFullAtHome);
-    metrics_.traffic.Add(TrafficCategory::kReintegration, dirty);
-    ++metrics_.reintegrations;
+    const uint64_t dirty = vm.dirty_bytes;
+    dirty_total += dirty;
     SimTime done = home.EnqueueInboundTransfer(t0, kReintegrationTransfer) + kReintegrationFixed;
-    TraceMigration("reintegration", t0, done, id, home_id, dirty);
-    ScheduleMigration(vm, t0, done,
-                      id == requester ? VmSlot::PendingOp::kOther
-                                      : VmSlot::PendingOp::kReturnMove,
-                      home_id);
-    if (id == requester) {
+    TraceMigration("reintegration", t0, done, vm.id, home_id, dirty);
+    const VmSlot::PendingOp op =
+        vm.id == requester ? VmSlot::PendingOp::kOther : VmSlot::PendingOp::kReturnMove;
+    moves_.emplace_back(vm.id, home_id, VmResidency::kFullAtHome, 0, op, t0, done, home_id);
+    if (vm.id == requester) {
       metrics_.transition_delay_s.Add((done - activation_time).seconds());
     }
     last_done = std::max(last_done, done);
+  };
+  auto returns_partial = [](const VmSlot& vm) {
+    return !vm.migration_in_flight && vm.residency == VmResidency::kPartial;
+  };
+  const std::span<VmSlot> own = state_.VmsOfHome(home_id);
+  if (requester != kNoVm && returns_partial(Slot(requester))) {
+    reintegrate(Slot(requester));
   }
-  for (VmId id : idle_fulls) {
-    VmSlot& vm = Slot(id);
+  for (VmSlot& vm : own) {
+    if (vm.id != requester && returns_partial(vm)) {
+      reintegrate(vm);
+    }
+  }
+  metrics_.traffic.Add(TrafficCategory::kReintegration, dirty_total, moves_.size());
+  metrics_.reintegrations += moves_.size();
+  Tally tally;
+  for (const VmSlot& vm : own) {
+    if (vm.migration_in_flight || vm.residency != VmResidency::kFullAtConsolidation ||
+        vm.activity != VmActivity::kIdle) {
+      continue;
+    }
     HostId source_id = vm.location;
-    Relocate(now, vm, home_id, VmResidency::kFullAtHome);
     SimTime done = HostOf(source_id).EnqueueOutboundMigration(t0, kFullMigrationTime);
-    BookFullMigration(done - kFullMigrationTime, done, vm, home_id);
-    ScheduleMigration(vm, done - kFullMigrationTime, done, VmSlot::PendingOp::kFullReturnMove,
-                      source_id);
+    TallyFullMigration(tally, done - kFullMigrationTime, done, vm.id, home_id);
+    moves_.emplace_back(vm.id, home_id, VmResidency::kFullAtHome, 0,
+                        VmSlot::PendingOp::kFullReturnMove, done - kFullMigrationTime, done,
+                        source_id);
     last_done = std::max(last_done, done);
   }
+  RelocateGroup(now, moves_);
+  Book(tally);
   RefreshMemoryServer(now, home_id);
   return last_done;
 }
@@ -357,30 +377,49 @@ void Actuator::FullToPartialSwapGroup(SimTime now, HostId home_id,
   ClusterHost& home = HostOf(home_id);
   StatusOr<SimTime> woken = WakeHost(now, home_id);
   SimTime t0 = woken.ok() ? *woken : home.EarliestPoweredTime(now);
+  // Leg 2 fits when its consolidation host has room once the VM's own leg 1
+  // and every earlier VM's legs have run; the moves apply as one group, so
+  // each host's room is followed here.
+  struct Room {
+    HostId host;
+    uint64_t available;
+  };
+  std::vector<Room> rooms;
+  moves_.clear();
+  Tally tally;
   for (VmId id : group) {
-    VmSlot& vm = Slot(id);
-    HostId cons_id = vm.location;
+    const HostId cons_id = Slot(id).location;
     ClusterHost& cons = HostOf(cons_id);
+    auto room = std::find_if(rooms.begin(), rooms.end(),
+                             [cons_id](const Room& r) { return r.host == cons_id; });
+    if (room == rooms.end()) {
+      rooms.push_back({cons_id, cons.AvailableBytes()});
+      room = rooms.end() - 1;
+    }
     // Leg 1: live-migrate the full VM back home.
     SimTime done1 = cons.EnqueueOutboundMigration(t0, kFullMigrationTime);
-    BookFullMigration(done1 - kFullMigrationTime, done1, vm, home_id);
-    Relocate(now, vm, home_id, VmResidency::kFullAtHome);
+    TallyFullMigration(tally, done1 - kFullMigrationTime, done1, id, home_id);
+    room->available += config_.vm_memory_bytes;
     // Leg 2: partial-migrate back to the same consolidation host.
     uint64_t ws = ws_sampler_.Sample();
-    if (cons.CanFit(ws)) {
-      Relocate(now, vm, cons_id, VmResidency::kPartial, ws);
-      RecordPartialMigrationTraffic(now, vm, cons_id);
+    if (ws <= room->available) {
+      room->available -= ws;
+      moves_.emplace_back(id, home_id, VmResidency::kFullAtHome);
+      TallyPartialMigration(tally, now, id, home_id, cons_id);
       ++metrics_.full_to_partial_swaps;
       SimTime done2 = home.EnqueueOutboundMigration(done1, kPartialMigrationTime);
       TraceMigration("partial_migration", done2 - kPartialMigrationTime, done2, id, cons_id,
                      ws);
-      ScheduleMigration(vm, done2 - kPartialMigrationTime, done2,
-                        VmSlot::PendingOp::kSwapReturn, home_id);
+      moves_.emplace_back(id, cons_id, VmResidency::kPartial, ws, VmSlot::PendingOp::kSwapReturn,
+                          done2 - kPartialMigrationTime, done2, home_id);
     } else {
       // No room for even the partial: the VM stays home.
-      ScheduleMigration(vm, t0, done1, VmSlot::PendingOp::kOther, cons_id);
+      moves_.emplace_back(id, home_id, VmResidency::kFullAtHome, 0, VmSlot::PendingOp::kOther, t0,
+                          done1, cons_id);
     }
   }
+  RelocateGroup(now, moves_);
+  Book(tally);
   sim_.ScheduleAt(std::max(now, home.outbound_busy_until()),
                   MakeEvent(ClusterEvent::kSleepCheck, home_id));
 }
@@ -391,64 +430,68 @@ void Actuator::CommitVacatePlan(SimTime now, const VacatePlan& plan) {
   // instant, so a second wake would find the same host and return the same
   // time. host_wakes counts every placement onto an unpowered destination,
   // because pinned digests fold that count.
-  struct Woken {
-    HostId host;
-    SimTime ready;
-  };
-  std::vector<Woken> woken_dests;
+  // Per host: when the destination is ready, once its first placement
+  // woke it.
+  constexpr SimTime kNotWoken = SimTime::Micros(-1);
+  std::vector<SimTime> ready(state_.hosts.size(), kNotWoken);
+  Tally tally;
   for (size_t i = 0; i < plan.hosts_to_vacate.size(); ++i) {
+    // A home's placements move as one group, cut only where a first wake
+    // may file an event: the moves before it file their completions first.
     HostId source_id = plan.hosts_to_vacate[i];
     ClusterHost& source = HostOf(source_id);
+    moves_.clear();
     for (const VacatePlacement& placement : plan.placements[i]) {
       VmId vm_id = placement.vm;
       HostId dest_id = placement.dest;
-      VmSlot& vm = Slot(vm_id);
       ClusterHost& dest = HostOf(dest_id);
-      auto seen = std::find_if(woken_dests.begin(), woken_dests.end(),
-                               [dest_id](const Woken& w) { return w.host == dest_id; });
-      if (seen == woken_dests.end()) {
+      if (ready[dest_id] == kNotWoken) {
+        RelocateGroup(now, moves_);
+        moves_.clear();
         StatusOr<SimTime> woken = WakeHost(now, dest_id);
-        woken_dests.push_back({dest_id, woken.ok() ? *woken : dest.EarliestPoweredTime(now)});
-        seen = woken_dests.end() - 1;
+        ready[dest_id] = woken.ok() ? *woken : dest.EarliestPoweredTime(now);
       } else if (!dest.IsPowered()) {
         ++metrics_.host_wakes;
       }
-      const SimTime dest_ready = seen->ready;
+      const SimTime dest_ready = ready[dest_id];
       if (!placement.as_partial) {
         // Active (or not-yet-trusted idle) VMs move in full via live
         // migration, so they keep their resources and performance.
         SimTime done = source.EnqueueOutboundMigration(dest_ready, kFullMigrationTime);
-        Relocate(now, vm, dest_id, VmResidency::kFullAtConsolidation);
-        BookFullMigration(now, done, vm, dest_id);
-        ScheduleMigration(vm, now, done, VmSlot::PendingOp::kOther, source_id);
+        moves_.emplace_back(vm_id, dest_id, VmResidency::kFullAtConsolidation, 0,
+                            VmSlot::PendingOp::kOther, now, done, source_id);
+        TallyFullMigration(tally, now, done, vm_id, dest_id);
       } else {
         SimTime done = source.EnqueueOutboundMigration(dest_ready, kPartialMigrationTime);
-        RecordPartialMigrationTraffic(now, vm, dest_id);
-        Relocate(now, vm, dest_id, VmResidency::kPartial, placement.bytes);
+        TallyPartialMigration(tally, now, vm_id, source_id, dest_id);
+        moves_.emplace_back(vm_id, dest_id, VmResidency::kPartial, placement.bytes,
+                            VmSlot::PendingOp::kVacatePartial, done - kPartialMigrationTime, done,
+                            source_id);
         TraceMigration("partial_migration", done - kPartialMigrationTime, done, vm_id, dest_id,
                        placement.bytes);
-        ScheduleMigration(vm, done - kPartialMigrationTime, done,
-                          VmSlot::PendingOp::kVacatePartial, source_id);
       }
     }
+    RelocateGroup(now, moves_);
     sim_.ScheduleAt(std::max(now, source.outbound_busy_until()),
                     MakeEvent(ClusterEvent::kSleepCheck, source_id));
   }
+  Book(tally);
 }
 
 void Actuator::DrainMove(SimTime now, VmId vm_id, HostId dest_id) {
   VmSlot& vm = Slot(vm_id);
   SettleUpkeep(vm);
   HostId source_id = vm.location;
-  Relocate(now, vm, dest_id, VmResidency::kPartial);
+  SimTime done = HostOf(source_id).EnqueueOutboundMigration(now, kPartialMigrationTime);
+  Relocate(now, {vm_id, dest_id, VmResidency::kPartial, 0, VmSlot::PendingOp::kDrainMove,
+                 done - kPartialMigrationTime, done, source_id});
   // Drains ship only the descriptor; the memory image stays on the home's
   // memory server.
-  BookDescriptorPush(now, vm_id, dest_id);
-  SimTime done = HostOf(source_id).EnqueueOutboundMigration(now, kPartialMigrationTime);
+  Tally tally;
+  TallyDescriptorPush(tally, now, vm_id, dest_id);
+  Book(tally);
   TraceMigration("partial_migration", done - kPartialMigrationTime, done, vm_id, dest_id,
                  vm.ws_bytes);
-  ScheduleMigration(vm, done - kPartialMigrationTime, done, VmSlot::PendingOp::kDrainMove,
-                    source_id);
 }
 
 void Actuator::SleepIdleConsolidationHosts(SimTime now) {
@@ -548,20 +591,24 @@ void Actuator::RefreshMemoryServer(SimTime now, HostId home_id) {
     return;  // consolidation hosts' memory servers are never powered (§5.1)
   }
   ClusterHost& host = HostOf(home_id);
-  // partials_homed is maintained by SetResidency (a VM's home never
+  // partials_homed is maintained by RelocateGroup (a VM's home never
   // changes), so the refresh on every host sleep is O(1).
   bool needed = host.IsAsleep() && state_.partials_homed[home_id] > 0;
   host.SetMemoryServerPowered(now, needed);
 }
 
-void Actuator::ScheduleMigration(VmSlot& vm, SimTime start, SimTime done,
-                                 VmSlot::PendingOp op, HostId source) {
-  SetInFlight(vm, true);
+void Actuator::FileCompletion(VmSlot& vm, SimTime start, SimTime done, VmSlot::PendingOp op,
+                              HostId source) {
   vm.migration_start = start;
   vm.pending_op = op;
   vm.migration_source = source;
-  const PendingCompletion c{done, sim_.ReserveSeq(), vm.id, ++vm.op_epoch};
-  state_.completions.push_back(c);
+  // Written in place: a completion built aside and copied in would be
+  // stored as two words and reloaded as one.
+  PendingCompletion& c = state_.completions.emplace_back();
+  c.done = done;
+  c.seq = sim_.ReserveSeq();
+  c.vm = vm.id;
+  c.epoch = ++vm.op_epoch;
   // A crash restart that supersedes a move the user was already waiting on
   // keeps the wait.
   if (vm.activation_pending) {
@@ -612,7 +659,7 @@ bool Actuator::RollbackMigration(SimTime now, VmSlot& vm, bool check_only) {
     case VmSlot::PendingOp::kFullReturnMove:
       // The return-home live migration has not started: the VM simply stays
       // full on its consolidation host, already holding all its resources.
-      if (!HostOf(vm.migration_source).CanFit(vm.full_bytes)) {
+      if (!HostOf(vm.migration_source).CanFit(config_.vm_memory_bytes)) {
         return false;  // space was re-used meanwhile; ride the migration out
       }
       back_to = vm.migration_source;
@@ -626,7 +673,7 @@ bool Actuator::RollbackMigration(SimTime now, VmSlot& vm, bool check_only) {
   if (check_only) {
     return true;
   }
-  Relocate(now, vm, back_to, residency);
+  Relocate(now, {vm.id, back_to, residency});
   ++vm.op_epoch;  // its pending completion retires as a no-op
   SetInFlight(vm, false);
   vm.pending_op = VmSlot::PendingOp::kNone;
@@ -750,8 +797,9 @@ void Actuator::CrashHost(SimTime now, HostId id) {
     }
     SimTime powered = HostOf(vm.home).EarliestPoweredTime(now);
     SimTime done = powered + kVmRestartLatency;
-    TraceMigration("crash_restart", now, done, vm.id, vm.home, vm.full_bytes);
-    ScheduleMigration(vm, now, done, VmSlot::PendingOp::kOther, id);
+    TraceMigration("crash_restart", now, done, vm.id, vm.home, config_.vm_memory_bytes);
+    SetInFlight(vm, true);
+    FileCompletion(vm, now, done, VmSlot::PendingOp::kOther, id);
     ++metrics_.crash_vm_restarts;
     recovered_by = std::max(recovered_by, done);
   }
@@ -769,10 +817,10 @@ void Actuator::CrashHost(SimTime now, HostId id) {
     }
     StatusOr<SimTime> woken = WakeHost(now, vm.home);
     SimTime powered = woken.ok() ? *woken : HostOf(vm.home).EarliestPoweredTime(now);
-    Relocate(now, vm, vm.home, VmResidency::kFullAtHome);
     SimTime done = powered + kVmRestartLatency;
-    TraceMigration("crash_restart", now, done, vid, vm.home, vm.full_bytes);
-    ScheduleMigration(vm, now, done, VmSlot::PendingOp::kOther, id);
+    Relocate(now, {vid, vm.home, VmResidency::kFullAtHome, 0, VmSlot::PendingOp::kOther, now, done,
+                   id});
+    TraceMigration("crash_restart", now, done, vid, vm.home, config_.vm_memory_bytes);
     if (vm.activity == VmActivity::kActive) {
       metrics_.transition_delay_s.Add((done - now).seconds());
     }
@@ -892,15 +940,24 @@ void Actuator::TraceMigration(const char* name, SimTime start, SimTime end, VmId
   }
 }
 
-void Actuator::BookFullMigration(SimTime start, SimTime end, const VmSlot& vm, HostId dest) {
-  metrics_.traffic.Add(TrafficCategory::kFullMigration, vm.full_bytes);
-  ++metrics_.full_migrations;
-  TraceMigration("full_migration", start, end, vm.id, dest, vm.full_bytes);
+void Actuator::Book(const Tally& tally) {
+  metrics_.traffic.Add(TrafficCategory::kFullMigration,
+                       tally.full_migrations * config_.vm_memory_bytes, tally.full_migrations);
+  metrics_.full_migrations += tally.full_migrations;
+  metrics_.traffic.Add(TrafficCategory::kPartialDescriptor,
+                       tally.descriptor_pushes * kDescriptorBytes, tally.descriptor_pushes);
+  metrics_.partial_migrations += tally.descriptor_pushes;
+  metrics_.traffic.Add(TrafficCategory::kMemoryUpload, tally.upload_bytes, tally.uploads);
 }
 
-void Actuator::BookDescriptorPush(SimTime now, VmId vm, HostId dest) {
-  metrics_.traffic.Add(TrafficCategory::kPartialDescriptor, kDescriptorBytes);
-  ++metrics_.partial_migrations;
+void Actuator::TallyFullMigration(Tally& tally, SimTime start, SimTime end, VmId vm,
+                                  HostId dest) {
+  ++tally.full_migrations;
+  TraceMigration("full_migration", start, end, vm, dest, config_.vm_memory_bytes);
+}
+
+void Actuator::TallyDescriptorPush(Tally& tally, SimTime now, VmId vm, HostId dest) {
+  ++tally.descriptor_pushes;
   if (tracer_ != nullptr) {
     tracer_->Complete("migration", "descriptor_push", now, now,
                       obs::TraceArgs{static_cast<int64_t>(dest), static_cast<int64_t>(vm),
@@ -911,15 +968,17 @@ void Actuator::BookDescriptorPush(SimTime now, VmId vm, HostId dest) {
   }
 }
 
-void Actuator::RecordPartialMigrationTraffic(SimTime now, VmSlot& vm, HostId dest) {
-  BookDescriptorPush(now, vm.id, dest);
-  bool first = !state_.vm_ever_uploaded[vm.id];
-  state_.vm_ever_uploaded[vm.id] = true;
+void Actuator::TallyPartialMigration(Tally& tally, SimTime now, VmId vm, HostId home,
+                                     HostId dest) {
+  TallyDescriptorPush(tally, now, vm, dest);
+  bool first = !state_.vm_ever_uploaded[vm];
+  state_.vm_ever_uploaded[vm] = true;
   uint64_t upload = first ? kFirstUploadBytes : kRepeatUploadBytes;
-  metrics_.traffic.Add(TrafficCategory::kMemoryUpload, upload);
+  ++tally.uploads;
+  tally.upload_bytes += upload;
   if (tracer_ != nullptr) {
     tracer_->Complete("migration", "memory_upload", now, now,
-                      obs::TraceArgs{static_cast<int64_t>(vm.home), static_cast<int64_t>(vm.id),
+                      obs::TraceArgs{static_cast<int64_t>(home), static_cast<int64_t>(vm),
                                      static_cast<int64_t>(upload)});
   }
 }

@@ -13,6 +13,7 @@
 #define OASIS_SRC_CLUSTER_ACTUATOR_H_
 
 #include <span>
+#include <vector>
 
 #include "src/cluster/cluster_types.h"
 #include "src/cluster/host.h"
@@ -110,6 +111,8 @@ class Actuator {
   // Steps a day round by round against the eager upkeep walk kept as a
   // reference in tests/upkeep_test.cpp.
   friend struct UpkeepTestPeer;
+  // Moves groups against one-VM moves in tests/relocate_group_test.cpp.
+  friend struct RelocateGroupTestPeer;
 
   // --- transition handling ------------------------------------------------
   bool TryConvertInPlace(SimTime now, VmSlot& vm, SimTime activation_time);
@@ -131,28 +134,50 @@ class Actuator {
   // --- helpers ------------------------------------------------------------
   ClusterHost& HostOf(HostId id) { return *state_.hosts[id]; }
   VmSlot& Slot(VmId id) { return state_.vms[id]; }
+
+  // One VM's step through the funnel: it becomes resident on `dest`
+  // (possibly where it already is) in `residency`, entering kPartial with a
+  // fresh working set of `ws` bytes, all unfetched. Unless `op` is kNone,
+  // the migration that carries it runs over [start, done) from `source`
+  // (the VM's migration_source) and its completion is filed.
+  struct Move {
+    VmId vm;
+    HostId dest;
+    VmResidency residency;
+    uint64_t ws = 0;
+    VmSlot::PendingOp op = VmSlot::PendingOp::kNone;
+    SimTime start = SimTime::Zero();
+    SimTime done = SimTime::Zero();
+    HostId source = kNoHost;
+  };
   // The funnel for the maintained aggregates in ClusterState and on the
   // hosts. Apart from activity flips (AdjustActiveCount) and PartialVmUpkeep's
   // growth reservation, nothing touches a resident set, a reservation, an
   // active count, vm.location, vm.residency, the partial byte counters or
-  // vm.migration_in_flight except Relocate and SetInFlight.
+  // vm.migration_in_flight except RelocateGroup and SetInFlight.
   //
-  // Relocate makes `vm` resident on `dest` (possibly where it already is) in
-  // `residency`, applying the rule the invariant walk re-derives: a
-  // consolidation host reserves each partial resident's settled working set
-  // and each other resident's full footprint, releasing before it reserves;
-  // a home's reservation for its own VMs never moves; an active VM's slot
-  // and its in-flight, partial and upkeep counts travel with it. Leaving
-  // kPartial zeroes the partial byte counters; entering it starts a fresh
-  // working set of `ws` bytes, all unfetched. A VM that becomes
+  // RelocateGroup applies `moves` in order (a VM may take several) under the
+  // rule the invariant walk re-derives: a consolidation host reserves each
+  // partial resident's settled working set and each other resident's full
+  // footprint; a home's reservation for its own VMs never moves; an active
+  // VM's slot and its in-flight, partial and upkeep counts travel with it.
+  // Leaving kPartial zeroes the partial byte counters. A VM that becomes
   // upkeep-eligible starts at upkeep_mark = upkeep_round; one that moves or
   // stops being eligible must have been settled first, which is asserted.
-  void Relocate(SimTime now, VmSlot& vm, HostId dest, VmResidency residency, uint64_t ws = 0);
-  void SetResidency(VmSlot& vm, VmResidency next);
+  //
+  // Per VM it writes the slot, flips the resident bits (each host's first
+  // change at the instant closes its meter segment) and files the completion,
+  // whose simulator key is reserved in move order. Per host it applies the
+  // sums once: reservation, active count, and the resident, homed and
+  // in-flight counts (DESIGN.md, "Per-home rounds"). Callers price each
+  // move first (settle, channel times, traffic) and reserve no other key
+  // between their moves: a wake that may file an event goes before the group.
+  void RelocateGroup(SimTime now, std::span<const Move> moves);
+  // The one-VM case.
+  void Relocate(SimTime now, const Move& move) { RelocateGroup(now, {&move, 1}); }
+  // Sets `vm`'s in-flight flag and follows it in inflight_residents, and in
+  // upkeep_residents and the mark when its upkeep eligibility flipped.
   void SetInFlight(VmSlot& vm, bool in_flight);
-  // Follows `vm` across a residency or in-flight change: adjusts
-  // upkeep_residents and the mark when its eligibility flipped.
-  void NoteUpkeepEligibility(VmSlot& vm, bool was_eligible);
   // Applies every upkeep round `vm` has pending (none unless eligible),
   // plus `extra` rounds without growth; books its on-demand fetches and
   // marks it settled through upkeep_round + extra. Each VM settles where it
@@ -164,30 +189,39 @@ class Actuator {
   // the host directly.
   StatusOr<SimTime> WakeHost(SimTime now, HostId id);
   void RefreshMemoryServer(SimTime now, HostId home_id);
-  // Marks `vm` in flight for [start, done) and lists its completion at the
-  // key (done, a freshly reserved sequence number).
-  void ScheduleMigration(VmSlot& vm, SimTime start, SimTime done, VmSlot::PendingOp op,
-                         HostId source);
+  // Records the migration over [start, done) on the slot and lists its
+  // completion at the key (done, a freshly reserved sequence number), built
+  // in place; the in-flight flag and counts are the caller's.
+  void FileCompletion(VmSlot& vm, SimTime start, SimTime done, VmSlot::PendingOp op,
+                      HostId source);
   // Files `c` as a kMigrationDone event at its own key: its VM's user is
   // waiting on it.
   void QueueKeyedCompletion(const PendingCompletion& c);
-  // Adds (delta +1) or removes (-1) `vm`'s contribution to `host`'s
-  // resident counts.
-  void CountResident(HostId host, const VmSlot& vm, int delta);
+
+  // A group's migrations, counted per VM and booked once (Book): traffic
+  // and the migration counters. Observability stays per VM: TraceMigration
+  // and the Tally* helpers emit their spans and registry counters when the
+  // collectors are on.
+  struct Tally {
+    uint64_t full_migrations = 0;
+    uint64_t descriptor_pushes = 0;
+    uint64_t uploads = 0;
+    uint64_t upload_bytes = 0;
+  };
+  void Book(const Tally& tally);
   // One migration leg as a span on the destination host's track, plus the
   // per-kind counter. `name` must be a string literal.
   void TraceMigration(const char* name, SimTime start, SimTime end, VmId vm, HostId dest,
                       uint64_t bytes);
-  // Books one full (pre-copy live) migration of `vm` to `dest` over
-  // [start, end): its traffic, its count and its trace span.
-  void BookFullMigration(SimTime start, SimTime end, const VmSlot& vm, HostId dest);
-  // Books one partial migration's descriptor push to `dest`: its traffic,
-  // the partial-migration count, the push's trace span on `dest`'s track
-  // and the cluster.descriptor_pushes counter. Drains book only this.
-  void BookDescriptorPush(SimTime now, VmId vm, HostId dest);
-  // Books one partial migration of `vm` to `dest`: its descriptor push, and
-  // its memory upload traffic and trace span (on the home's track).
-  void RecordPartialMigrationTraffic(SimTime now, VmSlot& vm, HostId dest);
+  // One full (pre-copy live) migration of `vm` to `dest` over [start, end).
+  void TallyFullMigration(Tally& tally, SimTime start, SimTime end, VmId vm, HostId dest);
+  // One partial migration's descriptor push to `dest`: its span on `dest`'s
+  // track and the cluster.descriptor_pushes counter. Drains push only this.
+  void TallyDescriptorPush(Tally& tally, SimTime now, VmId vm, HostId dest);
+  // One partial migration of `vm`, homed at `home`, to `dest`: its
+  // descriptor push, and its memory upload (the whole image the first time,
+  // a delta later) with its span on the home's track.
+  void TallyPartialMigration(Tally& tally, SimTime now, VmId vm, HostId home, HostId dest);
 
   const ClusterConfig& config_;
   Simulator& sim_;
@@ -199,6 +233,25 @@ class Actuator {
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* registry_ = nullptr;
   uint64_t completions_retired_ = 0;
+
+  // RelocateGroup's per-host sums, indexed by host id and zero between
+  // groups, and the hosts the current group touched (`host` set).
+  struct HostDelta {
+    ClusterHost* host = nullptr;
+    int inflight = 0;
+    int partial = 0;
+    int upkeep = 0;
+    int active = 0;
+    int homed_partial = 0;
+    int homed_fac = 0;
+    uint64_t release = 0;
+    uint64_t reserve = 0;
+    bool consolidation = false;
+  };
+  std::vector<HostDelta> host_delta_;
+  std::vector<HostId> touched_;
+  // Scratch for the group verbs' moves.
+  std::vector<Move> moves_;
 };
 
 }  // namespace oasis

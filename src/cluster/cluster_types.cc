@@ -5,6 +5,7 @@
 #include <bit>
 #include <cassert>
 #include <climits>
+#include <cmath>
 #include <cstdint>
 
 #include "src/cluster/strategy.h"
@@ -26,6 +27,31 @@ const char* ConsolidationPolicyName(ConsolidationPolicy p) {
   }
   return "?";
 }
+
+namespace {
+
+// A power curve the meters can integrate: finite, non-negative watts and
+// non-negative S3 latencies (a negative one would schedule into the past),
+// and a sleeping host drawing no more than an idle one. A finite draw is also
+// what makes a zero-length meter segment add exactly 0 J
+// (EnergyMeter::CloseSegment).
+Status ValidatePowerProfile(const HostPowerProfile& power, const std::string& what) {
+  for (Watts w : {power.idle_watts, power.watts_at_20_vms, power.sleep_watts,
+                  power.suspend_watts, power.resume_watts}) {
+    if (!(std::isfinite(w) && w >= 0.0)) {
+      return Status::InvalidArgument(what + " watts must be finite and non-negative");
+    }
+  }
+  if (power.suspend_latency < SimTime::Zero() || power.resume_latency < SimTime::Zero()) {
+    return Status::InvalidArgument(what + " S3 latencies must be non-negative");
+  }
+  if (power.sleep_watts > power.idle_watts) {
+    return Status::InvalidArgument(what + " sleep_watts must not exceed idle_watts");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 Status ClusterConfig::Validate() const {
   if (num_home_hosts <= 0 || num_consolidation_hosts < 0 || vms_per_home <= 0) {
@@ -133,6 +159,24 @@ Status ClusterConfig::Validate() const {
         }
       }
       first += static_cast<size_t>(segment.count);
+    }
+  }
+  // Every power curve the run prices: the default class's, each fleet
+  // segment's as scaled, and the memory server's.
+  if (!(std::isfinite(fleet_power_scale) && fleet_power_scale > 0.0)) {
+    return Status::InvalidArgument("fleet_power_scale must be finite and positive");
+  }
+  for (int c = 0; c < NumProfileClasses(); ++c) {
+    Status power_ok = ValidatePowerProfile(
+        ResolvedProfile(c).power, c == 0 ? "host_power" : "fleet profile " + std::to_string(c));
+    if (!power_ok.ok()) {
+      return power_ok;
+    }
+  }
+  for (Watts w : {memory_server_power.board_watts, memory_server_power.drive_watts}) {
+    if (!(std::isfinite(w) && w >= 0.0)) {
+      return Status::InvalidArgument(
+          "memory_server_power watts must be finite and non-negative");
     }
   }
   return Status::Ok();

@@ -129,12 +129,8 @@ struct ClusterConfig {
 // counters instead of page bitmaps, so 900-VM day simulations stay cheap;
 // migrations charge the §5.1 constants of the migration cost table.
 struct VmSlot {
-  VmId id = 0;
-  HostId home = kNoHost;        // owner of the VM's full image / memory server
-  HostId location = kNoHost;    // where the VM currently executes
-  VmActivity activity = VmActivity::kIdle;
-  VmResidency residency = VmResidency::kFullAtHome;
-  uint64_t full_bytes = 4 * kGiB;
+  // The enum fields are bytes and the fields run largest first, so a slot
+  // takes 72 bytes: the per-home walks and every move read slots.
   // The partial-VM byte counters. While the VM is upkeep-eligible they lag
   // by the upkeep rounds since upkeep_mark (DESIGN.md, "Lazy upkeep"): read
   // them through ClusterView::ws_bytes or UpkeepRates::Settled, or settle
@@ -142,18 +138,26 @@ struct VmSlot {
   uint64_t ws_bytes = 0;        // current idle working-set reservation (partial only)
   uint64_t ws_unfetched = 0;    // portion of the working set not yet faulted in
   uint64_t dirty_bytes = 0;     // dirtied while consolidated (reintegration volume)
-  bool migration_in_flight = false;
-  bool activation_pending = false;  // went active while a migration was in flight
+  SimTime activation_time;      // when the user became active (delay accounting)
+  SimTime migration_start;      // when this VM's own transfer begins (see PendingOp)
+  VmId id = 0;
+  HostId home = kNoHost;        // owner of the VM's full image / memory server
+  HostId location = kNoHost;    // where the VM currently executes
   // The upkeep rounds already applied to the byte counters; meaningful only
   // while the VM is upkeep-eligible.
   uint32_t upkeep_mark = 0;
-  SimTime activation_time;          // when the user became active (delay accounting)
+  HostId migration_source = kNoHost;
+  uint32_t op_epoch = 0;        // invalidates pending completions after an abort
+  VmActivity activity = VmActivity::kIdle;
+  VmResidency residency = VmResidency::kFullAtHome;
+  bool migration_in_flight = false;
+  bool activation_pending = false;  // went active while a migration was in flight
 
   // In-flight operation bookkeeping. Outbound migrations serialize on the
   // source host, so a VM late in the queue has not actually been suspended
   // yet; if its user comes back before `migration_start`, the agent aborts
   // the pending move and the VM keeps running where it was.
-  enum class PendingOp {
+  enum class PendingOp : uint8_t {
     kNone,
     kVacatePartial,   // home -> consolidation, as a partial VM
     kSwapReturn,      // FulltoPartial round trip, ending partial at the source
@@ -163,14 +167,12 @@ struct VmSlot {
     kOther,           // not abortable (conversions, requester reintegration)
   };
   PendingOp pending_op = PendingOp::kNone;
-  SimTime migration_start;   // when this VM's own transfer begins
-  HostId migration_source = kNoHost;
-  uint32_t op_epoch = 0;     // invalidates pending completions after an abort
 
   // Partial and not mid-migration: every planning round drains its
   // on-demand pages, grows its dirty state and grows its working set.
   bool UpkeepEligible() const { return residency == VmResidency::kPartial && !migration_in_flight; }
 };
+static_assert(sizeof(VmSlot) == 72);
 
 // One scheduled migration completion (DESIGN.md, "Migration completions"):
 // the migration of `vm` whose op_epoch was `epoch` lands at the simulator

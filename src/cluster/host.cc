@@ -8,26 +8,6 @@
 
 namespace oasis {
 
-void ResidentSet::insert(VmId vm) {
-  const size_t i = static_cast<size_t>(vm - base_);
-  assert(vm >= base_ && i < span_ && "VM is outside this host's resident window");
-  uint64_t& word = words_[i / 64];
-  const uint64_t bit = uint64_t{1} << (i % 64);
-  assert((word & bit) == 0 && "VM is already resident on this host");
-  word |= bit;
-  ++size_;
-}
-
-void ResidentSet::erase(VmId vm) {
-  const size_t i = static_cast<size_t>(vm - base_);
-  assert(vm >= base_ && i < span_ && "VM is outside this host's resident window");
-  uint64_t& word = words_[i / 64];
-  const uint64_t bit = uint64_t{1} << (i % 64);
-  assert((word & bit) != 0 && "VM is not resident on this host");
-  word &= ~bit;
-  --size_;
-}
-
 ClusterHost::ClusterHost(HostId id, HostRole role, const ClusterConfig& config,
                          bool initially_powered)
     : ClusterHost(id, role, config, config.HostProfileFor(id), initially_powered) {}
@@ -50,36 +30,10 @@ ClusterHost::ClusterHost(HostId id, HostRole role, const ClusterConfig& config,
       // An S3-incapable host has no sleeping state to start in.
       state_(initially_powered || !profile.s3_capable ? HostPowerState::kPowered
                                                       : HostPowerState::kSleeping),
-      meter_(SimTime::Zero(), power_.Draw(state_, 0)),
+      meter_(SimTime::Zero(), 0.0),
       ms_meter_(SimTime::Zero(), 0.0),
       ledger_(SimTime::Zero(), state_) {
   ledger_.set_trace_host(static_cast<int64_t>(id));
-}
-
-void ClusterHost::Reserve(uint64_t bytes) {
-  assert(bytes <= AvailableBytes() && "host memory over-reserved");
-  reserved_bytes_ += bytes;
-}
-
-void ClusterHost::Release(uint64_t bytes) {
-  assert(bytes <= reserved_bytes_ && "releasing more than reserved");
-  reserved_bytes_ -= bytes;
-}
-
-void ClusterHost::AddVm(SimTime now, VmId vm) {
-  vms_.insert(vm);
-  meter_.SetDraw(now, CurrentDraw());
-}
-
-void ClusterHost::RemoveVm(SimTime now, VmId vm) {
-  vms_.erase(vm);
-  meter_.SetDraw(now, CurrentDraw());
-}
-
-void ClusterHost::SetActiveVms(SimTime now, int n) {
-  assert(n >= 0);
-  active_vms_ = n;
-  meter_.SetDraw(now, CurrentDraw());
 }
 
 Watts ClusterHost::CurrentDraw() const {
@@ -94,9 +48,9 @@ void ClusterHost::Transition(SimTime now, HostPowerState next) {
                     " entered kSuspending but its profile has s3_capable=false");
     }
   }
+  CloseSegment(now);
   state_ = next;
   ledger_.Transition(now, next);
-  meter_.SetDraw(now, CurrentDraw());
 }
 
 void ClusterHost::RequestWake(Simulator& sim) {
@@ -191,7 +145,7 @@ void ClusterHost::SetMemoryServerPowered(SimTime now, bool on) {
 }
 
 Joules ClusterHost::HostEnergy(SimTime now) {
-  meter_.Advance(now);
+  CloseSegment(now);
   return meter_.total_joules();
 }
 

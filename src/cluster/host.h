@@ -6,9 +6,11 @@
 #define OASIS_SRC_CLUSTER_HOST_H_
 
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <vector>
 
 #include "src/cluster/cluster_types.h"
@@ -16,6 +18,23 @@
 #include "src/sim/simulator.h"
 
 namespace oasis {
+
+// Word j of the `span`-bit window of the bitset `bits` that starts at bit
+// `first`: bit i of the result is bit first + 64 * j + i of `bits`, and bits
+// past the window read 0. The window need not be 64-aligned (a home's starts
+// at home * vms_per_home), and a ResidentSet's words are indexed the same
+// way, so a home's residents combine with any per-VM bitset a word at a time.
+inline uint64_t WindowWord(std::span<const uint64_t> bits, size_t first, size_t span, size_t j) {
+  const size_t pos = first + 64 * j;
+  const size_t w = pos / 64;
+  const unsigned shift = pos % 64;
+  uint64_t word = bits[w] >> shift;
+  if (shift != 0 && w + 1 < bits.size()) {
+    word |= bits[w + 1] << (64 - shift);
+  }
+  const size_t left = span - 64 * j;
+  return left < 64 ? word & ((uint64_t{1} << left) - 1) : word;
+}
 
 // The VMs resident on one host: one bit per VM id of a fixed window, built
 // once. A home's window is its own contiguous id range (a home only ever
@@ -85,8 +104,27 @@ class ResidentSet {
   }
   // Both assert on an id outside the window, and on a VM already present
   // (insert) or absent (erase).
-  void insert(VmId vm);
-  void erase(VmId vm);
+  void insert(VmId vm) {
+    const size_t i = static_cast<size_t>(vm - base_);
+    assert(vm >= base_ && i < span_ && "VM is outside this host's resident window");
+    uint64_t& word = words_[i / 64];
+    const uint64_t bit = uint64_t{1} << (i % 64);
+    assert((word & bit) == 0 && "VM is already resident on this host");
+    word |= bit;
+    ++size_;
+  }
+  void erase(VmId vm) {
+    const size_t i = static_cast<size_t>(vm - base_);
+    assert(vm >= base_ && i < span_ && "VM is outside this host's resident window");
+    uint64_t& word = words_[i / 64];
+    const uint64_t bit = uint64_t{1} << (i % 64);
+    assert((word & bit) != 0 && "VM is not resident on this host");
+    word &= ~bit;
+    --size_;
+  }
+
+  // Bit i of word j is VM base + 64 * j + i (see WindowWord).
+  std::span<const uint64_t> words() const { return words_; }
 
   Iterator begin() const { return Iterator(words_.data(), words_.size(), 0, base_); }
   Iterator end() const { return Iterator(words_.data(), words_.size(), words_.size(), base_); }
@@ -153,25 +191,42 @@ class ClusterHost {
   uint64_t reserved_bytes() const { return reserved_bytes_; }
   uint64_t AvailableBytes() const { return capacity_bytes_ - reserved_bytes_; }
   bool CanFit(uint64_t bytes) const { return bytes <= AvailableBytes(); }
-  void Reserve(uint64_t bytes);
-  void Release(uint64_t bytes);
+  void Reserve(uint64_t bytes) {
+    assert(bytes <= AvailableBytes() && "host memory over-reserved");
+    reserved_bytes_ += bytes;
+  }
+  void Release(uint64_t bytes) {
+    assert(bytes <= reserved_bytes_ && "releasing more than reserved");
+    reserved_bytes_ -= bytes;
+  }
 
   // --- VM presence ------------------------------------------------------
   // Adding/removing VMs changes the host's power draw (which saturates at
-  // the Table 1 twenty-VM measurement), so both take the current time.
+  // the Table 1 twenty-VM measurement), so both take the current time and
+  // first close the meter's segment (CloseSegment).
   // vms() walks residents in ascending id order (see ResidentSet). Adding a
   // resident VM, removing a non-resident one, or adding a VM outside the
   // host's window (another home's VM on a home) is a bookkeeping bug and
   // asserts.
-  void AddVm(SimTime now, VmId vm);
-  void RemoveVm(SimTime now, VmId vm);
+  void AddVm(SimTime now, VmId vm) {
+    CloseSegment(now);
+    vms_.insert(vm);
+  }
+  void RemoveVm(SimTime now, VmId vm) {
+    CloseSegment(now);
+    vms_.erase(vm);
+  }
   const ResidentSet& vms() const { return vms_; }
   bool HasVms() const { return !vms_.empty(); }
   bool HasVm(VmId vm) const { return vms_.contains(vm); }
 
   // Number of active VMs currently executing here. Purely logical (a host
   // with active VMs must never sleep); the draw follows the resident count.
-  void SetActiveVms(SimTime now, int n);
+  void SetActiveVms(SimTime now, int n) {
+    assert(n >= 0);
+    CloseSegment(now);
+    active_vms_ = n;
+  }
   int active_vms() const { return active_vms_; }
 
   // --- Power-state machine ------------------------------------------------
@@ -223,7 +278,7 @@ class ClusterHost {
   Joules MemoryServerEnergy(SimTime now);
   // Side-effect-free views of the same integrals for the invariant checker:
   // the meters stay untouched, so checking cannot perturb the simulation.
-  Joules HostEnergyAt(SimTime now) const { return meter_.EnergyAt(now); }
+  Joules HostEnergyAt(SimTime now) const { return meter_.EnergyAt(now, CurrentDraw()); }
   Joules MemoryServerEnergyAt(SimTime now) const { return ms_meter_.EnergyAt(now); }
   const StateTimeLedger& ledger() const { return ledger_; }
   void AdvanceLedger(SimTime now) { ledger_.Advance(now); }
@@ -233,6 +288,13 @@ class ClusterHost {
               const HostProfile& profile, bool initially_powered);
   void Transition(SimTime now, HostPowerState next);
   Watts CurrentDraw() const;
+  // Every change to the state the draw follows (residents, power state; the
+  // active count too) calls this first: once time has advanced, it closes
+  // the meter's segment at the draw of the state that held through it
+  // (EnergyMeter::CloseSegment), so the host prices one draw per instant.
+  void CloseSegment(SimTime now) {
+    meter_.CloseSegment(now, [this] { return CurrentDraw(); });
+  }
 
   HostId id_;
   HostRole role_;

@@ -66,7 +66,7 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
   for (size_t v = 0; v < num_vms; ++v) {
     const VmSlot& vm = manager.GetVm(static_cast<VmId>(v));
     if (static_cast<size_t>(vm.home) < num_hosts) {  // else reported per VM below
-      homed_bytes[vm.home] += vm.full_bytes;
+      homed_bytes[vm.home] += config.vm_memory_bytes;
     }
   }
 
@@ -100,7 +100,7 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
       if (host.IsConsolidationHost()) {
         reserved_expected += vm.residency == VmResidency::kPartial
                                  ? manager.SettledWsBytes(vid)
-                                 : vm.full_bytes;
+                                 : config.vm_memory_bytes;
       }
     }
     if (host.IsHomeHost()) {

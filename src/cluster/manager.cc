@@ -51,14 +51,13 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace)
     slot.id = static_cast<VmId>(v);
     slot.home = static_cast<HostId>(v / config_.vms_per_home);
     slot.location = slot.home;
-    slot.full_bytes = config_.vm_memory_bytes;
     const bool active = trace_[static_cast<size_t>(v) % trace_.size()].IsActive(0);
     slot.activity = active ? VmActivity::kActive : VmActivity::kIdle;
     slot.residency = VmResidency::kFullAtHome;
     state_.vms.push_back(slot);
     ClusterHost& home = *state_.hosts[slot.home];
     home.AddVm(SimTime::Zero(), slot.id);
-    home.Reserve(slot.full_bytes);
+    home.Reserve(config_.vm_memory_bytes);
     if (slot.activity == VmActivity::kActive) {
       home.SetActiveVms(SimTime::Zero(), home.active_vms() + 1);
     }

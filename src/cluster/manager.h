@@ -118,7 +118,9 @@ class ClusterManager {
   // tests can drive planning entry points (e.g. PlaceAndPrice) against a
   // manager's real state without simulating a day. Non-const because the
   // view carries the shared planning streams.
-  ClusterView View() { return ClusterView(config_, state_, &rng_, &ws_sampler_); }
+  ClusterView View() {
+    return ClusterView(config_, state_, &rng_, &ws_sampler_, ActivityRow(applied_interval_));
+  }
 
  private:
   // Steps a day round by round against the eager upkeep walk kept as a
@@ -126,6 +128,8 @@ class ClusterManager {
   friend struct UpkeepTestPeer;
   // Breaks the pending-completion list mid-day in tests/check_cluster_test.cpp.
   friend struct CheckClusterTestPeer;
+  // Moves groups against one-VM moves in tests/relocate_group_test.cpp.
+  friend struct RelocateGroupTestPeer;
 
   // Runs one popped event: the one switch over ClusterEvent.
   void Dispatch(const Event& ev);

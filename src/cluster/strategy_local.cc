@@ -62,12 +62,17 @@ class LocalThresholdStrategy : public ConsolidationStrategy {
           view.host(cons_ids[static_cast<size_t>(home_index) % cons_ids.size()]);
       // Sample before the fit check so the draw sequence depends only on
       // which homes are fully idle, not on the destination's state.
+      // Every resident is trusted idle, so the home takes one draw per
+      // resident, in resident order, in one bulk take.
+      std::vector<uint64_t> draws(host.vms().size());
+      view.TakeWorkingSets(draws.size(), draws.data());
       std::vector<VacatePlacement> placements;
+      placements.reserve(draws.size());
       uint64_t total = 0;
+      const uint64_t* ws = draws.data();
       for (VmId id : host.vms()) {
-        uint64_t ws = view.SampleWorkingSet();
-        placements.push_back({id, dest.id(), /*as_partial=*/true, ws});
-        total += ws;
+        placements.push_back({id, dest.id(), /*as_partial=*/true, *ws});
+        total += *ws++;
       }
       if (total > dest.AvailableBytes()) {
         continue;

@@ -37,27 +37,21 @@ OasisGreedyStrategy::SwapGroups OasisGreedyStrategy::ComputeSwapGroups(
   // each home's id range in the full-at-consolidation and trusted-idle
   // bitsets ascending visits candidates in ascending VM id.
   SwapGroups swaps;
-  const std::vector<uint64_t>& fac_bits = view.fac_vm_bits();
-  const std::vector<uint64_t>& trusted = view.trusted_idle_bits();
+  const std::span<const uint64_t> fac_bits = view.fac_vm_bits();
+  const std::span<const uint64_t> trusted = view.trusted_idle_bits();
+  const size_t vms_per_home = static_cast<size_t>(view.config().vms_per_home);
+  const size_t home_words = (vms_per_home + 63) / 64;
   int num_homes = view.config().num_home_hosts;
   for (HostId h = 0; h < static_cast<HostId>(num_homes); ++h) {
     if (view.fac_homed(h) == 0) {
       continue;
     }
-    const std::span<const VmSlot> own = view.vms_of_home(h);
-    size_t first = own.front().id;
-    size_t last = own.back().id;
+    const VmId base = h * static_cast<VmId>(vms_per_home);
     size_t begin = swaps.vms.size();
-    for (size_t w = first / 64; w <= last / 64; ++w) {
-      uint64_t word = fac_bits[w] & trusted[w];
-      if (w == first / 64) {
-        word &= ~uint64_t{0} << (first % 64);
-      }
-      if (w == last / 64) {
-        word &= ~uint64_t{0} >> (63 - last % 64);
-      }
+    for (size_t j = 0; j < home_words; ++j) {
+      uint64_t word = view.HomeWord(fac_bits, h, j) & view.HomeWord(trusted, h, j);
       for (; word != 0; word &= word - 1) {
-        VmId id = static_cast<VmId>(64 * w + static_cast<size_t>(std::countr_zero(word)));
+        VmId id = base + static_cast<VmId>(64 * j + static_cast<size_t>(std::countr_zero(word)));
         if (!view.vm(id).migration_in_flight) {
           swaps.vms.push_back(id);
         }
@@ -85,17 +79,28 @@ std::vector<OasisGreedyStrategy::Candidate> OasisGreedyStrategy::ScanVacateCandi
     const ClusterView& view, std::vector<VacateItem>& items) {
   const ClusterConfig& config = view.config();
   bool only_partial = config.policy == ConsolidationPolicy::kOnlyPartial;
-  // At most every VM becomes an item; reserving once keeps the table from
-  // regrowing across intervals (DESIGN.md, "Reserve once").
-  items.clear();
-  items.reserve(view.num_vms());
+  const uint64_t vm_bytes = config.vm_memory_bytes;
+  const std::span<const uint64_t> trusted = view.trusted_idle_bits();
+  const std::span<const uint64_t> active = view.active_bits();
+  // At most every VM becomes an item. The table keeps a row per VM across
+  // intervals (DESIGN.md, "Vacate item table"); the scan writes rows from
+  // 0, and rows past the last candidate's are left over and never read.
+  if (items.size() < view.num_vms()) {
+    items.resize(view.num_vms());
+  }
+  VacateItem* out = items.data();
+  // One home's working-set draws, plus a padding slot: the fill below loads
+  // the next draw for every resident, and the home's last full residents
+  // load the padding.
+  std::vector<uint64_t> draws(static_cast<size_t>(config.vms_per_home) + 1, 0);
   std::vector<Candidate> candidates;
   int num_homes = config.num_home_hosts;
   for (HostId h = 0; h < static_cast<HostId>(num_homes); ++h) {
     const ClusterHost& host = view.host(h);
     // An S3-incapable home can sponsor guests but never sleeps itself, so
-    // vacating it frees no power. Residents of a home are at that home by
-    // invariant (cluster.location_matches_residency).
+    // vacating it frees no power. A home holds only its own VMs, so its
+    // resident words and the per-VM bitsets line up word for word
+    // (ClusterView::HomeWord).
     if (!host.IsPowered() || !host.HasVms() || !host.s3_capable() ||
         view.inflight_residents(h) > 0) {
       continue;
@@ -105,21 +110,35 @@ std::vector<OasisGreedyStrategy::Candidate> OasisGreedyStrategy::ScanVacateCandi
     if (only_partial && !view.TrustedIdleHome(h)) {
       continue;
     }
-    uint64_t demand = 0;
-    uint32_t begin = static_cast<uint32_t>(items.size());
-    for (VmId id : host.vms()) {
-      if (view.trusted_idle(id)) {
-        uint64_t ws = view.SampleWorkingSet();
-        items.push_back({ws, id, /*as_partial=*/true, /*active=*/false});
-        demand += ws;
-      } else {
-        const VmSlot& vm = view.vm(id);
-        items.push_back({vm.full_bytes, id, /*as_partial=*/false,
-                         /*active=*/vm.activity == VmActivity::kActive});
-        demand += vm.full_bytes;
+    // The trusted-idle residents go as partials, each with one working-set
+    // draw in ascending id; the rest go in full.
+    const std::span<const uint64_t> resident = host.vms().words();
+    size_t partials = 0;
+    for (size_t j = 0; j < resident.size(); ++j) {
+      partials += static_cast<size_t>(std::popcount(resident[j] & view.HomeWord(trusted, h, j)));
+    }
+    view.TakeWorkingSets(partials, draws.data());
+    uint64_t demand = (host.vms().size() - partials) * vm_bytes;
+    for (size_t d = 0; d < partials; ++d) {
+      demand += draws[d];
+    }
+    const uint32_t begin = static_cast<uint32_t>(out - items.data());
+    const uint64_t* draw = draws.data();
+    const VmId base = h * static_cast<VmId>(config.vms_per_home);
+    for (size_t j = 0; j < resident.size(); ++j) {
+      const uint64_t trusted_word = view.HomeWord(trusted, h, j);
+      const uint64_t active_word = view.HomeWord(active, h, j) & ~trusted_word;
+      for (uint64_t word = resident[j]; word != 0; word &= word - 1) {
+        const int i = std::countr_zero(word);
+        const uint64_t partial = (trusted_word >> i) & 1;
+        const uint64_t take = 0 - partial;
+        *out++ = {(*draw & take) | (vm_bytes & ~take),
+                  base + static_cast<VmId>(64 * j + static_cast<size_t>(i)), partial != 0,
+                  ((active_word >> i) & 1) != 0};
+        draw += partial;
       }
     }
-    candidates.push_back({h, demand, begin, static_cast<uint32_t>(items.size())});
+    candidates.push_back({h, demand, begin, static_cast<uint32_t>(out - items.data())});
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) { return a.demand < b.demand; });
@@ -161,11 +180,17 @@ VacatePlan OasisGreedyStrategy::PlaceAndPrice(const ClusterView& view,
   // the plan wakes as few of them as possible. Active VMs additionally need
   // a CPU slot (assumption 1's 3x over-subscription cap). Returns the chosen
   // index, or dests.size() when nothing fits.
-  Rng& rng = view.planning_rng();
+  // The placement loop draws from a local copy of the planning stream,
+  // written back once placement is done: nothing else draws meanwhile, and a
+  // local state can stay in registers where the shared one would be reloaded
+  // after every store to the destination table.
+  Rng rng = view.planning_rng();
   const size_t num_dests = dests.size();
   auto choose = [&](const VacateItem& item) {
-    auto fits = [&item](const Dest& d) {
-      return d.available >= item.need && (!item.active || d.active_slots > 0);
+    // Bitwise, not short-circuit: items mix active and idle unpredictably,
+    // and a branch on each would mispredict.
+    auto fits = [&item](const Dest& d) -> bool {
+      return (d.available >= item.need) & (!item.active | (d.active_slots > 0));
     };
     if (powered_dests > 0) {
       size_t start = rng.NextBelow(powered_dests);
@@ -224,6 +249,7 @@ VacatePlan OasisGreedyStrategy::PlaceAndPrice(const ClusterView& view,
     plan.hosts_to_vacate.push_back(cand.host);
     plan.placements.push_back(std::move(placement));
   }
+  view.planning_rng() = rng;
 
   // Net power effect (§3.1: consolidate only when it saves energy), priced
   // per host profile: a vacated home stops drawing its *own* loaded power

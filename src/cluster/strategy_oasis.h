@@ -64,9 +64,11 @@ class OasisGreedyStrategy final : public ConsolidationStrategy {
   // powered, S3-capable home holding VMs, none of them in flight (and under
   // OnlyPartial all of them trusted idle). Eligible homes are visited in
   // ascending id and their residents in resident order; each resident
-  // appends one row to `items` (cleared first), and each trusted-idle one
-  // draws one working-set sample and goes as a partial — the draw order
-  // every pinned output depends on.
+  // writes the next row of `items` (from row 0), and each trusted-idle one
+  // goes as a partial with one working-set draw — the draw order every
+  // pinned output depends on. A home takes its draws in one bulk take and
+  // reads its residents, their trust and their activity a word at a time
+  // from the bitsets (DESIGN.md, "Per-home rounds"); no VmSlot is read.
   static std::vector<Candidate> ScanVacateCandidates(const ClusterView& view,
                                                      std::vector<VacateItem>& items);
   // The destination table over consolidation hosts: awake (powered or
@@ -93,8 +95,8 @@ class OasisGreedyStrategy final : public ConsolidationStrategy {
   void MaybeCommitVacatePlan(SimTime now, Actuator& act, PlanActions& actions,
                              const VacatePlan& best) const;
 
-  // Per-interval scratch: the vacate item table, reserved once at the VM
-  // count and rewritten whole by the candidate scan before it is read.
+  // Per-interval scratch: the vacate item table, a row per VM, whose rows
+  // the candidate scan rewrites before any is read.
   std::vector<VacateItem> vacate_items_;
 
   // Pass 1 decisions: every swap group's VMs in one vector, and per home

@@ -20,7 +20,6 @@
 #ifndef OASIS_SRC_CLUSTER_VIEW_H_
 #define OASIS_SRC_CLUSTER_VIEW_H_
 
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -54,11 +53,8 @@ struct ClusterState {
   std::span<VmSlot> VmsOfHome(HostId home) {
     return std::span<VmSlot>(vms).subspan(home * vms_per_home, vms_per_home);
   }
-  std::span<const VmSlot> VmsOfHome(HostId home) const {
-    return std::span<const VmSlot>(vms).subspan(home * vms_per_home, vms_per_home);
-  }
   // Maintained aggregates, each updated in O(1) by the Actuator's funnel
-  // (Relocate / SetInFlight) and re-derived from scratch by the invariant
+  // (RelocateGroup / SetInFlight) and re-derived from scratch by the invariant
   // checker every planning round. The counts are indexed by host id. Per
   // home host: how many of its VMs have kPartial residency (the
   // memory-server refresh on every host sleep reads it) ...
@@ -92,14 +88,20 @@ struct ClusterState {
   UpkeepRates upkeep;
 };
 
-// The strategies' window onto ClusterState. Cheap to construct (four
+// The strategies' window onto ClusterState. Cheap to construct (five
 // pointers); valid only while the owning ClusterManager is alive and only
 // within the planning call it was handed to.
 class ClusterView {
  public:
+  // `active_row` is the activity row the last planning round applied: bit v
+  // is set iff VM v is active, as its slot's activity says.
   ClusterView(const ClusterConfig& config, const ClusterState& state, Rng* planning_rng,
-              WorkingSetSampler* ws_sampler)
-      : config_(&config), state_(&state), rng_(planning_rng), ws_sampler_(ws_sampler) {}
+              WorkingSetSampler* ws_sampler, const uint64_t* active_row)
+      : config_(&config),
+        state_(&state),
+        rng_(planning_rng),
+        ws_sampler_(ws_sampler),
+        active_row_(active_row) {}
 
   const ClusterConfig& config() const { return *config_; }
   size_t num_hosts() const { return state_->hosts.size(); }
@@ -113,39 +115,39 @@ class ClusterView {
   // while planning (never store the refs).
   Rng& planning_rng() const { return *rng_; }
   uint64_t SampleWorkingSet() const { return ws_sampler_->Sample(); }
+  // The next `n` working sets into out[0, n): the same draws as `n` calls
+  // of SampleWorkingSet.
+  void TakeWorkingSets(size_t n, uint64_t* out) const { ws_sampler_->Take(n, out); }
 
-  // A home host's own VMs, ascending by id, and the maintained aggregates
-  // (see ClusterState).
-  std::span<const VmSlot> vms_of_home(HostId home) const { return state_->VmsOfHome(home); }
+  // The maintained aggregates (see ClusterState).
   int fac_homed(HostId home) const { return state_->fac_homed[home]; }
-  const std::vector<uint64_t>& fac_vm_bits() const { return state_->fac_vm_bits; }
+  std::span<const uint64_t> fac_vm_bits() const { return state_->fac_vm_bits; }
   int inflight_residents(HostId host) const { return state_->inflight_residents[host]; }
   int partial_residents(HostId host) const { return state_->partial_residents[host]; }
 
   // Idle long enough that the idleness detector trusts it (see
   // ClusterState::trusted_idle).
-  const std::vector<uint64_t>& trusted_idle_bits() const { return state_->trusted_idle; }
+  std::span<const uint64_t> trusted_idle_bits() const { return state_->trusted_idle; }
   bool trusted_idle(VmId vm) const { return (state_->trusted_idle[vm / 64] >> (vm % 64)) & 1; }
-  // Whether every VM resident on home host `home` is trusted idle. A home
-  // holds only its own VMs, whose ids are contiguous, so the test runs a
-  // word at a time over the untrusted bits of that id range.
+  // Active in the applied activity row.
+  std::span<const uint64_t> active_bits() const {
+    return std::span<const uint64_t>(active_row_, state_->trusted_idle.size());
+  }
+
+  // Word j of home `home`'s window of the per-VM bitset `bits` (WindowWord):
+  // bit i is VM home * vms_per_home + 64 * j + i, the same VM as bit i of
+  // word j of the home's resident set.
+  uint64_t HomeWord(std::span<const uint64_t> bits, HostId home, size_t j) const {
+    const size_t n = state_->vms_per_home;
+    return WindowWord(bits, home * n, n, j);
+  }
+  // Whether every VM resident on home host `home` is trusted idle: no
+  // resident bit without its trusted bit.
   bool TrustedIdleHome(HostId home) const {
-    const std::span<const VmSlot> own = state_->VmsOfHome(home);
-    const size_t first = own.front().id;
-    const size_t last = own.back().id;
-    for (size_t w = first / 64; w <= last / 64; ++w) {
-      uint64_t untrusted = ~state_->trusted_idle[w];
-      if (w == first / 64) {
-        untrusted &= ~uint64_t{0} << (first % 64);
-      }
-      if (w == last / 64) {
-        untrusted &= ~uint64_t{0} >> (63 - last % 64);
-      }
-      for (; untrusted != 0; untrusted &= untrusted - 1) {
-        size_t vm = 64 * w + static_cast<size_t>(std::countr_zero(untrusted));
-        if (state_->vms[vm].location == home) {
-          return false;
-        }
+    const std::span<const uint64_t> resident = host(home).vms().words();
+    for (size_t j = 0; j < resident.size(); ++j) {
+      if ((resident[j] & ~HomeWord(state_->trusted_idle, home, j)) != 0) {
+        return false;
       }
     }
     return true;
@@ -163,6 +165,7 @@ class ClusterView {
   const ClusterState* state_;
   Rng* rng_;
   WorkingSetSampler* ws_sampler_;
+  const uint64_t* active_row_;
 };
 
 }  // namespace oasis

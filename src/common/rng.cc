@@ -22,22 +22,6 @@ Rng::Rng(uint64_t seed) {
   }
 }
 
-uint64_t Rng::NextBelow(uint64_t bound) {
-  // Lemire's nearly-divisionless method.
-  uint64_t x = NextU64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  uint64_t l = static_cast<uint64_t>(m);
-  if (l < bound) {
-    uint64_t threshold = (0 - bound) % bound;
-    while (l < threshold) {
-      x = NextU64();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
-}
-
 double Rng::NextRange(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
 
 bool Rng::NextBool(double p_true) { return NextDouble() < p_true; }

@@ -32,9 +32,23 @@ class Rng {
     return result;
   }
 
-  // Uniform in [0, bound). bound must be > 0. Uses Lemire's multiply-shift
-  // rejection method to avoid modulo bias.
-  uint64_t NextBelow(uint64_t bound);
+  // Uniform in [0, bound). bound must be > 0. Uses Lemire's nearly
+  // divisionless multiply-shift rejection method to avoid modulo bias.
+  // Inline: the vacate planner draws one per placed item.
+  uint64_t NextBelow(uint64_t bound) {
+    uint64_t x = NextU64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    uint64_t l = static_cast<uint64_t>(m);
+    if (l < bound) [[unlikely]] {
+      uint64_t threshold = (0 - bound) % bound;
+      while (l < threshold) {
+        x = NextU64();
+        m = static_cast<__uint128_t>(x) * bound;
+        l = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   // Uniform double in [0, 1): the 53 high bits of NextU64.
   double NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }

@@ -23,8 +23,8 @@ using HostId = uint32_t;
 inline constexpr HostId kNoHost = UINT32_MAX;
 inline constexpr VmId kNoVm = UINT32_MAX;
 
-enum class VmActivity { kActive, kIdle };
-enum class VmResidency {
+enum class VmActivity : uint8_t { kActive, kIdle };
+enum class VmResidency : uint8_t {
   kFullAtHome,           // complete image resident on its home host
   kFullAtConsolidation,  // live-migrated in full to a consolidation host
   kPartial,              // partial VM: executes remotely, pages fault in

@@ -10,7 +10,9 @@
 #ifndef OASIS_SRC_MEM_WORKING_SET_H_
 #define OASIS_SRC_MEM_WORKING_SET_H_
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "src/common/rng.h"
@@ -51,6 +53,20 @@ class WorkingSetSampler {
       Refill();
     }
     return block_[next_++];
+  }
+  // The next `n` samples into out[0, n): the same stream, in the same
+  // order, as `n` calls of Sample.
+  void Take(size_t n, uint64_t* out) {
+    while (n > 0) {
+      if (next_ == end_) {
+        Refill();
+      }
+      const size_t k = std::min<size_t>(n, end_ - next_);
+      std::copy_n(block_.data() + next_, k, out);
+      next_ += static_cast<uint32_t>(k);
+      out += k;
+      n -= k;
+    }
   }
 
  private:

@@ -10,6 +10,7 @@
 #define OASIS_SRC_POWER_ENERGY_METER_H_
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 
 #include "src/common/units.h"
@@ -27,6 +28,25 @@ class EnergyMeter {
   // Changes the draw at time `now` (now must be monotone).
   void SetDraw(SimTime now, Watts draw);
 
+  // The lazy form, for an owner whose draw is a function of its own state
+  // (ClusterHost). Before each change the owner closes the open segment at
+  // `now`, priced at draw(): the draw of the state that held since the
+  // segment opened, which no change has touched yet. A segment that opened
+  // at `now` is left as it is and draw() is not evaluated, so the owner pays
+  // for one draw per instant however many changes land on it. The joules are
+  // bit for bit those of SetDraw after every change: the boundaries are the
+  // same, and each same-instant SetDraw adds draw x 0 = +0.0 J, which holds
+  // for every finite draw (ClusterConfig::Validate admits no other).
+  // current_draw() then goes unused; EnergyAt takes the owner's draw.
+  template <typename DrawFn>
+  void CloseSegment(SimTime now, DrawFn draw) {
+    assert(now >= last_change_ && "meter time went backwards");
+    if (now > last_change_) {
+      joules_ += EnergyOver(draw(), now - last_change_);
+      last_change_ = now;
+    }
+  }
+
   // Accrues energy up to `now` without changing the draw.
   void Advance(SimTime now);
 
@@ -35,9 +55,10 @@ class EnergyMeter {
 
   // Energy accrued through `now` without mutating the meter — the invariant
   // checker's view, guaranteed free of side effects on the simulation.
-  Joules EnergyAt(SimTime now) const {
-    return now > last_change_ ? joules_ + EnergyOver(current_draw_, now - last_change_)
-                              : joules_;
+  Joules EnergyAt(SimTime now) const { return EnergyAt(now, current_draw_); }
+  // The same with the open segment priced at `draw` (the lazy form's view).
+  Joules EnergyAt(SimTime now, Watts draw) const {
+    return now > last_change_ ? joules_ + EnergyOver(draw, now - last_change_) : joules_;
   }
 
  private:

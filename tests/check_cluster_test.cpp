@@ -254,5 +254,31 @@ TEST_F(CheckClusterTest, CleanDayRunsMillionsOfChecksWithZeroViolations) {
   ExpectNoVmLostOrDuplicated(manager);
 }
 
+// Vacates, swap legs and group returns move a home's VMs through one
+// Actuator::RelocateGroup, which books each host's reservation once for the
+// whole group. The walk after every round re-derives every reservation from
+// the residents (cluster.reservation_conservation), so a group that booked
+// its destination's reservation for all but one VM would fire on the first
+// round a group of two or more moved.
+TEST_F(CheckClusterTest, GroupMovesBookEveryVmsReservation) {
+  ClusterConfig config = SmallCluster(5);
+  config.SetVmsPerHome(45);
+  TraceSet trace = TraceFor(config);
+  ClusterManager manager(config, trace);
+  // Round by round, so the first round that breaks a reservation names
+  // itself before a later release could underflow it.
+  for (int round = 0; round < 288; ++round) {
+    manager.RunUntil(config.planning_interval * round);
+    ASSERT_EQ(checker_.violation_count(), 0u) << "after round " << round;
+  }
+  ClusterMetrics metrics = manager.Run();
+  // Groups of many VMs moved in every direction.
+  EXPECT_GT(metrics.partial_migrations, 10u * static_cast<uint64_t>(config.vms_per_home));
+  EXPECT_GT(metrics.reintegrations, static_cast<uint64_t>(config.vms_per_home));
+  EXPECT_GT(metrics.full_to_partial_swaps, 0u);
+  EXPECT_GT(checker_.checks_run(), 10000u);
+  ExpectNoVmLostOrDuplicated(manager);
+}
+
 }  // namespace
 }  // namespace oasis

@@ -236,13 +236,12 @@ std::vector<Candidate> ScanVacateCandidates(const ClusterView& view,
     }
     uint64_t demand = 0;
     for (VmId id : host.vms()) {
-      const VmSlot& vm = view.vm(id);
       if (view.trusted_idle(id)) {
         uint64_t ws = view.SampleWorkingSet();
         planned_ws[id] = ws;
         demand += ws;
       } else {
-        demand += vm.full_bytes;
+        demand += config.vm_memory_bytes;
       }
     }
     candidates.push_back({h, demand});
@@ -270,7 +269,7 @@ VacatePlan PlaceAndPrice(const ClusterView& view, const std::vector<Candidate>& 
       const VmSlot& vm = view.vm(id);
       bool consumes_cpu = vm.activity == VmActivity::kActive;
       bool as_partial = planned_ws[id] != 0;
-      uint64_t need = as_partial ? planned_ws[id] : vm.full_bytes;
+      uint64_t need = as_partial ? planned_ws[id] : view.config().vm_memory_bytes;
       bool placed = false;
       auto try_segment = [&](size_t first, size_t count, bool randomize) {
         if (count == 0 || placed) {
@@ -357,19 +356,27 @@ struct PlannerCoverage {
   size_t sleeping_dests = 0;
   size_t vacated = 0;  // by the aggressive plan
   size_t full_placements = 0;
+  // Candidates whose residents mix all three states: active, idle but not
+  // yet trusted, and trusted idle (placed as partials).
+  size_t mixed_candidates = 0;
 };
 
 // Builds two identical managers (optionally runs each through the whole
-// day), plans the reference on one and the item-table planner on the other
-// — the scan, then BestVacatePlan's conservative and aggressive pricing —
-// and expects identical candidates, plans and planning-stream positions.
+// day, or steps it to `until`), plans the reference on one and the
+// item-table planner on the other — the scan, then BestVacatePlan's
+// conservative and aggressive pricing — and expects identical candidates,
+// working-set stream positions after the scan, plans and planning-stream
+// positions.
 PlannerCoverage ExpectPlannersAgree(const ClusterConfig& config, const TraceSet& trace,
-                                    bool run_day) {
+                                    bool run_day, SimTime until = SimTime::Zero()) {
   ClusterManager ref_manager(config, trace);
   ClusterManager new_manager(config, trace);
   if (run_day) {
     ref_manager.Run();
     new_manager.Run();
+  } else if (until > SimTime::Zero()) {
+    ref_manager.RunUntil(until);
+    new_manager.RunUntil(until);
   }
   ClusterView ref_view = ref_manager.View();
   ClusterView new_view = new_manager.View();
@@ -386,7 +393,20 @@ PlannerCoverage ExpectPlannersAgree(const ClusterConfig& config, const TraceSet&
   for (size_t i = 0; i < std::min(ref_candidates.size(), candidates.size()); ++i) {
     EXPECT_EQ(ref_candidates[i].host, candidates[i].host) << "candidate " << i;
     EXPECT_EQ(ref_candidates[i].demand, candidates[i].demand) << "candidate " << i;
+    bool active = false;
+    bool untrusted_idle = false;
+    bool trusted_idle = false;
+    for (uint32_t row = candidates[i].begin; row < candidates[i].end; ++row) {
+      const OasisGreedyStrategy::VacateItem& item = items[row];
+      active |= item.active;
+      untrusted_idle |= !item.active && !item.as_partial;
+      trusted_idle |= item.as_partial;
+    }
+    coverage.mixed_candidates += active && untrusted_idle && trusted_idle ? 1 : 0;
   }
+  // The scan took exactly one draw per trusted-idle resident: both streams
+  // stand at the same sample (drawn here from both, so they stay level).
+  EXPECT_EQ(ref_view.SampleWorkingSet(), new_view.SampleWorkingSet()) << "after the scan";
 
   size_t ref_powered = 0;
   size_t powered = 0;
@@ -507,15 +527,32 @@ TEST(VacateItemTableTest, MatchesTheReferencePlannerOnEveryShape) {
     TraceSet trace = gen.GenerateTraceSet(config.TotalVms(), DayKind::kWeekday);
     covered.push_back(ExpectPlannersAgree(config, trace, false));
   }
+  for (int vms_per_home : {45, 110}) {
+    for (double hour : {9.0, 17.5}) {
+      SCOPED_TRACE(std::to_string(vms_per_home) + " VMs per home (windows straddle words) at " +
+                   std::to_string(hour) + " h, active, idle and trusted-idle residents mixed");
+      ClusterConfig config;
+      config.num_home_hosts = vms_per_home == 45 ? 10 : 36;
+      config.num_consolidation_hosts = 4;
+      config.SetVmsPerHome(vms_per_home);
+      config.seed = 23;
+      MakeConsolidationHostsAlwaysOn(config, 2);
+      TraceGenerator gen(TraceGeneratorConfig{}, 23);
+      TraceSet trace = gen.GenerateTraceSet(config.TotalVms(), DayKind::kWeekday);
+      covered.push_back(ExpectPlannersAgree(config, trace, false, SimTime::Hours(hour)));
+    }
+  }
   // Between them the shapes draw destinations at random among several
   // powered hosts, spill first-fit onto sleeping ones, place actives in
-  // full, and both vacate candidates and undo ones that do not fit.
+  // full, and both vacate candidates and undo ones that do not fit; some
+  // candidate holds active, idle-but-untrusted and trusted-idle residents.
   auto any = [&covered](auto pred) { return std::any_of(covered.begin(), covered.end(), pred); };
   EXPECT_TRUE(any([](const PlannerCoverage& c) {
     return c.powered_dests > 1 && c.vacated > 0 && c.vacated < c.candidates;
   }));
   EXPECT_TRUE(any([](const PlannerCoverage& c) { return c.sleeping_dests > 0 && c.vacated > 0; }));
   EXPECT_TRUE(any([](const PlannerCoverage& c) { return c.full_placements > 0; }));
+  EXPECT_TRUE(any([](const PlannerCoverage& c) { return c.mixed_candidates > 0; }));
 }
 
 // --- strategy selection -----------------------------------------------------

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "src/common/rng.h"
+
 namespace oasis {
 namespace {
 
@@ -94,6 +99,60 @@ TEST(StateTimeLedgerTest, SideEffectFreeViewsCoverTheOpenSegment) {
   // The views mutate nothing: the recorded tallies still end at the last
   // transition.
   EXPECT_EQ(ledger.TimeIn(HostPowerState::kSuspending), SimTime::Zero());
+}
+
+// The lazy form against the eager meter it replaced on ClusterHost: a host
+// whose draw follows its resident count and power state, changed several
+// times at most instants. The eager reference calls SetDraw after every
+// change; the lazy meter closes its segment before each change, which
+// evaluates the draw only when time has advanced. Joules and the
+// side-effect-free view must be bit-identical.
+TEST(EnergyMeterTest, LazyCloseMatchesSetDrawAfterEveryChange) {
+  const HostPowerProfile profile = HostPowerProfile{}.Scaled(110.0 / 30.0);
+  const HostPowerState kStates[] = {HostPowerState::kPowered, HostPowerState::kSuspending,
+                                    HostPowerState::kSleeping, HostPowerState::kResuming};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    HostPowerState state = HostPowerState::kPowered;
+    int residents = 0;
+    auto draw = [&] { return profile.Draw(state, residents); };
+    EnergyMeter eager(SimTime::Zero(), draw());
+    EnergyMeter lazy(SimTime::Zero(), 0.0);
+    int draws = 0;
+    auto counted_draw = [&] {
+      ++draws;
+      return draw();
+    };
+    SimTime now = SimTime::Zero();
+    int instants = 0;
+    for (int step = 0; step < 2000; ++step) {
+      // Most instants see several changes; some see none but a reading.
+      if (rng.NextBool(0.7)) {
+        now += SimTime::Micros(static_cast<int64_t>(1 + rng.NextBelow(600'000'000)));
+        ++instants;
+      }
+      const int changes = static_cast<int>(rng.NextBelow(5));
+      for (int c = 0; c < changes; ++c) {
+        lazy.CloseSegment(now, counted_draw);
+        if (rng.NextBool(0.2)) {
+          state = kStates[rng.NextBelow(4)];
+        } else {
+          residents = std::max(0, residents + (rng.NextBool(0.5) ? 1 : -1) *
+                                                  static_cast<int>(1 + rng.NextBelow(40)));
+        }
+        eager.SetDraw(now, draw());
+      }
+      ASSERT_EQ(lazy.EnergyAt(now, draw()), eager.EnergyAt(now)) << "step " << step;
+    }
+    now += SimTime::Hours(1.0);
+    ASSERT_EQ(lazy.EnergyAt(now, draw()), eager.EnergyAt(now));
+    lazy.CloseSegment(now, counted_draw);
+    eager.Advance(now);
+    EXPECT_EQ(lazy.total_joules(), eager.total_joules());
+    // One draw per instant that saw a change, not one per change.
+    EXPECT_LE(draws, instants + 1);
+  }
 }
 
 TEST(StateTimeLedgerTest, TracksTimePerState) {

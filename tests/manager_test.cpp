@@ -398,6 +398,69 @@ TEST(ManagerTest, ValidateRejectsCountsThatOverflowAnInt) {
   EXPECT_TRUE(config.Validate().ok());
 }
 
+// Power profiles the meters cannot integrate used to validate: a negative S3
+// latency tripped Simulator::ScheduleAfter's assert mid-run, a NaN idle draw
+// printed 0% savings, a NaN memory-server board printed -3.6%, and a sleep
+// draw of -50 W printed 85% savings with no violation. Validate alone is
+// called here: no such config is ever built into a manager.
+void ExpectPowerRejected(const ClusterConfig& config, const std::string& phrase) {
+  Status status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(phrase), std::string::npos) << status.message();
+}
+
+TEST(ManagerTest, ValidateRejectsNegativeS3Latencies) {
+  ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
+  config.host_power.resume_latency = SimTime::Seconds(-1.0);
+  ExpectPowerRejected(config, "host_power S3 latencies must be non-negative");
+  config.host_power.resume_latency = SimTime::Seconds(2.3);
+  config.host_power.suspend_latency = SimTime::Micros(-1);
+  ExpectPowerRejected(config, "host_power S3 latencies must be non-negative");
+  config.host_power.suspend_latency = SimTime::Zero();
+  EXPECT_TRUE(config.Validate().ok());
+}
+
+TEST(ManagerTest, ValidateRejectsNanIdleWatts) {
+  ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
+  config.host_power.idle_watts = std::numeric_limits<double>::quiet_NaN();
+  ExpectPowerRejected(config, "host_power watts must be finite and non-negative");
+  config.host_power.idle_watts = std::numeric_limits<double>::infinity();
+  ExpectPowerRejected(config, "host_power watts must be finite and non-negative");
+  config.host_power.idle_watts = 102.2;
+  config.host_power.resume_watts = -1.0;
+  ExpectPowerRejected(config, "host_power watts must be finite and non-negative");
+  config.host_power.resume_watts = 149.2;
+  EXPECT_TRUE(config.Validate().ok());
+  // A fleet generation's curve is checked as the fleet scale leaves it.
+  config.fleet.segments = {{"efficient-v2", 2}};
+  config.fleet_power_scale = std::numeric_limits<double>::quiet_NaN();
+  ExpectPowerRejected(config, "fleet_power_scale must be finite and positive");
+  config.fleet_power_scale = -1.0;
+  ExpectPowerRejected(config, "fleet_power_scale must be finite and positive");
+  config.fleet_power_scale = 0.5;
+  EXPECT_TRUE(config.Validate().ok());
+}
+
+TEST(ManagerTest, ValidateRejectsNanMemoryServerWatts) {
+  ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
+  config.memory_server_power.board_watts = std::numeric_limits<double>::quiet_NaN();
+  ExpectPowerRejected(config, "memory_server_power watts must be finite and non-negative");
+  config.memory_server_power = MemoryServerProfile::WithPower(-2.0);
+  ExpectPowerRejected(config, "memory_server_power watts must be finite and non-negative");
+  config.memory_server_power = MemoryServerProfile::WithPower(0.0);
+  EXPECT_TRUE(config.Validate().ok());
+}
+
+TEST(ManagerTest, ValidateRejectsSleepAboveIdleWatts) {
+  ClusterConfig config = SmallCluster(ConsolidationPolicy::kFullToPartial);
+  config.host_power.sleep_watts = -50.0;
+  ExpectPowerRejected(config, "host_power watts must be finite and non-negative");
+  config.host_power.sleep_watts = config.host_power.idle_watts + 1.0;
+  ExpectPowerRejected(config, "host_power sleep_watts must not exceed idle_watts");
+  config.host_power.sleep_watts = config.host_power.idle_watts;
+  EXPECT_TRUE(config.Validate().ok());
+}
+
 // Byte sizes whose products wrap 64 bits used to validate and then trip
 // ClusterHost::Reserve's assert mid-run. Validate alone is called here: no
 // such config is ever built into a manager.

@@ -60,6 +60,22 @@ TEST(WorkingSetTest, DeterministicForSeed) {
   }
 }
 
+// A bulk take is the same stream as one sample at a time: takes of every
+// size from 0 to past two blocks, crossing refills at every offset.
+TEST(WorkingSetTest, TakeIsTheSampleStream) {
+  WorkingSetSampler one(4 * kGiB, 9);
+  WorkingSetSampler bulk(4 * kGiB, 9);
+  std::vector<uint64_t> taken;
+  for (size_t n = 0; n < 150; ++n) {
+    taken.assign(n, 0);
+    bulk.Take(n, taken.data());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(taken[i], one.Sample()) << "take of " << n << ", sample " << i;
+    }
+  }
+  EXPECT_EQ(bulk.Sample(), one.Sample());
+}
+
 TEST(WorkingSetTest, CustomDistribution) {
   WorkingSetDistribution dist;
   dist.mean_mib = 500.0;

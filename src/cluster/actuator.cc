@@ -222,7 +222,7 @@ bool Actuator::TryConvertInPlace(SimTime now, VmSlot& vm, SimTime activation_tim
   SimTime done = now + kReintegrationTime;
   Relocate(now, {vm.id, vm.location, VmResidency::kFullAtConsolidation, 0,
                  VmSlot::PendingOp::kOther, now, done, vm.location});
-  TraceMigration("convert_in_place", now, done, vm.id, vm.location, vm_bytes - fetched);
+  TraceMigration(Leg::kConvertInPlace, now, done, vm.id, vm.location, vm_bytes - fetched);
   metrics_.transition_delay_s.Add((done - activation_time).seconds());
   RefreshMemoryServer(now, vm.home);
   return true;
@@ -231,14 +231,14 @@ bool Actuator::TryConvertInPlace(SimTime now, VmSlot& vm, SimTime activation_tim
 bool Actuator::TryNewHome(SimTime now, VmSlot& vm, SimTime activation_time) {
   // Any powered consolidation host with room for the full footprint.
   std::vector<HostId> candidates;
-  for (const auto& candidate : state_.hosts) {
-    if (!candidate->IsConsolidationHost()) {
+  for (const ClusterHost& candidate : state_.hosts) {
+    if (!candidate.IsConsolidationHost()) {
       continue;
     }
-    HostId id = candidate->id();
-    if (id != vm.location && candidate->IsPowered() &&
-        candidate->CanFit(config_.vm_memory_bytes) &&
-        candidate->active_vms() < kMaxActiveVmsPerHost) {
+    HostId id = candidate.id();
+    if (id != vm.location && candidate.IsPowered() &&
+        candidate.CanFit(config_.vm_memory_bytes) &&
+        candidate.active_vms() < kMaxActiveVmsPerHost) {
       candidates.push_back(id);
     }
   }
@@ -286,7 +286,7 @@ SimTime Actuator::ReturnHomeGroup(SimTime now, HostId home_id, VmId requester,
     const uint64_t dirty = vm.dirty_bytes;
     dirty_total += dirty;
     SimTime done = home.EnqueueInboundTransfer(t0, kReintegrationTransfer) + kReintegrationFixed;
-    TraceMigration("reintegration", t0, done, vm.id, home_id, dirty);
+    TraceMigration(Leg::kReintegration, t0, done, vm.id, home_id, dirty);
     const VmSlot::PendingOp op =
         vm.id == requester ? VmSlot::PendingOp::kOther : VmSlot::PendingOp::kReturnMove;
     moves_.emplace_back(vm.id, home_id, VmResidency::kFullAtHome, 0, op, t0, done, home_id);
@@ -342,7 +342,7 @@ void Actuator::PartialVmUpkeep(SimTime now) {
     if (residents == 0 || growth == 0) {
       continue;
     }
-    ClusterHost& host = *state_.hosts[h];
+    ClusterHost& host = state_.hosts[h];
     uint64_t fits = host.AvailableBytes() / growth;
     host.Reserve(std::min(residents, fits) * growth);
     if (residents <= fits) {
@@ -408,8 +408,7 @@ void Actuator::FullToPartialSwapGroup(SimTime now, HostId home_id,
       TallyPartialMigration(tally, now, id, home_id, cons_id);
       ++metrics_.full_to_partial_swaps;
       SimTime done2 = home.EnqueueOutboundMigration(done1, kPartialMigrationTime);
-      TraceMigration("partial_migration", done2 - kPartialMigrationTime, done2, id, cons_id,
-                     ws);
+      TraceMigration(Leg::kPartial, done2 - kPartialMigrationTime, done2, id, cons_id, ws);
       moves_.emplace_back(id, cons_id, VmResidency::kPartial, ws, VmSlot::PendingOp::kSwapReturn,
                           done2 - kPartialMigrationTime, done2, home_id);
     } else {
@@ -467,7 +466,7 @@ void Actuator::CommitVacatePlan(SimTime now, const VacatePlan& plan) {
         moves_.emplace_back(vm_id, dest_id, VmResidency::kPartial, placement.bytes,
                             VmSlot::PendingOp::kVacatePartial, done - kPartialMigrationTime, done,
                             source_id);
-        TraceMigration("partial_migration", done - kPartialMigrationTime, done, vm_id, dest_id,
+        TraceMigration(Leg::kPartial, done - kPartialMigrationTime, done, vm_id, dest_id,
                        placement.bytes);
       }
     }
@@ -490,16 +489,14 @@ void Actuator::DrainMove(SimTime now, VmId vm_id, HostId dest_id) {
   Tally tally;
   TallyDescriptorPush(tally, now, vm_id, dest_id);
   Book(tally);
-  TraceMigration("partial_migration", done - kPartialMigrationTime, done, vm_id, dest_id,
-                 vm.ws_bytes);
+  TraceMigration(Leg::kPartial, done - kPartialMigrationTime, done, vm_id, dest_id, vm.ws_bytes);
 }
 
 void Actuator::SleepIdleConsolidationHosts(SimTime now) {
-  for (const auto& host_ptr : state_.hosts) {
-    if (!host_ptr->IsConsolidationHost()) {
+  for (ClusterHost& host : state_.hosts) {
+    if (!host.IsConsolidationHost()) {
       continue;
     }
-    ClusterHost& host = *host_ptr;
     if (host.s3_capable() && host.IsPowered() && !host.HasVms() &&
         host.active_vms() == 0 && host.outbound_busy_until() <= now) {
       host.RequestSleep(sim_);
@@ -696,13 +693,13 @@ void Actuator::ApplyScheduledFault(SimTime now, const ScheduledFault& event) {
         // Deterministic pick: the powered consolidation host with the most
         // resident VMs (ties to the lowest id) — the most damaging crash.
         size_t best_vms = 0;
-        for (const auto& host_ptr : state_.hosts) {
-          if (!host_ptr->IsConsolidationHost() || !host_ptr->IsPowered()) {
+        for (const ClusterHost& host : state_.hosts) {
+          if (!host.IsConsolidationHost() || !host.IsPowered()) {
             continue;
           }
-          if (victim == kNoHost || host_ptr->vms().size() > best_vms) {
-            victim = host_ptr->id();
-            best_vms = host_ptr->vms().size();
+          if (victim == kNoHost || host.vms().size() > best_vms) {
+            victim = host.id();
+            best_vms = host.vms().size();
           }
         }
       }
@@ -724,9 +721,9 @@ void Actuator::ApplyScheduledFault(SimTime now, const ScheduledFault& event) {
       } else {
         // Lowest-id home whose memory server is actually up (i.e. the home
         // sleeps and partial VMs depend on it).
-        for (const auto& host_ptr : state_.hosts) {
-          if (host_ptr->IsHomeHost() && host_ptr->memory_server_powered()) {
-            victim = host_ptr->id();
+        for (const ClusterHost& host : state_.hosts) {
+          if (host.IsHomeHost() && host.memory_server_powered()) {
+            victim = host.id();
             break;
           }
         }
@@ -797,7 +794,7 @@ void Actuator::CrashHost(SimTime now, HostId id) {
     }
     SimTime powered = HostOf(vm.home).EarliestPoweredTime(now);
     SimTime done = powered + kVmRestartLatency;
-    TraceMigration("crash_restart", now, done, vm.id, vm.home, config_.vm_memory_bytes);
+    TraceMigration(Leg::kCrashRestart, now, done, vm.id, vm.home, config_.vm_memory_bytes);
     SetInFlight(vm, true);
     FileCompletion(vm, now, done, VmSlot::PendingOp::kOther, id);
     ++metrics_.crash_vm_restarts;
@@ -820,7 +817,7 @@ void Actuator::CrashHost(SimTime now, HostId id) {
     SimTime done = powered + kVmRestartLatency;
     Relocate(now, {vid, vm.home, VmResidency::kFullAtHome, 0, VmSlot::PendingOp::kOther, now, done,
                    id});
-    TraceMigration("crash_restart", now, done, vid, vm.home, config_.vm_memory_bytes);
+    TraceMigration(Leg::kCrashRestart, now, done, vid, vm.home, config_.vm_memory_bytes);
     if (vm.activity == VmActivity::kActive) {
       metrics_.transition_delay_s.Add((done - now).seconds());
     }
@@ -915,28 +912,40 @@ void Actuator::AccrueEnergy(SimTime now) {
   metrics_.home_host_energy = 0.0;
   metrics_.consolidation_host_energy = 0.0;
   metrics_.memory_server_energy = 0.0;
-  for (const auto& host : state_.hosts) {
-    host->AdvanceLedger(now);
-    Joules e = host->HostEnergy(now);
-    if (host->IsHomeHost()) {
+  for (ClusterHost& host : state_.hosts) {
+    host.AdvanceLedger(now);
+    Joules e = host.HostEnergy(now);
+    if (host.IsHomeHost()) {
       metrics_.home_host_energy += e;
     } else {
       metrics_.consolidation_host_energy += e;
     }
-    metrics_.memory_server_energy += host->MemoryServerEnergy(now);
+    metrics_.memory_server_energy += host.MemoryServerEnergy(now);
   }
 }
 
-void Actuator::TraceMigration(const char* name, SimTime start, SimTime end, VmId vm, HostId dest,
+void Actuator::TraceMigration(Leg leg, SimTime start, SimTime end, VmId vm, HostId dest,
                               uint64_t bytes) {
+  // The span and counter name of each Leg, in its order.
+  static constexpr const char* kNames[] = {"full_migration", "partial_migration", "reintegration",
+                                           "convert_in_place", "crash_restart"};
+  static_assert(std::size(kNames) == kNumLegs);
+  const char* name = kNames[static_cast<size_t>(leg)];
   if (tracer_ != nullptr) {
     tracer_->Complete("migration", name, start, end,
                       obs::TraceArgs{static_cast<int64_t>(dest), static_cast<int64_t>(vm),
                                      static_cast<int64_t>(bytes)});
   }
   if (registry_ != nullptr) {
-    registry_->counter(std::string("cluster.migrations.") + name)->Increment();
-    registry_->histogram("cluster.migration_s")->Record((end - start).seconds());
+    obs::Counter*& counter = instruments_.migrations[static_cast<size_t>(leg)];
+    if (counter == nullptr) {
+      counter = registry_->counter(std::string("cluster.migrations.") + name);
+    }
+    counter->Increment();
+    if (instruments_.migration_s == nullptr) {
+      instruments_.migration_s = registry_->histogram("cluster.migration_s");
+    }
+    instruments_.migration_s->Record((end - start).seconds());
   }
 }
 
@@ -953,7 +962,7 @@ void Actuator::Book(const Tally& tally) {
 void Actuator::TallyFullMigration(Tally& tally, SimTime start, SimTime end, VmId vm,
                                   HostId dest) {
   ++tally.full_migrations;
-  TraceMigration("full_migration", start, end, vm, dest, config_.vm_memory_bytes);
+  TraceMigration(Leg::kFull, start, end, vm, dest, config_.vm_memory_bytes);
 }
 
 void Actuator::TallyDescriptorPush(Tally& tally, SimTime now, VmId vm, HostId dest) {
@@ -964,7 +973,10 @@ void Actuator::TallyDescriptorPush(Tally& tally, SimTime now, VmId vm, HostId de
                                      static_cast<int64_t>(kDescriptorBytes)});
   }
   if (registry_ != nullptr) {
-    registry_->counter("cluster.descriptor_pushes")->Increment();
+    if (instruments_.descriptor_pushes == nullptr) {
+      instruments_.descriptor_pushes = registry_->counter("cluster.descriptor_pushes");
+    }
+    instruments_.descriptor_pushes->Increment();
   }
 }
 

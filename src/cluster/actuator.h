@@ -12,6 +12,7 @@
 #ifndef OASIS_SRC_CLUSTER_ACTUATOR_H_
 #define OASIS_SRC_CLUSTER_ACTUATOR_H_
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -26,6 +27,8 @@
 
 namespace oasis {
 namespace obs {
+class Counter;
+class Histogram;
 class MetricsRegistry;
 class Tracer;
 }  // namespace obs
@@ -99,10 +102,12 @@ class Actuator {
   void AccrueEnergy(SimTime now);
   // The run's collectors (null = off). Collectors never change mid-run, so
   // the manager resolves them on entry to each step and every per-migration
-  // site tests these pointers.
+  // site tests these pointers. The instruments cached from the last registry
+  // are dropped: this one may be another, even at the same address.
   void SetCollectors(obs::Tracer* tracer, obs::MetricsRegistry* registry) {
     tracer_ = tracer;
     registry_ = registry;
+    instruments_ = {};
   }
   obs::Tracer* tracer() const { return tracer_; }
   obs::MetricsRegistry* registry() const { return registry_; }
@@ -132,7 +137,7 @@ class Actuator {
   bool RollbackMigration(SimTime now, VmSlot& vm, bool check_only = false);
 
   // --- helpers ------------------------------------------------------------
-  ClusterHost& HostOf(HostId id) { return *state_.hosts[id]; }
+  ClusterHost& HostOf(HostId id) { return state_.hosts[id]; }
   VmSlot& Slot(VmId id) { return state_.vms[id]; }
 
   // One VM's step through the funnel: it becomes resident on `dest`
@@ -209,10 +214,13 @@ class Actuator {
     uint64_t upload_bytes = 0;
   };
   void Book(const Tally& tally);
+  // The kinds of migration leg, each with its own span name and
+  // cluster.migrations.<name> counter (TraceMigration names them).
+  enum class Leg : uint8_t { kFull, kPartial, kReintegration, kConvertInPlace, kCrashRestart };
+  static constexpr size_t kNumLegs = 5;
   // One migration leg as a span on the destination host's track, plus the
-  // per-kind counter. `name` must be a string literal.
-  void TraceMigration(const char* name, SimTime start, SimTime end, VmId vm, HostId dest,
-                      uint64_t bytes);
+  // per-kind counter.
+  void TraceMigration(Leg leg, SimTime start, SimTime end, VmId vm, HostId dest, uint64_t bytes);
   // One full (pre-copy live) migration of `vm` to `dest` over [start, end).
   void TallyFullMigration(Tally& tally, SimTime start, SimTime end, VmId vm, HostId dest);
   // One partial migration's descriptor push to `dest`: its span on `dest`'s
@@ -232,6 +240,15 @@ class Actuator {
   ClusterMetrics& metrics_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* registry_ = nullptr;
+  // registry_'s per-migration instruments, each looked up on its first use
+  // (one that never fires stays out of the export) and cached until
+  // SetCollectors.
+  struct Instruments {
+    std::array<obs::Counter*, kNumLegs> migrations{};
+    obs::Histogram* migration_s = nullptr;
+    obs::Counter* descriptor_pushes = nullptr;
+  };
+  Instruments instruments_;
   uint64_t completions_retired_ = 0;
 
   // RelocateGroup's per-host sums, indexed by host id and zero between

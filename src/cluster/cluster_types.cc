@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cassert>
 #include <climits>
 #include <cmath>
 #include <cstdint>
 
 #include "src/cluster/strategy.h"
-#include "src/common/interned.h"
 #include "src/mem/working_set.h"
 
 namespace oasis {
@@ -102,24 +100,6 @@ Status ClusterConfig::Validate() const {
   // A day needs at least one planning round.
   if (planning_interval <= SimTime::Zero() || planning_interval > SimTime::Hours(24.0)) {
     return Status::InvalidArgument("planning interval must be positive and at most a day");
-  }
-  // A round fetches at most what remains, and a day's dirty or working-set
-  // growth must stay below 2^62 bytes, where the upkeep counters' sums
-  // cannot wrap and each round's step converts from a double in range.
-  if (!(volumes.on_demand_fraction_per_interval >= 0.0 &&
-        volumes.on_demand_fraction_per_interval <= 1.0)) {
-    return Status::InvalidArgument("on_demand_fraction_per_interval must be in [0, 1]");
-  }
-  constexpr double kMaxDayMiB = 0x1p62 / static_cast<double>(kMiB);
-  if (!(volumes.dirty_mib_per_minute >= 0.0 &&
-        volumes.dirty_mib_per_minute * (24.0 * 60.0) < kMaxDayMiB)) {
-    return Status::InvalidArgument(
-        "dirty_mib_per_minute must be non-negative and dirty less than 2^62 bytes a day");
-  }
-  if (!(volumes.ws_growth_mib_per_hour >= 0.0 &&
-        volumes.ws_growth_mib_per_hour * 24.0 < kMaxDayMiB)) {
-    return Status::InvalidArgument(
-        "ws_growth_mib_per_hour must be non-negative and grow less than 2^62 bytes a day");
   }
   if (idle_smoothing_intervals < 0) {
     return Status::InvalidArgument("idle smoothing must be non-negative");
@@ -226,146 +206,115 @@ void ClusterConfig::SetVmsPerHome(int vms) {
 
 namespace {
 
-// The tables of `fetch`'s rates, built from the very Fetch expression the
-// walk evaluates (the jump rows from one that gives the same values).
-UpkeepRates::FetchTables BuildFetchTables(const UpkeepRates& fetch) {
-  using Tables = UpkeepRates::FetchTables;
-  Tables t;
-  // Fetch is monotone in the unfetched size (a product with a non-negative
-  // constant, truncated), so the threshold is a binary search on the very
-  // expression each round evaluates. Working sets stay far below 2^62.
-  constexpr uint64_t kLimit = uint64_t{1} << 62;
-  if (fetch.fetch_cap > 0 && fetch.Fetch(kLimit) == fetch.fetch_cap) {
-    uint64_t lo = 0;
-    uint64_t hi = kLimit;
-    while (lo < hi) {
-      uint64_t mid = lo + (hi - lo) / 2;
-      if (fetch.Fetch(mid) == fetch.fetch_cap) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    t.cap_threshold = hi;
+constexpr uint64_t kTailSizes = UpkeepRates::kTailSizes;
+constexpr uint64_t kStride = UpkeepRates::kJumpStride;
+// One jump row per page-aligned size below the threshold.
+constexpr size_t kRows = (UpkeepRates::kCapThreshold + kPageSize - 1) / kPageSize;
+// A walk from a larger size never falls behind one from a smaller size, so
+// the largest start's walk sizes the rows: they keep a stop per stride
+// until that walk reaches the memoized tail.
+constexpr size_t kStopsPerRow = [] {
+  uint64_t to_tail = 0;
+  for (uint64_t x = (kRows - 1) * kPageSize; x >= kTailSizes; ++to_tail) {
+    x -= UpkeepRates::Fetch(x);
   }
+  return static_cast<size_t>((to_tail + kStride - 1) / kStride);
+}();
+static_assert(kStopsPerRow > 0);
+// Below the threshold a fetch is trunc(x * fraction), never the cap, and
+// sizes fit an int32_t, whose conversions give the same values as the
+// walk's int64_t ones.
+static_assert(UpkeepRates::kCapThreshold <= INT32_MAX);
+
+// The fetch walk's tables, built from the very Fetch expression each round
+// evaluates (the jump rows from one that gives the same values).
+UpkeepRates::FetchTables BuildFetchTables() {
+  UpkeepRates::FetchTables t;
   // A fetch never exceeds what remains, so every entry builds on a smaller
   // one; each walk takes at most x rounds, which fits a uint16_t.
-  constexpr uint64_t kTailSizes = UpkeepRates::kTailSizes;
   t.tail.resize(kTailSizes);
   for (uint64_t x = 0; x < kTailSizes; ++x) {
-    uint64_t f = fetch.Fetch(x);
-    assert(f <= x && "the on-demand fraction must be in [0, 1]");
+    const uint64_t f = UpkeepRates::Fetch(x);
     t.tail[x] = f == 0 ? UpkeepRates::Tail{0, static_cast<uint16_t>(x)}
                        : UpkeepRates::Tail{static_cast<uint16_t>(t.tail[x - f].rounds + 1),
                                            t.tail[x - f].rest};
   }
-  if (t.cap_threshold > UpkeepRates::kJumpRowsBound) {
-    return t;
-  }
-  // Jump rows. A walk from a larger size never falls behind one from a
-  // smaller size, so the largest start's walk sizes the rows: they keep a
-  // stop per stride until that walk reaches the memoized tail, and the tail
-  // then gives each row's length. A row that has not reached the tail by
-  // its last stop, or walks longer than a length can say, leaves no rows.
-  constexpr uint64_t kStride = UpkeepRates::kJumpStride;
-  const size_t rows = static_cast<size_t>((t.cap_threshold + kPageSize - 1) / kPageSize);
-  uint64_t to_tail = 0;  // rounds until the largest start's walk is in the tail
-  for (uint64_t x = (rows - 1) * kPageSize; x >= kTailSizes; ++to_tail) {
-    const uint64_t f = fetch.Fetch(x);
-    if (f == 0 || to_tail == kStride * UpkeepRates::kMaxStopsPerRow) {
-      return t;
-    }
-    x -= f;
-  }
-  const size_t stops_per_row = static_cast<size_t>((to_tail + kStride - 1) / kStride);
-  if (stops_per_row == 0) {
-    return t;
-  }
-  // Below the threshold a fetch is trunc(x * fraction), never the cap, and
-  // below kJumpRowsBound sizes fit an int32_t, whose conversions give the
-  // same values as the walk's int64_t ones. A chunk of rows steps a round
-  // at a time, which keeps hundreds of independent walks in flight.
+  // Jump rows. The tail gives each row's length once its last stop is in
+  // the tail. A chunk of rows steps a round at a time, which keeps hundreds
+  // of independent walks in flight.
   constexpr size_t kChunk = 512;
-  std::vector<uint8_t> length(rows);
-  std::vector<uint32_t> stops(rows * stops_per_row);
-  const double fraction = fetch.fetch_fraction;
+  t.stops_per_row = kStopsPerRow;
+  t.length.resize(kRows);
+  t.stops.resize(kRows * kStopsPerRow);
   std::array<int32_t, kChunk> x;
   std::array<int32_t, kChunk> fetching;
-  for (size_t first = 0; first < rows; first += kChunk) {
-    const size_t n = std::min(kChunk, rows - first);
+  for (size_t first = 0; first < kRows; first += kChunk) {
+    const size_t n = std::min(kChunk, kRows - first);
     for (size_t i = 0; i < n; ++i) {
       x[i] = static_cast<int32_t>((first + i) * kPageSize);
       fetching[i] = 0;
     }
-    for (size_t j = 0; j < stops_per_row; ++j) {
+    for (size_t j = 0; j < kStopsPerRow; ++j) {
       for (uint64_t round = 0; round < kStride; ++round) {
         for (size_t i = 0; i < n; ++i) {
-          const int32_t f = static_cast<int32_t>(static_cast<double>(x[i]) * fraction);
+          const int32_t f =
+              static_cast<int32_t>(static_cast<double>(x[i]) * kOnDemandFractionPerRound);
           x[i] -= f;
           fetching[i] += f != 0 ? 1 : 0;
         }
       }
       for (size_t i = 0; i < n; ++i) {
-        stops[(first + i) * stops_per_row + j] = static_cast<uint32_t>(x[i]);
+        t.stops[(first + i) * kStopsPerRow + j] = static_cast<uint32_t>(x[i]);
       }
     }
     for (size_t i = 0; i < n; ++i) {
       const uint64_t at = static_cast<uint64_t>(x[i]);
-      if (at >= kTailSizes || fetching[i] + t.tail[at].rounds > UINT8_MAX) {
-        return t;
-      }
-      length[first + i] = static_cast<uint8_t>(fetching[i] + t.tail[at].rounds);
+      assert(at < kTailSizes && fetching[i] + t.tail[at].rounds <= UINT8_MAX &&
+             "every row ends in the tail with a length a uint8_t holds");
+      t.length[first + i] = static_cast<uint8_t>(fetching[i] + t.tail[at].rounds);
     }
   }
-  t.stops_per_row = stops_per_row;
-  t.length = std::move(length);
-  t.stops = std::move(stops);
   return t;
 }
 
 }  // namespace
 
-UpkeepRates::UpkeepRates(const ClusterConfig& config)
-    : dirty_step(MiBToBytes(config.volumes.dirty_mib_per_minute *
-                            config.planning_interval.minutes())),
-      dirty_cap(config.volumes.dirty_cap_bytes),
-      fetch_fraction(config.volumes.on_demand_fraction_per_interval),
-      fetch_cap(config.volumes.on_demand_cap_per_interval) {
-  uint64_t bytes = MiBToBytes(config.volumes.ws_growth_mib_per_hour *
-                              config.planning_interval.hours());
+const UpkeepRates::FetchTables& UpkeepRates::Tables() {
+  static const FetchTables tables = BuildFetchTables();
+  return tables;
+}
+
+UpkeepRates::UpkeepRates(SimTime planning_interval)
+    : dirty_step(MiBToBytes(kDirtyMiBPerMinute * planning_interval.minutes())) {
+  uint64_t bytes = MiBToBytes(kWsGrowthMiBPerHour * planning_interval.hours());
   growth = (bytes / kPageSize) * kPageSize;
-  static Interned<std::pair<uint64_t, uint64_t>, FetchTables> shared;
-  tables = &shared.Get({std::bit_cast<uint64_t>(fetch_fraction), fetch_cap},
-                       [this] { return BuildFetchTables(*this); });
-  cap_threshold = tables->cap_threshold;
 }
 
 UpkeepCounters UpkeepRates::Advance(const VmSlot& vm, uint64_t rounds, uint64_t grown) const {
-  assert(tables != nullptr && "walks need rates built from a config");
-  const std::vector<Tail>& tail = tables->tail;
+  const FetchTables& tables = Tables();
+  const std::vector<Tail>& tail = tables.tail;
   UpkeepCounters c;
   c.ws_bytes = vm.ws_bytes + grown * growth;
-  c.dirty_bytes = rounds > 0 ? std::min(vm.dirty_bytes + rounds * dirty_step, dirty_cap)
+  c.dirty_bytes = rounds > 0 ? std::min(vm.dirty_bytes + rounds * dirty_step, kDirtyCapBytes)
                              : vm.dirty_bytes;
   uint64_t x = vm.ws_unfetched;
-  // Cap phase: while the size is at least cap_threshold every round fetches
+  // Cap phase: while the size is at least kCapThreshold every round fetches
   // the whole cap.
-  if (cap_threshold != kNoCapPhase && x >= cap_threshold) {
-    const uint64_t n = std::min(rounds, (x - cap_threshold) / fetch_cap + 1);
-    x -= n * fetch_cap;
+  if (x >= kCapThreshold) {
+    const uint64_t n = std::min(rounds, (x - kCapThreshold) / kOnDemandCapPerRound + 1);
+    x -= n * kOnDemandCapPerRound;
     c.fetches = n;
     rounds -= n;
   }
   // A page-aligned size below the threshold jumps whole strides of its
   // walk, as far as its stops reach: only min(rounds, length) of its rounds
   // fetch.
-  if (!tables->length.empty() && rounds >= kJumpStride && x < cap_threshold &&
-      x % kPageSize == 0) {
+  if (rounds >= kJumpStride && x < kCapThreshold && x % kPageSize == 0) {
     const size_t row = static_cast<size_t>(x / kPageSize);
-    const uint64_t fetching = std::min<uint64_t>(rounds, tables->length[row]);
-    const uint64_t j = std::min<uint64_t>(fetching / kJumpStride, tables->stops_per_row);
+    const uint64_t fetching = std::min<uint64_t>(rounds, tables.length[row]);
+    const uint64_t j = std::min<uint64_t>(fetching / kJumpStride, tables.stops_per_row);
     if (j > 0) {
-      x = tables->stops[row * tables->stops_per_row + j - 1];
+      x = tables.stops[row * tables.stops_per_row + j - 1];
       c.fetches += j * kJumpStride;
       rounds -= j * kJumpStride;
     }

@@ -11,6 +11,7 @@
 #include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/fault/fault.h"
+#include "src/hyper/migration_model.h"
 #include "src/hyper/vm.h"
 #include "src/power/host_profile.h"
 #include "src/power/power_model.h"
@@ -35,25 +36,6 @@ const char* ConsolidationPolicyName(ConsolidationPolicy p);
 // day asleep. The role is carried on every ClusterHost — code must branch on
 // it rather than on id arithmetic against num_home_hosts.
 enum class HostRole { kHome, kConsolidation };
-
-// The per-round upkeep rates of a consolidated partial VM, from the §4.4.3
-// measurements; UpkeepRates reads them. Every migration's latency and
-// per-migration byte volume is a constant of the migration cost table
-// (src/hyper/migration_model.h); ACPI S3 latencies are per host
-// (HostPowerProfile).
-struct TrafficVolumes {
-  // On-demand page fetches drain the unfetched working set geometrically:
-  // each interval a partial VM fetches this fraction of what remains,
-  // capped at the per-interval ceiling.
-  double on_demand_fraction_per_interval = 0.30;
-  uint64_t on_demand_cap_per_interval = 15 * kMiB;
-  // Dirty state accumulated by a consolidated partial VM (§4.4.3 measures
-  // ~175 MiB after 20 minutes, i.e. ~8.8 MiB/min, saturating).
-  double dirty_mib_per_minute = 8.8;
-  uint64_t dirty_cap_bytes = 400 * kMiB;
-  // Idle working sets creep upward while consolidated (§3.2's grow case).
-  double ws_growth_mib_per_hour = 6.0;
-};
 
 // CPU side of §3 assumption 1: a host executes at most 16 cores x 3 *active*
 // 1-vCPU VMs ("over-committing CPU by a factor of 3 is regarded as a safe
@@ -86,7 +68,6 @@ struct ClusterConfig {
   // monitoring, e.g. page-dirtying rate, which needs a sampling window; it
   // also keeps momentary pauses from triggering migration ping-pong).
   int idle_smoothing_intervals = 2;
-  TrafficVolumes volumes;
   HostPowerProfile host_power;
   // Per-host hardware generations (src/power/host_profile.h). Fleet
   // segments cover hosts [0, CoveredHosts()) in order; every host past the
@@ -200,40 +181,38 @@ struct UpkeepCounters {
 // The three per-round processes §4.4.3 gives every upkeep-eligible VM, in
 // closed form over a run of rounds (DESIGN.md, "Lazy upkeep"). Each round
 // fetches Fetch(ws_unfetched) on demand, adds dirty_step to the dirty state
-// up to dirty_cap, and grows the working set by `growth` when its host has
-// room.
+// up to kDirtyCapBytes, and grows the working set by `growth` when its host
+// has room. The fetch and the dirty cap are constants of the migration cost
+// table (src/hyper/migration_model.h); the planning interval sets the steps.
 struct UpkeepRates {
   UpkeepRates() = default;
-  explicit UpkeepRates(const ClusterConfig& config);
+  explicit UpkeepRates(SimTime planning_interval);
 
   uint64_t growth = 0;  // whole pages
   uint64_t dirty_step = 0;
-  uint64_t dirty_cap = 0;
-  double fetch_fraction = 0.0;  // in [0, 1]
-  uint64_t fetch_cap = 0;
+
+  // One round's on-demand fetch: floor(unfetched x fraction), capped. Sizes
+  // stay below 2^62, where the signed conversions give exactly the values
+  // of the unsigned ones without their range fix-ups.
+  static constexpr uint64_t Fetch(uint64_t unfetched) {
+    const int64_t fetch = static_cast<int64_t>(
+        static_cast<double>(static_cast<int64_t>(unfetched)) * kOnDemandFractionPerRound);
+    return std::min(static_cast<uint64_t>(fetch), kOnDemandCapPerRound);
+  }
   // The smallest unfetched size whose fetch is the whole cap (Fetch is
-  // monotone, so every larger size fetches the cap too); kNoCapPhase when
-  // no size reaches it.
-  static constexpr uint64_t kNoCapPhase = UINT64_MAX;
-  uint64_t cap_threshold = kNoCapPhase;
+  // monotone, so every larger size fetches the cap too).
+  static constexpr uint64_t kCapThreshold = 50 * kMiB;
 
   // Memo tables of the fetch walk below the threshold, where each fetch is
-  // a fraction of what remains. They depend only on fetch_fraction and
-  // fetch_cap, so each distinct pair's tables are built once per process
-  // (src/common/interned.h) and shared, read-only, by every UpkeepRates
-  // with those rates on any thread.
+  // a fraction of what remains. Tables() builds them once per process and
+  // every UpkeepRates on any thread reads them.
   static constexpr uint64_t kTailSizes = 4096;
   static constexpr uint64_t kJumpStride = 8;
-  // Jump rows cost a row per page below the threshold and a stop per
-  // stride of the longest walk, so past these bounds none are built.
-  static constexpr uint64_t kJumpRowsBound = 64 * kMiB;
-  static constexpr size_t kMaxStopsPerRow = 8;
   struct Tail {
     uint16_t rounds;
     uint16_t rest;
   };
   struct FetchTables {
-    uint64_t cap_threshold = kNoCapPhase;
     // For the kTailSizes smallest sizes, tail[x] is the rest of the walk
     // from x: how many rounds still fetch, and the size where the fetch
     // first rounds down to zero (after which the size never changes).
@@ -242,23 +221,12 @@ struct UpkeepRates {
     // threshold: the walk from it fetches in length[p] rounds, and after
     // kJumpStride * j of them it stands at stops[p * stops_per_row + j - 1],
     // for j up to length[p] / kJumpStride and stops_per_row. A row keeps
-    // the stops until the longest walk reaches the memoized tail. Empty
-    // when the threshold is past kJumpRowsBound or that takes more than
-    // kMaxStopsPerRow stops.
+    // the stops until the longest walk reaches the memoized tail.
     size_t stops_per_row = 0;
     std::vector<uint8_t> length;
     std::vector<uint32_t> stops;
   };
-  const FetchTables* tables = nullptr;  // set by the config constructor
-
-  // One round's on-demand fetch: floor(unfetched x fraction), capped. Sizes
-  // stay below 2^62, where the signed conversions give exactly the values
-  // of the unsigned ones without their range fix-ups.
-  uint64_t Fetch(uint64_t unfetched) const {
-    const int64_t fetch = static_cast<int64_t>(
-        static_cast<double>(static_cast<int64_t>(unfetched)) * fetch_fraction);
-    return std::min(static_cast<uint64_t>(fetch), fetch_cap);
-  }
+  static const FetchTables& Tables();
 
   // `vm`'s counters after `rounds` more rounds, in `grown` of which the
   // working set grew, with the fetches they took: exactly what applying the
@@ -285,6 +253,8 @@ struct UpkeepRates {
     return vm.ws_bytes + PendingRounds(vm, round) * growth;
   }
 };
+static_assert(UpkeepRates::Fetch(UpkeepRates::kCapThreshold) == kOnDemandCapPerRound);
+static_assert(UpkeepRates::Fetch(UpkeepRates::kCapThreshold - 1) < kOnDemandCapPerRound);
 
 }  // namespace oasis
 

@@ -368,12 +368,12 @@ void CheckClusterInvariants(const ClusterManager& manager, SimTime now,
                             std::to_string(vm.dirty_bytes) + " B";
                    },
                    obs::TraceArgs{H(vm.location), V(vid)});
-    checker.Expect(settled.dirty_bytes <= config.volumes.dirty_cap_bytes,
+    checker.Expect(settled.dirty_bytes <= kDirtyCapBytes,
                    "cluster.dirty_within_cap", now,
                    [&] {
                      return "VM " + std::to_string(vid) + " dirtied " +
                             std::to_string(settled.dirty_bytes) + " B past the cap of " +
-                            std::to_string(config.volumes.dirty_cap_bytes) + " B";
+                            std::to_string(kDirtyCapBytes) + " B";
                    },
                    obs::TraceArgs{H(vm.location), V(vid),
                                   static_cast<int64_t>(settled.dirty_bytes)});

@@ -30,14 +30,16 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace)
   assert(valid.ok());
   assert(strategy_ != nullptr && "Validate() guarantees a registered strategy_name");
   // Hosts: homes first, then consolidation hosts (asleep by default, §3.1).
+  // The vector is filled here and never resized, so references to its hosts
+  // stay valid for the manager's lifetime.
+  state_.hosts.reserve(static_cast<size_t>(config_.TotalHosts()));
   for (int h = 0; h < config_.num_home_hosts; ++h) {
-    state_.hosts.push_back(std::make_unique<ClusterHost>(
-        static_cast<HostId>(h), HostRole::kHome, config_, /*initially_powered=*/true));
+    state_.hosts.emplace_back(static_cast<HostId>(h), HostRole::kHome, config_,
+                              /*initially_powered=*/true);
   }
   for (int c = 0; c < config_.num_consolidation_hosts; ++c) {
-    state_.hosts.push_back(std::make_unique<ClusterHost>(
-        static_cast<HostId>(config_.num_home_hosts + c), HostRole::kConsolidation, config_,
-        /*initially_powered=*/false));
+    state_.hosts.emplace_back(static_cast<HostId>(config_.num_home_hosts + c),
+                              HostRole::kConsolidation, config_, /*initially_powered=*/false);
   }
   int total_vms = config_.TotalVms();
   row_words_ = RowWords(static_cast<size_t>(total_vms));
@@ -55,7 +57,7 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace)
     slot.activity = active ? VmActivity::kActive : VmActivity::kIdle;
     slot.residency = VmResidency::kFullAtHome;
     state_.vms.push_back(slot);
-    ClusterHost& home = *state_.hosts[slot.home];
+    ClusterHost& home = state_.hosts[slot.home];
     home.AddVm(SimTime::Zero(), slot.id);
     home.Reserve(config_.vm_memory_bytes);
     if (slot.activity == VmActivity::kActive) {
@@ -71,7 +73,7 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace)
   state_.inflight_residents.assign(state_.hosts.size(), 0);
   state_.partial_residents.assign(state_.hosts.size(), 0);
   state_.upkeep_residents.assign(state_.hosts.size(), 0);
-  state_.upkeep = UpkeepRates(config_);
+  state_.upkeep = UpkeepRates(config_.planning_interval);
   state_.trusted_idle.assign(row_words_, 0);
   UpdateTrustedIdleBits(0);
   // Plans fire every planning_interval (§3.1's configurable knob); each tick
@@ -95,8 +97,13 @@ ClusterManager::ClusterManager(const ClusterConfig& config, TraceSet trace)
 
 void ClusterManager::RunUntil(SimTime until) {
   // Collectors never change mid-run, so each step resolves them on entry.
-  act_.SetCollectors(obs::Tracer::IfEnabled(), obs::MetricsRegistry::IfEnabled());
+  SetCollectors();
   sim_.RunUntil(until, [this](const Event& ev) { Dispatch(ev); });
+}
+
+void ClusterManager::SetCollectors() {
+  act_.SetCollectors(obs::Tracer::IfEnabled(), obs::MetricsRegistry::IfEnabled());
+  round_counters_ = {};
 }
 
 void ClusterManager::Dispatch(const Event& ev) {
@@ -146,11 +153,11 @@ ClusterMetrics ClusterManager::Run() {
   metrics_.hosts_by_class.assign(static_cast<size_t>(config_.NumProfileClasses()), 0);
   metrics_.host_sleep_seconds_by_class.assign(
       static_cast<size_t>(config_.NumProfileClasses()), 0.0);
-  for (const auto& host : state_.hosts) {
-    size_t cls = static_cast<size_t>(host->profile_class());
+  for (const ClusterHost& host : state_.hosts) {
+    size_t cls = static_cast<size_t>(host.profile_class());
     ++metrics_.hosts_by_class[cls];
     metrics_.host_sleep_seconds_by_class[cls] +=
-        host->ledger().TimeInAt(HostPowerState::kSleeping, end).seconds();
+        host.ledger().TimeInAt(HostPowerState::kSleeping, end).seconds();
   }
   metrics_.faults_injected = fault_.TotalInjected();
   metrics_.faults_recovered = fault_.TotalRecovered();
@@ -217,9 +224,9 @@ void ClusterManager::PlanAndRecord(SimTime now) {
   PlanActions actions = strategy_->PlanInterval(View(), now, act_);
   act_.SleepIdleConsolidationHosts(now);
   // Sweep home hosts that drained since the last interval.
-  for (const auto& host : state_.hosts) {
-    if (host->IsHomeHost()) {
-      act_.MaybeSleepHomeHost(now, host->id());
+  for (const ClusterHost& host : state_.hosts) {
+    if (host.IsHomeHost()) {
+      act_.MaybeSleepHomeHost(now, host.id());
     }
   }
   RecordSnapshot(now);
@@ -240,12 +247,18 @@ void ClusterManager::PlanAndRecord(SimTime now) {
                               static_cast<int64_t>(actions.drain_moves)});
   }
   if (obs::MetricsRegistry* m = act_.registry()) {
-    m->counter("cluster.planning_rounds")->Increment();
-    std::string prefix = std::string("cluster.policy.") + strategy_->name();
-    m->counter(prefix + ".vacated_hosts")->Increment(static_cast<uint64_t>(actions.vacated_hosts));
-    m->counter(prefix + ".vacate_moves")->Increment(static_cast<uint64_t>(actions.vacate_moves));
-    m->counter(prefix + ".drain_moves")->Increment(static_cast<uint64_t>(actions.drain_moves));
-    m->counter(prefix + ".swapped_vms")->Increment(static_cast<uint64_t>(actions.swapped_vms));
+    RoundCounters& c = round_counters_;
+    if (c.rounds == nullptr) {
+      const std::string prefix = std::string("cluster.policy.") + strategy_->name();
+      c = {m->counter("cluster.planning_rounds"), m->counter(prefix + ".vacated_hosts"),
+           m->counter(prefix + ".vacate_moves"), m->counter(prefix + ".drain_moves"),
+           m->counter(prefix + ".swapped_vms")};
+    }
+    c.rounds->Increment();
+    c.vacated_hosts->Increment(static_cast<uint64_t>(actions.vacated_hosts));
+    c.vacate_moves->Increment(static_cast<uint64_t>(actions.vacate_moves));
+    c.drain_moves->Increment(static_cast<uint64_t>(actions.drain_moves));
+    c.swapped_vms->Increment(static_cast<uint64_t>(actions.swapped_vms));
   }
 }
 
@@ -306,20 +319,20 @@ void ClusterManager::RecordSnapshot(SimTime now) {
   // Every VM counts toward exactly one host's active count and exactly one
   // home's residency counts, so per-host sums replace a walk over all VMs.
   for (size_t h = 0; h < state_.hosts.size(); ++h) {
-    snap.active_vms += state_.hosts[h]->active_vms();
+    snap.active_vms += state_.hosts[h].active_vms();
     snap.partial_vms += state_.partials_homed[h];
     snap.full_at_consolidation_vms += state_.fac_homed[h];
   }
-  for (const auto& host : state_.hosts) {
-    if (!host->IsPowered()) {
+  for (const ClusterHost& host : state_.hosts) {
+    if (!host.IsPowered()) {
       continue;
     }
     ++snap.powered_hosts;
-    if (host->IsHomeHost()) {
+    if (host.IsHomeHost()) {
       ++snap.powered_home_hosts;
     } else {
       ++snap.powered_consolidation_hosts;
-      metrics_.consolidation_ratio.Add(static_cast<double>(host->vms().size()));
+      metrics_.consolidation_ratio.Add(static_cast<double>(host.vms().size()));
     }
   }
   metrics_.timeline.push_back(snap);

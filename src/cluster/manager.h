@@ -84,7 +84,7 @@ class ClusterManager {
   int TraceIntervalAt(SimTime now) const;
 
   // Read-only introspection for tests and diagnostics.
-  const ClusterHost& GetHost(HostId id) const { return *state_.hosts[id]; }
+  const ClusterHost& GetHost(HostId id) const { return state_.hosts[id]; }
   const VmSlot& GetVm(VmId id) const { return state_.vms[id]; }
   size_t num_hosts() const { return state_.hosts.size(); }
   size_t num_vms() const { return state_.vms.size(); }
@@ -131,6 +131,9 @@ class ClusterManager {
   // Moves groups against one-VM moves in tests/relocate_group_test.cpp.
   friend struct RelocateGroupTestPeer;
 
+  // Hands the actuator the collectors the running thread resolves, and drops
+  // the round counters cached from the last registry.
+  void SetCollectors();
   // Runs one popped event: the one switch over ClusterEvent.
   void Dispatch(const Event& ev);
 
@@ -168,6 +171,16 @@ class ClusterManager {
   ClusterState state_;
   ClusterMetrics metrics_;
   std::unique_ptr<ConsolidationStrategy> strategy_;
+  // The registry's per-round counters, looked up on the first round after
+  // SetCollectors.
+  struct RoundCounters {
+    obs::Counter* rounds = nullptr;
+    obs::Counter* vacated_hosts = nullptr;
+    obs::Counter* vacate_moves = nullptr;
+    obs::Counter* drain_moves = nullptr;
+    obs::Counter* swapped_vms = nullptr;
+  };
+  RoundCounters round_counters_;
   Actuator act_;  // constructed last: holds references to everything above
 };
 

@@ -21,7 +21,6 @@
 #define OASIS_SRC_CLUSTER_VIEW_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -37,7 +36,7 @@ namespace oasis {
 // (vm id == index). Only the Actuator mutates it (plus the owning manager,
 // which applies the activity trace); strategies read it through ClusterView.
 struct ClusterState {
-  std::vector<std::unique_ptr<ClusterHost>> hosts;
+  std::vector<ClusterHost> hosts;
   std::vector<VmSlot> vms;
   // Whether each VM has ever uploaded its compressed image to its memory
   // server (the first upload ships the whole touched image, later ones only
@@ -84,7 +83,7 @@ struct ClusterState {
   std::vector<uint64_t> trusted_idle;
   // Every migration completion not yet retired, in no particular order.
   std::vector<PendingCompletion> completions;
-  // Resolved once from the config; never changes.
+  // Set once from the planning interval; never changes.
   UpkeepRates upkeep;
 };
 
@@ -106,7 +105,7 @@ class ClusterView {
   const ClusterConfig& config() const { return *config_; }
   size_t num_hosts() const { return state_->hosts.size(); }
   size_t num_vms() const { return state_->vms.size(); }
-  const ClusterHost& host(HostId id) const { return *state_->hosts[id]; }
+  const ClusterHost& host(HostId id) const { return state_->hosts[id]; }
   const VmSlot& vm(VmId id) const { return state_->vms[id]; }
 
   // The deterministic planning streams. Both advance a cursor shared with

@@ -48,6 +48,17 @@ inline constexpr SimTime kReintegrationTime = kReintegrationFixed + kReintegrati
 // upload pushes the whole touched image, later ones only the delta).
 inline constexpr uint64_t kFirstUploadBytes = 1306 * kMiB;
 inline constexpr uint64_t kRepeatUploadBytes = 282 * kMiB;
+// A consolidated partial VM's upkeep each planning round (§4.4.3, §5.1).
+// On-demand page fetches drain the unfetched working set geometrically: a
+// round fetches this fraction of what remains, capped at the ceiling.
+inline constexpr double kOnDemandFractionPerRound = 0.30;
+inline constexpr uint64_t kOnDemandCapPerRound = 15 * kMiB;
+// Dirty state grows ~8.8 MiB/min (§4.4.3 measures ~175 MiB after 20
+// minutes), saturating.
+inline constexpr double kDirtyMiBPerMinute = 8.8;
+inline constexpr uint64_t kDirtyCapBytes = 400 * kMiB;
+// Idle working sets creep upward while consolidated (§3.2's grow case).
+inline constexpr double kWsGrowthMiBPerHour = 6.0;
 
 // §4.4, the page-level model on the GigE testbed. Pre-copy migrates a 4 GiB
 // VM in 41 s (≈100 MiB/s once dirty rounds are folded in). The descriptor

@@ -1,13 +1,9 @@
 #include "src/mem/working_set.h"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <utility>
-
-#include "src/common/interned.h"
 
 namespace oasis {
 namespace {
@@ -50,20 +46,21 @@ void SolveUnderlyingOnce(const WorkingSetDistribution& dist, double* mu, double*
   }
 }
 
-// The solve above, once per process for each distinct distribution: every
-// cluster validates and samples the same one.
+// The solve above. Every cluster validates and samples the default
+// distribution, so its solve is kept for the process; any other is solved
+// on the spot.
 void SolveUnderlying(const WorkingSetDistribution& dist, double* mu, double* sigma) {
-  static Interned<std::array<uint64_t, 3>, std::pair<double, double>> solved;
-  const std::array<uint64_t, 3> key{std::bit_cast<uint64_t>(dist.mean_mib),
-                                    std::bit_cast<uint64_t>(dist.stddev_mib),
-                                    std::bit_cast<uint64_t>(dist.floor_mib)};
-  const std::pair<double, double>& underlying = solved.Get(key, [&dist] {
+  if (dist != WorkingSetDistribution{}) {
+    SolveUnderlyingOnce(dist, mu, sigma);
+    return;
+  }
+  static const std::pair<double, double> solved = [] {
     std::pair<double, double> out;
-    SolveUnderlyingOnce(dist, &out.first, &out.second);
+    SolveUnderlyingOnce(WorkingSetDistribution{}, &out.first, &out.second);
     return out;
-  });
-  *mu = underlying.first;
-  *sigma = underlying.second;
+  }();
+  *mu = solved.first;
+  *sigma = solved.second;
 }
 
 }  // namespace

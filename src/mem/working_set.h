@@ -27,6 +27,8 @@ struct WorkingSetDistribution {
   double stddev_mib = 91.38;
   double floor_mib = 16.0;
   // The ceiling is the VM allocation, fixed per sampler.
+
+  bool operator==(const WorkingSetDistribution&) const = default;
 };
 
 // InvalidArgument unless a sampler of `dist` clamped to `ceiling_bytes` can

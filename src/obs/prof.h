@@ -66,7 +66,7 @@ enum class Phase : int {
   kPoolTaskRun,      // one batch task on a worker thread (busy)
   kPoolIdle,         // a worker's wait from its last task to the batch end
   kSimHeapPop,       // event-queue pop                  [per event]
-  kSimDispatch,      // event closure execution          [per event]
+  kSimDispatch,      // ClusterManager::Dispatch         [per event]
   kPhaseCount,
 };
 inline constexpr int kNumPhases = static_cast<int>(Phase::kPhaseCount);

@@ -54,16 +54,16 @@ std::vector<std::vector<Move>> DrawGroups(const ClusterManager& m, SimTime now, 
   const ClusterConfig& config = m.config();
   std::vector<uint64_t> room(state.hosts.size(), 0);
   std::vector<HostId> cons;
-  for (const auto& host : state.hosts) {
-    if (host->IsConsolidationHost() && host->IsPowered()) {
-      room[host->id()] = host->AvailableBytes();
-      cons.push_back(host->id());
+  for (const ClusterHost& host : state.hosts) {
+    if (host.IsConsolidationHost() && host.IsPowered()) {
+      room[host.id()] = host.AvailableBytes();
+      cons.push_back(host.id());
     }
   }
   std::vector<HostId> occupied;
-  for (const auto& host : state.hosts) {
-    if (host->HasVms()) {
-      occupied.push_back(host->id());
+  for (const ClusterHost& host : state.hosts) {
+    if (host.HasVms()) {
+      occupied.push_back(host.id());
     }
   }
   std::vector<bool> used(state.vms.size(), false);
@@ -72,7 +72,7 @@ std::vector<std::vector<Move>> DrawGroups(const ClusterManager& m, SimTime now, 
                                     VmSlot::PendingOp::kReturnMove};
   std::vector<std::vector<Move>> out;
   for (int g = 0; g < groups; ++g) {
-    const ClusterHost& source = *state.hosts[occupied[rng.NextBelow(occupied.size())]];
+    const ClusterHost& source = state.hosts[occupied[rng.NextBelow(occupied.size())]];
     std::vector<Move> moves;
     for (VmId id : source.vms()) {
       const VmSlot& vm = state.vms[id];
@@ -141,8 +141,8 @@ void ExpectSameWorlds(const ClusterManager& group, const ClusterManager& twin, S
   }
   for (size_t h = 0; h < a.hosts.size(); ++h) {
     SCOPED_TRACE("host " + std::to_string(h));
-    const ClusterHost& x = *a.hosts[h];
-    const ClusterHost& y = *b.hosts[h];
+    const ClusterHost& x = a.hosts[h];
+    const ClusterHost& y = b.hosts[h];
     EXPECT_TRUE(std::ranges::equal(x.vms().words(), y.vms().words()));
     EXPECT_EQ(x.vms().size(), y.vms().size());
     EXPECT_EQ(x.reserved_bytes(), y.reserved_bytes());

@@ -4,8 +4,8 @@
 //     jump rows of the on-demand fetch equal round-by-round iteration
 //     around the cap threshold, over every memoized size, every page-aligned
 //     size below the threshold and at random sizes, including random VMs
-//     in every phase under four rate variants; dirty and working-set growth
-//     equal their per-round sums.
+//     in every phase; dirty and working-set growth equal their per-round
+//     sums.
 //   - Differential days: two managers on the same config and trace, stepped
 //     round by round. One runs the actuator's lazy PartialVmUpkeep, the
 //     other the eager walk kept below as the reference. Between them the
@@ -48,6 +48,8 @@ struct UpkeepTestPeer {
   // The completion batch ClusterManager::Run runs after the day's events.
   static void RetireCompletions(ClusterManager& m) { m.act_.RetireCompletions(); }
   static void SettleAll(ClusterManager& m) { m.act_.SettleAllUpkeep(); }
+  // Overrides the working-set growth per round, before `m` runs a round.
+  static void SetGrowth(ClusterManager& m, uint64_t growth) { m.state_.upkeep.growth = growth; }
   // Actuator::PartialVmUpkeep as it stood before upkeep went lazy: every
   // round visits every eligible VM. Returns whether the round exhausted a
   // host.
@@ -59,9 +61,9 @@ namespace {
 using check::CheckMode;
 using check::InvariantChecker;
 
-uint64_t GrowthPerInterval(const ClusterConfig& config) {
-  double hours = config.planning_interval.hours();
-  uint64_t bytes = MiBToBytes(config.volumes.ws_growth_mib_per_hour * hours);
+// Whole pages of working-set growth per round at `mib_per_hour`.
+uint64_t GrowthPerInterval(SimTime planning_interval, double mib_per_hour) {
+  uint64_t bytes = MiBToBytes(mib_per_hour * planning_interval.hours());
   return (bytes / kPageSize) * kPageSize;
 }
 
@@ -70,9 +72,9 @@ uint64_t GrowthPerInterval(const ClusterConfig& config) {
 bool UpkeepTestPeer::EagerUpkeep(ClusterManager& m, SimTime now) {
   ClusterState& state = m.state_;
   const ClusterConfig& config = m.config_;
-  const TrafficVolumes& vol = config.volumes;
-  uint64_t growth = GrowthPerInterval(config);
-  uint64_t dirty_step = MiBToBytes(vol.dirty_mib_per_minute * config.planning_interval.minutes());
+  // The scenario's growth, which it may have set through SetGrowth.
+  uint64_t growth = state.upkeep.growth;
+  uint64_t dirty_step = MiBToBytes(kDirtyMiBPerMinute * config.planning_interval.minutes());
   uint64_t fetched_bytes = 0;
   uint64_t fetches = 0;
   std::vector<HostId> exhausted_homes;
@@ -80,7 +82,7 @@ bool UpkeepTestPeer::EagerUpkeep(ClusterManager& m, SimTime now) {
     if (state.partial_residents[h] == 0) {
       continue;
     }
-    ClusterHost& host = *state.hosts[h];
+    ClusterHost& host = state.hosts[h];
     uint64_t fits = growth > 0 ? host.AvailableBytes() / growth : 0;
     uint64_t grown = 0;
     for (VmId id : host.vms()) {
@@ -91,14 +93,14 @@ bool UpkeepTestPeer::EagerUpkeep(ClusterManager& m, SimTime now) {
       // This world never lags: every eligible VM took every round.
       EXPECT_EQ(vm.upkeep_mark, state.upkeep_round) << "eager world VM " << id;
       uint64_t fetch = static_cast<uint64_t>(static_cast<double>(vm.ws_unfetched) *
-                                             vol.on_demand_fraction_per_interval);
-      fetch = std::min(fetch, vol.on_demand_cap_per_interval);
+                                             kOnDemandFractionPerRound);
+      fetch = std::min(fetch, kOnDemandCapPerRound);
       if (fetch > 0) {
         fetched_bytes += fetch;
         ++fetches;
         vm.ws_unfetched -= fetch;
       }
-      vm.dirty_bytes = std::min(vm.dirty_bytes + dirty_step, vol.dirty_cap_bytes);
+      vm.dirty_bytes = std::min(vm.dirty_bytes + dirty_step, kDirtyCapBytes);
       if (growth > 0) {
         if (grown < fits) {
           ++grown;
@@ -132,7 +134,7 @@ void UpkeepTestPeer::RunUntil(ClusterManager& m, SimTime until, int* eager_exhau
     m.RunUntil(until);
     return;
   }
-  m.act_.SetCollectors(obs::Tracer::IfEnabled(), obs::MetricsRegistry::IfEnabled());
+  m.SetCollectors();
   m.sim_.RunUntil(until, [&m, eager_exhaustions](const Event& ev) {
     if (static_cast<ClusterEvent>(ev.kind) != ClusterEvent::kRound) {
       m.Dispatch(ev);
@@ -233,14 +235,23 @@ void Tally(ClusterManager& m, Coverage& cov) {
   }
 }
 
-// Runs `config` on `trace` in both worlds round by round, then settles the
-// lazy one and checks the finished days against each other and against a
-// plain ClusterManager::Run.
-Coverage ExpectLazyMatchesEager(const ClusterConfig& config, const TraceSet& trace) {
+// Homes packed to the brim and consolidation hosts that fill within hours
+// (TightCluster) exhaust hosts all day when working sets grow 40x faster
+// than §4.4.3's creep.
+constexpr double kTightGrowthMiBPerHour = 40 * kWsGrowthMiBPerHour;
+
+// Runs `config` on `trace` in both worlds round by round, with working sets
+// growing `growth_mib_per_hour`, then settles the lazy one and checks the
+// finished days against each other and against a plain ClusterManager::Run.
+Coverage ExpectLazyMatchesEager(const ClusterConfig& config, const TraceSet& trace,
+                                double growth_mib_per_hour = kTightGrowthMiBPerHour) {
+  const uint64_t growth = GrowthPerInterval(config.planning_interval, growth_mib_per_hour);
   InvariantChecker checker(CheckMode::kWarn);
   InvariantChecker::Install(&checker);
   ClusterManager lazy(config, trace);
   ClusterManager eager(config, trace);
+  Peer::SetGrowth(lazy, growth);
+  Peer::SetGrowth(eager, growth);
   Coverage cov;
   bool same = true;
   for (int t = 0; same && t < Peer::RoundsPerDay(lazy); ++t) {
@@ -279,6 +290,7 @@ Coverage ExpectLazyMatchesEager(const ClusterConfig& config, const TraceSet& tra
   // The stepped lazy world, settled, is the production day: the same
   // traffic, counters and delays as ClusterManager::Run.
   ClusterManager plain(config, trace);
+  Peer::SetGrowth(plain, growth);
   ClusterMetrics pm = plain.Run();
   for (int c = 0; c < kCategories; ++c) {
     TrafficCategory cat = static_cast<TrafficCategory>(c);
@@ -299,29 +311,25 @@ TraceSet TraceFor(const ClusterConfig& config, DayKind day) {
   return generator.GenerateTraceSet(config.TotalVms(), day);
 }
 
-// Homes packed to the brim and consolidation hosts that fill within hours:
-// working sets grow 40x faster than §4.4.3's creep, so growth exhausts
-// hosts all day.
+// Homes packed to the brim and consolidation hosts that fill within hours.
 ClusterConfig TightCluster(ConsolidationPolicy policy, uint64_t seed) {
   ClusterConfig config;
   config.num_home_hosts = 8;
   config.num_consolidation_hosts = 3;
   config.vms_per_home = 10;
   config.host_memory_bytes = 40 * kGiB;
-  config.volumes.ws_growth_mib_per_hour = 240.0;
   config.policy = policy;
   config.seed = seed;
   return config;
 }
 
 TEST(UpkeepRatesTest, FetchShortcutsMatchIteration) {
-  ClusterConfig config;
-  UpkeepRates rates(config);
-  const uint64_t cap = config.volumes.on_demand_cap_per_interval;
-  ASSERT_NE(rates.cap_threshold, UpkeepRates::kNoCapPhase);
+  UpkeepRates rates(ClusterConfig{}.planning_interval);
+  const uint64_t cap = kOnDemandCapPerRound;
+  const uint64_t threshold = UpkeepRates::kCapThreshold;
   // The threshold is the first size whose fetch is the cap.
-  EXPECT_EQ(rates.Fetch(rates.cap_threshold), cap);
-  EXPECT_LT(rates.Fetch(rates.cap_threshold - 1), cap);
+  EXPECT_EQ(rates.Fetch(threshold), cap);
+  EXPECT_LT(rates.Fetch(threshold - 1), cap);
 
   auto iterate = [&rates](uint64_t unfetched, uint64_t rounds) {
     UpkeepCounters c;
@@ -347,9 +355,9 @@ TEST(UpkeepRatesTest, FetchShortcutsMatchIteration) {
   };
   std::vector<uint64_t> sizes;
   for (int64_t pages = -2; pages <= 2; ++pages) {
-    sizes.push_back(rates.cap_threshold + static_cast<uint64_t>(pages * kPageSize));
-    sizes.push_back(rates.cap_threshold + static_cast<uint64_t>(pages));
-    sizes.push_back(rates.cap_threshold + cap + static_cast<uint64_t>(pages * kPageSize));
+    sizes.push_back(threshold + static_cast<uint64_t>(pages * kPageSize));
+    sizes.push_back(threshold + static_cast<uint64_t>(pages));
+    sizes.push_back(threshold + cap + static_cast<uint64_t>(pages * kPageSize));
   }
   Rng rng(20160419);
   for (int i = 0; i < 200; ++i) {
@@ -362,7 +370,7 @@ TEST(UpkeepRatesTest, FetchShortcutsMatchIteration) {
   }
   // Every size the memoized tail covers, and a little past it, with fewer
   // and more rounds than its walk takes.
-  ASSERT_EQ(rates.tables->tail.size(), UpkeepRates::kTailSizes);
+  ASSERT_EQ(UpkeepRates::Tables().tail.size(), UpkeepRates::kTailSizes);
   for (uint64_t unfetched = 0; unfetched < UpkeepRates::kTailSizes + 64; ++unfetched) {
     for (uint64_t rounds : {1u, 4u, 11u, 19u, 288u}) {
       expect_same(unfetched, rounds);
@@ -371,61 +379,51 @@ TEST(UpkeepRatesTest, FetchShortcutsMatchIteration) {
 
   // Random VMs against the rounds applied one at a time with the unsigned
   // conversions: sizes in the cap phase, in the band and in the memoized
-  // tail, 0-60 rounds and a random number of them grown. The same on rates
-  // without a cap, without fetches and fetching everything. Each variant
-  // draws 400 groups of 1-14 VMs.
-  auto one_by_one = [](const UpkeepRates& r, const VmSlot& vm, uint64_t rounds, uint64_t grown) {
-    UpkeepCounters c{vm.ws_bytes + grown * r.growth, vm.ws_unfetched, vm.dirty_bytes, 0, 0};
+  // tail, 0-60 rounds and a random number of them grown, in 1600 groups of
+  // 1-14 VMs.
+  auto one_by_one = [&rates](const VmSlot& vm, uint64_t rounds, uint64_t grown) {
+    UpkeepCounters c{vm.ws_bytes + grown * rates.growth, vm.ws_unfetched, vm.dirty_bytes, 0, 0};
     for (uint64_t k = 0; k < rounds; ++k) {
-      const double product = static_cast<double>(c.ws_unfetched) * r.fetch_fraction;
-      uint64_t fetch = std::min(static_cast<uint64_t>(product), r.fetch_cap);
+      const double product = static_cast<double>(c.ws_unfetched) * kOnDemandFractionPerRound;
+      uint64_t fetch = std::min(static_cast<uint64_t>(product), kOnDemandCapPerRound);
       if (fetch > 0) {
         c.ws_unfetched -= fetch;
         c.fetched_bytes += fetch;
         ++c.fetches;
       }
-      c.dirty_bytes = std::min(c.dirty_bytes + r.dirty_step, r.dirty_cap);
+      c.dirty_bytes = std::min(c.dirty_bytes + rates.dirty_step, kDirtyCapBytes);
     }
     return c;
   };
-  std::vector<ClusterConfig> variants(4);
-  variants[1].volumes.on_demand_cap_per_interval = 0;
-  variants[2].volumes.on_demand_fraction_per_interval = 0.0;
-  variants[3].volumes.on_demand_fraction_per_interval = 1.0;
-  for (const ClusterConfig& variant : variants) {
-    UpkeepRates r(variant);
-    uint64_t band_floor = UpkeepRates::kTailSizes;
-    const bool capped = r.cap_threshold != UpkeepRates::kNoCapPhase;
-    uint64_t band_ceiling = capped ? r.cap_threshold : 64 * kMiB;
-    for (int group = 0; group < 400; ++group) {
-      const uint64_t n = 1 + rng.NextBelow(14);
-      for (uint64_t i = 0; i < n; ++i) {
-        VmSlot vm;
-        switch (rng.NextBelow(3)) {
-          case 0:  // cap phase
-            vm.ws_unfetched = band_ceiling + rng.NextBelow(200 * kMiB);
-            break;
-          case 1:  // band
-            vm.ws_unfetched = band_floor + rng.NextBelow(band_ceiling - band_floor);
-            break;
-          default:  // memoized tail
-            vm.ws_unfetched = rng.NextBelow(UpkeepRates::kTailSizes);
-            break;
-        }
-        vm.ws_bytes = vm.ws_unfetched + rng.NextBelow(64 * kMiB);
-        vm.dirty_bytes = rng.NextBelow(variant.volumes.dirty_cap_bytes);
-        const uint64_t rounds = rng.NextBelow(61);
-        const uint64_t grown = rng.NextBelow(rounds + 1);
-        const UpkeepCounters want = one_by_one(r, vm, rounds, grown);
-        const UpkeepCounters got = r.Advance(vm, rounds, grown);
-        const std::string what =
-            std::to_string(vm.ws_unfetched) + " B over " + std::to_string(rounds) + " rounds";
-        EXPECT_EQ(want.ws_bytes, got.ws_bytes) << what;
-        EXPECT_EQ(want.ws_unfetched, got.ws_unfetched) << what;
-        EXPECT_EQ(want.dirty_bytes, got.dirty_bytes) << what;
-        EXPECT_EQ(want.fetched_bytes, got.fetched_bytes) << what;
-        EXPECT_EQ(want.fetches, got.fetches) << what;
+  const uint64_t band_floor = UpkeepRates::kTailSizes;
+  for (int group = 0; group < 1600; ++group) {
+    const uint64_t n = 1 + rng.NextBelow(14);
+    for (uint64_t i = 0; i < n; ++i) {
+      VmSlot vm;
+      switch (rng.NextBelow(3)) {
+        case 0:  // cap phase
+          vm.ws_unfetched = threshold + rng.NextBelow(200 * kMiB);
+          break;
+        case 1:  // band
+          vm.ws_unfetched = band_floor + rng.NextBelow(threshold - band_floor);
+          break;
+        default:  // memoized tail
+          vm.ws_unfetched = rng.NextBelow(UpkeepRates::kTailSizes);
+          break;
       }
+      vm.ws_bytes = vm.ws_unfetched + rng.NextBelow(64 * kMiB);
+      vm.dirty_bytes = rng.NextBelow(kDirtyCapBytes);
+      const uint64_t rounds = rng.NextBelow(61);
+      const uint64_t grown = rng.NextBelow(rounds + 1);
+      const UpkeepCounters want = one_by_one(vm, rounds, grown);
+      const UpkeepCounters got = rates.Advance(vm, rounds, grown);
+      const std::string what =
+          std::to_string(vm.ws_unfetched) + " B over " + std::to_string(rounds) + " rounds";
+      EXPECT_EQ(want.ws_bytes, got.ws_bytes) << what;
+      EXPECT_EQ(want.ws_unfetched, got.ws_unfetched) << what;
+      EXPECT_EQ(want.dirty_bytes, got.dirty_bytes) << what;
+      EXPECT_EQ(want.fetched_bytes, got.fetched_bytes) << what;
+      EXPECT_EQ(want.fetches, got.fetches) << what;
     }
   }
 }
@@ -433,50 +431,28 @@ TEST(UpkeepRatesTest, FetchShortcutsMatchIteration) {
 TEST(UpkeepRatesTest, JumpRowsMatchTheRoundByRoundWalk) {
   // The walk round by round from `start`: where it stands after each round
   // until its fetch rounds down to nothing.
-  auto positions = [](const UpkeepRates& r, uint64_t start) {
+  auto positions = [](uint64_t start) {
     std::vector<uint64_t> at{start};
-    while (r.Fetch(at.back()) != 0) {
-      at.push_back(at.back() - r.Fetch(at.back()));
+    while (UpkeepRates::Fetch(at.back()) != 0) {
+      at.push_back(at.back() - UpkeepRates::Fetch(at.back()));
     }
     return at;
   };
-  // Advance(start, rounds) against those positions, for every rounds value
-  // up to the longest walk's length plus `max_extra`.
-  auto expect_walks = [&](const UpkeepRates& r, const std::vector<uint64_t>& starts,
-                          uint64_t max_extra) {
-    std::vector<std::vector<uint64_t>> walks;
-    uint64_t longest = 0;
-    for (uint64_t start : starts) {
-      walks.push_back(positions(r, start));
-      longest = std::max<uint64_t>(longest, walks.back().size() - 1);
-    }
-    for (size_t i = 0; i < starts.size(); ++i) {
-      VmSlot vm;
-      vm.ws_unfetched = starts[i];
-      const std::vector<uint64_t>& walk = walks[i];
-      for (uint64_t rounds = 0; rounds <= longest + max_extra; ++rounds) {
-        const uint64_t fetching = std::min<uint64_t>(rounds, walk.size() - 1);
-        const UpkeepCounters got = r.Advance(vm, rounds, 0);
-        ASSERT_EQ(got.ws_unfetched, walk[fetching]) << starts[i] << " over " << rounds;
-        ASSERT_EQ(got.fetched_bytes, walk[0] - walk[fetching]) << starts[i];
-        ASSERT_EQ(got.fetches, fetching) << starts[i] << " over " << rounds;
-      }
-    }
-  };
 
-  // The default rates: a row for every page-aligned size below the
-  // threshold, each matching its walk's length and stops, and every start
-  // advanced by every rounds value up to its length and a stride past it.
-  ClusterConfig config;
-  UpkeepRates rates(config);
-  const UpkeepRates::FetchTables& tables = *rates.tables;
-  const size_t rows = (rates.cap_threshold + kPageSize - 1) / kPageSize;
+  // A row for every page-aligned size below the threshold, each matching
+  // its walk's length and stops, and every start advanced by every rounds
+  // value up to the longest walk's length and a stride past it.
+  UpkeepRates rates(ClusterConfig{}.planning_interval);
+  const UpkeepRates::FetchTables& tables = UpkeepRates::Tables();
+  const size_t rows = (UpkeepRates::kCapThreshold + kPageSize - 1) / kPageSize;
   ASSERT_EQ(tables.length.size(), rows);
   ASSERT_GT(tables.stops_per_row, 0u);
   ASSERT_EQ(tables.stops.size(), rows * tables.stops_per_row);
-  std::vector<uint64_t> aligned;
+  std::vector<std::vector<uint64_t>> walks;
+  uint64_t longest = 0;
   for (size_t p = 0; p < rows; ++p) {
-    const std::vector<uint64_t> walk = positions(rates, p * kPageSize);
+    const std::vector<uint64_t>& walk = walks.emplace_back(positions(p * kPageSize));
+    longest = std::max<uint64_t>(longest, walk.size() - 1);
     ASSERT_EQ(tables.length[p], walk.size() - 1) << p;
     const size_t stops =
         std::min(tables.stops_per_row, (walk.size() - 1) / UpkeepRates::kJumpStride);
@@ -484,44 +460,26 @@ TEST(UpkeepRatesTest, JumpRowsMatchTheRoundByRoundWalk) {
       ASSERT_EQ(tables.stops[p * tables.stops_per_row + j - 1], walk[j * UpkeepRates::kJumpStride])
           << p << " stop " << j;
     }
-    aligned.push_back(p * kPageSize);
   }
-  expect_walks(rates, aligned, UpkeepRates::kJumpStride);
-
-  // Rates past either bound build no rows, and their walks step from the
-  // start: a threshold of 100 MiB, and a 5% fraction whose walks take
-  // hundreds of rounds.
-  ClusterConfig wide;
-  wide.volumes.on_demand_cap_per_interval = 30 * kMiB;
-  ClusterConfig slow;
-  slow.volumes.on_demand_fraction_per_interval = 0.05;
-  slow.volumes.on_demand_cap_per_interval = 1 * kMiB;
-  Rng rng(20160420);
-  for (const ClusterConfig& variant : {wide, slow}) {
-    UpkeepRates r(variant);
-    ASSERT_LE(r.cap_threshold, 128 * kMiB);
-    EXPECT_TRUE(r.tables->length.empty());
-    EXPECT_TRUE(r.tables->stops.empty());
-    std::vector<uint64_t> starts;
-    for (int i = 0; i < 20; ++i) {
-      starts.push_back(rng.NextBelow(r.cap_threshold / kPageSize) * kPageSize);
+  for (size_t p = 0; p < rows; ++p) {
+    VmSlot vm;
+    vm.ws_unfetched = p * kPageSize;
+    const std::vector<uint64_t>& walk = walks[p];
+    for (uint64_t rounds = 0; rounds <= longest + UpkeepRates::kJumpStride; ++rounds) {
+      const uint64_t fetching = std::min<uint64_t>(rounds, walk.size() - 1);
+      const UpkeepCounters got = rates.Advance(vm, rounds, 0);
+      ASSERT_EQ(got.ws_unfetched, walk[fetching]) << vm.ws_unfetched << " over " << rounds;
+      ASSERT_EQ(got.fetched_bytes, walk[0] - walk[fetching]) << vm.ws_unfetched;
+      ASSERT_EQ(got.fetches, fetching) << vm.ws_unfetched << " over " << rounds;
     }
-    expect_walks(r, starts, 2);
   }
-
-  // Equal fetch rates share one set of tables, whatever else differs.
-  ClusterConfig other;
-  other.planning_interval = SimTime::Seconds(600);
-  other.volumes.dirty_mib_per_minute = 1.0;
-  EXPECT_EQ(UpkeepRates(other).tables, rates.tables);
-  EXPECT_NE(UpkeepRates(wide).tables, rates.tables);
 }
 
 TEST(UpkeepRatesTest, DirtyAndGrowthAreTheirPerRoundSums) {
   ClusterConfig config;
   config.planning_interval = SimTime::Seconds(600);
-  UpkeepRates rates(config);
-  EXPECT_EQ(rates.growth, GrowthPerInterval(config));
+  UpkeepRates rates(config.planning_interval);
+  EXPECT_EQ(rates.growth, GrowthPerInterval(config.planning_interval, kWsGrowthMiBPerHour));
   VmSlot vm;
   vm.ws_bytes = 100 * kMiB;
   for (uint64_t rounds : {0u, 1u, 5u, 40u, 500u}) {
@@ -529,22 +487,10 @@ TEST(UpkeepRatesTest, DirtyAndGrowthAreTheirPerRoundSums) {
     EXPECT_EQ(c.ws_bytes, vm.ws_bytes + (rounds / 2) * rates.growth);
     uint64_t dirty = 0;
     for (uint64_t r = 0; r < rounds; ++r) {
-      dirty = std::min(dirty + rates.dirty_step, config.volumes.dirty_cap_bytes);
+      dirty = std::min(dirty + rates.dirty_step, kDirtyCapBytes);
     }
     EXPECT_EQ(c.dirty_bytes, dirty) << rounds;
   }
-}
-
-TEST(UpkeepRatesTest, NoCapPhaseWithoutACap) {
-  ClusterConfig config;
-  config.volumes.on_demand_cap_per_interval = 0;
-  UpkeepRates rates(config);
-  EXPECT_EQ(rates.cap_threshold, UpkeepRates::kNoCapPhase);
-  VmSlot vm;
-  vm.ws_unfetched = 100 * kMiB;
-  UpkeepCounters c = rates.Advance(vm, 10, 10);
-  EXPECT_EQ(c.ws_unfetched, vm.ws_unfetched);
-  EXPECT_EQ(c.fetches, 0u);
 }
 
 TEST(LazyUpkeepTest, MatchesTheEagerWalkEveryRound) {
@@ -569,8 +515,8 @@ TEST(LazyUpkeepTest, MatchesTheEagerWalkEveryRound) {
     SCOPED_TRACE("10-minute rounds, default growth");
     ClusterConfig config = TightCluster(ConsolidationPolicy::kFullToPartial, 3);
     config.planning_interval = SimTime::Seconds(600);
-    config.volumes.ws_growth_mib_per_hour = 6.0;
-    covered.push_back(ExpectLazyMatchesEager(config, TraceFor(config, DayKind::kWeekday)));
+    covered.push_back(
+        ExpectLazyMatchesEager(config, TraceFor(config, DayKind::kWeekday), kWsGrowthMiBPerHour));
   }
   for (uint64_t seed : {20160419u, 20160420u}) {
     SCOPED_TRACE("chaos day, seed " + std::to_string(seed));
@@ -611,6 +557,7 @@ TEST(TrustedIdleTest, BitsMatchTheLastIdleEdgeRule) {
       config.planning_interval = SimTime::Seconds(60.0 * minutes);
       config.idle_smoothing_intervals = window;
       ClusterManager m(config, TraceFor(config, DayKind::kWeekday));
+      Peer::SetGrowth(m, GrowthPerInterval(config.planning_interval, kTightGrowthMiBPerHour));
       const size_t num_vms = m.num_vms();
       std::vector<SimTime> idle_since(num_vms, SimTime::Micros(INT64_MIN / 2));
       std::vector<VmActivity> seen(num_vms);
